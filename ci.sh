@@ -64,9 +64,11 @@ rm -f "$alloc_out"
 # the recovery protocol. Time-bounded by -timeout rather than test count.
 # The façade names matched here include the PS>1 grid sweep (gridchaos
 # _test.go): spatial shrink, column loss + checkpoint restore, and the
-# guard×crash interleaving on 2×2 and 4×2 grids.
+# guard×crash interleaving on 2×2 and 4×2 grids. `Cancel` is
+# TestFacadeCancelAtBlockBoundary: cancellation through every block
+# loop via the one block-boundary callback.
 go test -race -count=1 -timeout 10m \
-  -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Shrink|Agree|Torn|Levels|Fault' \
+  -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Shrink|Agree|Torn|Levels|Fault|Cancel' \
   ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ .
 
 # Checkpoint fuzz smoke: a few seconds of mutated NBLV headers against
@@ -98,12 +100,18 @@ daemon_bin=$(mktemp)
 go build -o "$daemon_bin" ./cmd/nbodyd
 rm -f "$daemon_bin"
 go test -race -count=1 -timeout 15m ./internal/server/ ./internal/sched/
+# The admission bound (a job leaves the queue only with a worker slot)
+# used to fail these two on a 2-core host; five reruns keep it fixed.
+go test -race -count=5 -run 'FullQueue|ShedOldest' ./internal/server/
 go run ./cmd/nbodylint ./internal/server/ ./internal/sched/ ./cmd/nbodyd/
 
 # Server chaos benchmark: a job fleet clean vs under the chaos plan
 # (jobs/sec, p50/p99 latency, bitwise agreement after crash retries)
-# plus a drain+restart cycle, recorded in BENCH_PR9.json.
-go run ./cmd/experiments -exp serverchaos -server-out BENCH_PR9.json
+# plus a drain+restart cycle. The record goes to a scratch file: the
+# committed BENCH_PR9.json is a frozen record, not a CI artifact.
+server_out=$(mktemp)
+go run ./cmd/experiments -exp serverchaos -server-out "$server_out"
+rm -f "$server_out"
 
 # Job-spec and journal fuzz smoke: mutated specs and journal images
 # against the admission parser and the journal replayer — typed

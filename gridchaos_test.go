@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/pfasst"
 )
 
 // gridDeviation is the acceptance bound for degraded completion after
@@ -151,6 +152,14 @@ func TestFacadeGridGuardResilienceCleanBitwise(t *testing.T) {
 	}
 	if stats.Run.Counter(guard.CounterInjected) == 0 {
 		t.Fatal("no guard flips recorded despite a flip plan")
+	}
+	// The ladder's telemetry works under resilience too, and a redone
+	// block is recorded once: 4 ranks × 2 committed blocks.
+	if stats.Run.Counter(guard.CounterRedo) == 0 {
+		t.Fatal("flipped blocks were redone without counting guard.redo")
+	}
+	if got := stats.Run.Counter(pfasst.CounterBlocks); got != 4*2 {
+		t.Fatalf("pfasst.blocks = %d after redos, want ranks × committed blocks = 8", got)
 	}
 }
 

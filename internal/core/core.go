@@ -217,19 +217,21 @@ type Config struct {
 	// redo and a concurrent rank crash interleave safely (DESIGN.md
 	// §12).
 	Guard guard.Policy
-	// Ctx enables cooperative cancellation: the block loops poll it at
+	// Ctx enables cooperative cancellation: every block loop polls it at
 	// every block boundary (never mid-block) and the run returns an
 	// error wrapping pfasst.ErrCanceled, identically on every rank. The
-	// decision is collective — rank 0's observation of the Context is
-	// broadcast (plain/guarded path) or folded into the block agreement
-	// (resilient paths) — so no rank ever aborts asymmetrically out of
-	// a deadline-less collective. Nil changes nothing.
+	// decision is collective — the ranks' observations of the Context
+	// fold into one world agreement (blockBoundary) — so no rank ever
+	// aborts asymmetrically out of a deadline-less collective. Nil
+	// changes nothing.
 	Ctx context.Context
 	// OnBlock, when non-nil, is invoked with the index of the block
-	// about to run, from exactly one world rank, before the Context is
-	// polled: a hook that cancels the Context stops the run at that
-	// block boundary deterministically (the server's chaos plan and
-	// progress telemetry hang off this).
+	// about to run, from exactly one world rank (the lowest live one),
+	// before the Context is polled: a hook that cancels the Context
+	// stops the run at that block boundary deterministically (the
+	// server's chaos plan and progress telemetry hang off this). The
+	// resilient loops pass a boundary once per attempt, so a retried
+	// block reports again.
 	OnBlock func(block int)
 }
 
@@ -308,54 +310,8 @@ func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 flo
 		// and the guard behaves exactly as before.
 		grd.AttachSpace(spaceComm)
 	}
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		levels = []LevelTheta{
-			{Theta: cfg.ThetaFine, NNodes: cfg.NodesFine},
-			{Theta: cfg.ThetaCoarse, NNodes: cfg.NodesCoarse},
-		}
-	}
-	specs := make([]pfasst.LevelSpec, len(levels))
-	systems := make([]*DistVortexSystem, len(levels))
-	for i, l := range levels {
-		hcfg := hot.Config{
-			Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: l.Theta,
-			LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
-			Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-			Layout:          cfg.Layout,
-			WeightedBalance: cfg.Balance,
-			Branch:          cfg.Branch,
-			Tel:             cfg.Tel,
-		}
-		if grd != nil {
-			hcfg.Hook = grd
-		}
-		solver := hot.New(spaceComm, hcfg)
-		systems[i] = NewDistVortexSystem(local, solver)
-		systems[i].Instrument(cfg.Tel, i)
-		specs[i] = pfasst.LevelSpec{Sys: systems[i], NNodes: l.NNodes}
-	}
-	fineSys := systems[0]
-	coarseSys := systems[len(systems)-1]
-
-	pcfg := pfasst.Config{
-		Levels:       specs,
-		Iterations:   cfg.Iterations,
-		CoarseSweeps: cfg.CoarseSweeps,
-		Tol:          cfg.Tol,
-		Tel:          cfg.Tel,
-		Resilience:   cfg.Resilience,
-		Guard:        grd,
-		Ctx:          cfg.Ctx,
-	}
-	if spatial == 0 {
-		// The resilient PS=1 loop calls the hook from time rank 0; with
-		// one spatial column that is exactly one world rank per block.
-		pcfg.OnBlock = cfg.OnBlock
-	}
-	if cfg.Ctx != nil || cfg.OnBlock != nil {
-		pcfg.CancelCheck = cancelCheck(world, cfg.Ctx, cfg.OnBlock)
-	}
+	pcfg, fineSys, coarseSys := levelSolver(spaceComm, cfg, local, grd)
+	pcfg.Boundary = blockBoundary(world, cfg.Ctx, cfg.OnBlock)
 	u0 := local.PackNew()
 	pres, err := pfasst.Run(timeComm, pcfg, t0, t1, nsteps, u0)
 	if err != nil {
@@ -375,30 +331,103 @@ func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 flo
 	}, nil
 }
 
-// cancelCheck returns the collective block-boundary cancellation
-// predicate used by the plain and guarded time loops: world rank 0
-// invokes the OnBlock hook, polls the Context, and broadcasts the
-// verdict, so every rank of every spatial column aborts the same block
-// together (an asymmetric local return would strand peers in
-// deadline-less spatial collectives).
-func cancelCheck(world *mpi.Comm, ctx context.Context, onBlock func(int)) func(int) error {
-	return func(block int) error {
-		flag := []byte{0}
-		if world.Rank() == 0 {
-			if onBlock != nil {
-				onBlock(block)
-			}
-			if ctx != nil && ctx.Err() != nil {
-				flag[0] = 1
-			}
+// levelSystem builds the distributed vortex system of one hierarchy
+// level: a parallel tree solver with MAC parameter theta on the spatial
+// communicator, evaluating the rank's local particles. The guard, when
+// non-nil, hooks the solver's tree builds (ABFT moment checks).
+func levelSystem(space *mpi.Comm, cfg Config, local *particle.System, theta float64, level int, grd *guard.Guard) *DistVortexSystem {
+	hcfg := hot.Config{
+		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: theta,
+		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
+		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
+		Layout:          cfg.Layout,
+		WeightedBalance: cfg.Balance,
+		Branch:          cfg.Branch,
+		Tel:             cfg.Tel,
+	}
+	if grd != nil {
+		hcfg.Hook = grd
+	}
+	sys := NewDistVortexSystem(local, hot.New(space, hcfg))
+	sys.Instrument(cfg.Tel, level)
+	return sys
+}
+
+// levelPlan expands the two-level default into the explicit hierarchy.
+func levelPlan(cfg Config) []LevelTheta {
+	if len(cfg.Levels) > 0 {
+		return cfg.Levels
+	}
+	return []LevelTheta{
+		{Theta: cfg.ThetaFine, NNodes: cfg.NodesFine},
+		{Theta: cfg.ThetaCoarse, NNodes: cfg.NodesCoarse},
+	}
+}
+
+// levelSolver builds one system per level of the space-time hierarchy
+// (the two-level θ_fine/θ_coarse default unless cfg.Levels overrides
+// it) and the PFASST configuration over them; it also returns the
+// finest and coarsest systems, whose evaluation counts the Result
+// reports.
+func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard.Guard) (pcfg pfasst.Config, fine, coarse *DistVortexSystem) {
+	levels := levelPlan(cfg)
+	specs := make([]pfasst.LevelSpec, len(levels))
+	for i, l := range levels {
+		sys := levelSystem(space, cfg, local, l.Theta, i, grd)
+		specs[i] = pfasst.LevelSpec{Sys: sys, NNodes: l.NNodes}
+		if i == 0 {
+			fine = sys
 		}
-		if got := world.Bcast(0, flag); len(got) == 1 && got[0] != 0 {
-			if err := pfasst.CancelErr(ctx, block); err != nil {
-				return err
-			}
-			return fmt.Errorf("core: block %d: %w: canceled at root", block, pfasst.ErrCanceled)
-		}
+		coarse = sys
+	}
+	return pfasst.Config{
+		Levels:       specs,
+		Iterations:   cfg.Iterations,
+		CoarseSweeps: cfg.CoarseSweeps,
+		Tol:          cfg.Tol,
+		Tel:          cfg.Tel,
+		Resilience:   cfg.Resilience,
+		Guard:        grd,
+	}, fine, coarse
+}
+
+// blockBoundary returns the one collective block-boundary callback all
+// three block loops call at the top of a block (nil when there is
+// neither a Context nor a hook, so such runs pay nothing). The lowest
+// live world rank invokes the OnBlock hook; then every live rank polls
+// the Context and the verdicts fold into a world agreement, so every
+// rank — of every spatial column, active or retired — takes the
+// identical abort-or-continue decision (an asymmetric local return
+// would strand peers in deadline-less spatial collectives). The
+// agreement completes despite dead ranks, which is what lets the
+// resilient loops share it with the lockstep one.
+func blockBoundary(world *mpi.Comm, ctx context.Context, onBlock func(int)) func(int) error {
+	if ctx == nil && onBlock == nil {
 		return nil
+	}
+	return func(block int) error {
+		// Shrink is communication-free; rank 0 of the survivor list is
+		// the lowest world rank this rank sees alive.
+		if onBlock != nil && world.Shrink().Rank() == 0 {
+			onBlock(block)
+		}
+		cerr := pfasst.CancelErr(ctx, block)
+		ok := int64(1)
+		if cerr != nil {
+			ok = 0
+		}
+		if world.Agree(ok) == 1 {
+			return nil
+		}
+		if cerr == nil {
+			// A peer saw the cancellation first; it is visible here by
+			// now unless the peer then died.
+			cerr = pfasst.CancelErr(ctx, block)
+		}
+		if cerr == nil {
+			cerr = fmt.Errorf("core: block %d: %w: canceled on a peer", block, pfasst.ErrCanceled)
+		}
+		return cerr
 	}
 }
 
@@ -411,17 +440,7 @@ func RunSpaceSerialSDC(spaceComm *mpi.Comm, cfg Config, local *particle.System,
 	if nsteps < 1 {
 		return nil, fmt.Errorf("core: nsteps %d < 1", nsteps)
 	}
-	solver := hot.New(spaceComm, hot.Config{
-		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: cfg.ThetaFine,
-		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
-		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-		Layout:          cfg.Layout,
-		WeightedBalance: cfg.Balance,
-		Branch:          cfg.Branch,
-		Tel:             cfg.Tel,
-	})
-	sys := NewDistVortexSystem(local, solver)
-	sys.Instrument(cfg.Tel, 0)
+	sys := levelSystem(spaceComm, cfg, local, cfg.ThetaFine, 0, nil)
 	in := sdc.NewIntegrator(sys, nnodes, sweeps)
 	u := local.PackNew()
 	residuals := make([]float64, 0, nsteps)

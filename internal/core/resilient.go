@@ -3,7 +3,9 @@ package core
 // Full-grid fault tolerance (ISSUE 8): crash recovery on the complete
 // PT×PS communicator grid. The PS=1 resilient loop lives in
 // pfasst.runResilient, where a block abort only ever involves the one
-// time communicator. At PS>1 the failure surface is two-dimensional —
+// time communicator; both loops run the same block attempt
+// (pfasst.GridSolver) and call the same block-boundary callback
+// (blockBoundary). At PS>1 the failure surface is two-dimensional —
 // a dead rank breaks its temporal column AND its spatial slice — so
 // the recovery protocol moves up to the layer that owns the spatial
 // decomposition:
@@ -35,14 +37,9 @@ package core
 // plain collectives (tree builds, guard allreduces — which have no
 // deadlines) fail fast and join the agreement instead of waiting for
 // the world-level deadlock detector. Guard corruption verdicts do NOT
-// revoke: the slice agrees collectively after the time block
-// completed, so every rank reaches the world agreement on its own.
-//
-// The grid path forces single-threaded tree traversals: comm-failure
-// panics must only ever unwind rank-main goroutines, and the hybrid
-// traversal's service goroutines would turn one into a process crash.
-// Traversal results are schedule-invariant, so this changes cost, not
-// numerics (DESIGN.md §12).
+// revoke: the time block completed, so every rank reaches the world
+// agreement on its own, and that agreement's minimum is what makes a
+// rank-local verdict uniform.
 
 import (
 	"errors"
@@ -77,39 +74,15 @@ const (
 	CounterRecoveryRetired    = "core.recovery.retired_ranks"
 )
 
-// levelPlan expands the two-level default into the explicit hierarchy.
-func levelPlan(cfg Config) []LevelTheta {
-	if len(cfg.Levels) > 0 {
-		return cfg.Levels
-	}
-	return []LevelTheta{
-		{Theta: cfg.ThetaFine, NNodes: cfg.NodesFine},
-		{Theta: cfg.ThetaCoarse, NNodes: cfg.NodesCoarse},
-	}
-}
-
-// gridHotConfig is the tree-solver configuration of the grid-resilient
-// path: identical to the plain path except that traversals are forced
-// synchronous (see the package comment above).
-func gridHotConfig(cfg Config, theta float64, grd *guard.Guard) hot.Config {
-	hcfg := hot.Config{
-		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: theta,
-		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: 1,
-		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
-		Layout:          cfg.Layout,
-		WeightedBalance: cfg.Balance,
-		Branch:          cfg.Branch,
-		Tel:             cfg.Tel,
-	}
-	if grd != nil {
-		hcfg.Hook = grd
-	}
-	return hcfg
-}
-
 // runGridResilient is the fault-tolerant space-time loop for PS > 1.
 // Every world rank calls it with identical arguments.
 func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
+	// The grid path forces single-threaded tree traversals: comm-failure
+	// panics must only ever unwind rank-main goroutines, and the hybrid
+	// traversal's service goroutines would turn one into a process
+	// crash. Traversal results are schedule-invariant, so this changes
+	// cost, not numerics (DESIGN.md §12).
+	cfg.Threads = 1
 	rz := cfg.Resilience
 	ps0, pt := cfg.PS, cfg.PT
 	slice := world.Rank() / ps0 // fixed for the rank's lifetime
@@ -135,7 +108,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	if cfg.Guard.Enabled {
 		grd = guard.New(cfg.Guard, world.Rank(), cfg.Tel)
 	}
-	levels := levelPlan(cfg)
+	boundary := blockBoundary(world, cfg.Ctx, cfg.OnBlock)
 
 	// Run state, identical on every live rank wherever it is not
 	// explicitly per-rank (u, col, active).
@@ -150,7 +123,6 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		psNew     int   // current active spatial width
 		retries   int   // consecutive retries without a new death
 		lastAbort error // cause of the most recent aborted attempt (per-rank)
-		gpending  int   // guard corruptions pending a committed redo
 		prevDead  = -1  // size of the last agreed dead set; -1 = none yet
 		col       = -1  // my spatial column, -1 = retired
 		active    bool
@@ -169,52 +141,48 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 
 	// Resume shares the shrink path: load the full state, let the first
 	// recovery round partition it onto whatever PS this run has. Every
-	// rank reads and validates its own copy of the checkpoint, so the
+	// rank reads and validates its own copy of the start state (the
+	// checkpoint, or else the initial conditions), so the
 	// accept-or-reject decision must be agreed world-wide before anyone
 	// returns: a rank-local read or validation failure that bailed out
 	// directly would strand the surviving ranks in the block-loop
 	// collectives below (the PR 8 deadlock class; nbodylint's
 	// collective rule flags the bare early returns).
+	var rerr error
 	if rz.Resume && rz.CheckpointDir != "" {
 		gl, err := checkpoint.LoadGrid(rz.CheckpointDir)
-		var rerr error
-		loaded := false
 		switch {
-		case err == nil:
-			switch {
-			case len(gl.U) != 6*n:
-				rerr = fmt.Errorf("core: resume: checkpoint dim %d does not match problem dim %d", len(gl.U), 6*n)
-			case gl.StepsDone > nsteps:
-				rerr = fmt.Errorf("core: checkpoint has %d steps done, run wants %d", gl.StepsDone, nsteps)
-			default:
-				if v := grd.ValidateCheckpoint(gl.U, gl.Diag, gl.Block); v != nil {
-					rerr = fmt.Errorf("core: resume rejected: %w", v)
-				} else {
-					loaded = true
-				}
-			}
 		case errors.Is(err, fs.ErrNotExist):
 			// Missing checkpoint: start from the beginning.
-		default:
+		case err != nil:
 			rerr = fmt.Errorf("core: resume: %w", err)
-		}
-		av := int64(1)
-		if rerr != nil {
-			av = 0
-		}
-		if world.Agree(av) == 0 {
-			if rerr == nil {
-				rerr = fmt.Errorf("core: resume rejected on a peer rank")
+		case len(gl.U) != 6*n:
+			rerr = fmt.Errorf("core: resume: checkpoint dim %d does not match problem dim %d", len(gl.U), 6*n)
+		case gl.StepsDone > nsteps:
+			rerr = fmt.Errorf("core: checkpoint has %d steps done, run wants %d", gl.StepsDone, nsteps)
+		default:
+			if v := grd.ValidateCheckpoint(gl.U, gl.Diag, gl.Block); v != nil {
+				rerr = fmt.Errorf("core: resume rejected: %w", v)
 			}
-			return Result{}, rerr
-		}
-		if loaded {
-			stepsDone, block = gl.StepsDone, gl.Block
-			fullU = gl.U
+			stepsDone, block, fullU = gl.StepsDone, gl.Block, gl.U
 		}
 	}
 	if fullU == nil {
 		fullU = full.PackNew()
+		if v := grd.ValidateState(fullU, "initial state", 0); v != nil {
+			grd.RecordAbort()
+			rerr = v
+		}
+	}
+	av := int64(1)
+	if rerr != nil {
+		av = 0
+	}
+	if world.Agree(av) == 0 {
+		if rerr == nil {
+			rerr = fmt.Errorf("core: start state rejected on a peer rank")
+		}
+		return Result{}, rerr
 	}
 
 	// bankEvals folds the current systems' force-evaluation counters
@@ -396,24 +364,9 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					fullSys.Unpack(fullU)
 					local = hot.BlockPartition(fullSys, col, psNew)
 					u = local.PackNew()
-					specs := make([]pfasst.LevelSpec, len(levels))
-					systems := make([]*DistVortexSystem, len(levels))
-					for i, l := range levels {
-						hs := hot.New(spaceComm, gridHotConfig(cfg, l.Theta, grd))
-						systems[i] = NewDistVortexSystem(local, hs)
-						systems[i].Instrument(cfg.Tel, i)
-						specs[i] = pfasst.LevelSpec{Sys: systems[i], NNodes: l.NNodes}
-					}
-					fineSys, coarseSys = systems[0], systems[len(systems)-1]
-					gs, err := pfasst.NewGridSolver(pfasst.Config{
-						Levels:       specs,
-						Iterations:   cfg.Iterations,
-						CoarseSweeps: cfg.CoarseSweeps,
-						Tol:          cfg.Tol,
-						Tel:          cfg.Tel,
-						Resilience:   rz,
-						Guard:        grd,
-					}, &pres)
+					var pcfg pfasst.Config
+					pcfg, fineSys, coarseSys = levelSolver(spaceComm, cfg, local, grd)
+					gs, err := pfasst.NewGridSolver(pcfg, &pres)
 					if err != nil {
 						return err
 					}
@@ -474,26 +427,12 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			return nil, v, true
 		}
 		tn := t0 + (float64(stepsDone)+float64(timeComm.Rank()))*dt
-		end, err := solver.BlockAttempt(timeComm, tn, dt, u, block, gen)
-		if err != nil {
+		end, err := solver.BlockAttempt(timeComm, tn, dt, u, block, gen, retries)
+		if errors.Is(err, pfasst.ErrBlockAbort) {
 			spaceComm.Revoke()
 			timeComm.Revoke()
-			return nil, err, false
 		}
-		// Guard block-end fold, exactly as on the PS=1 path: flips are
-		// hashed rank-independently, the detectors see the identical
-		// post-broadcast end state, and Agree (spatial) makes the
-		// verdict uniform before it enters the world agreement.
-		ginj := grd.InjectBlockEnd(end, block, retries)
-		if v := grd.CheckBlockEnd(end, block, ginj); v != nil {
-			if ginj > 0 {
-				gpending += ginj
-			} else {
-				gpending++
-			}
-			return nil, v, false
-		}
-		return end, nil, false
+		return end, err, false
 	}
 
 	// commitCheckpoint persists the committed block under the grid
@@ -594,10 +533,9 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			single := surv.Split(surv.Rank(), 0)
 			fullSys := full.Clone()
 			fullSys.Unpack(fullU)
-			hs := hot.New(single, gridHotConfig(cfg, levels[0].Theta, nil))
-			sys := NewDistVortexSystem(fullSys, hs)
-			sys.Instrument(cfg.Tel, 0)
-			in := sdc.NewIntegrator(sys, levels[0].NNodes, fallbackSweeps)
+			fineLevel := levelPlan(cfg)[0]
+			sys := levelSystem(single, cfg, fullSys, fineLevel.Theta, 0, nil)
+			in := sdc.NewIntegrator(sys, fineLevel.NNodes, fallbackSweeps)
 			uu := fullSys.PackNew()
 			remaining := nsteps - stepsDone
 			tn := t0 + float64(stepsDone)*dt
@@ -646,28 +584,9 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			break
 		}
 
-		// Cancellation folds into an extra world agreement (gated on
-		// Ctx/OnBlock, so ctx-free runs are untouched): every rank —
-		// active or retired — takes the identical abort-or-continue
-		// decision, and a cancel lands only on the committed block-start
-		// state, which the grid checkpoint already covers.
-		if cfg.Ctx != nil || cfg.OnBlock != nil {
-			if cfg.OnBlock != nil && active && col == 0 && timeComm.Rank() == 0 {
-				cfg.OnBlock(block)
-			}
-			cerr := pfasst.CancelErr(cfg.Ctx, block)
-			av := int64(2)
-			if cerr != nil {
-				av = 0
-			}
-			if world.Agree(av) == 0 {
-				if cerr == nil {
-					cerr = pfasst.CancelErr(cfg.Ctx, block)
-				}
-				if cerr == nil {
-					cerr = fmt.Errorf("core: block %d: %w: canceled on a peer", block, pfasst.ErrCanceled)
-				}
-				return Result{}, cerr
+		if boundary != nil {
+			if err := boundary(block); err != nil {
+				return Result{}, err
 			}
 		}
 
@@ -694,8 +613,6 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			lastAbort = nil
 			if active {
 				u = blockEnd
-				grd.RecordRecovered(gpending)
-				gpending = 0
 				grd.CommitState(u, block)
 			}
 			if psNew < ps0 {

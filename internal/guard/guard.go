@@ -228,6 +228,11 @@ type Guard struct {
 	buildSeen   int
 	treePending int
 
+	// blockPending counts flips the block-end detectors caught on this
+	// rank whose block has not committed yet; the commit of the next
+	// epoch credits them as recovered (a ladder abort never does).
+	blockPending int
+
 	// space, when non-nil, is the spatial communicator collective
 	// decisions run on (PS > 1): the invariant monitors switch to
 	// global sums and Agree becomes a spatial allreduce.
@@ -351,10 +356,18 @@ func checksum(u []float64) uint64 {
 // it records the checksum, refreshes the shadow copy, and on the first
 // call captures the reference invariants of the physics monitors
 // (global sums when a spatial communicator is attached — collective on
-// the first commit in that case).
+// the first commit in that case). A commit that advances the epoch
+// means the redo of every rejected attempt at the previous block ended
+// clean, so the flips CheckBlockEnd detected there count as recovered;
+// re-committing the same epoch (crash recovery re-partitioning the
+// block-start state) leaves them pending.
 func (g *Guard) CommitState(u []float64, epoch int) {
 	if g == nil {
 		return
+	}
+	if epoch > g.epoch {
+		g.pb.recovered.Add(int64(g.blockPending))
+		g.blockPending = 0
 	}
 	g.sum = checksum(u)
 	g.shadow = append(g.shadow[:0], u...)
@@ -492,17 +505,9 @@ func (g *Guard) CheckBlockEnd(end []float64, block, injected int) *Violation {
 			det = 1
 		}
 		g.pb.detected.Add(int64(det))
+		g.blockPending += det
 	}
 	return v
-}
-
-// RecordRecovered credits n previously detected flips as recovered
-// (the redo of a rejected block produced a clean end state).
-func (g *Guard) RecordRecovered(n int) {
-	if g == nil || n <= 0 {
-		return
-	}
-	g.pb.recovered.Add(int64(n))
 }
 
 // RecordRedo counts one block-redo event of the recompute rung.

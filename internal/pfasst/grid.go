@@ -6,14 +6,22 @@ import (
 	"repro/internal/mpi"
 )
 
-// GridSolver exposes the resilient block attempt to the full-grid
-// (PS×PT) recovery loop in internal/core. At PS=1 the whole recovery
-// protocol lives in runResilient, because a block abort only ever
-// involves the one time communicator. At PS>1 the decision to commit
-// or abort must be agreed over the entire PS×PT grid — after a spatial
-// rank dies, the survivors re-decompose the particle state and rebuild
-// every communicator — and that outer loop belongs to the layer that
-// owns the spatial decomposition. The split of responsibilities:
+// GridSolver owns the one block attempt (see attempt in pfasst.go) and
+// everything it accumulates into: the level hierarchy, the Result and
+// the telemetry handles. Three loops drive it:
+//
+//	runLockstep            no resilience: blocking transport, the guard's
+//	                       spatial Agree is the only agreement
+//	runResilient           resilience at PS = 1: deadline transport, one
+//	                       agreement on the time communicator per block,
+//	                       which shrinks after a death
+//	core.runGridResilient  resilience at PS > 1, through BlockAttempt
+//
+// The third lives in internal/core because its commit-or-abort must be
+// agreed over the entire PS×PT grid — after a spatial rank dies, the
+// survivors re-decompose the particle state and rebuild every
+// communicator — and that belongs to the layer that owns the spatial
+// decomposition. The split of responsibilities there:
 //
 //	core (runGridResilient)   grid-wide agreement, shrink, state
 //	                          redistribution, checkpoint orchestration,
@@ -31,12 +39,14 @@ type GridSolver struct {
 	levels []*level
 	res    *Result
 	pb     probe
+	// open marks that the last attempt committed a per-block record no
+	// agreement has rejected yet (see dropRecord).
+	open bool
 }
 
-// NewGridSolver validates cfg (the same checks Run applies) and builds
-// the level hierarchy. res receives sweep counts, residuals and
-// resilience counters; pass the same res to successor solvers after a
-// rebuild.
+// NewGridSolver validates cfg and builds the level hierarchy. res
+// receives sweep counts, residuals and resilience counters; pass the
+// same res to successor solvers after a rebuild.
 func NewGridSolver(cfg Config, res *Result) (*GridSolver, error) {
 	if len(cfg.Levels) < 2 {
 		return nil, fmt.Errorf("pfasst: need at least 2 levels, got %d", len(cfg.Levels))
@@ -57,17 +67,20 @@ func NewGridSolver(cfg Config, res *Result) (*GridSolver, error) {
 	return &GridSolver{cfg: cfg, levels: levels, res: res, pb: newProbe(cfg.Tel)}, nil
 }
 
-// BlockAttempt runs one fault-aware block attempt (predictor, V-cycle
-// iterations, trailing sweep, resilient end broadcast) on the time
-// communicator cur, starting this rank's slice at tn from block-start
-// state u0. Every receive carries the Resilience deadline and message
-// tags embed gen, so a retried attempt never consumes stale traffic.
-// It returns the committed-candidate block end value, or an error that
-// wraps ErrBlockAbort — the caller folds that into the grid-wide
-// agreement and decides commit, retry or shrink. It does NOT commit
-// anything itself.
-func (s *GridSolver) BlockAttempt(cur *mpi.Comm, tn, dt float64, u0 []float64, block, gen int) ([]float64, error) {
-	return runBlockResilient(cur, s.cfg, s.levels, tn, dt, u0, block, gen, s.res, &s.pb)
+// BlockAttempt runs one fault-aware block attempt (body, end-value
+// distribution, guard block-end detectors) on the time communicator
+// cur, starting this rank's slice at tn from block-start state u0.
+// Every receive carries the Resilience deadline and message tags embed
+// gen, so a retried attempt never consumes stale traffic; retries is
+// the count of consecutive rejected attempts at this block (the guard
+// ladder's rung). It returns the committed-candidate block end value,
+// or an error that wraps ErrBlockAbort (transport) or guard.ErrCorrupt
+// (a detector fired) — the caller folds that into the grid-wide
+// agreement, decides commit, retry or shrink, and calls RecordRestart
+// when the agreed verdict rejects the attempt.
+func (s *GridSolver) BlockAttempt(cur *mpi.Comm, tn, dt float64, u0 []float64, block, gen, retries int) ([]float64, error) {
+	lk := link{gen: gen, timeout: s.cfg.Resilience.recvTimeout()}
+	return s.attempt(cur, lk, tn, dt, u0, block, retries)
 }
 
 // ErrBlockAbort is the typed failure wrapped by every abort an attempt
@@ -75,8 +88,10 @@ func (s *GridSolver) BlockAttempt(cur *mpi.Comm, tn, dt float64, u0 []float64, b
 // errors.Is to distinguish a retryable abort from a hard error.
 var ErrBlockAbort = errBlockAbort
 
-// RecordRestart counts one aborted-and-redone block attempt.
+// RecordRestart counts one aborted-and-redone block attempt and drops
+// the record it may have committed on this rank.
 func (s *GridSolver) RecordRestart() {
+	s.dropRecord()
 	s.res.BlockRestarts++
 	s.pb.restarts.Inc()
 }

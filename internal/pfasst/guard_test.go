@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
@@ -18,18 +20,28 @@ import (
 
 // guardedRun executes a guarded PFASST solve on p ranks, building one
 // Guard per rank (guards carry per-rank shadow state and must not be
-// shared across the simulated ranks).
+// shared across the simulated ranks), and returns the last rank's
+// final state.
 func guardedRun(p int, base Config, pol guard.Policy, reg *telemetry.Registry, t1 float64, nsteps int, u0 []float64) ([]float64, error) {
-	var out []float64
+	res, err := guardedResult(p, base, pol, reg, t1, nsteps, u0)
+	return res.U, err
+}
+
+// guardedResult is guardedRun returning the last rank's whole Result.
+// A policy that is not Enabled runs without a guard (Config.Guard nil).
+func guardedResult(p int, base Config, pol guard.Policy, reg *telemetry.Registry, t1 float64, nsteps int, u0 []float64) (Result, error) {
+	var out Result
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		cfg := base
-		cfg.Guard = guard.New(pol, c.Rank(), reg)
+		if pol.Enabled {
+			cfg.Guard = guard.New(pol, c.Rank(), reg)
+		}
 		res, err := Run(c, cfg, 0, t1, nsteps, u0)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == p-1 {
-			out = res.U
+			out = res
 		}
 		c.Barrier()
 		return nil
@@ -49,8 +61,11 @@ func bitwiseEq(a, b []float64) bool {
 	return true
 }
 
-// An enabled guard with no fault plan must reproduce the plain code
-// path byte for byte: the detectors only observe, never perturb.
+// The plain solver IS the lockstep loop with a nil guard, so "guarded
+// clean = plain" has to hold for the whole Result, not only U: an
+// enabled guard with no fault plan only observes, and a nil guard runs
+// the same messages and the same arithmetic (the nil row: every Guard
+// method is a no-op and registers no counter).
 func TestGuardedCleanBitwise(t *testing.T) {
 	sys, exact := ode.Oscillator(1)
 	u0 := exact(0)
@@ -59,21 +74,39 @@ func TestGuardedCleanBitwise(t *testing.T) {
 
 	want, wantRes := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
 
-	reg := telemetry.New()
-	got, err := guardedRun(p, cfg, guard.Policy{Enabled: true}, reg, 2, nsteps, u0)
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		pol  guard.Policy
+	}{
+		{"nil guard", guard.Policy{}},
+		{"clean guard", guard.Policy{Enabled: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			reg := telemetry.New()
+			got, err := guardedResult(p, cfg, row.pol, reg, 2, nsteps, u0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitwiseEq(got.U, want) {
+				t.Fatalf("run differs bitwise from plain run: %v vs %v", got.U, want)
+			}
+			if !reflect.DeepEqual(got, wantRes) {
+				t.Fatalf("Result differs from plain run:\n got %+v\nwant %+v", got, wantRes)
+			}
+			if len(got.Residuals) != nsteps/p {
+				t.Fatalf("%d block records for %d blocks", len(got.Residuals), nsteps/p)
+			}
+			s := reg.Snapshot()
+			for _, c := range []string{guard.CounterDetected, guard.CounterInjected, guard.CounterRollback, guard.CounterRedo, guard.CounterAborts} {
+				if s.Counters[c] != 0 {
+					t.Errorf("clean run incremented %s = %d", c, s.Counters[c])
+				}
+			}
+			if !row.pol.Enabled && len(s.Counters) != 0 {
+				t.Errorf("nil guard touched the registry: %v", s.Counters)
+			}
+		})
 	}
-	if !bitwiseEq(got, want) {
-		t.Fatalf("guarded clean run differs bitwise from plain run: %v vs %v", got, want)
-	}
-	s := reg.Snapshot()
-	for _, c := range []string{guard.CounterDetected, guard.CounterInjected, guard.CounterRollback, guard.CounterRedo, guard.CounterAborts} {
-		if s.Counters[c] != 0 {
-			t.Errorf("clean run incremented %s = %d", c, s.Counters[c])
-		}
-	}
-	_ = wantRes
 }
 
 // Transient bit flips in the block-start state are caught by the
@@ -170,42 +203,65 @@ func TestGuardedStickyAborts(t *testing.T) {
 // redo; transient flips re-roll, so the redo converges and the answer
 // stays within the degraded tolerance of the clean run (extra SDC
 // sweeps from attempt 2 onward may perturb it below solver accuracy).
+// The ladder is the attempt's, so it climbs identically under the
+// lockstep loop and under the resilient one, where the guard verdict
+// folds into the block agreement and the retry budget is
+// MaxBlockRetries.
 func TestGuardedBlockRedoRecovers(t *testing.T) {
 	sys, exact := ode.Oscillator(1)
 	u0 := exact(0)
 	const p, nsteps = 4, 8
 	cfg := Config{Levels: twoLevel(sys), Iterations: 8, CoarseSweeps: 2}
 	want, _ := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
+	resilient := cfg
+	resilient.Resilience = Resilience{Enabled: true, RecvTimeout: 5 * time.Second, MaxBlockRetries: 8}
 
-	detTotal := int64(0)
-	for seed := int64(0); seed < 24; seed++ {
-		// Only exponent-raising flips are reliably visible to the
-		// max-abs scan on O(1) oscillator values; bit 62 turns any
-		// such value into ~1e300 or Inf.
-		mem, err := fault.ParseMem("rate=0.05,in=block,bits=62-62", seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol := guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8}
-		reg := telemetry.New()
-		got, err := guardedRun(p, cfg, pol, reg, 2, nsteps, u0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		s := reg.Snapshot()
-		detTotal += s.Counters[guard.CounterDetected]
-		if d := ode.MaxDiff(got, want); d > 1e-6 {
-			t.Fatalf("seed %d: recovered run deviates %g from clean run", seed, d)
-		}
-		if s.Counters[guard.CounterRedo] == 0 && !bitwiseEq(got, want) {
-			t.Fatalf("seed %d: no redo yet answer differs bitwise", seed)
-		}
-		if det, rec := s.Counters[guard.CounterDetected], s.Counters[guard.CounterRecovered]; det != rec {
-			t.Fatalf("seed %d: detected %d != recovered %d", seed, det, rec)
-		}
-	}
-	if detTotal == 0 {
-		t.Fatal("no block-end flip detected across any seed")
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{{"lockstep", cfg}, {"resilient", resilient}} {
+		t.Run(row.name, func(t *testing.T) {
+			detTotal, redoTotal := int64(0), int64(0)
+			for seed := int64(0); seed < 24; seed++ {
+				// Only exponent-raising flips are reliably visible to the
+				// max-abs scan on O(1) oscillator values; bit 62 turns any
+				// such value into ~1e300 or Inf.
+				mem, err := fault.ParseMem("rate=0.05,in=block,bits=62-62", seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pol := guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8}
+				reg := telemetry.New()
+				got, err := guardedResult(p, row.cfg, pol, reg, 2, nsteps, u0)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				s := reg.Snapshot()
+				detTotal += s.Counters[guard.CounterDetected]
+				redoTotal += s.Counters[guard.CounterRedo]
+				if d := ode.MaxDiff(got.U, want); d > 1e-6 {
+					t.Fatalf("seed %d: recovered run deviates %g from clean run", seed, d)
+				}
+				if s.Counters[guard.CounterRedo] == 0 && !bitwiseEq(got.U, want) {
+					t.Fatalf("seed %d: no redo yet answer differs bitwise", seed)
+				}
+				if det, rec := s.Counters[guard.CounterDetected], s.Counters[guard.CounterRecovered]; det != rec {
+					t.Fatalf("seed %d: detected %d != recovered %d", seed, det, rec)
+				}
+				if (s.Counters[guard.CounterDetected] > 0) != (s.Counters[guard.CounterRedo] > 0) {
+					t.Fatalf("seed %d: detected %d flips but counted %d redos", seed,
+						s.Counters[guard.CounterDetected], s.Counters[guard.CounterRedo])
+				}
+				// A redone block leaves exactly one record behind.
+				if len(got.Residuals) != nsteps/p || len(got.IterDiffs) != nsteps/p || len(got.IterationsRun) != nsteps/p {
+					t.Fatalf("seed %d: %d/%d/%d block records for %d blocks", seed,
+						len(got.Residuals), len(got.IterDiffs), len(got.IterationsRun), nsteps/p)
+				}
+			}
+			if detTotal == 0 || redoTotal == 0 {
+				t.Fatalf("no block-end flip detected (%d) or redone (%d) across any seed", detTotal, redoTotal)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@
 package pfasst
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -64,34 +63,25 @@ type Config struct {
 	// convergence gauges, and predictor/iteration timings (see
 	// probe.go). Must be private to the rank.
 	Tel *telemetry.Registry
-	// Resilience selects the fault-tolerant execution path (see
-	// resilient.go). The zero value runs the plain solver unchanged.
+	// Resilience selects the fault-tolerant time loop (see
+	// resilient.go). The zero value runs the lockstep loop.
 	Resilience Resilience
 	// Guard, when non-nil, runs the silent-data-corruption detectors
-	// and recovery ladder around every block (see guarded.go). Nil
-	// runs the plain solver unchanged, byte for byte.
+	// and recovery ladder around every block attempt. Nil runs the
+	// same loops with every detector a no-op: same messages, same
+	// arithmetic.
 	Guard *guard.Guard
-	// Ctx enables cooperative cancellation on the resilient path: the
-	// loop polls it at every block boundary and folds the verdict into
-	// the block agreement, so every survivor aborts the same block with
-	// an error wrapping ErrCanceled. The plain and guarded loops do not
-	// read it — cancellation there must be a collective decision, which
-	// CancelCheck provides. Nil (the zero value) changes nothing.
-	Ctx context.Context
-	// CancelCheck, when non-nil, is called by the plain and guarded
-	// loops at the top of every block, before any work or communication
-	// of that block; a non-nil return aborts the run with that error.
-	// The callback must return the identical verdict on every rank — an
-	// asymmetric return would strand peers in deadline-less receives —
-	// so it is expected to decide collectively (internal/core has rank
-	// 0 poll the Context and broadcast the flag). Nil keeps the plain
-	// path byte for byte unchanged.
-	CancelCheck func(block int) error
-	// OnBlock, when non-nil, is invoked by the resilient loop with the
-	// index of the block about to run, from time rank 0 only, before
-	// the cancellation poll — so a hook that cancels the Context stops
-	// the run at that exact block boundary, deterministically.
-	OnBlock func(block int)
+	// Boundary, when non-nil, is called by every time loop at the top
+	// of a block, before any work or communication of that block; a
+	// non-nil return aborts the run with that error (cancellation:
+	// wrap ErrCanceled). It must return the identical verdict on every
+	// live rank — an asymmetric return would strand peers in the
+	// block's collectives — so it has to decide collectively and
+	// survive dead ranks (internal/core folds the Context into a world
+	// agreement). u still holds the committed block-start state, and
+	// the checkpoint (when configured) already covers it, so an abort
+	// here abandons nothing. Nil changes nothing.
+	Boundary func(block int) error
 }
 
 // Result reports one rank's view of a PFASST solve.
@@ -138,81 +128,107 @@ type level struct {
 	sfC     [][]float64 // scratch: coarser level's integrals
 }
 
-const (
-	tagBase = 800000
-)
-
-func tagFor(lvl, iter int, predictor bool) int {
-	k := iter*64 + lvl*2
-	if predictor {
-		k++
-	}
-	return tagBase + k
-}
-
 // Run solves u' = f(t,u) from t0 to t1 in nsteps uniform steps,
 // distributing blocks of comm.Size() consecutive steps over the time
 // ranks. nsteps must be a multiple of comm.Size(). All ranks must pass
 // identical arguments; the returned Result.U is the same on every rank.
 func Run(comm *mpi.Comm, cfg Config, t0, t1 float64, nsteps int, u0 []float64) (Result, error) {
-	if len(cfg.Levels) < 2 {
-		return Result{}, fmt.Errorf("pfasst: need at least 2 levels, got %d", len(cfg.Levels))
-	}
-	if cfg.Iterations < 1 {
-		return Result{}, fmt.Errorf("pfasst: iterations %d < 1", cfg.Iterations)
-	}
-	if cfg.FineSweeps < 1 {
-		cfg.FineSweeps = 1
-	}
-	if cfg.CoarseSweeps < 1 {
-		cfg.CoarseSweeps = 1
-	}
-	p := comm.Size()
-	if nsteps%p != 0 {
-		return Result{}, fmt.Errorf("pfasst: nsteps %d not a multiple of ranks %d", nsteps, p)
-	}
-	levels, err := buildLevels(cfg)
+	res := Result{FinalRanks: comm.Size()}
+	s, err := NewGridSolver(cfg, &res)
 	if err != nil {
 		return Result{}, err
 	}
-
-	dt := (t1 - t0) / float64(nsteps)
-	blocks := nsteps / p
-	rank := comm.Rank()
-	u := append([]float64(nil), u0...)
-	res := Result{FinalRanks: p}
-	pb := newProbe(cfg.Tel)
+	if p := comm.Size(); nsteps%p != 0 {
+		return Result{}, fmt.Errorf("pfasst: nsteps %d not a multiple of ranks %d", nsteps, p)
+	}
 	if cfg.Tel != nil {
 		comm.AttachTelemetry(cfg.Tel)
 	}
-
 	if cfg.Resilience.Enabled {
-		if err := runResilient(comm, cfg, levels, t0, t1, nsteps, u0, &res, &pb); err != nil {
-			return Result{}, err
-		}
-		return res, nil
+		err = s.runResilient(comm, t0, t1, nsteps, u0)
+	} else {
+		err = s.runLockstep(comm, t0, t1, nsteps, u0)
 	}
-
-	if cfg.Guard != nil {
-		if err := runGuarded(comm, cfg, levels, t0, t1, nsteps, u0, &res, &pb); err != nil {
-			return Result{}, err
-		}
-		return res, nil
+	if err != nil {
+		return Result{}, err
 	}
+	return res, nil
+}
 
-	for b := 0; b < blocks; b++ {
-		if cfg.CancelCheck != nil {
-			if cerr := cfg.CancelCheck(b); cerr != nil {
-				return Result{}, cerr
+// runLockstep is the non-resilient time loop: blocks are indexed
+// statically and every rank commits or redoes each one in lockstep.
+// Per block it
+//
+//  1. calls the Boundary callback (collective cancellation),
+//  2. scrubs the committed block-start state against its checksum
+//     (rollback to the shadow copy on mismatch — the replicated state
+//     is the at-rest window most exposed to memory corruption),
+//  3. runs one attempt (body, end broadcast, block-end detectors), and
+//  4. on a violation redoes the block from the unchanged start state
+//     up to MaxRecompute times before returning the typed Violation.
+//
+// Without a guard steps 2 and 4 are no-ops and Agree(false) is false
+// at zero communication cost, so the plain solver is this loop.
+//
+// Every decision is taken on data all time ranks hold identically
+// (the fault plan's hash excludes the rank), so across the TIME
+// communicator the ladder needs no extra agreement rounds: ranks redo
+// and commit in lockstep. Across an attached SPATIAL communicator the
+// per-rank states differ, so every verdict passes through Guard.Agree
+// (a spatial allreduce; the identity with PS = 1) — ranks that saw no
+// local violation adopt a PeerViolation and follow the collective
+// redo or abort. Time slices stay consistent because each spatial
+// index holds identical state and flips in every slice, making the
+// spatial verdict set — and hence the agreement result — identical
+// across slices.
+func (s *GridSolver) runLockstep(comm *mpi.Comm, t0, t1 float64, nsteps int, u0 []float64) error {
+	g := s.cfg.Guard
+	p := comm.Size()
+	rank := comm.Rank()
+	dt := (t1 - t0) / float64(nsteps)
+
+	u := append([]float64(nil), u0...)
+	if v := g.ValidateState(u, "initial state", 0); g.Agree(v != nil) {
+		if v == nil {
+			v = g.PeerViolation("initial-state", 0)
+		}
+		g.RecordAbort()
+		return v
+	}
+	g.CommitState(u, 0)
+
+	for b := 0; b < nsteps/p; b++ {
+		if s.cfg.Boundary != nil {
+			if err := s.cfg.Boundary(b); err != nil {
+				return err
 			}
 		}
+		if v := g.ScrubState(u); g.Agree(v != nil) {
+			if v == nil {
+				v = g.PeerViolation("state-checksum", b)
+			}
+			return v
+		}
 		tn := t0 + (float64(b*p)+float64(rank))*dt
-		blockRes := runBlock(comm, cfg, levels, tn, dt, u, b, &res, &pb)
-		// The last rank's slice-end value starts the next block.
-		u = mpi.BytesToFloat64s(comm.Bcast(p-1, mpi.Float64sToBytes(blockRes)))
+		for redo := 0; ; redo++ {
+			end, err := s.attempt(comm, link{}, tn, dt, u, b, redo)
+			if !g.Agree(err != nil) {
+				u = end
+				break
+			}
+			if err == nil {
+				err = g.PeerViolation("block-end", b)
+			}
+			if redo >= g.Policy().MaxRecomputeN() {
+				g.RecordAbort()
+				return err
+			}
+			s.dropRecord()
+		}
+		g.CommitState(u, b+1)
 	}
-	res.U = u
-	return res, nil
+	s.res.U = u
+	return nil
 }
 
 func buildLevels(cfg Config) ([]*level, error) {
@@ -326,15 +342,91 @@ func (l *level) interpolateCorrection() {
 	l.sw.EvalAll()
 }
 
-// runBlock performs the predictor and cfg.Iterations PFASST V-cycles
-// for one block of p consecutive time steps, and returns this rank's
-// fine slice-end value.
 // trailingSweep finalizes every block with one extra sweep at the
 // finest level so the reported solution incorporates the last coarse
 // correction (the "finalize" stage of standard PFASST controllers).
 const trailingSweep = true
 
-func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []float64, block int, res *Result, pb *probe) []float64 {
+// blockRecord is the per-block diagnostics of one attempt: the finest
+// collocation residual of this rank's slice, the slice-end update of
+// the last iteration and the iterations performed.
+type blockRecord struct {
+	residual, iterDiff float64
+	iters              int
+}
+
+// attempt is the one block attempt every time loop runs: the block
+// body, the distribution of the last rank's end value (which starts
+// the next block), the guard's block-end detectors, and — only when
+// this rank's verdict is clean — the commit of the per-block record.
+// redo is the count of consecutive rejected attempts at this block; it
+// selects the attempt's fault-plan flips and climbs the guard ladder
+// (one guard.redo per redone attempt, ExtraSweeps more fine sweeps from
+// the second redo on). The error wraps errBlockAbort for a transport
+// failure and is a *guard.Violation for corruption. The caller folds
+// the verdict into its agreement and calls dropRecord (RecordRestart)
+// when the agreed verdict rejects the attempt; nothing else is
+// committed here. The returned end value is a fresh slice.
+func (s *GridSolver) attempt(comm *mpi.Comm, lk link, tn, dt float64, u0 []float64, block, redo int) ([]float64, error) {
+	g := s.cfg.Guard
+	s.open = false
+	fineSweeps := s.cfg.FineSweeps
+	if g != nil && redo > 0 {
+		g.RecordRedo()
+		if redo >= 2 {
+			fineSweeps += g.Policy().ExtraSweepsN()
+		}
+	}
+	rec, err := s.runBlock(comm, lk, tn, dt, u0, block, fineSweeps)
+	if err != nil {
+		return nil, err
+	}
+	end, err := lk.bcastEnd(comm, s.levels[0].sw.UEnd())
+	if err != nil {
+		return nil, err
+	}
+	g.CheckResidual(block, rec.residual) // advisory, rank-local
+	// The end value and the injected flips are rank-independent along
+	// the time communicator, so every time rank reaches the same
+	// block-end verdict.
+	if v := g.CheckBlockEnd(end, block, g.InjectBlockEnd(end, block, redo)); v != nil {
+		return nil, v
+	}
+	res := s.res
+	res.Residuals = append(res.Residuals, rec.residual)
+	res.IterDiffs = append(res.IterDiffs, rec.iterDiff)
+	res.IterationsRun = append(res.IterationsRun, rec.iters)
+	s.pb.blocks.Inc()
+	s.pb.residual.Set(rec.residual)
+	s.open = true
+	return end, nil
+}
+
+// dropRecord removes the per-block record of the last attempt when the
+// agreed verdict rejected it although this rank's own was clean (a
+// peer's detector fired, or a peer timed out after this rank was
+// done), so Result's per-block slices and pfasst.blocks count committed
+// blocks. Sweep counters keep the redone work, which really ran.
+func (s *GridSolver) dropRecord() {
+	if !s.open {
+		return
+	}
+	s.open = false
+	res := s.res
+	n := len(res.Residuals) - 1
+	res.Residuals = res.Residuals[:n]
+	res.IterDiffs = res.IterDiffs[:n]
+	res.IterationsRun = res.IterationsRun[:n]
+	s.pb.blocks.Add(-1)
+}
+
+// runBlock is the block body: the predictor, up to cfg.Iterations
+// PFASST V-cycles and the trailing sweep for one block of p
+// consecutive time steps (Algorithm 1 / Fig. 6). It leaves this rank's
+// slice-end value in the finest sweeper. Every exchange goes through
+// lk, so the same body serves blocking and deadline transports.
+func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []float64, block, fineSweeps int) (blockRecord, error) {
+	cfg, levels, res, pb := &s.cfg, s.levels, s.res, &s.pb
 	p := comm.Size()
 	rank := comm.Rank()
 	nl := len(levels)
@@ -346,6 +438,7 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 		l.sw.Setup(tn, dt)
 	}
 	predSpan := pb.predictor.Start()
+	comm.FaultPoint("predictor", block)
 
 	// --- Predictor (Fig. 6 initialization): restrict u0 to the
 	// coarsest level, spread, then rank n performs n+1 pipelined
@@ -356,20 +449,23 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 	coarse.sw.Spread()
 	for j := 0; j <= rank; j++ {
 		if j > 0 {
-			in := comm.RecvFloat64s(rank-1, tagFor(nl-1, j, true))
+			in, err := lk.recv(comm, rank-1, lk.tag(nl-1, j, true))
+			if err != nil {
+				predSpan.Stop()
+				return blockRecord{}, fmt.Errorf("%w: predictor: %w", errBlockAbort, err)
+			}
 			coarse.sw.SetU0Lazy(in)
 		}
 		coarse.sw.Sweep()
 		res.SweepsCoarse++
 		pb.coarseSweeps.Inc()
 		if rank < p-1 {
-			comm.SendFloat64s(rank+1, tagFor(nl-1, j+1, true), coarse.sw.UEnd())
+			comm.SendFloat64s(rank+1, lk.tag(nl-1, j+1, true), coarse.sw.UEnd())
 		}
 	}
 	// Interpolate the coarse prediction up through the hierarchy.
 	for i := nl - 2; i >= 0; i-- {
 		l := levels[i]
-		c := l.coarser
 		// Full-state interpolation: treat the prediction as correction
 		// against a zero restriction.
 		for mc := range l.uR {
@@ -379,7 +475,6 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 			ode.Zero(l.sw.U[mf])
 		}
 		l.interpolateCorrection()
-		_ = c
 	}
 	// The finest initial value is exact for rank 0 and will otherwise
 	// be overwritten by the pipeline below.
@@ -389,25 +484,24 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 	predSpan.Stop()
 
 	prevEnd := append([]float64(nil), fine.sw.UEnd()...)
-	var lastDiff float64
-	itersRun := 0
+	var rec blockRecord
 
 	// --- PFASST iterations (Algorithm 1).
 	for k := 0; k < cfg.Iterations; k++ {
+		comm.FaultPoint("iter", k)
 		iterSpan := pb.iteration.Start()
 		// Go down the V-cycle.
 		for i := 0; i < nl-1; i++ {
 			l := levels[i]
-			sweeps := cfg.FineSweeps
-			for s := 0; s < sweeps; s++ {
+			for n := 0; n < fineSweeps; n++ {
 				l.sw.Sweep()
 			}
 			if i == 0 {
-				res.SweepsFine += sweeps
-				pb.fineSweeps.Add(int64(sweeps))
+				res.SweepsFine += fineSweeps
+				pb.fineSweeps.Add(int64(fineSweeps))
 			}
 			if rank < p-1 {
-				comm.SendFloat64s(rank+1, tagFor(i, k, false), l.sw.UEnd())
+				comm.SendFloat64s(rank+1, lk.tag(i, k, false), l.sw.UEnd())
 			}
 			l.restrictAndFAS()
 		}
@@ -415,16 +509,20 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 		// from the left and forwards its slice-end value, so coarse
 		// information travels one slice per sweep (Fig. 6 shows one
 		// receive/send pair per coarse sweep block).
-		for s := 0; s < cfg.CoarseSweeps; s++ {
+		for n := 0; n < cfg.CoarseSweeps; n++ {
 			if rank > 0 {
-				in := comm.RecvFloat64s(rank-1, tagFor(nl-1, k*8+s, false))
+				in, err := lk.recv(comm, rank-1, lk.tag(nl-1, k*8+n, false))
+				if err != nil {
+					iterSpan.Stop()
+					return blockRecord{}, fmt.Errorf("%w: iteration %d coarse: %w", errBlockAbort, k, err)
+				}
 				coarse.sw.SetU0Lazy(in)
 			}
 			coarse.sw.Sweep()
 			res.SweepsCoarse++
 			pb.coarseSweeps.Inc()
 			if rank < p-1 {
-				comm.SendFloat64s(rank+1, tagFor(nl-1, k*8+s, false), coarse.sw.UEnd())
+				comm.SendFloat64s(rank+1, lk.tag(nl-1, k*8+n, false), coarse.sw.UEnd())
 			}
 		}
 		// Return up the V-cycle. Per Algorithm 1, each level first
@@ -436,7 +534,11 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 		for i := nl - 2; i >= 0; i-- {
 			l := levels[i]
 			if rank > 0 {
-				in := comm.RecvFloat64s(rank-1, tagFor(i, k, false))
+				in, err := lk.recv(comm, rank-1, lk.tag(i, k, false))
+				if err != nil {
+					iterSpan.Stop()
+					return blockRecord{}, fmt.Errorf("%w: iteration %d fine: %w", errBlockAbort, k, err)
+				}
 				l.sw.SetU0(in)
 				l.restrictSpace(l.sw.U[0], l.uR[0])
 			}
@@ -448,14 +550,17 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 				l.sw.Sweep()
 			}
 		}
-		lastDiff = ode.MaxDiff(fine.sw.UEnd(), prevEnd)
+		rec.iterDiff = ode.MaxDiff(fine.sw.UEnd(), prevEnd)
 		ode.Copy(prevEnd, fine.sw.UEnd())
-		itersRun = k + 1
+		rec.iters = k + 1
 		iterSpan.Stop()
-		pb.iterDiff.Set(lastDiff)
+		pb.iterDiff.Set(rec.iterDiff)
 		if cfg.Tol > 0 {
-			global := comm.AllreduceFloat64([]float64{lastDiff}, mpi.OpMax)
-			if global[0] < cfg.Tol {
+			global, err := lk.allreduceMax(comm, rec.iterDiff, k)
+			if err != nil {
+				return blockRecord{}, err
+			}
+			if global < cfg.Tol {
 				break
 			}
 		}
@@ -466,13 +571,9 @@ func runBlock(comm *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []
 		res.SweepsFine++
 		pb.fineSweeps.Inc()
 	}
-	res.Residuals = append(res.Residuals, fine.sw.Residual())
-	res.IterDiffs = append(res.IterDiffs, lastDiff)
-	res.IterationsRun = append(res.IterationsRun, itersRun)
-	pb.iters.Add(int64(itersRun))
-	pb.blocks.Inc()
-	pb.residual.Set(fine.sw.Residual())
-	return append([]float64(nil), fine.sw.UEnd()...)
+	pb.iters.Add(int64(rec.iters))
+	rec.residual = fine.sw.Residual()
+	return rec, nil
 }
 
 // restrictFull restricts a finest-level state down the whole hierarchy.

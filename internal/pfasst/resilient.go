@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/mpi"
-	"repro/internal/ode"
 	"repro/internal/sdc"
 )
 
@@ -77,38 +76,124 @@ func (r Resilience) checkpointPath() string {
 	return filepath.Join(r.CheckpointDir, "pfasst.nblv")
 }
 
-// Resilient-path message tags live above the plain solver's tag space
-// and embed the block-attempt generation, so a retried block can never
-// match a stale message queued by a failed attempt.
+// errBlockAbort wraps any failure that aborts a block attempt.
+var errBlockAbort = errors.New("pfasst: block attempt aborted")
+
+// link is how one block attempt talks to its time communicator: the
+// attempt generation its message tags embed and the deadline of every
+// receive. The zero value is the lockstep transport — blocking
+// receives, the tree Bcast/Allreduce, the plain tag space — whose
+// exact message sequence the modeled Blue Gene/P clock depends on.
+// With a deadline every receive is bounded and fails with a typed
+// error instead of blocking forever, tags live above the plain space
+// and embed gen so a retried block can never match a stale message
+// queued by a failed attempt, and the two collectives become linear
+// exchanges of deadline receives (a tree collective would hang in
+// plain Recv when a participant dies mid-collective).
+type link struct {
+	gen     int
+	timeout time.Duration
+}
+
 const (
+	tagBase    = 800000
 	resTagBase = 1 << 24
 	resGenSpan = 1 << 20
 	resCtrl    = 1 << 19
 )
 
-func resTag(gen, lvl, iter int, predictor bool) int {
+// tag is the message tag of one pipelined exchange of the block body.
+func (l link) tag(lvl, iter int, predictor bool) int {
 	k := iter*64 + lvl*2
 	if predictor {
 		k++
 	}
-	return resTagBase + gen*resGenSpan + k
+	if l.timeout == 0 {
+		return tagBase + k
+	}
+	return resTagBase + l.gen*resGenSpan + k
 }
 
-// ctrlTag spaces the control-plane messages (end-value broadcast,
-// deadline allreduce) of one attempt generation.
-func ctrlTag(gen, seq int) int {
-	return resTagBase + gen*resGenSpan + resCtrl + seq
+// ctrlTag spaces the control-plane messages (serial tail, end-value
+// broadcast, deadline allreduce) of one attempt generation.
+func (l link) ctrlTag(seq int) int {
+	return resTagBase + l.gen*resGenSpan + resCtrl + seq
 }
 
-// errBlockAbort wraps any failure that aborts a block attempt.
-var errBlockAbort = errors.New("pfasst: block attempt aborted")
+func (l link) recv(c *mpi.Comm, src, tag int) ([]float64, error) {
+	if l.timeout == 0 {
+		return c.RecvFloat64s(src, tag), nil
+	}
+	return c.RecvFloat64sDeadline(src, tag, l.timeout)
+}
 
-// runResilient is the fault-tolerant time loop. The plain loop indexes
-// blocks statically; here the communicator can shrink mid-run, so the
-// loop tracks committed steps and carves off one block of cur.Size()
-// steps at a time, falling back to serial SDC for a tail narrower than
-// the communicator.
-func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, nsteps int, u0 []float64, res *Result, pb *probe) error {
+// bcastEnd distributes the last rank's slice-end value and returns it
+// as a fresh slice on every rank. Deadline branch: rank p-1 sends
+// linearly, everyone else does a bounded wait.
+func (l link) bcastEnd(c *mpi.Comm, uEnd []float64) ([]float64, error) {
+	p := c.Size()
+	root := p - 1
+	if l.timeout == 0 {
+		return mpi.BytesToFloat64s(c.Bcast(root, mpi.Float64sToBytes(uEnd))), nil
+	}
+	if c.Rank() == root {
+		for dst := 0; dst < root; dst++ {
+			c.SendFloat64s(dst, l.ctrlTag(1), uEnd)
+		}
+		return append([]float64(nil), uEnd...), nil
+	}
+	got, err := c.RecvFloat64sDeadline(root, l.ctrlTag(1), l.timeout)
+	if err != nil {
+		return nil, fmt.Errorf("%w: end broadcast: %w", errBlockAbort, err)
+	}
+	return got, nil
+}
+
+// allreduceMax is the Tol convergence check's allreduce(max) of
+// iteration seq. Deadline branch: gather at rank 0, then scatter.
+func (l link) allreduceMax(c *mpi.Comm, v float64, seq int) (float64, error) {
+	if l.timeout == 0 {
+		return c.AllreduceFloat64([]float64{v}, mpi.OpMax)[0], nil
+	}
+	p := c.Size()
+	if p == 1 {
+		return v, nil
+	}
+	tag := l.ctrlTag(2 + 2*seq)
+	if c.Rank() == 0 {
+		m := v
+		for src := 1; src < p; src++ {
+			x, err := c.RecvFloat64sDeadline(src, tag, l.timeout)
+			if err != nil || len(x) != 1 {
+				return 0, fmt.Errorf("%w: allreduce gather: %w", errBlockAbort, err)
+			}
+			if x[0] > m {
+				m = x[0]
+			}
+		}
+		for dst := 1; dst < p; dst++ {
+			c.SendFloat64s(dst, tag+1, []float64{m})
+		}
+		return m, nil
+	}
+	c.SendFloat64s(0, tag, []float64{v})
+	x, err := c.RecvFloat64sDeadline(0, tag+1, l.timeout)
+	if err != nil || len(x) != 1 {
+		return 0, fmt.Errorf("%w: allreduce result: %w", errBlockAbort, err)
+	}
+	return x[0], nil
+}
+
+// runResilient is the fault-tolerant time loop for one time
+// communicator (PS = 1). The lockstep loop indexes blocks statically;
+// here the communicator can shrink mid-run, so the loop tracks
+// committed steps and carves off one block of cur.Size() steps at a
+// time, falling back to serial SDC for a tail narrower than the
+// communicator. Each block is the same attempt the lockstep loop runs,
+// on a deadline link; its verdict folds into one agreement that
+// commits or aborts the block identically on every survivor.
+func (s *GridSolver) runResilient(comm *mpi.Comm, t0, t1 float64, nsteps int, u0 []float64) error {
+	cfg, res := s.cfg, s.res
 	rz := cfg.Resilience
 	dt := (t1 - t0) / float64(nsteps)
 	fullSize := comm.Size()
@@ -116,7 +201,8 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 	u := append([]float64(nil), u0...)
 	stepsDone := 0
 	block := 0
-	gen := 0 // block-attempt generation, identical on all survivors
+	// lk.gen is the block-attempt generation, identical on all survivors.
+	lk := link{timeout: rz.recvTimeout()}
 
 	if rz.Resume && rz.CheckpointDir != "" {
 		st, err := checkpoint.LoadLevels(rz.checkpointPath())
@@ -147,62 +233,38 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 		}
 	}
 	g := cfg.Guard
+	// A rank-local guard verdict folds into an agreement before anyone
+	// acts on it, here and at the scrub below: on real hardware
+	// corruption is rank-local, and a lone early return would strand
+	// every surviving peer in the block agreement (the PR 8 deadlock
+	// class nbodylint's collective rule flags). Under the deterministic
+	// fault model the verdict is identical on every survivor — the plan
+	// hash excludes the rank and u holds the committed state — so the
+	// agreement is always unanimous and the round costs one posted int64
+	// per survivor. Without a guard there is no verdict and no round.
+	if v := g.ValidateState(u, "initial state", block); g != nil && cur.Agree(vote(v == nil)) == 0 {
+		if v == nil {
+			v = g.PeerViolation("initial-state", block)
+		}
+		g.RecordAbort()
+		return v
+	}
 	g.CommitState(u, block)
 
 	retries := 0
-	gpending := 0
 	for stepsDone < nsteps {
-		// Cancellation is folded into an extra agreement so every
-		// survivor takes the identical abort-or-continue decision; the
-		// round is gated on Ctx/OnBlock being set, keeping ctx-free runs
-		// byte-identical. u still holds the committed block-start state,
-		// and the checkpoint (when configured) already covers it, so a
-		// cancel here abandons nothing.
-		if cfg.Ctx != nil || cfg.OnBlock != nil {
-			if cfg.OnBlock != nil && cur.Rank() == 0 {
-				cfg.OnBlock(block)
-			}
-			cerr := CancelErr(cfg.Ctx, block)
-			ok := int64(1)
-			if cerr != nil {
-				ok = 0
-			}
-			if cur.Agree(ok) == 0 {
-				if cerr == nil {
-					cerr = CancelErr(cfg.Ctx, block)
-				}
-				if cerr == nil {
-					cerr = fmt.Errorf("pfasst: block %d: %w: canceled on a peer", block, ErrCanceled)
-				}
-				return cerr
+		if cfg.Boundary != nil {
+			if err := cfg.Boundary(block); err != nil {
+				return err
 			}
 		}
 		// ScrubState repairs memory corruption in place and fails only
-		// after exhausting the rollback ladder. The verdict folds into
-		// an agreement before the abort for the same reason
-		// cancellation does above: on real hardware corruption is
-		// rank-local, and a lone early return here would strand every
-		// surviving peer in the block agreement below (the PR 8
-		// deadlock class nbodylint's collective rule flags). Under the
-		// deterministic fault model the verdict is identical on every
-		// survivor — the plan hash excludes the rank and u holds the
-		// committed state — so the agreement is always unanimous and
-		// the round costs one posted int64 per survivor.
-		if g != nil {
-			var serr error
-			if v := g.ScrubState(u); v != nil {
-				serr = v
+		// after exhausting the rollback ladder.
+		if v := g.ScrubState(u); g != nil && cur.Agree(vote(v == nil)) == 0 {
+			if v == nil {
+				v = g.PeerViolation("state-checksum", block)
 			}
-			sok := int64(1)
-			if serr != nil {
-				sok = 0
-			}
-			if cur.Agree(sok) == 0 {
-				if serr == nil {
-					serr = fmt.Errorf("pfasst: block %d: block-start state scrub failed on a peer", block)
-				}
-				return serr
-			}
+			return v
 		}
 		p := cur.Size()
 		if nsteps-stepsDone < p {
@@ -216,15 +278,11 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 			// committed block-start state even on ranks whose tail
 			// receive already overwrote u.
 			uSave := append([]float64(nil), u...)
-			terr := runSerialTail(cur, cfg, rz, t0, dt, nsteps, stepsDone, u, res, pb, gen)
-			tok := int64(1)
-			if terr != nil {
-				tok = 0
-			}
-			if cur.Agree(tok) == 0 {
+			terr := s.runSerialTail(cur, lk, t0, dt, nsteps, stepsDone, u)
+			if cur.Agree(vote(terr == nil)) == 0 {
 				copy(u, uSave)
-				if shrinkIfDead(&cur, pb) {
-					gen++
+				if s.shrinkIfDead(&cur) {
+					lk.gen++
 					continue
 				}
 				if terr == nil {
@@ -232,50 +290,28 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 				}
 				return terr
 			}
-			res.DegradedBlocks++
-			pb.degraded.Inc()
+			s.RecordDegraded()
 			stepsDone = nsteps
 			break
 		}
 
 		cur.FaultPoint("block", stepsDone)
 		tn := t0 + (float64(stepsDone)+float64(cur.Rank()))*dt
-		blockEnd, err := runBlockResilient(cur, cfg, levels, tn, dt, u, block, gen, res, pb)
-
-		// Guard block-end detectors fold into the same agreement as
-		// transport failures: a corruption verdict aborts the block
-		// identically on every survivor (the end value and the injected
-		// flips are rank-independent).
-		if err == nil && g != nil {
-			ginj := g.InjectBlockEnd(blockEnd, block, retries)
-			if v := g.CheckBlockEnd(blockEnd, block, ginj); v != nil {
-				err = v
-				if ginj > 0 {
-					gpending += ginj
-				} else {
-					gpending++
-				}
-			}
-		}
-
-		ok := int64(1)
-		if err != nil {
-			ok = 0
-		}
-		verdict := cur.Agree(ok)
+		// Guard verdicts and transport failures fold into the same
+		// agreement: either aborts the block identically on every
+		// survivor.
+		blockEnd, err := s.attempt(cur, lk, tn, dt, u, block, retries)
+		verdict := cur.Agree(vote(err == nil))
+		lk.gen++
 		if verdict == 1 {
 			// Commit: every survivor holds the identical end value.
 			stepsDone += p
 			block++
-			gen++
 			retries = 0
 			u = blockEnd
-			g.RecordRecovered(gpending)
-			gpending = 0
 			g.CommitState(u, block)
 			if p < fullSize {
-				res.DegradedBlocks++
-				pb.degraded.Inc()
+				s.RecordDegraded()
 			}
 			if rz.CheckpointDir != "" {
 				// Rank 0 writes the checkpoint; the verdict is agreed
@@ -295,11 +331,7 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 					}
 					werr = checkpoint.SaveLevels(rz.checkpointPath(), st)
 				}
-				wok := int64(1)
-				if werr != nil {
-					wok = 0
-				}
-				if cur.Agree(wok) == 0 {
+				if cur.Agree(vote(werr == nil)) == 0 {
 					if werr != nil {
 						return fmt.Errorf("pfasst: block %d checkpoint: %w", block, werr)
 					}
@@ -312,10 +344,8 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 		// Abort: restore is implicit — u still holds the consistent
 		// block-start state. A death shrinks the communicator; a
 		// transient abort retries with a bounded budget.
-		res.BlockRestarts++
-		pb.restarts.Inc()
-		gen++
-		if shrinkIfDead(&cur, pb) {
+		s.RecordRestart()
+		if s.shrinkIfDead(&cur) {
 			retries = 0
 			continue
 		}
@@ -330,240 +360,50 @@ func runResilient(comm *mpi.Comm, cfg Config, levels []*level, t0, t1 float64, n
 	return nil
 }
 
+// vote is a rank's contribution to a commit agreement (Agree takes the
+// minimum): 1 to commit, 0 to abort.
+func vote(ok bool) int64 {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
 // shrinkIfDead replaces *cur with its survivor communicator when a
 // member has died; it reports whether a shrink happened. All survivors
 // reach this point with the same dead set — the preceding Agree is the
 // synchronization point.
-func shrinkIfDead(cur **mpi.Comm, pb *probe) bool {
+func (s *GridSolver) shrinkIfDead(cur **mpi.Comm) bool {
 	c := *cur
 	if c.AliveCount() == c.Size() {
 		return false
 	}
 	*cur = c.Shrink()
-	pb.shrinks.Inc()
+	s.RecordShrink()
 	return true
 }
 
 // runSerialTail integrates the remaining (< cur.Size()) steps with
 // serial SDC on rank 0 and broadcasts the result: the degraded-mode
 // guarantee is completion within tolerance, not speedup.
-func runSerialTail(cur *mpi.Comm, cfg Config, rz Resilience, t0, dt float64, nsteps, stepsDone int, u []float64, res *Result, pb *probe, gen int) error {
+func (s *GridSolver) runSerialTail(cur *mpi.Comm, lk link, t0, dt float64, nsteps, stepsDone int, u []float64) error {
+	rz := s.cfg.Resilience
 	remaining := nsteps - stepsDone
-	fine := cfg.Levels[0]
-	timeout := rz.recvTimeout() * time.Duration(remaining+1)
+	fine := s.cfg.Levels[0]
 	if cur.Rank() == 0 {
 		in := sdc.NewIntegrator(fine.Sys, fine.NNodes, rz.fallbackSweeps())
 		tn := t0 + float64(stepsDone)*dt
 		in.Integrate(tn, tn+float64(remaining)*dt, remaining, u)
-		res.SweepsFine += remaining * rz.fallbackSweeps()
+		s.res.SweepsFine += remaining * rz.fallbackSweeps()
 		for dst := 1; dst < cur.Size(); dst++ {
-			cur.SendFloat64s(dst, ctrlTag(gen, 0), u)
+			cur.SendFloat64s(dst, lk.ctrlTag(0), u)
 		}
 		return nil
 	}
-	got, err := cur.RecvFloat64sDeadline(0, ctrlTag(gen, 0), timeout)
+	got, err := cur.RecvFloat64sDeadline(0, lk.ctrlTag(0), lk.timeout*time.Duration(remaining+1))
 	if err != nil {
 		return fmt.Errorf("%w: serial tail: %w", errBlockAbort, err)
 	}
 	copy(u, got)
 	return nil
-}
-
-// bcastEndResilient distributes the last rank's slice-end value with
-// per-receive deadlines: rank p-1 sends linearly, everyone else does a
-// bounded wait. Returns the block end value (a fresh slice on every
-// rank) or an abort error.
-func bcastEndResilient(cur *mpi.Comm, gen int, timeout time.Duration, uEnd []float64) ([]float64, error) {
-	p := cur.Size()
-	root := p - 1
-	if cur.Rank() == root {
-		for dst := 0; dst < p; dst++ {
-			if dst != root {
-				cur.SendFloat64s(dst, ctrlTag(gen, 1), uEnd)
-			}
-		}
-		return append([]float64(nil), uEnd...), nil
-	}
-	got, err := cur.RecvFloat64sDeadline(root, ctrlTag(gen, 1), timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: end broadcast: %w", errBlockAbort, err)
-	}
-	return got, nil
-}
-
-// allreduceMaxDeadline is a deadline-bounded linear allreduce(max) for
-// the Tol convergence check: the built-in tree allreduce would hang in
-// plain Recv when a participant dies mid-collective.
-func allreduceMaxDeadline(cur *mpi.Comm, v float64, gen, seq int, timeout time.Duration) (float64, error) {
-	p := cur.Size()
-	if p == 1 {
-		return v, nil
-	}
-	tag := ctrlTag(gen, 2+2*seq)
-	if cur.Rank() == 0 {
-		m := v
-		for src := 1; src < p; src++ {
-			x, err := cur.RecvFloat64sDeadline(src, tag, timeout)
-			if err != nil || len(x) != 1 {
-				return 0, fmt.Errorf("%w: allreduce gather: %w", errBlockAbort, err)
-			}
-			if x[0] > m {
-				m = x[0]
-			}
-		}
-		for dst := 1; dst < p; dst++ {
-			cur.SendFloat64s(dst, tag+1, []float64{m})
-		}
-		return m, nil
-	}
-	cur.SendFloat64s(0, tag, []float64{v})
-	x, err := cur.RecvFloat64sDeadline(0, tag+1, timeout)
-	if err != nil || len(x) != 1 {
-		return 0, fmt.Errorf("%w: allreduce result: %w", errBlockAbort, err)
-	}
-	return x[0], nil
-}
-
-// runBlockResilient mirrors runBlock — predictor, V-cycle iterations,
-// trailing sweep — with three changes: every receive has a deadline
-// and propagates a typed abort error instead of blocking forever,
-// message tags embed the attempt generation so retries never consume
-// stale traffic, and the block ends with the resilient end-value
-// broadcast so a committed block leaves every rank holding the
-// identical next start state.
-func runBlockResilient(cur *mpi.Comm, cfg Config, levels []*level, tn, dt float64, u0 []float64, block, gen int, res *Result, pb *probe) ([]float64, error) {
-	rz := cfg.Resilience
-	timeout := rz.recvTimeout()
-	p := cur.Size()
-	rank := cur.Rank()
-	nl := len(levels)
-	fine := levels[0]
-	coarse := levels[nl-1]
-
-	for _, l := range levels {
-		l.sw.Setup(tn, dt)
-	}
-	predSpan := pb.predictor.Start()
-	cur.FaultPoint("predictor", block)
-
-	// Predictor: pipelined coarse sweeps, deadline receives.
-	cu := make([]float64, coarse.dim)
-	restrictFull(levels, u0, cu)
-	coarse.sw.SetU0(cu)
-	coarse.sw.Spread()
-	for j := 0; j <= rank; j++ {
-		if j > 0 {
-			in, err := cur.RecvFloat64sDeadline(rank-1, resTag(gen, nl-1, j, true), timeout)
-			if err != nil {
-				predSpan.Stop()
-				return nil, fmt.Errorf("%w: predictor: %w", errBlockAbort, err)
-			}
-			coarse.sw.SetU0Lazy(in)
-		}
-		coarse.sw.Sweep()
-		res.SweepsCoarse++
-		pb.coarseSweeps.Inc()
-		if rank < p-1 {
-			cur.SendFloat64s(rank+1, resTag(gen, nl-1, j+1, true), coarse.sw.UEnd())
-		}
-	}
-	for i := nl - 2; i >= 0; i-- {
-		l := levels[i]
-		for mc := range l.uR {
-			ode.Zero(l.uR[mc])
-		}
-		for mf := 0; mf < l.nnodes; mf++ {
-			ode.Zero(l.sw.U[mf])
-		}
-		l.interpolateCorrection()
-	}
-	if rank == 0 {
-		fine.sw.SetU0(u0)
-	}
-	predSpan.Stop()
-
-	prevEnd := append([]float64(nil), fine.sw.UEnd()...)
-	var lastDiff float64
-	itersRun := 0
-
-	for k := 0; k < cfg.Iterations; k++ {
-		cur.FaultPoint("iter", k)
-		iterSpan := pb.iteration.Start()
-		abort := func(stage string, err error) ([]float64, error) {
-			iterSpan.Stop()
-			return nil, fmt.Errorf("%w: iteration %d %s: %w", errBlockAbort, k, stage, err)
-		}
-		for i := 0; i < nl-1; i++ {
-			l := levels[i]
-			for s := 0; s < cfg.FineSweeps; s++ {
-				l.sw.Sweep()
-			}
-			if i == 0 {
-				res.SweepsFine += cfg.FineSweeps
-				pb.fineSweeps.Add(int64(cfg.FineSweeps))
-			}
-			if rank < p-1 {
-				cur.SendFloat64s(rank+1, resTag(gen, i, k, false), l.sw.UEnd())
-			}
-			l.restrictAndFAS()
-		}
-		for s := 0; s < cfg.CoarseSweeps; s++ {
-			if rank > 0 {
-				in, err := cur.RecvFloat64sDeadline(rank-1, resTag(gen, nl-1, k*8+s, false), timeout)
-				if err != nil {
-					return abort("coarse", err)
-				}
-				coarse.sw.SetU0Lazy(in)
-			}
-			coarse.sw.Sweep()
-			res.SweepsCoarse++
-			pb.coarseSweeps.Inc()
-			if rank < p-1 {
-				cur.SendFloat64s(rank+1, resTag(gen, nl-1, k*8+s, false), coarse.sw.UEnd())
-			}
-		}
-		for i := nl - 2; i >= 0; i-- {
-			l := levels[i]
-			if rank > 0 {
-				in, err := cur.RecvFloat64sDeadline(rank-1, resTag(gen, i, k, false), timeout)
-				if err != nil {
-					return abort("fine", err)
-				}
-				l.sw.SetU0(in)
-				l.restrictSpace(l.sw.U[0], l.uR[0])
-			}
-			l.interpolateCorrection()
-			if i > 0 {
-				l.sw.Sweep()
-			}
-		}
-		lastDiff = ode.MaxDiff(fine.sw.UEnd(), prevEnd)
-		ode.Copy(prevEnd, fine.sw.UEnd())
-		itersRun = k + 1
-		iterSpan.Stop()
-		pb.iterDiff.Set(lastDiff)
-		if cfg.Tol > 0 {
-			global, err := allreduceMaxDeadline(cur, lastDiff, gen, k, timeout)
-			if err != nil {
-				return nil, err
-			}
-			if global < cfg.Tol {
-				break
-			}
-		}
-	}
-
-	if trailingSweep {
-		fine.sw.Sweep()
-		res.SweepsFine++
-		pb.fineSweeps.Inc()
-	}
-	res.Residuals = append(res.Residuals, fine.sw.Residual())
-	res.IterDiffs = append(res.IterDiffs, lastDiff)
-	res.IterationsRun = append(res.IterationsRun, itersRun)
-	pb.iters.Add(int64(itersRun))
-	pb.blocks.Inc()
-	pb.residual.Set(fine.sw.Residual())
-
-	return bcastEndResilient(cur, gen, timeout, fine.sw.UEnd())
 }

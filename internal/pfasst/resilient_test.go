@@ -2,6 +2,7 @@ package pfasst
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,33 +42,62 @@ func resilientCfg(sys ode.System) Config {
 }
 
 // TestResilientMatchesPlainWithoutFaults: with no fault plan, the
-// resilient path (deadline receives, generation tags, agreement
-// commits) must reproduce the plain solver bitwise — same sweeps, same
-// arithmetic, only the message plumbing differs.
+// resilient loop (deadline link, generation tags, agreement commits)
+// must reproduce the lockstep loop bitwise on every rank — same block
+// body, same sweeps, same per-block records; only the message plumbing
+// differs. The Tol row sets the deadline allreduce against the tree
+// allreduce (same early stop, same IterationsRun), the three-level row
+// covers the intermediate-level receives.
 func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 	sys, exact := ode.Oscillator(1)
 	u0 := exact(0)
 	const p, nsteps = 4, 8
+	threeLevel := []LevelSpec{{Sys: sys, NNodes: 5}, {Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 2}}
 
-	plainCfg := Config{Levels: twoLevel(sys), Iterations: 8, CoarseSweeps: 2}
-	want, _ := runPFASST(t, sys, plainCfg, p, 2, nsteps, u0)
-
-	results, err := runResilientPFASST(t, resilientCfg(sys), nil, p, 2, nsteps, u0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, res := range results {
-		if res == nil {
-			t.Fatalf("rank %d returned no result", r)
-		}
-		for i := range want {
-			if res.U[i] != want[i] {
-				t.Fatalf("rank %d: U[%d] = %g, plain path %g (not bitwise identical)", r, i, res.U[i], want[i])
+	for _, tc := range []struct {
+		name   string
+		levels []LevelSpec
+		tol    float64
+	}{
+		{"fixed", twoLevel(sys), 0},
+		{"tol", twoLevel(sys), 1e-6},
+		{"three-level", threeLevel, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := resilientCfg(sys)
+			cfg.Levels, cfg.Tol = tc.levels, tc.tol
+			plainCfg := cfg
+			plainCfg.Resilience = Resilience{}
+			want, err := runResilientPFASST(t, plainCfg, nil, p, 2, nsteps, u0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if res.BlockRestarts != 0 || res.DegradedBlocks != 0 || res.FinalRanks != p {
-			t.Fatalf("rank %d: fault-free run reported faults: %+v", r, res)
-		}
+			got, err := runResilientPFASST(t, cfg, nil, p, 2, nsteps, u0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				w, g := want[r], got[r]
+				if w == nil || g == nil {
+					t.Fatalf("rank %d returned no result", r)
+				}
+				if tc.tol > 0 && w.IterationsRun[0] >= cfg.Iterations {
+					t.Fatalf("rank %d: Tol %g never stopped a block early: %v", r, tc.tol, w.IterationsRun)
+				}
+				if !bitwiseEq(g.U, w.U) || !bitwiseEq(g.Residuals, w.Residuals) || !bitwiseEq(g.IterDiffs, w.IterDiffs) {
+					t.Fatalf("rank %d: resilient run not bitwise identical to plain:\n got %+v\nwant %+v", r, g, w)
+				}
+				if !reflect.DeepEqual(g.IterationsRun, w.IterationsRun) || g.SweepsFine != w.SweepsFine || g.SweepsCoarse != w.SweepsCoarse {
+					t.Fatalf("rank %d: resilient run did different work:\n got %+v\nwant %+v", r, g, w)
+				}
+				if len(g.Residuals) != nsteps/p {
+					t.Fatalf("rank %d: %d block records for %d blocks", r, len(g.Residuals), nsteps/p)
+				}
+				if g.BlockRestarts != 0 || g.DegradedBlocks != 0 || g.FinalRanks != p {
+					t.Fatalf("rank %d: fault-free run reported faults: %+v", r, g)
+				}
+			}
+		})
 	}
 }
 
@@ -238,6 +268,12 @@ func TestHardLossRetriesBlockBitwise(t *testing.T) {
 	for r := range clean {
 		if lossy[r].BlockRestarts < 1 {
 			t.Fatalf("rank %d: hard loss did not restart the block", r)
+		}
+		// A rejected attempt leaves no per-block record behind, even on
+		// a rank whose own part of it finished (rank 0 only sends).
+		if l := lossy[r]; len(l.Residuals) != nsteps/p || len(l.IterDiffs) != nsteps/p || len(l.IterationsRun) != nsteps/p {
+			t.Fatalf("rank %d: %d/%d/%d block records for %d committed blocks",
+				r, len(l.Residuals), len(l.IterDiffs), len(l.IterationsRun), nsteps/p)
 		}
 		for i := range clean[r].U {
 			if clean[r].U[i] != lossy[r].U[i] {

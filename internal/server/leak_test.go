@@ -89,6 +89,43 @@ func TestFullQueueRejectsRatherThanGrows(t *testing.T) {
 	}
 }
 
+// TestAdmitQueueBoundsJobsWithoutWorker pins the admission invariant
+// directly on the queue: a job leaves it only together with a worker
+// slot, so with the one worker taken a concurrent pop — the dispatcher
+// — cannot pull the queued job into its hand, and depth bounds every
+// job that is not running (queued + in-hand ≤ QueueDepth).
+func TestAdmitQueueBoundsJobsWithoutWorker(t *testing.T) {
+	q := newAdmitQueue(1, 1, 8, 8)
+	defer q.close() // frees the popper should an assertion fail first
+	a, b, c := newJob(0, testSpec("alice", 1)), newJob(1, testSpec("bob", 2)), newJob(2, testSpec("carol", 3))
+	if _, err := q.push(a, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.pop(); got != a {
+		t.Fatalf("pop returned %v, want job 0", got)
+	}
+	if _, err := q.push(b, false); err != nil {
+		t.Fatal(err)
+	}
+	popped := make(chan *job, 1) // one send
+	go func() { popped <- q.pop() }()
+	// Whether or not the popper has reached its wait yet, it cannot
+	// take b: the only worker slot belongs to a.
+	if _, err := q.push(c, false); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-full push: %v, want ErrQueueFull", err)
+	}
+	if shed, err := q.push(c, true); err != nil || shed != b {
+		t.Fatalf("shedding push: shed %v, err %v; want job 1 evicted", shed, err)
+	}
+	if n := q.lenQueued(); n != 1 {
+		t.Fatalf("queue depth %d, want 1", n)
+	}
+	q.release(a.spec.Tenant)
+	if got := <-popped; got != c {
+		t.Fatalf("pop after release returned %v, want job 2", got)
+	}
+}
+
 // TestTenantQuotaRejectsTyped caps one tenant's queued jobs and
 // asserts the quota rejection is per-tenant.
 func TestTenantQuotaRejectsTyped(t *testing.T) {

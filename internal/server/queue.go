@@ -25,15 +25,20 @@ var (
 )
 
 // admitQueue is the daemon's bounded FIFO admission queue. One mutex
-// owns the queue AND the per-tenant queued/running accounting, so
-// admission (depth + quota), eligibility (per-tenant running cap) and
-// shedding are each a single atomic decision.
+// owns the queue, the worker slots AND the per-tenant queued/running
+// accounting, so admission (depth + quota), eligibility (a free worker
+// + per-tenant running cap) and shedding are each a single atomic
+// decision. A job leaves the queue only together with a worker slot:
+// there is never a popped job waiting in the dispatcher's hand,
+// uncounted against depth and charged to its tenant while not running,
+// so depth bounds every job that does not hold a worker.
 type admitQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	items  []*job
 	depth  int
+	slots  int // free worker slots: pop takes one, release returns it
 	closed bool
 
 	tenantQueued  map[string]int
@@ -42,9 +47,10 @@ type admitQueue struct {
 	maxRunning    int // per-tenant running cap
 }
 
-func newAdmitQueue(depth, maxQueued, maxRunning int) *admitQueue {
+func newAdmitQueue(depth, workers, maxQueued, maxRunning int) *admitQueue {
 	q := &admitQueue{
 		depth:         depth,
+		slots:         workers,
 		maxQueued:     maxQueued,
 		maxRunning:    maxRunning,
 		tenantQueued:  make(map[string]int),
@@ -94,10 +100,11 @@ func (q *admitQueue) requeue(j *job) {
 	q.cond.Broadcast()
 }
 
-// pop blocks until a job whose tenant has running headroom is
-// available, removes it, charges the tenant's running count, and
-// returns it. It returns nil once the queue is closed — remaining
-// items stay queued for the drain path to collect.
+// pop blocks until a worker slot is free and a job whose tenant has
+// running headroom is queued, removes the first such job, takes the
+// slot, charges the tenant's running count, and returns the job. It
+// returns nil once the queue is closed — remaining items stay queued
+// for the drain path to collect.
 func (q *admitQueue) pop() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -105,24 +112,29 @@ func (q *admitQueue) pop() *job {
 		if q.closed {
 			return nil
 		}
-		for i, j := range q.items {
-			t := j.spec.Tenant
-			if q.tenantRunning[t] < q.maxRunning {
-				q.items = append(q.items[:i], q.items[i+1:]...)
-				q.tenantQueued[t]--
-				q.tenantRunning[t]++
-				return j
+		if q.slots > 0 {
+			for i, j := range q.items {
+				t := j.spec.Tenant
+				if q.tenantRunning[t] < q.maxRunning {
+					q.items = append(q.items[:i], q.items[i+1:]...)
+					q.tenantQueued[t]--
+					q.tenantRunning[t]++
+					q.slots--
+					return j
+				}
 			}
 		}
 		q.cond.Wait()
 	}
 }
 
-// release returns a tenant's running slot and wakes pop.
+// release returns a popped job's worker slot and its tenant's running
+// slot, and wakes pop.
 func (q *admitQueue) release(tenant string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.tenantRunning[tenant]--
+	q.slots++
 	q.cond.Broadcast()
 }
 

@@ -140,7 +140,7 @@ func New(cfg Config) (*Daemon, error) {
 		tel:          telemetry.New(),
 		journal:      journal,
 		pool:         sched.NewPool(cfg.Workers),
-		q:            newAdmitQueue(cfg.QueueDepth, cfg.TenantMaxQueued, cfg.TenantMaxRunning),
+		q:            newAdmitQueue(cfg.QueueDepth, cfg.Workers, cfg.TenantMaxQueued, cfg.TenantMaxRunning),
 		rootCtx:      rootCtx,
 		rootCancel:   rootCancel,
 		jobs:         make(map[uint64]*job),
@@ -224,7 +224,9 @@ func (d *Daemon) replay(recs []Record) error {
 }
 
 // dispatch moves eligible queued jobs onto the worker pool until the
-// queue closes.
+// queue closes. pop hands out a job only together with a worker slot,
+// so Submit never waits on a running job: at most for the worker whose
+// task just called release to return to the pool.
 func (d *Daemon) dispatch() {
 	defer close(d.dispatchDone)
 	for {
@@ -417,8 +419,7 @@ func (d *Daemon) Drain() error {
 		d.q.close()
 		// Canceling the root context reaches every attempt context
 		// (and retry backoff sleep) at once; it must precede the wait
-		// on the dispatcher, which may be blocked handing a job to a
-		// pool whose workers only free once running jobs stop.
+		// on the pool, whose workers only free once running jobs stop.
 		d.rootCancel(cause)
 		<-d.dispatchDone
 		for _, j := range d.q.drainQueued() {

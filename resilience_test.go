@@ -6,6 +6,10 @@ package nbody
 // tolerance; misconfigurations must be rejected up front.
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -120,5 +124,77 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	cfg.Resilience.FaultPlan = "bogus=1"
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
 		t.Fatal("malformed fault plan accepted")
+	}
+}
+
+// TestFacadeCancelAtBlockBoundary drives cancellation through every
+// block loop: the lockstep loop (plain and guarded), the PS = 1
+// time-shrink loop and the grid loop (alone and with the guard) all
+// call the one block-boundary callback, so an OnBlock hook that cancels
+// the context at block 1 must stop each of them at exactly that
+// boundary — typed, on every rank, having reported blocks 0 and 1 once
+// each — and, where a checkpoint covers the committed state, a resumed
+// run must finish bitwise equal to one that was never canceled.
+func TestFacadeCancelAtBlockBoundary(t *testing.T) {
+	sys := RandomBlob(32, 0.2, 7)
+	const nsteps = 6 // 3 blocks at PT = 2
+	for _, row := range []struct {
+		name               string
+		ps                 int
+		guarded, resilient bool
+	}{
+		{"plain 2x2", 2, false, false},
+		{"guarded 2x2", 2, true, false},
+		{"resilient 2x1", 1, false, true},
+		{"resilient 2x2", 2, false, true},
+		{"guard+resilient 2x2", 2, true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultSpaceTime(2, row.ps)
+			cfg.Guard.Enabled = row.guarded
+			cfg.Resilience.Enabled = row.resilient
+			want, _, err := RunSpaceTime(cfg, sys, 0, 0.15, nsteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if row.resilient {
+				cfg.Resilience.CheckpointDir = t.TempDir()
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var mu sync.Mutex
+			var seen []int
+			cfg.OnBlock = func(b int) {
+				mu.Lock()
+				seen = append(seen, b)
+				mu.Unlock()
+				if b == 1 {
+					cancel()
+				}
+			}
+			_, _, err = RunSpaceTimeCtx(ctx, cfg, sys, 0, 0.15, nsteps)
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled run returned %v, want ErrCanceled wrapping context.Canceled", err)
+			}
+			if !reflect.DeepEqual(seen, []int{0, 1}) {
+				t.Fatalf("hook saw blocks %v, want [0 1]", seen)
+			}
+			if !row.resilient {
+				return
+			}
+
+			cfg.OnBlock = nil
+			cfg.Resilience.Resume = true
+			got, _, err := RunSpaceTime(cfg, sys, 0, 0.15, nsteps)
+			if err != nil {
+				t.Fatalf("resume after cancel: %v", err)
+			}
+			for i := range want.Particles {
+				if want.Particles[i] != got.Particles[i] {
+					t.Fatalf("resumed run differs from the uncanceled one at particle %d", i)
+				}
+			}
+		})
 	}
 }
