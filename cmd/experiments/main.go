@@ -7,14 +7,8 @@
 //	experiments                 # run everything (scaled defaults)
 //	experiments -fig 7a         # a single figure: 1, 5, 7a, 7b, 8
 //	experiments -exp theta-ratio|residuals|speedup-model|phases
-//	experiments -exp bench-pr2  # traversal benchmark (writes BENCH_PR2.json; not part of "all")
-//	experiments -exp chaos      # fault-injection matrix (writes BENCH_PR3.json; not part of "all")
-//	experiments -exp chaos -faultseed 7 -faultplan "drop=0.1,crash=2@iter:1"  # custom crash plan
-//	experiments -exp sdcguard   # bit-flip guard matrix (writes BENCH_PR4.json; not part of "all")
-//	experiments -exp sdcguard -flipseed 7 -fliprate 1e-3  # custom sweep seed and per-word rate
-//	experiments -exp gridfault  # PS×PT grid fault tolerance (writes BENCH_PR8.json; not part of "all")
-//	experiments -exp serverchaos  # job-daemon chaos benchmark (writes BENCH_PR9.json; not part of "all")
-//	experiments -exp fig5-xt    # joint space-time scaling study (writes BENCH_PR7.json; not part of "all")
+//	experiments -exp fig5-xt    # joint space-time scaling study, tables only (not part of "all")
+//	experiments -exp fig5-xt -xt-out new.json     # also write the record; an existing file is never replaced
 //	experiments -branch batched -exp phases       # batched branch exchange (prefetch visible)
 //	experiments -balance -exp phases              # work-weighted domain decomposition
 //	experiments -list           # validate -fig/-exp and list the known names, run nothing
@@ -37,7 +31,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/hot"
-	"repro/internal/serverbench"
 	"repro/internal/telemetry"
 	"repro/internal/tree"
 )
@@ -47,24 +40,14 @@ func main() {
 	log.SetPrefix("experiments: ")
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 1, 5, 7a, 7b, 8 (empty = all)")
-		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, bench-pr2, bench-pr6, chaos, sdcguard, gridfault, fig5-xt, serverchaos")
-		faultSeed  = flag.Int64("faultseed", 42, "fault-plan seed of the chaos experiment")
-		faultPlan  = flag.String("faultplan", "", "override the chaos experiment's crash plan (fault.Parse spec)")
-		chaosOut   = flag.String("chaosout", "BENCH_PR3.json", "output path of the chaos record")
-		flipSeed   = flag.Int64("flipseed", 42, "base flip seed of the sdcguard experiment")
-		flipRate   = flag.Float64("fliprate", 2e-4, "per-word flip rate of the sdcguard sweep plan")
-		guardOut   = flag.String("guardout", "BENCH_PR4.json", "output path of the sdcguard record")
-		gridOut    = flag.String("gridout", "BENCH_PR8.json", "output path of the gridfault record")
-		serverOut  = flag.String("server-out", "BENCH_PR9.json", "output path of the serverchaos record")
+		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, fig5-xt")
 		traversal  = flag.String("traversal", "", `tree traversal mode: "list" (default) or "recursive"`)
 		stealGrain = flag.Int("stealgrain", 0, "work-stealing chunk size in leaf groups (0 = automatic)")
 		threads    = flag.Int("threads", 0, "traversal worker goroutines per rank (>1 = hybrid scheduler; phases experiment)")
 		branch     = flag.String("branch", "", `branch exchange mode: "ring" (default) or "batched" (phases experiment)`)
 		balance    = flag.Bool("balance", false, "work-weighted domain decomposition (phases experiment)")
 		list       = flag.Bool("list", false, "validate -fig/-exp, list the known names, and exit without running")
-		benchOut   = flag.String("benchout", "BENCH_PR2.json", "output path of the bench-pr2 record")
-		bench6Out  = flag.String("bench6-out", "BENCH_PR6.json", "output path of the bench-pr6 record")
-		xtOut      = flag.String("xt-out", "BENCH_PR7.json", "output path of the fig5-xt record")
+		xtOut      = flag.String("xt-out", "", "write the fig5-xt record to this new file (empty = tables only; an existing file is never replaced)")
 		csvDir     = flag.String("csv", "", "directory for CSV output")
 		jsonDir    = flag.String("json", "", "directory for telemetry snapshot JSON output")
 		paper      = flag.Bool("paper", false, "use the paper's exact sizes where implemented (very slow)")
@@ -85,11 +68,10 @@ func main() {
 	// Known names: every -fig/-exp value must be one of these. Unknown
 	// names are configuration errors, not silent no-ops; -list performs
 	// only this validation (the CI docs gate appends it to every command
-	// quoted in SCALING.md to keep the handbook honest).
+	// the docs quote to keep them honest).
 	figs := []string{"1", "5", "7a", "7b", "8"}
 	exps := []string{"theta-ratio", "residuals", "speedup-model", "ablations",
-		"phases", "bench-pr2", "bench-pr6", "chaos", "sdcguard", "gridfault", "fig5-xt",
-		"serverchaos"}
+		"phases", "fig5-xt"}
 	known := func(name string, set []string) bool {
 		for _, s := range set {
 			if strings.EqualFold(name, s) {
@@ -108,6 +90,13 @@ func main() {
 		fmt.Printf("figures: %s\n", strings.Join(figs, ", "))
 		fmt.Printf("experiments: %s\n", strings.Join(exps, ", "))
 		return
+	}
+	// Fail before the minutes-long study, not after it; WriteJSON's
+	// exclusive create is what actually protects the file.
+	if *xtOut != "" {
+		if _, err := os.Stat(*xtOut); err == nil {
+			log.Fatalf("-xt-out %s exists; records are never overwritten", *xtOut)
+		}
 	}
 
 	telemetry.SetPprofLabels(*labels)
@@ -194,110 +183,22 @@ func main() {
 		emit("spacetime_phases", tb)
 		emitJSON("spacetime_phases", snap)
 	}
-	// bench-pr2 is opt-in only (minutes of wall time): it races the
-	// recursive+static evaluator against the list+stealing default on
-	// the clustered vortex sheet and records BENCH_PR2.json.
-	if strings.EqualFold(*exp, "bench-pr2") {
-		res, tb := experiments.BenchPR2(experiments.DefaultBenchPR2())
-		emit("bench_pr2", tb)
-		if err := res.WriteJSON(*benchOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *benchOut)
-	}
-	// bench-pr6 is opt-in only: it races the struct-of-arrays hot path
-	// against the array-of-structs reference on the clustered vortex
-	// sheet (per-phase breakdowns) and records BENCH_PR6.json, reading
-	// BENCH_PR2.json for the cross-PR throughput baseline if present.
-	if strings.EqualFold(*exp, "bench-pr6") {
-		res, tb := experiments.BenchPR6(experiments.DefaultBenchPR6(), *benchOut)
-		emit("bench_pr6", tb)
-		if err := res.WriteJSON(*bench6Out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *bench6Out)
-	}
 	// fig5-xt is opt-in only (minutes of wall time): the joint space-time
 	// scaling study — executed branch-exchange before/after, the executed
-	// PS×PT grid, and the modeled extrapolation to 262,144 cores — and
-	// records BENCH_PR7.json (see SCALING.md).
+	// PS×PT grid, and the modeled extrapolation to 262,144 cores (see
+	// SCALING.md). BENCH_PR7.json is the frozen record of one such run.
 	if strings.EqualFold(*exp, "fig5-xt") {
 		res, tbs := experiments.BenchPR7(experiments.DefaultFig5XT())
 		names := []string{"fig5xt_branch", "fig5xt_grid", "fig5xt_model", "fig5xt_crossover"}
 		for i, tb := range tbs {
 			emit(names[i], tb)
 		}
-		if err := res.WriteJSON(*xtOut); err != nil {
-			log.Fatal(err)
+		if *xtOut != "" {
+			if err := res.WriteJSON(*xtOut); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("wrote %s\n\n", *xtOut)
 		}
-		fmt.Printf("wrote %s\n\n", *xtOut)
-	}
-	// chaos is opt-in only: it runs the space-time solver through a
-	// seeded fault matrix (clean, transient chaos, rank crash) on the
-	// resilient PFASST loop and records BENCH_PR3.json.
-	if strings.EqualFold(*exp, "chaos") {
-		ccfg := experiments.DefaultBenchPR3()
-		ccfg.Seed = *faultSeed
-		if *faultPlan != "" {
-			ccfg.CrashPlan = *faultPlan
-		}
-		res, tb, err := experiments.BenchPR3(ccfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("bench_pr3", tb)
-		if err := res.WriteJSON(*chaosOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *chaosOut)
-	}
-	// sdcguard is opt-in only: it measures the numerical guardrails —
-	// clean-run overhead, seeded bit-flip detection/recovery, sticky
-	// abort, block-domain monitors — and records BENCH_PR4.json.
-	if strings.EqualFold(*exp, "sdcguard") {
-		gcfg := experiments.DefaultBenchPR4()
-		gcfg.Seed = *flipSeed
-		gcfg.Rate = *flipRate
-		res, tb, err := experiments.BenchPR4(gcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("bench_pr4", tb)
-		if err := res.WriteJSON(*guardOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *guardOut)
-	}
-	// gridfault is opt-in only: it drives full PT×PS grids through the
-	// grid-resilient loop — clean overhead, transient chaos, rank-crash
-	// recovery with per-phase costs — and records BENCH_PR8.json.
-	if strings.EqualFold(*exp, "gridfault") {
-		res, tbs, err := experiments.BenchPR8(experiments.DefaultBenchPR8())
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i, tb := range tbs {
-			emit(fmt.Sprintf("bench_pr8_grid%d", i), tb)
-		}
-		if err := res.WriteJSON(*gridOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *gridOut)
-	}
-	// serverchaos is opt-in only: it drives a job-daemon fleet clean,
-	// under the server chaos plan, and through a drain+restart cycle,
-	// and records BENCH_PR9.json (jobs/sec, p50/p99 latency, bitwise
-	// agreement after crash retries and resume).
-	if strings.EqualFold(*exp, "serverchaos") {
-		res, tb, err := serverbench.BenchPR9(serverbench.DefaultBenchPR9())
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("bench_pr9", tb)
-		if err := res.WriteJSON(*serverOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *serverOut)
 	}
 	fig7cfg := experiments.DefaultFig7()
 	if *paper {

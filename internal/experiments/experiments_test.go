@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -367,5 +369,30 @@ func TestAblationLeafCap(t *testing.T) {
 	fmt.Sscanf(tb.Rows[2][1], "%d", &i32)
 	if i32 <= i1 {
 		t.Fatalf("larger buckets should do more direct work: %d vs %d", i32, i1)
+	}
+}
+
+// A record is history: WriteJSON creates a new file but never replaces
+// one (the committed BENCH_PR7.json used to be the default target).
+func TestBenchPR7WriteJSONNeverOverwrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "record.json")
+	res := BenchPR7Result{Measurement: "first run"}
+	if err := res.WriteJSON(path); err != nil {
+		t.Fatalf("new file: %v", err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Measurement = "second run"
+	if err := res.WriteJSON(path); err == nil {
+		t.Fatal("WriteJSON replaced an existing record")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("existing record modified by the refused write:\n%s", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 
@@ -501,11 +502,21 @@ func BenchPR7(cfg Fig5XTConfig) (BenchPR7Result, []*Table) {
 	return res, append([]*Table{btb, gtb}, mtbs...)
 }
 
-// WriteJSON writes the benchmark record to path.
+// WriteJSON writes the record to a new file at path. An existing file
+// is an error and is left untouched: a record is history, not a cache
+// (the rule cmd/bench -out enforces).
 func (r BenchPR7Result) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("fig5-xt: records are never overwritten: %w", err)
+	}
+	if _, err := f.Write(append(data, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -48,12 +48,15 @@ func runEval(t *testing.T, full *particle.System, p int, cfg Config) ([]vec.Vec3
 	return vel, str, stats
 }
 
+// defaultCfg uses the production layout: core.levelSystem always
+// passes LayoutSoA, while the Config zero value is the AoS reference.
 func defaultCfg(theta float64) Config {
 	return Config{
 		Sm:     kernel.Algebraic6(),
 		Scheme: kernel.Transpose,
 		Theta:  theta,
 		Dipole: true,
+		Layout: particle.LayoutSoA,
 	}
 }
 

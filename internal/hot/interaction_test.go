@@ -9,30 +9,57 @@ import (
 	"repro/internal/vec"
 )
 
+// layouts is the layout dimension of the across-ranks tables: the AoS
+// reference first, then SoA, which every production run uses.
+var layouts = []particle.Layout{particle.LayoutAoS, particle.LayoutSoA}
+
+// sameWork reports whether two evaluations did identical work.
+func sameWork(a, b Stats) bool {
+	return a.Interactions == b.Interactions && a.MACAccepts == b.MACAccepts &&
+		a.MACRejects == b.MACRejects && a.Fetches == b.Fetches
+}
+
 // TestListMatchesRecursiveAcrossRanks: the interaction-list traversal
 // (the default) must be bitwise identical to the per-particle
 // recursive traversal — results AND work counters — at any rank count
 // and θ, including the fetch count (the conservative group walk opens
-// exactly the cells every particle would open).
+// exactly the cells every particle would open). Both must also be
+// bitwise identical across particle layouts, remote cells included
+// (p > 1): SoA is what production runs, AoS the reference.
 func TestListMatchesRecursiveAcrossRanks(t *testing.T) {
 	full := particle.SphericalVortexSheet(particle.DefaultSheet(500))
-	for _, p := range []int{1, 3, 5} {
+	for _, p := range []int{1, 2, 3, 5} {
 		for _, theta := range []float64{0, 0.45} {
-			cfgList := defaultCfg(theta)
-			cfgList.Traversal = tree.TraversalList
-			cfgRec := defaultCfg(theta)
-			cfgRec.Traversal = tree.TraversalRecursive
-			velL, strL, stL := runEval(t, full, p, cfgList)
-			velR, strR, stR := runEval(t, full, p, cfgRec)
-			for i := range velL {
-				if velL[i] != velR[i] || strL[i] != strR[i] {
-					t.Fatalf("p=%d θ=%.2f: particle %d differs: list %v/%v recursive %v/%v",
-						p, theta, i, velL[i], strL[i], velR[i], strR[i])
+			var velRef, strRef []vec.Vec3
+			var stRef Stats
+			for _, layout := range layouts {
+				cfgList := defaultCfg(theta)
+				cfgList.Layout = layout
+				cfgList.Traversal = tree.TraversalList
+				cfgRec := cfgList
+				cfgRec.Traversal = tree.TraversalRecursive
+				velL, strL, stL := runEval(t, full, p, cfgList)
+				velR, strR, stR := runEval(t, full, p, cfgRec)
+				if velRef == nil {
+					velRef, strRef, stRef = velL, strL, stL
 				}
-			}
-			if stL.Interactions != stR.Interactions || stL.MACAccepts != stR.MACAccepts ||
-				stL.MACRejects != stR.MACRejects || stL.Fetches != stR.Fetches {
-				t.Fatalf("p=%d θ=%.2f: counters differ: list %+v recursive %+v", p, theta, stL, stR)
+				for i := range velL {
+					if velL[i] != velR[i] || strL[i] != strR[i] {
+						t.Fatalf("p=%d θ=%.2f %v: particle %d differs: list %v/%v recursive %v/%v",
+							p, theta, layout, i, velL[i], strL[i], velR[i], strR[i])
+					}
+					if velL[i] != velRef[i] || strL[i] != strRef[i] {
+						t.Fatalf("p=%d θ=%.2f: particle %d differs across layouts: %v %v/%v, %v %v/%v",
+							p, theta, i, layout, velL[i], strL[i], layouts[0], velRef[i], strRef[i])
+					}
+				}
+				if !sameWork(stL, stR) {
+					t.Fatalf("p=%d θ=%.2f %v: counters differ: list %+v recursive %+v", p, theta, layout, stL, stR)
+				}
+				if !sameWork(stL, stRef) {
+					t.Fatalf("p=%d θ=%.2f: counters differ across layouts: %v %+v, %v %+v",
+						p, theta, layout, stL, layouts[0], stRef)
+				}
 			}
 		}
 	}
@@ -60,11 +87,11 @@ func TestHybridListStealingDeterminism(t *testing.T) {
 }
 
 // TestCoulombListMatchesRecursive: same bitwise agreement for the
-// Coulomb discipline.
+// Coulomb discipline — list ≡ recursive, and AoS ≡ SoA with remote
+// cells in play.
 func TestCoulombListMatchesRecursive(t *testing.T) {
 	full := particle.HomogeneousCoulomb(300, 5)
-	const p = 3
-	run := func(mode tree.TraversalMode) ([]float64, []vec.Vec3) {
+	run := func(p int, layout particle.Layout, mode tree.TraversalMode) ([]float64, []vec.Vec3) {
 		n := full.N()
 		pot := make([]float64, n)
 		f := make([]vec.Vec3, n)
@@ -74,6 +101,7 @@ func TestCoulombListMatchesRecursive(t *testing.T) {
 			lf := make([]vec.Vec3, local.N())
 			cfg := defaultCfg(0.5)
 			cfg.Eps = 0.01
+			cfg.Layout = layout
 			cfg.Traversal = mode
 			s := New(c, cfg)
 			s.Coulomb(local, lp, lf)
@@ -88,11 +116,25 @@ func TestCoulombListMatchesRecursive(t *testing.T) {
 		}
 		return pot, f
 	}
-	potL, fL := run(tree.TraversalList)
-	potR, fR := run(tree.TraversalRecursive)
-	for i := range potL {
-		if potL[i] != potR[i] || fL[i] != fR[i] {
-			t.Fatalf("particle %d differs: list %v/%v recursive %v/%v", i, potL[i], fL[i], potR[i], fR[i])
+	for _, p := range []int{2, 3} {
+		var potRef []float64
+		var fRef []vec.Vec3
+		for _, layout := range layouts {
+			potL, fL := run(p, layout, tree.TraversalList)
+			potR, fR := run(p, layout, tree.TraversalRecursive)
+			if potRef == nil {
+				potRef, fRef = potL, fL
+			}
+			for i := range potL {
+				if potL[i] != potR[i] || fL[i] != fR[i] {
+					t.Fatalf("p=%d %v: particle %d differs: list %v/%v recursive %v/%v",
+						p, layout, i, potL[i], fL[i], potR[i], fR[i])
+				}
+				if potL[i] != potRef[i] || fL[i] != fRef[i] {
+					t.Fatalf("p=%d: particle %d differs across layouts: %v %v/%v, %v %v/%v",
+						p, i, layout, potL[i], fL[i], layouts[0], potRef[i], fRef[i])
+				}
+			}
 		}
 	}
 }
