@@ -57,6 +57,18 @@ grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
   echo "SoA hot path is not allocation-free in steady state" >&2
   exit 1
 }
+# Second allocation smoke: one warm collective hot.Solver.Eval on four
+# ranks (N = 2000 sheet; B/op is the whole world's bytes per
+# evaluation, ranks share one heap). The evaluation arena leaves about
+# 1.12 MB/op, nearly all of it package mpi's payload copies; the same
+# benchmark measured 9.06 MB/op at 24e9cfc, the commit before the
+# arena. The ceiling of 1.5 MB is under a sixth of that figure.
+go test -bench 'BenchmarkHOTEval4Ranks' -benchtime 20x -benchmem -run '^$' ./internal/hot/ | tee "$alloc_out"
+awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > 1500000) over = 1 } }
+     END { exit (seen && !over) ? 0 : 1 }' "$alloc_out" || {
+  echo "a warm hot.Solver.Eval allocates more than 1.5 MB on four ranks" >&2
+  exit 1
+}
 rm -f "$alloc_out"
 
 # Chaos lane: the fault-injection and resilience suites once more under

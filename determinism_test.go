@@ -8,6 +8,10 @@ package nbody
 // telemetry must agree on the work done (interaction counts).
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -79,5 +83,34 @@ func TestSpaceTimeDeterminismModeled(t *testing.T) {
 	}
 	if sa.ModeledSeconds != sb.ModeledSeconds {
 		t.Fatalf("modeled seconds differ: %v vs %v", sa.ModeledSeconds, sb.ModeledSeconds)
+	}
+}
+
+// stateHash is the FNV-1a fingerprint of a system's σ and packed state
+// bits.
+func stateHash(sys *System) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range append([]float64{sys.Sigma}, sys.PackNew()...) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestSpaceTimePinnedAcrossCommits: TestSpaceTimeDeterminism compares
+// a run with itself and cannot see drift between commits. This pins
+// the final state of the 2×2 run to the hash computed at 24e9cfc,
+// before the evaluation arena of PR 16 — a storage-only change must
+// reproduce it bit for bit. amd64 only: arm64 fuses multiply-add, so
+// its bits legitimately differ.
+func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	out, _ := runOnce(t, 2, 2)
+	const want uint64 = 0x83256eb332e02aab
+	if got := stateHash(out); got != want {
+		t.Fatalf("final state hash %#x, want %#x (pinned at 24e9cfc)", got, want)
 	}
 }

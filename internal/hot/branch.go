@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/mpi"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -53,17 +52,20 @@ func (m BranchMode) String() string {
 // boxRecBytes is the wire size of one rank's bounding box (6 float64).
 const boxRecBytes = 48
 
-// encodeBox packs a rank's post-redistribution particle bounding box.
-// An empty rank encodes the inverted infinite box (lo > hi), which
-// receivers use to skip it.
-func encodeBox(lo, hi vec.Vec3) []byte {
-	return mpi.Float64sToBytes([]float64{lo.X, lo.Y, lo.Z, hi.X, hi.Y, hi.Z})
+// appendBox appends a rank's post-redistribution particle bounding
+// box. An empty rank encodes the inverted infinite box (lo > hi),
+// which receivers use to skip it.
+func appendBox(dst []byte, lo, hi vec.Vec3) []byte {
+	for _, v := range [6]float64{lo.X, lo.Y, lo.Z, hi.X, hi.Y, hi.Z} {
+		dst = appendF(dst, v)
+	}
+	return dst
 }
 
-// decodeBox is the inverse of encodeBox.
+// decodeBox is the inverse of appendBox.
 func decodeBox(b []byte) (lo, hi vec.Vec3) {
-	v := mpi.BytesToFloat64s(b[:boxRecBytes])
-	return vec.V3(v[0], v[1], v[2]), vec.V3(v[3], v[4], v[5])
+	b = b[:boxRecBytes]
+	return vec.V3(getF(b[0:]), getF(b[8:]), getF(b[16:])), vec.V3(getF(b[24:]), getF(b[32:]), getF(b[40:]))
 }
 
 // boxDistSq returns the squared distance from point c to the axis-
@@ -87,23 +89,14 @@ func boxDistSq(lo, hi, c vec.Vec3) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
-// appendFramed appends one length-prefixed reply record.
-func appendFramed(out, rec []byte) []byte {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(rec)))
-	out = append(out, n[:]...)
-	return append(out, rec...)
-}
-
 // batchedBranchExchange is the BranchBatched implementation of phase 4:
 // it gathers the per-rank bounding boxes, allgathers the packed branch
 // lists with the Bruck algorithm while the prefetch walks run in the
 // overlap window, and ships every receiver its pruned essential subtree
 // in one Alltoall. The resulting reply payloads are stashed on rt and
 // installed by installPrefetch after the shared top tree exists.
-func (rt *evalRT) batchedBranchExchange(packed []byte, myBranches []int) [][]byte {
-	s := rt.s
-	comm := rt.comm
+func (rt *evalRT) batchedBranchExchange() [][]byte {
+	s, a, comm := rt.s, rt.a, rt.comm
 	p := comm.Size()
 
 	// Every rank's post-redistribution bounding box: 48 bytes per rank,
@@ -113,7 +106,8 @@ func (rt *evalRT) batchedBranchExchange(packed []byte, myBranches []int) [][]byt
 		lo = vec.V3(math.Inf(1), math.Inf(1), math.Inf(1))
 		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
 	}
-	boxes := comm.AllgatherBatched(encodeBox(lo, hi))
+	a.wire = appendBox(a.wire[:0], lo, hi)
+	boxes := comm.AllgatherBatched(a.wire)
 
 	// Branch allgather with the prefetch walks overlapped: while the
 	// first Bruck round's messages are in flight, walk the local tree
@@ -121,7 +115,6 @@ func (rt *evalRT) batchedBranchExchange(packed []byte, myBranches []int) [][]byt
 	// box already accepts under the MAC, and pack the rest as fetch
 	// reply records. The walk is local compute, so the virtual clock
 	// advances during the round-0 latency — genuine overlap.
-	prefetch := make([][]byte, p)
 	overlap := func() {
 		if rt.ltree == nil {
 			return
@@ -135,63 +128,66 @@ func (rt *evalRT) batchedBranchExchange(packed []byte, myBranches []int) [][]byt
 			if blo.X > bhi.X { // receiver owns no particles: no traversal
 				continue
 			}
-			for _, idx := range myBranches {
-				emitted += rt.prefetchWalk(&prefetch[r], idx, blo, bhi)
+			for _, idx := range a.branches {
+				var n int
+				a.prefetch[r], n = rt.prefetchWalk(a.prefetch[r], idx, blo, bhi)
+				emitted += n
 			}
 		}
 		if s.meter != nil && emitted > 0 {
 			comm.Advance(s.meter.Branches(emitted))
 		}
 	}
-	all := comm.AllgatherBatchedOverlap(packed, overlap)
+	all := comm.AllgatherBatchedOverlap(a.packed, overlap)
 
 	// One batched message per receiver with its pruned subtree.
-	rt.prefetchReplies = comm.Alltoall(prefetch)
+	rt.prefetchReplies = comm.Alltoall(a.prefetch)
 	return all
 }
 
-// prefetchWalk emits fetch-reply records for every cell under branch
-// idx that targets inside the receiver box [blo,bhi] may open under the
-// MAC, in DFS pre-order (parents before children, so each record's
-// cell exists on the receiver when it installs). A cell the box
-// accepts is pruned with its whole subtree: boxDistSq is a lower bound
-// on every target distance and the MAC is monotone in distance, so
-// every receiver target accepts it as a single interaction partner.
-// Leaf children need no records of their own — the parent record
-// inlines their particles, exactly like a served fetch. Returns the
-// number of records emitted.
-func (rt *evalRT) prefetchWalk(out *[]byte, idx int, blo, bhi vec.Vec3) int {
+// prefetchWalk appends to out a length-framed fetch-reply record for
+// every cell under local cell idx that targets inside the receiver box
+// [blo,bhi] may open under the MAC, in DFS pre-order (parents before
+// children, so each record's cell exists on the receiver when it
+// installs). A cell the box accepts is pruned with its whole subtree:
+// boxDistSq is a lower bound on every target distance and the MAC is
+// monotone in distance, so every receiver target accepts it as a
+// single interaction partner. Leaf children need no records of their
+// own — the parent record inlines their particles, exactly like a
+// served fetch. Returns the extended block and the number of records
+// emitted.
+func (rt *evalRT) prefetchWalk(out []byte, idx int, blo, bhi vec.Vec3) ([]byte, int) {
 	theta := rt.s.cfg.Theta
-	theta2 := theta * theta
 	t := rt.ltree
-	emitted := 0
-	var walk func(idx int)
-	walk = func(idx int) {
-		nd := &t.Nodes[idx]
-		if nd.Count == 0 {
-			return
-		}
-		if !nd.Leaf && tree.MACSq(theta2, nd.Size*nd.Size, boxDistSq(blo, bhi, nd.Centroid)) {
-			return // accepted for every box target: subtree pruned
-		}
-		*out = appendFramed(*out, rt.cellReply(idx))
-		emitted++
-		if nd.Leaf {
-			return
-		}
-		for _, ci := range nd.Children {
-			if ci >= 0 && !t.Nodes[ci].Leaf {
-				walk(int(ci))
-			}
+	nd := &t.Nodes[idx]
+	if nd.Count == 0 {
+		return out, 0
+	}
+	if !nd.Leaf && tree.MACSq(theta*theta, nd.Size*nd.Size, boxDistSq(blo, bhi, nd.Centroid)) {
+		return out, 0 // accepted for every box target: subtree pruned
+	}
+	// Frame: the record's byte length, patched in once it is known.
+	frame := len(out)
+	out = binary.LittleEndian.AppendUint64(out, 0)
+	out = rt.appendCellReply(out, idx)
+	binary.LittleEndian.PutUint64(out[frame:], uint64(len(out)-frame-8))
+	emitted := 1
+	if nd.Leaf {
+		return out, emitted
+	}
+	for _, ci := range nd.Children {
+		if ci >= 0 && !t.Nodes[ci].Leaf {
+			var n int
+			out, n = rt.prefetchWalk(out, int(ci), blo, bhi)
+			emitted += n
 		}
 	}
-	walk(idx)
-	return emitted
+	return out, emitted
 }
 
 // installPrefetch decodes the stashed prefetch payloads through the
 // regular fetch-reply path, resolving remote cells before the
-// traversal starts. Runs after buildTop so the cell map the top-tree
+// traversal starts. Runs after buildTop so the cell table the top-tree
 // construction sees is identical to ring mode (bitwise-identical
 // shared moments), and before any worker goroutine exists (no
 // locking). Cells already resolved are skipped.
@@ -206,7 +202,7 @@ func (rt *evalRT) installPrefetch() {
 			off += 8
 			rec := raw[off : off+n]
 			off += n
-			g := rt.cells[binary.LittleEndian.Uint64(rec)]
+			g := rt.a.cells.get(binary.LittleEndian.Uint64(rec))
 			if g == nil || g.resolved() {
 				continue
 			}

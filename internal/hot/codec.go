@@ -30,6 +30,11 @@ const (
 func putF(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
+// appendF appends one little-endian float64 word.
+func appendF(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
 // encodeParticle appends the wire form of p (with origin labels and
 // the previous-evaluation work weight) to dst.
 func encodeParticle(dst []byte, p *particle.Particle, originRank, originIdx int, weight float64) []byte {
@@ -105,12 +110,31 @@ func encodeCell(dst []byte, nd *tree.Node, disc tree.Discipline) []byte {
 	return append(dst, rec[:]...)
 }
 
-// decodeCell reads one cell record; geometry (Center, Size, Level,
-// Prefix) is reconstructed from the placeholder key and the domain.
-func decodeCell(b []byte, disc tree.Discipline, dom tree.Domain) (tree.Node, uint64) {
+// appendParticleLanes decodes one particle record straight into the
+// discipline's lanes of l: position and circulation for vortex leaves,
+// position and charge for Coulomb leaves. The lanes hold the record's
+// exact float64 bits.
+func appendParticleLanes(l *particle.SoA, b []byte, disc tree.Discipline) {
+	l.X = append(l.X, getF(b[0:]))
+	l.Y = append(l.Y, getF(b[8:]))
+	l.Z = append(l.Z, getF(b[16:]))
+	switch disc {
+	case tree.Vortex:
+		l.AX = append(l.AX, getF(b[24:]))
+		l.AY = append(l.AY, getF(b[32:]))
+		l.AZ = append(l.AZ, getF(b[40:]))
+	case tree.Coulomb:
+		l.Q = append(l.Q, getF(b[56:]))
+	}
+}
+
+// decodeCell reads one cell record into nd, overwriting it completely,
+// and returns the cell's placeholder key; geometry (Center, Size,
+// Level, Prefix) is reconstructed from the key and the domain.
+func decodeCell(nd *tree.Node, b []byte, disc tree.Discipline, dom tree.Domain) uint64 {
 	pkey := binary.LittleEndian.Uint64(b[0:])
 	meta := binary.LittleEndian.Uint64(b[8:])
-	var nd tree.Node
+	*nd = tree.Node{}
 	prefix, level := tree.PKeyPrefix(pkey)
 	nd.Prefix, nd.Level = prefix, level
 	nd.Count = int(meta >> 1)
@@ -143,5 +167,5 @@ func decodeCell(b []byte, disc tree.Discipline, dom tree.Domain) (tree.Node, uin
 			}
 		}
 	}
-	return nd, pkey
+	return pkey
 }

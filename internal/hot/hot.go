@@ -25,9 +25,11 @@
 package hot
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,6 +157,10 @@ type Solver struct {
 	// workWeights holds, per origin-local particle, the interaction
 	// count of the previous evaluation (WeightedBalance only).
 	workWeights []float64
+
+	// arena owns every per-evaluation allocation; each evaluation
+	// resets it and invalidates what the previous one built.
+	arena evalArena
 }
 
 // New returns a solver bound to the given (spatial) communicator.
@@ -203,32 +209,28 @@ func (s *Solver) Coulomb(sys *particle.System, pot []float64, f []vec.Vec3) {
 	s.run(sys, tree.Coulomb, nil, nil, pot, f)
 }
 
-// gcell is a node of the rank's view of the global tree: shared top
-// cells (owner −1), branch cells, and fetched remote cells.
-type gcell struct {
-	nd       tree.Node
-	pkey     uint64
-	owner    int
-	children []uint64            // known child pkeys (nil = not fetched)
-	parts    []particle.Particle // inline particles of remote leaves
-}
-
 // travCounts aggregates the traversal counters of a target range.
 type travCounts struct {
 	inter, accepts, rejects int64
 }
 
-// evalRT is the per-evaluation runtime state of a rank.
+// evalRT is the state of one evaluation on a rank. Its storage — the
+// local system and tree, the table of global cells, the remote-leaf
+// lanes, outputs and scratch — lives in the solver's arena.
 type evalRT struct {
 	s     *Solver
+	a     *evalArena
 	comm  *mpi.Comm
 	me    int
 	disc  tree.Discipline
 	dom   tree.Domain
-	cells map[uint64]*gcell
 	ltree *tree.Tree // nil when the rank owns no particles
 	local *particle.System
 	pw    kernel.Pairwise
+	vb    kernel.VortexBatch
+
+	// Inclusive key interval this rank owns after the decomposition.
+	myLo, myHi uint64
 
 	doneSeen int
 	stats    *Stats
@@ -238,353 +240,394 @@ type evalRT struct {
 	prefetchReplies [][]byte
 
 	// Hybrid (threaded) traversal state.
-	hybrid   bool
-	mu       sync.RWMutex             // guards cells and gcell children/parts
-	pendMu   sync.Mutex               // guards pending and inflight
-	pending  map[uint64]chan []byte   // reply routing by requested pkey
-	inflight map[uint64]chan struct{} // fetch deduplication
-	fetches  atomic.Int64
-
-	// walkPool recycles traversal stacks across per-particle walks.
-	// Hybrid mode runs several walker goroutines per rank, so the
-	// scratch must be pooled rather than a plain evalRT field.
-	walkPool sync.Pool
+	hybrid  bool
+	mu      sync.RWMutex // guards the arena's cell table, child-key slab and remote lanes
+	pendMu  sync.Mutex   // guards the arena's pending and inflight maps
+	fetches atomic.Int64
 }
 
-// walkStack is the pooled traversal scratch of vortexWalk/coulombWalk:
-// pooling it makes the steady-state per-particle walk allocation-free
-// (the buffer grows once to the deepest frontier and is then reused).
-type walkStack struct{ buf []uint64 }
-
-// getWalk pops a traversal stack from the pool, seeded with startPk.
-func (rt *evalRT) getWalk(startPk uint64) *walkStack {
-	ws, _ := rt.walkPool.Get().(*walkStack)
-	if ws == nil {
-		ws = new(walkStack)
+// clock is the phase clock: the virtual rank clock when a cost model
+// drives it, host wall-clock otherwise (so unmodeled runs still get a
+// meaningful per-phase breakdown).
+func (s *Solver) clock() float64 {
+	if s.cfg.Model == nil {
+		return telemetry.Wall()
 	}
-	ws.buf = append(ws.buf[:0], startPk)
-	return ws
+	return s.comm.Now()
 }
 
+// run is one collective evaluation: the five phases below, each
+// stamped on the phase clock and labelled for the profiler.
 func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []vec.Vec3, pot []float64, ef []vec.Vec3) {
-	comm := s.comm
-	p := comm.Size()
-	me := comm.Rank()
 	s.Last = Stats{}
 	st := &s.Last
-
-	// Phase clock: the virtual rank clock when a cost model drives it,
-	// host wall-clock otherwise (so unmodeled runs still get a
-	// meaningful per-phase breakdown).
-	clock := comm.Now
-	if s.cfg.Model == nil {
-		clock = telemetry.Wall
+	a := &s.arena
+	hybrid := s.cfg.Threads > 1
+	workers := 1
+	if hybrid {
+		workers = s.cfg.Threads
 	}
-	t0 := clock()
-	telemetry.LabelPhase(PhaseDecomp)
+	a.reset(s.comm.Size(), workers)
+	a.local.Sigma = sys.Sigma
+	rt := &evalRT{
+		s: s, a: a, comm: s.comm, me: s.comm.Rank(), disc: disc,
+		local: &a.local,
+		pw:    kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma},
+		stats: st, hybrid: hybrid,
+	}
+	rt.vb = kernel.NewVortexBatch(rt.pw)
+	if hybrid && a.pending == nil {
+		a.pending = make(map[uint64]chan []byte)
+		a.inflight = make(map[uint64]chan struct{})
+	}
 
-	// Phase 1: global domain.
+	t0 := s.clock()
+	telemetry.LabelPhase(PhaseDecomp)
+	rt.decompose(sys)
+	t1 := s.clock()
+	st.TDecomp = t1 - t0
+	s.probe.decomp.Observe(st.TDecomp)
+
+	telemetry.LabelPhase(PhaseBuild)
+	rt.buildLocal()
+	t2 := s.clock()
+	st.TBuild = t2 - t1
+	s.probe.build.Observe(st.TBuild)
+
+	telemetry.LabelPhase(PhaseBranch)
+	rt.exchangeBranches()
+	t3 := s.clock()
+	st.TBranch = t3 - t2
+	s.probe.branch.Observe(st.TBranch)
+
+	telemetry.LabelPhase(PhaseTraverse)
+	rt.traverse()
+	st.TTraverse = s.clock() - t3
+	s.probe.traverse.Observe(st.TTraverse)
+	telemetry.ClearPhaseLabel()
+
+	rt.routeResults(sys, vel, stretch, pot, ef)
+}
+
+// decompose is phases 1 and 2: the global domain, then a sample sort
+// along the space-filling curve that leaves every rank owning a
+// contiguous key range and the particles in it (rt.local, with origin
+// labels so results can be routed back).
+func (rt *evalRT) decompose(sys *particle.System) {
+	s, a, comm := rt.s, rt.a, rt.comm
+	p := comm.Size()
+	n := sys.N()
+
 	lo, hi := sys.Bounds()
-	if sys.N() == 0 {
+	if n == 0 {
 		lo = vec.V3(math.Inf(1), math.Inf(1), math.Inf(1))
 		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
 	}
 	mins := comm.AllreduceFloat64([]float64{lo.X, lo.Y, lo.Z}, mpi.OpMin)
 	maxs := comm.AllreduceFloat64([]float64{hi.X, hi.Y, hi.Z}, mpi.OpMax)
-	dom := tree.NewDomain(vec.V3(mins[0], mins[1], mins[2]), vec.V3(maxs[0], maxs[1], maxs[2]))
+	rt.dom = tree.NewDomain(vec.V3(mins[0], mins[1], mins[2]), vec.V3(maxs[0], maxs[1], maxs[2]))
 
-	// Phase 2: sample sort along the space-filling curve.
-	keys := make([]uint64, sys.N())
-	order := make([]int, sys.N())
+	a.keys = grow(a.keys, n)
+	a.order = grow(a.order, n)
+	keys, order := a.keys, a.order
 	for i := range keys {
-		keys[i] = dom.Key(sys.Particles[i].Pos)
+		keys[i] = rt.dom.Key(sys.Particles[i].Pos)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	nGlobal := comm.AllreduceInt64([]int64{int64(sys.N())}, mpi.OpSum)[0]
-	if s.meter != nil && sys.N() > 0 {
-		comm.Advance(s.meter.Sort(sys.N(), nGlobal))
+	sort.Slice(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
+	nGlobal := comm.AllreduceInt64([]int64{int64(n)}, mpi.OpSum)[0]
+	if s.meter != nil && n > 0 {
+		comm.Advance(s.meter.Sort(n, nGlobal))
 	}
-	weightOf := func(i int) float64 {
-		if !s.cfg.WeightedBalance || len(s.workWeights) != sys.N() || s.workWeights[i] <= 0 {
-			return 1
-		}
-		return s.workWeights[i]
-	}
-	weights := make([]float64, sys.N())
+	a.weights = grow(a.weights, n)
+	weights := a.weights
+	weighted := s.cfg.WeightedBalance && len(s.workWeights) == n
 	for i := range weights {
-		weights[i] = weightOf(i)
+		weights[i] = 1
+		if weighted && s.workWeights[i] > 0 {
+			weights[i] = s.workWeights[i]
+		}
 	}
-	splitters := sampleSplitters(comm, keys, order, weights)
-	myLo, myHi := ownedRange(splitters, me, p)
+	splitters := rt.sampleSplitters()
+	rt.myLo, rt.myHi = ownedRange(splitters, rt.me, p)
 
 	// Route each particle to its owner.
-	blocks := make([][]byte, p)
 	for _, i := range order {
 		owner := keyOwner(splitters, keys[i], p)
-		blocks[owner] = encodeParticle(blocks[owner], &sys.Particles[i], me, i, weights[i])
+		a.route[owner] = encodeParticle(a.route[owner], &sys.Particles[i], rt.me, i, weights[i])
 	}
-	recv := comm.Alltoall(blocks)
-	local := &particle.System{Sigma: sys.Sigma}
-	var originRank, originIdx []int
-	for _, raw := range recv {
+	for _, raw := range comm.Alltoall(a.route) {
 		for off := 0; off+particleRecBytes <= len(raw); off += particleRecBytes {
 			pp, orank, oidx, _ := decodeParticle(raw[off:])
-			local.Particles = append(local.Particles, pp)
-			originRank = append(originRank, orank)
-			originIdx = append(originIdx, oidx)
+			a.local.Particles = append(a.local.Particles, pp)
+			a.originRank = append(a.originRank, orank)
+			a.originIdx = append(a.originIdx, oidx)
 		}
 	}
-	st.NLocal = local.N()
-	t1 := clock()
-	st.TDecomp = t1 - t0
-	s.probe.decomp.Observe(st.TDecomp)
-	telemetry.LabelPhase(PhaseBuild)
+	rt.stats.NLocal = a.local.N()
+}
 
-	// Phase 3: local tree.
-	rt := &evalRT{
-		s: s, comm: comm, me: me, disc: disc, dom: dom,
-		cells: make(map[uint64]*gcell), local: local,
-		pw:    kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma},
-		stats: st,
+// buildLocal is phase 3: the local tree over the owned particles, with
+// cells forced to subdivide across ownership boundaries, built into
+// the arena (the guard's rebuild ladder reuses the same storage).
+func (rt *evalRT) buildLocal() {
+	s := rt.s
+	if rt.local.N() == 0 {
+		return
 	}
-	if s.cfg.Threads > 1 {
-		rt.hybrid = true
-		rt.pending = make(map[uint64]chan []byte)
-		rt.inflight = make(map[uint64]chan struct{})
+	rt.ltree = tree.BuildArenaWithHook(s.cfg.Hook, &rt.a.tree, rt.local, tree.BuildConfig{
+		LeafCap:    s.cfg.LeafCap,
+		Discipline: rt.disc,
+		Domain:     &rt.dom,
+		OwnedLo:    rt.myLo, OwnedHi: rt.myHi, OwnedSet: true,
+		Layout: s.cfg.Layout,
+	})
+	if s.meter != nil {
+		rt.comm.Advance(s.meter.TreeBuild(rt.local.N()))
 	}
-	if local.N() > 0 {
-		rt.ltree = tree.BuildWithHook(s.cfg.Hook, local, tree.BuildConfig{
-			LeafCap:    s.cfg.LeafCap,
-			Discipline: disc,
-			Domain:     &dom,
-			OwnedLo:    myLo, OwnedHi: myHi, OwnedSet: true,
-			Layout: s.cfg.Layout,
-		})
-		if s.meter != nil {
-			comm.Advance(s.meter.TreeBuild(local.N()))
-		}
-	}
-	t2 := clock()
-	st.TBuild = t2 - t1
-	s.probe.build.Observe(st.TBuild)
-	telemetry.LabelPhase(PhaseBranch)
+}
 
-	// Phase 4: branch exchange and shared top tree.
-	var myBranches []int
+// exchangeBranches is phase 4: every rank's branch nodes go into the
+// cell table, the shared top tree is merged above them, and in
+// BranchBatched mode the prefetched remote cells are installed.
+func (rt *evalRT) exchangeBranches() {
+	s, a, comm := rt.s, rt.a, rt.comm
+	a.branches = a.branches[:0]
 	if rt.ltree != nil {
-		myBranches = branchNodes(rt.ltree, myLo, myHi)
+		a.branches = appendBranchNodes(a.branches, rt.ltree, rt.ltree.Root, rt.myLo, rt.myHi)
 	}
-	st.LocalBranches = len(myBranches)
-	var packed []byte
-	for _, idx := range myBranches {
-		packed = encodeCell(packed, &rt.ltree.Nodes[idx], disc)
+	rt.stats.LocalBranches = len(a.branches)
+	a.packed = a.packed[:0]
+	for _, idx := range a.branches {
+		a.packed = encodeCell(a.packed, &rt.ltree.Nodes[idx], rt.disc)
 	}
 	if s.meter != nil {
-		comm.Advance(s.meter.Branches(len(myBranches)))
+		comm.Advance(s.meter.Branches(len(a.branches)))
 	}
 	var allBranches [][]byte
 	if s.cfg.Branch == BranchBatched {
-		allBranches = rt.batchedBranchExchange(packed, myBranches)
+		allBranches = rt.batchedBranchExchange()
 	} else {
-		allBranches = comm.Allgather(packed)
+		allBranches = comm.Allgather(a.packed)
 	}
 	total := 0
 	for owner, raw := range allBranches {
 		for off := 0; off+cellRecBytes <= len(raw); off += cellRecBytes {
-			nd, pkey := decodeCell(raw[off:], disc, dom)
-			rt.cells[pkey] = &gcell{nd: nd, pkey: pkey, owner: owner}
+			rt.installCell(raw[off:], owner)
 			total++
 		}
 	}
-	st.TotalBranches = total
+	rt.stats.TotalBranches = total
 	if s.meter != nil {
 		comm.Advance(s.meter.Branches(total))
 	}
 	rt.buildTop()
 	rt.installPrefetch()
-	t3 := clock()
-	st.TBranch = t3 - t2
-	s.probe.branch.Observe(st.TBranch)
-	telemetry.LabelPhase(PhaseTraverse)
+}
 
-	// Phase 5: traversal with on-demand remote fetch — synchronous or
-	// hybrid (worker goroutines + communication goroutine).
-	outVel := make([]vec.Vec3, local.N())
-	outStr := make([]vec.Vec3, local.N())
-	outPot := make([]float64, local.N())
-	outE := make([]vec.Vec3, local.N())
-	workPer := make([]float64, local.N())
-	traverseRange := func(lo, hi int, advanceDiv float64) travCounts {
-		var tc travCounts
-		for q := lo; q < hi; q++ {
-			switch disc {
-			case tree.Vortex:
-				res := rt.vortexAt(local.Particles[q].Pos, q)
-				outVel[q] = res.U
-				outStr[q] = s.cfg.Scheme.Stretch(res.Grad, local.Particles[q].Alpha)
-				tc.inter += res.Interactions
-				tc.accepts += res.CellAccepts
-				tc.rejects += res.Rejects
-				workPer[q] = float64(res.Interactions)
-				if s.meter != nil {
-					comm.Advance(s.meter.Vortex(res.Interactions, advanceDiv))
-				}
-			case tree.Coulomb:
-				res := rt.coulombAt(local.Particles[q].Pos, q)
-				outPot[q] = res.Phi
-				outE[q] = res.E
-				tc.inter += res.Interactions
-				tc.accepts += res.CellAccepts
-				tc.rejects += res.Rejects
-				workPer[q] = float64(res.Interactions)
-				if s.meter != nil {
-					comm.Advance(s.meter.Coulomb(res.Interactions, advanceDiv))
-				}
+// installCell decodes one cell record into the table as an unresolved
+// cell of the given owner.
+func (rt *evalRT) installCell(rec []byte, owner int) *gcell {
+	g := rt.a.cells.insert(binary.LittleEndian.Uint64(rec))
+	g.pkey = decodeCell(&g.nd, rec, rt.disc, rt.dom)
+	g.owner = owner
+	g.childLo, g.childN = -1, 0
+	g.partLo, g.partN = -1, 0
+	return g
+}
+
+// traverse is phase 5: every local target against the global tree with
+// on-demand remote fetch — synchronous or hybrid (worker goroutines +
+// communication goroutine), by interaction list or per-particle walk.
+//
+//lint:hotpath the traverse phase: runs every target of every evaluation
+func (rt *evalRT) traverse() {
+	a := rt.a
+	n := rt.local.N()
+	switch rt.disc {
+	case tree.Vortex:
+		a.outVel = grow(a.outVel, n)
+		a.outStr = grow(a.outStr, n)
+	case tree.Coulomb:
+		a.outPot = grow(a.outPot, n)
+		a.outE = grow(a.outE, n)
+	}
+	a.workPer = grow(a.workPer, n)
+	// The list evaluator's target groups: the non-empty leaves of the
+	// local tree in Morton order.
+	list := rt.s.cfg.Traversal == tree.TraversalList && rt.ltree != nil
+	a.groups = a.groups[:0]
+	if list {
+		for i := range rt.ltree.Nodes {
+			if nd := &rt.ltree.Nodes[i]; nd.Leaf && nd.Count > 0 {
+				a.groups = append(a.groups, int32(i))
 			}
 		}
-		return tc
 	}
-	var groups []int32
-	if s.cfg.Traversal == tree.TraversalList && rt.ltree != nil {
-		groups = rt.ltree.LeafGroups()
-	}
-	// groupRange is the list-mode analog of traverseRange over leaf
-	// groups: one interaction-list build per group, then per-particle
-	// list evaluation (bitwise identical to the recursive walk).
-	groupRange := func(glo, ghi int, advanceDiv float64) travCounts {
-		var tc travCounts
-		hl := getHotList()
-		for gi := glo; gi < ghi; gi++ {
-			nd := &rt.ltree.Nodes[groups[gi]]
-			hl.reset()
-			gc, ge := rt.ltree.GroupBounds(nd.First, nd.Count)
-			rt.buildGroupList(hl, gc, ge)
-			for i := nd.First; i < nd.First+nd.Count; i++ {
-				q := rt.ltree.Order[i]
-				switch disc {
-				case tree.Vortex:
-					res := rt.vortexAtList(hl, local.Particles[q].Pos, q)
-					outVel[q] = res.U
-					outStr[q] = s.cfg.Scheme.Stretch(res.Grad, local.Particles[q].Alpha)
-					tc.inter += res.Interactions
-					tc.accepts += res.CellAccepts
-					tc.rejects += res.Rejects
-					workPer[q] = float64(res.Interactions)
-					if s.meter != nil {
-						comm.Advance(s.meter.Vortex(res.Interactions, advanceDiv))
-					}
-				case tree.Coulomb:
-					res := rt.coulombAtList(hl, local.Particles[q].Pos, q)
-					outPot[q] = res.Phi
-					outE[q] = res.E
-					tc.inter += res.Interactions
-					tc.accepts += res.CellAccepts
-					tc.rejects += res.Rejects
-					workPer[q] = float64(res.Interactions)
-					if s.meter != nil {
-						comm.Advance(s.meter.Coulomb(res.Interactions, advanceDiv))
-					}
-				}
-			}
-		}
-		putHotList(hl)
-		return tc
-	}
+	var tc travCounts
 	switch {
-	case groups != nil && rt.hybrid:
-		rt.traverseHybridSched(len(groups), groupRange)
-	case groups != nil:
-		tc := groupRange(0, len(groups), 1)
-		st.Interactions += tc.inter
-		st.MACAccepts += tc.accepts
-		st.MACRejects += tc.rejects
+	case list && rt.hybrid:
+		tc = rt.traverseHybridSched()
+	case list:
+		tc = rt.groupRange(0, 0, len(a.groups), 1)
 		rt.finish()
 	case rt.hybrid:
-		rt.traverseHybrid(traverseRange)
+		tc = rt.traverseHybrid()
 	default:
-		tc := traverseRange(0, local.N(), 1)
-		st.Interactions += tc.inter
-		st.MACAccepts += tc.accepts
-		st.MACRejects += tc.rejects
+		tc = rt.traverseRange(0, 0, n, 1)
 		rt.finish()
 	}
+	st := rt.stats
+	st.Interactions += tc.inter
+	st.MACAccepts += tc.accepts
+	st.MACRejects += tc.rejects
 	st.Fetches += rt.fetches.Load()
-	st.TTraverse = clock() - t3
-	s.probe.traverse.Observe(st.TTraverse)
-	telemetry.ClearPhaseLabel()
+}
+
+// traverseRange evaluates local targets [lo, hi) by per-particle walks
+// from the root, as worker w. advanceDiv divides the modeled compute
+// charge (the node's workers traverse concurrently).
+//
+//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
+func (rt *evalRT) traverseRange(w, lo, hi int, advanceDiv float64) travCounts {
+	var tc travCounts
+	sc := &rt.a.scratch[w]
+	for q := lo; q < hi; q++ {
+		rt.evalTarget(sc, false, q, advanceDiv, &tc)
+	}
+	return tc
+}
+
+// evalTarget evaluates local target q — against the worker's current
+// group list, or by a walk from the root — and stores its outputs,
+// work count and modeled cost.
+func (rt *evalRT) evalTarget(sc *travScratch, list bool, q int, advanceDiv float64, tc *travCounts) {
+	s, a := rt.s, rt.a
+	pq := &rt.local.Particles[q]
+	var inter int64
+	switch rt.disc {
+	case tree.Vortex:
+		var acc vortexAcc
+		if list {
+			rt.vortexAtList(sc, &acc, pq.Pos, q)
+		} else {
+			rt.vortexWalk(sc, &acc, 1, pq.Pos, q)
+		}
+		a.outVel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
+		a.outStr[q] = s.cfg.Scheme.Stretch(acc.grad(), pq.Alpha)
+		inter = acc.N
+		tc.accepts += acc.accepts
+		tc.rejects += acc.rejects
+		if s.meter != nil {
+			rt.comm.Advance(s.meter.Vortex(inter, advanceDiv))
+		}
+	case tree.Coulomb:
+		var acc coulombAcc
+		if list {
+			rt.coulombAtList(sc, &acc, pq.Pos, q)
+		} else {
+			rt.coulombWalk(sc, &acc, 1, pq.Pos, q)
+		}
+		a.outPot[q] = acc.Phi
+		a.outE[q] = vec.V3(acc.EX, acc.EY, acc.EZ)
+		inter = acc.N
+		tc.accepts += acc.accepts
+		tc.rejects += acc.rejects
+		if s.meter != nil {
+			rt.comm.Advance(s.meter.Coulomb(inter, advanceDiv))
+		}
+	}
+	tc.inter += inter
+	a.workPer[q] = float64(inter)
+}
+
+// routeResults is phase 6: the work-imbalance diagnostic, then results
+// (and per-particle work, for the next evaluation's weighted
+// decomposition) go back to the particles' original owners.
+//
+//lint:hotpath result routing: one record per local particle per evaluation
+func (rt *evalRT) routeResults(sys *particle.System, vel, stretch []vec.Vec3, pot []float64, ef []vec.Vec3) {
+	s, a, comm := rt.s, rt.a, rt.comm
+	st := rt.stats
 
 	// Work-imbalance diagnostic: max over ranks vs mean.
-	localWork := 0.0
-	for _, w := range workPer {
-		localWork += w
+	a.work[0] = 0
+	for _, w := range a.workPer {
+		a.work[0] += w
 	}
-	wred := comm.AllreduceFloat64([]float64{localWork}, mpi.OpSum)
-	wmax := comm.AllreduceFloat64([]float64{localWork}, mpi.OpMax)
-	if mean := wred[0] / float64(p); mean > 0 {
+	wred := comm.AllreduceFloat64(a.work[:], mpi.OpSum)
+	wmax := comm.AllreduceFloat64(a.work[:], mpi.OpMax)
+	if mean := wred[0] / float64(comm.Size()); mean > 0 {
 		st.WorkImbalance = wmax[0] / mean
 	}
 	s.probe.record(st)
 
-	// Phase 6: route results (and per-particle work, for the next
-	// evaluation's weighted decomposition) back to the original owners.
-	resBlocks := make([][]byte, p)
-	for q := 0; q < local.N(); q++ {
-		var rec []float64
-		switch disc {
-		case tree.Vortex:
-			rec = []float64{float64(originIdx[q]),
-				outVel[q].X, outVel[q].Y, outVel[q].Z,
-				outStr[q].X, outStr[q].Y, outStr[q].Z, workPer[q]}
-		case tree.Coulomb:
-			rec = []float64{float64(originIdx[q]), outPot[q],
-				outE[q].X, outE[q].Y, outE[q].Z, workPer[q]}
-		}
-		r := originRank[q]
-		resBlocks[r] = append(resBlocks[r], mpi.Float64sToBytes(rec)...)
+	recWords := 8
+	if rt.disc == tree.Coulomb {
+		recWords = 6
 	}
-	back := comm.Alltoall(resBlocks)
-	recSize := 8
-	if disc == tree.Coulomb {
-		recSize = 6
+	for q := range a.workPer {
+		r := a.originRank[q]
+		blk := a.results[r]
+		blk = appendF(blk, float64(a.originIdx[q]))
+		switch rt.disc {
+		case tree.Vortex:
+			blk = appendF(blk, a.outVel[q].X)
+			blk = appendF(blk, a.outVel[q].Y)
+			blk = appendF(blk, a.outVel[q].Z)
+			blk = appendF(blk, a.outStr[q].X)
+			blk = appendF(blk, a.outStr[q].Y)
+			blk = appendF(blk, a.outStr[q].Z)
+		case tree.Coulomb:
+			blk = appendF(blk, a.outPot[q])
+			blk = appendF(blk, a.outE[q].X)
+			blk = appendF(blk, a.outE[q].Y)
+			blk = appendF(blk, a.outE[q].Z)
+		}
+		a.results[r] = appendF(blk, a.workPer[q])
 	}
 	if s.cfg.WeightedBalance {
-		if len(s.workWeights) != sys.N() {
-			s.workWeights = make([]float64, sys.N())
-		}
+		// Every entry is overwritten below: each of the caller's
+		// particles gets exactly one result record.
+		s.workWeights = grow(s.workWeights, sys.N())
 	}
-	for _, raw := range back {
-		vals := mpi.BytesToFloat64s(raw)
-		for off := 0; off+recSize <= len(vals); off += recSize {
-			idx := int(vals[off])
-			switch disc {
+	recBytes := 8 * recWords
+	for _, raw := range comm.Alltoall(a.results) {
+		if len(raw)%8 != 0 {
+			panic("hot: torn result block")
+		}
+		for off := 0; off+recBytes <= len(raw); off += recBytes {
+			rec := raw[off : off+recBytes]
+			idx := int(getF(rec))
+			switch rt.disc {
 			case tree.Vortex:
-				vel[idx] = vec.V3(vals[off+1], vals[off+2], vals[off+3])
-				stretch[idx] = vec.V3(vals[off+4], vals[off+5], vals[off+6])
+				vel[idx] = vec.V3(getF(rec[8:]), getF(rec[16:]), getF(rec[24:]))
+				stretch[idx] = vec.V3(getF(rec[32:]), getF(rec[40:]), getF(rec[48:]))
 			case tree.Coulomb:
-				pot[idx] = vals[off+1]
-				ef[idx] = vec.V3(vals[off+2], vals[off+3], vals[off+4])
+				pot[idx] = getF(rec[8:])
+				ef[idx] = vec.V3(getF(rec[16:]), getF(rec[24:]), getF(rec[32:]))
 			}
 			if s.cfg.WeightedBalance {
-				s.workWeights[idx] = vals[off+recSize-1]
+				s.workWeights[idx] = getF(rec[recBytes-8:])
 			}
 		}
 	}
 }
 
-// sampleSplitters draws samples from every rank's sorted keys —
+// sampleSplitters draws samples from this rank's sorted keys —
 // positioned at equal-weight quantiles of the rank's total particle
 // work — and returns P−1 global splitters. With uniform weights this
 // reduces to the classical equal-count sample sort.
-func sampleSplitters(comm *mpi.Comm, keys []uint64, order []int, weights []float64) []uint64 {
+func (rt *evalRT) sampleSplitters() []uint64 {
+	a, comm := rt.a, rt.comm
 	p := comm.Size()
 	if p == 1 {
 		return nil
 	}
 	const perRank = 24
-	n := len(order)
-	var mine []uint64
-	if n > 0 {
+	keys, order, weights := a.keys, a.order, a.weights
+	mine := a.samples[:0]
+	if len(order) > 0 {
 		total := 0.0
 		for _, i := range order {
 			total += weights[i]
@@ -598,21 +641,31 @@ func sampleSplitters(comm *mpi.Comm, keys []uint64, order []int, weights []float
 			}
 		}
 	}
-	all := comm.Allgather(mpi.Uint64sToBytes(mine))
-	var pool []uint64
-	for _, raw := range all {
-		pool = append(pool, mpi.BytesToUint64s(raw)...)
+	a.samples = mine
+	a.wire = a.wire[:0]
+	for _, k := range mine {
+		a.wire = binary.LittleEndian.AppendUint64(a.wire, k)
 	}
-	sort.Slice(pool, func(a, b int) bool { return pool[a] < pool[b] })
-	splitters := make([]uint64, p-1)
-	for r := 0; r < p-1; r++ {
-		if len(pool) == 0 {
-			splitters[r] = uint64(r+1) << 40 // arbitrary but consistent
-		} else {
-			splitters[r] = pool[(r+1)*len(pool)/p]
+	pool := a.samplePool[:0]
+	for _, raw := range comm.Allgather(a.wire) {
+		if len(raw)%8 != 0 {
+			panic("hot: torn splitter sample block")
+		}
+		for off := 0; off < len(raw); off += 8 {
+			pool = append(pool, binary.LittleEndian.Uint64(raw[off:]))
 		}
 	}
-	return splitters
+	a.samplePool = pool
+	slices.Sort(pool)
+	a.splitters = grow(a.splitters, p-1)
+	for r := range a.splitters {
+		if len(pool) == 0 {
+			a.splitters[r] = uint64(r+1) << 40 // arbitrary but consistent
+		} else {
+			a.splitters[r] = pool[(r+1)*len(pool)/p]
+		}
+	}
+	return a.splitters
 }
 
 // keyOwner returns the rank owning the key under the splitter set.
@@ -637,100 +690,89 @@ func ownedRange(splitters []uint64, rank, p int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// branchNodes walks the local tree and returns the highest cells fully
-// contained in the rank's key interval (the PEPC branch nodes).
-func branchNodes(t *tree.Tree, lo, hi uint64) []int {
-	var out []int
-	var walk func(idx int)
-	walk = func(idx int) {
-		nd := &t.Nodes[idx]
-		clo, chi := tree.KeyRange(nd.PKey())
-		if clo >= lo && chi <= hi {
-			out = append(out, idx)
-			return
-		}
-		if nd.Leaf {
-			panic(fmt.Sprintf("hot: leaf cell %d straddles ownership [%x,%x]", idx, lo, hi))
-		}
-		for _, ci := range nd.Children {
-			if ci >= 0 {
-				walk(int(ci))
-			}
+// appendBranchNodes walks the local tree below idx and appends the
+// highest cells fully contained in the rank's key interval (the PEPC
+// branch nodes).
+func appendBranchNodes(out []int, t *tree.Tree, idx int, lo, hi uint64) []int {
+	nd := &t.Nodes[idx]
+	clo, chi := tree.KeyRange(nd.PKey())
+	if clo >= lo && chi <= hi {
+		return append(out, idx)
+	}
+	if nd.Leaf {
+		panic(fmt.Sprintf("hot: leaf cell %d straddles ownership [%x,%x]", idx, lo, hi))
+	}
+	for _, ci := range nd.Children {
+		if ci >= 0 {
+			out = appendBranchNodes(out, t, int(ci), lo, hi)
 		}
 	}
-	walk(t.Root)
 	return out
 }
 
 // buildTop creates the shared cells above the branches and merges
 // their multipole moments bottom-up, so the root cell carries the
-// global moments on every rank.
+// global moments on every rank. The top tree's links are the distinct
+// (parent, child) pairs on the branches' ancestor chains; sorted
+// deepest parent first, children ascending, each run of equal parents
+// is one shared cell whose children already exist.
 func (rt *evalRT) buildTop() {
-	childSet := make(map[uint64]map[uint64]bool)
-	ensureChain := func(pkey uint64) {
-		cur := pkey
-		for cur != 1 {
-			parent := tree.PKeyParent(cur)
-			set := childSet[parent]
-			if set == nil {
-				set = make(map[uint64]bool)
-				childSet[parent] = set
-			}
-			if set[cur] {
-				return
-			}
-			set[cur] = true
-			cur = parent
+	a := rt.a
+	cells := &a.cells
+	if cells.n == 0 {
+		// The system is empty everywhere: an empty root.
+		g := cells.insert(1)
+		*g = gcell{pkey: 1, owner: -1, childLo: -1, partLo: -1}
+		return
+	}
+	edges := a.edges[:0]
+	for i := 0; i < cells.n; i++ {
+		for cur := cells.at(i).pkey; cur != 1; cur = tree.PKeyParent(cur) {
+			edges = append(edges, topEdge{parent: tree.PKeyParent(cur), child: cur})
 		}
 	}
-	for pkey := range rt.cells {
-		ensureChain(pkey)
-	}
-	// Create shared cells (numerically larger pkey = deeper level).
-	shared := make([]uint64, 0, len(childSet))
-	for pkey := range childSet {
-		if _, isBranch := rt.cells[pkey]; isBranch {
+	slices.SortFunc(edges, func(x, y topEdge) int {
+		if x.parent != y.parent {
+			return cmp.Compare(y.parent, x.parent) // numerically larger pkey = deeper level
+		}
+		return cmp.Compare(x.child, y.child)
+	})
+	edges = slices.Compact(edges)
+	a.edges = edges
+	for lo := 0; lo < len(edges); {
+		pkey := edges[lo].parent
+		hi := lo + 1
+		for hi < len(edges) && edges[hi].parent == pkey {
+			hi++
+		}
+		run := edges[lo:hi]
+		lo = hi
+		if cells.get(pkey) != nil {
 			// A branch that is also an ancestor of another branch is
 			// impossible (branch cells are disjoint); guard anyway.
 			continue
 		}
-		//lint:ignore determinism collection order is discarded by the sort on the next line
-		shared = append(shared, pkey)
-	}
-	sort.Slice(shared, func(a, b int) bool { return shared[a] > shared[b] })
-	for _, pkey := range shared {
+		var kids [8]*tree.Node
+		childLo := len(a.childKeys)
+		count := 0
+		for i, e := range run {
+			c := cells.get(e.child)
+			kids[i] = &c.nd
+			count += c.nd.Count
+			a.childKeys = append(a.childKeys, e.child)
+		}
 		prefix, level := tree.PKeyPrefix(pkey)
-		g := &gcell{pkey: pkey, owner: -1}
+		g := cells.insert(pkey)
+		*g = gcell{pkey: pkey, owner: -1, childLo: int32(childLo), childN: int32(len(run)), partLo: -1}
 		g.nd.Prefix, g.nd.Level = prefix, level
 		g.nd.Size = rt.dom.Size / float64(uint64(1)<<level)
 		g.nd.Center = rt.dom.CellCenter(prefix, level)
-		for child := range childSet[pkey] {
-			//lint:ignore determinism collection order is discarded by the sort on the next line
-			g.children = append(g.children, child)
-		}
-		sort.Slice(g.children, func(a, b int) bool { return g.children[a] < g.children[b] })
-		var kids []*tree.Node
-		count := 0
-		for _, ck := range g.children {
-			c := rt.cells[ck]
-			kids = append(kids, &c.nd)
-			count += c.nd.Count
-		}
 		g.nd.Count = count
 		switch rt.disc {
 		case tree.Vortex:
-			tree.MergeVortex(&g.nd, kids)
+			tree.MergeVortex(&g.nd, kids[:len(run)])
 		case tree.Coulomb:
-			tree.MergeCoulomb(&g.nd, kids)
-		}
-		rt.cells[pkey] = g
-	}
-	if _, ok := rt.cells[1]; !ok {
-		// Single-rank (or single-branch-at-root) world: the root is a
-		// branch itself and the map already holds it... if not, the
-		// system was empty everywhere.
-		if len(rt.cells) == 0 {
-			rt.cells[1] = &gcell{pkey: 1, owner: -1}
+			tree.MergeCoulomb(&g.nd, kids[:len(run)])
 		}
 	}
 }
@@ -738,80 +780,123 @@ func (rt *evalRT) buildTop() {
 // getCell looks up a cell, taking the read lock in hybrid mode.
 func (rt *evalRT) getCell(pk uint64) *gcell {
 	if !rt.hybrid {
-		return rt.cells[pk]
+		return rt.a.cells.get(pk)
 	}
 	rt.mu.RLock()
-	g := rt.cells[pk]
+	g := rt.a.cells.get(pk)
 	rt.mu.RUnlock()
 	return g
 }
 
 // cellChildren returns the resolved children (nil when unresolved).
 func (rt *evalRT) cellChildren(g *gcell) []uint64 {
+	if rt.hybrid {
+		rt.mu.RLock()
+		defer rt.mu.RUnlock()
+	}
+	if g.childLo < 0 {
+		return nil
+	}
+	return rt.a.childKeys[g.childLo : g.childLo+g.childN]
+}
+
+// isResolved reports whether a remote cell's payload has arrived.
+func (rt *evalRT) isResolved(g *gcell) bool {
 	if !rt.hybrid {
-		return g.children
+		return g.resolved()
 	}
 	rt.mu.RLock()
-	ch := g.children
+	done := g.resolved()
 	rt.mu.RUnlock()
-	return ch
+	return done
 }
 
-// cellParts returns the inline particles of a remote leaf.
-func (rt *evalRT) cellParts(g *gcell) []particle.Particle {
-	if !rt.hybrid {
-		return g.parts
+// vortexAcc is one target's running sum over the whole global tree:
+// the batched kernels' scalar accumulator plus the MAC counters they
+// do not track.
+type vortexAcc struct {
+	kernel.VortexAcc
+	accepts, rejects int64
+}
+
+// addLocal folds the local tree's result for one branch cell into the
+// running sum, component by component.
+func (v *vortexAcc) addLocal(sub *tree.VortexResult) {
+	v.UX += sub.U.X
+	v.UY += sub.U.Y
+	v.UZ += sub.U.Z
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			v.G[3*i+j] += sub.Grad[i][j]
+		}
 	}
-	rt.mu.RLock()
-	ps := g.parts
-	rt.mu.RUnlock()
-	return ps
+	v.N += sub.Interactions
+	v.accepts += sub.CellAccepts
+	v.rejects += sub.Rejects
 }
 
-// vortexAt traverses the global tree for one local target particle.
-//
-//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
-func (rt *evalRT) vortexAt(x vec.Vec3, skipLocal int) tree.VortexResult {
-	var res tree.VortexResult
-	rt.vortexWalk(&res, 1, x, skipLocal)
-	return res
+// grad returns the accumulated velocity gradient (a pure bit copy).
+func (v *vortexAcc) grad() vec.Mat3 {
+	return vec.Mat3{
+		{v.G[0], v.G[1], v.G[2]},
+		{v.G[3], v.G[4], v.G[5]},
+		{v.G[6], v.G[7], v.G[8]},
+	}
 }
 
-// accumVortexFar folds one MAC-accepted global cell into res.
-func (rt *evalRT) accumVortexFar(res *tree.VortexResult, g *gcell, x vec.Vec3) {
+// vortexFar folds one MAC-accepted global cell into acc.
+func (rt *evalRT) vortexFar(acc *vortexAcc, g *gcell, x vec.Vec3) {
 	r := x.Sub(g.nd.Centroid)
-	u, grad := rt.pw.VelocityGrad(r, g.nd.CircSum)
-	res.U = res.U.Add(u)
-	res.Grad = res.Grad.Add(grad)
+	c := g.nd.CircSum
+	rt.vb.AccumGrad(&acc.VortexAcc, r.X, r.Y, r.Z, c.X, c.Y, c.Z)
 	if rt.s.cfg.Dipole {
-		res.U = res.U.Add(tree.DipoleVelocity(r, g.nd.Dipole))
+		d := tree.DipoleVelocity(r, g.nd.Dipole)
+		acc.UX += d.X
+		acc.UY += d.Y
+		acc.UZ += d.Z
 	}
-	res.Interactions++
-	res.CellAccepts++
+	acc.N++
+	acc.accepts++
 }
 
-// accumVortexParts folds the inline particles of a fetched remote leaf
-// into res.
-func (rt *evalRT) accumVortexParts(res *tree.VortexResult, parts []particle.Particle, x vec.Vec3) {
-	for i := range parts {
-		u, grad := rt.pw.VelocityGrad(x.Sub(parts[i].Pos), parts[i].Alpha)
-		res.U = res.U.Add(u)
-		res.Grad = res.Grad.Add(grad)
-		res.Interactions++
+// leafLanes returns the lane range holding the particles of resolved
+// remote leaf g (the lanes of the evaluation's discipline only). The
+// view stays valid while other workers append to the lanes: growth
+// copies, it never rewrites a filled range.
+func (rt *evalRT) leafLanes(g *gcell) (v particle.SoA) {
+	if rt.hybrid {
+		rt.mu.RLock()
+		defer rt.mu.RUnlock()
 	}
+	l := &rt.a.lanes
+	lo, hi := g.partLo, g.partLo+g.partN
+	v.X, v.Y, v.Z = l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi]
+	switch rt.disc {
+	case tree.Vortex:
+		v.AX, v.AY, v.AZ = l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi]
+	case tree.Coulomb:
+		v.Q = l.Q[lo:hi]
+	}
+	return v
+}
+
+// vortexNear folds the particles of a resolved remote leaf into acc by
+// batched direct summation over the leaf's lane range.
+func (rt *evalRT) vortexNear(acc *vortexAcc, g *gcell, x vec.Vec3) {
+	l := rt.leafLanes(g)
+	rt.vb.AccumGradRange(&acc.VortexAcc, x.X, x.Y, x.Z, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, -1)
 }
 
 // vortexWalk runs the per-particle global traversal from the cell with
-// parent key startPk, accumulating into res (it does not reset res).
+// parent key startPk, accumulating into acc (it does not reset acc).
 // Local branch cells delegate to the local tree; remote cells are
 // fetched on demand. The list evaluator reuses this walk for cells
 // whose group-level MAC decision is ambiguous, which keeps both
 // evaluation strategies bitwise identical.
-func (rt *evalRT) vortexWalk(res *tree.VortexResult, startPk uint64, x vec.Vec3, skipLocal int) {
+func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x vec.Vec3, skipLocal int) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
-	ws := rt.getWalk(startPk)
-	stack := ws.buf
+	stack := append(sc.stack[:0], startPk)
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -825,73 +910,64 @@ func (rt *evalRT) vortexWalk(res *tree.VortexResult, startPk uint64, x vec.Vec3,
 				panic("hot: local branch cell missing from local tree")
 			}
 			sub := rt.ltree.VortexAtNode(idx, x, theta, skipLocal, rt.pw, rt.s.cfg.Dipole)
-			res.U = res.U.Add(sub.U)
-			res.Grad = res.Grad.Add(sub.Grad)
-			res.AddCounts(&sub)
+			acc.addLocal(&sub)
 			continue
 		}
 		if !g.nd.Leaf && tree.MACSq(theta2, g.nd.Size*g.nd.Size, x.Sub(g.nd.Centroid).Norm2()) {
-			rt.accumVortexFar(res, g, x)
+			rt.vortexFar(acc, g, x)
 			continue
+		}
+		if !rt.isResolved(g) {
+			rt.fetch(g)
 		}
 		if g.nd.Leaf {
-			parts := rt.cellParts(g)
-			if parts == nil {
-				rt.fetch(g)
-				parts = rt.cellParts(g)
-			}
-			rt.accumVortexParts(res, parts, x)
+			rt.vortexNear(acc, g, x)
 			continue
 		}
-		res.Rejects++
-		children := rt.cellChildren(g)
-		if children == nil {
-			rt.fetch(g)
-			children = rt.cellChildren(g)
-		}
-		stack = append(stack, children...)
+		acc.rejects++
+		stack = append(stack, rt.cellChildren(g)...)
 	}
-	ws.buf = stack
-	rt.walkPool.Put(ws)
+	sc.stack = stack
 }
 
-// coulombAt is vortexAt for the Coulomb discipline.
-//
-//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
-func (rt *evalRT) coulombAt(x vec.Vec3, skipLocal int) tree.CoulombResult {
-	var res tree.CoulombResult
-	rt.coulombWalk(&res, 1, x, skipLocal)
-	return res
+// coulombAcc is vortexAcc for the Coulomb discipline.
+type coulombAcc struct {
+	kernel.CoulombAcc
+	accepts, rejects int64
 }
 
-// accumCoulombFar folds one MAC-accepted global cell into res.
-func (rt *evalRT) accumCoulombFar(res *tree.CoulombResult, g *gcell, x vec.Vec3) {
+func (c *coulombAcc) addLocal(sub *tree.CoulombResult) {
+	c.Phi += sub.Phi
+	c.EX += sub.E.X
+	c.EY += sub.E.Y
+	c.EZ += sub.E.Z
+	c.N += sub.Interactions
+	c.accepts += sub.CellAccepts
+	c.rejects += sub.Rejects
+}
+
+// coulombFar folds one MAC-accepted global cell into acc.
+func (rt *evalRT) coulombFar(acc *coulombAcc, g *gcell, x vec.Vec3) {
 	phi, e := tree.CoulombCell(x.Sub(g.nd.Centroid), &g.nd)
-	res.Phi += phi
-	res.E = res.E.Add(e)
-	res.Interactions++
-	res.CellAccepts++
+	acc.Phi += phi
+	acc.EX += e.X
+	acc.EY += e.Y
+	acc.EZ += e.Z
+	acc.N++
+	acc.accepts++
 }
 
-// accumCoulombParts folds the inline particles of a fetched remote
-// leaf into res.
-func (rt *evalRT) accumCoulombParts(res *tree.CoulombResult, parts []particle.Particle, x vec.Vec3) {
-	eps := rt.s.cfg.Eps
-	for i := range parts {
-		phi, e := kernel.Coulomb(x.Sub(parts[i].Pos), parts[i].Charge, eps)
-		res.Phi += phi
-		res.E = res.E.Add(e)
-		res.Interactions++
-	}
+// coulombNear is vortexNear for the Coulomb discipline.
+func (rt *evalRT) coulombNear(acc *coulombAcc, g *gcell, x vec.Vec3) {
+	l := rt.leafLanes(g)
+	kernel.AccumCoulombRange(&acc.CoulombAcc, x.X, x.Y, x.Z, rt.s.cfg.Eps, l.X, l.Y, l.Z, l.Q, -1)
 }
 
 // coulombWalk is vortexWalk for the Coulomb discipline.
-func (rt *evalRT) coulombWalk(res *tree.CoulombResult, startPk uint64, x vec.Vec3, skipLocal int) {
+func (rt *evalRT) coulombWalk(sc *travScratch, acc *coulombAcc, startPk uint64, x vec.Vec3, skipLocal int) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
-	eps := rt.s.cfg.Eps
-	ws := rt.getWalk(startPk)
-	stack := ws.buf
+	stack := append(sc.stack[:0], startPk)
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -904,35 +980,25 @@ func (rt *evalRT) coulombWalk(res *tree.CoulombResult, startPk uint64, x vec.Vec
 			if idx < 0 {
 				panic("hot: local branch cell missing from local tree")
 			}
-			sub := rt.ltree.CoulombAtNode(idx, x, theta, eps, skipLocal)
-			res.Phi += sub.Phi
-			res.E = res.E.Add(sub.E)
-			res.AddCounts(&sub)
+			sub := rt.ltree.CoulombAtNode(idx, x, theta, rt.s.cfg.Eps, skipLocal)
+			acc.addLocal(&sub)
 			continue
 		}
 		if !g.nd.Leaf && tree.MACSq(theta2, g.nd.Size*g.nd.Size, x.Sub(g.nd.Centroid).Norm2()) {
-			rt.accumCoulombFar(res, g, x)
+			rt.coulombFar(acc, g, x)
 			continue
+		}
+		if !rt.isResolved(g) {
+			rt.fetch(g)
 		}
 		if g.nd.Leaf {
-			parts := rt.cellParts(g)
-			if parts == nil {
-				rt.fetch(g)
-				parts = rt.cellParts(g)
-			}
-			rt.accumCoulombParts(res, parts, x)
+			rt.coulombNear(acc, g, x)
 			continue
 		}
-		res.Rejects++
-		children := rt.cellChildren(g)
-		if children == nil {
-			rt.fetch(g)
-			children = rt.cellChildren(g)
-		}
-		stack = append(stack, children...)
+		acc.rejects++
+		stack = append(stack, rt.cellChildren(g)...)
 	}
-	ws.buf = stack
-	rt.walkPool.Put(ws)
+	sc.stack = stack
 }
 
 // fetch asks the owner of g for its children (or, for leaves, its
@@ -974,127 +1040,129 @@ func (rt *evalRT) serveReq(src int, data []byte) {
 	if idx < 0 {
 		panic(fmt.Sprintf("hot: request for unknown cell %x", pkey))
 	}
-	rt.comm.Send(src, tagReply, rt.cellReply(idx))
+	rt.a.reply = rt.appendCellReply(rt.a.reply[:0], idx)
+	rt.comm.Send(src, tagReply, rt.a.reply)
 }
 
-// cellReply builds the fetch-reply record for local cell idx: header
-// (pkey, child count), child cells, and the inline particles of leaf
-// children (or of the cell itself when it is a leaf). The batched
-// branch exchange ships these exact bytes ahead of time, which is what
-// keeps BranchBatched bitwise identical to the on-demand path.
-func (rt *evalRT) cellReply(idx int) []byte {
-	nd := &rt.ltree.Nodes[idx]
-	var out []byte
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], nd.PKey())
+// appendCellReply appends the fetch-reply record for local cell idx to
+// out: header (pkey, child count), child cells, and the inline
+// particles of leaf children (or of the cell itself when it is a
+// leaf). The batched branch exchange ships these exact bytes ahead of
+// time, which is what keeps BranchBatched bitwise identical to the
+// on-demand path.
+func (rt *evalRT) appendCellReply(out []byte, idx int) []byte {
+	t := rt.ltree
+	nd := &t.Nodes[idx]
+	out = binary.LittleEndian.AppendUint64(out, nd.PKey())
 	if nd.Leaf {
-		binary.LittleEndian.PutUint64(hdr[8:], 0) // zero children = leaf reply
-		out = append(out, hdr[:]...)
-		var cnt [8]byte
-		binary.LittleEndian.PutUint64(cnt[:], uint64(nd.Count))
-		out = append(out, cnt[:]...)
+		out = binary.LittleEndian.AppendUint64(out, 0) // zero children = leaf reply
+		out = binary.LittleEndian.AppendUint64(out, uint64(nd.Count))
 		for i := nd.First; i < nd.First+nd.Count; i++ {
-			out = encodeParticle(out, rt.ltree.Particle(i), rt.me, -1, 1)
+			out = encodeParticle(out, t.Particle(i), rt.me, -1, 1)
 		}
-	} else {
-		var kids []*tree.Node
-		for _, ci := range nd.Children {
-			if ci >= 0 {
-				kids = append(kids, &rt.ltree.Nodes[ci])
-			}
+		return out
+	}
+	nkids := 0
+	for _, ci := range nd.Children {
+		if ci >= 0 {
+			nkids++
 		}
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(len(kids)))
-		out = append(out, hdr[:]...)
-		for _, k := range kids {
-			out = encodeCell(out, k, rt.disc)
+	}
+	out = binary.LittleEndian.AppendUint64(out, uint64(nkids))
+	for _, ci := range nd.Children {
+		if ci >= 0 {
+			out = encodeCell(out, &t.Nodes[ci], rt.disc)
 		}
-		// Inline the particles of leaf children so the requester does
-		// not need a second round trip for them.
-		for _, k := range kids {
-			if !k.Leaf {
-				continue
-			}
-			for i := k.First; i < k.First+k.Count; i++ {
-				out = encodeParticle(out, rt.ltree.Particle(i), rt.me, -1, 1)
-			}
+	}
+	// Inline the particles of leaf children so the requester does not
+	// need a second round trip for them.
+	for _, ci := range nd.Children {
+		if ci < 0 || !t.Nodes[ci].Leaf {
+			continue
+		}
+		k := &t.Nodes[ci]
+		for i := k.First; i < k.First+k.Count; i++ {
+			out = encodeParticle(out, t.Particle(i), rt.me, -1, 1)
 		}
 	}
 	return out
 }
 
 // applyReply installs the children (or inline particles) delivered for
-// the requested cell g.
+// the requested cell g: child cells go into the table, their keys into
+// the child-key slab, and leaf particles straight into the lanes.
+// Hybrid callers hold rt.mu.
 func (rt *evalRT) applyReply(g *gcell, data []byte) {
-	pkey := binary.LittleEndian.Uint64(data[0:])
-	if pkey != g.pkey {
+	a := rt.a
+	if binary.LittleEndian.Uint64(data[0:]) != g.pkey {
 		panic("hot: reply for unexpected cell")
 	}
-	nchild := binary.LittleEndian.Uint64(data[8:])
+	nchild := int(binary.LittleEndian.Uint64(data[8:]))
 	off := 16
 	if nchild == 0 {
 		// Leaf reply: inline particles.
 		cnt := int(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
-		g.parts = make([]particle.Particle, 0, cnt)
-		for i := 0; i < cnt; i++ {
-			pp, _, _, _ := decodeParticle(data[off:])
-			g.parts = append(g.parts, pp)
-			off += particleRecBytes
-		}
+		rt.appendLeafLanes(g, data[off:], cnt)
 		return
 	}
-	children := make([]uint64, 0, nchild)
-	var leafCells []*gcell
-	for i := uint64(0); i < nchild; i++ {
-		nd, ck := decodeCell(data[off:], rt.disc, rt.dom)
+	if nchild > 8 {
+		panic("hot: reply with more than eight children")
+	}
+	var kids [8]*gcell
+	childLo := len(a.childKeys)
+	for i := 0; i < nchild; i++ {
+		kids[i] = rt.installCell(data[off:], g.owner)
+		a.childKeys = append(a.childKeys, kids[i].pkey)
 		off += cellRecBytes
-		child := &gcell{nd: nd, pkey: ck, owner: g.owner}
-		rt.cells[ck] = child
-		children = append(children, ck)
-		if nd.Leaf {
-			leafCells = append(leafCells, child)
+	}
+	for _, k := range kids[:nchild] {
+		if k.nd.Leaf {
+			off += rt.appendLeafLanes(k, data[off:], k.nd.Count)
 		}
 	}
-	for _, lc := range leafCells {
-		lc.parts = make([]particle.Particle, 0, lc.nd.Count)
-		for i := 0; i < lc.nd.Count; i++ {
-			pp, _, _, _ := decodeParticle(data[off:])
-			lc.parts = append(lc.parts, pp)
-			off += particleRecBytes
-		}
-	}
-	g.children = children
+	g.childLo, g.childN = int32(childLo), int32(nchild)
 }
 
-// resolved reports whether a remote cell's payload has arrived. Must
-// hold rt.mu (any mode).
-func (g *gcell) resolved() bool {
-	if g.nd.Leaf {
-		return g.parts != nil
+// appendLeafLanes decodes cnt particle records from data into the
+// arena's lanes as the particles of remote leaf g, and returns the
+// bytes consumed.
+func (rt *evalRT) appendLeafLanes(g *gcell, data []byte, cnt int) int {
+	l := &rt.a.lanes
+	lo := len(l.X)
+	for i := 0; i < cnt; i++ {
+		appendParticleLanes(l, data[i*particleRecBytes:], rt.disc)
 	}
-	return g.children != nil
+	g.partLo, g.partN = int32(lo), int32(cnt)
+	return cnt * particleRecBytes
 }
 
 // hybridFetch resolves a remote cell through the communication
 // goroutine, deduplicating concurrent requests for the same cell.
 func (rt *evalRT) hybridFetch(g *gcell) {
+	a := rt.a
 	for {
-		rt.mu.RLock()
-		done := g.resolved()
-		rt.mu.RUnlock()
-		if done {
+		if rt.isResolved(g) {
 			return
 		}
 		rt.pendMu.Lock()
-		if wait, busy := rt.inflight[g.pkey]; busy {
+		if wait, busy := a.inflight[g.pkey]; busy {
 			rt.pendMu.Unlock()
 			<-wait // another worker is fetching this cell
 			continue
 		}
+		if rt.isResolved(g) {
+			// Resolved between the check above and taking pendMu: the
+			// fetching worker drops its inflight entry only after it
+			// has installed the reply. A second install would rewrite
+			// child cells other workers are reading.
+			rt.pendMu.Unlock()
+			return
+		}
 		wait := make(chan struct{})
 		resp := make(chan []byte, 1)
-		rt.inflight[g.pkey] = wait
-		rt.pending[g.pkey] = resp
+		a.inflight[g.pkey] = wait
+		a.pending[g.pkey] = resp
 		rt.pendMu.Unlock()
 
 		rt.fetches.Add(1)
@@ -1108,7 +1176,7 @@ func (rt *evalRT) hybridFetch(g *gcell) {
 		rt.mu.Unlock()
 
 		rt.pendMu.Lock()
-		delete(rt.inflight, g.pkey)
+		delete(a.inflight, g.pkey)
 		rt.pendMu.Unlock()
 		close(wait)
 		return
@@ -1122,7 +1190,9 @@ func (rt *evalRT) hybridFetch(g *gcell) {
 // rank 0 to itself — and rank 0 broadcasts SHUTDOWN once all have
 // finished). The modeled compute time is divided by the worker count:
 // the node's cores traverse concurrently.
-func (rt *evalRT) traverseHybrid(traverseRange func(lo, hi int, advanceDiv float64) travCounts) {
+//
+//lint:coldpath once-per-evaluation worker fan-out (goroutines, done channel); the per-target work is rooted at traverseRange
+func (rt *evalRT) traverseHybrid() travCounts {
 	p := rt.comm.Size()
 	commDone := make(chan struct{})
 	if p > 1 {
@@ -1142,28 +1212,26 @@ func (rt *evalRT) traverseHybrid(traverseRange func(lo, hi int, advanceDiv float
 	if chunk < 1 {
 		chunk = 1
 	}
-	for lo := 0; lo < n; lo += chunk {
+	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			tc := traverseRange(lo, hi, float64(workers))
+			tc := rt.traverseRange(w, lo, hi, float64(workers))
 			inter.Add(tc.inter)
 			accepts.Add(tc.accepts)
 			rejects.Add(tc.rejects)
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
-	rt.stats.Interactions += inter.Load()
-	rt.stats.MACAccepts += accepts.Load()
-	rt.stats.MACRejects += rejects.Load()
 	if p > 1 {
 		rt.comm.Send(0, tagDone, nil)
 		<-commDone
 	}
+	return travCounts{inter: inter.Load(), accepts: accepts.Load(), rejects: rejects.Load()}
 }
 
 // commLoop is the communication goroutine of a hybrid rank.
@@ -1179,8 +1247,8 @@ func (rt *evalRT) commLoop(done chan struct{}) {
 		case tagReply:
 			pkey := binary.LittleEndian.Uint64(data)
 			rt.pendMu.Lock()
-			resp := rt.pending[pkey]
-			delete(rt.pending, pkey)
+			resp := rt.a.pending[pkey]
+			delete(rt.a.pending, pkey)
 			rt.pendMu.Unlock()
 			if resp == nil {
 				panic("hot: reply without pending request")

@@ -258,7 +258,10 @@ func TestCodecCellRoundTrip(t *testing.T) {
 	if len(buf) != cellRecBytes {
 		t.Fatalf("record size %d", len(buf))
 	}
-	got, pkey := decodeCell(buf, tree.Vortex, tr.Domain)
+	// Decode over a dirty node: a slab cell reused from an earlier
+	// evaluation must be overwritten completely.
+	got := tree.Node{Charge: 7, BMax: 3, First: 5}
+	pkey := decodeCell(&got, buf, tree.Vortex, tr.Domain)
 	if pkey != nd.PKey() {
 		t.Fatalf("pkey %x, want %x", pkey, nd.PKey())
 	}
@@ -273,11 +276,15 @@ func TestCodecCellRoundTrip(t *testing.T) {
 	if got.Count != nd.Count || got.Leaf != nd.Leaf {
 		t.Fatal("meta corrupted")
 	}
+	if got.Charge != 0 || got.BMax != 0 || got.First != 0 {
+		t.Fatal("decodeCell left stale fields behind")
+	}
 
 	trC := tree.Build(sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Coulomb})
 	ndC := &trC.Nodes[trC.Root]
 	bufC := encodeCell(nil, ndC, tree.Coulomb)
-	gotC, _ := decodeCell(bufC, tree.Coulomb, trC.Domain)
+	var gotC tree.Node
+	decodeCell(&gotC, bufC, tree.Coulomb, trC.Domain)
 	if gotC.Charge != ndC.Charge || gotC.QuadQ != ndC.QuadQ || gotC.DipoleQ != ndC.DipoleQ {
 		t.Fatal("coulomb moments corrupted")
 	}
@@ -334,19 +341,36 @@ func TestBlockPartitionCoversAll(t *testing.T) {
 	}
 }
 
+// BenchmarkHOTEval4Ranks measures the steady state every SDC sweep runs
+// in: one world and one solver per rank for the whole benchmark, one
+// warm-up evaluation, then b.N collective evaluations timed barrier to
+// barrier. Ranks share one heap, so B/op and allocs/op are the whole
+// world's figures per evaluation.
 func BenchmarkHOTEval4Ranks(b *testing.B) {
 	full := particle.SphericalVortexSheet(particle.DefaultSheet(2000))
 	cfg := defaultCfg(0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mpi.Run(4, func(c *mpi.Comm) error {
-			local := BlockPartition(full, c.Rank(), 4)
-			s := New(c, cfg)
-			lv := make([]vec.Vec3, local.N())
-			ls := make([]vec.Vec3, local.N())
+	b.ReportAllocs()
+	err := mpi.Run(4, func(c *mpi.Comm) error {
+		local := BlockPartition(full, c.Rank(), 4)
+		s := New(c, cfg)
+		lv := make([]vec.Vec3, local.N())
+		ls := make([]vec.Vec3, local.N())
+		s.Eval(local, lv, ls)
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
 			s.Eval(local, lv, ls)
-			return nil
-		})
+			c.Barrier()
+		}
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

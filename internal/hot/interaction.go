@@ -20,7 +20,6 @@ package hot
 // mpi.sends counter of the determinism regression is unaffected.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/sched"
@@ -40,7 +39,7 @@ const (
 // hotItem is one entry of a global interaction list.
 type hotItem struct {
 	kind hotItemKind
-	pk   uint64 // global cell (hFar, hNear, hAmb)
+	g    *gcell // global cell (hFar, hNear, hAmb); cells never move
 	// Local segment (hLocal): the slice [segLo, segHi) of
 	// hotList.llist.Items built for one owner-local branch cell, plus
 	// the cells opened while building it.
@@ -49,7 +48,8 @@ type hotItem struct {
 }
 
 // hotList is the interaction list of one leaf group against the global
-// tree.
+// tree. Each traversal worker owns one (travScratch) and reuses it
+// from group to group and from evaluation to evaluation.
 type hotList struct {
 	items []hotItem
 	llist tree.InteractionList // backing storage for hLocal segments
@@ -62,23 +62,39 @@ func (hl *hotList) reset() {
 	hl.opens = 0
 }
 
-var hotListPool = sync.Pool{
-	New: func() any { return &hotList{items: make([]hotItem, 0, 64)} },
+// groupRange is the list-mode analog of traverseRange over leaf groups
+// [glo, ghi), as worker w: one interaction-list build per group, then
+// per-particle list evaluation (bitwise identical to the recursive
+// walk).
+//
+//lint:hotpath list traversal: one group walk per leaf group, one list evaluation per target, every evaluation
+func (rt *evalRT) groupRange(w, glo, ghi int, advanceDiv float64) travCounts {
+	var tc travCounts
+	t := rt.ltree
+	sc := &rt.a.scratch[w]
+	for gi := glo; gi < ghi; gi++ {
+		nd := &t.Nodes[rt.a.groups[gi]]
+		gc, ge := t.GroupBounds(nd.First, nd.Count)
+		rt.buildGroupList(sc, gc, ge)
+		for i := nd.First; i < nd.First+nd.Count; i++ {
+			rt.evalTarget(sc, true, t.Order[i], advanceDiv, &tc)
+		}
+	}
+	return tc
 }
-
-func getHotList() *hotList   { return hotListPool.Get().(*hotList) }
-func putHotList(hl *hotList) { hl.reset(); hotListPool.Put(hl) }
 
 // buildGroupList performs the group-level walk of the global tree for
 // the leaf-group box (center gc, per-axis half-extents ge — the tight
-// bounding box of the group's particles). Remote cells that the whole
-// group opens — and remote leaves the group reaches — are fetched
-// here, once per group instead of once per particle.
-func (rt *evalRT) buildGroupList(hl *hotList, gc, ge vec.Vec3) {
+// bounding box of the group's particles) into the worker's list.
+// Remote cells that the whole group opens — and remote leaves the
+// group reaches — are fetched here, once per group instead of once per
+// particle.
+func (rt *evalRT) buildGroupList(sc *travScratch, gc, ge vec.Vec3) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
-	stack := make([]uint64, 0, 64)
-	stack = append(stack, 1)
+	hl := &sc.hl
+	hl.reset()
+	stack := append(sc.stack[:0], 1)
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -101,34 +117,34 @@ func (rt *evalRT) buildGroupList(hl *hotList, gc, ge vec.Vec3) {
 			continue
 		}
 		if g.nd.Leaf {
-			if rt.cellParts(g) == nil {
+			if !rt.isResolved(g) {
 				rt.fetch(g)
 			}
-			hl.items = append(hl.items, hotItem{kind: hNear, pk: pk})
+			hl.items = append(hl.items, hotItem{kind: hNear, g: g})
 			continue
 		}
 		switch tree.ClassifyGroup(tree.MACBarnesHut, theta2, &g.nd, gc, ge) {
 		case tree.GroupAccept:
-			hl.items = append(hl.items, hotItem{kind: hFar, pk: pk})
+			hl.items = append(hl.items, hotItem{kind: hFar, g: g})
 		case tree.GroupOpen:
 			hl.opens++
-			children := rt.cellChildren(g)
-			if children == nil {
+			if !rt.isResolved(g) {
 				rt.fetch(g)
-				children = rt.cellChildren(g)
 			}
-			stack = append(stack, children...)
+			stack = append(stack, rt.cellChildren(g)...)
 		default:
-			hl.items = append(hl.items, hotItem{kind: hAmb, pk: pk})
+			hl.items = append(hl.items, hotItem{kind: hAmb, g: g})
 		}
 	}
+	sc.stack = stack
 }
 
-// vortexAtList evaluates one target against the group's interaction
-// list; the summation order matches vortexAt exactly.
-func (rt *evalRT) vortexAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.VortexResult {
-	var res tree.VortexResult
-	res.Rejects = hl.opens
+// vortexAtList evaluates one target against the worker's group list,
+// accumulating into acc; the summation order matches a vortexWalk from
+// the root exactly.
+func (rt *evalRT) vortexAtList(sc *travScratch, acc *vortexAcc, x vec.Vec3, skipLocal int) {
+	hl := &sc.hl
+	acc.rejects = hl.opens
 	theta := rt.s.cfg.Theta
 	for i := range hl.items {
 		it := &hl.items[i]
@@ -136,46 +152,37 @@ func (rt *evalRT) vortexAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.Vort
 		case hLocal:
 			view := tree.InteractionList{Items: hl.llist.Items[it.segLo:it.segHi], Opens: it.opens}
 			sub := rt.ltree.EvalVortexList(&view, tree.MACBarnesHut, theta, x, skipLocal, rt.pw, rt.s.cfg.Dipole)
-			res.U = res.U.Add(sub.U)
-			res.Grad = res.Grad.Add(sub.Grad)
-			res.AddCounts(&sub)
+			acc.addLocal(&sub)
 		case hFar:
-			rt.accumVortexFar(&res, rt.getCell(it.pk), x)
+			rt.vortexFar(acc, it.g, x)
 		case hNear:
-			g := rt.getCell(it.pk)
-			rt.accumVortexParts(&res, rt.cellParts(g), x)
+			rt.vortexNear(acc, it.g, x)
 		default:
-			rt.vortexWalk(&res, it.pk, x, skipLocal)
+			rt.vortexWalk(sc, acc, it.g.pkey, x, skipLocal)
 		}
 	}
-	return res
 }
 
 // coulombAtList is vortexAtList for the Coulomb discipline.
-func (rt *evalRT) coulombAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.CoulombResult {
-	var res tree.CoulombResult
-	res.Rejects = hl.opens
+func (rt *evalRT) coulombAtList(sc *travScratch, acc *coulombAcc, x vec.Vec3, skipLocal int) {
+	hl := &sc.hl
+	acc.rejects = hl.opens
 	theta := rt.s.cfg.Theta
-	eps := rt.s.cfg.Eps
 	for i := range hl.items {
 		it := &hl.items[i]
 		switch it.kind {
 		case hLocal:
 			view := tree.InteractionList{Items: hl.llist.Items[it.segLo:it.segHi], Opens: it.opens}
-			sub := rt.ltree.EvalCoulombList(&view, theta, eps, x, skipLocal)
-			res.Phi += sub.Phi
-			res.E = res.E.Add(sub.E)
-			res.AddCounts(&sub)
+			sub := rt.ltree.EvalCoulombList(&view, theta, rt.s.cfg.Eps, x, skipLocal)
+			acc.addLocal(&sub)
 		case hFar:
-			rt.accumCoulombFar(&res, rt.getCell(it.pk), x)
+			rt.coulombFar(acc, it.g, x)
 		case hNear:
-			g := rt.getCell(it.pk)
-			rt.accumCoulombParts(&res, rt.cellParts(g), x)
+			rt.coulombNear(acc, it.g, x)
 		default:
-			rt.coulombWalk(&res, it.pk, x, skipLocal)
+			rt.coulombWalk(sc, acc, it.g.pkey, x, skipLocal)
 		}
 	}
-	return res
 }
 
 // traverseHybridSched is traverseHybrid with the work-stealing
@@ -183,7 +190,9 @@ func (rt *evalRT) coulombAtList(hl *hotList, x vec.Vec3, skipLocal int) tree.Cou
 // workers claim and steal group ranges while the communication
 // goroutine serves remote-cell traffic. Steal counts and per-worker
 // busy time land in Stats and telemetry (hot.steals, hot.worker_busy).
-func (rt *evalRT) traverseHybridSched(nGroups int, evalRange func(lo, hi int, advanceDiv float64) travCounts) {
+//
+//lint:coldpath once-per-evaluation worker fan-out (scheduler closure, comm goroutine, done channel); the per-group work is rooted at groupRange
+func (rt *evalRT) traverseHybridSched() travCounts {
 	p := rt.comm.Size()
 	commDone := make(chan struct{})
 	if p > 1 {
@@ -191,20 +200,18 @@ func (rt *evalRT) traverseHybridSched(nGroups int, evalRange func(lo, hi int, ad
 	} else {
 		close(commDone)
 	}
+	nGroups := len(rt.a.groups)
 	workers := rt.s.cfg.Threads
 	if workers > nGroups && nGroups > 0 {
 		workers = nGroups
 	}
 	var inter, accepts, rejects atomic.Int64
-	ss := sched.Run(workers, nGroups, rt.s.cfg.StealGrain, func(_, lo, hi int) {
-		tc := evalRange(lo, hi, float64(workers))
+	ss := sched.Run(workers, nGroups, rt.s.cfg.StealGrain, func(w, lo, hi int) {
+		tc := rt.groupRange(w, lo, hi, float64(workers))
 		inter.Add(tc.inter)
 		accepts.Add(tc.accepts)
 		rejects.Add(tc.rejects)
 	})
-	rt.stats.Interactions += inter.Load()
-	rt.stats.MACAccepts += accepts.Load()
-	rt.stats.MACRejects += rejects.Load()
 	rt.stats.Steals += ss.Steals
 	for _, b := range ss.Busy {
 		rt.s.probe.workerBusy.Observe(b)
@@ -213,4 +220,5 @@ func (rt *evalRT) traverseHybridSched(nGroups int, evalRange func(lo, hi int, ad
 		rt.comm.Send(0, tagDone, nil)
 		<-commDone
 	}
+	return travCounts{inter: inter.Load(), accepts: accepts.Load(), rejects: rejects.Load()}
 }

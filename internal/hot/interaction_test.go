@@ -1,6 +1,10 @@
 package hot
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mpi"
@@ -134,6 +138,25 @@ func TestCoulombListMatchesRecursive(t *testing.T) {
 					t.Fatalf("p=%d: particle %d differs across layouts: %v %v/%v, %v %v/%v",
 						p, i, layout, potL[i], fL[i], layouts[0], potRef[i], fRef[i])
 				}
+			}
+		}
+		if p == 3 && runtime.GOARCH == "amd64" {
+			// Cross-commit pin: list ≡ recursive ≡ AoS ≡ SoA compares
+			// this commit with itself; the hash of the PS = 3 result at
+			// 24e9cfc (before the evaluation arena of PR 16) is what a
+			// storage-only change must reproduce. amd64 only: arm64
+			// fuses multiply-add.
+			h := fnv.New64a()
+			var b [8]byte
+			for i := range potRef {
+				for _, v := range [4]float64{potRef[i], fRef[i].X, fRef[i].Y, fRef[i].Z} {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+			const want uint64 = 0xb2868139d8250f7e
+			if got := h.Sum64(); got != want {
+				t.Fatalf("p=3 result hash %#x, want %#x (pinned at 24e9cfc)", got, want)
 			}
 		}
 	}
