@@ -75,13 +75,16 @@ rm -f "$alloc_out"
 # the race detector, -count=1 so cached passes don't mask flakiness in
 # the recovery protocol. Time-bounded by -timeout rather than test count.
 # The façade names matched here include the PS>1 grid sweep (gridchaos
-# _test.go): spatial shrink, column loss + checkpoint restore, and the
-# guard×crash interleaving on 2×2 and 4×2 grids. `Cancel` is
-# TestFacadeCancelAtBlockBoundary: cancellation through every block
-# loop via the one block-boundary callback.
+# _test.go): spatial shrink, slice loss, column loss + checkpoint
+# restore, and the guard×crash interleaving on 2×2 and 4×2 grids.
+# ./internal/pfasst/ and ./internal/core/ hold the recovery loop's own
+# suites (the PT×1 ports of the old time-shrink loop's tests, and the
+# PT-shrink on 4×2). `Cancel` is TestFacadeCancelAtBlockBoundary:
+# cancellation through both block loops via the one block-boundary
+# callback.
 go test -race -count=1 -timeout 10m \
   -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Shrink|Agree|Torn|Levels|Fault|Cancel' \
-  ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ .
+  ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ .
 
 # Checkpoint fuzz smoke: a few seconds of mutated NBLV headers against
 # the checked reader — corruption must surface as errors, never panics.
@@ -97,7 +100,7 @@ go test -run '^$' -fuzz FuzzGridManifest -fuzztime 10s ./internal/checkpoint/
 # the concurrency-sensitive part worth re-randomizing every run).
 go test -race -count=1 -timeout 10m \
   -run 'Guard|Scrub|Flip|Sticky|Moments|Ordering|Degenerate|ZeroExtent|Coincident|NaN|Resume|Checkpoint' \
-  ./internal/guard/ ./internal/fault/ ./internal/tree/ ./internal/kernel/ ./internal/pfasst/ .
+  ./internal/guard/ ./internal/fault/ ./internal/tree/ ./internal/kernel/ ./internal/pfasst/ ./internal/core/ .
 
 # Memory-fault-plan fuzz smoke: mutated mem-plan specs against the
 # parser — malformed specs must surface as errors, never panics.

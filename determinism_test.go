@@ -8,7 +8,9 @@ package nbody
 // telemetry must agree on the work done (interaction counts).
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -112,5 +114,70 @@ func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
 	const want uint64 = 0x83256eb332e02aab
 	if got := stateHash(out); got != want {
 		t.Fatalf("final state hash %#x, want %#x (pinned at 24e9cfc)", got, want)
+	}
+}
+
+// TestResilientPinnedAcrossCommits pins the PS = 1 resilient runs to
+// the hashes package pfasst's own time-shrink loop produced at be134b7,
+// the last commit that had it: the grid loop on a 1-wide grid (which
+// replaced it) must reproduce that loop bit for bit — fault-free, under
+// transient chaos, across a rank death mid-block and at a block
+// boundary (3-wide blocks, then a serial tail), across a cancel and
+// resume, and with the guard on. The rows that lose no rank also equal
+// the plain, non-resilient run. amd64 only, as above.
+func TestResilientPinnedAcrossCommits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	const clean uint64 = 0xb9aaa344ff2693c5
+	sys := RandomBlob(48, 0.2, 7)
+	run := func(cfg SpaceTimeConfig) uint64 {
+		t.Helper()
+		out, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stateHash(out)
+	}
+	if got := run(DefaultSpaceTime(4, 1)); got != clean {
+		t.Fatalf("plain 4×1 run: hash %#x, want %#x", got, clean)
+	}
+	for _, row := range []struct {
+		name string
+		want uint64
+		mut  func(c *SpaceTimeConfig)
+	}{
+		{"no faults", clean, func(c *SpaceTimeConfig) {}},
+		{"transient", clean, func(c *SpaceTimeConfig) {
+			c.Resilience.FaultPlan = "drop=0.08,delay=0.15:30us,corrupt=0.04"
+			c.Resilience.FaultSeed = 11
+		}},
+		{"crash mid-block", 0xc7d91829b18dbbd0, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=1@iter:1" }},
+		{"crash at boundary", 0x3c3852c9c335654b, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=3@block:4" }},
+		{"guard clean", clean, func(c *SpaceTimeConfig) { c.Guard.Enabled = true }},
+	} {
+		cfg := chaosConfig(4, 1)
+		row.mut(&cfg)
+		if got := run(cfg); got != row.want {
+			t.Errorf("%s: hash %#x, want %#x (pinned at be134b7)", row.name, got, row.want)
+		}
+	}
+
+	cfg := chaosConfig(4, 1)
+	cfg.Resilience.CheckpointDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.OnBlock = func(b int) {
+		if b == 1 {
+			cancel()
+		}
+	}
+	if _, _, err := RunSpaceTimeCtx(ctx, cfg, sys, 0, 0.2, 8); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cancel at block 1 returned %v", err)
+	}
+	cfg.OnBlock = nil
+	cfg.Resilience.Resume = true
+	if got := run(cfg); got != clean {
+		t.Errorf("cancel then resume: hash %#x, want %#x (pinned at be134b7)", got, clean)
 	}
 }

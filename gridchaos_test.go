@@ -220,6 +220,39 @@ func TestFacadeGridCrash4x2Shrink(t *testing.T) {
 	}
 }
 
+// TestFacadeGridSliceLossContinuesNarrower: BOTH ranks of time slice 1
+// of a 4×2 grid die mid-block. The slice drops out and the three live
+// slices close ranks: the run continues 3×2 — nobody retires, every
+// survivor commits two 3-step blocks — and only the 2-step tail runs
+// serially, instead of the whole remainder collapsing to serial SDC.
+func TestFacadeGridSliceLossContinuesNarrower(t *testing.T) {
+	sys := RandomBlob(32, 0.2, 7)
+	clean, _, err := RunSpaceTime(chaosConfig(4, 2), sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosConfig(4, 2)
+	cfg.Resilience.FaultPlan = "crash=2@iter:1,crash=3@iter:1"
+	cfg.Telemetry = true
+	out, stats, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatalf("slice loss on 4×2 not survived: %v", err)
+	}
+	if d := maxPosDev(clean, out); d > gridDeviation {
+		t.Fatalf("3×2 degraded run diverges by %g", d)
+	}
+	const survivors = 6
+	if got := stats.Run.Counter(core.CounterRecoveryRetired); got != 0 {
+		t.Errorf("%s = %d: a whole-slice loss must not narrow the spatial width", core.CounterRecoveryRetired, got)
+	}
+	if got := stats.Run.Counter(pfasst.CounterBlocks); got != survivors*2 {
+		t.Errorf("pfasst.blocks = %d, want %d survivors × 2 three-step blocks", got, survivors)
+	}
+	if got := stats.Run.Counter(pfasst.CounterShrinks); got != survivors {
+		t.Errorf("pfasst.shrinks = %d, want one per survivor", got)
+	}
+}
+
 // TestFacadeGridCheckpointResumeAcrossPS: a grid checkpoint written at
 // PS=2 resumes onto a PS=3 run — restore re-decomposes the full state
 // onto whatever width the resuming run has (the same code path crash

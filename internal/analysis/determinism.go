@@ -40,8 +40,8 @@ var numericPackages = map[string]bool{
 	"tree": true, "kernel": true, "pfasst": true, "sdc": true,
 	"guard": true, "hot": true, "core": true, "quadrature": true,
 	"particle": true, "direct": true, "farfield": true, "vec": true,
-	"rk": true, "ode": true, "sph": true, "neighbor": true,
-	"remesh": true, "field": true, "parareal": true, "checkpoint": true,
+	"rk": true, "ode": true, "remesh": true, "field": true,
+	"parareal": true, "checkpoint": true,
 }
 
 func runDeterminism(pass *Pass) {

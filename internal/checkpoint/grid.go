@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -11,15 +12,16 @@ import (
 	"strings"
 )
 
-// Grid checkpoints (format v3) for the PS>1 resilient loop: the fine
-// state is partitioned over the spatial communicator, so one NBLV
-// shard per spatial column is written by that column's slice-0 rank,
-// and a single checksummed NBLM manifest binds the shards of one
-// committed block together. The manifest is written atomically and
-// LAST, after every shard of its block is durable and re-verified —
-// so at any instant the manifest on disk names a complete, consistent
-// set of shards: a crash mid-commit leaves the previous manifest (and
-// its block-numbered shards, which are never overwritten) intact.
+// Grid checkpoints (format v3) of the resilient loop, at every PS: the
+// fine state is partitioned over the spatial communicator, so one NBLV
+// shard per spatial column (one shard at PS = 1) is written by that
+// column's rank in the first live time slice, and a single checksummed
+// NBLM manifest binds the shards of one committed block together. The
+// manifest is written atomically and LAST, after every shard of its
+// block is durable and re-verified — so at any instant the manifest on
+// disk names a complete, consistent set of shards: a crash mid-commit
+// leaves the previous manifest (and its block-numbered shards, which
+// are never overwritten) intact.
 //
 // Restore returns the full concatenated state, so a resume onto a
 // DIFFERENT spatial width — or the shrink-recovery path, which is the
@@ -228,7 +230,7 @@ func CommitGridManifest(dir string, g *GridState) error {
 		if err != nil {
 			return fmt.Errorf("checkpoint: commit: shard %d: %w", col, err)
 		}
-		st, err := ReadLevels(strings.NewReader(string(raw)))
+		st, err := ReadLevels(bytes.NewReader(raw))
 		if err != nil {
 			return fmt.Errorf("checkpoint: commit: shard %d unreadable: %w", col, err)
 		}
@@ -330,7 +332,7 @@ func LoadGrid(dir string) (*GridLoad, error) {
 			return nil, fmt.Errorf("checkpoint: shard %d checksum mismatch with manifest (file %x, manifest %x): %w",
 				col, sum, g.ShardSums[col], ErrCorrupt)
 		}
-		st, err := ReadLevels(strings.NewReader(string(raw)))
+		st, err := ReadLevels(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: shard %d: %w", col, err)
 		}

@@ -196,14 +196,14 @@ type Config struct {
 	Tel *telemetry.Registry
 	// Resilience selects the fault-tolerant execution path
 	// (checkpointed blocks, bounded-wait receives, shrink-and-redo
-	// recovery). At PS = 1 the loop runs inside PFASST: the time
-	// communicator shrinks and the survivors redo the block. At PS > 1
-	// the grid-resilient loop in this package takes over: commit/abort
-	// is agreed over the full PT×PS world, survivors shrink BOTH
-	// communicator families, the committed state is re-decomposed onto
-	// the smaller spatial width, and when a whole time slice dies out
-	// every live rank falls back to redundant serial SDC (see
-	// resilient.go and DESIGN.md §12).
+	// recovery): the grid-resilient loop in this package, at any PS.
+	// Commit/abort is agreed over the full PT×PS world, survivors
+	// shrink BOTH communicator families — a time slice that died out
+	// is dropped and the run continues PT − 1 wide, a thinned slice
+	// narrows the spatial width and the committed state is
+	// re-decomposed onto it — and a tail of fewer steps than live
+	// slices runs as redundant serial SDC on every live rank (see
+	// resilient.go and DESIGN.md §11).
 	Resilience pfasst.Resilience
 	// Guard configures the silent-data-corruption detectors and the
 	// recovery ladder (package guard). When Enabled, every rank gets a
@@ -217,7 +217,7 @@ type Config struct {
 	// redo and a concurrent rank crash interleave safely (DESIGN.md
 	// §12).
 	Guard guard.Policy
-	// Ctx enables cooperative cancellation: every block loop polls it at
+	// Ctx enables cooperative cancellation: both block loops poll it at
 	// every block boundary (never mid-block) and the run returns an
 	// error wrapping pfasst.ErrCanceled, identically on every rank. The
 	// decision is collective — the ranks' observations of the Context
@@ -230,7 +230,7 @@ type Config struct {
 	// before the Context is polled: a hook that cancels the Context
 	// stops the run at that block boundary deterministically (the
 	// server's chaos plan and progress telemetry hang off this). The
-	// resilient loops pass a boundary once per attempt, so a retried
+	// resilient loop passes a boundary once per attempt, so a retried
 	// block reports again.
 	OnBlock func(block int)
 }
@@ -292,7 +292,10 @@ func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 flo
 		return Result{}, fmt.Errorf("core: world has %d ranks, config wants PT×PS = %d×%d",
 			world.Size(), cfg.PT, cfg.PS)
 	}
-	if cfg.Resilience.Enabled && cfg.PS > 1 {
+	if nsteps%cfg.PT != 0 {
+		return Result{}, fmt.Errorf("core: nsteps %d not a multiple of PT %d", nsteps, cfg.PT)
+	}
+	if cfg.Resilience.Enabled {
 		return runGridResilient(world, cfg, full, t0, t1, nsteps)
 	}
 	slice := world.Rank() / cfg.PS
@@ -391,8 +394,8 @@ func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard
 	}, fine, coarse
 }
 
-// blockBoundary returns the one collective block-boundary callback all
-// three block loops call at the top of a block (nil when there is
+// blockBoundary returns the one collective block-boundary callback
+// both block loops call at the top of a block (nil when there is
 // neither a Context nor a hook, so such runs pay nothing). The lowest
 // live world rank invokes the OnBlock hook; then every live rank polls
 // the Context and the verdicts fold into a world agreement, so every
@@ -400,7 +403,7 @@ func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard
 // identical abort-or-continue decision (an asymmetric local return
 // would strand peers in deadline-less spatial collectives). The
 // agreement completes despite dead ranks, which is what lets the
-// resilient loops share it with the lockstep one.
+// resilient loop share it with the lockstep one.
 func blockBoundary(world *mpi.Comm, ctx context.Context, onBlock func(int)) func(int) error {
 	if ctx == nil && onBlock == nil {
 		return nil

@@ -1,14 +1,13 @@
 package core
 
-// Full-grid fault tolerance (ISSUE 8): crash recovery on the complete
-// PT×PS communicator grid. The PS=1 resilient loop lives in
-// pfasst.runResilient, where a block abort only ever involves the one
-// time communicator; both loops run the same block attempt
-// (pfasst.GridSolver) and call the same block-boundary callback
-// (blockBoundary). At PS>1 the failure surface is two-dimensional —
-// a dead rank breaks its temporal column AND its spatial slice — so
-// the recovery protocol moves up to the layer that owns the spatial
-// decomposition:
+// Fault tolerance on the PT×PS communicator grid: the one resilient
+// driver, at every PS — PS = 1 is the grid one column wide, not a
+// different program. It runs the same block attempt
+// (pfasst.GridSolver) and the same block-boundary callback
+// (blockBoundary) as the lockstep loop. The failure surface is
+// two-dimensional — a dead rank breaks its temporal column AND its
+// spatial slice — so the recovery protocol lives in the layer that owns
+// the spatial decomposition:
 //
 //  1. Every block ends in ONE agreement over the original world
 //     communicator (retired ranks included), so commit/abort/fatal is
@@ -16,21 +15,25 @@ package core
 //     1 retryable abort, 0 fatal.
 //  2. On abort, survivors agree on the dead set (mpi.AgreeDeadRanks),
 //     chain-shrink onto it, and rebuild both communicator families
-//     from scratch. The new spatial width is PS' = min over time
-//     slices of that slice's live-rank count; each slice's first PS'
-//     live ranks are active, the rest retire into a control skeleton
-//     that keeps voting (and can be reactivated by a later shrink).
+//     from scratch. A time slice with no live rank is dropped (the
+//     PT-shrink): the live slices close ranks in slice order, a block
+//     advances PT' = live-slice-count steps. The new spatial width is
+//     PS' = min over LIVE slices of that slice's live-rank count; each
+//     live slice's first PS' live ranks are active, the rest retire
+//     into a control skeleton that keeps voting (and can be
+//     reactivated by a later shrink).
 //  3. The committed block-start state is redistributed: every previous
 //     holder contributes its column share, the full state is
 //     reassembled (falling back to the on-disk grid checkpoint when a
 //     whole column died out), and re-partitioned onto PS'. Resume from
 //     a checkpoint takes exactly this path, which is why a checkpoint
-//     written at one PS restores onto any other.
-//  4. When some slice has no survivors at all (PS' = 0), parallel-in-
-//     time execution is impossible and every live rank redundantly
-//     integrates the full state with serial SDC — deterministic,
-//     identical output on every rank, the degraded-completion
-//     guarantee of the PS=1 serial tail lifted to the grid.
+//     written at one PT×PS restores onto any other.
+//  4. Steps that no longer fill a block of PT' (a tail the shrunken
+//     width does not divide) run through the serial fallback: the full
+//     state is reassembled once more and every live rank redundantly
+//     integrates the tail with serial SDC — deterministic, identical
+//     output on every rank, completion within tolerance rather than
+//     speedup.
 //
 // Wake-up cascade: a rank whose attempt hits a transport failure
 // revokes its spatial and temporal communicators, so peers blocked in
@@ -74,17 +77,21 @@ const (
 	CounterRecoveryRetired    = "core.recovery.retired_ranks"
 )
 
-// runGridResilient is the fault-tolerant space-time loop for PS > 1.
+// runGridResilient is the fault-tolerant space-time loop, at any PS.
 // Every world rank calls it with identical arguments.
 func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
-	// The grid path forces single-threaded tree traversals: comm-failure
-	// panics must only ever unwind rank-main goroutines, and the hybrid
-	// traversal's service goroutines would turn one into a process
-	// crash. Traversal results are schedule-invariant, so this changes
-	// cost, not numerics (DESIGN.md §12).
-	cfg.Threads = 1
+	// At PS > 1 the grid path forces single-threaded tree traversals:
+	// comm-failure panics must only ever unwind rank-main goroutines, and
+	// the hybrid traversal's service goroutines would turn one into a
+	// process crash. Traversal results are schedule-invariant, so this
+	// changes cost, not numerics (DESIGN.md §11). A one-rank spatial
+	// communicator has no collective that can fail, so PS = 1 keeps the
+	// configured Threads.
+	if cfg.PS > 1 {
+		cfg.Threads = 1
+	}
 	rz := cfg.Resilience
-	ps0, pt := cfg.PS, cfg.PT
+	ps0, pt0 := cfg.PS, cfg.PT
 	slice := world.Rank() / ps0 // fixed for the rank's lifetime
 	dt := (t1 - t0) / float64(nsteps)
 	n := full.N()
@@ -121,15 +128,18 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		rgen      int   // recovery generation (communicator labels)
 		oldPS     int   // partition width of the committed state; 0 = undistributed
 		psNew     int   // current active spatial width
+		ptNew     int   // current time width: slices with a live rank = steps per block
+		firstLive int   // lowest live slice: time rank 0, the checkpoint writers
 		retries   int   // consecutive retries without a new death
 		lastAbort error // cause of the most recent aborted attempt (per-rank)
 		prevDead  = -1  // size of the last agreed dead set; -1 = none yet
+		shrunk    int   // size of the dead set the current grid was built on
 		col       = -1  // my spatial column, -1 = retired
 		active    bool
 		// fullU holds the full committed state whenever this rank does
 		// not hold a distributed share of it: before the first recovery
 		// round distributes anything (oldPS == 0), and on retired ranks
-		// or in degraded-all mode afterwards.
+		// or in the serial tail afterwards.
 		fullU []float64
 	)
 	surv := world
@@ -140,7 +150,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	var fineEvals, coarseEvals int64
 
 	// Resume shares the shrink path: load the full state, let the first
-	// recovery round partition it onto whatever PS this run has. Every
+	// recovery round partition it onto whatever PT×PS this run has. Every
 	// rank reads and validates its own copy of the start state (the
 	// checkpoint, or else the initial conditions), so the
 	// accept-or-reject decision must be agreed world-wide before anyone
@@ -195,6 +205,54 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		fineSys, coarseSys = nil, nil
 	}
 
+	// gatherFull reassembles the full committed block-start state into
+	// fullU on every member of surv — retired ranks included, so
+	// reactivation and the serial tail need no extra path. Every rank
+	// that holds a share of the oldPS-wide partition (held, heldCol)
+	// contributes it; a column with no live holder survives only on
+	// disk. The error wraps ErrStateLost and is this rank's own verdict:
+	// the caller's agreement makes it uniform.
+	gatherFull := func(held bool, heldCol int) error {
+		msg := make([]float64, 2, 2+len(u))
+		if held {
+			msg[0], msg[1] = 1, float64(heldCol)
+			msg = append(msg, u...)
+		}
+		all := surv.Allgather(mpi.Float64sToBytes(msg))
+		shares := make([][]float64, oldPS)
+		for _, raw := range all {
+			x := mpi.BytesToFloat64s(raw)
+			if len(x) >= 2 && x[0] > 0.5 {
+				if j := int(x[1]); j >= 0 && j < oldPS && shares[j] == nil {
+					shares[j] = x[2:]
+				}
+			}
+		}
+		fullU = fullU[:0]
+		for j, s := range shares {
+			if s == nil {
+				// A whole temporal column died.
+				if rz.CheckpointDir == "" {
+					return fmt.Errorf("%w: column %d/%d has no live holder", ErrStateLost, j, oldPS)
+				}
+				gl, err := checkpoint.LoadGrid(rz.CheckpointDir)
+				if err != nil || gl.StepsDone != stepsDone || len(gl.U) != 6*n {
+					return fmt.Errorf("%w: column %d/%d has no live holder and no matching checkpoint", ErrStateLost, j, oldPS)
+				}
+				if v := grd.ValidateCheckpoint(gl.U, gl.Diag, gl.Block); v != nil {
+					return fmt.Errorf("%w: checkpoint rejected: %w", ErrStateLost, v)
+				}
+				fullU = gl.U
+				break
+			}
+			fullU = append(fullU, s...)
+		}
+		if len(fullU) != 6*n {
+			return fmt.Errorf("%w: reassembled %d floats, want %d", ErrStateLost, len(fullU), 6*n)
+		}
+		return nil
+	}
+
 	// recoverGrid is one full recovery round: agree on the dead, chain-
 	// shrink, rebuild communicators and solvers, redistribute state.
 	// It loops internally until a round completes without a transport
@@ -210,8 +268,8 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			// Retry accounting is a pure function of agreed data, so
 			// every rank takes the give-up branch together (no extra
 			// agreement needed). The first round and rounds that found a
-			// new death are free, mirroring the PS=1 rule that shrinks
-			// do not consume the retry budget.
+			// new death are free: shrinks do not consume the retry
+			// budget.
 			if prevDead >= 0 {
 				if len(dead) > prevDead {
 					retries = 0
@@ -248,23 +306,34 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				surv.SetLabel(fmt.Sprintf("surv[gen=%d]", rgen))
 				surv.FailFast(true)
 
-				// Active set: a pure function of the agreed dead list.
+				// Active set: a pure function of the agreed dead list. A
+				// slice with no live rank drops out of the grid — blocks
+				// get one step shorter — and the thinnest LIVE slice sets
+				// the spatial width. This rank is alive, so its own slice
+				// is: ptNew, psNew ≥ 1.
 				deadSet := make(map[int]bool, len(dead))
 				for _, wr := range dead {
 					deadSet[wr] = true
 				}
-				liveOf := make([][]int, pt)
-				for wr := 0; wr < pt*ps0; wr++ {
+				liveOf := make([][]int, pt0)
+				for wr := 0; wr < pt0*ps0; wr++ {
 					if !deadSet[wr] {
 						s := wr / ps0
 						liveOf[s] = append(liveOf[s], wr)
 					}
 				}
-				psNew = len(liveOf[0])
-				for _, lv := range liveOf[1:] {
-					if len(lv) < psNew {
+				ptNew, psNew = 0, 0
+				for s, lv := range liveOf {
+					if len(lv) == 0 {
+						continue
+					}
+					if ptNew == 0 {
+						firstLive = s
+					}
+					if ptNew == 0 || len(lv) < psNew {
 						psNew = len(lv)
 					}
+					ptNew++
 				}
 				myIdx := -1
 				for i, wr := range liveOf[slice] {
@@ -273,7 +342,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					}
 				}
 				wasActive, oldCol := active, col
-				active = psNew > 0 && myIdx < psNew
+				active = myIdx < psNew
 				col = -1
 				if active {
 					col = myIdx
@@ -284,6 +353,8 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				// Rebuild both communicator families. Retired ranks pass
 				// color −1 and get comms they never use; what matters is
 				// that every surviving rank participates in both splits.
+				// Keyed by the rank's fixed slice index, the time split
+				// renumbers the live slices 0..ptNew−1 in slice order.
 				colorS, colorT := -1, -1
 				if active {
 					colorS, colorT = slice, col
@@ -299,59 +370,13 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				}
 				spanB.Stop()
 
-				// Redistribute the committed block-start state. Every
-				// rank that held a column share contributes it; the full
-				// state is reassembled identically everywhere (retired
-				// ranks included, so reactivation needs no extra path).
+				// Redistribute the committed block-start state. Before
+				// anything was distributed (oldPS == 0) every live rank
+				// already holds it in fullU.
 				spanR := tRedist.Start()
-				if oldPS == 0 {
-					// Nothing distributed yet: every live rank already
-					// holds the full committed state in fullU.
-				} else {
-					msg := make([]float64, 2, 2+len(u))
-					if wasActive {
-						msg[0], msg[1] = 1, float64(oldCol)
-						msg = append(msg, u...)
-					}
-					all := surv.Allgather(mpi.Float64sToBytes(msg))
-					shares := make([][]float64, oldPS)
-					for _, raw := range all {
-						x := mpi.BytesToFloat64s(raw)
-						if len(x) >= 2 && x[0] > 0.5 {
-							if j := int(x[1]); j >= 0 && j < oldPS && shares[j] == nil {
-								shares[j] = x[2:]
-							}
-						}
-					}
-					fullU = fullU[:0]
-					for j, s := range shares {
-						if s == nil {
-							// A whole temporal column died: the share
-							// survives only on disk.
-							if rz.CheckpointDir == "" {
-								lost = fmt.Errorf("%w: column %d/%d has no live holder", ErrStateLost, j, oldPS)
-								spanR.Stop()
-								return nil
-							}
-							gl, err := checkpoint.LoadGrid(rz.CheckpointDir)
-							if err != nil || gl.StepsDone != stepsDone || len(gl.U) != 6*n {
-								lost = fmt.Errorf("%w: column %d/%d has no live holder and no matching checkpoint", ErrStateLost, j, oldPS)
-								spanR.Stop()
-								return nil
-							}
-							if v := grd.ValidateCheckpoint(gl.U, gl.Diag, gl.Block); v != nil {
-								lost = fmt.Errorf("%w: checkpoint rejected: %w", ErrStateLost, v)
-								spanR.Stop()
-								return nil
-							}
-							fullU = gl.U
-							break
-						}
-						fullU = append(fullU, s...)
-					}
-					if len(fullU) != 6*n {
-						lost = fmt.Errorf("%w: reassembled %d floats, want %d", ErrStateLost, len(fullU), 6*n)
-						spanR.Stop()
+				defer spanR.Stop()
+				if oldPS > 0 {
+					if lost = gatherFull(wasActive, oldCol); lost != nil {
 						return nil
 					}
 				}
@@ -360,10 +385,10 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				bankEvals()
 				solver = nil
 				if active {
-					fullSys := full.Clone()
-					fullSys.Unpack(fullU)
-					local = hot.BlockPartition(fullSys, col, psNew)
-					u = local.PackNew()
+					local = hot.BlockPartition(full, col, psNew)
+					lo := 6 * (n * col / psNew)
+					u = append([]float64(nil), fullU[lo:lo+local.StateLen()]...)
+					local.Unpack(u)
 					var pcfg pfasst.Config
 					pcfg, fineSys, coarseSys = levelSolver(spaceComm, cfg, local, grd)
 					gs, err := pfasst.NewGridSolver(pcfg, &pres)
@@ -375,10 +400,10 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					grd.CommitState(u, block)
 				} else {
 					u, local = nil, nil
+					solver = pfasst.NewRetiredSolver(cfg.Tel, &pres)
 					grd.AttachSpace(nil)
 				}
 				oldPS = psNew
-				spanR.Stop()
 				return nil
 			}()
 
@@ -395,6 +420,10 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			}
 			switch world.Agree(v) {
 			case 2:
+				if len(dead) > shrunk {
+					shrunk = len(dead)
+					solver.RecordShrink()
+				}
 				return nil
 			case 1:
 				continue
@@ -436,10 +465,10 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	}
 
 	// commitCheckpoint persists the committed block under the grid
-	// manifest: slice 0's active ranks write the shards, column 0
-	// gathers the full state for the manifest invariants, and one world
-	// agreement decides done (2) / skip after a death (1) / fatal write
-	// error (0).
+	// manifest: the first live slice's active ranks write the shards,
+	// column 0 gathers the full state for the manifest invariants, and
+	// one world agreement decides done (2) / skip after a death (1) /
+	// fatal write error (0).
 	commitCheckpoint := func() (redo bool, err error) {
 		span := tCkpt.Start()
 		defer span.Stop()
@@ -455,13 +484,13 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					werr = cerr
 				}
 			}()
-			if !active || slice != 0 {
+			if !active || slice != firstLive {
 				return nil
 			}
 			st := &checkpoint.LevelState{
 				Block:     block,
 				StepsDone: stepsDone,
-				TimeRanks: pt,
+				TimeRanks: ptNew,
 				T:         t0 + float64(stepsDone)*dt,
 				U:         [][]float64{u},
 			}
@@ -475,17 +504,20 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			if col != 0 {
 				return nil
 			}
+			// Only the guard reads the gathered state (the manifest's
+			// invariants); without one the gather yields the dims alone.
 			dims := make([]int, len(all))
 			var fu []float64
 			for j, raw := range all {
-				x := mpi.BytesToFloat64s(raw)
-				dims[j] = len(x)
-				fu = append(fu, x...)
+				dims[j] = len(raw) / 8
+				if grd != nil {
+					fu = append(fu, mpi.BytesToFloat64s(raw)...)
+				}
 			}
 			return checkpoint.CommitGridManifest(rz.CheckpointDir, &checkpoint.GridState{
 				Block:      block,
 				StepsDone:  stepsDone,
-				TimeRanks:  pt,
+				TimeRanks:  ptNew,
 				SpaceRanks: psNew,
 				T:          t0 + float64(stepsDone)*dt,
 				Dims:       dims,
@@ -511,54 +543,53 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		}
 	}
 
-	// runDegradedAll: no slice has enough survivors for parallel-in-time
-	// work, so every live rank redundantly integrates the full remaining
-	// interval with serial SDC. Output is deterministic and identical on
-	// every rank; comm failures during setup report back for another
-	// recovery round.
-	runDegradedAll := func() (Result, error, bool) {
-		ok := true
-		var res Result
-		var rerr error
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					if _, is := mpi.AsCommFailure(p); !is {
-						panic(p)
-					}
-					ok = false
+	// runDegradedAll is the serial fallback for a tail of fewer steps
+	// than live time slices: the full committed state is reassembled on
+	// every live rank, which then redundantly integrates the remaining
+	// interval with serial SDC. Output is deterministic and identical
+	// on every rank (completion within tolerance, not speedup); a comm
+	// failure while gathering reports back for another recovery round.
+	runDegradedAll := func() (res Result, ok bool) {
+		defer func() {
+			if p := recover(); p != nil {
+				if _, is := mpi.AsCommFailure(p); !is {
+					panic(p)
 				}
-			}()
-			world.FaultPoint("degraded", stepsDone)
-			single := surv.Split(surv.Rank(), 0)
-			fullSys := full.Clone()
-			fullSys.Unpack(fullU)
-			fineLevel := levelPlan(cfg)[0]
-			sys := levelSystem(single, cfg, fullSys, fineLevel.Theta, 0, nil)
-			in := sdc.NewIntegrator(sys, fineLevel.NNodes, fallbackSweeps)
-			uu := fullSys.PackNew()
-			remaining := nsteps - stepsDone
-			tn := t0 + float64(stepsDone)*dt
-			in.Integrate(tn, tn+float64(remaining)*dt, remaining, uu)
-			pres.SweepsFine += remaining * fallbackSweeps
-			pres.DegradedBlocks++
-			cfg.Tel.Counter(pfasst.CounterDegradedBlocks).Inc()
-			pres.U = uu
-			pres.FinalRanks = 1
-			fullSys.Unpack(uu)
-			bankEvals()
-			res = Result{
-				Local:        fullSys,
-				SpatialIndex: 0,
-				TimeSlice:    slice,
-				SpatialRanks: 1,
-				Participated: true,
-				PFASST:       pres,
-				FineEvals:    fineEvals + sys.Evals,
-				CoarseEvals:  coarseEvals,
+				ok = false
 			}
 		}()
-		return res, rerr, ok
+		world.FaultPoint("degraded", stepsDone)
+		if gatherFull(active, col) != nil {
+			// Only a death the allgather did not see can lose a share
+			// here; the recovery round re-derives and agrees the loss.
+			return Result{}, false
+		}
+		single := surv.Split(surv.Rank(), 0)
+		fullSys := full.Clone()
+		fullSys.Unpack(fullU)
+		fineLevel := levelPlan(cfg)[0]
+		sys := levelSystem(single, cfg, fullSys, fineLevel.Theta, 0, nil)
+		in := sdc.NewIntegrator(sys, fineLevel.NNodes, fallbackSweeps)
+		uu := fullSys.PackNew()
+		remaining := nsteps - stepsDone
+		tn := t0 + float64(stepsDone)*dt
+		in.Integrate(tn, tn+float64(remaining)*dt, remaining, uu)
+		solver.RecordSerialSweeps(remaining * fallbackSweeps)
+		solver.RecordDegraded()
+		pres.U = uu
+		pres.FinalRanks = ptNew
+		fullSys.Unpack(uu)
+		bankEvals()
+		return Result{
+			Local:        fullSys,
+			SpatialIndex: 0,
+			TimeSlice:    slice,
+			SpatialRanks: 1,
+			Participated: true,
+			PFASST:       pres,
+			FineEvals:    fineEvals + sys.Evals,
+			CoarseEvals:  coarseEvals,
+		}, true
 	}
 
 	// The first "recovery" round is the initial decomposition (empty
@@ -571,16 +602,9 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				return Result{}, err
 			}
 			needRecovery = false
-			if psNew == 0 {
-				res, err, ok := runDegradedAll()
-				if !ok {
-					needRecovery = true
-					continue
-				}
-				return res, err
-			}
 		}
-		if stepsDone >= nsteps {
+		remaining := nsteps - stepsDone
+		if remaining <= 0 {
 			break
 		}
 
@@ -588,6 +612,15 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			if err := boundary(block); err != nil {
 				return Result{}, err
 			}
+		}
+
+		if remaining < ptNew {
+			res, ok := runDegradedAll()
+			if !ok {
+				needRecovery = true
+				continue
+			}
+			return res, nil
 		}
 
 		world.FaultPoint("block", stepsDone)
@@ -606,7 +639,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		}
 		switch world.Agree(v) {
 		case 2:
-			stepsDone += pt
+			stepsDone += ptNew
 			block++
 			gen++
 			retries = 0
@@ -615,12 +648,8 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				u = blockEnd
 				grd.CommitState(u, block)
 			}
-			if psNew < ps0 {
-				if solver != nil {
-					solver.RecordDegraded()
-				} else {
-					pres.DegradedBlocks++
-				}
+			if psNew < ps0 || ptNew < pt0 {
+				solver.RecordDegraded()
 			}
 			if rz.CheckpointDir != "" {
 				redo, err := commitCheckpoint()
@@ -636,11 +665,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			if aerr != nil {
 				lastAbort = aerr
 			}
-			if solver != nil {
-				solver.RecordRestart()
-			} else {
-				pres.BlockRestarts++
-			}
+			solver.RecordRestart()
 			needRecovery = true
 		default:
 			if aerr != nil {
@@ -651,7 +676,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	}
 
 	bankEvals()
-	pres.FinalRanks = pt
+	pres.FinalRanks = ptNew
 	if !active {
 		return Result{
 			SpatialIndex: -1,

@@ -4,24 +4,24 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // GridSolver owns the one block attempt (see attempt in pfasst.go) and
 // everything it accumulates into: the level hierarchy, the Result and
-// the telemetry handles. Three loops drive it:
+// the telemetry handles. Two loops drive it:
 //
 //	runLockstep            no resilience: blocking transport, the guard's
 //	                       spatial Agree is the only agreement
-//	runResilient           resilience at PS = 1: deadline transport, one
-//	                       agreement on the time communicator per block,
-//	                       which shrinks after a death
-//	core.runGridResilient  resilience at PS > 1, through BlockAttempt
+//	core.runGridResilient  resilience at any PS, through BlockAttempt:
+//	                       deadline transport, one world agreement per
+//	                       block, the grid shrinks after a death
 //
-// The third lives in internal/core because its commit-or-abort must be
-// agreed over the entire PS×PT grid — after a spatial rank dies, the
-// survivors re-decompose the particle state and rebuild every
-// communicator — and that belongs to the layer that owns the spatial
-// decomposition. The split of responsibilities there:
+// The second lives in internal/core because its commit-or-abort must be
+// agreed over the entire PS×PT grid — after a rank dies, the survivors
+// drop dead time slices, re-decompose the particle state and rebuild
+// every communicator — and that belongs to the layer that owns the
+// spatial decomposition. The split of responsibilities there:
 //
 //	core (runGridResilient)   grid-wide agreement, shrink, state
 //	                          redistribution, checkpoint orchestration,
@@ -103,7 +103,7 @@ func (s *GridSolver) RecordDegraded() {
 	s.pb.degraded.Inc()
 }
 
-// RecordShrink counts one communicator contraction after rank deaths.
+// RecordShrink counts one contraction of the grid after rank deaths.
 func (s *GridSolver) RecordShrink() { s.pb.shrinks.Inc() }
 
 // RecordSerialSweeps accounts fine-level SDC sweeps executed by the
@@ -111,4 +111,13 @@ func (s *GridSolver) RecordShrink() { s.pb.shrinks.Inc() }
 func (s *GridSolver) RecordSerialSweeps(n int) {
 	s.res.SweepsFine += n
 	s.pb.fineSweeps.Add(int64(n))
+}
+
+// NewRetiredSolver is the solver of a rank that holds no share of the
+// grid (retired after a spatial shrink): it has no levels and must not
+// run attempts, but the Record* methods keep accounting into res and
+// tel, so the driver counts restarts, shrinks and serial sweeps the
+// same way on every live rank.
+func NewRetiredSolver(tel *telemetry.Registry, res *Result) *GridSolver {
+	return &GridSolver{res: res, pb: newProbe(tel)}
 }

@@ -1,20 +1,19 @@
-package pfasst
+package pfasst_test
 
 import (
-	"encoding/binary"
 	"errors"
+	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/guard"
 	"repro/internal/mpi"
 	"repro/internal/ode"
+	. "repro/internal/pfasst"
 	"repro/internal/telemetry"
 )
 
@@ -204,45 +203,74 @@ func TestGuardedStickyAborts(t *testing.T) {
 // stays within the degraded tolerance of the clean run (extra SDC
 // sweeps from attempt 2 onward may perturb it below solver accuracy).
 // The ladder is the attempt's, so it climbs identically under the
-// lockstep loop and under the resilient one, where the guard verdict
+// lockstep loop (the oscillator on pfasst.Run) and under the resilient
+// one (the blob on core's grid loop, 4×1), where the guard verdict
 // folds into the block agreement and the retry budget is
 // MaxBlockRetries.
 func TestGuardedBlockRedoRecovers(t *testing.T) {
+	const p, nsteps = 4, 8
 	sys, exact := ode.Oscillator(1)
 	u0 := exact(0)
-	const p, nsteps = 4, 8
 	cfg := Config{Levels: twoLevel(sys), Iterations: 8, CoarseSweeps: 2}
-	want, _ := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
-	resilient := cfg
-	resilient.Resilience = Resilience{Enabled: true, RecvTimeout: 5 * time.Second, MaxBlockRetries: 8}
+	wantOsc, _ := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
+
+	grid := gridCfg(p)
+	grid.Iterations = 8
+	grid.Resilience.MaxBlockRetries = 8
+	clean, err := runGrid(grid, nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, row := range []struct {
-		name string
-		cfg  Config
-	}{{"lockstep", cfg}, {"resilient", resilient}} {
+		name  string
+		seeds int64
+		// Only exponent-raising flips are reliably visible to the
+		// max-abs scan on O(1) values; bit 62 turns any such value into
+		// ~1e300 or Inf. The rate is per word: 2 words per oscillator
+		// state, 288 per blob state.
+		flips string
+		want  []float64
+		// run returns the last rank's Result and the counters summed
+		// over the ranks.
+		run func(pol guard.Policy) (Result, telemetry.Snapshot, error)
+	}{
+		{"lockstep", 24, "rate=0.05,in=block,bits=62-62", wantOsc, func(pol guard.Policy) (Result, telemetry.Snapshot, error) {
+			reg := telemetry.New()
+			res, err := guardedResult(p, cfg, pol, reg, 2, nsteps, u0)
+			return res, reg.Snapshot(), err
+		}},
+		{"resilient", 8, "rate=1e-3,in=block,bits=62-62", clean[p-1].PFASST.U, func(pol guard.Policy) (Result, telemetry.Snapshot, error) {
+			gcfg := grid
+			gcfg.Guard = pol
+			ranks, err := runGrid(gcfg, nil, nsteps)
+			if err != nil {
+				return Result{}, telemetry.Snapshot{}, err
+			}
+			var sum telemetry.Snapshot
+			for _, r := range ranks {
+				sum.Merge(r.tel)
+			}
+			return ranks[p-1].PFASST, sum, nil
+		}},
+	} {
 		t.Run(row.name, func(t *testing.T) {
 			detTotal, redoTotal := int64(0), int64(0)
-			for seed := int64(0); seed < 24; seed++ {
-				// Only exponent-raising flips are reliably visible to the
-				// max-abs scan on O(1) oscillator values; bit 62 turns any
-				// such value into ~1e300 or Inf.
-				mem, err := fault.ParseMem("rate=0.05,in=block,bits=62-62", seed)
+			for seed := int64(0); seed < row.seeds; seed++ {
+				mem, err := fault.ParseMem(row.flips, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pol := guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8}
-				reg := telemetry.New()
-				got, err := guardedResult(p, row.cfg, pol, reg, 2, nsteps, u0)
+				got, s, err := row.run(guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				s := reg.Snapshot()
 				detTotal += s.Counters[guard.CounterDetected]
 				redoTotal += s.Counters[guard.CounterRedo]
-				if d := ode.MaxDiff(got.U, want); d > 1e-6 {
+				if d := ode.MaxDiff(got.U, row.want); d > 1e-6 {
 					t.Fatalf("seed %d: recovered run deviates %g from clean run", seed, d)
 				}
-				if s.Counters[guard.CounterRedo] == 0 && !bitwiseEq(got.U, want) {
+				if s.Counters[guard.CounterRedo] == 0 && !bitwiseEq(got.U, row.want) {
 					t.Fatalf("seed %d: no redo yet answer differs bitwise", seed)
 				}
 				if det, rec := s.Counters[guard.CounterDetected], s.Counters[guard.CounterRecovered]; det != rec {
@@ -265,74 +293,45 @@ func TestGuardedBlockRedoRecovers(t *testing.T) {
 	}
 }
 
-// sixDimSystem is a minimal ODE whose state has the particle layout
-// (6 floats = position + circulation of one particle), so the guard's
-// checkpoint invariants engage. The dynamics are frozen (f = 0): the
-// block-end invariant monitors assume conserved circulation/impulse,
-// which a dissipative toy system would genuinely violate.
-func sixDimSystem() ode.System {
-	return ode.FuncSystem{N: 6, Fn: func(t float64, u, f []float64) {
-		for i := range f {
-			f[i] = 0
-		}
-	}}
-}
-
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// writeGuardCheckpoint saves a v2 checkpoint carrying the guard's
-// invariant diagnostics for the given fine state.
-func writeGuardCheckpoint(t *testing.T, dir string, u []float64) string {
+// writeGuardCheckpoint commits a one-column grid checkpoint (2 of 4
+// steps done on two time ranks) that stores state u with the guard's
+// invariant diagnostics of state diagOf.
+func writeGuardCheckpoint(t *testing.T, dir string, u, diagOf []float64) {
 	t.Helper()
 	g := guard.New(guard.Policy{Enabled: true}, 0, nil)
-	st := &checkpoint.LevelState{
-		Block:     1,
-		StepsDone: 2,
-		TimeRanks: 2,
-		T:         1,
-		U:         [][]float64{append([]float64(nil), u...)},
-		Diag:      g.CheckpointDiag(u),
+	diag := g.CheckpointDiag(diagOf)
+	if len(diag) == 0 {
+		t.Fatal("CheckpointDiag returned no invariants for a packed particle state")
 	}
-	if len(st.Diag) == 0 {
-		t.Fatal("CheckpointDiag returned no invariants for a 6-float state")
-	}
-	path := filepath.Join(dir, "pfasst.nblv")
-	if err := checkpoint.SaveLevels(path, st); err != nil {
+	st := &checkpoint.LevelState{Block: 1, StepsDone: 2, TimeRanks: 2, T: 2 * blobDT, U: [][]float64{u}}
+	if err := checkpoint.SaveGridShard(dir, 0, st); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	if err := checkpoint.CommitGridManifest(dir, &checkpoint.GridState{
+		Block: 1, StepsDone: 2, TimeRanks: 2, SpaceRanks: 1, T: st.T, Dims: []int{len(u)}, Diag: diag,
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Satellite: -resume must reject a checkpoint whose body was corrupted
-// *after* the file checksum was computed (the flip keeps the CRC
-// valid), because the stored invariants no longer match the state.
+// *before* the file checksums were computed (every checksum of shard
+// and manifest is valid), because the stored invariants no longer
+// match the state.
 func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
-	sys := sixDimSystem()
-	u0 := []float64{0.3, -0.2, 0.5, 0.7, 0.4, -0.6}
-	const p, nsteps = 2, 4
+	u0 := blob().PackNew()
 	run := func(dir string) error {
-		cfg := Config{
-			Levels: twoLevel(sys), Iterations: 4, CoarseSweeps: 2,
-			Resilience: Resilience{Enabled: true, CheckpointDir: dir, Resume: true},
-		}
-		return mpi.Run(p, func(c *mpi.Comm) error {
-			cfg := cfg
-			cfg.Guard = guard.New(guard.Policy{Enabled: true}, c.Rank(), nil)
-			_, err := Run(c, cfg, 0, 2, nsteps, u0)
-			return err
-		})
+		cfg := gridCfg(2)
+		cfg.Guard = guard.Policy{Enabled: true}
+		cfg.Resilience.CheckpointDir = dir
+		cfg.Resilience.Resume = true
+		_, err := runGrid(cfg, nil, 4)
+		return err
 	}
 
 	t.Run("clean checkpoint resumes", func(t *testing.T) {
 		dir := t.TempDir()
-		writeGuardCheckpoint(t, dir, u0)
+		writeGuardCheckpoint(t, dir, u0, u0)
 		if err := run(dir); err != nil {
 			t.Fatalf("clean resume failed: %v", err)
 		}
@@ -340,24 +339,12 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 
 	t.Run("body flip past the CRC is rejected", func(t *testing.T) {
 		dir := t.TempDir()
-		path := writeGuardCheckpoint(t, dir, u0)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// First fine-state word sits after the 48-byte header and the
-		// 8-byte level dim. Flip its top mantissa bit (0.3 → ~0.425):
+		// Flip the top mantissa bit of the first circulation word:
 		// finite, plausible, but invariant-breaking.
-		const off = 48 + 8
-		w := binary.LittleEndian.Uint64(raw[off:])
-		binary.LittleEndian.PutUint64(raw[off:], w^(1<<51))
-		// Recompute the trailing FNV so the file-level checksum passes
-		// and only the guard's invariant check can catch the flip.
-		binary.LittleEndian.PutUint64(raw[len(raw)-8:], fnv64a(raw[:len(raw)-8]))
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err = run(dir)
+		flipped := append([]float64(nil), u0...)
+		flipped[3] = math.Float64frombits(math.Float64bits(flipped[3]) ^ (1 << 51))
+		writeGuardCheckpoint(t, dir, flipped, u0)
+		err := run(dir)
 		if err == nil {
 			t.Fatal("resume accepted a checkpoint with corrupted body")
 		}
@@ -375,12 +362,13 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 
 	t.Run("flip caught by file checksum is a typed error", func(t *testing.T) {
 		dir := t.TempDir()
-		path := writeGuardCheckpoint(t, dir, u0)
+		writeGuardCheckpoint(t, dir, u0, u0)
+		path := checkpoint.ShardPath(dir, 1, 0)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[60] ^= 0x10 // body flip, checksum left stale
+		raw[60] ^= 0x10 // body flip, checksums left stale
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -388,8 +376,8 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		if err == nil {
 			t.Fatal("resume accepted a checkpoint failing its checksum")
 		}
-		if !strings.Contains(err.Error(), "resume") {
-			t.Fatalf("corrupt-file error does not name the resume path: %v", err)
+		if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "resume") {
+			t.Fatalf("corrupt-file error is not typed or does not name the resume path: %v", err)
 		}
 	})
 }

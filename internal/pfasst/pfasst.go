@@ -63,8 +63,10 @@ type Config struct {
 	// convergence gauges, and predictor/iteration timings (see
 	// probe.go). Must be private to the rank.
 	Tel *telemetry.Registry
-	// Resilience selects the fault-tolerant time loop (see
-	// resilient.go). The zero value runs the lockstep loop.
+	// Resilience carries the fault-tolerance parameters (see
+	// resilient.go). BlockAttempt reads its receive deadline; Run is the
+	// lockstep loop and rejects Enabled — resilient runs go through
+	// core.RunSpaceTime, whose grid loop drives BlockAttempt.
 	Resilience Resilience
 	// Guard, when non-nil, runs the silent-data-corruption detectors
 	// and recovery ladder around every block attempt. Nil runs the
@@ -104,12 +106,13 @@ type Result struct {
 	IterationsRun []int
 	// BlockRestarts counts block attempts aborted and redone by the
 	// resilient path (crashes and transport losses); DegradedBlocks
-	// counts blocks executed at reduced parallelism (shrunken
-	// communicator or serial tail). Both stay zero on the plain path.
+	// counts blocks executed at reduced parallelism (shrunken grid or
+	// serial tail). Both stay zero on the plain path.
 	BlockRestarts  int
 	DegradedBlocks int
-	// FinalRanks is the surviving time-communicator size at the end of
-	// a resilient run (equal to the starting size when nothing died).
+	// FinalRanks is the live time width at the end of a resilient run:
+	// the number of time slices that still have a rank (equal to the
+	// starting PT when no slice died out).
 	FinalRanks int
 }
 
@@ -141,15 +144,13 @@ func Run(comm *mpi.Comm, cfg Config, t0, t1 float64, nsteps int, u0 []float64) (
 	if p := comm.Size(); nsteps%p != 0 {
 		return Result{}, fmt.Errorf("pfasst: nsteps %d not a multiple of ranks %d", nsteps, p)
 	}
+	if cfg.Resilience.Enabled {
+		return Result{}, fmt.Errorf("pfasst: Run is the lockstep loop; Resilience.Enabled needs core.RunSpaceTime")
+	}
 	if cfg.Tel != nil {
 		comm.AttachTelemetry(cfg.Tel)
 	}
-	if cfg.Resilience.Enabled {
-		err = s.runResilient(comm, t0, t1, nsteps, u0)
-	} else {
-		err = s.runLockstep(comm, t0, t1, nsteps, u0)
-	}
-	if err != nil {
+	if err := s.runLockstep(comm, t0, t1, nsteps, u0); err != nil {
 		return Result{}, err
 	}
 	return res, nil

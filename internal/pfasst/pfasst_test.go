@@ -1,4 +1,4 @@
-package pfasst
+package pfasst_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/ode"
+	. "repro/internal/pfasst"
 	"repro/internal/sdc"
 )
 
@@ -243,6 +244,7 @@ func TestRunValidation(t *testing.T) {
 			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}}, Iterations: 1},                        // 1 level
 			{Levels: twoLevel(sys), Iterations: 0},                                             // no iterations
 			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1}, // bad nodes
+			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{Enabled: true}},      // the resilient driver is core's
 		}
 		for i, cfg := range cases {
 			if _, err := Run(c, cfg, 0, 1, 2, []float64{1}); err == nil {

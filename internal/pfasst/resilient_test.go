@@ -1,4 +1,10 @@
-package pfasst
+package pfasst_test
+
+// The resilience contract of the block attempt — deadline link,
+// generation tags, typed aborts, committed-block records — tested
+// through the one driver that runs it: core.RunSpaceTime's grid loop
+// on a PT×1 grid of a small vortex blob. (The package is external
+// because internal/core imports pfasst.)
 
 import (
 	"errors"
@@ -7,38 +13,53 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/ode"
+	"repro/internal/particle"
+	. "repro/internal/pfasst"
+	"repro/internal/telemetry"
 )
 
-// runResilientPFASST runs a resilient solve under a fault plan and
-// returns each rank's Result (nil entries for ranks that died or
-// errored) plus the joined run error.
-func runResilientPFASST(t *testing.T, cfg Config, pol mpi.FaultPolicy, p int, t1 float64, nsteps int, u0 []float64) ([]*Result, error) {
-	t.Helper()
-	results := make([]*Result, p)
-	_, err := mpi.RunOpts(p, mpi.Options{Fault: pol}, func(c *mpi.Comm) error {
-		res, err := Run(c, cfg, 0, t1, nsteps, u0)
+// blob is the problem of every grid test here: 48 particles, advanced
+// 1/32 per step (a binary fraction, so a run resumed with more steps
+// derives bitwise the same dt).
+func blob() *particle.System { return particle.RandomVortexBlob(48, 0.2, 7) }
+
+const blobDT = 1.0 / 32
+
+// gridCfg is the resilient PT×1 configuration.
+func gridCfg(pt int) core.Config {
+	cfg := core.Default(pt, 1)
+	cfg.Resilience = Resilience{Enabled: true, RecvTimeout: 5 * time.Second}
+	return cfg
+}
+
+// gridRank is one world rank's outcome of a grid run.
+type gridRank struct {
+	core.Result
+	tel telemetry.Snapshot
+}
+
+// runGrid runs core.RunSpaceTime over nsteps steps of blobDT under a
+// fault plan, every rank on its own registry, and returns each rank's
+// outcome (nil entries for ranks that died or errored) plus the joined
+// run error.
+func runGrid(cfg core.Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
+	full := blob()
+	out := make([]*gridRank, cfg.PT*cfg.PS)
+	_, err := mpi.RunOpts(len(out), mpi.Options{Fault: pol}, func(w *mpi.Comm) error {
+		rcfg := cfg
+		rcfg.Tel = telemetry.New()
+		res, err := core.RunSpaceTime(w, rcfg, full, 0, float64(nsteps)*blobDT, nsteps)
 		if err != nil {
 			return err
 		}
-		results[c.Rank()] = &res
+		out[w.Rank()] = &gridRank{Result: res, tel: rcfg.Tel.Snapshot()}
 		return nil
 	})
-	return results, err
-}
-
-func resilientCfg(sys ode.System) Config {
-	return Config{
-		Levels:       twoLevel(sys),
-		Iterations:   8,
-		CoarseSweeps: 2,
-		Resilience: Resilience{
-			Enabled:     true,
-			RecvTimeout: 5 * time.Second,
-		},
-	}
+	return out, err
 }
 
 // TestResilientMatchesPlainWithoutFaults: with no fault plan, the
@@ -49,38 +70,37 @@ func resilientCfg(sys ode.System) Config {
 // allreduce (same early stop, same IterationsRun), the three-level row
 // covers the intermediate-level receives.
 func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
 	const p, nsteps = 4, 8
-	threeLevel := []LevelSpec{{Sys: sys, NNodes: 5}, {Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 2}}
+	threeLevel := []core.LevelTheta{{Theta: 0.3, NNodes: 5}, {Theta: 0.45, NNodes: 3}, {Theta: 0.6, NNodes: 2}}
 
 	for _, tc := range []struct {
 		name   string
-		levels []LevelSpec
+		levels []core.LevelTheta
 		tol    float64
 	}{
-		{"fixed", twoLevel(sys), 0},
-		{"tol", twoLevel(sys), 1e-6},
+		{"fixed", nil, 0},
+		{"tol", nil, 1e-7},
 		{"three-level", threeLevel, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := resilientCfg(sys)
+			cfg := gridCfg(p)
+			cfg.Iterations = 8
 			cfg.Levels, cfg.Tol = tc.levels, tc.tol
 			plainCfg := cfg
 			plainCfg.Resilience = Resilience{}
-			want, err := runResilientPFASST(t, plainCfg, nil, p, 2, nsteps, u0)
+			want, err := runGrid(plainCfg, nil, nsteps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runResilientPFASST(t, cfg, nil, p, 2, nsteps, u0)
+			got, err := runGrid(cfg, nil, nsteps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r := range got {
-				w, g := want[r], got[r]
-				if w == nil || g == nil {
+				if want[r] == nil || got[r] == nil {
 					t.Fatalf("rank %d returned no result", r)
 				}
+				w, g := want[r].PFASST, got[r].PFASST
 				if tc.tol > 0 && w.IterationsRun[0] >= cfg.Iterations {
 					t.Fatalf("rank %d: Tol %g never stopped a block early: %v", r, tc.tol, w.IterationsRun)
 				}
@@ -96,6 +116,9 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 				if g.BlockRestarts != 0 || g.DegradedBlocks != 0 || g.FinalRanks != p {
 					t.Fatalf("rank %d: fault-free run reported faults: %+v", r, g)
 				}
+				if n := got[r].tel.Counters[CounterShrinks]; n != 0 {
+					t.Fatalf("rank %d: fault-free run counted %d shrinks", r, n)
+				}
 			}
 		})
 	}
@@ -107,12 +130,10 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 // bitwise identical to the fault-free run — only virtual time and the
 // fault counters may differ.
 func TestTransientChaosBitwiseIdentical(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
 	const p, nsteps = 4, 8
-	cfg := resilientCfg(sys)
+	cfg := gridCfg(p)
 
-	clean, err := runResilientPFASST(t, cfg, nil, p, 2, nsteps, u0)
+	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,113 +141,116 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := runResilientPFASST(t, cfg, plan, p, 2, nsteps, u0)
+	chaos, err := runGrid(cfg, plan, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The plain (non-resilient) path must absorb the same plan too.
+	plainCfg := cfg
+	plainCfg.Resilience = Resilience{}
+	plain, err := runGrid(plainCfg, plan, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := range clean {
-		for i := range clean[r].U {
-			if clean[r].U[i] != chaos[r].U[i] {
-				t.Fatalf("rank %d: transient chaos changed U[%d]: %g vs %g", r, i, chaos[r].U[i], clean[r].U[i])
-			}
+		if !bitwiseEq(chaos[r].PFASST.U, clean[r].PFASST.U) {
+			t.Fatalf("rank %d: transient chaos changed U", r)
 		}
-	}
-	// The plain (non-resilient) path must absorb the same plan too.
-	plainCfg := Config{Levels: twoLevel(sys), Iterations: 8, CoarseSweeps: 2}
-	var plainU []float64
-	_, err = mpi.RunOpts(p, mpi.Options{Fault: plan}, func(c *mpi.Comm) error {
-		res, err := Run(c, plainCfg, 0, 2, nsteps, u0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			plainU = res.U
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plainU {
-		if plainU[i] != clean[0].U[i] {
-			t.Fatalf("plain path under transient chaos diverged at U[%d]", i)
+		if !bitwiseEq(plain[r].PFASST.U, clean[r].PFASST.U) {
+			t.Fatalf("rank %d: plain path under transient chaos diverged", r)
 		}
 	}
 }
 
-// TestCrashRecoveryCompletesDegraded kills one time rank mid-block and
-// requires the survivors to finish: shrink to p−1, redo the block from
-// its consistent start state, and absorb the tail serially — with the
-// final answer still within tolerance of the exact solution.
-func TestCrashRecoveryCompletesDegraded(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
-	const p, nsteps = 4, 8
-	cfg := resilientCfg(sys)
-
-	plan, err := fault.Parse("crash=1@iter:1", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := runResilientPFASST(t, cfg, plan, p, 2, nsteps, u0)
-	if !errors.Is(err, mpi.ErrInjectedCrash) {
-		t.Fatalf("run error should be the injected crash, got %v", err)
-	}
-	if results[1] != nil {
+// checkShrunkTo3 asserts the accounting of a 4×1 run that lost one
+// rank: the survivors finish 3 wide, each counted one shrink, and
+// pfasst.fine_sweeps includes the serial tail's sweeps (the counter
+// and the Result are fed by the same Record* calls).
+func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
+	t.Helper()
+	if results[dead] != nil {
 		t.Fatal("crashed rank produced a result")
 	}
-	var first *Result
+	var first *gridRank
 	for r, res := range results {
-		if r == 1 {
+		if r == dead {
 			continue
 		}
 		if res == nil {
 			t.Fatalf("survivor rank %d has no result", r)
 		}
-		if res.FinalRanks != p-1 {
-			t.Fatalf("rank %d: FinalRanks = %d, want %d", r, res.FinalRanks, p-1)
+		pr := res.PFASST
+		if pr.FinalRanks != 3 {
+			t.Fatalf("rank %d: FinalRanks = %d, want 3", r, pr.FinalRanks)
 		}
-		if res.BlockRestarts < 1 {
-			t.Fatalf("rank %d: no block restart recorded", r)
+		if pr.BlockRestarts < 1 || pr.DegradedBlocks < 1 {
+			t.Fatalf("rank %d: %d restarts, %d degraded blocks recorded", r, pr.BlockRestarts, pr.DegradedBlocks)
 		}
-		if res.DegradedBlocks < 1 {
-			t.Fatalf("rank %d: no degraded block recorded", r)
+		if n := res.tel.Counters[CounterShrinks]; n != 1 {
+			t.Fatalf("rank %d: %s = %d, want 1", r, CounterShrinks, n)
+		}
+		if n := res.tel.Counters[CounterFineSweeps]; n != int64(pr.SweepsFine) {
+			t.Fatalf("rank %d: %s = %d but Result.SweepsFine = %d", r, CounterFineSweeps, n, pr.SweepsFine)
 		}
 		if first == nil {
 			first = res
-			continue
-		}
-		for i := range first.U {
-			if res.U[i] != first.U[i] {
-				t.Fatalf("survivors disagree on U[%d]", i)
-			}
+		} else if !bitwiseEq(res.PFASST.U, first.PFASST.U) {
+			t.Fatalf("survivors 0 and %d disagree on U", r)
 		}
 	}
-	if d := ode.MaxDiff(first.U, exact(2)); d > 1e-5 {
-		t.Fatalf("degraded-mode error %g exceeds tolerance", d)
+	return first
+}
+
+// TestCrashRecoveryCompletesDegraded kills one time rank mid-block and
+// requires the survivors to finish: drop the dead slice, redo the block
+// 3 wide from its consistent start state, and absorb the 2-step tail
+// serially — with the final answer still within tolerance of the
+// fault-free run.
+func TestCrashRecoveryCompletesDegraded(t *testing.T) {
+	const p, nsteps = 4, 8
+	cfg := gridCfg(p)
+	clean, err := runGrid(cfg, nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.Parse("crash=1@iter:1", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := runGrid(cfg, plan, nsteps)
+	if !errors.Is(err, mpi.ErrInjectedCrash) {
+		t.Fatalf("run error should be the injected crash, got %v", err)
+	}
+	first := checkShrunkTo3(t, 1, results)
+	// Two committed 3-step blocks, then a 2-step serial tail at the
+	// default 8 sweeps per step on every survivor.
+	if pr := first.PFASST; len(pr.Residuals) != 2 || pr.SweepsFine < 2*3+2*DefaultFallbackSweeps {
+		t.Fatalf("%d block records, %d fine sweeps: not two blocks + a serial tail", len(pr.Residuals), pr.SweepsFine)
+	}
+	if d := ode.MaxDiff(first.PFASST.U, clean[0].PFASST.U); d > 1e-4 {
+		t.Fatalf("degraded-mode deviation %g exceeds tolerance", d)
 	}
 }
 
 func TestCrashAtBlockBoundary(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
 	const p, nsteps = 4, 8
-	cfg := resilientCfg(sys)
-
+	cfg := gridCfg(p)
+	clean, err := runGrid(cfg, nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Rank 3 (the broadcast root) dies right before the second block.
 	plan, err := fault.Parse("crash=3@block:4", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := runResilientPFASST(t, cfg, plan, p, 2, nsteps, u0)
+	results, err := runGrid(cfg, plan, nsteps)
 	if !errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("want injected crash in run error, got %v", err)
 	}
-	if results[0] == nil || results[0].FinalRanks != 3 {
-		t.Fatalf("survivors did not shrink to 3: %+v", results[0])
-	}
-	if d := ode.MaxDiff(results[0].U, exact(2)); d > 1e-5 {
-		t.Fatalf("degraded-mode error %g", d)
+	first := checkShrunkTo3(t, 3, results)
+	if d := ode.MaxDiff(first.PFASST.U, clean[0].PFASST.U); d > 1e-4 {
+		t.Fatalf("degraded-mode deviation %g", d)
 	}
 }
 
@@ -235,9 +259,10 @@ func TestCrashAtBlockBoundary(t *testing.T) {
 type lossPlan struct{ hits *int }
 
 func (l lossPlan) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerdict {
-	// Target the first resilient-path payload from rank 0 to rank 1 in
-	// generation 0 (tags below resTagBase are collectives/setup).
-	if src == 0 && dst == 1 && tag >= resTagBase && tag < resTagBase+resGenSpan && *l.hits == 0 {
+	// Target the first pipelined payload from rank 0 to rank 1: on a
+	// PT×1 grid the block attempt's are the only user-tagged (≥ 0)
+	// messages between different ranks; collectives tag negative.
+	if src == 0 && dst == 1 && tag >= 0 && *l.hits == 0 {
 		*l.hits++
 		return mpi.FaultVerdict{Injected: true, Lost: true}
 	}
@@ -247,18 +272,16 @@ func (l lossPlan) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerd
 func (l lossPlan) CrashAt(rank int, phase string, epoch int) bool { return false }
 
 func TestHardLossRetriesBlockBitwise(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
 	const p, nsteps = 4, 8
-	cfg := resilientCfg(sys)
+	cfg := gridCfg(p)
 	cfg.Resilience.RecvTimeout = 150 * time.Millisecond
 
-	clean, err := runResilientPFASST(t, cfg, nil, p, 2, nsteps, u0)
+	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
-	lossy, err := runResilientPFASST(t, cfg, lossPlan{hits: &hits}, p, 2, nsteps, u0)
+	lossy, err := runGrid(cfg, lossPlan{hits: &hits}, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,65 +289,65 @@ func TestHardLossRetriesBlockBitwise(t *testing.T) {
 		t.Fatalf("loss plan fired %d times", hits)
 	}
 	for r := range clean {
-		if lossy[r].BlockRestarts < 1 {
-			t.Fatalf("rank %d: hard loss did not restart the block", r)
+		l := lossy[r].PFASST
+		if l.BlockRestarts != 1 || l.FinalRanks != p {
+			t.Fatalf("rank %d: one hard loss gave %d restarts, final width %d", r, l.BlockRestarts, l.FinalRanks)
 		}
 		// A rejected attempt leaves no per-block record behind, even on
 		// a rank whose own part of it finished (rank 0 only sends).
-		if l := lossy[r]; len(l.Residuals) != nsteps/p || len(l.IterDiffs) != nsteps/p || len(l.IterationsRun) != nsteps/p {
+		if len(l.Residuals) != nsteps/p || len(l.IterDiffs) != nsteps/p || len(l.IterationsRun) != nsteps/p {
 			t.Fatalf("rank %d: %d/%d/%d block records for %d committed blocks",
 				r, len(l.Residuals), len(l.IterDiffs), len(l.IterationsRun), nsteps/p)
 		}
-		for i := range clean[r].U {
-			if clean[r].U[i] != lossy[r].U[i] {
-				t.Fatalf("rank %d: retried run diverged at U[%d]", r, i)
-			}
+		if !bitwiseEq(l.U, clean[r].PFASST.U) {
+			t.Fatalf("rank %d: retried run diverged", r)
 		}
 	}
 }
 
-// TestLeakCorruptionTypedFailure: when every payload arrives torn, the
-// checked decoders must surface typed errors and the run must give up
-// after the retry budget — an error return on every rank, never a
-// panic or a hang.
+// TestLeakCorruptionTypedFailure: when every pipelined payload arrives
+// torn, the checked decoders must surface typed errors and the run
+// must give up after the retry budget — an error return on every rank,
+// never a panic or a hang.
 func TestLeakCorruptionTypedFailure(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
-	cfg := resilientCfg(sys)
+	cfg := gridCfg(4)
 	cfg.Resilience.RecvTimeout = 200 * time.Millisecond
 	cfg.Resilience.MaxBlockRetries = 2
 
-	plan, err := fault.Parse("corrupt=1:leak", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runResilientPFASST(t, cfg, plan, 4, 2, 8, u0)
+	_, err := runGrid(cfg, tornPipeline{}, 8)
 	if err == nil {
 		t.Fatal("universally torn payloads reported success")
 	}
 	if errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("no crash was planned: %v", err)
 	}
-	if !strings.Contains(err.Error(), "failed") {
-		t.Fatalf("error does not mention exhausted retries: %v", err)
+	if !errors.Is(err, ErrBlockAbort) || !strings.Contains(err.Error(), "failed 3 attempts") {
+		t.Fatalf("error is not the typed, exhausted-retries abort: %v", err)
 	}
 }
+
+// tornPipeline is fault.Parse("corrupt=1:leak") narrowed to the block
+// attempt's messages (user tags): the setup collectives of the grid
+// decode unchecked by design, the pipelined receives must not.
+type tornPipeline struct{}
+
+func (tornPipeline) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerdict {
+	return mpi.FaultVerdict{Injected: tag >= 0, CorruptTruncate: tag >= 0}
+}
+
+func (tornPipeline) CrashAt(rank int, phase string, epoch int) bool { return false }
 
 // TestCheckpointResumeBitwise: a run that resumes from a mid-run block
 // checkpoint must land on bitwise the same answer as the uninterrupted
 // run, and resuming from a completed checkpoint must return instantly
 // with the stored state.
 func TestCheckpointResumeBitwise(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
 	const p = 4
-	dir := t.TempDir()
-
-	cfg := resilientCfg(sys)
-	cfg.Resilience.CheckpointDir = dir
+	cfg := gridCfg(p)
+	cfg.Resilience.CheckpointDir = t.TempDir()
 
 	// Uninterrupted 12-step reference, writing checkpoints as it goes.
-	full, err := runResilientPFASST(t, cfg, nil, p, 3, 12, u0)
+	full, err := runGrid(cfg, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,35 +355,33 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	// The final checkpoint records all 12 steps: a resume runs zero
 	// blocks and must return the stored state verbatim.
 	cfg.Resilience.Resume = true
-	resumed, err := runResilientPFASST(t, cfg, nil, p, 3, 12, u0)
+	resumed, err := runGrid(cfg, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range full[0].U {
-		if resumed[0].U[i] != full[0].U[i] {
-			t.Fatalf("completed-checkpoint resume changed U[%d]", i)
-		}
+	if !bitwiseEq(resumed[0].PFASST.U, full[0].PFASST.U) || len(resumed[0].PFASST.Residuals) != 0 {
+		t.Fatalf("completed-checkpoint resume changed U or ran %d blocks", len(resumed[0].PFASST.Residuals))
 	}
 
-	// Now simulate an interruption: rewrite the checkpoint to the
-	// 8-step state (2 of 3 blocks), resume, and require the final
-	// answer to match the uninterrupted run bitwise.
-	dir2 := t.TempDir()
-	cfg8 := resilientCfg(sys)
-	cfg8.Resilience.CheckpointDir = dir2
-	// 8 steps at the same dt: t1 = 2 of the 12-step run over [0,3].
-	if _, err := runResilientPFASST(t, cfg8, nil, p, 2, 8, u0); err != nil {
+	// Now an interruption: run 8 steps (2 of 3 blocks) into a fresh
+	// directory, resume to 12, and require the final answer to match
+	// the uninterrupted run bitwise.
+	cfg8 := gridCfg(p)
+	cfg8.Resilience.CheckpointDir = t.TempDir()
+	if _, err := runGrid(cfg8, nil, 8); err != nil {
 		t.Fatal(err)
 	}
 	cfg8.Resilience.Resume = true
-	cont, err := runResilientPFASST(t, cfg8, nil, p, 3, 12, u0)
+	cont, err := runGrid(cfg8, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range full[0].U {
-		if cont[0].U[i] != full[0].U[i] {
-			t.Fatalf("resumed run diverged from uninterrupted run at U[%d]", i)
+	for r := range cont {
+		if !bitwiseEq(cont[r].PFASST.U, full[r].PFASST.U) {
+			t.Fatalf("rank %d: resumed run diverged from the uninterrupted run", r)
 		}
 	}
-	_ = exact
+	if n := len(cont[0].PFASST.Residuals); n != 1 {
+		t.Fatalf("resumed run executed %d blocks, want 1", n)
+	}
 }

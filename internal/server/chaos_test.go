@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/fault"
 )
 
@@ -66,24 +69,59 @@ func TestChaosMidJobCancelTyped(t *testing.T) {
 }
 
 // TestChaosCheckpointCorruptFailsTyped: the first attempt crashes,
-// the chaos plan then flips a byte in the block checkpoint, and the
-// retry's resume must fail with ErrCheckpointCorrupt — never a silent
-// restart from scratch.
+// the chaos plan then flips a byte in the block checkpoint's manifest
+// (grid.nblm, the one layout at every PS), and the retry's resume must
+// fail with ErrCheckpointCorrupt — never a silent restart from
+// scratch.
 func TestChaosCheckpointCorruptFailsTyped(t *testing.T) {
-	d := newTestDaemon(t, t.TempDir(), func(c *Config) {
-		c.Chaos = chaosPlan(t, "crash=1,corrupt=1")
-	})
+	for _, ps := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ps=%d", ps), func(t *testing.T) {
+			d := newTestDaemon(t, t.TempDir(), func(c *Config) {
+				c.Chaos = chaosPlan(t, "crash=1,corrupt=1")
+			})
+			defer d.Close()
+			spec := testSpec("alice", 45)
+			spec.PS = ps
+			id, err := d.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := d.WaitJob(id, 60*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateFailed || !strings.Contains(st.Error, "checkpoint corrupt") {
+				t.Fatalf("corrupt resume: state %q err %q", st.State, st.Error)
+			}
+		})
+	}
+}
+
+// TestStaleSingleFileCheckpointIgnored: daemons before the one-layout
+// change kept a PS = 1 job's checkpoint in ckpt/pfasst.nblv. A job
+// directory holding only that file has no grid manifest, so the resume
+// finds no checkpoint: the job reruns from t0 and finishes with the
+// clean state hash — the stale file is neither read nor an error.
+func TestStaleSingleFileCheckpointIgnored(t *testing.T) {
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir, nil)
 	defer d.Close()
-	id, err := d.Submit(testSpec("alice", 45))
-	if err != nil {
+	spec := testSpec("alice", 50)
+	ckpt := filepath.Join(d.jobDir(0), "ckpt")
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.WaitJob(id, 60*time.Second)
-	if err != nil {
+	stale := &checkpoint.LevelState{Block: 2, StepsDone: 4, TimeRanks: 2, T: 0.125, U: [][]float64{make([]float64, 6*spec.System.N)}}
+	if err := checkpoint.SaveLevels(filepath.Join(ckpt, "pfasst.nblv"), stale); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateFailed || !strings.Contains(st.Error, "checkpoint corrupt") {
-		t.Fatalf("corrupt resume: state %q err %q", st.State, st.Error)
+	ids := submitAll(t, d, []*JobSpec{spec})
+	if ids[0] != 0 {
+		t.Fatalf("first job of a fresh daemon got id %d, the stale file sits under job 0", ids[0])
+	}
+	hashes := waitAllDone(t, d, ids)
+	if want := fmt.Sprintf("%016x", cleanHash(t, spec)); hashes[0] != want {
+		t.Fatalf("job hash %s with a stale pfasst.nblv present, clean run %s", hashes[0], want)
 	}
 }
 

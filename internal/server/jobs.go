@@ -217,15 +217,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // corruptCheckpoint flips one byte in the middle of the job's block
-// checkpoint (the NBLV state at PS = 1, the NBLM manifest at PS > 1) —
-// the chaos plan's bit-rot injection. Returns false when there is no
-// checkpoint to damage yet.
-func corruptCheckpoint(ckptDir string, ps int) bool {
-	name := "pfasst.nblv"
-	if ps > 1 {
-		name = "grid.nblm"
-	}
-	path := filepath.Join(ckptDir, name)
+// checkpoint manifest — the chaos plan's bit-rot injection. Returns
+// false when there is no checkpoint to damage yet.
+func corruptCheckpoint(ckptDir string) bool {
+	path := checkpoint.ManifestPath(ckptDir)
 	data, err := os.ReadFile(path)
 	if err != nil || len(data) == 0 {
 		return false
@@ -334,7 +329,7 @@ func (d *Daemon) runJob(j *job) {
 				return
 			}
 			if d.cfg.Chaos.CorruptCheckpoint(j.seq, attempt+1) {
-				corruptCheckpoint(ckptDir, spec.PS)
+				corruptCheckpoint(ckptDir)
 			}
 			continue
 		default:

@@ -96,6 +96,46 @@ func TestFacadeCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestFacadeCrashContinuesNarrower: losing one of four time ranks
+// costs one slice of parallelism, not all of it. After crash=1@iter:1
+// the three survivors redo block 0 three steps wide, run a second
+// 3-step block and absorb the 2-step tail serially — the counters must
+// show exactly that shape, not an all-serial remainder (which would be
+// 8 steps × 8 sweeps on every survivor and no committed block).
+// FinalRanks = 3 is asserted where pfasst.Result is visible
+// (internal/pfasst's TestCrashRecoveryCompletesDegraded).
+func TestFacadeCrashContinuesNarrower(t *testing.T) {
+	sys := RandomBlob(48, 0.2, 7)
+	cfg := chaosConfig(4, 1)
+	cfg.Resilience.FaultPlan = "crash=1@iter:1"
+	cfg.Telemetry = true
+	_, stats, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatalf("crash was not survived: %v", err)
+	}
+	const survivors, blocks, tail = 3, 2, 2
+	for _, want := range []struct {
+		counter string
+		n       int64
+	}{
+		{"pfasst.blocks", survivors * blocks},
+		{"pfasst.shrinks", survivors},
+		{"pfasst.block_restarts", survivors},
+		{"fault.degraded_blocks", survivors * (blocks + 1)},
+	} {
+		if got := stats.Run.Counter(want.counter); got != want.n {
+			t.Errorf("%s = %d, want %d", want.counter, got, want.n)
+		}
+	}
+	// Per survivor: 2 iterations + the trailing sweep per committed
+	// block, 8 fallback sweeps per tail step, and at most one aborted
+	// 4-wide attempt's worth on top.
+	committed := int64(survivors * (blocks*3 + tail*8))
+	if got := stats.Run.Counter("pfasst.fine_sweeps"); got < committed || got > committed+survivors*3 {
+		t.Errorf("pfasst.fine_sweeps = %d, want %d plus at most %d from the aborted attempt", got, committed, survivors*3)
+	}
+}
+
 func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	sys := RandomBlob(16, 0.2, 7)
 	// Crash plan without the resilient loop: refuse, don't hang.
@@ -127,10 +167,10 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	}
 }
 
-// TestFacadeCancelAtBlockBoundary drives cancellation through every
-// block loop: the lockstep loop (plain and guarded), the PS = 1
-// time-shrink loop and the grid loop (alone and with the guard) all
-// call the one block-boundary callback, so an OnBlock hook that cancels
+// TestFacadeCancelAtBlockBoundary drives cancellation through both
+// block loops: the lockstep loop (plain and guarded) and the grid loop
+// (at PS = 1 and PS = 2, alone and with the guard) call the one
+// block-boundary callback, so an OnBlock hook that cancels
 // the context at block 1 must stop each of them at exactly that
 // boundary — typed, on every rank, having reported blocks 0 and 1 once
 // each — and, where a checkpoint covers the committed state, a resumed

@@ -24,7 +24,7 @@ import (
 // configuration names a combination the solver does not (yet) support.
 // The two historical cases — crash recovery with PS > 1, and the guard
 // layer combined with resilient time stepping at PS > 1 — are both
-// supported since the grid-resilient loop landed (DESIGN.md §12), so
+// supported since the grid-resilient loop landed (DESIGN.md §11), so
 // the solver currently accepts every well-formed configuration; the
 // sentinel is kept for callers that probe capabilities with
 // errors.Is(err, nbody.ErrUnsupported) and for future rejections.
@@ -34,9 +34,9 @@ var ErrUnsupported = errors.New("nbody: unsupported configuration")
 // when the context is canceled (or its deadline expires) the run stops
 // at the next PFASST block boundary and returns an error wrapping this
 // sentinel — match with errors.Is. Cancellation never abandons a
-// half-advanced block: the committed block-start state (and its
-// checkpoint, when Resilience.CheckpointDir is set) remains a
-// consistent resume point.
+// half-advanced block: the committed block-start state (and its grid
+// checkpoint, when Resilience.CheckpointDir is set — the same layout
+// at every PS) remains a consistent resume point.
 var ErrCanceled = pfasst.ErrCanceled
 
 // RunStats is a merged telemetry snapshot of a run: counters summed
@@ -161,12 +161,12 @@ type GuardConfig struct {
 type ResilienceConfig struct {
 	// Enabled turns on resilient time stepping (deadline receives,
 	// block agreement commits, shrink-and-redo crash recovery,
-	// serial-SDC degraded fallback). At PS = 1 recovery shrinks the
-	// time communicator; at PS > 1 the full-grid protocol shrinks both
-	// communicator families and re-decomposes the particle state onto
-	// the surviving spatial width (DESIGN.md §12). Fault injection
-	// without Enabled exercises the plain solver, which absorbs
-	// transient plans but dies on crashes.
+	// serial-SDC degraded fallback). One protocol at every PS: a time
+	// slice that died out is dropped and the run continues PT − 1 wide,
+	// a thinned slice narrows the spatial width and the particle state
+	// is re-decomposed onto it (DESIGN.md §11). Fault injection without
+	// Enabled exercises the plain solver, which absorbs transient plans
+	// but dies on crashes.
 	Enabled bool
 	// FaultPlan is a fault.Parse spec ("drop=0.05,crash=1@iter:1", see
 	// internal/fault); empty injects nothing.
@@ -176,20 +176,21 @@ type ResilienceConfig struct {
 	// RecvTimeout bounds every pipelined receive (0 = default).
 	RecvTimeout time.Duration
 	// CheckpointDir persists committed block state for crash-safe
-	// restarts; Resume continues from the checkpoint found there. At
-	// PS = 1 this is a single NBLV file; at PS > 1 it is a directory of
-	// per-column shards under one checksummed manifest, restorable onto
-	// a run with a DIFFERENT PS (resume and shrink-recovery share the
-	// re-decomposition path).
+	// restarts; Resume continues from the checkpoint found there: a
+	// directory of per-column NBLV shards (one at PS = 1) under one
+	// checksummed manifest, grid.nblm, restorable onto a run with a
+	// DIFFERENT PT×PS (resume and shrink-recovery share the
+	// re-decomposition path). A directory without a manifest is "no
+	// checkpoint" — including one that holds only the single NBLV file
+	// PS = 1 runs wrote before the layouts were merged.
 	CheckpointDir string
 	Resume        bool
 	// FallbackSweeps is the serial-SDC sweep count of the degraded
 	// tail (0 = default).
 	FallbackSweeps int
 	// MaxBlockRetries bounds consecutive redo attempts of one block
-	// that make no progress — at PS = 1, attempts without a
-	// communicator shrink; at PS > 1, recovery rounds without a newly
-	// agreed rank death (0 = default).
+	// that make no progress: recovery rounds without a newly agreed
+	// rank death (0 = default).
 	MaxBlockRetries int
 }
 
@@ -278,9 +279,8 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 			return nil, SpaceTimeStats{}, err
 		}
 		if !plan.Transient() && !rz.Enabled {
-			// A crash can only be survived by the resilient loops: the
-			// PS=1 time-shrink loop, or the full-grid recovery protocol
-			// at PS>1 (spatial shrink + re-decomposition).
+			// A crash can only be survived by the resilient loop (the
+			// grid recovery protocol: shrink + re-decomposition).
 			return nil, SpaceTimeStats{}, fmt.Errorf("nbody: fault plan %q injects a crash; set Resilience.Enabled", rz.FaultPlan)
 		}
 	}
