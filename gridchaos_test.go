@@ -246,7 +246,7 @@ func TestFacadeGridSliceLossContinuesNarrower(t *testing.T) {
 		t.Errorf("%s = %d: a whole-slice loss must not narrow the spatial width", core.CounterRecoveryRetired, got)
 	}
 	if got := stats.Run.Counter(pfasst.CounterBlocks); got != survivors*2 {
-		t.Errorf("pfasst.blocks = %d, want %d survivors × 2 three-step blocks", got, survivors)
+		t.Errorf("pfasst.blocks = %d, want %d (each survivor's 2 three-step blocks)", got, survivors*2)
 	}
 	if got := stats.Run.Counter(pfasst.CounterShrinks); got != survivors {
 		t.Errorf("pfasst.shrinks = %d, want one per survivor", got)

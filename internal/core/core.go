@@ -292,9 +292,6 @@ func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 flo
 		return Result{}, fmt.Errorf("core: world has %d ranks, config wants PT×PS = %d×%d",
 			world.Size(), cfg.PT, cfg.PS)
 	}
-	if nsteps%cfg.PT != 0 {
-		return Result{}, fmt.Errorf("core: nsteps %d not a multiple of PT %d", nsteps, cfg.PT)
-	}
 	if cfg.Resilience.Enabled {
 		return runGridResilient(world, cfg, full, t0, t1, nsteps)
 	}

@@ -42,7 +42,9 @@ package core
 // the world-level deadlock detector. Guard corruption verdicts do NOT
 // revoke: the time block completed, so every rank reaches the world
 // agreement on its own, and that agreement's minimum is what makes a
-// rank-local verdict uniform.
+// rank-local verdict uniform. A recovery round that fails on a torn
+// collective block (mpi.ErrTornPayload) revokes the survivor
+// communicator for the same reason and is retried from a fresh one.
 
 import (
 	"errors"
@@ -80,6 +82,9 @@ const (
 // runGridResilient is the fault-tolerant space-time loop, at any PS.
 // Every world rank calls it with identical arguments.
 func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
+	if nsteps%cfg.PT != 0 {
+		return Result{}, fmt.Errorf("core: nsteps %d not a multiple of PT %d", nsteps, cfg.PT)
+	}
 	// At PS > 1 the grid path forces single-threaded tree traversals:
 	// comm-failure panics must only ever unwind rank-main goroutines, and
 	// the hybrid traversal's service goroutines would turn one into a
@@ -129,7 +134,6 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		oldPS     int   // partition width of the committed state; 0 = undistributed
 		psNew     int   // current active spatial width
 		ptNew     int   // current time width: slices with a live rank = steps per block
-		firstLive int   // lowest live slice: time rank 0, the checkpoint writers
 		retries   int   // consecutive retries without a new death
 		lastAbort error // cause of the most recent aborted attempt (per-rank)
 		prevDead  = -1  // size of the last agreed dead set; -1 = none yet
@@ -218,10 +222,8 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			msg[0], msg[1] = 1, float64(heldCol)
 			msg = append(msg, u...)
 		}
-		all := surv.Allgather(mpi.Float64sToBytes(msg))
 		shares := make([][]float64, oldPS)
-		for _, raw := range all {
-			x := mpi.BytesToFloat64s(raw)
+		for _, x := range surv.AllgatherFloat64s(msg) {
 			if len(x) >= 2 && x[0] > 0.5 {
 				if j := int(x[1]); j >= 0 && j < oldPS && shares[j] == nil {
 					shares[j] = x[2:]
@@ -296,7 +298,11 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 						if !ok {
 							panic(p)
 						}
-						rerr = cerr
+						// A torn payload fails only the ranks that decode
+						// it: wake the peers still inside this round's
+						// collectives, as attemptOnce does.
+						surv.Revoke()
+						rerr, lastAbort = cerr, cerr
 					}
 				}()
 
@@ -323,12 +329,9 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					}
 				}
 				ptNew, psNew = 0, 0
-				for s, lv := range liveOf {
+				for _, lv := range liveOf {
 					if len(lv) == 0 {
 						continue
-					}
-					if ptNew == 0 {
-						firstLive = s
 					}
 					if ptNew == 0 || len(lv) < psNew {
 						psNew = len(lv)
@@ -386,8 +389,8 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				solver = nil
 				if active {
 					local = hot.BlockPartition(full, col, psNew)
-					lo := 6 * (n * col / psNew)
-					u = append([]float64(nil), fullU[lo:lo+local.StateLen()]...)
+					lo, hi := hot.BlockRange(n, col, psNew)
+					u = append([]float64(nil), fullU[6*lo:6*hi]...)
 					local.Unpack(u)
 					var pcfg pfasst.Config
 					pcfg, fineSys, coarseSys = levelSolver(spaceComm, cfg, local, grd)
@@ -484,7 +487,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					werr = cerr
 				}
 			}()
-			if !active || slice != firstLive {
+			if !active || timeComm.Rank() != 0 {
 				return nil
 			}
 			st := &checkpoint.LevelState{
@@ -500,6 +503,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 			// The Allgather doubles as the shard barrier: each column
 			// contributes only after its own shard is durable, so when
 			// column 0 has every share, every shard is on disk.
+			//lint:ignore collective the members of a spatial communicator share one time slice, so the time-rank guard above is uniform across it
 			all := spaceComm.Allgather(mpi.Float64sToBytes(u))
 			if col != 0 {
 				return nil

@@ -178,13 +178,18 @@ func New(comm *mpi.Comm, cfg Config) *Solver {
 	return s
 }
 
+// BlockRange returns the particle range [lo, hi) of rank's contiguous
+// share of n particles split size ways: the one partition formula, for
+// callers that slice packed state or reassemble the full system.
+func BlockRange(n, rank, size int) (lo, hi int) {
+	return n * rank / size, n * (rank + 1) / size
+}
+
 // BlockPartition returns rank's contiguous share of the full system;
 // it is how callers establish the initial (integrator-visible)
 // ownership.
 func BlockPartition(full *particle.System, rank, size int) *particle.System {
-	n := full.N()
-	lo := n * rank / size
-	hi := n * (rank + 1) / size
+	lo, hi := BlockRange(full.N(), rank, size)
 	out := &particle.System{Sigma: full.Sigma, Particles: make([]particle.Particle, hi-lo)}
 	copy(out.Particles, full.Particles[lo:hi])
 	return out

@@ -115,6 +115,22 @@ func (c *Comm) RecvFloat64s(src, tag int) []float64 {
 	return BytesToFloat64s(raw)
 }
 
+// AllgatherFloat64s is Allgather over float64 slices through the
+// checked decoder: a torn block raises an ErrTornPayload comm failure
+// instead of the unchecked decoder's panic.
+func (c *Comm) AllgatherFloat64s(x []float64) [][]float64 {
+	all := c.Allgather(Float64sToBytes(x))
+	out := make([][]float64, len(all))
+	for r, raw := range all {
+		v, err := BytesToFloat64sChecked(raw)
+		if err != nil {
+			panic(c.tornPayload("Allgather", r, len(raw)))
+		}
+		out[r] = v
+	}
+	return out
+}
+
 // SendInt64s sends an int64 slice.
 func (c *Comm) SendInt64s(dst, tag int, x []int64) {
 	c.Send(dst, tag, Int64sToBytes(x))

@@ -828,7 +828,8 @@ func (c *Comm) AllreduceInt64(x []int64, op Op) []int64 {
 // call Split. This is how the PT×PS grid of Fig. 2 is built: one split
 // by time-slice color yields the spatial (PEPC) communicators, one
 // split by intra-slice index yields the temporal (PFASST)
-// communicators.
+// communicators. A torn membership block (leak-mode corruption) raises
+// an ErrTornPayload comm failure.
 func (c *Comm) Split(color, key int) *Comm {
 	c.splitsRun++
 	// Exchange (color, key, worldRank) via Allgather.
@@ -837,7 +838,10 @@ func (c *Comm) Split(color, key int) *Comm {
 	type member struct{ color, key, rank, wrank int }
 	var group []member
 	for r, raw := range all {
-		v := BytesToInt64s(raw)
+		v, err := BytesToInt64sChecked(raw)
+		if err != nil || len(v) != 3 {
+			panic(c.tornPayload("Split", r, len(raw)))
+		}
 		if int(v[0]) == color {
 			group = append(group, member{int(v[0]), int(v[1]), r, int(v[2])})
 		}

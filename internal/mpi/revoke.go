@@ -30,15 +30,28 @@ import (
 // errors.Is.
 var ErrRevoked = errors.New("mpi: communicator revoked")
 
-// commFailure is the panic value of fail-fast and revocation failures:
-// a typed wrapper so recovery code can distinguish transport failures
-// (recoverable — abort the block attempt, agree, shrink) from genuine
-// bugs (which must keep crashing the rank). It implements error so an
-// uncaught comm failure still surfaces cleanly from Run.
+// ErrTornPayload is the comm failure of the collectives that decode
+// their own traffic (Split, AllgatherFloat64s) when a block arrives
+// torn (leak-mode corruption): the exchange completed, its content is
+// unusable, and a recovery loop retries it like any transport failure.
+var ErrTornPayload = errors.New("mpi: torn collective payload")
+
+// commFailure is the panic value of fail-fast, revocation and
+// torn-payload failures: a typed wrapper so recovery code can
+// distinguish transport failures (recoverable — abort the block
+// attempt, agree, shrink) from genuine bugs (which must keep crashing
+// the rank). It implements error so an uncaught comm failure still
+// surfaces cleanly from Run.
 type commFailure struct{ err error }
 
 func (f commFailure) Error() string { return f.err.Error() }
 func (f commFailure) Unwrap() error { return f.err }
+
+// tornPayload is the comm failure of collective op over a block of
+// member rank r that arrived with an undecodable length.
+func (c *Comm) tornPayload(op string, r, size int) commFailure {
+	return commFailure{fmt.Errorf("%w (%s block of rank %d: %d bytes, %s)", ErrTornPayload, op, r, size, c.describe())}
+}
 
 // AsCommFailure reports whether a recovered panic value is a
 // comm-failure (fail-fast dead member or revoked communicator) and

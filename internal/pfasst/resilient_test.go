@@ -305,30 +305,59 @@ func TestHardLossRetriesBlockBitwise(t *testing.T) {
 	}
 }
 
-// TestLeakCorruptionTypedFailure: when every pipelined payload arrives
-// torn, the checked decoders must surface typed errors and the run
-// must give up after the retry budget — an error return on every rank,
-// never a panic or a hang.
+// TestLeakCorruptionTypedFailure: when every payload arrives torn, the
+// checked decoders must surface typed errors and the run must give up
+// after the retry budget — an error return on every rank, never a
+// panic or a hang. Under the universal plan the recovery round's own
+// collectives are torn first (the Split's membership blocks); the
+// pipeline-only row lets the grid form and tears what the block
+// attempt receives.
 func TestLeakCorruptionTypedFailure(t *testing.T) {
-	cfg := gridCfg(4)
-	cfg.Resilience.RecvTimeout = 200 * time.Millisecond
-	cfg.Resilience.MaxBlockRetries = 2
+	everything, err := fault.Parse("corrupt=1:leak", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := gridCfg(2)
+	wide.PS = 2
+	for _, row := range []struct {
+		name  string
+		cfg   core.Config
+		pol   mpi.FaultPolicy
+		cause error
+	}{
+		{"every message", gridCfg(4), everything, mpi.ErrTornPayload},
+		{"every message 2x2", wide, everything, mpi.ErrTornPayload},
+		{"pipeline only", gridCfg(4), tornPipeline{}, ErrBlockAbort},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.Resilience.RecvTimeout = 200 * time.Millisecond
+			cfg.Resilience.MaxBlockRetries = 2
 
-	_, err := runGrid(cfg, tornPipeline{}, 8)
-	if err == nil {
-		t.Fatal("universally torn payloads reported success")
-	}
-	if errors.Is(err, mpi.ErrInjectedCrash) {
-		t.Fatalf("no crash was planned: %v", err)
-	}
-	if !errors.Is(err, ErrBlockAbort) || !strings.Contains(err.Error(), "failed 3 attempts") {
-		t.Fatalf("error is not the typed, exhausted-retries abort: %v", err)
+			ranks, err := runGrid(cfg, row.pol, 8)
+			if err == nil {
+				t.Fatal("universally torn payloads reported success")
+			}
+			for r, res := range ranks {
+				if res != nil {
+					t.Fatalf("rank %d returned a result", r)
+				}
+			}
+			if errors.Is(err, mpi.ErrInjectedCrash) {
+				t.Fatalf("no crash was planned: %v", err)
+			}
+			if strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("a rank panicked instead of returning an error: %v", err)
+			}
+			if !errors.Is(err, row.cause) || !strings.Contains(err.Error(), "failed 3 attempts") {
+				t.Fatalf("error is not the typed, exhausted-retries failure: %v", err)
+			}
+		})
 	}
 }
 
 // tornPipeline is fault.Parse("corrupt=1:leak") narrowed to the block
-// attempt's messages (user tags): the setup collectives of the grid
-// decode unchecked by design, the pipelined receives must not.
+// attempt's messages (user tags; collectives tag negative).
 type tornPipeline struct{}
 
 func (tornPipeline) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerdict {
@@ -336,6 +365,50 @@ func (tornPipeline) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVe
 }
 
 func (tornPipeline) CrashAt(rank int, phase string, epoch int) bool { return false }
+
+// tornOnce tears the first collective message from rank 0 to rank 1:
+// the membership block of the initial decomposition's first Split.
+type tornOnce struct{ hits *int }
+
+func (p tornOnce) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerdict {
+	if src == 0 && dst == 1 && tag < 0 && *p.hits == 0 {
+		*p.hits++
+		return mpi.FaultVerdict{Injected: true, CorruptTruncate: true}
+	}
+	return mpi.FaultVerdict{}
+}
+
+func (tornOnce) CrashAt(rank int, phase string, epoch int) bool { return false }
+
+// TestTornCollectiveRetriesRecoveryRound: one torn membership block
+// fails the Split on the ranks the ring carries it to and on no other;
+// they must wake the rank that decoded cleanly (it is already inside
+// the next collective), and one more recovery round must finish the
+// run bitwise identical to the fault-free one, with no block restart.
+func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
+	const p, nsteps = 4, 8
+	cfg := gridCfg(p)
+	clean, err := runGrid(cfg, nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	torn, err := runGrid(cfg, tornOnce{hits: &hits}, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != 1 {
+		t.Fatalf("torn plan fired %d times", hits)
+	}
+	for r := range clean {
+		if n := torn[r].tel.Counters[core.CounterRecoveryRounds]; n != 2 {
+			t.Fatalf("rank %d: %d recovery rounds, want the torn one and its retry", r, n)
+		}
+		if pr := torn[r].PFASST; pr.BlockRestarts != 0 || pr.FinalRanks != p || !bitwiseEq(pr.U, clean[r].PFASST.U) {
+			t.Fatalf("rank %d: %d restarts, final width %d, or U diverged", r, pr.BlockRestarts, pr.FinalRanks)
+		}
+	}
+}
 
 // TestCheckpointResumeBitwise: a run that resumes from a mid-run block
 // checkpoint must land on bitwise the same answer as the uninterrupted

@@ -354,8 +354,7 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		// after a shrink hold no share; the decomposition is indexed by
 		// the FINAL spatial width, which recovery may have reduced.
 		if res.Participated && (res.TimeSlice == cfg.PT-1 || rz.Enabled) {
-			n := sys.N()
-			lo := n * res.SpatialIndex / res.SpatialRanks
+			lo, _ := hot.BlockRange(sys.N(), res.SpatialIndex, res.SpatialRanks)
 			copy(out.Particles[lo:lo+res.Local.N()], res.Local.Particles)
 			if res.SpatialIndex == 0 && res.TimeSlice > statsSlice {
 				statsSlice = res.TimeSlice
@@ -471,11 +470,8 @@ func RunSpaceParallelInstrumented(ps int, theta float64, sweeps int, modeled, in
 		if instrument {
 			rcfg.Tel = telemetry.New()
 		}
-		n := sys.N()
-		lo := n * w.Rank() / ps
-		hi := n * (w.Rank() + 1) / ps
-		local := &particle.System{Sigma: sys.Sigma,
-			Particles: append([]particle.Particle(nil), sys.Particles[lo:hi]...)}
+		lo, hi := hot.BlockRange(sys.N(), w.Rank(), ps)
+		local := hot.BlockPartition(sys, w.Rank(), ps)
 		if _, err := core.RunSpaceSerialSDC(w, rcfg, local, t0, t1, nsteps, 3, sweeps); err != nil {
 			return err
 		}
