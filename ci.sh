@@ -7,21 +7,17 @@ set -eux
 
 go vet ./...
 
-# Lint lane: the repo's own invariant analyzers — the syntactic rules
-# (determinism, zero-cost hooks, error contracts, float comparisons,
-# metric names) plus the v2 CFG+dataflow rules (locksafe, collective,
-# allocfree, taintdet). The run against an EMPTY baseline pins the
-# strictest possible gate: the tree carries zero unsuppressed findings,
-# so any new finding is a hard failure and a stale baseline can never
-# excuse a regression. The -json snapshot is kept and re-checked at the
-# end of the script: the report must be byte-identical no matter what
-# ran in between — the lint verdict may not depend on lane order or
-# prior test runs.
+# Lint lane: the repo's own invariant analyzers, the five rules with a
+# recorded in-tree catch — determinism and hookcost (syntactic),
+# locksafe, collective and allocfree (CFG + dataflow + call graph) —
+# plus the driver's directive check (a //lint:ignore that names no
+# rule or suppresses nothing is a finding). Exit status 1 on any
+# finding is the gate: the tree carries zero unsuppressed findings.
+# The -json snapshot is kept and re-checked at the end of the script:
+# the report must be byte-identical no matter what ran in between —
+# the lint verdict may not depend on lane order or prior test runs.
+go run ./cmd/nbodylint ./...
 lint_snapshot=$(mktemp)
-lint_baseline=$(mktemp)
-echo '[]' >"$lint_baseline"
-go run ./cmd/nbodylint -baseline "$lint_baseline" ./...
-rm -f "$lint_baseline"
 go run ./cmd/nbodylint -json ./... >"$lint_snapshot"
 
 # Every library package must carry a package doc comment (godoc
@@ -144,13 +140,12 @@ grep -ohE 'go run \./cmd/experiments[^`]*' SCALING.md README.md EXPERIMENTS.md P
 done
 
 # Lint-infrastructure fuzz smoke: the ignore-directive parser (a
-# malformed directive must suppress nothing), the -json emitters (the
-# v1 array and the engine-versioned report: always valid JSON, never a
-# panic, findings never null), and the v2 CFG builder (any parseable
+# malformed directive must suppress nothing), the -json emitter (the
+# engine-versioned report: always valid JSON, never a panic, findings
+# never null), and the v2 CFG builder (any parseable
 # function body: no panic, every statement in exactly one block,
 # Preds mirror Succs).
 go test -run '^$' -fuzz FuzzParseIgnoreDirective -fuzztime 10s ./internal/analysis/
-go test -run '^$' -fuzz FuzzEmitJSON -fuzztime 10s ./internal/analysis/
 go test -run '^$' -fuzz FuzzEmitJSONReport -fuzztime 10s ./internal/analysis/
 go test -run '^$' -fuzz FuzzCFGBuild -fuzztime 10s ./internal/analysis/
 

@@ -13,7 +13,6 @@
 //	experiments -balance -exp phases              # work-weighted domain decomposition
 //	experiments -list           # validate -fig/-exp and list the known names, run nothing
 //	experiments -traversal recursive -exp phases  # per-particle walk instead of interaction lists
-//	experiments -stealgrain 4 -exp phases         # work-stealing chunk size (leaf groups)
 //	experiments -threads 4 -exp phases            # hybrid per-rank worker pool (steals visible)
 //	experiments -csv out/       # additionally write CSV files
 //	experiments -json out/      # write telemetry snapshots as JSON
@@ -42,7 +41,6 @@ func main() {
 		fig        = flag.String("fig", "", "figure to regenerate: 1, 5, 7a, 7b, 8 (empty = all)")
 		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, fig5-xt")
 		traversal  = flag.String("traversal", "", `tree traversal mode: "list" (default) or "recursive"`)
-		stealGrain = flag.Int("stealgrain", 0, "work-stealing chunk size in leaf groups (0 = automatic)")
 		threads    = flag.Int("threads", 0, "traversal worker goroutines per rank (>1 = hybrid scheduler; phases experiment)")
 		branch     = flag.String("branch", "", `branch exchange mode: "ring" (default) or "batched" (phases experiment)`)
 		balance    = flag.Bool("balance", false, "work-weighted domain decomposition (phases experiment)")
@@ -175,7 +173,6 @@ func main() {
 	if want("phases") || all {
 		pcfg := experiments.DefaultPhases()
 		pcfg.Traversal = trav
-		pcfg.StealGrain = *stealGrain
 		pcfg.Threads = *threads
 		pcfg.Branch = brm
 		pcfg.Balance = *balance

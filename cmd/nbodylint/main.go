@@ -1,30 +1,27 @@
 // Command nbodylint is the repo's own static-analysis gate: a
 // vet-style driver (internal/analysis, stdlib-only) enforcing the
 // invariants the reproduction's headline claims rest on — bitwise
-// determinism in numeric packages (syntactic and dataflow forms),
-// zero-cost disabled hooks, the errors.Is/%w error contract,
-// float-comparison hygiene, the telemetry naming convention, and the
-// v2 flow-sensitive rules: lock release on all paths, rank-uniform
-// collective placement, and the zero-alloc steady-state contract.
+// determinism in numeric packages, zero-cost disabled hooks, lock
+// release on all paths, rank-uniform collective placement, and the
+// zero-alloc steady-state contract.
 //
 // Usage:
 //
-//	go run ./cmd/nbodylint [-json] [-rules name,name] [-list]
-//	                       [-baseline file [-write-baseline]] ./...
+//	go run ./cmd/nbodylint [-json] [-rules name,name] [-list] ./...
 //
 // Findings print as file:line:col: rule: message, sorted, and the
 // exit status is 1 when any finding survives suppression. Suppress a
 // single line with "//lint:ignore <rule> <reason>" on the offending
-// line or the line directly above it. -json emits a deterministic
-// report object {"engine": <version>, "findings": [...]} whose
-// findings array is never null; -rules restricts the run to a
-// comma-separated subset of rules; -list prints the rule set.
-// -baseline compares the findings against a known-findings snapshot
-// (only new findings fail the gate); with -write-baseline the current
-// findings are written to the snapshot instead. See DESIGN.md §13.
+// line or the line directly above it; a directive that names no
+// registered rule or suppresses nothing is itself a finding. -json
+// emits a deterministic report object {"engine": <version>,
+// "findings": [...]} whose findings array is never null; -rules
+// restricts the run to a comma-separated subset of rules; -list
+// prints the rule set. See DESIGN.md §13.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -33,65 +30,27 @@ import (
 )
 
 func main() {
-	jsonOut := false
-	listRules := false
-	writeBaseline := false
-	rulesSpec := ""
-	baselinePath := ""
-	var patterns []string
-	args := os.Args[1:]
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		switch {
-		case arg == "-json" || arg == "--json":
-			jsonOut = true
-		case arg == "-list" || arg == "--list":
-			listRules = true
-		case arg == "-write-baseline" || arg == "--write-baseline":
-			writeBaseline = true
-		case arg == "-rules" || arg == "--rules":
-			i++
-			if i >= len(args) {
-				fmt.Fprintln(os.Stderr, "nbodylint: -rules needs a comma-separated rule list")
-				os.Exit(2)
-			}
-			rulesSpec = args[i]
-		case strings.HasPrefix(arg, "-rules="), strings.HasPrefix(arg, "--rules="):
-			rulesSpec = arg[strings.Index(arg, "=")+1:]
-		case arg == "-baseline" || arg == "--baseline":
-			i++
-			if i >= len(args) {
-				fmt.Fprintln(os.Stderr, "nbodylint: -baseline needs a snapshot file path")
-				os.Exit(2)
-			}
-			baselinePath = args[i]
-		case strings.HasPrefix(arg, "-baseline="), strings.HasPrefix(arg, "--baseline="):
-			baselinePath = arg[strings.Index(arg, "=")+1:]
-		case arg == "-h" || arg == "-help" || arg == "--help":
-			fmt.Fprintln(os.Stderr, "usage: nbodylint [-json] [-rules name,name] [-list] [-baseline file [-write-baseline]] <packages>  (e.g. ./...)")
-			return
-		default:
-			patterns = append(patterns, arg)
-		}
+	jsonOut := flag.Bool("json", false, "emit the engine-versioned JSON report")
+	listRules := flag.Bool("list", false, "print the rule set and exit")
+	rulesSpec := flag.String("rules", "", "comma-separated subset of rules to run")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: nbodylint [-json] [-rules name,name] [-list] <packages>  (e.g. ./...)")
 	}
-	if listRules {
-		for _, a := range analysis.Analyzers() {
+	flag.Parse()
+	analyzers := analysis.Analyzers()
+	if *listRules {
+		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-	if writeBaseline && baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "nbodylint: -write-baseline requires -baseline <file>")
-		os.Exit(2)
-	}
-	analyzers := analysis.Analyzers()
-	if rulesSpec != "" {
+	if *rulesSpec != "" {
 		byName := make(map[string]*analysis.Analyzer, len(analyzers))
 		for _, a := range analyzers {
 			byName[a.Name] = a
 		}
 		analyzers = analyzers[:0]
-		for _, name := range strings.Split(rulesSpec, ",") {
+		for _, name := range strings.Split(*rulesSpec, ",") {
 			name = strings.TrimSpace(name)
 			a, ok := byName[name]
 			if !ok {
@@ -101,6 +60,7 @@ func main() {
 			analyzers = append(analyzers, a)
 		}
 	}
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -109,38 +69,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nbodylint:", err)
 		os.Exit(2)
 	}
-	if baselinePath != "" {
-		root, err := analysis.ModuleRoot(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nbodylint:", err)
-			os.Exit(2)
-		}
-		if writeBaseline {
-			f, err := os.Create(baselinePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nbodylint:", err)
-				os.Exit(2)
-			}
-			if err := analysis.WriteBaseline(f, root, diags); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "nbodylint:", err)
-				os.Exit(2)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nbodylint:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "nbodylint: wrote baseline with %d finding(s) to %s\n", len(diags), baselinePath)
-			return
-		}
-		base, err := analysis.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nbodylint:", err)
-			os.Exit(2)
-		}
-		diags = analysis.SubtractBaseline(root, diags, base)
-	}
-	if jsonOut {
+	if *jsonOut {
 		if err := analysis.EmitJSONReport(os.Stdout, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "nbodylint:", err)
 			os.Exit(2)
@@ -151,7 +80,7 @@ func main() {
 		}
 	}
 	if len(diags) > 0 {
-		if !jsonOut {
+		if !*jsonOut {
 			fmt.Fprintf(os.Stderr, "nbodylint: %d finding(s)\n", len(diags))
 		}
 		os.Exit(1)

@@ -2,10 +2,10 @@
 // that machine-checks the repository's cross-cutting invariants: the
 // bitwise-determinism contract of the numeric packages, the
 // zero-cost-when-disabled contract of the telemetry/guard/fault hooks,
-// the errors.Is/%w error-wrapping contract the recovery ladder depends
-// on, floating-point comparison hygiene, and the telemetry
-// counter-naming convention. Everything is built on go/ast, go/parser
-// and go/types with the source importer — no external dependencies.
+// lock release on every path, rank-uniform collective placement, and
+// the zero-alloc steady-state hot path. Everything is built on go/ast,
+// go/parser and go/types with the source importer — no external
+// dependencies.
 //
 // Diagnostics are reported deterministically (sorted by file, line,
 // column, rule, message) and can be suppressed per line with a
@@ -14,8 +14,9 @@
 //
 // directive placed on the offending line or the line directly above
 // it. A directive without a reason is malformed and suppresses
-// nothing. See DESIGN.md §13 for the rule catalogue and the
-// suppression policy.
+// nothing; a well-formed one that names no registered rule or
+// suppresses no finding is itself reported. See DESIGN.md §13 for the
+// rule catalogue and the suppression policy.
 package analysis
 
 import (
@@ -79,8 +80,16 @@ type Pass struct {
 	// that happen to share a name (time.Timer) are not misclassified.
 	ModulePath string
 
-	suppress map[suppKey]bool
-	diags    *[]Diagnostic
+	*reporter
+}
+
+// reporter is the one finding sink of a run, shared by every Pass and
+// the ModulePass: the suppression index over all loaded units and the
+// findings that survived it.
+type reporter struct {
+	fset     *token.FileSet
+	suppress map[suppKey]*directive
+	diags    []Diagnostic
 }
 
 type suppKey struct {
@@ -90,18 +99,24 @@ type suppKey struct {
 }
 
 // Reportf records a finding unless a //lint:ignore directive for the
-// rule covers its line.
-func (p *Pass) Reportf(pos token.Pos, rule, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.suppress[suppKey{file: position.Filename, line: position.Line, rule: rule}] {
+// rule covers its line; a directive that does is marked used.
+func (r *reporter) Reportf(pos token.Pos, rule, format string, args ...any) {
+	position := r.fset.Position(pos)
+	if d := r.suppress[suppKey{file: position.Filename, line: position.Line, rule: rule}]; d != nil {
+		d.used = true
 		return
 	}
-	*p.diags = append(*p.diags, Diagnostic{
+	r.add(position, rule, fmt.Sprintf(format, args...))
+}
+
+// add records a finding past the suppression index.
+func (r *reporter) add(position token.Position, rule, message string) {
+	r.diags = append(r.diags, Diagnostic{
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
 		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
+		Message: message,
 	})
 }
 
@@ -114,9 +129,9 @@ func (p *Pass) isTestFile(pos token.Pos) bool {
 // EngineVersion identifies the analysis engine generation in the
 // -json report: v1 was the intraprocedural AST matcher, v2 added the
 // CFG + dataflow engine (cfg.go, dataflow.go, callgraph.go) and the
-// flow-sensitive rules. Bump on changes that can alter the finding
-// set so baseline snapshots can be invalidated knowingly.
-const EngineVersion = "2.0.0"
+// flow-sensitive rules, 2.1 cut the rule set to five and added the
+// directive check. Bump on changes that can alter the finding set.
+const EngineVersion = "2.1.0"
 
 // Analyzer is one named rule: a documentation string and a Run
 // function that inspects a Pass and reports findings. Rules that need
@@ -138,106 +153,61 @@ type ModulePass struct {
 	Units []*Unit
 	Graph *CallGraph
 
-	suppress map[suppKey]bool
-	diags    *[]Diagnostic
+	*reporter
 }
 
-// Reportf records a finding unless a //lint:ignore directive for the
-// rule covers its line.
-func (p *ModulePass) Reportf(pos token.Pos, rule, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.suppress[suppKey{file: position.Filename, line: position.Line, rule: rule}] {
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzers returns the full rule set in deterministic (name) order.
+// Analyzers returns the full rule set in deterministic (name) order:
+// the rules with a recorded in-tree true positive (DESIGN.md §13).
 func Analyzers() []*Analyzer {
-	as := []*Analyzer{
-		AnalyzerCounterName,
+	return []*Analyzer{
+		AnalyzerAllocFree,
+		AnalyzerCollective,
 		AnalyzerDeterminism,
-		AnalyzerErrWrap,
-		AnalyzerFloatEq,
 		AnalyzerHookCost,
 		AnalyzerLockSafe,
-		AnalyzerCollective,
-		AnalyzerAllocFree,
-		AnalyzerTaintDet,
 	}
-	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
-	return as
 }
 
-// RunAnalyzers applies the unit-level analyzers to one unit and
-// returns the sorted, suppression-filtered findings. Module-level
-// rules in the set are skipped — use RunUnits for those.
-func RunAnalyzers(u *Unit, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	pass := &Pass{
-		Fset:       u.Fset,
-		Files:      u.Files,
-		Pkg:        u.Pkg,
-		Info:       u.Info,
-		NilSafe:    u.NilSafe,
-		ModulePath: u.ModulePath,
-		suppress:   collectSuppressions(u.Fset, u.Files),
-		diags:      &diags,
-	}
-	for _, a := range analyzers {
-		if a.Run != nil {
-			a.Run(pass)
-		}
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
-// RunUnits applies the full analyzer set to a coherent set of units:
+// RunUnits applies the analyzers to a coherent set of units:
 // unit-level rules per unit, then module-level rules once over the
-// whole set with the call graph built across it. This is the entry
+// whole set with the call graph built across it, then the directive
+// check over every //lint:ignore the units carry. This is the entry
 // point both the CLI driver and the golden-fixture runner use.
 func RunUnits(units []*Unit, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, u := range units {
-		diags = append(diags, RunAnalyzers(u, analyzers)...)
+	if len(units) == 0 {
+		return nil
 	}
+	suppress, directives := collectSuppressions(units)
+	r := &reporter{fset: units[0].Fset, suppress: suppress}
 	needModule := false
 	for _, a := range analyzers {
 		if a.RunModule != nil {
 			needModule = true
+			continue
+		}
+		for _, u := range units {
+			a.Run(&Pass{
+				Fset:       u.Fset,
+				Files:      u.Files,
+				Pkg:        u.Pkg,
+				Info:       u.Info,
+				NilSafe:    u.NilSafe,
+				ModulePath: u.ModulePath,
+				reporter:   r,
+			})
 		}
 	}
-	if needModule && len(units) > 0 {
-		suppress := make(map[suppKey]bool)
-		for _, u := range units {
-			for k, v := range collectSuppressions(u.Fset, u.Files) {
-				if v {
-					suppress[k] = true
-				}
-			}
-		}
-		mp := &ModulePass{
-			Fset:     units[0].Fset,
-			Units:    units,
-			Graph:    BuildCallGraph(units),
-			suppress: suppress,
-			diags:    &diags,
-		}
+	if needModule {
+		mp := &ModulePass{Fset: r.fset, Units: units, Graph: BuildCallGraph(units), reporter: r}
 		for _, a := range analyzers {
 			if a.RunModule != nil {
 				a.RunModule(mp)
 			}
 		}
 	}
-	sortDiagnostics(diags)
-	return diags
+	reportStaleDirectives(r, directives, analyzers)
+	sortDiagnostics(r.diags)
+	return r.diags
 }
 
 // inspectWithStack walks the subtree like ast.Inspect but hands the
@@ -260,8 +230,7 @@ func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool)
 	})
 }
 
-// errorType is the predeclared error interface, used to classify
-// sentinel operands and fmt.Errorf arguments.
+// errorType is the predeclared error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // implementsError reports whether t implements the error interface.

@@ -1,7 +1,7 @@
 package analysis
 
 // callgraph.go builds the module-scoped call graph the module-level
-// analyzers (allocfree, taintdet) traverse. Functions are keyed by
+// analyzer (allocfree) traverses. Functions are keyed by
 // string symbols ("pkgpath.Func" / "pkgpath.Recv.Method") rather than
 // *types.Func identity: the loader type-checks a package once as an
 // analysis unit and again (library files only) when it is imported by

@@ -2,7 +2,7 @@ package analysis
 
 // cfg.go builds per-function control-flow graphs from the plain
 // go/ast, the foundation of the v2 flow-sensitive analyzers
-// (locksafe, collective, allocfree, taintdet). The builder is purely
+// (locksafe, collective, allocfree). The builder is purely
 // syntactic — it never consults type information — so it can run on
 // anything the parser accepts (see FuzzCFGBuild) and never panics.
 //

@@ -22,7 +22,7 @@ import (
 // a condition —
 //
 //   - Comm.Rank / Comm.WorldRank (per-rank identity),
-//   - Comm.Recv* / Comm.TryRecv / Comm.Now (per-rank message timing
+//   - Comm.Recv* / Comm.Now (per-rank message timing
 //     and per-rank clocks),
 //   - time.Now and global math/rand draws,
 //   - channel receives, select statements (arrival order), and
@@ -55,8 +55,8 @@ var collectiveMethods = map[string]bool{
 // rank by construction.
 var rankVariantMethods = map[string]bool{
 	"Rank": true, "WorldRank": true, "Now": true,
-	"Recv": true, "RecvDeadline": true, "TryRecv": true,
-	"RecvFloat64s": true, "RecvFloat64sDeadline": true, "RecvInt64s": true,
+	"Recv": true, "RecvDeadline": true,
+	"RecvFloat64s": true, "RecvFloat64sDeadline": true,
 	"RecvService": true,
 }
 

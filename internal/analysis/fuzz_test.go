@@ -19,10 +19,10 @@ import (
 // prefix — so no fuzzer-invented comment can silently suppress a
 // finding.
 func FuzzParseIgnoreDirective(f *testing.F) {
-	f.Add("//lint:ignore floateq exact zero is a flag")
+	f.Add("//lint:ignore hookcost guarded by the caller")
 	f.Add("//lint:ignore determinism")
-	f.Add("// lint:ignore floateq spaced out")
-	f.Add("//lint:ignorefloateq glued")
+	f.Add("// lint:ignore hookcost spaced out")
+	f.Add("//lint:ignorehookcost glued")
 	f.Add("//lint:ignore  rule  multi word reason")
 	f.Add("/*lint:ignore rule reason*/")
 	f.Add("//nolint:everything")
@@ -44,47 +44,6 @@ func FuzzParseIgnoreDirective(f *testing.F) {
 		}
 		if !strings.HasPrefix(text, "//lint:ignore") {
 			t.Fatalf("accepted %q without the canonical prefix", text)
-		}
-	})
-}
-
-// FuzzEmitJSON asserts the -json emitter's contract on arbitrary
-// diagnostic content: it never panics, always produces a valid JSON
-// array (never null), and the decoded array round-trips the input
-// values in the deterministic sorted order.
-func FuzzEmitJSON(f *testing.F) {
-	f.Add("b.go", 3, 1, "floateq", "msg")
-	f.Add("a.go", 7, 2, "determinism", "uniçode \"quotes\" <html> \x00")
-	f.Add("", 0, 0, "", "")
-	f.Add("z.go", -1, -1, "hookcost", strings.Repeat("x", 4096))
-	f.Fuzz(func(t *testing.T, file string, line, col int, rule, msg string) {
-		ds := []Diagnostic{
-			{File: file, Line: line, Col: col, Rule: rule, Message: msg},
-			{File: "zz.go", Line: 1, Col: 1, Rule: "errwrap", Message: "fixed"},
-		}
-		var buf bytes.Buffer
-		if err := EmitJSON(&buf, ds); err != nil {
-			t.Fatalf("EmitJSON error: %v", err)
-		}
-		var back []Diagnostic
-		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-			t.Fatalf("emitted JSON does not parse: %v\n%s", err, buf.Bytes())
-		}
-		if len(back) != len(ds) {
-			t.Fatalf("round-trip length %d, want %d", len(back), len(ds))
-		}
-		// Bitwise round-trip only holds for valid UTF-8: the encoder
-		// (correctly) coerces stray bytes to U+FFFD.
-		if !utf8.ValidString(file) || !utf8.ValidString(rule) || !utf8.ValidString(msg) {
-			return
-		}
-		sorted := make([]Diagnostic, len(ds))
-		copy(sorted, ds)
-		sortDiagnostics(sorted)
-		for i := range sorted {
-			if back[i] != sorted[i] {
-				t.Fatalf("round-trip[%d] = %+v, want %+v", i, back[i], sorted[i])
-			}
 		}
 	})
 }
@@ -129,15 +88,15 @@ func FuzzCFGBuild(f *testing.F) {
 	})
 }
 
-// FuzzEmitJSONReport asserts the engine-versioned report form keeps
-// the emitter's contract for the v2 rule kinds: never panics, always
-// a valid object with the engine string and a findings array (never
-// null), findings sorted.
+// FuzzEmitJSONReport asserts the -json emitter's contract on
+// arbitrary diagnostic content: never panics, always a valid object
+// with the engine string and a findings array (never null), findings
+// round-tripped in the deterministic sorted order.
 func FuzzEmitJSONReport(f *testing.F) {
 	f.Add("hot.go", 12, 3, "allocfree", "make on the steady-state hot path allocates every call")
 	f.Add("server.go", 40, 2, "locksafe", "mu is locked here but not released on every path")
 	f.Add("resilient.go", 170, 7, "collective", "collective Agree may not be reached on all ranks")
-	f.Add("tree.go", 65, 2, "taintdet", "value derived from map iteration order flows into numeric particle state")
+	f.Add("tree.go", 65, 2, "determinism", "uniçode \"quotes\" <html> \x00")
 	f.Add("", -1, 0, "", "\x00 not utf8 \xff")
 	f.Fuzz(func(t *testing.T, file string, line, col int, rule, msg string) {
 		ds := []Diagnostic{
@@ -179,10 +138,10 @@ func FuzzEmitJSONReport(f *testing.F) {
 // not null.
 func TestEmitJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EmitJSON(&buf, nil); err != nil {
+	if err := EmitJSONReport(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Fatalf("EmitJSON(nil) = %q, want %q", got, "[]")
+	if !strings.Contains(buf.String(), `"findings": []`) {
+		t.Fatalf("EmitJSONReport(nil) = %q, want an empty findings array", buf.String())
 	}
 }

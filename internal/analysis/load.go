@@ -43,9 +43,7 @@ type Loader struct {
 }
 
 // NewLoader creates a loader rooted at the module containing dir.
-func NewLoader(dir string) (*Loader, error) { return newLoader(dir) }
-
-func newLoader(dir string) (*Loader, error) {
+func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -325,18 +323,14 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// Run loads every directory matched by patterns, applies the full
-// analyzer set and returns the sorted findings.
-func Run(patterns []string) ([]Diagnostic, error) {
-	return RunRules(patterns, Analyzers())
-}
-
-// RunRules is Run restricted to an explicit analyzer subset (the
-// driver's -rules flag). All matched directories are loaded first so
-// the module-level rules see one coherent unit set (call graph and
-// cross-package summaries span exactly what the patterns name).
+// RunRules loads every directory matched by patterns, applies the
+// given analyzers (the full set, or the driver's -rules subset) and
+// returns the sorted findings. All matched directories are loaded
+// first so the module-level rules see one coherent unit set (call
+// graph and cross-package summaries span exactly what the patterns
+// name).
 func RunRules(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	l, err := newLoader(".")
+	l, err := NewLoader(".")
 	if err != nil {
 		return nil, err
 	}
@@ -353,15 +347,4 @@ func RunRules(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		units = append(units, us...)
 	}
 	return RunUnits(units, analyzers), nil
-}
-
-// ModuleRoot locates the root directory of the module containing dir
-// (the directory holding go.mod). The CLI uses it to relativize
-// baseline paths so snapshots are stable across checkouts.
-func ModuleRoot(dir string) (string, error) {
-	l, err := newLoader(dir)
-	if err != nil {
-		return "", err
-	}
-	return l.ModuleRoot, nil
 }

@@ -164,9 +164,6 @@ type Config struct {
 	// tree solver: tree.TraversalList (default) or
 	// tree.TraversalRecursive.
 	Traversal tree.TraversalMode
-	// StealGrain tunes the work-stealing chunk size (leaf groups) of
-	// the hybrid list traversal; ≤0 = automatic.
-	StealGrain int
 	// Layout selects the evaluation storage of every level's tree
 	// solver: particle.LayoutSoA (the Default) runs the batched
 	// struct-of-arrays kernels, particle.LayoutAoS the reference path.
@@ -339,7 +336,7 @@ func levelSystem(space *mpi.Comm, cfg Config, local *particle.System, theta floa
 	hcfg := hot.Config{
 		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: theta,
 		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
-		Traversal: cfg.Traversal, StealGrain: cfg.StealGrain,
+		Traversal:       cfg.Traversal,
 		Layout:          cfg.Layout,
 		WeightedBalance: cfg.Balance,
 		Branch:          cfg.Branch,

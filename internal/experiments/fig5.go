@@ -245,7 +245,6 @@ func Fig5Model(cfg Fig5Config, fit BranchFit) ([]Fig5ModelPoint, *Table) {
 func SaturationCores(points []Fig5ModelPoint, n float64) int {
 	best, bestT := 0, math.Inf(1)
 	for _, p := range points {
-		//lint:ignore floateq N is an exact table parameter (particle count), never a computed value
 		if p.N == n && p.TTot < bestT {
 			bestT = p.TTot
 			best = p.Cores

@@ -180,7 +180,6 @@ func prefetchRatio(points []XTBranchPoint) float64 {
 			branches += float64(p.TotalBranches)
 		}
 	}
-	//lint:ignore floateq zero iff no batched multi-rank points accumulated
 	if branches == 0 {
 		return 1
 	}

@@ -19,9 +19,8 @@ type PhasesConfig struct {
 	NSteps int // must be a multiple of PT
 	Seed   int64
 	// Traversal selects the tree evaluator (TraversalList is the
-	// default); StealGrain tunes the work-stealing chunk size.
-	Traversal  tree.TraversalMode
-	StealGrain int
+	// default).
+	Traversal tree.TraversalMode
 	// Threads > 1 selects the hybrid per-rank traversal (worker pool +
 	// communication goroutine), the path where hot.steals and
 	// hot.worker_busy are recorded.
@@ -49,7 +48,6 @@ func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 	full := particle.RandomVortexBlob(cfg.N, 0.05, cfg.Seed)
 	ccfg := core.Default(cfg.PT, cfg.PS)
 	ccfg.Traversal = cfg.Traversal
-	ccfg.StealGrain = cfg.StealGrain
 	if cfg.Threads > 0 {
 		ccfg.Threads = cfg.Threads
 	}

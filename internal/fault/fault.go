@@ -180,7 +180,6 @@ func (p *Plan) Transient() bool { return len(p.Crashes) == 0 }
 
 // Empty reports whether the plan injects nothing at all.
 func (p *Plan) Empty() bool {
-	//lint:ignore floateq exact zero means the user never set the probability; any nonzero value enables the path
 	return p.Transient() && p.DropProb == 0 && p.DelayProb == 0 && p.CorruptProb == 0
 }
 

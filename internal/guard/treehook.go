@@ -53,7 +53,6 @@ func laneWordPtr(l *particle.SoA, disc tree.Discipline, lane, w int) *float64 {
 // and not counted: it is arithmetically harmless by IEEE semantics.
 func flipWord(p *float64, bit uint) bool {
 	nv := fault.FlipBit(*p, bit)
-	//lint:ignore floateq deliberate IEEE equality: a +0/−0 sign flip must compare equal so it is reverted, matching what the float-compare detector can see
 	if nv == *p {
 		return false
 	}

@@ -97,9 +97,6 @@ type Config struct {
 	// schedules leaf groups with work stealing; tree.TraversalRecursive
 	// is the per-particle walk with static block splits.
 	Traversal tree.TraversalMode
-	// StealGrain is the work-stealing chunk size in leaf groups for the
-	// hybrid list traversal (≤0: automatic).
-	StealGrain int
 	// Tel, when non-nil, receives this rank's per-phase timings and
 	// work counters (see probe.go for the metric names). The registry
 	// must be private to the rank; merge Snapshots across ranks
@@ -153,6 +150,11 @@ type Solver struct {
 	// cfg.Tel) and meter attributes modeled compute charges per phase.
 	probe probe
 	meter *machine.Meter
+
+	// stealGrain is the work-stealing chunk size in leaf groups of the
+	// hybrid list traversal (≤0: automatic); only the stealing
+	// determinism test sets it.
+	stealGrain int
 
 	// workWeights holds, per origin-local particle, the interaction
 	// count of the previous evaluation (WeightedBalance only).

@@ -206,7 +206,7 @@ func (rt *evalRT) traverseHybridSched() travCounts {
 		workers = nGroups
 	}
 	var inter, accepts, rejects atomic.Int64
-	ss := sched.Run(workers, nGroups, rt.s.cfg.StealGrain, func(w, lo, hi int) {
+	ss := sched.Run(workers, nGroups, rt.s.stealGrain, func(w, lo, hi int) {
 		tc := rt.groupRange(w, lo, hi, float64(workers))
 		inter.Add(tc.inter)
 		accepts.Add(tc.accepts)

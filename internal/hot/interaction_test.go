@@ -79,9 +79,8 @@ func TestHybridListStealingDeterminism(t *testing.T) {
 	velS, strS, _ := runEval(t, full, 2, cfgSync)
 	cfgHyb := defaultCfg(0.4)
 	cfgHyb.Threads = 4
-	cfgHyb.StealGrain = 1
 	for rep := 0; rep < 3; rep++ {
-		velH, strH, _ := runEval(t, full, 2, cfgHyb)
+		velH, strH, _ := runEvalGrain(t, full, 2, cfgHyb, 1)
 		for i := range velH {
 			if velH[i] != velS[i] || strH[i] != strS[i] {
 				t.Fatalf("rep %d: hybrid stealing changed particle %d: %v vs %v", rep, i, velH[i], velS[i])

@@ -57,12 +57,11 @@ type VortexBatch struct {
 func NewVortexBatch(pw Pairwise) VortexBatch {
 	z := pw.Sm.ZetaSeries()
 	return VortexBatch{
-		sm:    pw.Sm,
-		sigma: pw.Sigma,
-		s3:    pw.Sigma * pw.Sigma * pw.Sigma,
-		s5:    pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma,
-		z:     z,
-		//lint:ignore floateq exact zero is the "kernel has no series" flag set by construction, never computed
+		sm:     pw.Sm,
+		sigma:  pw.Sigma,
+		s3:     pw.Sigma * pw.Sigma * pw.Sigma,
+		s5:     pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma,
+		z:      z,
 		series: z[0] != 0,
 	}
 }
@@ -99,7 +98,6 @@ func (b *VortexBatch) AccumGradRange(acc *VortexAcc, tx, ty, tz float64, xs, ys,
 				continue
 			}
 			d2 := dd[k]
-			//lint:ignore floateq exact zero separation is the documented self-interaction cutoff
 			if d2 == 0 {
 				acc.N++ // the AoS loop counts the pair and adds exact zeros
 				continue
@@ -167,7 +165,6 @@ func (b *VortexBatch) AccumGradRange(acc *VortexAcc, tx, ty, tz float64, xs, ys,
 // touch acc.N: far items carry their own interaction accounting.
 func (b *VortexBatch) AccumGrad(acc *VortexAcc, rx, ry, rz, ax, ay, az float64) {
 	d2 := rx*rx + ry*ry + rz*rz
-	//lint:ignore floateq exact zero separation is the documented self-interaction cutoff
 	if d2 == 0 {
 		return
 	}
@@ -240,7 +237,6 @@ func (b *VortexBatch) AccumVelRange(acc *VortexAcc, tx, ty, tz float64, xs, ys, 
 				continue
 			}
 			d2 := dd[k]
-			//lint:ignore floateq exact zero separation is the documented self-interaction cutoff
 			if d2 == 0 {
 				acc.N++
 				continue
@@ -301,7 +297,6 @@ func AccumCoulombRange(acc *CoulombAcc, tx, ty, tz, eps float64, xs, ys, zs, qs 
 				continue
 			}
 			d2 := dd[k]
-			//lint:ignore floateq exact zero: only the unsoftened coincident-point case divides by zero
 			if d2 == 0 {
 				acc.N++
 				continue

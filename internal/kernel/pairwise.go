@@ -52,7 +52,6 @@ func (pw Pairwise) h(rho float64) float64 {
 // definition.
 func (pw Pairwise) fOf(rho, d2, d float64) float64 {
 	if rho < hSwitch {
-		//lint:ignore floateq exact zero is the "kernel has no series" flag set by construction, never computed
 		if z := pw.Sm.ZetaSeries(); z[0] != 0 {
 			r2 := rho * rho
 			s3 := pw.Sigma * pw.Sigma * pw.Sigma
@@ -85,7 +84,6 @@ func (pw Pairwise) hWithQ(rho, q float64) float64 {
 // position. The contribution of a source at zero separation is zero.
 func (pw Pairwise) Velocity(r, alpha vec.Vec3) vec.Vec3 {
 	d2 := r.Norm2()
-	//lint:ignore floateq exact zero separation is the documented self-interaction cutoff
 	if d2 == 0 {
 		return vec.Zero3
 	}
@@ -99,7 +97,6 @@ func (pw Pairwise) Velocity(r, alpha vec.Vec3) vec.Vec3 {
 // gradient tensor (∂u_i/∂x_j) at the target.
 func (pw Pairwise) VelocityGrad(r, alpha vec.Vec3) (vec.Vec3, vec.Mat3) {
 	d2 := r.Norm2()
-	//lint:ignore floateq exact zero separation is the documented self-interaction cutoff
 	if d2 == 0 {
 		return vec.Zero3, vec.Mat3{}
 	}
@@ -176,7 +173,6 @@ func (s Scheme) String() string {
 // (Gaussian units, unit prefactor).
 func Coulomb(r vec.Vec3, charge, eps float64) (phi float64, field vec.Vec3) {
 	d2 := r.Norm2() + eps*eps
-	//lint:ignore floateq exact zero: only the unsoftened coincident-point case divides by zero
 	if d2 == 0 {
 		return 0, vec.Zero3
 	}

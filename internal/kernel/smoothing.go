@@ -78,7 +78,6 @@ func powNegHalfInt(u float64, n int) float64 {
 func (k *algebraic) Zeta(rho float64) float64 {
 	x := rho * rho
 	n := int(k.p)
-	//lint:ignore floateq exact half-integer exponents are constructor-set constants selecting the sqrt fast path
 	if k.p != float64(n)+0.5 { // non-half-integer exponent: general path
 		return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * math.Pow(1+x, -k.p)
 	}

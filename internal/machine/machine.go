@@ -4,20 +4,11 @@
 // modeled wall-clock time — the substitution for the paper's Blue
 // Gene/P installation JUGENE (see DESIGN.md).
 //
-// Two models are provided: BlueGeneP returns fixed constants in the
-// range of the 850 MHz PowerPC 450 cores of JUGENE, used for the
-// figure-shape reproductions; Calibrate measures this repository's own
-// Go code on the local host, used to validate that modeled and real
-// times agree at small scale.
+// BlueGeneP returns fixed constants in the range of the 850 MHz
+// PowerPC 450 cores of JUGENE, used for the figure-shape
+// reproductions; fitting the constants to the local host is ROADMAP
+// item 3(a).
 package machine
-
-import (
-	"sort"
-	"time"
-
-	"repro/internal/kernel"
-	"repro/internal/vec"
-)
 
 // CostModel holds per-operation compute costs in seconds.
 type CostModel struct {
@@ -62,68 +53,6 @@ func (m CostModel) Scale(f float64) CostModel {
 	m.BranchPerNode *= f
 	return m
 }
-
-// Calibrate measures the repository's own kernels on the local host and
-// returns a cost model for it. It runs for a few tens of milliseconds.
-func Calibrate() CostModel {
-	var m CostModel
-	m.VortexInteraction = timeVortexInteraction()
-	m.CoulombInteraction = timeCoulombInteraction()
-	m.SortPerKey = timeSortPerKey()
-	// Tree build and branch handling are dominated by the same sort
-	// and moment arithmetic; approximate them from the measured
-	// primitives.
-	m.TreeBuildPerParticle = 10 * m.SortPerKey
-	m.BranchPerNode = 4 * m.VortexInteraction
-	return m
-}
-
-func timeVortexInteraction() float64 {
-	pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: 0.3}
-	r := vec.V3(0.4, -0.3, 0.2)
-	a := vec.V3(0.1, 0.2, -0.1)
-	const n = 200000
-	var acc vec.Vec3
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		u, _ := pw.VelocityGrad(r, a)
-		acc = acc.Add(u)
-	}
-	sink = acc.X
-	return time.Since(start).Seconds() / n
-}
-
-func timeCoulombInteraction() float64 {
-	r := vec.V3(0.4, -0.3, 0.2)
-	const n = 500000
-	accP := 0.0
-	var accE vec.Vec3
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		p, e := kernel.Coulomb(r, 1, 0.01)
-		accP += p
-		accE = accE.Add(e)
-	}
-	sink = accP + accE.X
-	return time.Since(start).Seconds() / n
-}
-
-func timeSortPerKey() float64 {
-	const n = 1 << 16
-	keys := make([]uint64, n)
-	s := uint64(12345)
-	for i := range keys {
-		s = s*6364136223846793005 + 1442695040888963407
-		keys[i] = s
-	}
-	start := time.Now()
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	// One sort is n log2 n comparisons; report per key per log2 n.
-	return time.Since(start).Seconds() / float64(n) / 16
-}
-
-// sink prevents the calibration loops from being optimized away.
-var sink float64
 
 // TraversalWork estimates the number of interactions per particle for a
 // Barnes-Hut traversal over n particles at MAC parameter theta. The

@@ -40,23 +40,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestCalibrateProducesSaneCosts(t *testing.T) {
-	m := Calibrate()
-	// A modern core evaluates one vortex interaction in 1ns–100µs.
-	if m.VortexInteraction < 1e-9 || m.VortexInteraction > 1e-4 {
-		t.Errorf("calibrated vortex cost %v implausible", m.VortexInteraction)
-	}
-	if m.CoulombInteraction <= 0 || m.CoulombInteraction > m.VortexInteraction*10 {
-		t.Errorf("calibrated coulomb cost %v implausible", m.CoulombInteraction)
-	}
-	if m.SortPerKey <= 0 || m.SortPerKey > 1e-5 {
-		t.Errorf("calibrated sort cost %v implausible", m.SortPerKey)
-	}
-	if m.TreeBuildPerParticle <= 0 || m.BranchPerNode <= 0 {
-		t.Error("derived costs must be positive")
-	}
-}
-
 func TestTraversalWork(t *testing.T) {
 	// θ = 0 degenerates to direct summation.
 	if w := TraversalWork(1000, 0); w != 999 {

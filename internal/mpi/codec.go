@@ -72,38 +72,6 @@ func BytesToInt64sChecked(b []byte) ([]int64, error) {
 	return out, nil
 }
 
-// Uint64sToBytes encodes a uint64 slice little-endian.
-func Uint64sToBytes(x []uint64) []byte {
-	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], v)
-	}
-	return out
-}
-
-// BytesToUint64s decodes a little-endian uint64 slice (panics on a
-// torn buffer — use BytesToUint64sChecked where corruption is
-// possible).
-func BytesToUint64s(b []byte) []uint64 {
-	out, err := BytesToUint64sChecked(b)
-	if err != nil {
-		panic("mpi: " + err.Error())
-	}
-	return out
-}
-
-// BytesToUint64sChecked is the non-panicking uint64 decoder.
-func BytesToUint64sChecked(b []byte) ([]uint64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("uint64 payload length %d not a multiple of 8", len(b))
-	}
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out, nil
-}
-
 // SendFloat64s sends a float64 slice.
 func (c *Comm) SendFloat64s(dst, tag int, x []float64) {
 	c.Send(dst, tag, Float64sToBytes(x))
@@ -131,19 +99,8 @@ func (c *Comm) AllgatherFloat64s(x []float64) [][]float64 {
 	return out
 }
 
-// SendInt64s sends an int64 slice.
-func (c *Comm) SendInt64s(dst, tag int, x []int64) {
-	c.Send(dst, tag, Int64sToBytes(x))
-}
-
-// RecvInt64s receives an int64 slice.
-func (c *Comm) RecvInt64s(src, tag int) []int64 {
-	raw, _, _ := c.Recv(src, tag)
-	return BytesToInt64s(raw)
-}
-
 // encodeBlocks serializes a map of relative-rank → payload used by the
-// binomial gather: [count, (key, len, bytes)...] with 8-byte headers.
+// Bruck allgather: [count, (key, len, bytes)...] with 8-byte headers.
 func encodeBlocks(blocks map[int][]byte) []byte {
 	total := 8
 	for _, v := range blocks {

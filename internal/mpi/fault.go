@@ -91,21 +91,6 @@ func (c *Comm) FaultPoint(phase string, epoch int) {
 	panic(ErrInjectedCrash)
 }
 
-// AliveCount returns the number of communicator members that have not
-// died. A full communicator returns Size().
-func (c *Comm) AliveCount() int {
-	w := c.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, wr := range c.ranks {
-		if !w.dead[wr] {
-			n++
-		}
-	}
-	return n
-}
-
 // deadMemberLocked returns the lowest dead world rank of this
 // communicator, or -1. Must hold w.mu.
 func (c *Comm) deadMemberLocked() int {

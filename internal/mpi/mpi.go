@@ -574,44 +574,6 @@ func nextPow2(rel int) int {
 	return m
 }
 
-// Gather collects each rank's data at root; the returned slice has one
-// entry per rank at root and is nil elsewhere. Collection follows a
-// binomial tree (log P rounds).
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	p := c.Size()
-	defer c.probe().timer(collGather).Start().Stop()
-	tag := c.collTag(2)
-	rel := (c.rank - root + p) % p
-	// Each rank owns a bucket of gathered blocks keyed by relative rank.
-	blocks := map[int][]byte{rel: data}
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			// Send my accumulated blocks to the parent and stop.
-			parent := (rel - mask + root) % p
-			c.send(parent, tag, encodeBlocks(blocks))
-			blocks = nil
-			break
-		}
-		if rel+mask < p {
-			child := (rel + mask + root) % p
-			raw, _, _ := c.recv(child, tag)
-			for k, v := range decodeBlocks(raw) {
-				blocks[k] = v
-			}
-		}
-		mask <<= 1
-	}
-	if c.rank != root {
-		return nil
-	}
-	out := make([][]byte, p)
-	for relRank, v := range blocks {
-		out[(relRank+root)%p] = v
-	}
-	return out
-}
-
 // Allgather gathers every rank's block on every rank using a ring:
 // P−1 rounds, each passing the most recently received block to the
 // right neighbor. This is the algorithm (and therefore the modeled
@@ -886,31 +848,4 @@ func childID(parent uint64, splitSeq, color int) uint64 {
 	mix(uint64(splitSeq))
 	mix(uint64(uint(color)))
 	return h
-}
-
-// TryRecv is the non-blocking variant of Recv: it returns ok=false
-// immediately when no matching message is queued. The parallel tree
-// code uses it to service remote-node requests while traversing.
-func (c *Comm) TryRecv(src, tag int) (data []byte, actualSrc, actualTag int, ok bool) {
-	wantWorldSrc := AnySource
-	if src != AnySource {
-		if src < 0 || src >= len(c.ranks) {
-			panic(fmt.Sprintf("mpi: TryRecv from invalid rank %d (size %d)", src, len(c.ranks)))
-		}
-		wantWorldSrc = c.ranks[src]
-	}
-	w := c.w
-	box := w.boxes[c.WorldRank()]
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed != nil {
-		panic(w.failed)
-	}
-	if m, cr, ok := c.matchLocked(box, wantWorldSrc, tag); ok {
-		return m.data, cr, m.tag, true
-	}
-	if err := c.revokedOrDeadLocked(); err != nil {
-		panic(commFailure{err})
-	}
-	return nil, 0, 0, false
 }

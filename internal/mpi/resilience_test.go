@@ -104,7 +104,7 @@ func TestRecvDeadlinePrefersQueuedMessageOverDeath(t *testing.T) {
 		}
 		// Wait until the peer is certainly dead, then receive: the
 		// queued message must still be delivered.
-		for c.AliveCount() == 2 {
+		for aliveCount(c) == 2 {
 			time.Sleep(time.Millisecond)
 		}
 		data, _, _, err := c.RecvDeadline(1, 3, time.Second)
@@ -129,7 +129,7 @@ func TestShrinkAfterCrash(t *testing.T) {
 		c.FaultPoint("go", 0)
 		// Survivors: wait for the death, then shrink and verify the
 		// small communicator is fully functional.
-		for c.AliveCount() == 4 {
+		for aliveCount(c) == 4 {
 			time.Sleep(time.Millisecond)
 		}
 		s := c.Shrink()
@@ -397,11 +397,6 @@ func TestFaultDisabledZeroOverhead(t *testing.T) {
 			c.FaultPoint("block", 3)
 		}); n != 0 {
 			return fmt.Errorf("FaultPoint allocates %.1f/op with faults disabled", n)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			c.TryRecv(0, 1)
-		}); n != 0 {
-			return fmt.Errorf("TryRecv allocates %.1f/op", n)
 		}
 		return nil
 	})

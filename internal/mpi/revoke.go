@@ -25,7 +25,7 @@ import (
 
 // ErrRevoked is the failure delivered to ranks blocked on (or later
 // using) a communicator that a peer revoked with Revoke. It surfaces
-// as a comm-failure panic from Recv/TryRecv (recover it with
+// as a comm-failure panic from Recv (recover it with
 // AsCommFailure) and as a plain error from RecvDeadline; match it with
 // errors.Is.
 var ErrRevoked = errors.New("mpi: communicator revoked")
@@ -75,7 +75,7 @@ func AsCommFailure(p any) (error, bool) {
 }
 
 // FailFast opts this communicator handle into fail-fast receives:
-// a blocking Recv (or TryRecv) that observes a dead member panics with
+// a blocking Recv that observes a dead member panics with
 // a comm failure (AsCommFailure → ErrRankDead) instead of waiting for
 // a message that can never arrive. The flag lives on the per-rank
 // handle; every rank that wants the behavior sets it on its own handle
@@ -123,14 +123,6 @@ func (c *Comm) Revoke() {
 		w.allBox()
 	}
 	w.mu.Unlock()
-}
-
-// Revoked reports whether the communicator has been revoked.
-func (c *Comm) Revoked() bool {
-	w := c.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.revoked[c.id]
 }
 
 // revokedOrDeadLocked returns the comm-failure error a fail-fast

@@ -14,6 +14,27 @@ import (
 	"time"
 )
 
+// aliveCount and revoked read the world's failure state under its
+// lock; the tests poll them to sequence a fault before the receive
+// under test.
+func aliveCount(c *Comm) int {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	n := 0
+	for _, wr := range c.ranks {
+		if !c.w.dead[wr] {
+			n++
+		}
+	}
+	return n
+}
+
+func revoked(c *Comm) bool {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	return c.w.revoked[c.id]
+}
+
 // recoverCommFailure runs fn and converts a comm-failure panic into
 // its error; any other panic is re-raised.
 func recoverCommFailure(fn func()) (err error) {
@@ -44,8 +65,8 @@ func TestRevokeWakesBlockedRecv(t *testing.T) {
 		if !errors.Is(err, ErrRevoked) {
 			return fmt.Errorf("want ErrRevoked from blocked Recv, got %v", err)
 		}
-		if !c.Revoked() {
-			return errors.New("Revoked() false after revocation")
+		if !revoked(c) {
+			return errors.New("communicator not marked revoked after revocation")
 		}
 		return nil
 	})
@@ -61,7 +82,7 @@ func TestRevokedCommStillDeliversQueuedMessages(t *testing.T) {
 			c.Revoke()
 			return nil
 		}
-		for !c.Revoked() {
+		for !revoked(c) {
 			time.Sleep(time.Millisecond)
 		}
 		// The queued message survives revocation; only a receive that
@@ -90,7 +111,7 @@ func TestFailFastRecvOnDeadMember(t *testing.T) {
 			c.FaultPoint("die", 0)
 			return errors.New("rank 2 survived its crash point")
 		}
-		for c.AliveCount() == 3 {
+		for aliveCount(c) == 3 {
 			time.Sleep(time.Millisecond)
 		}
 		// Without fail-fast a receive from a live peer would block (the
@@ -108,27 +129,6 @@ func TestFailFastRecvOnDeadMember(t *testing.T) {
 	}
 }
 
-func TestTryRecvFailsOnRevokedComm(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		c.Barrier()
-		if c.Rank() == 1 {
-			c.Revoke()
-			return nil
-		}
-		for !c.Revoked() {
-			time.Sleep(time.Millisecond)
-		}
-		err := recoverCommFailure(func() { c.TryRecv(1, 4) })
-		if !errors.Is(err, ErrRevoked) {
-			return fmt.Errorf("want ErrRevoked from TryRecv, got %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecvDeadlineOnRevokedComm(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		c.Barrier()
@@ -136,7 +136,7 @@ func TestRecvDeadlineOnRevokedComm(t *testing.T) {
 			c.Revoke()
 			return nil
 		}
-		for !c.Revoked() {
+		for !revoked(c) {
 			time.Sleep(time.Millisecond)
 		}
 		_, _, _, err := c.RecvDeadline(1, 4, 30*time.Second)
@@ -169,7 +169,7 @@ func TestGridShrinkToDoubleFailure(t *testing.T) {
 		world.FaultPoint("block", 0)
 
 		// Survivors: wait until both deaths are visible, then agree.
-		for world.AliveCount() != pt*ps-len(victims) {
+		for aliveCount(world) != pt*ps-len(victims) {
 			time.Sleep(time.Millisecond)
 		}
 		dead := world.AgreeDeadRanks()

@@ -16,7 +16,6 @@ const (
 
 	TimerBarrier   = "mpi.barrier"
 	TimerBcast     = "mpi.bcast"
-	TimerGather    = "mpi.gather"
 	TimerAllgather = "mpi.allgather"
 	TimerAlltoall  = "mpi.alltoall"
 	TimerAllreduce = "mpi.allreduce"
@@ -35,7 +34,6 @@ const (
 const (
 	collBarrier = iota
 	collBcast
-	collGather
 	collAllgather
 	collAlltoall
 	collAllreduce
@@ -66,7 +64,6 @@ func newCommProbe(reg *telemetry.Registry) *commProbe {
 	// spans would erase the enclosing phase's pprof label at every Stop.
 	pb.coll[collBarrier] = reg.Timer(TimerBarrier).WithoutPprofLabel()
 	pb.coll[collBcast] = reg.Timer(TimerBcast).WithoutPprofLabel()
-	pb.coll[collGather] = reg.Timer(TimerGather).WithoutPprofLabel()
 	pb.coll[collAllgather] = reg.Timer(TimerAllgather).WithoutPprofLabel()
 	pb.coll[collAlltoall] = reg.Timer(TimerAlltoall).WithoutPprofLabel()
 	pb.coll[collAllreduce] = reg.Timer(TimerAllreduce).WithoutPprofLabel()

@@ -77,25 +77,8 @@ func MaxDiff(a, b []float64) float64 {
 func RelMaxDiff(a, b []float64) float64 {
 	d := MaxDiff(a, b)
 	n := MaxNorm(b)
-	//lint:ignore floateq exact zero norm guards the division; any nonzero norm is a valid scale
 	if n == 0 {
 		return d
 	}
 	return d / n
-}
-
-// CountingSystem wraps a System and counts right-hand-side evaluations;
-// integrator tests and cost models use it to verify work complexity.
-type CountingSystem struct {
-	Inner System
-	Calls int64
-}
-
-// Dim implements System.
-func (c *CountingSystem) Dim() int { return c.Inner.Dim() }
-
-// F implements System.
-func (c *CountingSystem) F(t float64, u, f []float64) {
-	c.Calls++
-	c.Inner.F(t, u, f)
 }

@@ -56,21 +56,6 @@ func TestFuncSystem(t *testing.T) {
 	}
 }
 
-func TestCountingSystem(t *testing.T) {
-	inner, _ := Dahlquist(-1)
-	c := &CountingSystem{Inner: inner}
-	f := make([]float64, 1)
-	for i := 0; i < 5; i++ {
-		c.F(0, []float64{1}, f)
-	}
-	if c.Calls != 5 {
-		t.Fatalf("Calls = %d", c.Calls)
-	}
-	if c.Dim() != 1 {
-		t.Fatal("Dim")
-	}
-}
-
 func TestProblemsExactSolutionsSatisfyODE(t *testing.T) {
 	type pr struct {
 		name  string

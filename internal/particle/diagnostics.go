@@ -107,7 +107,6 @@ func RelMaxPositionError(s, ref *System) float64 {
 		maxErr = math.Max(maxErr, s.Particles[i].Pos.Sub(ref.Particles[i].Pos).NormInf())
 		maxRef = math.Max(maxRef, ref.Particles[i].Pos.NormInf())
 	}
-	//lint:ignore floateq exact zero reference norm guards the division
 	if maxRef == 0 {
 		return maxErr
 	}

@@ -26,7 +26,6 @@ func Legendre(n int, x float64) (p, dp float64) {
 		pPrev, pCur = pCur, pNext
 	}
 	// P'_n(x) = n (x P_n − P_{n−1}) / (x² − 1)
-	//lint:ignore floateq endpoint nodes are exact by construction; the limit formula applies only there
 	if x == 1 || x == -1 {
 		dp = math.Pow(x, float64(n+1)) * float64(n) * float64(n+1) / 2
 		return pCur, dp
@@ -125,7 +124,6 @@ func LagrangeEval(nodes, w, vals []float64, x float64) float64 {
 	num, den := 0.0, 0.0
 	for j := range nodes {
 		d := x - nodes[j]
-		//lint:ignore floateq barycentric form requires the exact-node short-circuit to avoid 0/0
 		if d == 0 {
 			return vals[j]
 		}
@@ -240,64 +238,4 @@ func SubsetIndices(fine, coarse []float64) ([]int, error) {
 		idx[i] = found
 	}
 	return idx, nil
-}
-
-// GaussRadauRight returns n ≥ 2 nodes on [0,1]: the left endpoint 0
-// followed by the right Gauss–Radau points (which include 1). The
-// Radau collocation rule over the n−1 free nodes is exact for degree
-// 2(n−1)−2; adding the left endpoint anchors the SDC initial value.
-// This is the node family recommended by Layton & Minion (the paper's
-// ref. [34]) for stiff problems.
-func GaussRadauRight(n int) []float64 {
-	if n < 2 {
-		panic("quadrature: GaussRadauRight needs n >= 2")
-	}
-	m := n - 1 // number of Radau points
-	nodes := make([]float64, n)
-	nodes[0] = 0
-	if m == 1 {
-		nodes[1] = 1
-		return nodes
-	}
-	// Right Radau points on [-1,1] are the roots of
-	// (P_{m-1}(x) − P_m(x)) / (1 − x)  together with  x = +1.
-	// Equivalently: x=+1 plus the m−1 roots of P_{m-1} − P_m excluding 1.
-	for k := 0; k < m-1; k++ {
-		// Initial guess: interior Chebyshev-like spacing.
-		xi := -math.Cos(math.Pi * (float64(k) + 0.5) / float64(m))
-		for iter := 0; iter < 200; iter++ {
-			pm1, dpm1 := Legendre(m-1, xi)
-			pm, dpm := Legendre(m, xi)
-			f := pm1 - pm
-			df := dpm1 - dpm
-			dx := f / df
-			xi -= dx
-			if math.Abs(dx) < 1e-15 {
-				break
-			}
-		}
-		nodes[1+k] = (xi + 1) / 2
-	}
-	nodes[n-1] = 1
-	// Sort interior points (Newton can land them out of order).
-	for i := 2; i < n; i++ {
-		for j := i; j > 1 && nodes[j] < nodes[j-1]; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-	return nodes
-}
-
-// Uniform returns n ≥ 2 equispaced nodes on [0,1] including both
-// endpoints. Uniform nodes limit the collocation order to ~n and are
-// included for the node-choice comparison of the paper's ref. [34].
-func Uniform(n int) []float64 {
-	if n < 2 {
-		panic("quadrature: Uniform needs n >= 2")
-	}
-	nodes := make([]float64, n)
-	for i := range nodes {
-		nodes[i] = float64(i) / float64(n-1)
-	}
-	return nodes
 }

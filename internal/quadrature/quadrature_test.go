@@ -266,70 +266,14 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-func TestGaussRadauRightKnownNodes(t *testing.T) {
-	// n=2: {0, 1}. n=3: left endpoint + Radau-2 points on [0,1]:
-	// Radau right on [-1,1] = {-1/3, 1} → {1/3, 1} on [0,1].
-	n2 := GaussRadauRight(2)
-	if n2[0] != 0 || n2[1] != 1 {
-		t.Fatalf("Radau2 = %v", n2)
-	}
-	n3 := GaussRadauRight(3)
-	if !feq(n3[1], 1.0/3, 1e-13) || n3[2] != 1 || n3[0] != 0 {
-		t.Fatalf("Radau3 = %v", n3)
-	}
-}
-
-func TestGaussRadauRightQuadratureOrder(t *testing.T) {
-	// The m = n−1 Radau points integrate degree 2m−2 exactly with
-	// their collocation weights (last row of Q restricted to them —
-	// here we simply verify the full-interval weights built on all n
-	// nodes integrate polynomials of degree ≥ 2m−2 exactly, since the
-	// added left endpoint can only help).
-	for n := 3; n <= 6; n++ {
-		nodes := GaussRadauRight(n)
-		for i := 1; i < n; i++ {
-			if nodes[i] <= nodes[i-1] {
-				t.Fatalf("Radau%d not increasing: %v", n, nodes)
-			}
-		}
-		q := QMatrix(nodes)
-		w := q[len(q)-1]
-		m := n - 1
-		for deg := 0; deg <= 2*m-2; deg++ {
-			got := 0.0
-			for j, tj := range nodes {
-				got += w[j] * math.Pow(tj, float64(deg))
-			}
-			if !feq(got, 1/float64(deg+1), 1e-12) {
-				t.Fatalf("Radau%d weights: ∫x^%d = %v", n, deg, got)
-			}
-		}
-	}
-}
-
-func TestUniformNodes(t *testing.T) {
-	u := Uniform(5)
-	for i, want := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if u[i] != want {
-			t.Fatalf("Uniform(5) = %v", u)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Uniform(1)
-}
-
 func TestInterpMatrixPartitionOfUnity(t *testing.T) {
 	// Lagrange bases sum to one, so every row of an interpolation
 	// matrix sums to one — regardless of the node sets.
 	cases := [][2][]float64{
 		{GaussLobatto(2), GaussLobatto(3)},
 		{GaussLobatto(3), GaussLobatto(5)},
-		{GaussRadauRight(3), GaussLobatto(4)},
-		{Uniform(4), GaussLobatto(3)},
+		{{0, 1.0 / 3, 1}, GaussLobatto(4)},
+		{{0, 1.0 / 3, 2.0 / 3, 1}, GaussLobatto(3)},
 	}
 	for _, c := range cases {
 		p := InterpMatrix(c[0], c[1])
@@ -348,7 +292,7 @@ func TestInterpMatrixPartitionOfUnity(t *testing.T) {
 func TestBaryWeightsAlternateInSign(t *testing.T) {
 	// For sorted distinct nodes the barycentric weights alternate in
 	// sign — a classical property that catches ordering bugs.
-	for _, nodes := range [][]float64{GaussLobatto(4), GaussLobatto(6), Uniform(5)} {
+	for _, nodes := range [][]float64{GaussLobatto(4), GaussLobatto(6), {0, 0.25, 0.5, 0.75, 1}} {
 		w := BaryWeights(nodes)
 		for i := 1; i < len(w); i++ {
 			if w[i]*w[i-1] >= 0 {

@@ -92,19 +92,16 @@ func Apply(sys *particle.System, cfg Config) (*particle.System, Stats) {
 		bz := int32(math.Floor(p.Pos.Z/h)) - 1
 		for di := int32(0); di < 4; di++ {
 			wx := M4Prime(p.Pos.X/h - float64(bx+di))
-			//lint:ignore floateq exact-zero weight skip outside the kernel's compact support; contributions of zero weight are bitwise no-ops
 			if wx == 0 {
 				continue
 			}
 			for dj := int32(0); dj < 4; dj++ {
 				wy := M4Prime(p.Pos.Y/h - float64(by+dj))
-				//lint:ignore floateq exact-zero weight skip outside the kernel's compact support; contributions of zero weight are bitwise no-ops
 				if wy == 0 {
 					continue
 				}
 				for dk := int32(0); dk < 4; dk++ {
 					wz := M4Prime(p.Pos.Z/h - float64(bz+dk))
-					//lint:ignore floateq exact-zero weight skip outside the kernel's compact support; contributions of zero weight are bitwise no-ops
 					if wz == 0 {
 						continue
 					}

@@ -106,7 +106,6 @@ func (st *Stepper) Step(t, dt float64, u []float64) {
 	for i := 0; i < s.Stages(); i++ {
 		ode.Copy(st.stage, u)
 		for j := 0; j < i; j++ {
-			//lint:ignore floateq Butcher tableau entries are exact constants; zero entries are structural sparsity
 			if s.A[i][j] != 0 {
 				ode.AXPY(dt*s.A[i][j], st.k[j], st.stage)
 			}
@@ -114,7 +113,6 @@ func (st *Stepper) Step(t, dt float64, u []float64) {
 		st.sys.F(t+s.C[i]*dt, st.stage, st.k[i])
 	}
 	for i := 0; i < s.Stages(); i++ {
-		//lint:ignore floateq Butcher tableau entries are exact constants; zero entries are structural sparsity
 		if s.B[i] != 0 {
 			ode.AXPY(dt*s.B[i], st.k[i], u)
 		}

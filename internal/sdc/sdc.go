@@ -62,10 +62,6 @@ func NewSweeper(sys ode.System, nNodes int) *Sweeper {
 		panic("sdc: need at least 2 collocation nodes")
 	}
 	nodes := quadrature.GaussLobatto(nNodes)
-	return newSweeperWithNodes(sys, nodes)
-}
-
-func newSweeperWithNodes(sys ode.System, nodes []float64) *Sweeper {
 	sw := &Sweeper{
 		sys:   sys,
 		nodes: nodes,
@@ -301,59 +297,4 @@ func (in *Integrator) Integrate(t0, t1 float64, nsteps int, u []float64) {
 	for n := 0; n < nsteps; n++ {
 		in.Step(t0+float64(n)*dt, dt, u)
 	}
-}
-
-// NodeFamily selects the collocation node distribution (the paper's
-// ref. [34], Layton & Minion, discusses the impact of this choice).
-type NodeFamily int
-
-const (
-	// Lobatto selects Gauss–Lobatto nodes (the paper's choice):
-	// collocation order 2M for M+1 nodes.
-	Lobatto NodeFamily = iota
-	// RadauRight selects the left endpoint plus right Gauss–Radau
-	// points: order 2M−1, better damping for stiff problems.
-	RadauRight
-	// UniformNodes selects equispaced nodes: order ~M+1 only, included
-	// for the node-choice comparison.
-	UniformNodes
-)
-
-// Nodes returns n nodes of the family on [0,1].
-func (nf NodeFamily) Nodes(n int) []float64 {
-	switch nf {
-	case RadauRight:
-		return quadrature.GaussRadauRight(n)
-	case UniformNodes:
-		return quadrature.Uniform(n)
-	default:
-		return quadrature.GaussLobatto(n)
-	}
-}
-
-func (nf NodeFamily) String() string {
-	switch nf {
-	case RadauRight:
-		return "radau-right"
-	case UniformNodes:
-		return "uniform"
-	default:
-		return "gauss-lobatto"
-	}
-}
-
-// NewSweeperFamily is NewSweeper with an explicit node family.
-func NewSweeperFamily(sys ode.System, family NodeFamily, nNodes int) *Sweeper {
-	if nNodes < 2 {
-		panic("sdc: need at least 2 collocation nodes")
-	}
-	return newSweeperWithNodes(sys, family.Nodes(nNodes))
-}
-
-// NewIntegratorFamily is NewIntegrator with an explicit node family.
-func NewIntegratorFamily(sys ode.System, family NodeFamily, nNodes, sweeps int) *Integrator {
-	if sweeps < 1 {
-		panic("sdc: need at least one sweep")
-	}
-	return &Integrator{sw: NewSweeperFamily(sys, family, nNodes), sweeps: sweeps}
 }

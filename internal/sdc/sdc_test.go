@@ -210,60 +210,6 @@ func BenchmarkSDC4Oscillator(b *testing.B) {
 	}
 }
 
-func familyError(family NodeFamily, nNodes, sweeps, nsteps int) float64 {
-	sys, exact := ode.Oscillator(1)
-	in := NewIntegratorFamily(sys, family, nNodes, sweeps)
-	u := append([]float64(nil), exact(0)...)
-	in.Integrate(0, 2, nsteps, u)
-	return ode.MaxDiff(u, exact(2))
-}
-
-func TestNodeFamilyOrderComparison(t *testing.T) {
-	// The ref. [34] node-choice study: with many sweeps the order is
-	// capped by the collocation rule — Lobatto(3) reaches 4, Radau(3)
-	// reaches 3 (2M−1), uniform(3) lags behind Lobatto.
-	rate := func(fam NodeFamily) float64 {
-		e1 := familyError(fam, 3, 8, 8)
-		e2 := familyError(fam, 3, 8, 16)
-		return math.Log2(e1 / e2)
-	}
-	lob, rad, uni := rate(Lobatto), rate(RadauRight), rate(UniformNodes)
-	if lob < 3.4 {
-		t.Errorf("Lobatto order %.2f, want ~4", lob)
-	}
-	if rad < 2.4 {
-		t.Errorf("Radau order %.2f, want >= 3", rad)
-	}
-	if uni > lob+0.3 {
-		t.Errorf("uniform nodes (%.2f) should not beat Lobatto (%.2f)", uni, lob)
-	}
-	// At equal cost, Lobatto must be at least as accurate as uniform.
-	if eL, eU := familyError(Lobatto, 3, 8, 16), familyError(UniformNodes, 3, 8, 16); eL > eU*1.5 {
-		t.Errorf("Lobatto error %g worse than uniform %g", eL, eU)
-	}
-}
-
-func TestRadauFamilySweepsConverge(t *testing.T) {
-	sys, _ := ode.Logistic(0.3)
-	sw := NewSweeperFamily(sys, RadauRight, 4)
-	sw.Setup(0, 0.5)
-	sw.SetU0([]float64{0.3})
-	sw.Spread()
-	for k := 0; k < 15; k++ {
-		sw.Sweep()
-	}
-	if r := sw.Residual(); r > 1e-12 {
-		t.Fatalf("Radau residual after 15 sweeps: %g", r)
-	}
-}
-
-func TestFamilyStrings(t *testing.T) {
-	if Lobatto.String() != "gauss-lobatto" || RadauRight.String() != "radau-right" ||
-		UniformNodes.String() != "uniform" {
-		t.Fatal("family names wrong")
-	}
-}
-
 func TestSetU0LazyAppliesNodeZeroCorrection(t *testing.T) {
 	// After SetU0Lazy, the next sweep must use the OLD F[0] in its
 	// fOld snapshot and the NEW value afterwards — the parareal-like

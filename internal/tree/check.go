@@ -125,13 +125,10 @@ func (t *Tree) CheckMoments() error {
 // momentsEqual compares the moment payload of two nodes bitwise (via
 // float equality, so NaN never matches).
 func momentsEqual(a, b *Node) bool {
-	//lint:ignore floateq deliberate float equality: NaN must never match so corrupted moments are detected
 	return a.CircSum == b.CircSum && a.AbsCirc == b.AbsCirc &&
 		a.Centroid == b.Centroid && a.Dipole == b.Dipole &&
-		//lint:ignore floateq deliberate float equality: NaN must never match so corrupted moments are detected
 		a.Charge == b.Charge && a.AbsCharge == b.AbsCharge &&
 		a.DipoleQ == b.DipoleQ && a.QuadQ == b.QuadQ &&
-		//lint:ignore floateq deliberate float equality: NaN must never match so corrupted moments are detected
 		a.BMax == b.BMax
 }
 
@@ -192,18 +189,15 @@ func (t *Tree) CheckLanes() error {
 			return fmt.Errorf("%w: sortedPos[%d]=%d, want %d", ErrLanes, idx, t.sortedPos[idx], i)
 		}
 		p := &t.sys.Particles[idx]
-		//lint:ignore floateq deliberate float equality: lanes are bitwise copies, NaN must never match
 		if !(l.X[i] == p.Pos.X && l.Y[i] == p.Pos.Y && l.Z[i] == p.Pos.Z) {
 			return fmt.Errorf("%w: position lane %d disagrees with particle %d", ErrLanes, i, idx)
 		}
 		switch t.discipline {
 		case Vortex:
-			//lint:ignore floateq deliberate float equality: lanes are bitwise copies, NaN must never match
 			if !(l.AX[i] == p.Alpha.X && l.AY[i] == p.Alpha.Y && l.AZ[i] == p.Alpha.Z) {
 				return fmt.Errorf("%w: circulation lane %d disagrees with particle %d", ErrLanes, i, idx)
 			}
 		case Coulomb:
-			//lint:ignore floateq deliberate float equality: lanes are bitwise copies, NaN must never match
 			if l.Q[i] != p.Charge {
 				return fmt.Errorf("%w: charge lane %d disagrees with particle %d", ErrLanes, i, idx)
 			}

@@ -125,7 +125,7 @@ func TestWorkStealingScheduleInvariance(t *testing.T) {
 	run := func(workers, grain int) ([]vec.Vec3, []vec.Vec3) {
 		s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.45)
 		s.Workers = workers
-		s.StealGrain = grain
+		s.stealGrain = grain
 		vel := make([]vec.Vec3, n)
 		str := make([]vec.Vec3, n)
 		s.Eval(sys, vel, str)

@@ -42,9 +42,6 @@ type Solver struct {
 	// work stealing; TraversalRecursive is the per-particle walk with
 	// static block splits.
 	Traversal TraversalMode
-	// StealGrain is the work-stealing chunk size in leaf groups (≤0:
-	// automatic, ~4 chunks per worker).
-	StealGrain int
 	// GroupCap bounds the particles per target group of the list
 	// evaluator (≤0: max(LeafCap, 8)). Groups larger than a leaf
 	// amortize one list-build walk over several leaf cells.
@@ -58,6 +55,11 @@ type Solver struct {
 	// evaluates through the batched kernels; LayoutAoS is the
 	// reference path. The two are bitwise equal (DESIGN.md §14).
 	Layout particle.Layout
+
+	// stealGrain is the work-stealing chunk size in leaf groups (≤0:
+	// automatic, ~4 chunks per worker); only the schedule-invariance
+	// test sets it.
+	stealGrain int
 
 	evals        atomic.Int64
 	interactions atomic.Int64
@@ -150,7 +152,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	}
 	var inter atomic.Int64
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker bypass above
-	s.LastSched = sched.Run(s.Workers, len(groups), s.StealGrain, func(_, lo, hi int) {
+	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
 		list := GetInteractionList()
 		var local int64
 		for gi := lo; gi < hi; gi++ {
@@ -255,7 +257,7 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	}
 	var inter atomic.Int64
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker bypass above
-	s.LastSched = sched.Run(s.Workers, len(groups), s.StealGrain, func(_, lo, hi int) {
+	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
 		list := GetInteractionList()
 		var local int64
 		for gi := lo; gi < hi; gi++ {

@@ -57,7 +57,6 @@ func (v Vec3) NormInf() float64 {
 // Normalize returns v/|v|; it returns the zero vector when |v| == 0.
 func (v Vec3) Normalize() Vec3 {
 	n := v.Norm()
-	//lint:ignore floateq exact zero norm guards the division; any denormal norm still normalizes
 	if n == 0 {
 		return Zero3
 	}

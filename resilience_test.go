@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -144,7 +145,7 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
 		t.Fatal("crash plan without Resilience.Enabled accepted")
 	}
-	// Crash recovery at PS>1 used to be rejected with ErrUnsupported;
+	// Crash recovery at PS>1 used to be rejected;
 	// the grid-resilient loop (spatial shrink + re-decomposition) now
 	// accepts and survives it.
 	cfg = chaosConfig(2, 2)
@@ -164,6 +165,30 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	cfg.Resilience.FaultPlan = "bogus=1"
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
 		t.Fatal("malformed fault plan accepted")
+	}
+}
+
+// TestFacadeRejectsIgnoredResilienceSettings: a checkpoint setting
+// the run would silently drop — a directory or a resume request
+// without the resilient loop, a resume request without a directory —
+// is a configuration error, not a run from t0 that writes nothing.
+func TestFacadeRejectsIgnoredResilienceSettings(t *testing.T) {
+	sys := RandomBlob(16, 0.2, 7)
+	for _, c := range []struct {
+		name string
+		rz   ResilienceConfig
+		want string
+	}{
+		{"dir without enabled", ResilienceConfig{CheckpointDir: t.TempDir()}, "without Resilience.Enabled"},
+		{"resume without enabled", ResilienceConfig{Resume: true}, "without Resilience.Enabled"},
+		{"resume without dir", ResilienceConfig{Enabled: true, Resume: true}, "without Resilience.CheckpointDir"},
+	} {
+		cfg := DefaultSpaceTime(2, 1)
+		cfg.Resilience = c.rz
+		_, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -20,16 +20,6 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrUnsupported is the sentinel of capability rejections: the
-// configuration names a combination the solver does not (yet) support.
-// The two historical cases — crash recovery with PS > 1, and the guard
-// layer combined with resilient time stepping at PS > 1 — are both
-// supported since the grid-resilient loop landed (DESIGN.md §11), so
-// the solver currently accepts every well-formed configuration; the
-// sentinel is kept for callers that probe capabilities with
-// errors.Is(err, nbody.ErrUnsupported) and for future rejections.
-var ErrUnsupported = errors.New("nbody: unsupported configuration")
-
 // ErrCanceled is the typed cancellation sentinel of RunSpaceTimeCtx:
 // when the context is canceled (or its deadline expires) the run stops
 // at the next PFASST block boundary and returns an error wrapping this
@@ -75,10 +65,6 @@ type SpaceTimeConfig struct {
 	// the two-phase interaction-list evaluator (the default), or
 	// "recursive" for the per-particle walk with static splits.
 	Traversal string
-	// StealGrain tunes the work-stealing chunk size (leaf groups per
-	// claim) of the hybrid list traversal; ≤0 selects an automatic
-	// grain.
-	StealGrain int
 	// Layout selects the particle storage of the evaluation hot path:
 	// "" or "soa" for the Morton-gathered struct-of-arrays lanes with
 	// batched kernels (the default), "aos" for the array-of-structs
@@ -253,7 +239,6 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		return nil, SpaceTimeStats{}, err
 	}
 	ccfg.Traversal = trav
-	ccfg.StealGrain = cfg.StealGrain
 	layout, err := particle.ParseLayout(cfg.Layout)
 	if err != nil {
 		return nil, SpaceTimeStats{}, err
@@ -283,6 +268,12 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 			// grid recovery protocol: shrink + re-decomposition).
 			return nil, SpaceTimeStats{}, fmt.Errorf("nbody: fault plan %q injects a crash; set Resilience.Enabled", rz.FaultPlan)
 		}
+	}
+	if !rz.Enabled && (rz.CheckpointDir != "" || rz.Resume) {
+		return nil, SpaceTimeStats{}, fmt.Errorf("nbody: Resilience.CheckpointDir/Resume set without Resilience.Enabled: no checkpoint would be written or read")
+	}
+	if rz.Resume && rz.CheckpointDir == "" {
+		return nil, SpaceTimeStats{}, fmt.Errorf("nbody: Resilience.Resume set without Resilience.CheckpointDir")
 	}
 	if rz.Enabled {
 		ccfg.Resilience = pfasst.Resilience{
