@@ -54,15 +54,17 @@ grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
   exit 1
 }
 # Second allocation smoke: one warm collective hot.Solver.Eval on four
-# ranks (N = 2000 sheet; B/op is the whole world's bytes per
-# evaluation, ranks share one heap). The evaluation arena leaves about
-# 1.12 MB/op, nearly all of it package mpi's payload copies; the same
-# benchmark measured 9.06 MB/op at 24e9cfc, the commit before the
-# arena. The ceiling of 1.5 MB is under a sixth of that figure.
+# ranks with the default exchange (N = 2000 sheet; B/op is the whole
+# world's bytes per evaluation, ranks share one heap). The arena holds
+# what hot builds and mpi.Alltoall lends the route, prefetch and result
+# blocks, so about 43 KB/op is left — the collectives' own slices and
+# frames; the same benchmark measured 1.12 MB/op with the copying
+# Alltoall and the on-demand fetches, and 9.06 MB/op at 24e9cfc, the
+# commit before the arena. The ceiling is the measured figure × 1.3.
 go test -bench 'BenchmarkHOTEval4Ranks' -benchtime 20x -benchmem -run '^$' ./internal/hot/ | tee "$alloc_out"
-awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > 1500000) over = 1 } }
+awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > 56000) over = 1 } }
      END { exit (seen && !over) ? 0 : 1 }' "$alloc_out" || {
-  echo "a warm hot.Solver.Eval allocates more than 1.5 MB on four ranks" >&2
+  echo "a warm hot.Solver.Eval allocates more than 56 KB on four ranks" >&2
   exit 1
 }
 rm -f "$alloc_out"
@@ -75,7 +77,9 @@ rm -f "$alloc_out"
 # restore, and the guard×crash interleaving on 2×2 and 4×2 grids.
 # ./internal/pfasst/ and ./internal/core/ hold the recovery loop's own
 # suites (the PT×1 ports of the old time-shrink loop's tests, and the
-# PT-shrink on 4×2). `Cancel` is TestFacadeCancelAtBlockBoundary:
+# PT-shrink on 4×2). TestFacadeGridCrashMidAttempt carries the
+# `Threads: 2` row: traversal workers across a mid-attempt crash,
+# bitwise equal to `Threads: 1`. `Cancel` is TestFacadeCancelAtBlockBoundary:
 # cancellation through both block loops via the one block-boundary
 # callback.
 go test -race -count=1 -timeout 10m \
@@ -123,10 +127,11 @@ go test -run '^$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/server/
 
 # Scaling lane: the joint space-time study at lane scale under the race
-# detector — the executed 8-rank PSxPT grid (both branch exchange
-# modes) plus the modeled grid up to 4096 ranks, asserting the Fig. 5 x
-# Fig. 8 crossover shape: beyond spatial saturation the best PT>1
-# layout beats space-only, and the batched exchange beats the ring.
+# detector — the executed 8-rank PSxPT grid (both allgathers of the
+# branch exchange, same prefetch set) plus the modeled grid up to 4096
+# ranks, asserting the Fig. 5 x Fig. 8 crossover shape: beyond spatial
+# saturation the best PT>1 layout beats space-only, and the batched
+# exchange beats the ring.
 go test -race -count=1 -timeout 10m -run 'ScalingLane' .
 
 # Docs gate: the handbooks are executable documentation — every

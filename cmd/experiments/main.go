@@ -9,11 +9,10 @@
 //	experiments -exp theta-ratio|residuals|speedup-model|phases
 //	experiments -exp fig5-xt    # joint space-time scaling study, tables only (not part of "all")
 //	experiments -exp fig5-xt -xt-out new.json     # also write the record; an existing file is never replaced
-//	experiments -branch batched -exp phases       # batched branch exchange (prefetch visible)
 //	experiments -balance -exp phases              # work-weighted domain decomposition
 //	experiments -list           # validate -fig/-exp and list the known names, run nothing
 //	experiments -traversal recursive -exp phases  # per-particle walk instead of interaction lists
-//	experiments -threads 4 -exp phases            # hybrid per-rank worker pool (steals visible)
+//	experiments -threads 4 -exp phases            # per-rank worker pool (steals visible)
 //	experiments -csv out/       # additionally write CSV files
 //	experiments -json out/      # write telemetry snapshots as JSON
 //	experiments -pproflabels -cpuprofile cpu.out  # label profile samples by phase
@@ -29,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/hot"
 	"repro/internal/telemetry"
 	"repro/internal/tree"
 )
@@ -41,8 +39,7 @@ func main() {
 		fig        = flag.String("fig", "", "figure to regenerate: 1, 5, 7a, 7b, 8 (empty = all)")
 		exp        = flag.String("exp", "", "extra experiment: theta-ratio, residuals, speedup-model, ablations, phases, fig5-xt")
 		traversal  = flag.String("traversal", "", `tree traversal mode: "list" (default) or "recursive"`)
-		threads    = flag.Int("threads", 0, "traversal worker goroutines per rank (>1 = hybrid scheduler; phases experiment)")
-		branch     = flag.String("branch", "", `branch exchange mode: "ring" (default) or "batched" (phases experiment)`)
+		threads    = flag.Int("threads", 0, "traversal worker goroutines per rank (>1 = work-stealing scheduler; phases experiment)")
 		balance    = flag.Bool("balance", false, "work-weighted domain decomposition (phases experiment)")
 		list       = flag.Bool("list", false, "validate -fig/-exp, list the known names, and exit without running")
 		xtOut      = flag.String("xt-out", "", "write the fig5-xt record to this new file (empty = tables only; an existing file is never replaced)")
@@ -55,10 +52,6 @@ func main() {
 	flag.Parse()
 
 	trav, err := tree.ParseTraversal(*traversal)
-	if err != nil {
-		log.Fatal(err)
-	}
-	brm, err := hot.ParseBranchMode(*branch)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,14 +167,13 @@ func main() {
 		pcfg := experiments.DefaultPhases()
 		pcfg.Traversal = trav
 		pcfg.Threads = *threads
-		pcfg.Branch = brm
 		pcfg.Balance = *balance
 		snap, tb := experiments.SpaceTimePhases(pcfg)
 		emit("spacetime_phases", tb)
 		emitJSON("spacetime_phases", snap)
 	}
 	// fig5-xt is opt-in only (minutes of wall time): the joint space-time
-	// scaling study — executed branch-exchange before/after, the executed
+	// scaling study — the executed branch exchange per allgather, the executed
 	// PS×PT grid, and the modeled extrapolation to 262,144 cores (see
 	// SCALING.md). BENCH_PR7.json is the frozen record of one such run.
 	if strings.EqualFold(*exp, "fig5-xt") {

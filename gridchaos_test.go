@@ -66,7 +66,10 @@ func TestFacadeGridCrashSpatialShrink(t *testing.T) {
 // TestFacadeGridCrashMidAttempt: the death hits inside the block attempt
 // (predictor / iteration fault points), so survivors are woken out of
 // deadline receives and revoked spatial collectives, not caught at a
-// clean block boundary.
+// clean block boundary. The Threads: 2 row repeats each plan with
+// traversal workers: a comm failure only ever unwinds a rank's main
+// goroutine (workers do not communicate), so recovery is the same and
+// the result equals the Threads: 1 one bit for bit.
 func TestFacadeGridCrashMidAttempt(t *testing.T) {
 	sys := RandomBlob(32, 0.2, 7)
 	clean, _, err := RunSpaceTime(chaosConfig(2, 2), sys, 0, 0.2, 4)
@@ -74,14 +77,27 @@ func TestFacadeGridCrashMidAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range []string{"crash=2@iter:1", "crash=1@predictor:0"} {
-		cfg := chaosConfig(2, 2)
-		cfg.Resilience.FaultPlan = plan
-		out, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 4)
-		if err != nil {
-			t.Fatalf("%s: not survived: %v", plan, err)
-		}
-		if d := maxPosDev(clean, out); d > gridDeviation {
-			t.Fatalf("%s: diverges by %g", plan, d)
+		var single *System
+		for _, threads := range []int{1, 2} {
+			cfg := chaosConfig(2, 2)
+			cfg.Resilience.FaultPlan = plan
+			cfg.Threads = threads
+			out, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 4)
+			if err != nil {
+				t.Fatalf("%s, Threads: %d: not survived: %v", plan, threads, err)
+			}
+			if d := maxPosDev(clean, out); d > gridDeviation {
+				t.Fatalf("%s, Threads: %d: diverges by %g", plan, threads, d)
+			}
+			if single == nil {
+				single = out
+				continue
+			}
+			for i := range out.Particles {
+				if out.Particles[i] != single.Particles[i] {
+					t.Fatalf("%s: particle %d differs between Threads: 1 and Threads: 2", plan, i)
+				}
+			}
 		}
 	}
 }

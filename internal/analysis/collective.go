@@ -47,7 +47,7 @@ var AnalyzerCollective = &Analyzer{
 // together.
 var collectiveMethods = map[string]bool{
 	"Agree": true, "AgreeDeadRanks": true, "ShrinkTo": true,
-	"Allgather": true, "AllgatherBatched": true, "AllgatherBatchedOverlap": true,
+	"Allgather": true, "AllgatherBatchedOverlap": true,
 	"AllreduceFloat64": true, "AllreduceInt64": true,
 }
 
@@ -57,7 +57,6 @@ var rankVariantMethods = map[string]bool{
 	"Rank": true, "WorldRank": true, "Now": true,
 	"Recv": true, "RecvDeadline": true,
 	"RecvFloat64s": true, "RecvFloat64sDeadline": true,
-	"RecvService": true,
 }
 
 // commMethodOf resolves a call to a method on the module's Comm named

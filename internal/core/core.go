@@ -179,10 +179,10 @@ type Config struct {
 	// evaluations, so disabling it keeps redo-after-rollback bitwise
 	// reproducible for the guard layer.
 	Balance bool
-	// Branch selects the branch-node exchange algorithm of every
-	// level's tree solver: hot.BranchRing (zero value) or
-	// hot.BranchBatched (batched, MAC-pruned, overlapped — DESIGN.md
-	// §15). Results are bitwise identical either way.
+	// Branch selects the allgather of every level's branch exchange:
+	// hot.BranchBatched (the zero value: Bruck rounds with the prefetch
+	// walks overlapped — DESIGN.md §15) or hot.BranchRing. Results are
+	// bitwise identical either way.
 	Branch hot.BranchMode
 	// Model, when non-nil, drives the virtual clocks.
 	Model *machine.CostModel

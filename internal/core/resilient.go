@@ -85,16 +85,6 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	if nsteps%cfg.PT != 0 {
 		return Result{}, fmt.Errorf("core: nsteps %d not a multiple of PT %d", nsteps, cfg.PT)
 	}
-	// At PS > 1 the grid path forces single-threaded tree traversals:
-	// comm-failure panics must only ever unwind rank-main goroutines, and
-	// the hybrid traversal's service goroutines would turn one into a
-	// process crash. Traversal results are schedule-invariant, so this
-	// changes cost, not numerics (DESIGN.md §11). A one-rank spatial
-	// communicator has no collective that can fail, so PS = 1 keeps the
-	// configured Threads.
-	if cfg.PS > 1 {
-		cfg.Threads = 1
-	}
 	rz := cfg.Resilience
 	ps0, pt0 := cfg.PS, cfg.PT
 	slice := world.Rank() / ps0 // fixed for the rank's lifetime

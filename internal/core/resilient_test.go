@@ -176,33 +176,27 @@ func TestGridCrashFirstSliceKeepsCheckpointing(t *testing.T) {
 	}
 }
 
-// TestGridResilientHonoursThreadsAtPS1: the single-thread pin of the
-// grid loop protects PS > 1's deadline-less spatial collectives; a
-// one-column grid keeps the configured hybrid traversal (its workers
-// report busy time) and still equals the lockstep run bitwise.
+// TestGridResilientHonoursThreadsAtPS1: traversal workers never
+// communicate, so the grid loop keeps the configured Threads at every
+// PS, one column or two (the test ID predates that): the workers
+// report busy time, and the run still equals the lockstep one bitwise.
 func TestGridResilientHonoursThreadsAtPS1(t *testing.T) {
-	cfg := resilientCfg(2, 1)
-	cfg.Threads = 2
-	plain := cfg
-	plain.Resilience = pfasst.Resilience{}
-	want, _ := runCrashGrid(t, plain, "", 4)
-	got, tel := runCrashGrid(t, cfg, "", 4)
-	for r := range got {
-		if tel[r].Timers[hot.TimerWorkerBusy].Count == 0 {
-			t.Fatalf("rank %d: no hybrid-traversal worker ran: Threads was not honoured", r)
-		}
-		for i, v := range got[r].PFASST.U {
-			if v != want[r].PFASST.U[i] {
-				t.Fatalf("rank %d: resilient run with Threads = 2 differs from the lockstep one", r)
+	for _, ps := range []int{1, 2} {
+		cfg := resilientCfg(2, ps)
+		cfg.Threads = 2
+		plain := cfg
+		plain.Resilience = pfasst.Resilience{}
+		want, _ := runCrashGrid(t, plain, "", 4)
+		got, tel := runCrashGrid(t, cfg, "", 4)
+		for r := range got {
+			if tel[r].Timers[hot.TimerWorkerBusy].Count == 0 {
+				t.Fatalf("PS = %d rank %d: no traversal worker ran: Threads was not honoured", ps, r)
 			}
-		}
-	}
-	wide := resilientCfg(2, 2)
-	wide.Threads = 2
-	_, tel = runCrashGrid(t, wide, "", 4)
-	for r := range tel {
-		if tel[r].Timers[hot.TimerWorkerBusy].Count != 0 {
-			t.Fatalf("rank %d: PS = 2 resilient run used traversal workers", r)
+			for i, v := range got[r].PFASST.U {
+				if v != want[r].PFASST.U[i] {
+					t.Fatalf("PS = %d rank %d: resilient run with Threads = 2 differs from the lockstep one", ps, r)
+				}
+			}
 		}
 	}
 }

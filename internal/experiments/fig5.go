@@ -80,6 +80,9 @@ func Fig5Executed(cfg Fig5Config) ([]Fig5ExecPoint, *Table, *Table) {
 				Sm: kernel.Algebraic2(), Scheme: kernel.Transpose,
 				Theta: cfg.Theta, Eps: cfg.Eps, Model: &model,
 				Layout: particle.LayoutSoA,
+				// The paper's exchange: Fig5Model prices the branch
+				// allgather at the ring's P−1 chained latencies.
+				Branch: hot.BranchRing,
 				Tel:    reg,
 			})
 			pot := make([]float64, local.N())
@@ -125,7 +128,7 @@ func Fig5Executed(cfg Fig5Config) ([]Fig5ExecPoint, *Table, *Table) {
 	ptb := &Table{
 		Title: "Fig. 5 (telemetry) — per-phase breakdown from merged rank snapshots",
 		Header: []string{"ranks", "build(s)", "branch_xchg(s)", "traversal(s)",
-			"mac_accepts", "mac_rejects", "p2p", "fetches", "msgs", "sent_bytes"},
+			"mac_accepts", "mac_rejects", "p2p", "msgs", "sent_bytes"},
 	}
 	for _, p := range points {
 		s := p.Telemetry
@@ -136,7 +139,6 @@ func Fig5Executed(cfg Fig5Config) ([]Fig5ExecPoint, *Table, *Table) {
 			f("%d", s.Counter(hot.CounterMACAccepts)),
 			f("%d", s.Counter(hot.CounterMACRejects)),
 			f("%d", s.Counter(hot.CounterP2P)),
-			f("%d", s.Counter(hot.CounterFetches)),
 			f("%d", s.Counter(mpi.CounterSends)),
 			f("%d", s.Counter(mpi.CounterSendBytes)))
 	}

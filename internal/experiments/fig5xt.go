@@ -18,18 +18,18 @@ import (
 
 // Fig5XTConfig parameterizes the joint space×time scaling study
 // (BENCH_PR7.json): the Fig. 5 strong-scaling crossover of the spatial
-// tree code — before and after the batched branch exchange — combined
+// tree code — under the ring and the batched branch exchange — combined
 // with the Fig. 8 time-parallel extension, extrapolated on the machine
 // model to the paper's 262,144 Blue Gene/P cores.
 //
 // Three parts. The *executed branch* part runs the real parallel tree
-// at each rank count under virtual clocks, once per exchange mode,
-// yielding honest per-phase times, branch counts and the prefetch
-// volume. The *executed grid* part runs the full space-time solver on
-// small PS×PT grids at a fixed total rank count against the
-// space-only SDC baseline. The *modeled* part extrapolates both cost
-// structures — calibrated by the executed branch-count fit and
-// prefetch ratio — to the paper's particle and core counts.
+// at each rank count under virtual clocks, once per allgather of the
+// branch exchange, yielding honest per-phase times, branch counts and
+// the prefetch volume. The *executed grid* part runs the full
+// space-time solver on small PS×PT grids at a fixed total rank count
+// against the space-only SDC baseline. The *modeled* part extrapolates
+// both cost structures — calibrated by the executed branch-count fit
+// and prefetch ratio — to the paper's particle and core counts.
 type Fig5XTConfig struct {
 	NExec     int   // particle count of the executed branch runs
 	ExecRanks []int // rank counts of the executed branch runs
@@ -93,7 +93,6 @@ type XTBranchPoint struct {
 	VTBranch      float64 `json:"vt_branch_s"`
 	VTTraverse    float64 `json:"vt_traverse_s"`
 	TotalBranches int     `json:"branches"`
-	Fetches       int64   `json:"fetches"`
 	Prefetched    int64   `json:"prefetched"`
 }
 
@@ -124,12 +123,12 @@ func Fig5XTBranch(cfg Fig5XTConfig) ([]XTBranchPoint, *Table) {
 				phases := c.AllreduceFloat64([]float64{
 					st.TDecomp, st.TBuild, st.TBranch, st.TTraverse,
 				}, mpi.OpMax)
-				work := c.AllreduceInt64([]int64{st.Fetches, st.Prefetched}, mpi.OpSum)
+				prefetched := c.AllreduceInt64([]int64{st.Prefetched}, mpi.OpSum)
 				if c.Rank() == 0 {
 					pt.VTDecomp, pt.VTBuild = phases[0], phases[1]
 					pt.VTBranch, pt.VTTraverse = phases[2], phases[3]
 					pt.TotalBranches = st.TotalBranches
-					pt.Fetches, pt.Prefetched = work[0], work[1]
+					pt.Prefetched = prefetched[0]
 				}
 				c.Barrier()
 				return nil
@@ -145,16 +144,16 @@ func Fig5XTBranch(cfg Fig5XTConfig) ([]XTBranchPoint, *Table) {
 	tb := &Table{
 		Title: "PR7 (executed) — branch exchange before/after, virtual BG/P clock",
 		Header: []string{"ranks", "mode", "total(s)", "branch_xchg(s)",
-			"traversal(s)", "branches", "fetches", "prefetched"},
+			"traversal(s)", "branches", "prefetched"},
 	}
 	for _, p := range points {
 		tb.AddRow(f("%d", p.Ranks), p.Mode, f("%.4f", p.VTTotal),
 			f("%.4f", p.VTBranch), f("%.4f", p.VTTraverse),
-			f("%d", p.TotalBranches), f("%d", p.Fetches), f("%d", p.Prefetched))
+			f("%d", p.TotalBranches), f("%d", p.Prefetched))
 	}
 	tb.AddNote("N=%d homogeneous neutral Coulomb cloud, theta=%g; results bitwise equal across modes", cfg.NExec, cfg.Theta)
-	tb.AddNote("expected shape: batched turns the (P-1)-latency ring into ~log2(P) rounds")
-	tb.AddNote("and replaces on-demand fetches with the MAC-pruned prefetch (fetches -> 0)")
+	tb.AddNote("expected shape: batched turns the (P-1)-latency ring allgathers into ~log2(P) rounds")
+	tb.AddNote("and walks the prefetch set in their overlap window; both modes ship the same MAC-pruned cells")
 	return points, tb
 }
 
@@ -306,13 +305,13 @@ type XTCrossover struct {
 //	           batched: 3·⌈log2 p⌉·L + (p·48 + B·152)·BP + B·handling
 //	t_eval   = interactions(nloc, θ_fine, N) · cost
 //
-// with B(p) from the executed power-law fit. The batched mode pays
-// three aggregated rounds (rank AABBs, Bruck branch exchange, framed
-// prefetch replies) instead of the (p−1)-latency ring; the prefetch
-// reply payload itself — pref cells per branch in the executed runs,
-// recorded for calibration — is overlapped with local work and
-// replaces the ring's on-demand fetch round-trips, which the Fig. 5
-// model never charged either. The space-only baseline pays
+// with B(p) from the executed power-law fit. The ring row is the
+// paper's exchange, one (p−1)-latency allgather of the branch lists;
+// the batched row pays three aggregated rounds (rank AABBs, Bruck
+// branch exchange, framed prefetch replies) instead. What resolves the
+// cells below the branches — pref cells per branch in the executed
+// runs, recorded for calibration — is charged to neither row, as the
+// Fig. 5 model never charged it. The space-only baseline pays
 // Ks·(sum) per step; PFASST(X, Y, PT) divides the compute by the
 // Eq. 24 speedup S(PT; α, β) and adds its own communication — per
 // block, X neighbor sends of the 48-byte-per-particle state plus a

@@ -21,14 +21,11 @@ type PhasesConfig struct {
 	// Traversal selects the tree evaluator (TraversalList is the
 	// default).
 	Traversal tree.TraversalMode
-	// Threads > 1 selects the hybrid per-rank traversal (worker pool +
-	// communication goroutine), the path where hot.steals and
-	// hot.worker_busy are recorded.
+	// Threads > 1 selects the threaded per-rank traversal (worker
+	// pool), the path where hot.steals and hot.worker_busy are
+	// recorded.
 	Threads int
-	// Branch selects the branch-node exchange (hot.BranchBatched makes
-	// hot.prefetched visible and zeroes hot.fetches); Balance enables
-	// the work-weighted decomposition.
-	Branch  hot.BranchMode
+	// Balance enables the work-weighted decomposition.
 	Balance bool
 }
 
@@ -51,7 +48,6 @@ func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 	if cfg.Threads > 0 {
 		ccfg.Threads = cfg.Threads
 	}
-	ccfg.Branch = cfg.Branch
 	ccfg.Balance = cfg.Balance
 	var merged telemetry.Snapshot
 	var mu sync.Mutex
@@ -83,7 +79,7 @@ func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 		pfasst.CounterFineSweeps, pfasst.CounterCoarseSweeps,
 		"core.evals.level0", "core.evals.level1",
 		hot.CounterInteractions, hot.CounterMACAccepts, hot.CounterMACRejects,
-		hot.CounterFetches, hot.CounterPrefetched, hot.CounterSteals,
+		hot.CounterPrefetched, hot.CounterSteals,
 		mpi.CounterSends, mpi.CounterSendBytes,
 	} {
 		tb.AddRow(name, f("%d", merged.Counter(name)), "", "")

@@ -12,13 +12,17 @@ import (
 // rank. A Solver holds exactly one; each Eval/Coulomb resets it and
 // reuses the capacity the previous evaluation left behind, so a rank
 // in steady state (every SDC sweep after the first) allocates only
-// what package mpi copies for the wire.
+// what package mpi does for its collectives.
 //
 // Lifetime rule: everything an evaluation builds — the received local
 // system, the local tree, the locally essential tree (cells, child
 // keys, remote-leaf lanes) and the output arrays — is valid until the
 // solver's next evaluation and not a moment longer. Nothing in here is
 // handed to the caller; results leave through the caller's own slices.
+//
+// The route, prefetch and result blocks are lent to other ranks by
+// mpi.Alltoall (see its lending rule): reset only truncates them, and
+// an evaluation writes them after its first allreduces.
 type evalArena struct {
 	// Decomposition: Morton keys, their sort permutation and the
 	// balance weights of the caller's particles; splitter sampling;
@@ -41,17 +45,16 @@ type evalArena struct {
 	groups []int32
 
 	// Branch exchange: this rank's branch nodes and their wire form,
-	// the per-receiver prefetch blocks of BranchBatched, the scratch of
-	// one fetch reply, and the (parent, child) edges of the shared top.
+	// the per-receiver prefetch blocks, and the (parent, child) edges
+	// of the shared top.
 	branches []int
 	packed   []byte
 	prefetch [][]byte
-	reply    []byte
 	edges    []topEdge
 
 	// The locally essential tree: every global cell this rank knows —
-	// shared top, branches of all ranks, fetched or prefetched remote
-	// cells — in one table; child keys of resolved cells as ranges of
+	// shared top, branches of all ranks, prefetched remote cells — in
+	// one table; child keys of resolved cells as ranges of
 	// one slab; particles of resolved remote leaves as ranges of one
 	// set of SoA lanes.
 	cells     cellTable
@@ -59,12 +62,10 @@ type evalArena struct {
 	lanes     particle.SoA
 
 	// Traversal: per-target outputs in local order and one scratch per
-	// worker; the reply routing of the hybrid communication goroutine.
+	// worker.
 	outVel, outStr, outE []vec.Vec3
 	outPot, workPer      []float64
 	scratch              []travScratch
-	pending              map[uint64]chan []byte   // reply routing by requested pkey
-	inflight             map[uint64]chan struct{} // fetch deduplication
 
 	// Result routing: one block per origin rank, and the one-word
 	// operand of the imbalance reductions.
@@ -122,23 +123,22 @@ type travScratch struct {
 }
 
 // gcell is a node of the rank's view of the global tree: shared top
-// cells (owner −1), branch cells, and fetched remote cells. A cell
-// never moves once inserted, so pointers to it stay valid while other
-// goroutines grow the table.
+// cells (owner −1), branch cells, and prefetched remote cells. A cell
+// never moves once inserted, so pointers to it stay valid while the
+// table grows.
 type gcell struct {
 	nd    tree.Node
 	pkey  uint64
 	owner int
 	// Known children: childKeys[childLo : childLo+childN] of the arena
-	// (childLo < 0 = not fetched).
+	// (childLo < 0 = unresolved).
 	childLo, childN int32
 	// Particles of a remote leaf: lanes [partLo, partLo+partN) of the
-	// arena (partLo < 0 = not fetched).
+	// arena (partLo < 0 = unresolved).
 	partLo, partN int32
 }
 
-// resolved reports whether a remote cell's payload has arrived. Must
-// hold rt.mu in hybrid mode.
+// resolved reports whether a remote cell's payload has been installed.
 func (g *gcell) resolved() bool {
 	if g.nd.Leaf {
 		return g.partLo >= 0

@@ -78,7 +78,7 @@ func TestArenaCarriesNoStateBetweenEvaluations(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 3} {
 		for _, disc := range []tree.Discipline{tree.Vortex, tree.Coulomb} {
-			for _, branch := range []BranchMode{BranchRing, BranchBatched} {
+			for _, branch := range []BranchMode{BranchBatched, BranchRing} {
 				for _, threads := range []int{0, 3} {
 					cfg := defaultCfg(0.35)
 					cfg.Eps = 0.01
@@ -97,8 +97,8 @@ func TestArenaCarriesNoStateBetweenEvaluations(t *testing.T) {
 						if err := sameOutput(third, fresh); err != nil {
 							return fmt.Errorf("rank %d: reused solver differs from a fresh one: %w", c.Rank(), err)
 						}
-						if p > 1 && branch == BranchRing && first.st.Fetches == 0 {
-							return fmt.Errorf("rank %d: no remote fetch: the case does not exercise remote cells", c.Rank())
+						if p > 1 && first.st.Prefetched == 0 {
+							return fmt.Errorf("rank %d: nothing prefetched: the case does not exercise remote cells", c.Rank())
 						}
 						return nil
 					})
@@ -145,41 +145,28 @@ func steadyStateBytes(t *testing.T, full *particle.System, p int, cfg Config) ui
 	return bytes
 }
 
-// TestSteadyStateBytes bounds what a warm evaluation allocates. With
-// the arena only package mpi's payload copies and a few dozen small
-// per-evaluation objects are left: 0.10 / 0.21 / 0.33 MB per collective
-// Eval of the N = 640 sheet at p = 1 / 2 / 3 when the arena landed
-// (PR 16, amd64), against 1.33 / 2.06 / 2.72 MB at the parent 24e9cfc.
-// The ceilings are those figures plus ~50 % headroom.
-//
-// The batched exchange ships the same cells as the ring, only earlier,
-// so it must cost the same (ROADMAP 1(a); at the parent it cost +21 %
-// at p = 2 and +35 % at p = 3). Within package hot it now does. What
-// is left at p = 3 (+5.8 %, 19 KB) is inside package mpi: the Bruck
-// allgather's per-round block maps and re-encoded batches (+22 KB over
-// the ring allgather) and the copy of a conservative prefetch set
-// 2.5 % larger than what the ring fetches on demand — ROADMAP 1(d).
+// TestSteadyStateBytes bounds what a warm evaluation allocates. The
+// arena holds everything package hot builds and mpi.Alltoall lends the
+// route, prefetch and result blocks instead of copying them, so what
+// is left is the collectives' own small slices and frames: 0.7 / 9.6 /
+// 22.3 KB per collective Eval of the N = 640 sheet at p = 1 / 2 / 3
+// (amd64), against 0.10 / 0.21 / 0.33 MB when the arena landed (PR 16)
+// and 1.33 / 2.06 / 2.72 MB before it. The ceilings are those figures
+// × 1.3 (2 KB at p = 1, where one stray 176-byte object is a quarter
+// of the figure).
 func TestSteadyStateBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the byte ceilings hold in the non-race lane")
 	}
 	full := particle.SphericalVortexSheet(particle.ScaledSheet(640))
 	for _, tc := range []struct {
-		p         int
-		ceiling   uint64
-		batchedBy float64 // bound on batched ÷ ring
-	}{{1, 150 << 10, 1.03}, {2, 320 << 10, 1.03}, {3, 500 << 10, 1.08}} {
-		ring := defaultCfg(0.3)
-		bat := ring
-		bat.Branch = BranchBatched
-		rb := steadyStateBytes(t, full, tc.p, ring)
-		bb := steadyStateBytes(t, full, tc.p, bat)
-		t.Logf("p=%d: ring %d B, batched %d B per warm evaluation", tc.p, rb, bb)
-		if rb > tc.ceiling {
-			t.Errorf("p=%d: ring evaluation allocates %d B, ceiling %d", tc.p, rb, tc.ceiling)
-		}
-		if float64(bb) > tc.batchedBy*float64(rb) {
-			t.Errorf("p=%d: batched evaluation allocates %d B, more than %.2f × ring's %d", tc.p, bb, tc.batchedBy, rb)
+		p       int
+		ceiling uint64
+	}{{1, 2 << 10}, {2, 13 << 10}, {3, 30 << 10}} {
+		b := steadyStateBytes(t, full, tc.p, defaultCfg(0.3))
+		t.Logf("p=%d: %d B per warm evaluation", tc.p, b)
+		if b > tc.ceiling {
+			t.Errorf("p=%d: a warm evaluation allocates %d B, ceiling %d", tc.p, b, tc.ceiling)
 		}
 	}
 }

@@ -2,51 +2,36 @@ package hot
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
-	"strings"
 
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
-// BranchMode selects the branch-node exchange algorithm of phase 4.
+// BranchMode selects the allgather of phase 4. Everything else about
+// the branch exchange — the rank boxes, the MAC-pruned prefetch walks
+// over the local tree, the one Alltoall that ships each receiver its
+// essential cells — is the same in both modes, and so are the results,
+// bit for bit.
 type BranchMode int
 
 const (
-	// BranchRing is the reference exchange: the ring allgather of the
-	// packed branch lists (P−1 rounds, P−1 chained latencies), followed
-	// by on-demand remote-cell fetches during the traversal.
-	BranchRing BranchMode = iota
-	// BranchBatched is the optimized exchange of DESIGN.md §15: the
-	// branch lists travel in ⌈log2 P⌉ batched Bruck rounds, each rank
-	// prunes its local tree against every receiver's MAC acceptance
-	// region and ships the surviving cells ahead of time in one
-	// Alltoall, and those prefetch walks overlap the first exchange
-	// round in flight. Bitwise identical results to BranchRing: the
-	// shipped records use the exact fetch-reply encoding, the traversal
-	// is untouched, and the on-demand fetch path remains as a fallback
-	// for cells the conservative pruning did not ship.
-	BranchBatched
+	// BranchBatched carries the rank boxes and the branch lists in
+	// ⌈log2 P⌉ batched Bruck rounds, with the prefetch walks in the
+	// overlap window of the branch allgather's first round (DESIGN.md
+	// §15). The default.
+	BranchBatched BranchMode = iota
+	// BranchRing carries them by ring allgather: P−1 rounds, P−1
+	// chained latencies — the cost structure of the paper's Fig. 5,
+	// which the scaling study compares against.
+	BranchRing
 )
 
-// ParseBranchMode maps the -branch flag spelling to a BranchMode.
-func ParseBranchMode(s string) (BranchMode, error) {
-	switch strings.ToLower(s) {
-	case "", "ring":
-		return BranchRing, nil
-	case "batched":
-		return BranchBatched, nil
-	}
-	return 0, fmt.Errorf(`hot: unknown branch mode %q (want "ring" or "batched")`, s)
-}
-
-// String returns the flag spelling of the mode.
+// String returns the name of the mode in experiment tables and records.
 func (m BranchMode) String() string {
-	if m == BranchBatched {
-		return "batched"
+	if m == BranchRing {
+		return "ring"
 	}
-	return "ring"
+	return "batched"
 }
 
 // boxRecBytes is the wire size of one rank's bounding box (6 float64).
@@ -89,63 +74,38 @@ func boxDistSq(lo, hi, c vec.Vec3) float64 {
 	return dx*dx + dy*dy + dz*dz
 }
 
-// batchedBranchExchange is the BranchBatched implementation of phase 4:
-// it gathers the per-rank bounding boxes, allgathers the packed branch
-// lists with the Bruck algorithm while the prefetch walks run in the
-// overlap window, and ships every receiver its pruned essential subtree
-// in one Alltoall. The resulting reply payloads are stashed on rt and
-// installed by installPrefetch after the shared top tree exists.
-func (rt *evalRT) batchedBranchExchange() [][]byte {
-	s, a, comm := rt.s, rt.a, rt.comm
-	p := comm.Size()
-
-	// Every rank's post-redistribution bounding box: 48 bytes per rank,
-	// batched into ⌈log2 P⌉ rounds.
-	lo, hi := rt.local.Bounds()
-	if rt.local.N() == 0 {
-		lo = vec.V3(math.Inf(1), math.Inf(1), math.Inf(1))
-		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
+// prefetchWalks walks the local tree once per receiver, prunes every
+// subtree whose root the receiver's box already accepts under the MAC,
+// and packs the rest as reply records into the receiver's prefetch
+// block. The walks are local compute: inside the Bruck overlap window
+// the virtual clock advances during the round-0 latency — genuine
+// overlap.
+func (rt *evalRT) prefetchWalks(boxes [][]byte) {
+	s, a := rt.s, rt.a
+	if rt.ltree == nil {
+		return
 	}
-	a.wire = appendBox(a.wire[:0], lo, hi)
-	boxes := comm.AllgatherBatched(a.wire)
-
-	// Branch allgather with the prefetch walks overlapped: while the
-	// first Bruck round's messages are in flight, walk the local tree
-	// once per receiver, prune every subtree whose root the receiver's
-	// box already accepts under the MAC, and pack the rest as fetch
-	// reply records. The walk is local compute, so the virtual clock
-	// advances during the round-0 latency — genuine overlap.
-	overlap := func() {
-		if rt.ltree == nil {
-			return
+	emitted := 0
+	for r := range boxes {
+		if r == rt.me {
+			continue
 		}
-		emitted := 0
-		for r := 0; r < p; r++ {
-			if r == rt.me {
-				continue
-			}
-			blo, bhi := decodeBox(boxes[r])
-			if blo.X > bhi.X { // receiver owns no particles: no traversal
-				continue
-			}
-			for _, idx := range a.branches {
-				var n int
-				a.prefetch[r], n = rt.prefetchWalk(a.prefetch[r], idx, blo, bhi)
-				emitted += n
-			}
+		blo, bhi := decodeBox(boxes[r])
+		if blo.X > bhi.X { // receiver owns no particles: no traversal
+			continue
 		}
-		if s.meter != nil && emitted > 0 {
-			comm.Advance(s.meter.Branches(emitted))
+		for _, idx := range a.branches {
+			var n int
+			a.prefetch[r], n = rt.prefetchWalk(a.prefetch[r], idx, blo, bhi)
+			emitted += n
 		}
 	}
-	all := comm.AllgatherBatchedOverlap(a.packed, overlap)
-
-	// One batched message per receiver with its pruned subtree.
-	rt.prefetchReplies = comm.Alltoall(a.prefetch)
-	return all
+	if s.meter != nil && emitted > 0 {
+		rt.comm.Advance(s.meter.Branches(emitted))
+	}
 }
 
-// prefetchWalk appends to out a length-framed fetch-reply record for
+// prefetchWalk appends to out a length-framed reply record for
 // every cell under local cell idx that targets inside the receiver box
 // [blo,bhi] may open under the MAC, in DFS pre-order (parents before
 // children, so each record's cell exists on the receiver when it
@@ -153,9 +113,8 @@ func (rt *evalRT) batchedBranchExchange() [][]byte {
 // boxDistSq is a lower bound on every target distance and the MAC is
 // monotone in distance, so every receiver target accepts it as a
 // single interaction partner. Leaf children need no records of their
-// own — the parent record inlines their particles, exactly like a
-// served fetch. Returns the extended block and the number of records
-// emitted.
+// own — the parent record inlines their particles. Returns the
+// extended block and the number of records emitted.
 func (rt *evalRT) prefetchWalk(out []byte, idx int, blo, bhi vec.Vec3) ([]byte, int) {
 	theta := rt.s.cfg.Theta
 	t := rt.ltree
@@ -185,18 +144,14 @@ func (rt *evalRT) prefetchWalk(out []byte, idx int, blo, bhi vec.Vec3) ([]byte, 
 	return out, emitted
 }
 
-// installPrefetch decodes the stashed prefetch payloads through the
-// regular fetch-reply path, resolving remote cells before the
-// traversal starts. Runs after buildTop so the cell table the top-tree
-// construction sees is identical to ring mode (bitwise-identical
-// shared moments), and before any worker goroutine exists (no
-// locking). Cells already resolved are skipped.
-func (rt *evalRT) installPrefetch() {
-	if rt.prefetchReplies == nil {
-		return
-	}
+// installPrefetch decodes the blocks the other ranks pruned for this
+// one, resolving every remote cell the traversal may open. Runs after
+// buildTop, so the shared moments are merged over the branch cells
+// alone, and before any worker goroutine exists: once it returns the
+// cell table, the child-key slab and the lanes are read-only.
+func (rt *evalRT) installPrefetch(blocks [][]byte) {
 	installed := 0
-	for _, raw := range rt.prefetchReplies {
+	for _, raw := range blocks {
 		for off := 0; off+8 <= len(raw); {
 			n := int(binary.LittleEndian.Uint64(raw[off:]))
 			off += 8
@@ -210,7 +165,6 @@ func (rt *evalRT) installPrefetch() {
 			installed++
 		}
 	}
-	rt.prefetchReplies = nil
 	rt.stats.Prefetched += int64(installed)
 	if rt.s.meter != nil && installed > 0 {
 		rt.comm.Advance(rt.s.meter.Branches(installed))

@@ -1,32 +1,46 @@
 package hot
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/direct"
+	"repro/internal/kernel"
 	"repro/internal/mpi"
 	"repro/internal/particle"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
+// ringOf returns cfg with the ring allgather in place of the default.
+func ringOf(cfg Config) Config {
+	cfg.Branch = BranchRing
+	return cfg
+}
+
 // TestBatchedBranchBitwiseEqualsRing is the equivalence property of
-// the batched exchange: the prefetched records are the exact bytes the
-// on-demand fetch path would have delivered, and the traversal is
-// untouched, so ring and batched modes must agree bit for bit — not
+// the two allgathers: they deliver the same boxes and branch lists, so
+// both modes prefetch the same cells and must agree bit for bit — not
 // just to rounding — on every output, for vortex and Coulomb alike.
 func TestBatchedBranchBitwiseEqualsRing(t *testing.T) {
 	full := particle.ClusteredVortexSheet(400)
 	for _, p := range []int{1, 2, 4, 7} {
-		ring := defaultCfg(0.4)
-		bat := ring
-		bat.Branch = BranchBatched
-		vr, sr, _ := runEval(t, full, p, ring)
-		vb, sb, _ := runEval(t, full, p, bat)
+		bat := defaultCfg(0.4)
+		vr, sr, ringStats := runEval(t, full, p, ringOf(bat))
+		vb, sb, batStats := runEval(t, full, p, bat)
 		for i := range vr {
 			if vr[i] != vb[i] || sr[i] != sb[i] {
 				t.Fatalf("p=%d particle %d: ring (%v, %v) != batched (%v, %v)",
 					p, i, vr[i], sr[i], vb[i], sb[i])
 			}
+		}
+		if ringStats.Prefetched != batStats.Prefetched {
+			t.Fatalf("p=%d: ring prefetched %d cells, batched %d", p, ringStats.Prefetched, batStats.Prefetched)
+		}
+		if p > 1 && batStats.Prefetched == 0 {
+			t.Fatalf("p=%d: no cell prefetched; system too small to exercise the exchange", p)
 		}
 	}
 }
@@ -58,11 +72,9 @@ func TestBatchedBranchCoulombBitwise(t *testing.T) {
 		full.Particles[i].Charge = 1.0 / float64(full.N())
 	}
 	for _, p := range []int{2, 5} {
-		ring := defaultCfg(0.4)
-		ring.Eps = 1e-3
-		bat := ring
-		bat.Branch = BranchBatched
-		pr := runCoulomb(t, full, p, ring)
+		bat := defaultCfg(0.4)
+		bat.Eps = 1e-3
+		pr := runCoulomb(t, full, p, ringOf(bat))
 		pb := runCoulomb(t, full, p, bat)
 		for i := range pr {
 			if pr[i] != pb[i] {
@@ -72,37 +84,13 @@ func TestBatchedBranchCoulombBitwise(t *testing.T) {
 	}
 }
 
-// TestBatchedBranchPrefetchCoversFetches checks the point of the
-// pruned prefetch: the conservative box MAC ships a superset of every
-// cell the receiver's traversal can open, so the on-demand fetch count
-// must drop to zero where ring mode pays round-trips.
-func TestBatchedBranchPrefetchCoversFetches(t *testing.T) {
-	full := particle.ClusteredVortexSheet(400)
-	const p = 4
-	ring := defaultCfg(0.4)
-	bat := ring
-	bat.Branch = BranchBatched
-	_, _, ringStats := runEval(t, full, p, ring)
-	_, _, batStats := runEval(t, full, p, bat)
-	if ringStats.Fetches == 0 {
-		t.Fatal("ring mode issued no fetches; system too small to exercise the exchange")
-	}
-	if batStats.Fetches != 0 {
-		t.Fatalf("batched mode still issued %d on-demand fetches", batStats.Fetches)
-	}
-	if batStats.Prefetched == 0 {
-		t.Fatal("batched mode prefetched no cells")
-	}
-}
-
 // TestBatchedBranchHybridBitwise runs the batched exchange under the
-// hybrid (threaded) traversal against the synchronous ring reference.
+// threaded traversal against the single-threaded ring reference.
 func TestBatchedBranchHybridBitwise(t *testing.T) {
 	full := particle.ClusteredVortexSheet(400)
 	const p = 3
-	ring := defaultCfg(0.4)
-	bat := ring
-	bat.Branch = BranchBatched
+	ring := ringOf(defaultCfg(0.4))
+	bat := defaultCfg(0.4)
 	bat.Threads = 3
 	bat.Traversal = tree.TraversalList
 	vr, sr, _ := runEval(t, full, p, ring)
@@ -122,14 +110,148 @@ func TestBatchedBranchUnevenDistribution(t *testing.T) {
 	// All particles in one octant: several ranks end up empty.
 	full := particle.RandomVortexBlob(60, 0.05, 9)
 	for _, p := range []int{4, 6} {
-		ring := defaultCfg(0.5)
-		bat := ring
-		bat.Branch = BranchBatched
-		vr, _, _ := runEval(t, full, p, ring)
+		bat := defaultCfg(0.5)
+		vr, _, _ := runEval(t, full, p, ringOf(bat))
 		vb, _, _ := runEval(t, full, p, bat)
 		for i := range vr {
 			if vr[i] != vb[i] {
 				t.Fatalf("p=%d particle %d: %v != %v", p, i, vr[i], vb[i])
+			}
+		}
+	}
+}
+
+// TestPrefetchIsConservative sweeps the cases in which the prefetch is
+// the only way a remote cell reaches a rank: no traversal may meet an
+// unresolved cell (a typed panic, and a failed rank), and the result
+// must still be the tree code's — direct summation to rounding at
+// θ = 0, where every shipped cell is opened, and within the MAC's error
+// beyond. Balanced rows evaluate twice: the second decomposition uses
+// the first one's work weights. The softening is far below the
+// particle spacing: the far field of a remote cell is unsoftened.
+func TestPrefetchIsConservative(t *testing.T) {
+	blob := particle.RandomVortexBlob(180, 0.2, 61)
+	clustered := particle.ClusteredVortexSheet(180)
+	for _, full := range []*particle.System{blob, clustered} {
+		for i := range full.Particles {
+			full.Particles[i].Charge = 1 - 2*float64(i%2)
+		}
+	}
+	const eps = 1e-3
+	// Largest error relative to the largest reference value.
+	tol := map[float64]float64{0: 1e-10, 0.3: 2e-2, 0.6: 2e-2, 1: 0.1}
+	for name, full := range map[string]*particle.System{"blob": blob, "clustered": clustered} {
+		n := full.N()
+		ds := direct.New(kernel.Algebraic6(), kernel.Transpose, 0)
+		wantV, wantS := make([]vec.Vec3, n), make([]vec.Vec3, n)
+		ds.Eval(full, wantV, wantS)
+		wantP, wantE := make([]float64, n), make([]vec.Vec3, n)
+		ds.Coulomb(full, eps, wantP, wantE)
+		maxV, maxE := 0.0, 0.0
+		for i := range wantV {
+			maxV = math.Max(maxV, wantV[i].Norm())
+			maxE = math.Max(maxE, wantE[i].Norm())
+		}
+		for _, p := range []int{2, 3, 4, 5} {
+			for theta, rel := range tol {
+				for _, disc := range []tree.Discipline{tree.Vortex, tree.Coulomb} {
+					for _, trav := range []tree.TraversalMode{tree.TraversalList, tree.TraversalRecursive} {
+						for _, threads := range []int{0, 3} {
+							for _, balance := range []bool{false, true} {
+								cfg := defaultCfg(theta)
+								cfg.Eps = eps
+								cfg.Traversal = trav
+								cfg.Threads = threads
+								cfg.WeightedBalance = balance
+								got := make([]vec.Vec3, n) // velocity or field
+								err := mpi.Run(p, func(c *mpi.Comm) error {
+									local := BlockPartition(full, c.Rank(), p)
+									s := New(c, cfg)
+									out, aux := make([]vec.Vec3, local.N()), make([]vec.Vec3, local.N())
+									pot := make([]float64, local.N())
+									for evals := 0; evals < 1 || (balance && evals < 2); evals++ {
+										if disc == tree.Vortex {
+											s.Eval(local, out, aux)
+										} else {
+											s.Coulomb(local, pot, out)
+										}
+									}
+									lo, _ := BlockRange(n, c.Rank(), p)
+									copy(got[lo:], out)
+									c.Barrier()
+									return nil
+								})
+								id := fmt.Sprintf("%s p=%d θ=%g disc=%d %v threads=%d balance=%v", name, p, theta, disc, trav, threads, balance)
+								if err != nil {
+									t.Fatalf("%s: %v", id, err)
+								}
+								want, scale := wantV, maxV
+								if disc == tree.Coulomb {
+									want, scale = wantE, maxE
+								}
+								if name == "clustered" && disc == tree.Vortex && theta > 0 {
+									// The cascade's clusters are smaller than σ: the
+									// far field of the tree itself (one rank included)
+									// is off by more than any MAC tolerance here.
+									continue
+								}
+								for i := range got {
+									if d := got[i].Sub(want[i]).Norm(); !(d <= rel*scale) {
+										t.Fatalf("%s: particle %d is off by %g (%g of the largest value), tolerance %g",
+											id, i, d, d/scale, rel)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnresolvedRemoteCellIsTypedPanic: the traversal has no way to
+// ask for a cell, so reaching a remote cell the exchange did not
+// resolve must stop the rank with a panic that names the cell, its
+// owner and the rank — from either walk, for a leaf (no particles) and
+// an internal cell (no children) alike.
+func TestUnresolvedRemoteCellIsTypedPanic(t *testing.T) {
+	const childKey = 1<<3 | 5 // child 5 of the root
+	for _, leaf := range []bool{true, false} {
+		for _, walk := range []string{"vortex", "coulomb", "list"} {
+			s := &Solver{cfg: defaultCfg(0)}
+			a := &s.arena
+			a.reset(2, 1)
+			root := a.cells.insert(1)
+			*root = gcell{pkey: 1, owner: -1, childLo: 0, childN: 1, partLo: -1}
+			root.nd.Count, root.nd.Size = 3, 1
+			a.childKeys = append(a.childKeys, childKey)
+			g := a.cells.insert(childKey)
+			*g = gcell{pkey: childKey, owner: 1, childLo: -1, partLo: -1}
+			g.nd.Count, g.nd.Size, g.nd.Leaf = 3, 0.5, leaf
+			rt := &evalRT{s: s, a: a, me: 0, disc: tree.Vortex}
+			sc := &a.scratch[0]
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				x := vec.V3(0.1, 0.2, 0.3)
+				switch walk {
+				case "vortex":
+					rt.vortexWalk(sc, new(vortexAcc), 1, x, -1)
+				case "coulomb":
+					rt.disc = tree.Coulomb
+					rt.coulombWalk(sc, new(coulombAcc), 1, x, -1)
+				case "list":
+					rt.buildGroupList(sc, x, vec.V3(0.01, 0.01, 0.01))
+					rt.vortexAtList(sc, new(vortexAcc), x, -1)
+				}
+			}()
+			want := unresolvedCell{pkey: childKey, owner: 1, rank: 0}
+			if got != want {
+				t.Fatalf("leaf=%v %s walk: recovered %v, want %v", leaf, walk, got, want)
+			}
+			if msg := want.Error(); !strings.Contains(msg, "rank 0") || !strings.Contains(msg, "cell d ") || !strings.Contains(msg, "rank 1") {
+				t.Fatalf("message does not name the cell, its owner and the rank: %q", msg)
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // Wire formats. Particles travel during the domain decomposition and in
-// fetch replies for remote leaves; cells travel during the branch
-// exchange and in fetch replies.
+// the prefetch records of remote leaves; cells travel in the branch
+// lists and in the prefetch records.
 
 const (
 	// particleRecFloats: pos(3), alpha(3), vol, charge, originRank,

@@ -12,13 +12,17 @@
 //  2. Local tree construction over the rank's particles (package tree),
 //     with cells forced to subdivide across ownership boundaries.
 //  3. Branch-node exchange: the minimal set of fully-owned cells
-//     covering each rank's key range is allgathered (ring algorithm),
-//     and every rank assembles the shared top of the global tree above
-//     the branches.
-//  4. Tree traversal with the MAC s/d ≤ θ. Cells below remote branches
-//     are fetched on demand with a request/reply protocol; every rank
-//     services incoming requests while traversing — the analog of
-//     PEPC's communicator thread overlapping with its worker threads.
+//     covering each rank's key range is allgathered, every rank
+//     assembles the shared top of the global tree above the branches,
+//     and every rank ships each other rank, in one Alltoall, the cells
+//     below its branches that the receiver's targets may open under
+//     the MAC — the locally essential tree of Dubinski's parallel tree
+//     code, assembled before the walk (DESIGN.md §15).
+//  4. Tree traversal with the MAC s/d ≤ θ over that tree. The
+//     traversal never communicates: the cell table is read-only by
+//     then, so the node-level workers (PEPC's Pthreads layer) share it
+//     without a lock, and a remote cell the exchange did not ship is a
+//     bug reported by a typed panic.
 //  5. Results are routed back to the particles' original owners, so
 //     the caller's particle layout (and therefore the ODE state carried
 //     by the time integrators) never changes.
@@ -41,17 +45,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tree"
 	"repro/internal/vec"
-)
-
-// Message tags used on the spatial communicator during an evaluation.
-// The communicator must not carry other traffic while Eval runs.
-const (
-	tagRedistribute = 900001
-	tagResult       = 900002
-	tagReq          = 900003
-	tagReply        = 900004
-	tagDone         = 900005
-	tagShutdown     = 900006
 )
 
 // Config parameterizes the parallel tree solver.
@@ -77,19 +70,15 @@ type Config struct {
 	// weights.
 	WeightedBalance bool
 	// Threads is the number of traversal worker goroutines per rank —
-	// the analog of PEPC's node-level Pthreads layer (Section III-A):
-	// workers traverse the tree while a dedicated communication
-	// goroutine serves remote-cell requests and routes replies, so
-	// computation and communication overlap. Values ≤ 1 select the
-	// synchronous single-threaded path.
+	// the worker half of PEPC's node-level Pthreads layer (Section
+	// III-A); the communicator thread's job is done by the prefetch
+	// before the workers start. Values ≤ 1 select the single-threaded
+	// path.
 	Threads int
-	// Branch selects the branch-node exchange algorithm: BranchRing
-	// (the zero value) is the reference ring allgather with on-demand
-	// remote fetches; BranchBatched batches the exchange into ⌈log2 P⌉
-	// Bruck rounds, prunes and prefetches each receiver's essential
-	// cells ahead of the traversal, and overlaps the prefetch walks
-	// with the exchange (DESIGN.md §15). Results are bitwise identical
-	// either way.
+	// Branch selects the allgather that carries the branch lists (and
+	// the rank boxes) in the branch-node exchange: BranchBatched (the
+	// zero value) or BranchRing. Results are bitwise identical either
+	// way.
 	Branch BranchMode
 	// Traversal selects the local evaluation strategy:
 	// tree.TraversalList (the default) amortizes one MAC walk per leaf
@@ -120,8 +109,7 @@ type Stats struct {
 	LocalBranches int   // branch nodes contributed by this rank
 	TotalBranches int   // branch nodes in the global tree
 	Interactions  int64 // MAC-accepted cells + direct particle pairs
-	Fetches       int64 // remote cell fetch requests issued
-	Prefetched    int64 // remote cells resolved up front by BranchBatched
+	Prefetched    int64 // remote cells resolved by the branch exchange
 	Steals        int64 // work-stealing operations of the hybrid traversal
 
 	// MACAccepts and MACRejects split the traversal decisions: cells
@@ -239,18 +227,7 @@ type evalRT struct {
 	// Inclusive key interval this rank owns after the decomposition.
 	myLo, myHi uint64
 
-	doneSeen int
-	stats    *Stats
-
-	// prefetchReplies holds the batched-exchange payloads between
-	// batchedBranchExchange and installPrefetch (BranchBatched only).
-	prefetchReplies [][]byte
-
-	// Hybrid (threaded) traversal state.
-	hybrid  bool
-	mu      sync.RWMutex // guards the arena's cell table, child-key slab and remote lanes
-	pendMu  sync.Mutex   // guards the arena's pending and inflight maps
-	fetches atomic.Int64
+	stats *Stats
 }
 
 // clock is the phase clock: the virtual rank clock when a cost model
@@ -269,24 +246,15 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	s.Last = Stats{}
 	st := &s.Last
 	a := &s.arena
-	hybrid := s.cfg.Threads > 1
-	workers := 1
-	if hybrid {
-		workers = s.cfg.Threads
-	}
-	a.reset(s.comm.Size(), workers)
+	a.reset(s.comm.Size(), max(1, s.cfg.Threads))
 	a.local.Sigma = sys.Sigma
 	rt := &evalRT{
 		s: s, a: a, comm: s.comm, me: s.comm.Rank(), disc: disc,
 		local: &a.local,
 		pw:    kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma},
-		stats: st, hybrid: hybrid,
+		stats: st,
 	}
 	rt.vb = kernel.NewVortexBatch(rt.pw)
-	if hybrid && a.pending == nil {
-		a.pending = make(map[uint64]chan []byte)
-		a.inflight = make(map[uint64]chan struct{})
-	}
 
 	t0 := s.clock()
 	telemetry.LabelPhase(PhaseDecomp)
@@ -394,9 +362,11 @@ func (rt *evalRT) buildLocal() {
 	}
 }
 
-// exchangeBranches is phase 4: every rank's branch nodes go into the
-// cell table, the shared top tree is merged above them, and in
-// BranchBatched mode the prefetched remote cells are installed.
+// exchangeBranches is phase 4, the one place remote cells reach this
+// rank: every rank's branch nodes go into the cell table, the shared
+// top tree is merged above them, and the cells every other rank
+// pruned for this rank's box are installed below them. When it
+// returns the locally essential tree is complete and read-only.
 func (rt *evalRT) exchangeBranches() {
 	s, a, comm := rt.s, rt.a, rt.comm
 	a.branches = a.branches[:0]
@@ -411,12 +381,20 @@ func (rt *evalRT) exchangeBranches() {
 	if s.meter != nil {
 		comm.Advance(s.meter.Branches(len(a.branches)))
 	}
-	var allBranches [][]byte
-	if s.cfg.Branch == BranchBatched {
-		allBranches = rt.batchedBranchExchange()
-	} else {
-		allBranches = comm.Allgather(a.packed)
+
+	// Every rank's post-redistribution bounding box (48 bytes), then
+	// the branch lists with the prefetch walks against those boxes,
+	// then one message per receiver with its pruned subtree.
+	lo, hi := rt.local.Bounds()
+	if rt.local.N() == 0 {
+		lo = vec.V3(math.Inf(1), math.Inf(1), math.Inf(1))
+		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
 	}
+	a.wire = appendBox(a.wire[:0], lo, hi)
+	boxes := rt.allgather(a.wire, nil)
+	allBranches := rt.allgather(a.packed, func() { rt.prefetchWalks(boxes) })
+	prefetched := comm.Alltoall(a.prefetch)
+
 	total := 0
 	for owner, raw := range allBranches {
 		for off := 0; off+cellRecBytes <= len(raw); off += cellRecBytes {
@@ -429,7 +407,20 @@ func (rt *evalRT) exchangeBranches() {
 		comm.Advance(s.meter.Branches(total))
 	}
 	rt.buildTop()
-	rt.installPrefetch()
+	rt.installPrefetch(prefetched)
+}
+
+// allgather is the exchange's allgather in the configured algorithm.
+// The Bruck rounds run overlap while their first messages are in
+// flight; the ring has no such window and runs it first.
+func (rt *evalRT) allgather(data []byte, overlap func()) [][]byte {
+	if rt.s.cfg.Branch == BranchBatched {
+		return rt.comm.AllgatherBatchedOverlap(data, overlap)
+	}
+	if overlap != nil {
+		overlap()
+	}
+	return rt.comm.Allgather(data)
 }
 
 // installCell decodes one cell record into the table as an unresolved
@@ -443,9 +434,9 @@ func (rt *evalRT) installCell(rec []byte, owner int) *gcell {
 	return g
 }
 
-// traverse is phase 5: every local target against the global tree with
-// on-demand remote fetch — synchronous or hybrid (worker goroutines +
-// communication goroutine), by interaction list or per-particle walk.
+// traverse is phase 5: every local target against the locally essential
+// tree — on one goroutine or on Threads workers, by interaction list or
+// per-particle walk. It communicates with no other rank.
 //
 //lint:hotpath the traverse phase: runs every target of every evaluation
 func (rt *evalRT) traverse() {
@@ -471,24 +462,22 @@ func (rt *evalRT) traverse() {
 			}
 		}
 	}
+	hybrid := rt.s.cfg.Threads > 1
 	var tc travCounts
 	switch {
-	case list && rt.hybrid:
+	case list && hybrid:
 		tc = rt.traverseHybridSched()
 	case list:
 		tc = rt.groupRange(0, 0, len(a.groups), 1)
-		rt.finish()
-	case rt.hybrid:
+	case hybrid:
 		tc = rt.traverseHybrid()
 	default:
 		tc = rt.traverseRange(0, 0, n, 1)
-		rt.finish()
 	}
 	st := rt.stats
 	st.Interactions += tc.inter
 	st.MACAccepts += tc.accepts
 	st.MACRejects += tc.rejects
-	st.Fetches += rt.fetches.Load()
 }
 
 // traverseRange evaluates local targets [lo, hi) by per-particle walks
@@ -784,38 +773,26 @@ func (rt *evalRT) buildTop() {
 	}
 }
 
-// getCell looks up a cell, taking the read lock in hybrid mode.
-func (rt *evalRT) getCell(pk uint64) *gcell {
-	if !rt.hybrid {
-		return rt.a.cells.get(pk)
-	}
-	rt.mu.RLock()
-	g := rt.a.cells.get(pk)
-	rt.mu.RUnlock()
-	return g
+// unresolvedCell is the panic value of a traversal that reaches a
+// remote cell whose children (or, for a leaf, particles) the branch
+// exchange did not ship: the sender's prefetch pruning was not
+// conservative for this rank's targets, which only a bug can cause.
+type unresolvedCell struct {
+	pkey        uint64
+	owner, rank int
 }
 
-// cellChildren returns the resolved children (nil when unresolved).
-func (rt *evalRT) cellChildren(g *gcell) []uint64 {
-	if rt.hybrid {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-	}
+func (e unresolvedCell) Error() string {
+	return fmt.Sprintf("hot: rank %d reached cell %x of rank %d, which the branch exchange did not resolve", e.rank, e.pkey, e.owner)
+}
+
+// open returns the child keys of remote cell g, which the traversal is
+// about to descend into.
+func (rt *evalRT) open(g *gcell) []uint64 {
 	if g.childLo < 0 {
-		return nil
+		panic(unresolvedCell{pkey: g.pkey, owner: g.owner, rank: rt.me})
 	}
 	return rt.a.childKeys[g.childLo : g.childLo+g.childN]
-}
-
-// isResolved reports whether a remote cell's payload has arrived.
-func (rt *evalRT) isResolved(g *gcell) bool {
-	if !rt.hybrid {
-		return g.resolved()
-	}
-	rt.mu.RLock()
-	done := g.resolved()
-	rt.mu.RUnlock()
-	return done
 }
 
 // vortexAcc is one target's running sum over the whole global tree:
@@ -866,14 +843,11 @@ func (rt *evalRT) vortexFar(acc *vortexAcc, g *gcell, x vec.Vec3) {
 	acc.accepts++
 }
 
-// leafLanes returns the lane range holding the particles of resolved
-// remote leaf g (the lanes of the evaluation's discipline only). The
-// view stays valid while other workers append to the lanes: growth
-// copies, it never rewrites a filled range.
+// leafLanes returns the lane range holding the particles of remote
+// leaf g (the lanes of the evaluation's discipline only).
 func (rt *evalRT) leafLanes(g *gcell) (v particle.SoA) {
-	if rt.hybrid {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
+	if g.partLo < 0 {
+		panic(unresolvedCell{pkey: g.pkey, owner: g.owner, rank: rt.me})
 	}
 	l := &rt.a.lanes
 	lo, hi := g.partLo, g.partLo+g.partN
@@ -896,10 +870,10 @@ func (rt *evalRT) vortexNear(acc *vortexAcc, g *gcell, x vec.Vec3) {
 
 // vortexWalk runs the per-particle global traversal from the cell with
 // parent key startPk, accumulating into acc (it does not reset acc).
-// Local branch cells delegate to the local tree; remote cells are
-// fetched on demand. The list evaluator reuses this walk for cells
-// whose group-level MAC decision is ambiguous, which keeps both
-// evaluation strategies bitwise identical.
+// Local branch cells delegate to the local tree; remote cells were
+// resolved by the branch exchange. The list evaluator reuses this walk
+// for cells whose group-level MAC decision is ambiguous, which keeps
+// both evaluation strategies bitwise identical.
 func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x vec.Vec3, skipLocal int) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
@@ -907,7 +881,7 @@ func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x 
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := rt.getCell(pk)
+		g := rt.a.cells.get(pk)
 		if g == nil || g.nd.Count == 0 {
 			continue
 		}
@@ -924,15 +898,12 @@ func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x 
 			rt.vortexFar(acc, g, x)
 			continue
 		}
-		if !rt.isResolved(g) {
-			rt.fetch(g)
-		}
 		if g.nd.Leaf {
 			rt.vortexNear(acc, g, x)
 			continue
 		}
 		acc.rejects++
-		stack = append(stack, rt.cellChildren(g)...)
+		stack = append(stack, rt.open(g)...)
 	}
 	sc.stack = stack
 }
@@ -978,7 +949,7 @@ func (rt *evalRT) coulombWalk(sc *travScratch, acc *coulombAcc, startPk uint64, 
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := rt.getCell(pk)
+		g := rt.a.cells.get(pk)
 		if g == nil || g.nd.Count == 0 {
 			continue
 		}
@@ -995,68 +966,19 @@ func (rt *evalRT) coulombWalk(sc *travScratch, acc *coulombAcc, startPk uint64, 
 			rt.coulombFar(acc, g, x)
 			continue
 		}
-		if !rt.isResolved(g) {
-			rt.fetch(g)
-		}
 		if g.nd.Leaf {
 			rt.coulombNear(acc, g, x)
 			continue
 		}
 		acc.rejects++
-		stack = append(stack, rt.cellChildren(g)...)
+		stack = append(stack, rt.open(g)...)
 	}
 	sc.stack = stack
 }
 
-// fetch asks the owner of g for its children (or, for leaves, its
-// particles). In synchronous mode the calling goroutine services
-// incoming requests while waiting; in hybrid mode the request is
-// routed through the communication goroutine.
-//
-//lint:coldpath remote cell miss: each cell is fetched at most once per evaluation, amortized across all targets
-func (rt *evalRT) fetch(g *gcell) {
-	if rt.hybrid {
-		rt.hybridFetch(g)
-		return
-	}
-	rt.fetches.Add(1)
-	var req [8]byte
-	binary.LittleEndian.PutUint64(req[:], g.pkey)
-	rt.comm.Send(g.owner, tagReq, req[:])
-	for {
-		data, src, tag := rt.comm.Recv(mpi.AnySource, mpi.AnyTag)
-		switch tag {
-		case tagReq:
-			rt.serveReq(src, data)
-		case tagReply:
-			rt.applyReply(g, data)
-			return
-		case tagDone:
-			rt.doneSeen++
-		default:
-			panic(fmt.Sprintf("hot: unexpected tag %d during fetch", tag))
-		}
-	}
-}
-
-// serveReq answers a remote-cell request from src against the local
-// tree.
-func (rt *evalRT) serveReq(src int, data []byte) {
-	pkey := binary.LittleEndian.Uint64(data)
-	idx := rt.ltree.FindCell(pkey)
-	if idx < 0 {
-		panic(fmt.Sprintf("hot: request for unknown cell %x", pkey))
-	}
-	rt.a.reply = rt.appendCellReply(rt.a.reply[:0], idx)
-	rt.comm.Send(src, tagReply, rt.a.reply)
-}
-
-// appendCellReply appends the fetch-reply record for local cell idx to
-// out: header (pkey, child count), child cells, and the inline
-// particles of leaf children (or of the cell itself when it is a
-// leaf). The batched branch exchange ships these exact bytes ahead of
-// time, which is what keeps BranchBatched bitwise identical to the
-// on-demand path.
+// appendCellReply appends the reply record for local cell idx to out:
+// header (pkey, child count), child cells, and the inline particles of
+// leaf children (or of the cell itself when it is a leaf).
 func (rt *evalRT) appendCellReply(out []byte, idx int) []byte {
 	t := rt.ltree
 	nd := &t.Nodes[idx]
@@ -1081,8 +1003,8 @@ func (rt *evalRT) appendCellReply(out []byte, idx int) []byte {
 			out = encodeCell(out, &t.Nodes[ci], rt.disc)
 		}
 	}
-	// Inline the particles of leaf children so the requester does not
-	// need a second round trip for them.
+	// Inline the particles of leaf children: the parent's record
+	// resolves them too.
 	for _, ci := range nd.Children {
 		if ci < 0 || !t.Nodes[ci].Leaf {
 			continue
@@ -1096,9 +1018,8 @@ func (rt *evalRT) appendCellReply(out []byte, idx int) []byte {
 }
 
 // applyReply installs the children (or inline particles) delivered for
-// the requested cell g: child cells go into the table, their keys into
-// the child-key slab, and leaf particles straight into the lanes.
-// Hybrid callers hold rt.mu.
+// cell g: child cells go into the table, their keys into the child-key
+// slab, and leaf particles straight into the lanes.
 func (rt *evalRT) applyReply(g *gcell, data []byte) {
 	a := rt.a
 	if binary.LittleEndian.Uint64(data[0:]) != g.pkey {
@@ -1144,70 +1065,13 @@ func (rt *evalRT) appendLeafLanes(g *gcell, data []byte, cnt int) int {
 	return cnt * particleRecBytes
 }
 
-// hybridFetch resolves a remote cell through the communication
-// goroutine, deduplicating concurrent requests for the same cell.
-func (rt *evalRT) hybridFetch(g *gcell) {
-	a := rt.a
-	for {
-		if rt.isResolved(g) {
-			return
-		}
-		rt.pendMu.Lock()
-		if wait, busy := a.inflight[g.pkey]; busy {
-			rt.pendMu.Unlock()
-			<-wait // another worker is fetching this cell
-			continue
-		}
-		if rt.isResolved(g) {
-			// Resolved between the check above and taking pendMu: the
-			// fetching worker drops its inflight entry only after it
-			// has installed the reply. A second install would rewrite
-			// child cells other workers are reading.
-			rt.pendMu.Unlock()
-			return
-		}
-		wait := make(chan struct{})
-		resp := make(chan []byte, 1)
-		a.inflight[g.pkey] = wait
-		a.pending[g.pkey] = resp
-		rt.pendMu.Unlock()
-
-		rt.fetches.Add(1)
-		var req [8]byte
-		binary.LittleEndian.PutUint64(req[:], g.pkey)
-		rt.comm.Send(g.owner, tagReq, req[:])
-		data := <-resp
-
-		rt.mu.Lock()
-		rt.applyReply(g, data)
-		rt.mu.Unlock()
-
-		rt.pendMu.Lock()
-		delete(a.inflight, g.pkey)
-		rt.pendMu.Unlock()
-		close(wait)
-		return
-	}
-}
-
-// traverseHybrid runs the Pthreads-analog traversal: Threads worker
-// goroutines split the local targets while a communication goroutine
-// serves remote-cell requests, routes replies, and executes the
-// termination protocol (every rank sends DONE to rank 0 — including
-// rank 0 to itself — and rank 0 broadcasts SHUTDOWN once all have
-// finished). The modeled compute time is divided by the worker count:
-// the node's cores traverse concurrently.
+// traverseHybrid runs the per-particle walks on Threads worker
+// goroutines over static blocks of the local targets. The modeled
+// compute time is divided by the worker count: the node's cores
+// traverse concurrently.
 //
-//lint:coldpath once-per-evaluation worker fan-out (goroutines, done channel); the per-target work is rooted at traverseRange
+//lint:coldpath once-per-evaluation worker fan-out (goroutines); the per-target work is rooted at traverseRange
 func (rt *evalRT) traverseHybrid() travCounts {
-	p := rt.comm.Size()
-	commDone := make(chan struct{})
-	if p > 1 {
-		go rt.commLoop(commDone)
-	} else {
-		close(commDone)
-	}
-
 	workers := rt.s.cfg.Threads
 	n := rt.local.N()
 	if workers > n && n > 0 {
@@ -1234,82 +1098,5 @@ func (rt *evalRT) traverseHybrid() travCounts {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	if p > 1 {
-		rt.comm.Send(0, tagDone, nil)
-		<-commDone
-	}
 	return travCounts{inter: inter.Load(), accepts: accepts.Load(), rejects: rejects.Load()}
-}
-
-// commLoop is the communication goroutine of a hybrid rank.
-func (rt *evalRT) commLoop(done chan struct{}) {
-	defer close(done)
-	p := rt.comm.Size()
-	doneSeen := 0
-	for {
-		data, src, tag := rt.comm.RecvService(mpi.AnySource, mpi.AnyTag)
-		switch tag {
-		case tagReq:
-			rt.serveReq(src, data)
-		case tagReply:
-			pkey := binary.LittleEndian.Uint64(data)
-			rt.pendMu.Lock()
-			resp := rt.a.pending[pkey]
-			delete(rt.a.pending, pkey)
-			rt.pendMu.Unlock()
-			if resp == nil {
-				panic("hot: reply without pending request")
-			}
-			resp <- data
-		case tagDone:
-			doneSeen++
-			if doneSeen == p { // rank 0 only: all ranks (incl. itself) done
-				for r := 0; r < p; r++ {
-					rt.comm.Send(r, tagShutdown, nil)
-				}
-			}
-		case tagShutdown:
-			return
-		default:
-			panic(fmt.Sprintf("hot: unexpected tag %d in comm loop", tag))
-		}
-	}
-}
-
-// finish runs the termination protocol: every rank keeps serving
-// remote-cell requests until all ranks have completed their traversal.
-func (rt *evalRT) finish() {
-	p := rt.comm.Size()
-	if p == 1 {
-		return
-	}
-	if rt.me != 0 {
-		rt.comm.Send(0, tagDone, nil)
-		for {
-			data, src, tag := rt.comm.Recv(mpi.AnySource, mpi.AnyTag)
-			switch tag {
-			case tagReq:
-				rt.serveReq(src, data)
-			case tagShutdown:
-				return
-			default:
-				panic(fmt.Sprintf("hot: unexpected tag %d during finish", tag))
-			}
-		}
-	}
-	for rt.doneSeen < p-1 {
-		data, src, tag := rt.comm.Recv(mpi.AnySource, mpi.AnyTag)
-		switch tag {
-		case tagReq:
-			rt.serveReq(src, data)
-		case tagDone:
-			rt.doneSeen++
-		default:
-			panic(fmt.Sprintf("hot: unexpected tag %d at root finish", tag))
-		}
-	}
-	rt.doneSeen = 0
-	for r := 1; r < p; r++ {
-		rt.comm.Send(r, tagShutdown, nil)
-	}
 }

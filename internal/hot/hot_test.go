@@ -159,11 +159,11 @@ func TestBranchCountGrowsWithRanks(t *testing.T) {
 	}
 }
 
-func TestFetchesHappenAcrossRanks(t *testing.T) {
+func TestPrefetchHappensAcrossRanks(t *testing.T) {
 	full := particle.RandomVortexBlob(500, 0.2, 31)
 	_, _, st := runEval(t, full, 4, defaultCfg(0.2))
-	if st.Fetches == 0 {
-		t.Fatal("expected remote fetches at small θ across 4 ranks")
+	if st.Prefetched == 0 {
+		t.Fatal("expected prefetched remote cells at small θ across 4 ranks")
 	}
 	if st.Interactions == 0 {
 		t.Fatal("no interactions recorded")
@@ -383,7 +383,7 @@ func BenchmarkHOTEval4Ranks(b *testing.B) {
 
 func TestHybridMatchesSynchronous(t *testing.T) {
 	// The threaded (Pthreads-analog) traversal must produce the same
-	// forces as the synchronous path.
+	// forces as the single-threaded path.
 	full := particle.SphericalVortexSheet(particle.ScaledSheet(500))
 	cfgSync := defaultCfg(0.4)
 	cfgHyb := defaultCfg(0.4)
@@ -405,19 +405,20 @@ func TestHybridMatchesSynchronous(t *testing.T) {
 	}
 }
 
-func TestHybridFetchesAcrossRanks(t *testing.T) {
+func TestHybridPrefetchAcrossRanks(t *testing.T) {
 	full := particle.RandomVortexBlob(400, 0.2, 77)
 	cfg := defaultCfg(0.15) // tight MAC forces remote resolution
 	cfg.Threads = 3
 	_, _, st := runEval(t, full, 4, cfg)
-	if st.Fetches == 0 {
-		t.Fatal("expected remote fetches in hybrid mode")
+	if st.Prefetched == 0 {
+		t.Fatal("expected prefetched remote cells under the threaded traversal")
 	}
 }
 
 func TestHybridRepeatedEvals(t *testing.T) {
-	// The hybrid protocol must be re-usable across multiple collective
-	// evaluations on the same communicator (as the integrators do).
+	// The threaded traversal must be re-usable across multiple
+	// collective evaluations on the same communicator (as the
+	// integrators do).
 	full := particle.SphericalVortexSheet(particle.ScaledSheet(200))
 	cfg := defaultCfg(0.4)
 	cfg.Threads = 2

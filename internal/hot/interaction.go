@@ -6,7 +6,7 @@ package hot
 // conservatively, emitting
 //
 //   - far items (group-accepted remote/shared cells),
-//   - near items (remote leaves, particles fetched once per group),
+//   - near items (remote leaves, evaluated over their lane range),
 //   - ambiguous items (resolved per particle by the exact vortexWalk/
 //     coulombWalk, accumulating into the running result), and
 //   - local segments (owner-local branch cells, delegated to the local
@@ -16,8 +16,8 @@ package hot
 // Conservative classification plus exact fallback keeps the list
 // evaluation bitwise identical to the recursive traversal, and —
 // because a group-opened cell is opened by *every* particle of the
-// group — the set of remote cells fetched is identical too, so the
-// mpi.sends counter of the determinism regression is unaffected.
+// group — it reaches no remote cell the recursive traversal does not,
+// so the same prefetch set serves both.
 
 import (
 	"sync/atomic"
@@ -86,9 +86,8 @@ func (rt *evalRT) groupRange(w, glo, ghi int, advanceDiv float64) travCounts {
 // buildGroupList performs the group-level walk of the global tree for
 // the leaf-group box (center gc, per-axis half-extents ge — the tight
 // bounding box of the group's particles) into the worker's list.
-// Remote cells that the whole group opens — and remote leaves the
-// group reaches — are fetched here, once per group instead of once per
-// particle.
+// Remote leaves go on the list unchecked: evaluating one checks that
+// the exchange resolved it (leafLanes).
 func (rt *evalRT) buildGroupList(sc *travScratch, gc, ge vec.Vec3) {
 	theta := rt.s.cfg.Theta
 	theta2 := theta * theta
@@ -98,7 +97,7 @@ func (rt *evalRT) buildGroupList(sc *travScratch, gc, ge vec.Vec3) {
 	for len(stack) > 0 {
 		pk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := rt.getCell(pk)
+		g := rt.a.cells.get(pk)
 		if g == nil || g.nd.Count == 0 {
 			continue
 		}
@@ -117,9 +116,6 @@ func (rt *evalRT) buildGroupList(sc *travScratch, gc, ge vec.Vec3) {
 			continue
 		}
 		if g.nd.Leaf {
-			if !rt.isResolved(g) {
-				rt.fetch(g)
-			}
 			hl.items = append(hl.items, hotItem{kind: hNear, g: g})
 			continue
 		}
@@ -128,10 +124,7 @@ func (rt *evalRT) buildGroupList(sc *travScratch, gc, ge vec.Vec3) {
 			hl.items = append(hl.items, hotItem{kind: hFar, g: g})
 		case tree.GroupOpen:
 			hl.opens++
-			if !rt.isResolved(g) {
-				rt.fetch(g)
-			}
-			stack = append(stack, rt.cellChildren(g)...)
+			stack = append(stack, rt.open(g)...)
 		default:
 			hl.items = append(hl.items, hotItem{kind: hAmb, g: g})
 		}
@@ -187,19 +180,11 @@ func (rt *evalRT) coulombAtList(sc *travScratch, acc *coulombAcc, x vec.Vec3, sk
 
 // traverseHybridSched is traverseHybrid with the work-stealing
 // scheduler over leaf groups instead of static index blocks: Threads
-// workers claim and steal group ranges while the communication
-// goroutine serves remote-cell traffic. Steal counts and per-worker
+// workers claim and steal group ranges. Steal counts and per-worker
 // busy time land in Stats and telemetry (hot.steals, hot.worker_busy).
 //
-//lint:coldpath once-per-evaluation worker fan-out (scheduler closure, comm goroutine, done channel); the per-group work is rooted at groupRange
+//lint:coldpath once-per-evaluation worker fan-out (scheduler closure); the per-group work is rooted at groupRange
 func (rt *evalRT) traverseHybridSched() travCounts {
-	p := rt.comm.Size()
-	commDone := make(chan struct{})
-	if p > 1 {
-		go rt.commLoop(commDone)
-	} else {
-		close(commDone)
-	}
 	nGroups := len(rt.a.groups)
 	workers := rt.s.cfg.Threads
 	if workers > nGroups && nGroups > 0 {
@@ -215,10 +200,6 @@ func (rt *evalRT) traverseHybridSched() travCounts {
 	rt.stats.Steals += ss.Steals
 	for _, b := range ss.Busy {
 		rt.s.probe.workerBusy.Observe(b)
-	}
-	if p > 1 {
-		rt.comm.Send(0, tagDone, nil)
-		<-commDone
 	}
 	return travCounts{inter: inter.Load(), accepts: accepts.Load(), rejects: rejects.Load()}
 }

@@ -20,14 +20,14 @@ var layouts = []particle.Layout{particle.LayoutAoS, particle.LayoutSoA}
 // sameWork reports whether two evaluations did identical work.
 func sameWork(a, b Stats) bool {
 	return a.Interactions == b.Interactions && a.MACAccepts == b.MACAccepts &&
-		a.MACRejects == b.MACRejects && a.Fetches == b.Fetches
+		a.MACRejects == b.MACRejects && a.Prefetched == b.Prefetched
 }
 
 // TestListMatchesRecursiveAcrossRanks: the interaction-list traversal
 // (the default) must be bitwise identical to the per-particle
 // recursive traversal — results AND work counters — at any rank count
-// and θ, including the fetch count (the conservative group walk opens
-// exactly the cells every particle would open). Both must also be
+// and θ, over the same prefetch set (the conservative group walk opens
+// only cells every particle would open). Both must also be
 // bitwise identical across particle layouts, remote cells included
 // (p > 1): SoA is what production runs, AoS the reference.
 func TestListMatchesRecursiveAcrossRanks(t *testing.T) {

@@ -12,18 +12,17 @@ import (
 const (
 	PhaseDecomp   = "hot.decomp"          // domain decomposition (sort + alltoall)
 	PhaseBuild    = "hot.tree_build"      // local tree construction
-	PhaseBranch   = "hot.branch_exchange" // branch allgather + shared top tree
-	PhaseTraverse = "hot.traverse"        // tree traversal incl. remote fetches
+	PhaseBranch   = "hot.branch_exchange" // branch allgather + shared top tree + prefetch
+	PhaseTraverse = "hot.traverse"        // tree traversal (no communication)
 
 	CounterEvals        = "hot.evals"
 	CounterInteractions = "hot.interactions"
 	CounterMACAccepts   = "hot.mac_accepts"
 	CounterMACRejects   = "hot.mac_rejects"
 	CounterP2P          = "hot.p2p"
-	CounterFetches      = "hot.fetches"
-	// CounterPrefetched counts remote cells resolved up front by the
-	// batched branch exchange (BranchBatched); each one is a fetch
-	// round-trip the traversal did not pay.
+	// CounterPrefetched counts the remote cells the branch exchange
+	// resolved: the size of the locally essential tree below the
+	// branches.
 	CounterPrefetched = "hot.prefetched"
 	// CounterSteals counts successful work-stealing operations of the
 	// hybrid traversal's scheduler (zero in synchronous or recursive
@@ -48,7 +47,7 @@ type probe struct {
 	decomp, build, branch, traverse *telemetry.Timer
 	workerBusy                      *telemetry.Timer
 
-	evals, interactions, macAccepts, macRejects, p2p, fetches, prefetched, steals *telemetry.Counter
+	evals, interactions, macAccepts, macRejects, p2p, prefetched, steals *telemetry.Counter
 
 	nlocal, branchesTotal, imbalance *telemetry.Gauge
 }
@@ -65,7 +64,6 @@ func newProbe(reg *telemetry.Registry) probe {
 		macAccepts:    reg.Counter(CounterMACAccepts),
 		macRejects:    reg.Counter(CounterMACRejects),
 		p2p:           reg.Counter(CounterP2P),
-		fetches:       reg.Counter(CounterFetches),
 		prefetched:    reg.Counter(CounterPrefetched),
 		steals:        reg.Counter(CounterSteals),
 		nlocal:        reg.Gauge(GaugeNLocal),
@@ -82,7 +80,6 @@ func (pb *probe) record(st *Stats) {
 	pb.macAccepts.Add(st.MACAccepts)
 	pb.macRejects.Add(st.MACRejects)
 	pb.p2p.Add(st.Interactions - st.MACAccepts)
-	pb.fetches.Add(st.Fetches)
 	pb.prefetched.Add(st.Prefetched)
 	pb.steals.Add(st.Steals)
 	pb.nlocal.Set(float64(st.NLocal))

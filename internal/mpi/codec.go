@@ -29,7 +29,7 @@ func BytesToFloat64s(b []byte) []float64 {
 // BytesToFloat64sChecked is the non-panicking decoder used on receive
 // paths that can see injected-corrupt payloads (leak-mode fault plans
 // tear one byte off a message): a torn buffer yields a typed error
-// instead of a panic, mirroring decodeBlocksChecked.
+// instead of a panic, like decodeBlocks.
 func BytesToFloat64sChecked(b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("float64 payload length %d not a multiple of 8", len(b))
@@ -99,66 +99,46 @@ func (c *Comm) AllgatherFloat64s(x []float64) [][]float64 {
 	return out
 }
 
-// encodeBlocks serializes a map of relative-rank → payload used by the
-// Bruck allgather: [count, (key, len, bytes)...] with 8-byte headers.
-func encodeBlocks(blocks map[int][]byte) []byte {
+// encodeBlocks serializes the blocks one Bruck allgather round sends:
+// [count, (len, bytes)...] with 8-byte headers.
+func encodeBlocks(blocks [][]byte) []byte {
 	total := 8
 	for _, v := range blocks {
-		total += 16 + len(v)
+		total += 8 + len(v)
 	}
 	out := make([]byte, 0, total)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(blocks)))
-	out = append(out, hdr[:]...)
-	for k, v := range blocks {
-		binary.LittleEndian.PutUint64(hdr[:], uint64(k))
-		out = append(out, hdr[:]...)
-		binary.LittleEndian.PutUint64(hdr[:], uint64(len(v)))
-		out = append(out, hdr[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(blocks)))
+	for _, v := range blocks {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(v)))
 		out = append(out, v...)
 	}
 	return out
 }
 
-// decodeBlocks reverses encodeBlocks. Frames only travel between
-// in-process ranks, so a malformed one is an internal bug — but the
-// decoder still validates every bound (see decodeBlocksChecked) so a
-// corrupted frame reports what went wrong instead of slicing out of
-// range or pre-allocating an attacker-sized map.
-func decodeBlocks(raw []byte) map[int][]byte {
-	out, err := decodeBlocksChecked(raw)
-	if err != nil {
-		panic(fmt.Sprintf("mpi: malformed gather frame: %v", err))
-	}
-	return out
-}
-
-// decodeBlocksChecked decodes a gather frame with full bounds
-// checking: the claimed block count must fit the payload (so the map
-// pre-allocation is bounded by the frame size) and every block header
-// and body must lie inside the buffer.
-func decodeBlocksChecked(raw []byte) (map[int][]byte, error) {
+// decodeBlocks appends the blocks of a gather frame to dst, as views
+// into raw, with full bounds checking: the claimed block count must
+// fit the payload (so the growth of dst is bounded by the frame size)
+// and every block header and body must lie inside the buffer.
+func decodeBlocks(dst [][]byte, raw []byte) ([][]byte, error) {
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("frame too short for count header: %d bytes", len(raw))
 	}
 	n := binary.LittleEndian.Uint64(raw)
 	raw = raw[8:]
-	if n > uint64(len(raw))/16 {
+	if n > uint64(len(raw))/8 {
 		return nil, fmt.Errorf("claimed %d blocks exceeds %d payload bytes", n, len(raw))
 	}
-	out := make(map[int][]byte, n)
 	for i := uint64(0); i < n; i++ {
-		if len(raw) < 16 {
+		if len(raw) < 8 {
 			return nil, fmt.Errorf("block %d: truncated header (%d bytes left)", i, len(raw))
 		}
-		k := binary.LittleEndian.Uint64(raw)
-		l := binary.LittleEndian.Uint64(raw[8:])
-		raw = raw[16:]
+		l := binary.LittleEndian.Uint64(raw)
+		raw = raw[8:]
 		if l > uint64(len(raw)) {
 			return nil, fmt.Errorf("block %d: length %d exceeds %d remaining bytes", i, l, len(raw))
 		}
-		out[int(k)] = raw[:l:l]
+		dst = append(dst, raw[:l:l])
 		raw = raw[l:]
 	}
-	return out, nil
+	return dst, nil
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // FuzzDecodeBlocks hardens the gather-frame decoder: arbitrary bytes
-// must yield a clean error or a valid block map, never a panic, an
+// must yield a clean error or a valid block list, never a panic, an
 // out-of-range slice, or a runaway pre-allocation. Frames the decoder
 // accepts must survive an encode/decode round trip unchanged.
 func FuzzDecodeBlocks(f *testing.F) {
-	f.Add(encodeBlocks(map[int][]byte{0: []byte("abc"), 3: nil, 7: {1, 2}}))
-	f.Add(encodeBlocks(map[int][]byte{}))
+	f.Add(encodeBlocks([][]byte{[]byte("abc"), nil, {1, 2}}))
+	f.Add(encodeBlocks(nil))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	// A header claiming 2^60 blocks with no payload.
@@ -20,14 +20,22 @@ func FuzzDecodeBlocks(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge, 1<<60)
 	f.Add(huge)
 	// One block whose claimed length runs past the buffer.
-	overrun := encodeBlocks(map[int][]byte{5: bytes.Repeat([]byte{9}, 32)})
+	overrun := encodeBlocks([][]byte{bytes.Repeat([]byte{9}, 32)})
 	f.Add(overrun[:len(overrun)-16])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		blocks, err := decodeBlocksChecked(data)
+		held := [][]byte{[]byte("held")}
+		blocks, err := decodeBlocks(held, data)
 		if err != nil {
 			return
 		}
-		again, err2 := decodeBlocksChecked(encodeBlocks(blocks))
+		if len(blocks) > 1+len(data)/8 {
+			t.Fatalf("%d blocks out of a %d-byte frame", len(blocks)-1, len(data))
+		}
+		if string(blocks[0]) != "held" {
+			t.Fatalf("decoding rewrote the blocks already held: %q", blocks[0])
+		}
+		blocks = blocks[1:]
+		again, err2 := decodeBlocks(nil, encodeBlocks(blocks))
 		if err2 != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err2)
 		}

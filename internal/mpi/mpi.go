@@ -1,6 +1,7 @@
 // Package mpi is an in-process message-passing runtime that plays the
 // role of MPI in the paper's JUGENE runs: ranks are goroutines, point-
-// to-point messages are copied between per-rank mailboxes, and
+// to-point messages are copied between per-rank mailboxes (Alltoall
+// lends its blocks instead, under the rule in its doc comment), and
 // communicators can be split to build the PT×PS space-time grid of
 // Fig. 2.
 //
@@ -339,11 +340,16 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 func (c *Comm) send(dst, tag int, data []byte) {
+	c.post(dst, tag, append([]byte(nil), data...))
+}
+
+// post puts buf into dst's mailbox as is: the message owns it from
+// here on (send's private copy, a frame a collective just built) or
+// borrows it under Alltoall's lending rule.
+func (c *Comm) post(dst, tag int, buf []byte) {
 	if dst < 0 || dst >= len(c.ranks) {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, len(c.ranks)))
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	w := c.w
 	me := c.WorldRank()
 	w.mu.Lock()
@@ -388,8 +394,10 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	}
 	box := w.boxes[c.ranks[dst]]
 	box.msgs = append(box.msgs, message{
-		comm:    c.id,
-		src:     c.encodeSrc(),
+		comm: c.id,
+		// The world rank: receivers translate their src argument to
+		// world ranks, so matching works across communicators.
+		src:     me,
 		tag:     tag,
 		data:    buf,
 		sendVT:  w.vt[me],
@@ -399,11 +407,6 @@ func (c *Comm) send(dst, tag int, data []byte) {
 	w.mu.Unlock()
 }
 
-// encodeSrc returns the sender identity stored in messages: the world
-// rank. Receivers translate their src argument to world ranks, so
-// point-to-point matching works across communicators.
-func (c *Comm) encodeSrc() int { return c.WorldRank() }
-
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its payload and actual source (as a communicator rank) and tag. Use
 // AnySource / AnyTag as wildcards. Messages from a given source with a
@@ -412,27 +415,12 @@ func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("mpi: Recv tag %d invalid", tag))
 	}
-	return c.recvDetect(src, tag, true)
+	return c.recv(src, tag)
 }
 
-// RecvService is Recv for dedicated service loops (e.g. the tree
-// code's communication thread): the wait does not count toward
-// deadlock detection, because a service goroutine legitimately blocks
-// while its rank's workers compute. Point-to-point Send/Recv (but not
-// collectives) may be used concurrently from several goroutines of the
-// same rank.
-func (c *Comm) RecvService(src, tag int) (data []byte, actualSrc, actualTag int) {
-	if tag < 0 && tag != AnyTag {
-		panic(fmt.Sprintf("mpi: RecvService tag %d invalid", tag))
-	}
-	return c.recvDetect(src, tag, false)
-}
-
+// recv is Recv without the user-tag check (collectives use negative
+// tags). A wait registers with the deadlock detector.
 func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
-	return c.recvDetect(src, tag, true)
-}
-
-func (c *Comm) recvDetect(src, tag int, detect bool) (data []byte, actualSrc, actualTag int) {
 	wantWorldSrc := AnySource
 	if src != AnySource {
 		if src < 0 || src >= len(c.ranks) {
@@ -458,22 +446,18 @@ func (c *Comm) recvDetect(src, tag int, detect bool) (data []byte, actualSrc, ac
 		if err := c.revokedOrDeadLocked(); err != nil {
 			panic(commFailure{err})
 		}
-		if detect {
-			if desc == "" {
-				desc = c.describe()
-			}
-			w.waiting[me] = waitInfo{epoch: w.epoch, src: wantWorldSrc, tag: tag, comm: desc}
-			if w.deadlocked() {
-				err := w.deadlockError()
-				delete(w.waiting, me)
-				w.fail(err)
-				panic(w.failed)
-			}
+		if desc == "" {
+			desc = c.describe()
+		}
+		w.waiting[me] = waitInfo{epoch: w.epoch, src: wantWorldSrc, tag: tag, comm: desc}
+		if w.deadlocked() {
+			err := w.deadlockError()
+			delete(w.waiting, me)
+			w.fail(err)
+			panic(w.failed)
 		}
 		box.cond.Wait()
-		if detect {
-			delete(w.waiting, me)
-		}
+		delete(w.waiting, me)
 	}
 }
 
@@ -599,25 +583,22 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	return out
 }
 
-// AllgatherBatched gathers every rank's block on every rank like
-// Allgather, but with the Bruck algorithm: ⌈log2 P⌉ rounds, each
+// AllgatherBatchedOverlap gathers every rank's block on every rank
+// like Allgather, but with the Bruck algorithm: ⌈log2 P⌉ rounds, each
 // sending the accumulated blocks as ONE batched message to a partner
 // at doubling distance. The result is identical to Allgather; only the
 // message pattern differs. On the virtual clock the chained rounds
 // cost ⌈log2 P⌉ latencies instead of the ring's P−1, while the total
-// byte volume stays ≈ the same — this is the batched branch-node
+// byte volume stays ≈ the same — this is the default branch-node
 // exchange of the parallel tree code (DESIGN.md §15).
-func (c *Comm) AllgatherBatched(data []byte) [][]byte {
-	return c.AllgatherBatchedOverlap(data, nil)
-}
-
-// AllgatherBatchedOverlap is AllgatherBatched with an overlap hook:
-// when non-nil, overlap runs after the first round's send has been
+//
+// overlap, when non-nil, runs after the first round's send has been
 // posted and before the first receive. A rank can therefore do local
 // work (advancing its virtual clock) while the round-0 messages of
 // all ranks are in flight — compute/communication overlap that the
 // virtual clock honors, because a receive only synchronizes the
-// receiver's clock forward (max of own clock and arrival time).
+// receiver's clock forward (max of own clock and arrival time). A torn
+// frame (leak-mode corruption) raises an ErrTornPayload comm failure.
 func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 	p := c.Size()
 	out := make([][]byte, p)
@@ -630,32 +611,22 @@ func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 	}
 	defer c.probe().timer(collAllgather).Start().Stop()
 	tag := c.collTag(7)
-	// blocks[d] is the block of rank (c.rank+d) mod p; after round r
-	// the caller holds distances [0, 2^(r+1)) (clamped to p).
-	blocks := map[int][]byte{0: data}
-	first := true
+	// blocks[d] is the block of rank (c.rank+d) mod p; after the round
+	// at distance k the caller holds distances [0, min(2k, p)).
+	blocks := make([][]byte, 1, p)
+	blocks[0] = out[c.rank]
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank - k + p) % p
 		src := (c.rank + k) % p
-		cnt := k
-		if p-k < cnt {
-			cnt = p - k
-		}
-		send := make(map[int][]byte, cnt)
-		for d := 0; d < cnt; d++ {
-			send[d] = blocks[d]
-		}
-		c.send(dst, tag, encodeBlocks(send))
-		if first {
-			first = false
-			if overlap != nil {
-				overlap()
-			}
+		cnt := min(k, p-k)
+		c.post(dst, tag, encodeBlocks(blocks[:cnt]))
+		if k == 1 && overlap != nil {
+			overlap()
 		}
 		raw, _, _ := c.recv(src, tag)
-		got := decodeBlocks(raw)
-		for d := 0; d < cnt; d++ {
-			blocks[k+d] = got[d]
+		var err error
+		if blocks, err = decodeBlocks(blocks, raw); err != nil {
+			panic(c.tornPayload("Allgather", src, len(raw)))
 		}
 	}
 	for d := 1; d < p; d++ {
@@ -667,6 +638,13 @@ func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 // Alltoall delivers data[i] to rank i and returns the blocks received
 // from every rank (out[j] = block sent by rank j). data must have one
 // entry per rank.
+//
+// Blocks are lent, not copied: ranks share one address space, so the
+// receiver reads the sender's own buffer and out[c.Rank()] is
+// data[c.Rank()] itself. The lending rule: neither side writes a block
+// — the sender its data[i], the receiver its out[j] — until it has
+// returned from a later all-rank collective on this communicator (by
+// then every rank has finished reading what it was lent).
 func (c *Comm) Alltoall(data [][]byte) [][]byte {
 	p := c.Size()
 	if len(data) != p {
@@ -675,13 +653,13 @@ func (c *Comm) Alltoall(data [][]byte) [][]byte {
 	defer c.probe().timer(collAlltoall).Start().Stop()
 	tag := c.collTag(4)
 	out := make([][]byte, p)
-	out[c.rank] = append([]byte(nil), data[c.rank]...)
+	out[c.rank] = data[c.rank]
 	// Send to increasing offsets, receive from decreasing ones; the
 	// offset schedule avoids head-of-line blocking.
 	for k := 1; k < p; k++ {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		c.send(dst, tag, data[dst])
+		c.post(dst, tag, data[dst])
 		raw, _, _ := c.recv(src, tag)
 		out[src] = raw
 	}

@@ -198,7 +198,7 @@ func TestAllgatherBatchedMatchesRing(t *testing.T) {
 				data[i] = byte(c.Rank()*31 + i)
 			}
 			ring := c.Allgather(data)
-			bat := c.AllgatherBatched(data)
+			bat := c.AllgatherBatchedOverlap(data, nil)
 			for r := 0; r < p; r++ {
 				if !bytes.Equal(ring[r], bat[r]) {
 					return fmt.Errorf("rank %d block %d: ring %v != batched %v", c.Rank(), r, ring[r], bat[r])
@@ -247,7 +247,7 @@ func TestAllgatherBatchedModeledLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	batVT, err := RunTimed(p, BlueGeneP(), func(c *Comm) error {
-		c.AllgatherBatched([]byte{byte(c.Rank())})
+		c.AllgatherBatchedOverlap([]byte{byte(c.Rank())}, nil)
 		return nil
 	})
 	if err != nil {
@@ -481,6 +481,49 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAlltoallLendsReusedBuffers: Alltoall lends its blocks instead of
+// copying them, so a sender that reuses its buffers round after round
+// may rewrite them only after a later all-rank collective. Two ranks
+// alternate Alltoall on the same buffers with an allreduce between
+// rounds: every received block must hold what the sender wrote for
+// that round, and the race detector must see the receiver's reads
+// ordered before the sender's next writes.
+func TestAlltoallLendsReusedBuffers(t *testing.T) {
+	const p, rounds, size = 2, 50, 256
+	err := Run(p, func(c *Comm) error {
+		data := make([][]byte, p)
+		for i := range data {
+			data[i] = make([]byte, size)
+		}
+		for round := 0; round < rounds; round++ {
+			for dst, blk := range data {
+				for i := range blk {
+					blk[i] = byte(round + 3*c.Rank() + 5*dst + i)
+				}
+			}
+			out := c.Alltoall(data)
+			if &out[c.Rank()][0] != &data[c.Rank()][0] {
+				return errors.New("own block was copied, not returned as is")
+			}
+			for src, blk := range out {
+				if len(blk) != size {
+					return fmt.Errorf("round %d: block from %d has %d bytes", round, src, len(blk))
+				}
+				for i, b := range blk {
+					if want := byte(round + 3*src + 5*c.Rank() + i); b != want {
+						return fmt.Errorf("round %d: byte %d from rank %d is %d, want %d", round, i, src, b, want)
+					}
+				}
+			}
+			c.AllreduceInt64([]int64{int64(round)}, OpMax)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCodecPanicsOnBadLength(t *testing.T) {
 	for _, fn := range []func(){
 		func() { BytesToFloat64s(make([]byte, 7)) },
@@ -558,33 +601,6 @@ func BenchmarkPingPong(b *testing.B) {
 		}
 		return nil
 	})
-}
-
-func TestRecvServiceDoesNotTriggerDeadlock(t *testing.T) {
-	// A rank whose service goroutine blocks in RecvService while the
-	// main goroutine computes must not be declared deadlocked.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				data, _, _ := c.RecvService(1, 42)
-				if string(data) != "work" {
-					panic("bad service payload")
-				}
-			}()
-			// Simulate compute, then the peer sends.
-			c.Recv(1, 43) // blocks until rank 1 has sent both
-			<-done
-			return nil
-		}
-		c.Send(0, 42, []byte("work"))
-		c.Send(0, 43, nil)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestConcurrentSendersSameRank(t *testing.T) {

@@ -312,6 +312,9 @@ func TestTornCollectiveIsCommFailure(t *testing.T) {
 		if err := caught(func() { c.AllgatherFloat64s([]float64{1, 2}) }); !errors.Is(err, ErrTornPayload) {
 			return fmt.Errorf("AllgatherFloat64s over torn blocks: %v", err)
 		}
+		if err := caught(func() { c.AllgatherBatchedOverlap([]byte{1, 2}, nil) }); !errors.Is(err, ErrTornPayload) {
+			return fmt.Errorf("Bruck allgather over torn frames: %v", err)
+		}
 		return nil
 	})
 	if err != nil {

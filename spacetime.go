@@ -58,8 +58,8 @@ type SpaceTimeConfig struct {
 	// Tol, when positive, stops PFASST iterations early once the
 	// slice-end updates fall below it (adaptive mode).
 	Tol float64
-	// Threads enables the hybrid per-rank traversal (PEPC's Pthreads
-	// analog); ≤1 is synchronous.
+	// Threads is the per-rank traversal worker count (the worker half
+	// of PEPC's Pthreads layer); ≤1 is single-threaded.
 	Threads int
 	// Traversal selects the tree evaluation strategy: "" or "list" for
 	// the two-phase interaction-list evaluator (the default), or
@@ -70,12 +70,6 @@ type SpaceTimeConfig struct {
 	// batched kernels (the default), "aos" for the array-of-structs
 	// reference path. Results are bitwise equal (DESIGN.md §14).
 	Layout string
-	// Branch selects the branch-node exchange algorithm of the spatial
-	// tree code: "" or "ring" for the reference ring allgather with
-	// on-demand fetches, "batched" for the Bruck exchange with
-	// MAC-pruned prefetch and compute/communication overlap
-	// (DESIGN.md §15, SCALING.md). Results are bitwise identical.
-	Branch string
 	// Balance enables cross-rank dynamic load balancing: the sample-
 	// sort decomposition places its splitters at equal-work quantiles
 	// using the previous evaluation's per-particle interaction counts,
@@ -244,11 +238,6 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		return nil, SpaceTimeStats{}, err
 	}
 	ccfg.Layout = layout
-	branch, err := hot.ParseBranchMode(cfg.Branch)
-	if err != nil {
-		return nil, SpaceTimeStats{}, err
-	}
-	ccfg.Branch = branch
 	ccfg.Balance = cfg.Balance
 	var model machine.CostModel
 	if cfg.Modeled {
