@@ -40,13 +40,12 @@ go test -race ./...
 # drivers compiling and running.
 go test -bench . -benchtime 1x -run '^$' ./...
 
-# Layout lane: the façade suite under both particle layouts (the
-# -layout flag pins TestLayoutLane's end-to-end bitwise comparison to
-# the named layout), plus an allocation smoke over the bench_test.go
-# layout benchmarks — the SoA hot path must be allocation-free in
-# steady state (0 allocs/op, averaged over the benchtime iterations).
-go test -count=1 -layout=aos .
-go test -count=1 -layout=soa .
+# Layout lane: the façade suite once more, uncached (TestLayoutLane
+# holds a serial simulation on build-time lanes == one on leaf-by-leaf
+# gathers), plus an allocation smoke over BenchmarkLayoutEvalSoA — the
+# tree's hot path must be allocation-free in steady state (0 allocs/op,
+# averaged over the benchtime iterations).
+go test -count=1 .
 alloc_out=$(mktemp)
 go test -bench 'BenchmarkLayoutEval' -benchtime 20x -benchmem -run '^$' . | tee "$alloc_out"
 grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
@@ -75,13 +74,13 @@ rm -f "$alloc_out"
 # The façade names matched here include the PS>1 grid sweep (gridchaos
 # _test.go): spatial shrink, slice loss, column loss + checkpoint
 # restore, and the guard×crash interleaving on 2×2 and 4×2 grids.
-# ./internal/pfasst/ and ./internal/core/ hold the recovery loop's own
-# suites (the PT×1 ports of the old time-shrink loop's tests, and the
-# PT-shrink on 4×2). TestFacadeGridCrashMidAttempt carries the
-# `Threads: 2` row: traversal workers across a mid-attempt crash,
-# bitwise equal to `Threads: 1`. `Cancel` is TestFacadeCancelAtBlockBoundary:
-# cancellation through both block loops via the one block-boundary
-# callback.
+# ./internal/core/ holds the recovery loop's own suites beside the loop
+# (the PT×1 block-attempt tests and the PT-shrink on 4×2);
+# ./internal/pfasst/ keeps the pure-PFASST guard and validation rows.
+# TestFacadeGridCrashMidAttempt carries the `Threads: 2` row: traversal
+# workers across a mid-attempt crash, bitwise equal to `Threads: 1`.
+# `Cancel` is TestFacadeCancelAtBlockBoundary: cancellation through
+# both block loops via the one block-boundary callback.
 go test -race -count=1 -timeout 10m \
   -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Shrink|Agree|Torn|Levels|Fault|Cancel' \
   ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ .

@@ -74,10 +74,10 @@ func TestSpaceTimeDeterminism(t *testing.T) {
 func TestSpaceTimeDeterminismModeled(t *testing.T) {
 	// The virtual-clock path must be deterministic too: identical
 	// modeled runs report the same modeled seconds to the bit. The
-	// clustered rows are the benchmark's ps4_clustered input, where a
-	// rank's clock used to depend on the order in which the host
-	// scheduler let its neighbours serve on-demand fetches; with the
-	// traversal silent, every receive has one possible sender.
+	// clustered rows are the benchmark's ps4_clustered input, the one
+	// with the most remote cells per rank: the traversal never
+	// communicates, so every receive of an evaluation has one possible
+	// sender and no rank's clock depends on the host scheduler.
 	for _, row := range []struct {
 		name   string
 		sys    *System

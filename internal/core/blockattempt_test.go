@@ -1,24 +1,23 @@
-package pfasst_test
+package core
 
 // The resilience contract of the block attempt — deadline link,
 // generation tags, typed aborts, committed-block records — tested
-// through the one driver that runs it: core.RunSpaceTime's grid loop
-// on a PT×1 grid of a small vortex blob. (The package is external
-// because internal/core imports pfasst.)
+// through the one driver that runs it: RunSpaceTime's grid loop on a
+// PT×1 grid of a small vortex blob.
 
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/ode"
 	"repro/internal/particle"
-	. "repro/internal/pfasst"
+	"repro/internal/pfasst"
 	"repro/internal/telemetry"
 )
 
@@ -29,30 +28,23 @@ func blob() *particle.System { return particle.RandomVortexBlob(48, 0.2, 7) }
 
 const blobDT = 1.0 / 32
 
-// gridCfg is the resilient PT×1 configuration.
-func gridCfg(pt int) core.Config {
-	cfg := core.Default(pt, 1)
-	cfg.Resilience = Resilience{Enabled: true, RecvTimeout: 5 * time.Second}
-	return cfg
-}
-
 // gridRank is one world rank's outcome of a grid run.
 type gridRank struct {
-	core.Result
+	Result
 	tel telemetry.Snapshot
 }
 
-// runGrid runs core.RunSpaceTime over nsteps steps of blobDT under a
+// runGrid runs RunSpaceTime over nsteps steps of blobDT under a
 // fault plan, every rank on its own registry, and returns each rank's
 // outcome (nil entries for ranks that died or errored) plus the joined
 // run error.
-func runGrid(cfg core.Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
+func runGrid(cfg Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
 	full := blob()
 	out := make([]*gridRank, cfg.PT*cfg.PS)
 	_, err := mpi.RunOpts(len(out), mpi.Options{Fault: pol}, func(w *mpi.Comm) error {
 		rcfg := cfg
 		rcfg.Tel = telemetry.New()
-		res, err := core.RunSpaceTime(w, rcfg, full, 0, float64(nsteps)*blobDT, nsteps)
+		res, err := RunSpaceTime(w, rcfg, full, 0, float64(nsteps)*blobDT, nsteps)
 		if err != nil {
 			return err
 		}
@@ -71,11 +63,11 @@ func runGrid(cfg core.Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, err
 // covers the intermediate-level receives.
 func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 	const p, nsteps = 4, 8
-	threeLevel := []core.LevelTheta{{Theta: 0.3, NNodes: 5}, {Theta: 0.45, NNodes: 3}, {Theta: 0.6, NNodes: 2}}
+	threeLevel := []LevelTheta{{Theta: 0.3, NNodes: 5}, {Theta: 0.45, NNodes: 3}, {Theta: 0.6, NNodes: 2}}
 
 	for _, tc := range []struct {
 		name   string
-		levels []core.LevelTheta
+		levels []LevelTheta
 		tol    float64
 	}{
 		{"fixed", nil, 0},
@@ -83,11 +75,11 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 		{"three-level", threeLevel, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := gridCfg(p)
+			cfg := resilientCfg(p, 1)
 			cfg.Iterations = 8
 			cfg.Levels, cfg.Tol = tc.levels, tc.tol
 			plainCfg := cfg
-			plainCfg.Resilience = Resilience{}
+			plainCfg.Resilience = pfasst.Resilience{}
 			want, err := runGrid(plainCfg, nil, nsteps)
 			if err != nil {
 				t.Fatal(err)
@@ -104,7 +96,7 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 				if tc.tol > 0 && w.IterationsRun[0] >= cfg.Iterations {
 					t.Fatalf("rank %d: Tol %g never stopped a block early: %v", r, tc.tol, w.IterationsRun)
 				}
-				if !bitwiseEq(g.U, w.U) || !bitwiseEq(g.Residuals, w.Residuals) || !bitwiseEq(g.IterDiffs, w.IterDiffs) {
+				if !slices.Equal(g.U, w.U) || !slices.Equal(g.Residuals, w.Residuals) || !slices.Equal(g.IterDiffs, w.IterDiffs) {
 					t.Fatalf("rank %d: resilient run not bitwise identical to plain:\n got %+v\nwant %+v", r, g, w)
 				}
 				if !reflect.DeepEqual(g.IterationsRun, w.IterationsRun) || g.SweepsFine != w.SweepsFine || g.SweepsCoarse != w.SweepsCoarse {
@@ -116,7 +108,7 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 				if g.BlockRestarts != 0 || g.DegradedBlocks != 0 || g.FinalRanks != p {
 					t.Fatalf("rank %d: fault-free run reported faults: %+v", r, g)
 				}
-				if n := got[r].tel.Counters[CounterShrinks]; n != 0 {
+				if n := got[r].tel.Counters[pfasst.CounterShrinks]; n != 0 {
 					t.Fatalf("rank %d: fault-free run counted %d shrinks", r, n)
 				}
 			}
@@ -131,7 +123,7 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 // fault counters may differ.
 func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	const p, nsteps = 4, 8
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 
 	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
@@ -147,16 +139,16 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	}
 	// The plain (non-resilient) path must absorb the same plan too.
 	plainCfg := cfg
-	plainCfg.Resilience = Resilience{}
+	plainCfg.Resilience = pfasst.Resilience{}
 	plain, err := runGrid(plainCfg, plan, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := range clean {
-		if !bitwiseEq(chaos[r].PFASST.U, clean[r].PFASST.U) {
+		if !slices.Equal(chaos[r].PFASST.U, clean[r].PFASST.U) {
 			t.Fatalf("rank %d: transient chaos changed U", r)
 		}
-		if !bitwiseEq(plain[r].PFASST.U, clean[r].PFASST.U) {
+		if !slices.Equal(plain[r].PFASST.U, clean[r].PFASST.U) {
 			t.Fatalf("rank %d: plain path under transient chaos diverged", r)
 		}
 	}
@@ -186,15 +178,15 @@ func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
 		if pr.BlockRestarts < 1 || pr.DegradedBlocks < 1 {
 			t.Fatalf("rank %d: %d restarts, %d degraded blocks recorded", r, pr.BlockRestarts, pr.DegradedBlocks)
 		}
-		if n := res.tel.Counters[CounterShrinks]; n != 1 {
-			t.Fatalf("rank %d: %s = %d, want 1", r, CounterShrinks, n)
+		if n := res.tel.Counters[pfasst.CounterShrinks]; n != 1 {
+			t.Fatalf("rank %d: %s = %d, want 1", r, pfasst.CounterShrinks, n)
 		}
-		if n := res.tel.Counters[CounterFineSweeps]; n != int64(pr.SweepsFine) {
-			t.Fatalf("rank %d: %s = %d but Result.SweepsFine = %d", r, CounterFineSweeps, n, pr.SweepsFine)
+		if n := res.tel.Counters[pfasst.CounterFineSweeps]; n != int64(pr.SweepsFine) {
+			t.Fatalf("rank %d: %s = %d but Result.SweepsFine = %d", r, pfasst.CounterFineSweeps, n, pr.SweepsFine)
 		}
 		if first == nil {
 			first = res
-		} else if !bitwiseEq(res.PFASST.U, first.PFASST.U) {
+		} else if !slices.Equal(res.PFASST.U, first.PFASST.U) {
 			t.Fatalf("survivors 0 and %d disagree on U", r)
 		}
 	}
@@ -208,7 +200,7 @@ func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
 // fault-free run.
 func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	const p, nsteps = 4, 8
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +216,7 @@ func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	first := checkShrunkTo3(t, 1, results)
 	// Two committed 3-step blocks, then a 2-step serial tail at the
 	// default 8 sweeps per step on every survivor.
-	if pr := first.PFASST; len(pr.Residuals) != 2 || pr.SweepsFine < 2*3+2*DefaultFallbackSweeps {
+	if pr := first.PFASST; len(pr.Residuals) != 2 || pr.SweepsFine < 2*3+2*pfasst.DefaultFallbackSweeps {
 		t.Fatalf("%d block records, %d fine sweeps: not two blocks + a serial tail", len(pr.Residuals), pr.SweepsFine)
 	}
 	if d := ode.MaxDiff(first.PFASST.U, clean[0].PFASST.U); d > 1e-4 {
@@ -234,7 +226,7 @@ func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 
 func TestCrashAtBlockBoundary(t *testing.T) {
 	const p, nsteps = 4, 8
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +265,7 @@ func (l lossPlan) CrashAt(rank int, phase string, epoch int) bool { return false
 
 func TestHardLossRetriesBlockBitwise(t *testing.T) {
 	const p, nsteps = 4, 8
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 	cfg.Resilience.RecvTimeout = 150 * time.Millisecond
 
 	clean, err := runGrid(cfg, nil, nsteps)
@@ -299,7 +291,7 @@ func TestHardLossRetriesBlockBitwise(t *testing.T) {
 			t.Fatalf("rank %d: %d/%d/%d block records for %d committed blocks",
 				r, len(l.Residuals), len(l.IterDiffs), len(l.IterationsRun), nsteps/p)
 		}
-		if !bitwiseEq(l.U, clean[r].PFASST.U) {
+		if !slices.Equal(l.U, clean[r].PFASST.U) {
 			t.Fatalf("rank %d: retried run diverged", r)
 		}
 	}
@@ -317,17 +309,16 @@ func TestLeakCorruptionTypedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := gridCfg(2)
-	wide.PS = 2
+	wide := resilientCfg(2, 2)
 	for _, row := range []struct {
 		name  string
-		cfg   core.Config
+		cfg   Config
 		pol   mpi.FaultPolicy
 		cause error
 	}{
-		{"every message", gridCfg(4), everything, mpi.ErrTornPayload},
+		{"every message", resilientCfg(4, 1), everything, mpi.ErrTornPayload},
 		{"every message 2x2", wide, everything, mpi.ErrTornPayload},
-		{"pipeline only", gridCfg(4), tornPipeline{}, ErrBlockAbort},
+		{"pipeline only", resilientCfg(4, 1), tornPipeline{}, pfasst.ErrBlockAbort},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg
@@ -387,7 +378,7 @@ func (tornOnce) CrashAt(rank int, phase string, epoch int) bool { return false }
 // run bitwise identical to the fault-free one, with no block restart.
 func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
 	const p, nsteps = 4, 8
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 	clean, err := runGrid(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
@@ -401,10 +392,10 @@ func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
 		t.Fatalf("torn plan fired %d times", hits)
 	}
 	for r := range clean {
-		if n := torn[r].tel.Counters[core.CounterRecoveryRounds]; n != 2 {
+		if n := torn[r].tel.Counters[CounterRecoveryRounds]; n != 2 {
 			t.Fatalf("rank %d: %d recovery rounds, want the torn one and its retry", r, n)
 		}
-		if pr := torn[r].PFASST; pr.BlockRestarts != 0 || pr.FinalRanks != p || !bitwiseEq(pr.U, clean[r].PFASST.U) {
+		if pr := torn[r].PFASST; pr.BlockRestarts != 0 || pr.FinalRanks != p || !slices.Equal(pr.U, clean[r].PFASST.U) {
 			t.Fatalf("rank %d: %d restarts, final width %d, or U diverged", r, pr.BlockRestarts, pr.FinalRanks)
 		}
 	}
@@ -416,7 +407,7 @@ func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
 // with the stored state.
 func TestCheckpointResumeBitwise(t *testing.T) {
 	const p = 4
-	cfg := gridCfg(p)
+	cfg := resilientCfg(p, 1)
 	cfg.Resilience.CheckpointDir = t.TempDir()
 
 	// Uninterrupted 12-step reference, writing checkpoints as it goes.
@@ -432,14 +423,14 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitwiseEq(resumed[0].PFASST.U, full[0].PFASST.U) || len(resumed[0].PFASST.Residuals) != 0 {
+	if !slices.Equal(resumed[0].PFASST.U, full[0].PFASST.U) || len(resumed[0].PFASST.Residuals) != 0 {
 		t.Fatalf("completed-checkpoint resume changed U or ran %d blocks", len(resumed[0].PFASST.Residuals))
 	}
 
 	// Now an interruption: run 8 steps (2 of 3 blocks) into a fresh
 	// directory, resume to 12, and require the final answer to match
 	// the uninterrupted run bitwise.
-	cfg8 := gridCfg(p)
+	cfg8 := resilientCfg(p, 1)
 	cfg8.Resilience.CheckpointDir = t.TempDir()
 	if _, err := runGrid(cfg8, nil, 8); err != nil {
 		t.Fatal(err)
@@ -450,7 +441,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range cont {
-		if !bitwiseEq(cont[r].PFASST.U, full[r].PFASST.U) {
+		if !slices.Equal(cont[r].PFASST.U, full[r].PFASST.U) {
 			t.Fatalf("rank %d: resumed run diverged from the uninterrupted run", r)
 		}
 	}

@@ -164,10 +164,10 @@ type Config struct {
 	// tree solver: tree.TraversalList (default) or
 	// tree.TraversalRecursive.
 	Traversal tree.TraversalMode
-	// Layout selects the evaluation storage of every level's tree
-	// solver: particle.LayoutSoA (the Default) runs the batched
-	// struct-of-arrays kernels, particle.LayoutAoS the reference path.
-	// Results are bitwise equal either way (DESIGN.md §14).
+	// Layout is hot.Config.Layout for every level's solver:
+	// particle.LayoutSoA (the Default) gathers the local tree's lanes
+	// at build, particle.LayoutAoS gathers each leaf as the near leg
+	// meets it. Same kernel, bitwise-equal results (DESIGN.md §14).
 	Layout particle.Layout
 	// Balance enables cross-rank dynamic load balancing: every force
 	// evaluation routes per-particle interaction counts back to the

@@ -39,14 +39,16 @@ func TestVortexSystemRHSMatchesEvaluator(t *testing.T) {
 	sys.F(0, u, f)
 	// The first particle's RHS must equal the pairwise sums computed
 	// directly from the kernel.
-	pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: full.Sigma}
-	var velWant vec.Vec3
-	var grad vec.Mat3
+	b := kernel.NewVortexBatch(kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: full.Sigma})
+	var acc kernel.VortexAcc
 	for p := 1; p < full.N(); p++ {
-		du, dg := pw.VelocityGrad(full.Particles[0].Pos.Sub(full.Particles[p].Pos), full.Particles[p].Alpha)
-		velWant = velWant.Add(du)
-		grad = grad.Add(dg)
+		r := full.Particles[0].Pos.Sub(full.Particles[p].Pos)
+		a := full.Particles[p].Alpha
+		b.AccumGrad(&acc, r.X, r.Y, r.Z, a.X, a.Y, a.Z)
 	}
+	velWant := vec.V3(acc.UX, acc.UY, acc.UZ)
+	g := acc.G
+	grad := vec.Mat3{{g[0], g[1], g[2]}, {g[3], g[4], g[5]}, {g[6], g[7], g[8]}}
 	strWant := kernel.StretchTranspose(grad, full.Particles[0].Alpha)
 	if math.Abs(f[0]-velWant.X) > 1e-13 || math.Abs(f[4]-strWant.Y) > 1e-13 {
 		t.Fatalf("RHS mismatch: f[0]=%v want %v; f[4]=%v want %v", f[0], velWant.X, f[4], strWant.Y)

@@ -94,7 +94,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	refresh := s.counter%s.RefreshEvery == 0
 	s.counter++
 
-	t := tree.Build(sys, tree.BuildConfig{LeafCap: s.LeafCap, Discipline: tree.Vortex})
+	t := tree.Build(sys, tree.BuildConfig{LeafCap: s.LeafCap, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
 	pw := kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma}
 	var inter int64
 	for q := 0; q < n; q++ {

@@ -39,6 +39,51 @@ func TestRefreshEveryOneCloseToTree(t *testing.T) {
 	}
 }
 
+// TestSplitCountsMatchWalk ties the near/far split to the standard
+// walk on one tree. With one particle per leaf an accepted leaf is one
+// interaction either way, so near + far must reproduce VortexAtNode's
+// interaction and reject counts exactly and its field to rounding (the
+// split reads an accepted leaf as a monopole at the leaf centroid, the
+// walk reads its particle), and the solver at RefreshEvery = 1 must
+// report the same total.
+func TestSplitCountsMatchWalk(t *testing.T) {
+	sys := particle.SphericalVortexSheet(particle.ScaledSheet(200))
+	const theta = 0.4
+	ff := New(kernel.Algebraic6(), kernel.Transpose, theta, 1)
+	ff.LeafCap = 1
+	n := sys.N()
+	vel := make([]vec.Vec3, n)
+	str := make([]vec.Vec3, n)
+	ff.Eval(sys, vel, str)
+
+	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 1, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
+	pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma}
+	var total int64
+	for q, p := range sys.Particles {
+		near, far := tr.VortexAtSplit(tr.Root, p.Pos, theta, q, pw, true, true)
+		ref := tr.VortexAtNode(tr.Root, p.Pos, theta, q, pw, true)
+		if got := near.Interactions + far.Interactions; got != ref.Interactions {
+			t.Fatalf("target %d: near+far = %d interactions, walk %d", q, got, ref.Interactions)
+		}
+		if got := near.Rejects + far.Rejects; got != ref.Rejects {
+			t.Fatalf("target %d: near+far = %d rejects, walk %d", q, got, ref.Rejects)
+		}
+		if far.CellAccepts != far.Interactions || near.CellAccepts != 0 {
+			t.Fatalf("target %d: accepts on the wrong side (near %d, far %d of %d)", q, near.CellAccepts, far.CellAccepts, far.Interactions)
+		}
+		if d := near.U.Add(far.U).Sub(ref.U).Norm(); d > 1e-12*(1+ref.U.Norm()) {
+			t.Fatalf("target %d: near+far velocity off the walk by %g", q, d)
+		}
+		if vel[q] != near.U.Add(far.U) {
+			t.Fatalf("target %d: solver velocity %v is not near+far %v", q, vel[q], near.U.Add(far.U))
+		}
+		total += ref.Interactions
+	}
+	if got := ff.Stats().Interactions; got != total {
+		t.Fatalf("solver counted %d interactions at RefreshEvery=1, walks %d", got, total)
+	}
+}
+
 func TestStaleFarFieldIsSmallError(t *testing.T) {
 	// After a small particle displacement, reusing the cached far field
 	// must introduce only a small relative error.

@@ -96,10 +96,10 @@ type Config struct {
 	// rebuild on detection). The rebuild loop is collective-free, so
 	// ranks may retry independently. Nil costs nothing.
 	Hook tree.BuildHook
-	// Layout selects the local-tree evaluation storage: LayoutSoA
-	// gathers Morton-sorted lanes at build so the near/far list legs
-	// run the batched kernels; LayoutAoS (the zero value) is the
-	// reference path. Bitwise equal either way (DESIGN.md §14).
+	// Layout is tree.BuildConfig.Layout for the local tree: LayoutSoA
+	// gathers its Morton-sorted lanes at build, LayoutAoS (the zero
+	// value) gathers each local leaf as the near leg meets it. Same
+	// kernel, bitwise-equal results (DESIGN.md §14).
 	Layout particle.Layout
 }
 
@@ -828,18 +828,10 @@ func (v *vortexAcc) grad() vec.Mat3 {
 	}
 }
 
-// vortexFar folds one MAC-accepted global cell into acc.
+// vortexFar folds one MAC-accepted global cell into acc through the
+// tree's far-field leg.
 func (rt *evalRT) vortexFar(acc *vortexAcc, g *gcell, x vec.Vec3) {
-	r := x.Sub(g.nd.Centroid)
-	c := g.nd.CircSum
-	rt.vb.AccumGrad(&acc.VortexAcc, r.X, r.Y, r.Z, c.X, c.Y, c.Z)
-	if rt.s.cfg.Dipole {
-		d := tree.DipoleVelocity(r, g.nd.Dipole)
-		acc.UX += d.X
-		acc.UY += d.Y
-		acc.UZ += d.Z
-	}
-	acc.N++
+	tree.VortexFar(&acc.VortexAcc, &rt.vb, &g.nd, x, rt.s.cfg.Dipole)
 	acc.accepts++
 }
 
@@ -924,14 +916,9 @@ func (c *coulombAcc) addLocal(sub *tree.CoulombResult) {
 	c.rejects += sub.Rejects
 }
 
-// coulombFar folds one MAC-accepted global cell into acc.
+// coulombFar is vortexFar for the Coulomb discipline.
 func (rt *evalRT) coulombFar(acc *coulombAcc, g *gcell, x vec.Vec3) {
-	phi, e := tree.CoulombCell(x.Sub(g.nd.Centroid), &g.nd)
-	acc.Phi += phi
-	acc.EX += e.X
-	acc.EY += e.Y
-	acc.EZ += e.Z
-	acc.N++
+	tree.CoulombFar(&acc.CoulombAcc, &g.nd, x)
 	acc.accepts++
 }
 

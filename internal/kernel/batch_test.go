@@ -31,9 +31,78 @@ func ulpDist(a, b float64) uint64 {
 	return ob - oa
 }
 
-// refGradRange is the AoS reference the batch must match: the exact
-// accumulation loop of the near-field evaluators, built on
-// Pairwise.VelocityGrad.
+// oracle is the scalar reference the batched kernels are held to: one
+// source at a time through vec types, F and H from their own branchy
+// helpers. It shares no code with batch.go; the tests below require
+// the two to agree to 1 ulp for every kernel, range length and skip
+// position.
+type oracle Pairwise
+
+// h evaluates H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵, by series below hSwitch.
+func (o oracle) h(rho float64) float64 {
+	if rho < hSwitch {
+		z := o.Sm.ZetaSeries()
+		r2 := rho * rho
+		return 4 * math.Pi * (2.0/5*z[1] + r2*(4.0/7*z[2]+r2*(6.0/9*z[3])))
+	}
+	r5 := rho * rho * rho * rho * rho
+	return (rho*o.Sm.QPrime(rho) - 3*o.Sm.Q(rho)) / r5
+}
+
+// f evaluates F(r) = q(ρ)/|r|³, by series below hSwitch for every
+// kernel that has one.
+func (o oracle) f(rho, d2, d float64) float64 {
+	if rho < hSwitch {
+		if z := o.Sm.ZetaSeries(); z[0] != 0 {
+			r2 := rho * rho
+			s3 := o.Sigma * o.Sigma * o.Sigma
+			return 4 * math.Pi * (z[0]/3 + r2*(z[1]/5+r2*(z[2]/7+r2*(z[3]/9)))) / s3
+		}
+	}
+	return o.Sm.Q(rho) / (d2 * d)
+}
+
+func (o oracle) velocity(r, alpha vec.Vec3) vec.Vec3 {
+	d2 := r.Norm2()
+	if d2 == 0 {
+		return vec.Zero3
+	}
+	d := math.Sqrt(d2)
+	return r.Cross(alpha).Scale(-o.f(d/o.Sigma, d2, d) / (4 * math.Pi))
+}
+
+func (o oracle) velocityGrad(r, alpha vec.Vec3) (vec.Vec3, vec.Mat3) {
+	d2 := r.Norm2()
+	if d2 == 0 {
+		return vec.Zero3, vec.Mat3{}
+	}
+	d := math.Sqrt(d2)
+	rho := d / o.Sigma
+	f := o.f(rho, d2, d)
+	inv4pi := 1 / (4 * math.Pi)
+	rxA := r.Cross(alpha)
+	s5 := o.Sigma * o.Sigma * o.Sigma * o.Sigma * o.Sigma
+	grad := vec.Outer(rxA, r).Scale(-(o.h(rho) / s5) * inv4pi)
+	// ε_{ijl} α_l term: matrix M with M v = v × α.
+	m := vec.Mat3{
+		{0, alpha.Z, -alpha.Y},
+		{-alpha.Z, 0, alpha.X},
+		{alpha.Y, -alpha.X, 0},
+	}
+	return rxA.Scale(-f * inv4pi), grad.Add(m.Scale(-f * inv4pi))
+}
+
+// coulombOracle is the scalar Plummer-softened Coulomb interaction.
+func coulombOracle(r vec.Vec3, charge, eps float64) (phi float64, field vec.Vec3) {
+	d2 := r.Norm2() + eps*eps
+	if d2 == 0 {
+		return 0, vec.Zero3
+	}
+	inv := 1 / math.Sqrt(d2)
+	return charge * inv, r.Scale(charge * inv * inv * inv)
+}
+
+// refGradRange sums the oracle over a lane range in index order.
 func refGradRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []float64, skip int) VortexAcc {
 	var u vec.Vec3
 	var g vec.Mat3
@@ -43,7 +112,7 @@ func refGradRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []f
 		if i == skip {
 			continue
 		}
-		du, dg := pw.VelocityGrad(x.Sub(vec.V3(xs[i], ys[i], zs[i])), vec.V3(axs[i], ays[i], azs[i]))
+		du, dg := oracle(pw).velocityGrad(x.Sub(vec.V3(xs[i], ys[i], zs[i])), vec.V3(axs[i], ays[i], azs[i]))
 		u = u.Add(du)
 		g = g.Add(dg)
 		acc.N++
@@ -57,7 +126,7 @@ func refGradRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []f
 	return acc
 }
 
-// refVelRange mirrors the AoS velocity-only loop.
+// refVelRange is refGradRange for velocities only.
 func refVelRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []float64, skip int) VortexAcc {
 	var u vec.Vec3
 	var acc VortexAcc
@@ -66,14 +135,14 @@ func refVelRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []fl
 		if i == skip {
 			continue
 		}
-		u = u.Add(pw.Velocity(x.Sub(vec.V3(xs[i], ys[i], zs[i])), vec.V3(axs[i], ays[i], azs[i])))
+		u = u.Add(oracle(pw).velocity(x.Sub(vec.V3(xs[i], ys[i], zs[i])), vec.V3(axs[i], ays[i], azs[i])))
 		acc.N++
 	}
 	acc.UX, acc.UY, acc.UZ = u.X, u.Y, u.Z
 	return acc
 }
 
-// refCoulombRange mirrors the AoS Coulomb loop.
+// refCoulombRange sums coulombOracle over a lane range in index order.
 func refCoulombRange(tx, ty, tz, eps float64, xs, ys, zs, qs []float64, skip int) CoulombAcc {
 	var acc CoulombAcc
 	var e vec.Vec3
@@ -82,7 +151,7 @@ func refCoulombRange(tx, ty, tz, eps float64, xs, ys, zs, qs []float64, skip int
 		if i == skip {
 			continue
 		}
-		dphi, de := Coulomb(x.Sub(vec.V3(xs[i], ys[i], zs[i])), qs[i], eps)
+		dphi, de := coulombOracle(x.Sub(vec.V3(xs[i], ys[i], zs[i])), qs[i], eps)
 		acc.Phi += dphi
 		e = e.Add(de)
 		acc.N++
@@ -140,8 +209,8 @@ func randomLanes(rng *rand.Rand, n int, tx, ty, tz float64) (xs, ys, zs, axs, ay
 // TestBatchMatchesScalarReference sweeps every kernel over every range
 // length from 0 to several full blocks (covering every remainder-loop
 // length), with the skip index placed inside and outside the range, and
-// requires the batched loops to stay within 1 ulp of the AoS reference
-// — bitwise in practice on non-FMA builds.
+// requires the batched loops to stay within 1 ulp of the oracle —
+// bitwise in practice on non-FMA builds.
 func TestBatchMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, name := range batchKernelNames {
@@ -170,7 +239,7 @@ func TestBatchMatchesScalarReference(t *testing.T) {
 }
 
 // TestBatchFarMatchesVelocityGrad checks the single-pair far-field leg
-// against the AoS kernel for random separations, including the
+// against the oracle for random separations, including the
 // zero-separation early return.
 func TestBatchFarMatchesVelocityGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -185,7 +254,7 @@ func TestBatchFarMatchesVelocityGrad(t *testing.T) {
 			a := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 			var acc VortexAcc
 			b.AccumGrad(&acc, r.X, r.Y, r.Z, a.X, a.Y, a.Z)
-			u, g := pw.VelocityGrad(r, a)
+			u, g := oracle(pw).velocityGrad(r, a)
 			var want VortexAcc
 			want.UX, want.UY, want.UZ = u.X, u.Y, u.Z
 			for i := 0; i < 3; i++ {
@@ -257,8 +326,8 @@ func fuzzLanes(rng *rand.Rand, n int, tx, ty, tz, sigma float64, denorm, coincid
 	return
 }
 
-// FuzzBatchGradRange fuzzes the batched gradient loop against the AoS
-// reference over random tail lengths (0..BatchWidth−1 beyond whole
+// FuzzBatchGradRange fuzzes the batched gradient loop against the
+// oracle over random tail lengths (0..BatchWidth−1 beyond whole
 // blocks), denormal circulations and coincident sources. The batch must
 // stay within 1 ulp of the reference in every component, and for the
 // regularized kernels must never produce NaN/Inf from finite bounded

@@ -11,7 +11,7 @@ import (
 // velocity and gradient for every separation down to and including
 // denormals and exact zero. The historic failure mode is the direct
 // quotient q(ρ)/|r|³ at |r| ≲ 1e-108, where numerator and denominator
-// both underflow to 0 and produce 0/0 = NaN; fOf's ζ-series branch
+// both underflow to 0 and produce 0/0 = NaN; the ζ-series branch of F
 // removes it. The truly singular kernel (q ≡ 1) is excluded: it
 // diverges at the origin by definition.
 func TestNaNHygieneNearZeroSeparations(t *testing.T) {
@@ -45,11 +45,11 @@ func TestNaNHygieneNearZeroSeparations(t *testing.T) {
 			for _, d := range all {
 				for _, dir := range dirs {
 					r := dir.Scale(d)
-					u := pw.Velocity(r, alpha)
+					u := velocityAt(pw, r, alpha)
 					if !u.IsFinite() {
 						t.Fatalf("%s σ=%v d=%v: velocity %v", sm.Name(), sigma, d, u)
 					}
-					uu, g := pw.VelocityGrad(r, alpha)
+					uu, g := velocityGradAt(t, pw, r, alpha)
 					if !uu.IsFinite() {
 						t.Fatalf("%s σ=%v d=%v: grad-path velocity %v", sm.Name(), sigma, d, uu)
 					}
@@ -69,18 +69,17 @@ func TestNaNHygieneNearZeroSeparations(t *testing.T) {
 	}
 }
 
-// The two fOf branches must agree at the switch radius, mirroring the
+// The two branches of F must agree at the switch radius, mirroring the
 // H(ρ) continuity test: a jump there would make tree-vs-direct
 // comparisons discipline-dependent on particle spacing.
 func TestFOfBranchContinuity(t *testing.T) {
 	for _, sm := range allKernels() {
-		pw := Pairwise{Sm: sm, Sigma: 1}
+		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
 		rho := hSwitch * 0.999
-		d := rho * pw.Sigma
-		series := pw.fOf(rho, d*d, d)
-		direct := sm.Q(rho) / (d * d * d)
+		series := b.fSeries(rho)
+		direct := sm.Q(rho) / (rho * rho * rho) // σ = 1: |r| = ρ
 		if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
-			t.Errorf("%s: fOf branches disagree at switch: series %v vs direct %v",
+			t.Errorf("%s: F branches disagree at switch: series %v vs direct %v",
 				sm.Name(), series, direct)
 		}
 	}

@@ -8,12 +8,50 @@ import (
 	"repro/internal/vec"
 )
 
+// The properties below are checked on the production entry points, one
+// source at the origin and the target at r (so target − source = r
+// exactly): velocityAt runs the velocity-only range loop, velocityGradAt
+// the near leg (a one-lane AccumGradRange) and requires the far leg
+// (AccumGrad) to return the same bits.
+func sourceLanes(alpha vec.Vec3) (xs, ys, zs, axs, ays, azs []float64) {
+	return []float64{0}, []float64{0}, []float64{0},
+		[]float64{alpha.X}, []float64{alpha.Y}, []float64{alpha.Z}
+}
+
+func velocityAt(pw Pairwise, r, alpha vec.Vec3) vec.Vec3 {
+	b := NewVortexBatch(pw)
+	var acc VortexAcc
+	xs, ys, zs, axs, ays, azs := sourceLanes(alpha)
+	b.AccumVelRange(&acc, r.X, r.Y, r.Z, xs, ys, zs, axs, ays, azs, -1)
+	return vec.V3(acc.UX, acc.UY, acc.UZ)
+}
+
+func velocityGradAt(t *testing.T, pw Pairwise, r, alpha vec.Vec3) (vec.Vec3, vec.Mat3) {
+	t.Helper()
+	b := NewVortexBatch(pw)
+	var near, far VortexAcc
+	xs, ys, zs, axs, ays, azs := sourceLanes(alpha)
+	b.AccumGradRange(&near, r.X, r.Y, r.Z, xs, ys, zs, axs, ays, azs, -1)
+	b.AccumGrad(&far, r.X, r.Y, r.Z, alpha.X, alpha.Y, alpha.Z)
+	far.N = near.N // the far leg leaves the count to its caller
+	checkVortexAcc(t, pw.Sm.Name()+" near vs far leg", far, near, 0)
+	g := near.G
+	return vec.V3(near.UX, near.UY, near.UZ),
+		vec.Mat3{{g[0], g[1], g[2]}, {g[3], g[4], g[5]}, {g[6], g[7], g[8]}}
+}
+
+func coulombAt(r vec.Vec3, charge, eps float64) (float64, vec.Vec3) {
+	var acc CoulombAcc
+	AccumCoulombRange(&acc, r.X, r.Y, r.Z, eps, []float64{0}, []float64{0}, []float64{0}, []float64{charge}, -1)
+	return acc.Phi, vec.V3(acc.EX, acc.EY, acc.EZ)
+}
+
 func TestVelocityZeroSeparation(t *testing.T) {
 	pw := Pairwise{Sm: Algebraic6(), Sigma: 0.1}
-	if got := pw.Velocity(vec.Zero3, vec.V3(1, 2, 3)); got != vec.Zero3 {
+	if got := velocityAt(pw, vec.Zero3, vec.V3(1, 2, 3)); got != vec.Zero3 {
 		t.Fatalf("self-induced velocity = %v, want 0", got)
 	}
-	u, g := pw.VelocityGrad(vec.Zero3, vec.V3(1, 2, 3))
+	u, g := velocityGradAt(t, pw, vec.Zero3, vec.V3(1, 2, 3))
 	if u != vec.Zero3 || g != (vec.Mat3{}) {
 		t.Fatalf("self-induced grad = %v %v, want zero", u, g)
 	}
@@ -26,7 +64,7 @@ func TestVelocityFarFieldMatchesSingular(t *testing.T) {
 	r := vec.V3(5, -3, 2) // |r| ≈ 6.16, σ = 0.05 ⇒ ρ ≈ 123
 	reg := Pairwise{Sm: Algebraic6(), Sigma: 0.05}
 	sing := Pairwise{Sm: Singular(), Sigma: 1}
-	u1, u2 := reg.Velocity(r, alpha), sing.Velocity(r, alpha)
+	u1, u2 := velocityAt(reg, r, alpha), velocityAt(sing, r, alpha)
 	if u1.Sub(u2).Norm() > 1e-10*u2.Norm() {
 		t.Fatalf("far field: regularized %v vs singular %v", u1, u2)
 	}
@@ -38,7 +76,7 @@ func TestVelocityAgainstHandComputed(t *testing.T) {
 	// r×α = (1,0,0)×(0,0,1) = (0·1−0·0, 0·0−1·1, 0) = (0,−1,0)
 	// ⇒ u = (0, 1/4π, 0).
 	pw := Pairwise{Sm: Singular(), Sigma: 1}
-	u := pw.Velocity(vec.V3(1, 0, 0), vec.V3(0, 0, 1))
+	u := velocityAt(pw, vec.V3(1, 0, 0), vec.V3(0, 0, 1))
 	want := vec.V3(0, 1/(4*math.Pi), 0)
 	if u.Sub(want).Norm() > 1e-14 {
 		t.Fatalf("u = %v, want %v", u, want)
@@ -55,13 +93,13 @@ func TestVelocityGradMatchesFiniteDifference(t *testing.T) {
 				continue
 			}
 			alpha := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-			_, grad := pw.VelocityGrad(r, alpha)
+			_, grad := velocityGradAt(t, pw, r, alpha)
 			h := 1e-6
 			for j := 0; j < 3; j++ {
 				rp := r.WithComponent(j, r.Component(j)+h)
 				rm := r.WithComponent(j, r.Component(j)-h)
-				up := pw.Velocity(rp, alpha)
-				um := pw.Velocity(rm, alpha)
+				up := velocityAt(pw, rp, alpha)
+				um := velocityAt(pw, rm, alpha)
 				fd := up.Sub(um).Scale(1 / (2 * h))
 				for i := 0; i < 3; i++ {
 					got := grad[i][j]
@@ -80,9 +118,9 @@ func TestGradSmallRhoBranchContinuity(t *testing.T) {
 	// The H(ρ) series branch and the direct branch must agree near the
 	// switch radius.
 	for _, sm := range allKernels() {
-		pw := Pairwise{Sm: sm, Sigma: 1}
-		rho := hSwitch * 0.999 // h() takes the series branch here
-		series := pw.h(rho)
+		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
+		rho := hSwitch * 0.999
+		series := b.hSeries(rho)
 		r5 := rho * rho * rho * rho * rho
 		direct := (rho*sm.QPrime(rho) - 3*sm.Q(rho)) / r5
 		if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
@@ -99,7 +137,7 @@ func TestGradNoCatastrophicCancellation(t *testing.T) {
 	pw := Pairwise{Sm: Algebraic6(), Sigma: 1}
 	alpha := vec.V3(0, 0, 1)
 	for _, d := range []float64{1e-8, 1e-6, 1e-4, 1e-3, 1e-2} {
-		u, g := pw.VelocityGrad(vec.V3(d, 0, 0), alpha)
+		u, g := velocityGradAt(t, pw, vec.V3(d, 0, 0), alpha)
 		if !u.IsFinite() {
 			t.Fatalf("velocity not finite at d=%v: %v", d, u)
 		}
@@ -120,8 +158,8 @@ func TestVelocityAntisymmetricInSeparation(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		r := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		a := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-		u1 := pw.Velocity(r, a)
-		u2 := pw.Velocity(r.Neg(), a)
+		u1 := velocityAt(pw, r, a)
+		u2 := velocityAt(pw, r.Neg(), a)
 		if u1.Add(u2).Norm() > 1e-12*(u1.Norm()+1) {
 			t.Fatalf("not antisymmetric: %v vs %v", u1, u2)
 		}
@@ -131,7 +169,7 @@ func TestVelocityAntisymmetricInSeparation(t *testing.T) {
 func TestVelocityParallelAlphaIsZero(t *testing.T) {
 	// r × α = 0 when r ∥ α.
 	pw := Pairwise{Sm: Algebraic4(), Sigma: 0.3}
-	u := pw.Velocity(vec.V3(2, 2, 2), vec.V3(-1, -1, -1))
+	u := velocityAt(pw, vec.V3(2, 2, 2), vec.V3(-1, -1, -1))
 	if u.Norm() > 1e-14 {
 		t.Fatalf("parallel-α velocity = %v, want 0", u)
 	}
@@ -160,7 +198,7 @@ func TestStretchSchemes(t *testing.T) {
 func TestCoulombFieldIsMinusGradPotentialSign(t *testing.T) {
 	// field = −∇φ for a positive charge: φ decays outward, E points
 	// outward (away from the source).
-	phi, e := Coulomb(vec.V3(1, 0, 0), 1, 0)
+	phi, e := coulombAt(vec.V3(1, 0, 0), 1, 0)
 	if phi != 1 {
 		t.Fatalf("phi = %v, want 1", phi)
 	}
@@ -168,8 +206,8 @@ func TestCoulombFieldIsMinusGradPotentialSign(t *testing.T) {
 		t.Fatalf("field = %v, want +x direction", e)
 	}
 	h := 1e-6
-	phiP, _ := Coulomb(vec.V3(1+h, 0, 0), 1, 0)
-	phiM, _ := Coulomb(vec.V3(1-h, 0, 0), 1, 0)
+	phiP, _ := coulombAt(vec.V3(1+h, 0, 0), 1, 0)
+	phiM, _ := coulombAt(vec.V3(1-h, 0, 0), 1, 0)
 	grad := (phiP - phiM) / (2 * h)
 	if math.Abs(e.X+grad) > 1e-6 {
 		t.Fatalf("E_x = %v, −dφ/dx = %v", e.X, -grad)
@@ -178,37 +216,14 @@ func TestCoulombFieldIsMinusGradPotentialSign(t *testing.T) {
 
 func TestCoulombSoftening(t *testing.T) {
 	// With Plummer softening the potential is finite at the origin.
-	phi, e := Coulomb(vec.Zero3, 2, 0.1)
+	phi, e := coulombAt(vec.Zero3, 2, 0.1)
 	if math.Abs(phi-20) > 1e-12 {
 		t.Fatalf("softened phi(0) = %v, want 20", phi)
 	}
 	if e != vec.Zero3 {
 		t.Fatalf("softened field(0) = %v, want 0", e)
 	}
-	if phi, _ := Coulomb(vec.Zero3, 1, 0); phi != 0 {
+	if phi, _ := coulombAt(vec.Zero3, 1, 0); phi != 0 {
 		t.Fatal("unsoftened origin must return 0 by convention")
 	}
-}
-
-func BenchmarkVelocityAlgebraic6(b *testing.B) {
-	pw := Pairwise{Sm: Algebraic6(), Sigma: 0.1}
-	r := vec.V3(0.3, -0.2, 0.5)
-	a := vec.V3(0.1, 0.7, -0.3)
-	var acc vec.Vec3
-	for i := 0; i < b.N; i++ {
-		acc = acc.Add(pw.Velocity(r, a))
-	}
-	_ = acc
-}
-
-func BenchmarkVelocityGradAlgebraic6(b *testing.B) {
-	pw := Pairwise{Sm: Algebraic6(), Sigma: 0.1}
-	r := vec.V3(0.3, -0.2, 0.5)
-	a := vec.V3(0.1, 0.7, -0.3)
-	var acc vec.Vec3
-	for i := 0; i < b.N; i++ {
-		u, _ := pw.VelocityGrad(r, a)
-		acc = acc.Add(u)
-	}
-	_ = acc
 }

@@ -298,7 +298,7 @@ func (c *Comm) Agree(v int64) int64 {
 		// Blocked agreements participate in deadlock detection (a lone
 		// survivor stuck here after a botched multi-failure recovery
 		// should fail the world, not hang the process).
-		w.waiting[me] = waitInfo{epoch: w.epoch, src: agreeWait, tag: agreeWait, comm: c.describe()}
+		w.waiting[me] = waitInfo{epoch: w.epoch, src: agreeWait, tag: agreeWait, comm: c}
 		if w.deadlocked() {
 			err := w.deadlockError()
 			delete(w.waiting, me)

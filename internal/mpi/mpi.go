@@ -71,11 +71,13 @@ type mailbox struct {
 // AnySource/AnyTag wildcards; src == agreeWait marks an Agree) and the
 // communicator it is blocked on (SetLabel names it), so a deadlock
 // report distinguishes a rank stuck on its spatial communicator from
-// one stuck on its temporal one.
+// one stuck on its temporal one. The communicator is described only
+// when a report is built: a wait that ends in a message formats
+// nothing.
 type waitInfo struct {
 	epoch    uint64
 	src, tag int
-	comm     string
+	comm     *Comm
 }
 
 // agreeWait is the waitInfo src marker for ranks blocked in Agree.
@@ -177,7 +179,7 @@ func (w *world) deadlockError() error {
 		}
 		switch {
 		case wi.src == agreeWait:
-			sb = append(sb, fmt.Sprintf("rank %d in Agree(%s)", r, wi.comm)...)
+			sb = append(sb, fmt.Sprintf("rank %d in Agree(%s)", r, wi.comm.describe())...)
 		default:
 			src := "any"
 			if wi.src != AnySource {
@@ -187,7 +189,7 @@ func (w *world) deadlockError() error {
 			if wi.tag != AnyTag {
 				tag = fmt.Sprintf("%d", wi.tag)
 			}
-			sb = append(sb, fmt.Sprintf("rank %d in Recv(src=%s, tag=%s, %s)", r, src, tag, wi.comm)...)
+			sb = append(sb, fmt.Sprintf("rank %d in Recv(src=%s, tag=%s, %s)", r, src, tag, wi.comm.describe())...)
 		}
 	}
 	if len(sb) == 0 {
@@ -431,7 +433,6 @@ func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 	w := c.w
 	me := c.WorldRank()
 	box := w.boxes[me]
-	desc := ""
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
@@ -446,10 +447,7 @@ func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 		if err := c.revokedOrDeadLocked(); err != nil {
 			panic(commFailure{err})
 		}
-		if desc == "" {
-			desc = c.describe()
-		}
-		w.waiting[me] = waitInfo{epoch: w.epoch, src: wantWorldSrc, tag: tag, comm: desc}
+		w.waiting[me] = waitInfo{epoch: w.epoch, src: wantWorldSrc, tag: tag, comm: c}
 		if w.deadlocked() {
 			err := w.deadlockError()
 			delete(w.waiting, me)

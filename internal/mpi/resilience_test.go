@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -388,6 +389,40 @@ func TestDeadlockDiagnosticsNameBlockedRanks(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("diagnostic %q missing %q", msg, want)
 		}
+	}
+}
+
+// TestBlockedRecvAllocatesNothing: a receive that has to wait registers
+// with the deadlock detector, and must not pay for a report nobody asks
+// for — the communicator is described only when a deadlock fires. The
+// communicator is an unlabeled split (its description is formatted, not
+// stored), as every communicator of the lockstep path is. Rank 1 sends
+// each empty message only once rank 0 is registered as waiting at the
+// current epoch, so every measured Recv blocks exactly once.
+func TestBlockedRecvAllocatesNothing(t *testing.T) {
+	const runs = 50
+	err := Run(2, func(world *Comm) error {
+		c := world.Split(0, world.Rank())
+		if c.Rank() == 1 {
+			w := c.w
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds a warm-up call
+				for blocked := false; !blocked; runtime.Gosched() {
+					w.mu.Lock()
+					wi, ok := w.waiting[0]
+					blocked = ok && wi.epoch == w.epoch
+					w.mu.Unlock()
+				}
+				c.Send(0, 3, nil)
+			}
+			return nil
+		}
+		if n := testing.AllocsPerRun(runs, func() { c.Recv(1, 3) }); n != 0 {
+			return fmt.Errorf("a Recv that blocks once allocates %.0f times", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,15 +1,15 @@
 package particle
 
-import "fmt"
-
-// Layout selects the particle storage the force evaluators walk.
+// Layout selects where the evaluators' near-field leg finds its
+// sources.
 type Layout int
 
 const (
-	// LayoutAoS is the array-of-structs reference layout: evaluators
-	// read []Particle through the Morton permutation. It is the zero
-	// value so that zero-configured components keep their historical
-	// behavior; the façade defaults to LayoutSoA.
+	// LayoutAoS gathers no lanes at tree build: the near-field leg
+	// reads []Particle through the Morton permutation, one leaf block
+	// at a time, into the same batched kernel. It is the zero value;
+	// every production configuration (core.Default, tree.NewSolver)
+	// selects LayoutSoA.
 	LayoutAoS Layout = iota
 	// LayoutSoA is the struct-of-arrays hot-path layout: positions and
 	// weights live in separate Morton-sorted slices (an SoA mirror
@@ -23,19 +23,6 @@ func (l Layout) String() string {
 		return "soa"
 	}
 	return "aos"
-}
-
-// ParseLayout parses a layout selector: "soa" (also the "" default)
-// or "aos".
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "soa":
-		return LayoutSoA, nil
-	case "aos":
-		return LayoutAoS, nil
-	default:
-		return LayoutSoA, fmt.Errorf("unknown layout %q (want aos or soa)", s)
-	}
 }
 
 // SoA is a struct-of-arrays mirror of a System: one slice per
@@ -52,10 +39,8 @@ func ParseLayout(s string) (Layout, error) {
 // system and is carried as a field, not a lane. Ungathered lanes keep
 // length zero.
 //
-// The gather is a pure bitwise copy: evaluating from lanes reads
-// exactly the float64 bits the AoS path reads through the
-// permutation, which is the foundation of the SoA↔AoS equivalence
-// contract (see DESIGN.md §14).
+// The gather is a pure bitwise copy of the particle data (DESIGN.md
+// §14).
 type SoA struct {
 	X, Y, Z    []float64 // positions
 	AX, AY, AZ []float64 // circulation vectors Γ (vortex discipline)

@@ -2,13 +2,9 @@ package pfasst_test
 
 import (
 	"errors"
-	"math"
-	"os"
 	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/guard"
 	"repro/internal/mpi"
@@ -202,181 +198,55 @@ func TestGuardedStickyAborts(t *testing.T) {
 // redo; transient flips re-roll, so the redo converges and the answer
 // stays within the degraded tolerance of the clean run (extra SDC
 // sweeps from attempt 2 onward may perturb it below solver accuracy).
-// The ladder is the attempt's, so it climbs identically under the
-// lockstep loop (the oscillator on pfasst.Run) and under the resilient
-// one (the blob on core's grid loop, 4×1), where the guard verdict
-// folds into the block agreement and the retry budget is
-// MaxBlockRetries.
+// This is the lockstep row (the oscillator on Run); the same ladder
+// under the resilient grid loop is the test of the same name in
+// internal/core.
 func TestGuardedBlockRedoRecovers(t *testing.T) {
 	const p, nsteps = 4, 8
 	sys, exact := ode.Oscillator(1)
 	u0 := exact(0)
 	cfg := Config{Levels: twoLevel(sys), Iterations: 8, CoarseSweeps: 2}
-	wantOsc, _ := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
-
-	grid := gridCfg(p)
-	grid.Iterations = 8
-	grid.Resilience.MaxBlockRetries = 8
-	clean, err := runGrid(grid, nil, nsteps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, row := range []struct {
-		name string
-		// Only exponent-raising flips are reliably visible to the
-		// max-abs scan on O(1) values; bit 62 turns any such value into
-		// ~1e300 or Inf. The rate is per word: 2 words per oscillator
-		// state, 288 per blob state.
-		flips string
-		want  []float64
-		// run returns the last rank's Result and the counters summed
-		// over the ranks.
-		run func(pol guard.Policy) (Result, telemetry.Snapshot, error)
-	}{
-		{"lockstep", "rate=0.05,in=block,bits=62-62", wantOsc, func(pol guard.Policy) (Result, telemetry.Snapshot, error) {
-			reg := telemetry.New()
-			res, err := guardedResult(p, cfg, pol, reg, 2, nsteps, u0)
-			return res, reg.Snapshot(), err
-		}},
-		{"resilient", "rate=1e-3,in=block,bits=62-62", clean[p-1].PFASST.U, func(pol guard.Policy) (Result, telemetry.Snapshot, error) {
-			gcfg := grid
-			gcfg.Guard = pol
-			ranks, err := runGrid(gcfg, nil, nsteps)
+	want, _ := runPFASST(t, sys, cfg, p, 2, nsteps, u0)
+	t.Run("lockstep", func(t *testing.T) {
+		detTotal, redoTotal := int64(0), int64(0)
+		for seed := int64(0); seed < 24; seed++ {
+			// Only exponent-raising flips are reliably visible to the
+			// max-abs scan on O(1) values; bit 62 turns any such value
+			// into ~1e300 or Inf. The rate is per word, 2 words per
+			// oscillator state.
+			mem, err := fault.ParseMem("rate=0.05,in=block,bits=62-62", seed)
 			if err != nil {
-				return Result{}, telemetry.Snapshot{}, err
+				t.Fatal(err)
 			}
-			var sum telemetry.Snapshot
-			for _, r := range ranks {
-				sum.Merge(r.tel)
+			reg := telemetry.New()
+			got, err := guardedResult(p, cfg, guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8}, reg, 2, nsteps, u0)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			return ranks[p-1].PFASST, sum, nil
-		}},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			detTotal, redoTotal := int64(0), int64(0)
-			for seed := int64(0); seed < 24; seed++ {
-				mem, err := fault.ParseMem(row.flips, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, s, err := row.run(guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				detTotal += s.Counters[guard.CounterDetected]
-				redoTotal += s.Counters[guard.CounterRedo]
-				if d := ode.MaxDiff(got.U, row.want); d > 1e-6 {
-					t.Fatalf("seed %d: recovered run deviates %g from clean run", seed, d)
-				}
-				if s.Counters[guard.CounterRedo] == 0 && !bitwiseEq(got.U, row.want) {
-					t.Fatalf("seed %d: no redo yet answer differs bitwise", seed)
-				}
-				if det, rec := s.Counters[guard.CounterDetected], s.Counters[guard.CounterRecovered]; det != rec {
-					t.Fatalf("seed %d: detected %d != recovered %d", seed, det, rec)
-				}
-				if (s.Counters[guard.CounterDetected] > 0) != (s.Counters[guard.CounterRedo] > 0) {
-					t.Fatalf("seed %d: detected %d flips but counted %d redos", seed,
-						s.Counters[guard.CounterDetected], s.Counters[guard.CounterRedo])
-				}
-				// A redone block leaves exactly one record behind.
-				if len(got.Residuals) != nsteps/p || len(got.IterDiffs) != nsteps/p || len(got.IterationsRun) != nsteps/p {
-					t.Fatalf("seed %d: %d/%d/%d block records for %d blocks", seed,
-						len(got.Residuals), len(got.IterDiffs), len(got.IterationsRun), nsteps/p)
-				}
+			s := reg.Snapshot()
+			det, redo := s.Counters[guard.CounterDetected], s.Counters[guard.CounterRedo]
+			detTotal += det
+			redoTotal += redo
+			if d := ode.MaxDiff(got.U, want); d > 1e-6 {
+				t.Fatalf("seed %d: recovered run deviates %g from clean run", seed, d)
 			}
-			if detTotal == 0 || redoTotal == 0 {
-				t.Fatalf("no block-end flip detected (%d) or redone (%d) across any seed", detTotal, redoTotal)
+			if redo == 0 && !bitwiseEq(got.U, want) {
+				t.Fatalf("seed %d: no redo yet answer differs bitwise", seed)
 			}
-		})
-	}
-}
-
-// writeGuardCheckpoint commits a one-column grid checkpoint (2 of 4
-// steps done on two time ranks) that stores state u with the guard's
-// invariant diagnostics of state diagOf.
-func writeGuardCheckpoint(t *testing.T, dir string, u, diagOf []float64) {
-	t.Helper()
-	g := guard.New(guard.Policy{Enabled: true}, 0, nil)
-	diag := g.CheckpointDiag(diagOf)
-	if len(diag) == 0 {
-		t.Fatal("CheckpointDiag returned no invariants for a packed particle state")
-	}
-	st := &checkpoint.LevelState{Block: 1, StepsDone: 2, TimeRanks: 2, T: 2 * blobDT, U: [][]float64{u}}
-	if err := checkpoint.SaveGridShard(dir, 0, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkpoint.CommitGridManifest(dir, &checkpoint.GridState{
-		Block: 1, StepsDone: 2, TimeRanks: 2, SpaceRanks: 1, T: st.T, Dims: []int{len(u)}, Diag: diag,
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Satellite: -resume must reject a checkpoint whose body was corrupted
-// *before* the file checksums were computed (every checksum of shard
-// and manifest is valid), because the stored invariants no longer
-// match the state.
-func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
-	u0 := blob().PackNew()
-	run := func(dir string) error {
-		cfg := gridCfg(2)
-		cfg.Guard = guard.Policy{Enabled: true}
-		cfg.Resilience.CheckpointDir = dir
-		cfg.Resilience.Resume = true
-		_, err := runGrid(cfg, nil, 4)
-		return err
-	}
-
-	t.Run("clean checkpoint resumes", func(t *testing.T) {
-		dir := t.TempDir()
-		writeGuardCheckpoint(t, dir, u0, u0)
-		if err := run(dir); err != nil {
-			t.Fatalf("clean resume failed: %v", err)
+			if rec := s.Counters[guard.CounterRecovered]; det != rec {
+				t.Fatalf("seed %d: detected %d != recovered %d", seed, det, rec)
+			}
+			if (det > 0) != (redo > 0) {
+				t.Fatalf("seed %d: detected %d flips but counted %d redos", seed, det, redo)
+			}
+			// A redone block leaves exactly one record behind.
+			if len(got.Residuals) != nsteps/p || len(got.IterDiffs) != nsteps/p || len(got.IterationsRun) != nsteps/p {
+				t.Fatalf("seed %d: %d/%d/%d block records for %d blocks", seed,
+					len(got.Residuals), len(got.IterDiffs), len(got.IterationsRun), nsteps/p)
+			}
 		}
-	})
-
-	t.Run("body flip past the CRC is rejected", func(t *testing.T) {
-		dir := t.TempDir()
-		// Flip the top mantissa bit of the first circulation word:
-		// finite, plausible, but invariant-breaking.
-		flipped := append([]float64(nil), u0...)
-		flipped[3] = math.Float64frombits(math.Float64bits(flipped[3]) ^ (1 << 51))
-		writeGuardCheckpoint(t, dir, flipped, u0)
-		err := run(dir)
-		if err == nil {
-			t.Fatal("resume accepted a checkpoint with corrupted body")
-		}
-		var v *guard.Violation
-		if !errors.As(err, &v) {
-			t.Fatalf("rejection is not a typed *guard.Violation: %v", err)
-		}
-		if !errors.Is(err, guard.ErrCorrupt) {
-			t.Fatalf("rejection does not wrap guard.ErrCorrupt: %v", err)
-		}
-		if !strings.Contains(err.Error(), "resume rejected") {
-			t.Fatalf("rejection does not name the resume path: %v", err)
-		}
-	})
-
-	t.Run("flip caught by file checksum is a typed error", func(t *testing.T) {
-		dir := t.TempDir()
-		writeGuardCheckpoint(t, dir, u0, u0)
-		path := checkpoint.ShardPath(dir, 1, 0)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[60] ^= 0x10 // body flip, checksums left stale
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err = run(dir)
-		if err == nil {
-			t.Fatal("resume accepted a checkpoint failing its checksum")
-		}
-		if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "resume") {
-			t.Fatalf("corrupt-file error is not typed or does not name the resume path: %v", err)
+		if detTotal == 0 || redoTotal == 0 {
+			t.Fatalf("no block-end flip detected (%d) or redone (%d) across any seed", detTotal, redoTotal)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/particle"
 	"repro/internal/vec"
 )
@@ -155,12 +156,12 @@ func TestRemeshedFieldApproximatesOriginal(t *testing.T) {
 	out, _ := Apply(sys, Config{H: 0.1})
 	probe := []vec.Vec3{vec.V3(0, 0, 2), vec.V3(1.5, 0, 0), vec.V3(0, -1.2, 0.7)}
 	velAt := func(s *particle.System, x vec.Vec3) vec.Vec3 {
-		var u vec.Vec3
-		pw := pairwise(s.Sigma)
-		for _, p := range s.Particles {
-			u = u.Add(pw.Velocity(x.Sub(p.Pos), p.Alpha))
-		}
-		return u
+		var l particle.SoA
+		l.GatherVortex(s, nil)
+		b := kernel.NewVortexBatch(pairwise(s.Sigma))
+		var acc kernel.VortexAcc
+		b.AccumVelRange(&acc, x.X, x.Y, x.Z, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, -1)
+		return vec.V3(acc.UX, acc.UY, acc.UZ)
 	}
 	for _, x := range probe {
 		u0 := velAt(sys, x)

@@ -8,7 +8,8 @@ import (
 // BuildPhases records the serialized durations of the most recent
 // BuildInto on an arena, in host seconds: Morton key computation, the
 // radix sort of (key, index), node construction with moment
-// accumulation, and the SoA lane gather (zero under LayoutAoS). The
+// accumulation, and the inverse permutation with the SoA lane gather
+// (the gather is skipped under LayoutAoS). The
 // stamps cost four telemetry.Wall reads per build — noise against the
 // build itself — and feed the per-phase benchmark breakdowns.
 type BuildPhases struct {
@@ -146,6 +147,11 @@ func BuildInto(a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 	}
 	t.Root = t.build(0, n, 0, 0)
 	t3 := telemetry.Wall()
+	t.sortedPos = growI32(t.sortedPos, n)
+	for i, idx := range t.Order {
+		t.sortedPos[idx] = int32(i)
+	}
+	t.Lanes = nil
 	if cfg.Layout == particle.LayoutSoA {
 		switch cfg.Discipline {
 		case Coulomb:
@@ -154,13 +160,6 @@ func BuildInto(a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 			a.lanes.GatherVortex(sys, t.Order)
 		}
 		t.Lanes = &a.lanes
-		t.sortedPos = growI32(t.sortedPos, n)
-		for i, idx := range t.Order {
-			t.sortedPos[idx] = int32(i)
-		}
-	} else {
-		t.Lanes = nil
-		t.sortedPos = t.sortedPos[:0]
 	}
 	t4 := telemetry.Wall()
 	a.Phases = BuildPhases{

@@ -79,7 +79,7 @@ func TestZeroExtentDomainBuilds(t *testing.T) {
 		t.Fatalf("root leaf holds %d of %d particles", root.Count, n)
 	}
 	// Far-field evaluation on the degenerate tree must stay finite.
-	res := tr.VortexAt(vec.V3(1, 1, 1), 0.5, -1,
+	res := tr.VortexAtNode(tr.Root, vec.V3(1, 1, 1), 0.5, -1,
 		kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: 0.1}, true)
 	if !finiteV(res.U) {
 		t.Fatalf("non-finite velocity %v from zero-extent tree", res.U)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/kernel"
 	"repro/internal/vec"
 )
 
@@ -139,9 +138,9 @@ func ClassifyGroup(mac MACKind, theta2 float64, nd *Node, gc, ge vec.Vec3) Group
 	case MACMinDist:
 		s2 = nd.Size * nd.Size
 		dmin2 = boxBoxGap2(nd, gc, ge)
-		// boxDistance(nd, ·) is 1-Lipschitz, so its maximum over the
-		// group box is at most its value at the center plus the group
-		// half diagonal.
+		// The distance to the cell box is 1-Lipschitz, so its maximum
+		// over the group box is at most its value at the center plus
+		// the group half diagonal.
 		ub := math.Sqrt(boxDistance2(nd, gc)) + math.Sqrt(ge.Norm2())
 		dmax2 = ub * ub
 	default:
@@ -272,27 +271,10 @@ func (t *Tree) LeafGroups() []int32 {
 // The center/extent rounding can place a boundary particle a few ulps
 // outside the box; classifyMargin absorbs that.
 func (t *Tree) GroupBounds(first, count int) (gc, ge vec.Vec3) {
-	if l := t.Lanes; l != nil {
-		// Position lanes hold the same bits in sorted order; the same
-		// min/max chain walks them linearly.
-		lo := vec.V3(l.X[first], l.Y[first], l.Z[first])
-		hi := lo
-		for i := first + 1; i < first+count; i++ {
-			lo.X = math.Min(lo.X, l.X[i])
-			lo.Y = math.Min(lo.Y, l.Y[i])
-			lo.Z = math.Min(lo.Z, l.Z[i])
-			hi.X = math.Max(hi.X, l.X[i])
-			hi.Y = math.Max(hi.Y, l.Y[i])
-			hi.Z = math.Max(hi.Z, l.Z[i])
-		}
-		gc = lo.Add(hi).Scale(0.5)
-		ge = hi.Sub(lo).Scale(0.5)
-		return gc, ge
-	}
-	lo := t.sys.Particles[t.Order[first]].Pos
+	lo := t.Particle(first).Pos
 	hi := lo
 	for i := first + 1; i < first+count; i++ {
-		p := t.sys.Particles[t.Order[i]].Pos
+		p := t.Particle(i).Pos
 		lo.X = math.Min(lo.X, p.X)
 		lo.Y = math.Min(lo.Y, p.Y)
 		lo.Z = math.Min(lo.Z, p.Z)
@@ -346,49 +328,4 @@ func (t *Tree) AppendGroups(buf []int32, cap int) []int32 {
 	*sp = stack
 	putStack(sp)
 	return out
-}
-
-// EvalVortexList evaluates one target at x against a prepared
-// interaction list: far items as multipoles, near items as direct
-// sums, ambiguous items via the exact per-particle walk accumulating
-// into the running result. The summation order is identical to
-// VortexAtNodeMAC on the subtree the list was built from.
-func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	if t.Lanes != nil {
-		return t.evalVortexListSoA(list, mac, theta, x, skipOrig, pw, useDipole)
-	}
-	var res VortexResult
-	res.Rejects = list.Opens
-	for _, it := range list.Items {
-		switch it.Kind {
-		case ItemFar:
-			t.AccumVortexFar(&res, it.Node, x, pw, useDipole)
-		case ItemNear:
-			t.AccumVortexNear(&res, it.Node, x, skipOrig, pw)
-		default:
-			t.AccumVortexWalk(&res, mac, it.Node, x, theta, skipOrig, pw, useDipole)
-		}
-	}
-	return res
-}
-
-// EvalCoulombList is EvalVortexList for the Coulomb evaluator (which
-// always uses the classical Barnes-Hut criterion).
-func (t *Tree) EvalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipOrig int) CoulombResult {
-	if t.Lanes != nil {
-		return t.evalCoulombListSoA(list, theta, eps, x, skipOrig)
-	}
-	var res CoulombResult
-	res.Rejects = list.Opens
-	for _, it := range list.Items {
-		switch it.Kind {
-		case ItemFar:
-			t.AccumCoulombFar(&res, it.Node, x)
-		case ItemNear:
-			t.AccumCoulombNear(&res, it.Node, x, eps, skipOrig)
-		default:
-			t.AccumCoulombWalk(&res, it.Node, x, theta, eps, skipOrig)
-		}
-	}
-	return res
 }

@@ -50,10 +50,10 @@ type Solver struct {
 	// layer: moment-flip injection + ABFT verification with rebuild on
 	// detection). Nil costs nothing.
 	Hook BuildHook
-	// Layout selects the evaluation storage: LayoutSoA (the
-	// NewSolver default) gathers Morton-sorted lanes at build and
-	// evaluates through the batched kernels; LayoutAoS is the
-	// reference path. The two are bitwise equal (DESIGN.md §14).
+	// Layout is BuildConfig.Layout for the solver's trees: LayoutSoA
+	// (the NewSolver default) gathers Morton-sorted lanes at build,
+	// LayoutAoS gathers each leaf as the near leg meets it. Same
+	// kernel, bitwise-equal results (DESIGN.md §14).
 	Layout particle.Layout
 
 	// stealGrain is the work-stealing chunk size in leaf groups (≤0:
@@ -232,7 +232,7 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 		s.parallelRange(n, func(lo, hi int) {
 			var local int64
 			for q := lo; q < hi; q++ {
-				res := t.CoulombAt(sys.Particles[q].Pos, s.Theta, eps, q)
+				res := t.CoulombAtNode(t.Root, sys.Particles[q].Pos, s.Theta, eps, q)
 				pot[q] = res.Phi
 				f[q] = res.E
 				local += res.Interactions

@@ -53,16 +53,11 @@ func (k MACKind) String() string {
 	}
 }
 
-// Accepts applies the criterion to a cell for a target at x; dist is
-// the precomputed distance from x to the cell centroid.
-func (k MACKind) Accepts(theta float64, nd *Node, x vec.Vec3, dist float64) bool {
-	return k.acceptsSq(theta*theta, nd, x, dist*dist)
-}
-
-// acceptsSq is the square-distance form of Accepts — the single
-// per-particle acceptance predicate shared by the recursive traversal
-// and the interaction-list evaluator (both must take identical
-// decisions for the two to agree bitwise). r2 is |x − centroid|².
+// acceptsSq applies the criterion to a cell for a target at x on
+// squared quantities — the single per-particle acceptance predicate
+// shared by the recursive traversal and the interaction-list evaluator
+// (both must take identical decisions for the two to agree bitwise).
+// r2 is |x − centroid|².
 func (k MACKind) acceptsSq(theta2 float64, nd *Node, x vec.Vec3, r2 float64) bool {
 	switch k {
 	case MACBMax:
@@ -74,15 +69,10 @@ func (k MACKind) acceptsSq(theta2 float64, nd *Node, x vec.Vec3, r2 float64) boo
 	}
 }
 
-// boxDistance returns the distance from x to the surface of the cell's
-// axis-aligned box (zero when x is inside).
-func boxDistance(nd *Node, x vec.Vec3) float64 {
-	return math.Sqrt(boxDistance2(nd, x))
-}
-
-// boxDistance2 is the squared boxDistance; the MAC hot path compares
-// squared distances so the square root is never taken for a pure
-// accept/reject decision.
+// boxDistance2 is the squared distance from x to the surface of the
+// cell's axis-aligned box (zero when x is inside); the MAC hot path
+// compares squared distances so the square root is never taken for a
+// pure accept/reject decision.
 func boxDistance2(nd *Node, x vec.Vec3) float64 {
 	h := nd.Size / 2
 	dx := math.Max(0, math.Abs(x.X-nd.Center.X)-h)
@@ -101,8 +91,8 @@ var stackPool = sync.Pool{
 func getStack() *[]int32  { return stackPool.Get().(*[]int32) }
 func putStack(s *[]int32) { *s = (*s)[:0]; stackPool.Put(s) }
 
-// VortexResult accumulates the velocity and velocity gradient at one
-// target point.
+// VortexResult is the velocity and velocity gradient at one target
+// point with the counters of the walk that produced it.
 type VortexResult struct {
 	U    vec.Vec3
 	Grad vec.Mat3
@@ -117,100 +107,112 @@ type VortexResult struct {
 	Rejects int64
 }
 
-// AddCounts folds the traversal counters of sub into res.
-func (res *VortexResult) AddCounts(sub *VortexResult) {
-	res.Interactions += sub.Interactions
-	res.CellAccepts += sub.CellAccepts
-	res.Rejects += sub.Rejects
+// vortexEval is one target's running sum over a walk: the kernel's
+// scalar accumulator plus the MAC counters it does not track. The
+// recursive walk, the interaction-list evaluator and the near/far split
+// all accumulate through its three legs, in the order they meet the
+// cells, so they sum the same terms in the same order.
+type vortexEval struct {
+	b           kernel.VortexBatch
+	acc         kernel.VortexAcc
+	cellAccepts int64
+	rejects     int64
 }
 
-// DipoleVelocity evaluates the dipole correction of an accepted cell:
-// the first-order term of the multipole expansion of the Biot-Savart
+// accumDipole adds the dipole correction of an accepted cell: the
+// first-order term of the multipole expansion of the Biot-Savart
 // kernel around the cell centroid. It always uses the singular (q = 1)
-// kernel because accepted cells are well separated.
-func DipoleVelocity(r vec.Vec3, dip vec.Mat3) vec.Vec3 {
-	r2 := r.Norm2()
+// kernel and has no zero-separation guard: accepted cells are well
+// separated (dist > 0).
+func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
+	r2 := rx*rx + ry*ry + rz*rz
 	r1 := math.Sqrt(r2)
 	r3 := r2 * r1
 	r5 := r3 * r2
-	w := dip.VecMul(r) // w_k = Σ_j r_j D_{jk}
-	c := vec.V3(
-		dip[1][2]-dip[2][1],
-		dip[2][0]-dip[0][2],
-		dip[0][1]-dip[1][0],
-	) // C = Σ d_p × α_p (antisymmetric part of D)
-	u := r.Cross(w).Scale(3 / r5)
-	u = u.Sub(c.Scale(1 / r3))
-	return u.Scale(-1 / (4 * math.Pi))
+	// w_k = Σ_j r_j D_{jk}
+	wx := dip[0][0]*rx + dip[1][0]*ry + dip[2][0]*rz
+	wy := dip[0][1]*rx + dip[1][1]*ry + dip[2][1]*rz
+	wz := dip[0][2]*rx + dip[1][2]*ry + dip[2][2]*rz
+	// C = Σ d_p × α_p (antisymmetric part of D)
+	cx := dip[1][2] - dip[2][1]
+	cy := dip[2][0] - dip[0][2]
+	cz := dip[0][1] - dip[1][0]
+	s := 3 / r5
+	ux := s * (ry*wz - rz*wy)
+	uy := s * (rz*wx - rx*wz)
+	uz := s * (rx*wy - ry*wx)
+	tf := 1 / r3
+	ux = ux - tf*cx
+	uy = uy - tf*cy
+	uz = uz - tf*cz
+	const k = -1 / (4 * math.Pi)
+	acc.UX += k * ux
+	acc.UY += k * uy
+	acc.UZ += k * uz
 }
 
-// VortexAt evaluates velocity and gradient at the target position by
-// traversing the tree with the given MAC parameter. skipOrig, when
-// ≥ 0, excludes the particle with that original index (the target
-// itself). useDipole enables the dipole correction of accepted cells.
-func (t *Tree) VortexAt(x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	return t.VortexAtNode(t.Root, x, theta, skipOrig, pw, useDipole)
-}
-
-// VortexAtNode is VortexAt restricted to the subtree rooted at the
-// given node index; the parallel tree uses it to traverse the local
-// part below a branch node.
-func (t *Tree) VortexAtNode(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	return t.VortexAtNodeMAC(MACBarnesHut, start, x, theta, skipOrig, pw, useDipole)
-}
-
-// VortexAtNodeMAC is VortexAtNode with a selectable acceptance
-// criterion (reference [30] variants).
-func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	if t.Lanes != nil {
-		return t.vortexAtNodeSoA(mac, start, x, theta, skipOrig, pw, useDipole)
-	}
-	var res VortexResult
-	t.AccumVortexWalk(&res, mac, int32(start), x, theta, skipOrig, pw, useDipole)
-	return res
-}
-
-// AccumVortexFar folds one MAC-accepted cell into res — the multipole
-// (monopole + optional dipole) contribution of node nd at target x.
-// It is the far-field leg shared by the recursive traversal and the
-// interaction-list evaluator.
-func (t *Tree) AccumVortexFar(res *VortexResult, node int32, x vec.Vec3, pw kernel.Pairwise, useDipole bool) {
-	nd := &t.Nodes[node]
-	r := x.Sub(nd.Centroid)
-	u, g := pw.VelocityGrad(r, nd.CircSum)
-	res.U = res.U.Add(u)
-	res.Grad = res.Grad.Add(g)
+// VortexFar folds one MAC-accepted cell into acc as a single
+// interaction: the multipole (monopole + optional dipole) of nd at
+// target x. It is the far-field leg of every vortex evaluator; package
+// hot calls it for the remote and shared cells of the global tree.
+func VortexFar(acc *kernel.VortexAcc, b *kernel.VortexBatch, nd *Node, x vec.Vec3, useDipole bool) {
+	rx := x.X - nd.Centroid.X
+	ry := x.Y - nd.Centroid.Y
+	rz := x.Z - nd.Centroid.Z
+	b.AccumGrad(acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
 	if useDipole {
-		res.U = res.U.Add(DipoleVelocity(r, nd.Dipole))
+		accumDipole(acc, rx, ry, rz, &nd.Dipole)
 	}
-	res.Interactions++
-	res.CellAccepts++
+	acc.N++
 }
 
-// AccumVortexNear folds the particles of leaf `node` into res by
-// direct summation, skipping the particle with original index
-// skipOrig — the near-field leg shared by both evaluators.
-func (t *Tree) AccumVortexNear(res *VortexResult, node int32, x vec.Vec3, skipOrig int, pw kernel.Pairwise) {
-	nd := &t.Nodes[node]
-	for i := nd.First; i < nd.First+nd.Count; i++ {
-		orig := t.Order[i]
-		if orig == skipOrig {
-			continue
+func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
+	VortexFar(&e.acc, &e.b, nd, x, useDipole)
+	e.cellAccepts++
+}
+
+// leafSkip translates the target's lane into an index relative to
+// leaf nd (-1 when the target is not in the leaf).
+func leafSkip(nd *Node, skipSorted int) int {
+	if skipSorted < nd.First || skipSorted >= nd.First+nd.Count {
+		return -1
+	}
+	return skipSorted - nd.First
+}
+
+// near folds the particles of leaf nd into the accumulator by batched
+// direct summation over its lane range. skipSorted is the target's
+// lane (-1: none).
+func (e *vortexEval) near(t *Tree, nd *Node, x vec.Vec3, skipSorted int) {
+	lo, hi := nd.First, nd.First+nd.Count
+	skip := leafSkip(nd, skipSorted)
+	l := t.Lanes
+	if l == nil {
+		// LayoutAoS source adapter: no lanes were gathered at build, so
+		// gather the leaf one block at a time and feed the same kernel.
+		var s [6][kernel.BatchWidth]float64
+		for ; lo < hi; lo, skip = lo+kernel.BatchWidth, skip-kernel.BatchWidth {
+			n := min(kernel.BatchWidth, hi-lo)
+			for k := 0; k < n; k++ {
+				p := t.Particle(lo + k)
+				s[0][k], s[1][k], s[2][k] = p.Pos.X, p.Pos.Y, p.Pos.Z
+				s[3][k], s[4][k], s[5][k] = p.Alpha.X, p.Alpha.Y, p.Alpha.Z
+			}
+			e.b.AccumGradRange(&e.acc, x.X, x.Y, x.Z, s[0][:n], s[1][:n], s[2][:n], s[3][:n], s[4][:n], s[5][:n], skip)
 		}
-		p := &t.sys.Particles[orig]
-		u, g := pw.VelocityGrad(x.Sub(p.Pos), p.Alpha)
-		res.U = res.U.Add(u)
-		res.Grad = res.Grad.Add(g)
-		res.Interactions++
+		return
 	}
+	e.b.AccumGradRange(&e.acc, x.X, x.Y, x.Z,
+		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi],
+		l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi], skip)
 }
 
-// AccumVortexWalk runs the per-particle MAC traversal of the subtree
-// rooted at start, accumulating into res (it does not reset res). The
-// interaction-list evaluator calls this for cells whose group-level
+// walk runs the per-particle MAC traversal of the subtree rooted at
+// start, accumulating into e (it does not reset e). The
+// interaction-list evaluator calls it for cells whose group-level
 // accept/open decision is ambiguous, so both evaluators sum exactly
 // the same terms in exactly the same order.
-func (t *Tree) AccumVortexWalk(res *VortexResult, mac MACKind, start int32, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) {
+func (e *vortexEval) walk(t *Tree, mac MACKind, start int32, x vec.Vec3, theta float64, skipSorted int, useDipole bool) {
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -224,10 +226,10 @@ func (t *Tree) AccumVortexWalk(res *VortexResult, mac MACKind, start int32, x ve
 		if !nd.Leaf {
 			r2 := x.Sub(nd.Centroid).Norm2()
 			if mac.acceptsSq(theta2, nd, x, r2) {
-				t.AccumVortexFar(res, idx, x, pw, useDipole)
+				e.far(nd, x, useDipole)
 				continue
 			}
-			res.Rejects++
+			e.rejects++
 			for _, ci := range nd.Children {
 				if ci >= 0 {
 					stack = append(stack, ci)
@@ -235,32 +237,142 @@ func (t *Tree) AccumVortexWalk(res *VortexResult, mac MACKind, start int32, x ve
 			}
 			continue
 		}
-		t.AccumVortexNear(res, idx, x, skipOrig, pw)
+		e.near(t, nd, x, skipSorted)
 	}
 	*sp = stack
 	putStack(sp)
 }
 
-// CoulombResult accumulates potential and field at one target point.
+// result converts the scalar accumulator into a VortexResult — a pure
+// bit copy, performed once after the full accumulation. opens are the
+// cells a group walk opened on this target's behalf.
+func (e *vortexEval) result(opens int64) VortexResult {
+	return VortexResult{
+		U: vec.V3(e.acc.UX, e.acc.UY, e.acc.UZ),
+		Grad: vec.Mat3{
+			{e.acc.G[0], e.acc.G[1], e.acc.G[2]},
+			{e.acc.G[3], e.acc.G[4], e.acc.G[5]},
+			{e.acc.G[6], e.acc.G[7], e.acc.G[8]},
+		},
+		Interactions: e.acc.N,
+		CellAccepts:  e.cellAccepts,
+		Rejects:      opens + e.rejects,
+	}
+}
+
+// skipLane translates an original particle index into its lane (-1:
+// skip none). Order is a bijection, so lane sortedPos[skipOrig] is that
+// particle.
+func (t *Tree) skipLane(skipOrig int) int {
+	if skipOrig < 0 {
+		return -1
+	}
+	return int(t.sortedPos[skipOrig])
+}
+
+// VortexAtNode evaluates velocity and gradient at x by the per-particle
+// traversal of the subtree rooted at node start under the classical
+// Barnes-Hut criterion; the parallel tree uses it for the local part
+// below a branch node. skipOrig, when ≥ 0, excludes the particle with
+// that original index (the target itself). useDipole enables the dipole
+// correction of accepted cells.
+func (t *Tree) VortexAtNode(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
+	return t.VortexAtNodeMAC(MACBarnesHut, start, x, theta, skipOrig, pw, useDipole)
+}
+
+// VortexAtNodeMAC is VortexAtNode with a selectable acceptance
+// criterion (reference [30] variants).
+func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
+	e := vortexEval{b: kernel.NewVortexBatch(pw)}
+	e.walk(t, mac, int32(start), x, theta, t.skipLane(skipOrig), useDipole)
+	return e.result(0)
+}
+
+// EvalVortexList evaluates one target at x against a prepared
+// interaction list: far items as multipoles, near items as direct
+// sums, ambiguous items via the exact per-particle walk accumulating
+// into the running result. The summation order is identical to
+// VortexAtNodeMAC on the subtree the list was built from.
+func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
+	e := vortexEval{b: kernel.NewVortexBatch(pw)}
+	skipSorted := t.skipLane(skipOrig)
+	for _, it := range list.Items {
+		switch it.Kind {
+		case ItemFar:
+			e.far(&t.Nodes[it.Node], x, useDipole)
+		case ItemNear:
+			e.near(t, &t.Nodes[it.Node], x, skipSorted)
+		default:
+			e.walk(t, mac, it.Node, x, theta, skipSorted, useDipole)
+		}
+	}
+	return e.result(list.Opens)
+}
+
+// VortexAtSplit is VortexAtNode with the result separated into the
+// near field (direct leaf interactions) and the far field
+// (MAC-accepted cluster interactions), each summed by the same leg as
+// in every other evaluator. The split is the basis of the
+// frequency-split coarse propagator suggested in the paper's outlook
+// (Section V): far-field contributions change slowly and can be
+// refreshed less often than near-field ones. With computeFar false the
+// accepted clusters are skipped entirely (their cached contribution is
+// reused by the caller), which is where the cost saving comes from.
+//
+// Unlike the standard traversal, MAC-accepted *leaf* buckets are also
+// treated as far clusters (leaves carry full multipole data), so the
+// far fraction stays substantial even for small ensembles. A target's
+// own leaf always fails the MAC (the target sits inside the cell, so
+// s/d > 1), hence self-interactions cannot leak into the far part.
+func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole, computeFar bool) (near, far VortexResult) {
+	en := vortexEval{b: kernel.NewVortexBatch(pw)}
+	ef := vortexEval{b: en.b}
+	skipSorted := t.skipLane(skipOrig)
+	theta2 := theta * theta
+	sp := getStack()
+	stack := append(*sp, int32(start))
+	for len(stack) > 0 {
+		idx := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &t.Nodes[idx]
+		if nd.Count == 0 {
+			continue
+		}
+		if MACSq(theta2, nd.Size*nd.Size, x.Sub(nd.Centroid).Norm2()) {
+			if computeFar {
+				ef.far(nd, x, useDipole)
+			}
+			continue
+		}
+		if nd.Leaf {
+			en.near(t, nd, x, skipSorted)
+			continue
+		}
+		en.rejects++
+		for _, ci := range nd.Children {
+			if ci >= 0 {
+				stack = append(stack, ci)
+			}
+		}
+	}
+	*sp = stack
+	putStack(sp)
+	return en.result(0), ef.result(0)
+}
+
+// CoulombResult is the potential and field at one target point with
+// the counters of the walk that produced it (as in VortexResult).
 type CoulombResult struct {
 	Phi          float64
 	E            vec.Vec3
 	Interactions int64
-	// CellAccepts and Rejects mirror VortexResult's MAC counters.
-	CellAccepts int64
-	Rejects     int64
+	CellAccepts  int64
+	Rejects      int64
 }
 
-// AddCounts folds the traversal counters of sub into res.
-func (res *CoulombResult) AddCounts(sub *CoulombResult) {
-	res.Interactions += sub.Interactions
-	res.CellAccepts += sub.CellAccepts
-	res.Rejects += sub.Rejects
-}
-
-// CoulombCell evaluates the multipole expansion (monopole + dipole +
+// coulombCell evaluates the multipole expansion (monopole + dipole +
 // quadrupole) of an accepted cell at separation r (target − centroid).
-func CoulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
+func coulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	r2 := r.Norm2()
 	r1 := math.Sqrt(r2)
 	r3 := r2 * r1
@@ -274,7 +386,7 @@ func CoulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	phi += dr / r3
 	e = e.Add(r.Scale(3 * dr / r5)).Sub(nd.DipoleQ.Scale(1 / r3))
 	// Quadrupole (traceless): φ += r·Q·r/(2r⁵),
-	// E = −∇φ: E += Q r / r⁵ ... derived: E_i = (5/2) r_i (rQr)/r⁷ − (Qr)_i/r⁵
+	// E = −∇φ: E_i += (5/2) r_i (rQr)/r⁷ − (Qr)_i/r⁵.
 	qr := nd.QuadQ.MulVec(r)
 	rqr := r.Dot(qr)
 	phi += rqr / (2 * r5)
@@ -282,55 +394,55 @@ func CoulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	return phi, e
 }
 
-// CoulombAt evaluates the softened Coulomb potential and field at the
-// target position.
-func (t *Tree) CoulombAt(x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
-	return t.CoulombAtNode(t.Root, x, theta, eps, skipOrig)
+// CoulombFar folds one MAC-accepted cell's multipole expansion at
+// target x into acc as a single interaction — the far-field leg of
+// every Coulomb evaluator, package hot's included.
+func CoulombFar(acc *kernel.CoulombAcc, nd *Node, x vec.Vec3) {
+	phi, e := coulombCell(x.Sub(nd.Centroid), nd)
+	acc.Phi += phi
+	acc.EX += e.X
+	acc.EY += e.Y
+	acc.EZ += e.Z
+	acc.N++
 }
 
-// CoulombAtNode is CoulombAt restricted to the subtree rooted at the
-// given node index.
-func (t *Tree) CoulombAtNode(start int, x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
-	if t.Lanes != nil {
-		return t.coulombAtNodeSoA(start, x, theta, eps, skipOrig)
-	}
-	var res CoulombResult
-	t.AccumCoulombWalk(&res, int32(start), x, theta, eps, skipOrig)
-	return res
+// coulombEval is vortexEval for the Coulomb discipline, which always
+// uses the classical Barnes-Hut criterion.
+type coulombEval struct {
+	acc         kernel.CoulombAcc
+	cellAccepts int64
+	rejects     int64
 }
 
-// AccumCoulombFar folds one MAC-accepted cell's multipole expansion
-// into res.
-func (t *Tree) AccumCoulombFar(res *CoulombResult, node int32, x vec.Vec3) {
-	nd := &t.Nodes[node]
-	phi, e := CoulombCell(x.Sub(nd.Centroid), nd)
-	res.Phi += phi
-	res.E = res.E.Add(e)
-	res.Interactions++
-	res.CellAccepts++
+func (e *coulombEval) far(nd *Node, x vec.Vec3) {
+	CoulombFar(&e.acc, nd, x)
+	e.cellAccepts++
 }
 
-// AccumCoulombNear folds the particles of leaf `node` into res by
-// direct summation.
-func (t *Tree) AccumCoulombNear(res *CoulombResult, node int32, x vec.Vec3, eps float64, skipOrig int) {
-	nd := &t.Nodes[node]
-	for i := nd.First; i < nd.First+nd.Count; i++ {
-		orig := t.Order[i]
-		if orig == skipOrig {
-			continue
+// near folds leaf nd by batched direct summation over its lanes.
+func (e *coulombEval) near(t *Tree, nd *Node, x vec.Vec3, eps float64, skipSorted int) {
+	lo, hi := nd.First, nd.First+nd.Count
+	skip := leafSkip(nd, skipSorted)
+	l := t.Lanes
+	if l == nil {
+		// LayoutAoS source adapter, as in vortexEval.near.
+		var s [4][kernel.BatchWidth]float64
+		for ; lo < hi; lo, skip = lo+kernel.BatchWidth, skip-kernel.BatchWidth {
+			n := min(kernel.BatchWidth, hi-lo)
+			for k := 0; k < n; k++ {
+				p := t.Particle(lo + k)
+				s[0][k], s[1][k], s[2][k], s[3][k] = p.Pos.X, p.Pos.Y, p.Pos.Z, p.Charge
+			}
+			kernel.AccumCoulombRange(&e.acc, x.X, x.Y, x.Z, eps, s[0][:n], s[1][:n], s[2][:n], s[3][:n], skip)
 		}
-		p := &t.sys.Particles[orig]
-		phi, e := kernel.Coulomb(x.Sub(p.Pos), p.Charge, eps)
-		res.Phi += phi
-		res.E = res.E.Add(e)
-		res.Interactions++
+		return
 	}
+	kernel.AccumCoulombRange(&e.acc, x.X, x.Y, x.Z, eps,
+		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.Q[lo:hi], skip)
 }
 
-// AccumCoulombWalk runs the per-particle Coulomb traversal (classical
-// Barnes-Hut MAC) of the subtree rooted at start, accumulating into
-// res.
-func (t *Tree) AccumCoulombWalk(res *CoulombResult, start int32, x vec.Vec3, theta, eps float64, skipOrig int) {
+// walk is vortexEval.walk for the Coulomb discipline.
+func (e *coulombEval) walk(t *Tree, start int32, x vec.Vec3, theta, eps float64, skipSorted int) {
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -344,10 +456,10 @@ func (t *Tree) AccumCoulombWalk(res *CoulombResult, start int32, x vec.Vec3, the
 		if !nd.Leaf {
 			r2 := x.Sub(nd.Centroid).Norm2()
 			if MACSq(theta2, nd.Size*nd.Size, r2) {
-				t.AccumCoulombFar(res, idx, x)
+				e.far(nd, x)
 				continue
 			}
-			res.Rejects++
+			e.rejects++
 			for _, ci := range nd.Children {
 				if ci >= 0 {
 					stack = append(stack, ci)
@@ -355,73 +467,43 @@ func (t *Tree) AccumCoulombWalk(res *CoulombResult, start int32, x vec.Vec3, the
 			}
 			continue
 		}
-		t.AccumCoulombNear(res, idx, x, eps, skipOrig)
+		e.near(t, nd, x, eps, skipSorted)
 	}
 	*sp = stack
 	putStack(sp)
 }
 
-// VortexAtSplit is VortexAtNode with the result separated into the
-// near field (direct leaf interactions) and the far field
-// (MAC-accepted cluster interactions). The split is the basis of the
-// frequency-split coarse propagator suggested in the paper's outlook
-// (Section V): far-field contributions change slowly and can be
-// refreshed less often than near-field ones. With computeFar false the
-// accepted clusters are skipped entirely (their cached contribution is
-// reused by the caller), which is where the cost saving comes from.
-//
-// Unlike the standard traversal, MAC-accepted *leaf* buckets are also
-// treated as far clusters (leaves carry full multipole data), so the
-// far fraction stays substantial even for small ensembles. A target's
-// own leaf always fails the MAC (the target sits inside the cell, so
-// s/d > 1), hence self-interactions cannot leak into the far part.
-func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole, computeFar bool) (near, far VortexResult) {
-	theta2 := theta * theta
-	sp := getStack()
-	stack := append(*sp, int32(start))
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.Nodes[idx]
-		if nd.Count == 0 {
-			continue
-		}
-		r := x.Sub(nd.Centroid)
-		if MACSq(theta2, nd.Size*nd.Size, r.Norm2()) {
-			if computeFar {
-				u, g := pw.VelocityGrad(r, nd.CircSum)
-				far.U = far.U.Add(u)
-				far.Grad = far.Grad.Add(g)
-				if useDipole {
-					far.U = far.U.Add(DipoleVelocity(r, nd.Dipole))
-				}
-				far.Interactions++
-				far.CellAccepts++
-			}
-			continue
-		}
-		if nd.Leaf {
-			for i := nd.First; i < nd.First+nd.Count; i++ {
-				orig := t.Order[i]
-				if orig == skipOrig {
-					continue
-				}
-				p := &t.sys.Particles[orig]
-				u, g := pw.VelocityGrad(x.Sub(p.Pos), p.Alpha)
-				near.U = near.U.Add(u)
-				near.Grad = near.Grad.Add(g)
-				near.Interactions++
-			}
-			continue
-		}
-		near.Rejects++
-		for _, ci := range nd.Children {
-			if ci >= 0 {
-				stack = append(stack, ci)
-			}
+func (e *coulombEval) result(opens int64) CoulombResult {
+	return CoulombResult{
+		Phi:          e.acc.Phi,
+		E:            vec.V3(e.acc.EX, e.acc.EY, e.acc.EZ),
+		Interactions: e.acc.N,
+		CellAccepts:  e.cellAccepts,
+		Rejects:      opens + e.rejects,
+	}
+}
+
+// CoulombAtNode evaluates the softened Coulomb potential and field at
+// x by the per-particle traversal of the subtree rooted at node start.
+func (t *Tree) CoulombAtNode(start int, x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
+	var e coulombEval
+	e.walk(t, int32(start), x, theta, eps, t.skipLane(skipOrig))
+	return e.result(0)
+}
+
+// EvalCoulombList is EvalVortexList for the Coulomb discipline.
+func (t *Tree) EvalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipOrig int) CoulombResult {
+	var e coulombEval
+	skipSorted := t.skipLane(skipOrig)
+	for _, it := range list.Items {
+		switch it.Kind {
+		case ItemFar:
+			e.far(&t.Nodes[it.Node], x)
+		case ItemNear:
+			e.near(t, &t.Nodes[it.Node], x, eps, skipSorted)
+		default:
+			e.walk(t, it.Node, x, theta, eps, skipSorted)
 		}
 	}
-	*sp = stack
-	putStack(sp)
-	return near, far
+	return e.result(list.Opens)
 }

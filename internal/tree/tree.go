@@ -69,7 +69,8 @@ type Tree struct {
 	// Lanes, in the SoA layout, is the struct-of-arrays mirror of the
 	// system gathered under Order: lane i holds particle Order[i], so
 	// every node's [First, First+Count) range is a contiguous run of
-	// all lanes. Nil in the AoS layout.
+	// all lanes. Nil in the AoS layout, where the near-field leg
+	// gathers each leaf as it meets it.
 	Lanes *particle.SoA
 
 	sys        *particle.System
@@ -78,19 +79,9 @@ type Tree struct {
 	ownedLo    uint64
 	ownedHi    uint64
 	ownedSet   bool
-	// sortedPos is the inverse of Order (sortedPos[Order[i]] = i),
-	// built only in the SoA layout to translate a skip target's
-	// original index into its lane.
+	// sortedPos is the inverse of Order (sortedPos[Order[i]] = i): it
+	// translates a skip target's original index into its lane.
 	sortedPos []int32
-}
-
-// SortedPos returns the sorted position (= SoA lane) of the particle
-// with the given original index, or -1 when the tree carries no lanes.
-func (t *Tree) SortedPos(orig int) int {
-	if len(t.sortedPos) == 0 {
-		return -1
-	}
-	return int(t.sortedPos[orig])
 }
 
 // BuildConfig controls tree construction.
@@ -110,10 +101,13 @@ type BuildConfig struct {
 	// boundary, which makes every leaf eligible as a branch node.
 	OwnedLo, OwnedHi uint64
 	OwnedSet         bool
-	// Layout selects the evaluation storage: LayoutSoA additionally
-	// gathers a struct-of-arrays mirror of the sorted particles so the
-	// batched near/far kernels stream lanes linearly. LayoutAoS (the
-	// zero value) keeps the historical reference layout.
+	// Layout selects the source storage of the near-field leg:
+	// LayoutSoA gathers a struct-of-arrays mirror of the sorted
+	// particles at build so the batched kernel streams lanes linearly;
+	// LayoutAoS (the zero value) gathers nothing at build. Both feed the
+	// same kernel, so results are bitwise equal. Every production
+	// caller passes LayoutSoA; the field goes when internal/bench,
+	// which names it, may be edited (ROADMAP item 1(b)).
 	Layout particle.Layout
 }
 

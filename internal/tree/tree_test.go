@@ -324,7 +324,7 @@ func TestSingleParticleTree(t *testing.T) {
 	if !tr.Nodes[tr.Root].Leaf {
 		t.Fatal("single particle should be a leaf root")
 	}
-	res := tr.VortexAt(vec.V3(2, 2, 2), 0.5, -1, kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: 1}, true)
+	res := tr.VortexAtNode(tr.Root, vec.V3(2, 2, 2), 0.5, -1, kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: 1}, true)
 	if res.U.Norm() == 0 {
 		t.Fatal("expected nonzero induced velocity")
 	}

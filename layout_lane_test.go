@@ -1,7 +1,6 @@
 package nbody
 
 import (
-	"flag"
 	"testing"
 
 	"repro/internal/kernel"
@@ -10,43 +9,11 @@ import (
 	"repro/internal/vec"
 )
 
-// layoutFlag selects the particle layout the layout lane exercises;
-// ci.sh runs the lane once with -layout=aos and once with -layout=soa.
-var layoutFlag = flag.String("layout", "", "particle layout exercised by TestLayoutLane (aos|soa; empty = facade default)")
-
-// TestLayoutLane drives the façade end to end under the lane's layout
-// and pins it bitwise to the AoS reference: a PFASST space-time run
-// and a serial tree-SDC simulation must both produce identical final
-// states whichever layout evaluated the forces. Under -layout=aos the
-// comparison is a self-check of the reference path; under -layout=soa
-// (or the default) it is the full-system equivalence contract.
+// TestLayoutLane integrates a serial tree-SDC simulation once on a
+// solver that gathered its lanes at build (the default) and once on one
+// that gathers each leaf as the near leg meets it: the final states
+// must be identical, whichever way the one kernel found its sources.
 func TestLayoutLane(t *testing.T) {
-	if _, err := particle.ParseLayout(*layoutFlag); err != nil {
-		t.Fatal(err)
-	}
-
-	// Space-time facade: PT=2, PS=1, two steps.
-	run := func(layout string) *System {
-		sys := ScaledVortexSheet(96)
-		cfg := DefaultSpaceTime(2, 1)
-		cfg.Layout = layout
-		got, _, err := RunSpaceTime(cfg, sys, 0, 0.5, 2)
-		if err != nil {
-			t.Fatalf("layout %q: %v", layout, err)
-		}
-		return got
-	}
-	got := run(*layoutFlag)
-	ref := run("aos")
-	for i := range ref.Particles {
-		if got.Particles[i].Pos != ref.Particles[i].Pos ||
-			got.Particles[i].Alpha != ref.Particles[i].Alpha {
-			t.Fatalf("space-time state of particle %d differs from the AoS reference under layout %q",
-				i, *layoutFlag)
-		}
-	}
-
-	// Serial tree simulation with an explicit solver layout.
 	simRun := func(layout particle.Layout) *System {
 		sys := ScaledVortexSheet(96)
 		s := tree.NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.3)
@@ -58,27 +25,23 @@ func TestLayoutLane(t *testing.T) {
 		}
 		return sys
 	}
-	lay, _ := particle.ParseLayout(*layoutFlag)
-	simGot := simRun(lay)
-	simRef := simRun(particle.LayoutAoS)
-	for i := range simRef.Particles {
-		if simGot.Particles[i].Pos != simRef.Particles[i].Pos ||
-			simGot.Particles[i].Alpha != simRef.Particles[i].Alpha {
-			t.Fatalf("serial simulation state of particle %d differs from the AoS reference under layout %q",
-				i, *layoutFlag)
+	got, ref := simRun(particle.LayoutSoA), simRun(particle.LayoutAoS)
+	for i := range ref.Particles {
+		if got.Particles[i].Pos != ref.Particles[i].Pos ||
+			got.Particles[i].Alpha != ref.Particles[i].Alpha {
+			t.Fatalf("serial simulation state of particle %d differs between layouts", i)
 		}
 	}
 }
 
-// benchLayoutEval is the steady-state allocation benchmark behind the
-// CI alloc smoke: a single-worker tree Eval on the clustered sheet,
-// arena warmed, allocations reported per op. The SoA hot path must
-// report 0 allocs/op.
-func benchLayoutEval(b *testing.B, layout particle.Layout) {
+// BenchmarkLayoutEvalSoA is the steady-state allocation benchmark
+// behind the CI alloc smoke: a single-worker tree Eval on the clustered
+// sheet, arena warmed, allocations reported per op. It must report
+// 0 allocs/op.
+func BenchmarkLayoutEvalSoA(b *testing.B) {
 	sys := particle.ClusteredVortexSheet(2000)
 	s := tree.NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.3)
 	s.Workers = 1
-	s.Layout = layout
 	vel := make([]vec.Vec3, sys.N())
 	str := make([]vec.Vec3, sys.N())
 	s.Eval(sys, vel, str) // warm the arena and scratch buffers
@@ -88,6 +51,3 @@ func benchLayoutEval(b *testing.B, layout particle.Layout) {
 		s.Eval(sys, vel, str)
 	}
 }
-
-func BenchmarkLayoutEvalSoA(b *testing.B) { benchLayoutEval(b, particle.LayoutSoA) }
-func BenchmarkLayoutEvalAoS(b *testing.B) { benchLayoutEval(b, particle.LayoutAoS) }

@@ -14,10 +14,8 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/particle"
 	"repro/internal/pfasst"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 )
 
 // ErrCanceled is the typed cancellation sentinel of RunSpaceTimeCtx:
@@ -61,15 +59,6 @@ type SpaceTimeConfig struct {
 	// Threads is the per-rank traversal worker count (the worker half
 	// of PEPC's Pthreads layer); ≤1 is single-threaded.
 	Threads int
-	// Traversal selects the tree evaluation strategy: "" or "list" for
-	// the two-phase interaction-list evaluator (the default), or
-	// "recursive" for the per-particle walk with static splits.
-	Traversal string
-	// Layout selects the particle storage of the evaluation hot path:
-	// "" or "soa" for the Morton-gathered struct-of-arrays lanes with
-	// batched kernels (the default), "aos" for the array-of-structs
-	// reference path. Results are bitwise equal (DESIGN.md §14).
-	Layout string
 	// Balance enables cross-rank dynamic load balancing: the sample-
 	// sort decomposition places its splitters at equal-work quantiles
 	// using the previous evaluation's per-particle interaction counts,
@@ -228,16 +217,6 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 	}
 	ccfg.Tol = cfg.Tol
 	ccfg.Threads = cfg.Threads
-	trav, err := tree.ParseTraversal(cfg.Traversal)
-	if err != nil {
-		return nil, SpaceTimeStats{}, err
-	}
-	ccfg.Traversal = trav
-	layout, err := particle.ParseLayout(cfg.Layout)
-	if err != nil {
-		return nil, SpaceTimeStats{}, err
-	}
-	ccfg.Layout = layout
 	ccfg.Balance = cfg.Balance
 	var model machine.CostModel
 	if cfg.Modeled {
@@ -247,6 +226,7 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 
 	rz := cfg.Resilience
 	var plan *fault.Plan
+	var err error
 	if rz.FaultPlan != "" {
 		plan, err = fault.Parse(rz.FaultPlan, rz.FaultSeed)
 		if err != nil {
