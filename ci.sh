@@ -68,6 +68,12 @@ awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) if ($i == "B/op") { s
 }
 rm -f "$alloc_out"
 
+# Kernel fuzz smoke: what is bitwise about a range (== its lanes fed in
+# order as single pairs, == itself cut at any lane, velocity loop ==
+# gradient loop's velocity) plus the oracle bound on every pair, over
+# random tails, denormal circulations and coincident sources.
+go test -run '^$' -fuzz FuzzBatchGradRange -fuzztime 10s ./internal/kernel/
+
 # Chaos lane: the fault-injection and resilience suites once more under
 # the race detector, -count=1 so cached passes don't mask flakiness in
 # the recovery protocol. Time-bounded by -timeout rather than test count.

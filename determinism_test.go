@@ -119,18 +119,21 @@ func stateHash(sys *System) uint64 {
 
 // TestSpaceTimePinnedAcrossCommits: TestSpaceTimeDeterminism compares
 // a run with itself and cannot see drift between commits. This pins
-// the final state of the 2×2 run to the hash computed at 24e9cfc,
-// before the evaluation arena of PR 16 — a storage-only change must
-// reproduce it bit for bit. amd64 only: arm64 fuses multiply-add, so
-// its bits legitimately differ.
+// the final state of the 2×2 run — a storage-only change must
+// reproduce it bit for bit. Re-pinned in PR 24, the one change allowed
+// to move it: the algebraic pair kernel became the closed w-form (one
+// square root, one division per pair; DESIGN.md §14), which differs
+// from the quotient form by ≤ 1.3e-11 per pair. 0x83256eb332e02aab was
+// the value from 24e9cfc (before PR 16's arena) up to PR 21. amd64
+// only: arm64 fuses multiply-add, so its bits legitimately differ.
 func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
 	}
 	out, _ := runOnce(t, 2, 2)
-	const want uint64 = 0x83256eb332e02aab
+	const want uint64 = 0x37bb4f09ff19ab1f
 	if got := stateHash(out); got != want {
-		t.Fatalf("final state hash %#x, want %#x (pinned at 24e9cfc)", got, want)
+		t.Fatalf("final state hash %#x, want %#x (pinned at PR 24)", got, want)
 	}
 }
 
@@ -141,12 +144,15 @@ func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
 // transient chaos, across a rank death mid-block and at a block
 // boundary (3-wide blocks, then a serial tail), across a cancel and
 // resume, and with the guard on. The rows that lose no rank also equal
-// the plain, non-resilient run. amd64 only, as above.
+// the plain, non-resilient run. Re-pinned in PR 24 with the closed-form
+// pair kernel, as above (be134b7 → PR 21: clean 0xb9aaa344ff2693c5,
+// mid-block 0xc7d91829b18dbbd0, boundary 0x3c3852c9c335654b); what the
+// rows assert about one another is unchanged. amd64 only, as above.
 func TestResilientPinnedAcrossCommits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
 	}
-	const clean uint64 = 0xb9aaa344ff2693c5
+	const clean uint64 = 0x0c061487cf11ed62
 	sys := RandomBlob(48, 0.2, 7)
 	run := func(cfg SpaceTimeConfig) uint64 {
 		t.Helper()
@@ -169,14 +175,14 @@ func TestResilientPinnedAcrossCommits(t *testing.T) {
 			c.Resilience.FaultPlan = "drop=0.08,delay=0.15:30us,corrupt=0.04"
 			c.Resilience.FaultSeed = 11
 		}},
-		{"crash mid-block", 0xc7d91829b18dbbd0, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=1@iter:1" }},
-		{"crash at boundary", 0x3c3852c9c335654b, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=3@block:4" }},
+		{"crash mid-block", 0x11c7b36776fef795, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=1@iter:1" }},
+		{"crash at boundary", 0x9e43766f1312d572, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=3@block:4" }},
 		{"guard clean", clean, func(c *SpaceTimeConfig) { c.Guard.Enabled = true }},
 	} {
 		cfg := chaosConfig(4, 1)
 		row.mut(&cfg)
 		if got := run(cfg); got != row.want {
-			t.Errorf("%s: hash %#x, want %#x (pinned at be134b7)", row.name, got, row.want)
+			t.Errorf("%s: hash %#x, want %#x (pinned at PR 24)", row.name, got, row.want)
 		}
 	}
 
@@ -195,6 +201,6 @@ func TestResilientPinnedAcrossCommits(t *testing.T) {
 	cfg.OnBlock = nil
 	cfg.Resilience.Resume = true
 	if got := run(cfg); got != clean {
-		t.Errorf("cancel then resume: hash %#x, want %#x (pinned at be134b7)", got, clean)
+		t.Errorf("cancel then resume: hash %#x, want %#x (pinned at PR 24)", got, clean)
 	}
 }

@@ -95,11 +95,11 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	s.counter++
 
 	t := tree.Build(sys, tree.BuildConfig{LeafCap: s.LeafCap, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
-	pw := kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma}
+	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma})
 	var inter int64
 	for q := 0; q < n; q++ {
 		p := &sys.Particles[q]
-		near, far := t.VortexAtSplit(t.Root, p.Pos, s.Theta, q, pw, s.Dipole, refresh)
+		near, far := t.VortexAtSplit(t.Root, p.Pos, s.Theta, q, &vb, s.Dipole, refresh)
 		inter += near.Interactions
 		if refresh {
 			s.farU[q] = far.U

@@ -57,7 +57,8 @@ func TestSplitCountsMatchWalk(t *testing.T) {
 	ff.Eval(sys, vel, str)
 
 	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 1, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
-	pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma}
+	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma})
+	pw := &vb
 	var total int64
 	for q, p := range sys.Particles {
 		near, far := tr.VortexAtSplit(tr.Root, p.Pos, theta, q, pw, true, true)

@@ -3,6 +3,7 @@ package hot
 import (
 	"math/bits"
 
+	"repro/internal/kernel"
 	"repro/internal/particle"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -61,8 +62,9 @@ type evalArena struct {
 	childKeys []uint64
 	lanes     particle.SoA
 
-	// Traversal: per-target outputs in local order and one scratch per
-	// worker.
+	// Traversal: the pair kernel at this evaluation's σ, per-target
+	// outputs in local order and one scratch per worker.
+	vb                   kernel.VortexBatch
 	outVel, outStr, outE []vec.Vec3
 	outPot, workPer      []float64
 	scratch              []travScratch

@@ -221,8 +221,6 @@ type evalRT struct {
 	dom   tree.Domain
 	ltree *tree.Tree // nil when the rank owns no particles
 	local *particle.System
-	pw    kernel.Pairwise
-	vb    kernel.VortexBatch
 
 	// Inclusive key interval this rank owns after the decomposition.
 	myLo, myHi uint64
@@ -248,13 +246,12 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	a := &s.arena
 	a.reset(s.comm.Size(), max(1, s.cfg.Threads))
 	a.local.Sigma = sys.Sigma
+	a.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma})
 	rt := &evalRT{
 		s: s, a: a, comm: s.comm, me: s.comm.Rank(), disc: disc,
 		local: &a.local,
-		pw:    kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma},
 		stats: st,
 	}
-	rt.vb = kernel.NewVortexBatch(rt.pw)
 
 	t0 := s.clock()
 	telemetry.LabelPhase(PhaseDecomp)
@@ -831,7 +828,7 @@ func (v *vortexAcc) grad() vec.Mat3 {
 // vortexFar folds one MAC-accepted global cell into acc through the
 // tree's far-field leg.
 func (rt *evalRT) vortexFar(acc *vortexAcc, g *gcell, x vec.Vec3) {
-	tree.VortexFar(&acc.VortexAcc, &rt.vb, &g.nd, x, rt.s.cfg.Dipole)
+	tree.VortexFar(&acc.VortexAcc, &rt.a.vb, &g.nd, x, rt.s.cfg.Dipole)
 	acc.accepts++
 }
 
@@ -857,7 +854,7 @@ func (rt *evalRT) leafLanes(g *gcell) (v particle.SoA) {
 // batched direct summation over the leaf's lane range.
 func (rt *evalRT) vortexNear(acc *vortexAcc, g *gcell, x vec.Vec3) {
 	l := rt.leafLanes(g)
-	rt.vb.AccumGradRange(&acc.VortexAcc, x.X, x.Y, x.Z, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, -1)
+	rt.a.vb.AccumGradRange(&acc.VortexAcc, x.X, x.Y, x.Z, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, -1)
 }
 
 // vortexWalk runs the per-particle global traversal from the cell with
@@ -882,7 +879,7 @@ func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x 
 			if idx < 0 {
 				panic("hot: local branch cell missing from local tree")
 			}
-			sub := rt.ltree.VortexAtNode(idx, x, theta, skipLocal, rt.pw, rt.s.cfg.Dipole)
+			sub := rt.ltree.VortexAtNode(idx, x, theta, skipLocal, &rt.a.vb, rt.s.cfg.Dipole)
 			acc.addLocal(&sub)
 			continue
 		}

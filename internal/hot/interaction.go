@@ -144,7 +144,7 @@ func (rt *evalRT) vortexAtList(sc *travScratch, acc *vortexAcc, x vec.Vec3, skip
 		switch it.kind {
 		case hLocal:
 			view := tree.InteractionList{Items: hl.llist.Items[it.segLo:it.segHi], Opens: it.opens}
-			sub := rt.ltree.EvalVortexList(&view, tree.MACBarnesHut, theta, x, skipLocal, rt.pw, rt.s.cfg.Dipole)
+			sub := rt.ltree.EvalVortexList(&view, tree.MACBarnesHut, theta, x, skipLocal, &rt.a.vb, rt.s.cfg.Dipole)
 			acc.addLocal(&sub)
 		case hFar:
 			rt.vortexFar(acc, it.g, x)

@@ -5,10 +5,10 @@ import "math"
 // This file is the definition of the pairwise arithmetic: the
 // regularized Biot–Savart interaction (velocity + gradient, velocity
 // only) and the Plummer-softened Coulomb interaction, evaluated over
-// struct-of-arrays source lanes in fixed-width blocks into scalar
-// accumulators. Every evaluator — direct summation, the tree's near
-// and far legs, the distributed tree's remote cells — calls these
-// entry points, so there is no second copy to keep in step.
+// struct-of-arrays source lanes into scalar accumulators. Every
+// evaluator — direct summation, the tree's near and far legs, the
+// distributed tree's remote cells — calls these entry points, so there
+// is no second copy to keep in step.
 //
 // With r = x_target − x_source, ρ = |r|/σ and F(r) = q(ρ)/|r|³ one
 // source with circulation vector α contributes the velocity
@@ -19,10 +19,18 @@ import "math"
 //
 //	∂u_i/∂x_j = −(1/4π) [ (F'(r)/|r|) (r×α)_i r_j + F(r) ε_{ijl} α_l ],
 //
-// where F'(r)/|r| = H(ρ)/σ⁵ with H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵. Below
-// hSwitch both F and H are taken from the Taylor series of ζ (fSeries,
-// hSeries): the two terms of H cancel to leading order there, and the
-// direct quotient q/|r|³ turns into 0/0 at denormal separations.
+// where F'(r)/|r| = H(ρ)/σ⁵ with H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵.
+//
+// For the algebraic family (every production caller) both are closed
+// forms in w = 1/(1+ρ²): F σ³ = w^(3/2) P_F(w) and H = w^(5/2) P_H(w)
+// with P_H = −(3 P_F + 2w P_F') — one division, one square root and
+// two Horner chains per pair. Every coefficient of P_F is ≥ 0 for the
+// four members and 0 < w ≤ 1, so each chain sums terms of one sign and
+// nothing cancels at any radius (NUMERICS.md §1–2). The other kernels (Gaussian, singular) go through
+// the Smoothing interface and, below hSwitch, the Taylor series of ζ
+// (fSeries, hSeries): the two terms of H cancel to leading order there,
+// and the direct quotient q/|r|³ turns into 0/0 at denormal
+// separations.
 //
 // Sources are summed strictly in lane order with one accumulation
 // chain per output component, which is what makes a sum independent of
@@ -30,16 +38,17 @@ import "math"
 // source at zero separation contributes nothing (the self-interaction
 // convention); the range loops still count the pair.
 
-// BatchWidth is the fixed block width of the inner loops: the distance
-// prepass runs over BatchWidth-sized chunks whose temporaries fit in
-// registers. The final chunk of a range is the remainder loop (length
-// 1..BatchWidth−1), which runs the identical per-lane kernel.
+// BatchWidth is the block width of the Coulomb loop's distance prepass
+// and of the tree's AoS source adapters: chunks whose temporaries fit
+// in registers. The vortex loops walk their lanes one by one — with no
+// interface call left in the pair body the prepass bought nothing
+// (PERFORMANCE.md "Kernel-level notes").
 const BatchWidth = 8
 
-// hSwitch is the scaled radius below which F and H switch to their
-// series forms. At the switch point both branches agree to better than
-// 1e-6 relative for all kernels in this package (verified by tests):
-// the direct form of H loses ~4 digits to cancellation there while the
+// hSwitch is the scaled radius below which the non-algebraic kernels
+// take F and H from their series forms. At the switch point both
+// branches agree to better than 1e-6 relative (verified by tests): the
+// direct form of H loses ~4 digits to cancellation there while the
 // series truncation error is O(ρ⁶) ≈ 1e-7.
 const hSwitch = 0.02
 
@@ -52,11 +61,19 @@ type VortexAcc struct {
 	N          int64
 }
 
-// VortexBatch carries the loop-invariant data of vortex evaluation:
-// the kernel, σ and its powers, and the ζ Taylor coefficients.
-// Construct once per target (or per traversal) with NewVortexBatch; the
-// struct is read-only afterwards and safe to share across goroutines.
+// VortexBatch carries the loop-invariant data of vortex evaluation.
+// Construct once per evaluation with NewVortexBatch and pass a pointer;
+// the struct is read-only afterwards and safe to share across
+// goroutines.
 type VortexBatch struct {
+	// Algebraic family: σ⁻² and the Horner tables of −P_F/4πσ³ and
+	// −P_H/4πσ⁵, lowest power of w first.
+	closed bool
+	is2    float64
+	fc, hc [maxAlgebraicN - 1]float64
+
+	// Any other kernel: the interface, σ and its powers, and the ζ
+	// Taylor coefficients.
 	sm     Smoothing
 	sigma  float64
 	s3, s5 float64
@@ -64,20 +81,27 @@ type VortexBatch struct {
 	series bool
 }
 
-// NewVortexBatch precomputes the per-traversal constants of pw. A
-// kernel without a series (the singular kernel: q ≡ 1, ζ ≡ 0) keeps
-// the direct quotient for F at every radius; it diverges at the origin
-// by definition.
+// NewVortexBatch precomputes the per-evaluation constants of pw. The
+// form of the pair kernel follows from the kernel's type alone: closed
+// for the algebraic family, interface + series otherwise. A kernel
+// without a series (the singular kernel: q ≡ 1, ζ ≡ 0) keeps the direct
+// quotient for F at every radius; it diverges at the origin by
+// definition.
 func NewVortexBatch(pw Pairwise) VortexBatch {
-	z := pw.Sm.ZetaSeries()
-	return VortexBatch{
-		sm:     pw.Sm,
-		sigma:  pw.Sigma,
-		s3:     pw.Sigma * pw.Sigma * pw.Sigma,
-		s5:     pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma * pw.Sigma,
-		z:      z,
-		series: z[0] != 0,
+	const inv4pi = 1 / (4 * math.Pi)
+	s2 := pw.Sigma * pw.Sigma
+	s3 := s2 * pw.Sigma
+	s5 := s3 * pw.Sigma * pw.Sigma // left to right: the oracle holds the quotient kernels to 1 ulp
+	if k, ok := pw.Sm.(*algebraic); ok {
+		b := VortexBatch{closed: true, is2: 1 / s2}
+		for i, f := range k.pf {
+			b.fc[i] = -f * inv4pi / s3
+			b.hc[i] = float64(3+2*i) * f * inv4pi / s5
+		}
+		return b
 	}
+	z := pw.Sm.ZetaSeries()
+	return VortexBatch{sm: pw.Sm, sigma: pw.Sigma, s3: s3, s5: s5, z: z, series: z[0] != 0}
 }
 
 // fSeries is F below hSwitch: q(ρ) = 4π(ζ0 ρ³/3 + ζ1 ρ⁵/5 + …), whose
@@ -98,9 +122,9 @@ func (b *VortexBatch) hSeries(rho float64) float64 {
 	return 4 * math.Pi * (2.0/5*b.z[1] + r2*(4.0/7*b.z[2]+r2*(6.0/9*b.z[3])))
 }
 
-// pairGrad adds the velocity and gradient one source induces at
-// separation r (d2 = |r|² > 0) with weight vector α.
-func (b *VortexBatch) pairGrad(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float64) {
+// openFH is −F/4π and −H/4πσ⁵ at separation d2 = |r|² > 0 for a kernel
+// outside the algebraic family.
+func (b *VortexBatch) openFH(d2 float64) (fs, gs float64) {
 	d := math.Sqrt(d2)
 	rho := d / b.sigma
 	var f, hq float64
@@ -118,29 +142,40 @@ func (b *VortexBatch) pairGrad(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float6
 		hq = (rho*b.sm.QPrime(rho) - 3*q) / r5
 	}
 	const inv4pi = 1 / (4 * math.Pi)
+	return -f * inv4pi, -(hq / b.s5) * inv4pi
+}
+
+// pairGrad adds the velocity and gradient one source induces at
+// separation r (d2 = |r|² > 0) with weight vector α. An overflowing
+// d2·σ⁻² gives w = 0 and a contribution of exactly zero.
+func (b *VortexBatch) pairGrad(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float64) {
+	var fs, gs float64
+	if b.closed {
+		w := 1 / (1 + d2*b.is2)
+		w32 := w * math.Sqrt(w)
+		fs = w32 * horner(&b.fc, w)
+		gs = w32 * w * horner(&b.hc, w)
+	} else {
+		fs, gs = b.openFH(d2)
+	}
 	cx := ry*az - rz*ay // r × α
 	cy := rz*ax - rx*az
 	cz := rx*ay - ry*ax
-	fs := -f * inv4pi
-	gs := -(hq / b.s5) * inv4pi
-
 	acc.UX += fs * cx
 	acc.UY += fs * cy
 	acc.UZ += fs * cz
-	// grad = (r×α) ⊗ r · gs + ε_{ijl} α_l · fs, written out per entry.
-	// The fs*0 diagonal terms are ε_{iil} = 0 spelled out: ±0 for any
-	// finite F, NaN for an overflowed one (the singular kernel at a
-	// denormal separation), so such a pair poisons all nine entries
-	// alike.
-	acc.G[0] += gs*(cx*rx) + fs*0
-	acc.G[1] += gs*(cx*ry) + fs*az
-	acc.G[2] += gs*(cx*rz) + fs*(-ay)
-	acc.G[3] += gs*(cy*rx) + fs*(-az)
-	acc.G[4] += gs*(cy*ry) + fs*0
-	acc.G[5] += gs*(cy*rz) + fs*ax
-	acc.G[6] += gs*(cz*rx) + fs*ay
-	acc.G[7] += gs*(cz*ry) + fs*(-ax)
-	acc.G[8] += gs*(cz*rz) + fs*0
+	// grad = gs · (r×α) ⊗ r + fs · ε_{ijl} α_l, one row at a time.
+	gx, gy, gz := gs*cx, gs*cy, gs*cz
+	fx, fy, fz := fs*ax, fs*ay, fs*az
+	acc.G[0] += gx * rx
+	acc.G[1] += gx*ry + fz
+	acc.G[2] += gx*rz - fy
+	acc.G[3] += gy*rx - fz
+	acc.G[4] += gy * ry
+	acc.G[5] += gy*rz + fx
+	acc.G[6] += gz*rx + fy
+	acc.G[7] += gz*ry - fx
+	acc.G[8] += gz * rz
 }
 
 // AccumGradRange adds the velocity and velocity-gradient contributions
@@ -150,30 +185,18 @@ func (b *VortexBatch) pairGrad(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float6
 // at (tx, ty, tz).
 func (b *VortexBatch) AccumGradRange(acc *VortexAcc, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []float64, skip int) {
 	n := len(xs)
-	var dx, dy, dz, dd [BatchWidth]float64
-	for base := 0; base < n; base += BatchWidth {
-		blk := n - base
-		if blk > BatchWidth {
-			blk = BatchWidth
+	ys, zs, axs, ays, azs = ys[:n], zs[:n], axs[:n], ays[:n], azs[:n]
+	for k := 0; k < n; k++ {
+		if k == skip {
+			continue
 		}
-		xb, yb, zb := xs[base:base+blk], ys[base:base+blk], zs[base:base+blk]
-		for k := 0; k < blk; k++ {
-			rx := tx - xb[k]
-			ry := ty - yb[k]
-			rz := tz - zb[k]
-			dx[k], dy[k], dz[k] = rx, ry, rz
-			dd[k] = rx*rx + ry*ry + rz*rz
+		rx := tx - xs[k]
+		ry := ty - ys[k]
+		rz := tz - zs[k]
+		if d2 := rx*rx + ry*ry + rz*rz; d2 != 0 {
+			b.pairGrad(acc, d2, rx, ry, rz, axs[k], ays[k], azs[k])
 		}
-		ab, bb, cb := axs[base:base+blk], ays[base:base+blk], azs[base:base+blk]
-		for k := 0; k < blk; k++ {
-			if base+k == skip {
-				continue
-			}
-			if dd[k] != 0 {
-				b.pairGrad(acc, dd[k], dx[k], dy[k], dz[k], ab[k], bb[k], cb[k])
-			}
-			acc.N++
-		}
+		acc.N++
 	}
 }
 
@@ -188,56 +211,36 @@ func (b *VortexBatch) AccumGrad(acc *VortexAcc, rx, ry, rz, ax, ay, az float64) 
 	}
 }
 
-// pairVel is pairGrad restricted to the velocity. It divides by 4π
-// where pairGrad multiplies by the rounded reciprocal, so the two
-// velocities can differ in the last bit; each keeps the form its
-// callers' results were produced with.
+// pairVel is the velocity half of pairGrad, bit for bit.
 func (b *VortexBatch) pairVel(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float64) {
-	d := math.Sqrt(d2)
-	rho := d / b.sigma
-	var f float64
-	if rho < hSwitch && b.series {
-		f = b.fSeries(rho)
+	var fs float64
+	if b.closed {
+		w := 1 / (1 + d2*b.is2)
+		fs = w * math.Sqrt(w) * horner(&b.fc, w)
 	} else {
-		f = b.sm.Q(rho) / (d2 * d)
+		fs, _ = b.openFH(d2)
 	}
-	cx := ry*az - rz*ay
-	cy := rz*ax - rx*az
-	cz := rx*ay - ry*ax
-	vs := -f / (4 * math.Pi)
-	acc.UX += vs * cx
-	acc.UY += vs * cy
-	acc.UZ += vs * cz
+	acc.UX += fs * (ry*az - rz*ay)
+	acc.UY += fs * (rz*ax - rx*az)
+	acc.UZ += fs * (rx*ay - ry*ax)
 }
 
 // AccumVelRange is AccumGradRange restricted to velocities. Only acc's
 // velocity components and N are touched.
 func (b *VortexBatch) AccumVelRange(acc *VortexAcc, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []float64, skip int) {
 	n := len(xs)
-	var dx, dy, dz, dd [BatchWidth]float64
-	for base := 0; base < n; base += BatchWidth {
-		blk := n - base
-		if blk > BatchWidth {
-			blk = BatchWidth
+	ys, zs, axs, ays, azs = ys[:n], zs[:n], axs[:n], ays[:n], azs[:n]
+	for k := 0; k < n; k++ {
+		if k == skip {
+			continue
 		}
-		xb, yb, zb := xs[base:base+blk], ys[base:base+blk], zs[base:base+blk]
-		for k := 0; k < blk; k++ {
-			rx := tx - xb[k]
-			ry := ty - yb[k]
-			rz := tz - zb[k]
-			dx[k], dy[k], dz[k] = rx, ry, rz
-			dd[k] = rx*rx + ry*ry + rz*rz
+		rx := tx - xs[k]
+		ry := ty - ys[k]
+		rz := tz - zs[k]
+		if d2 := rx*rx + ry*ry + rz*rz; d2 != 0 {
+			b.pairVel(acc, d2, rx, ry, rz, axs[k], ays[k], azs[k])
 		}
-		ab, bb, cb := axs[base:base+blk], ays[base:base+blk], azs[base:base+blk]
-		for k := 0; k < blk; k++ {
-			if base+k == skip {
-				continue
-			}
-			if dd[k] != 0 {
-				b.pairVel(acc, dd[k], dx[k], dy[k], dz[k], ab[k], bb[k], cb[k])
-			}
-			acc.N++
-		}
+		acc.N++
 	}
 }
 

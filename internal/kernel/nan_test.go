@@ -71,16 +71,75 @@ func TestNaNHygieneNearZeroSeparations(t *testing.T) {
 
 // The two branches of F must agree at the switch radius, mirroring the
 // H(ρ) continuity test: a jump there would make tree-vs-direct
-// comparisons discipline-dependent on particle spacing.
+// comparisons discipline-dependent on particle spacing. The algebraic
+// family has no branch: its closed form must match the ζ series there
+// and be smooth across the radius.
 func TestFOfBranchContinuity(t *testing.T) {
 	for _, sm := range allKernels() {
-		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
+		pw := Pairwise{Sm: sm, Sigma: 1}
+		b := NewVortexBatch(pw)
 		rho := hSwitch * 0.999
-		series := b.fSeries(rho)
-		direct := sm.Q(rho) / (rho * rho * rho) // σ = 1: |r| = ρ
-		if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
-			t.Errorf("%s: F branches disagree at switch: series %v vs direct %v",
-				sm.Name(), series, direct)
+		if !closedForm(sm) {
+			series := b.fSeries(rho)
+			direct := sm.Q(rho) / (rho * rho * rho) // σ = 1: |r| = ρ
+			if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
+				t.Errorf("%s: F branches disagree at switch: series %v vs direct %v",
+					sm.Name(), series, direct)
+			}
+			continue
+		}
+		closed, _ := producedFH(t, pw, rho)
+		if series := (oracle(pw)).f(rho, rho*rho, rho); math.Abs(closed-series) > 1e-6*(1+math.Abs(series)) {
+			t.Errorf("%s: closed-form F %v vs ζ series %v at ρ = %v", sm.Name(), closed, series, rho)
+		}
+		below, _ := producedFH(t, pw, hSwitch*(1-1e-6))
+		above, _ := producedFH(t, pw, hSwitch*(1+1e-6))
+		if math.Abs(above-below) > 1e-7*math.Abs(below) {
+			t.Errorf("%s: F jumps across ρ = %v: %v vs %v", sm.Name(), hSwitch, below, above)
+		}
+	}
+}
+
+// The closed form at the ends of the float range, on the production
+// range loop: a denormal d² gives the core value F(0) = a/3σ³ (no 0/0),
+// a d²·σ⁻² that overflows to +Inf gives w = 0 and a contribution of
+// exactly zero, and d² = 0 is skipped but counted.
+func TestClosedFormEdgeSeparations(t *testing.T) {
+	alpha := vec.V3(0.3, -1.1, 0.7)
+	xs, ys, zs, axs, ays, azs := sourceLanes(alpha)
+	for _, sm := range allKernels() {
+		k, ok := sm.(*algebraic)
+		if !ok {
+			continue
+		}
+		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
+		var acc VortexAcc
+		r := vec.V3(1e-160, -2e-161, 0) // d² ≈ 1e-320, subnormal
+		if d2 := r.Norm2(); d2 == 0 || d2 >= 2.3e-308 {
+			t.Fatalf("d² = %g is not subnormal", d2)
+		}
+		b.AccumGradRange(&acc, r.X, r.Y, r.Z, xs, ys, zs, axs, ays, azs, -1)
+		want := r.Cross(alpha).Scale(-k.a / 3 / (4 * math.Pi))
+		if got := vec.V3(acc.UX, acc.UY, acc.UZ); got.Sub(want).Norm() > 1e-14*want.Norm() {
+			t.Errorf("%s: core velocity %v at denormal d², want %v", sm.Name(), got, want)
+		}
+		for i, g := range acc.G {
+			if math.IsNaN(g) || math.IsInf(g, 0) {
+				t.Errorf("%s: G[%d] = %v at denormal d²", sm.Name(), i, g)
+			}
+		}
+
+		far := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1e-60})
+		acc = VortexAcc{}
+		far.AccumGradRange(&acc, 1e95, 2e95, -1e95, xs, ys, zs, axs, ays, azs, -1) // d²·σ⁻² = +Inf
+		if acc != (VortexAcc{N: 1}) {
+			t.Errorf("%s: overflowing ρ² contributes %+v, want exactly zero and one counted pair", sm.Name(), acc)
+		}
+
+		acc = VortexAcc{}
+		b.AccumGradRange(&acc, 0, 0, 0, xs, ys, zs, axs, ays, azs, -1)
+		if acc != (VortexAcc{N: 1}) {
+			t.Errorf("%s: zero separation contributes %+v, want a counted skip", sm.Name(), acc)
 		}
 	}
 }

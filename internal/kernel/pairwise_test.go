@@ -114,18 +114,46 @@ func TestVelocityGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// producedFH reads F = q/|r|³ and H = (ρq′ − 3q)/ρ⁵ back out of the
+// production entry points at scaled radius ρ: with r = (d, d, 0)/√2 and
+// α = ẑ, r×α = (d, −d, 0)/√2, so u_x = −F d/(4π√2) and
+// ∂u_x/∂x = −H d²/(8πσ⁵) carry one factor each and no second term.
+func producedFH(t *testing.T, pw Pairwise, rho float64) (f, h float64) {
+	t.Helper()
+	c := rho * pw.Sigma / math.Sqrt2
+	u, g := velocityGradAt(t, pw, vec.V3(c, c, 0), vec.V3(0, 0, 1))
+	s5 := math.Pow(pw.Sigma, 5)
+	return -4 * math.Pi * u.X / c, -4 * math.Pi * s5 * g[0][0] / (c * c)
+}
+
 func TestGradSmallRhoBranchContinuity(t *testing.T) {
-	// The H(ρ) series branch and the direct branch must agree near the
-	// switch radius.
+	// Gaussian: the H(ρ) series branch and the direct branch must agree
+	// near the switch radius. Algebraic family: there is no branch —
+	// the closed form must agree with the ζ series there (an
+	// independent derivation from the same (a, b, c, p)) and be smooth
+	// across the radius where the switch used to sit.
 	for _, sm := range allKernels() {
-		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
+		pw := Pairwise{Sm: sm, Sigma: 1}
+		b := NewVortexBatch(pw)
 		rho := hSwitch * 0.999
-		series := b.hSeries(rho)
-		r5 := rho * rho * rho * rho * rho
-		direct := (rho*sm.QPrime(rho) - 3*sm.Q(rho)) / r5
-		if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
-			t.Errorf("%s: H branches disagree at switch: series %v vs direct %v",
-				sm.Name(), series, direct)
+		if !closedForm(sm) {
+			series := b.hSeries(rho)
+			r5 := rho * rho * rho * rho * rho
+			direct := (rho*sm.QPrime(rho) - 3*sm.Q(rho)) / r5
+			if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
+				t.Errorf("%s: H branches disagree at switch: series %v vs direct %v",
+					sm.Name(), series, direct)
+			}
+			continue
+		}
+		_, closed := producedFH(t, pw, rho)
+		if series := (oracle(pw)).h(rho); math.Abs(closed-series) > 1e-6*(1+math.Abs(series)) {
+			t.Errorf("%s: closed-form H %v vs ζ series %v at ρ = %v", sm.Name(), closed, series, rho)
+		}
+		_, below := producedFH(t, pw, hSwitch*(1-1e-6))
+		_, above := producedFH(t, pw, hSwitch*(1+1e-6))
+		if math.Abs(above-below) > 1e-7*math.Abs(below) {
+			t.Errorf("%s: H jumps across ρ = %v: %v vs %v", sm.Name(), hSwitch, below, above)
 		}
 	}
 }

@@ -42,31 +42,66 @@ type Smoothing interface {
 
 // algebraic is a generalized algebraic kernel
 //
-//	ζ(ρ) = (1/4π) (a + b ρ² + c ρ⁴) (1+ρ²)^(−p)
+//	ζ(ρ) = (1/4π) (a + b ρ² + c ρ⁴) (1+ρ²)^(−p),   p = n + ½,
 //
-// whose enclosed-circulation function q has the closed form
+// with a half-integer exponent: n ≥ 2, n ≥ 3 when b ≠ 0, n ≥ 4 when
+// c ≠ 0, n ≤ maxAlgebraicN. That precondition is what gives the family
+// its closed forms. In w = 1/(1+ρ²) the enclosed-circulation function
+// is
 //
-//	q(ρ) = a·Ia(t) + b·Ib(t) + c·Ic(t),  t = ρ/√(1+ρ²),
+//	q(ρ) = ρ³ w^(3/2) P_F(w) = t³ P_F(w),   t = ρ/√(1+ρ²),
 //
-// with the I’s polynomials in t obtained from exact antiderivatives. The
+// with P_F a polynomial of degree n−2 (pf, lowest power first). It is
+// the one representation of q: Q evaluates it, and NewVortexBatch
+// scales it into the per-pair Horner tables of F and H. The
 // coefficients (a,b,c,p) are chosen so that ζ is normalized and the
 // required radial moments vanish (see the constructors below).
 type algebraic struct {
 	name    string
 	order   int
 	a, b, c float64
-	p       float64 // exponent of (1+ρ²)
-	q       func(t float64) float64
+	n       int // p = n + ½
+	pf      [maxAlgebraicN - 1]float64
+}
+
+// maxAlgebraicN bounds the exponent p = n + ½ of the family; it fixes
+// the length of the Horner chains in the pair kernel.
+const maxAlgebraicN = 6
+
+// newAlgebraic derives P_F from (a, b, c, n). Differentiating
+// q = ρ³ w^(3/2) P_F(w) and equating with q' = ρ²(a+bρ²+cρ⁴) w^p gives,
+// with ρ² = (1−w)/w,
+//
+//	M(w) := a wⁿ⁻¹ + b (1−w) wⁿ⁻² + c (1−w)² wⁿ⁻³ = 3 P_F − (1−w)(3 P_F + 2w P_F'),
+//
+// i.e. m_k = (2k+1) f_{k−1} − 2k f_k coefficient by coefficient. M has
+// degree n−1 and P_F degree n−2, so the recurrence runs downward from
+// f_{n−1} = 0; f_0 = q(∞) comes out as 1 for a normalized kernel. For
+// the four members below every intermediate is a dyadic rational, so
+// the table is exact (NUMERICS.md §1).
+func newAlgebraic(name string, order int, a, b, c float64, n int) *algebraic {
+	var m [maxAlgebraicN + 1]float64 // m[k+1]: coefficient of w^k, so k = n−3 ≥ −1 needs no guard
+	m[n] += a
+	m[n-1] += b
+	m[n] -= b
+	m[n-2] += c
+	m[n-1] -= 2 * c
+	m[n] += c
+	k := &algebraic{name: name, order: order, a: a, b: b, c: c, n: n}
+	f := 0.0
+	for j := n - 1; j >= 1; j-- {
+		f = (m[j+1] + float64(2*j)*f) / float64(2*j+1)
+		k.pf[j-1] = f
+	}
+	return k
 }
 
 func (k *algebraic) Name() string { return k.name }
 func (k *algebraic) Order() int   { return k.order }
 
 // powNegHalfInt computes u^(−(n+½)) = 1/(uⁿ·√u) for u > 0 by repeated
-// multiplication. Every kernel of the algebraic family has a
-// half-integer exponent, and this form avoids math.Pow's exp/log round
-// trip in the innermost loop of every interaction (it agrees with
-// math.Pow to a few ulp, far below the kernels' 1e-6 accuracy budget).
+// multiplication (it agrees with math.Pow to a few ulp, far below the
+// kernels' 1e-6 accuracy budget).
 func powNegHalfInt(u float64, n int) float64 {
 	prod := math.Sqrt(u)
 	for ; n > 0; n-- {
@@ -77,11 +112,7 @@ func powNegHalfInt(u float64, n int) float64 {
 
 func (k *algebraic) Zeta(rho float64) float64 {
 	x := rho * rho
-	n := int(k.p)
-	if k.p != float64(n)+0.5 { // non-half-integer exponent: general path
-		return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * math.Pow(1+x, -k.p)
-	}
-	return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * powNegHalfInt(1+x, n)
+	return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * powNegHalfInt(1+x, k.n)
 }
 
 func (k *algebraic) QPrime(rho float64) float64 {
@@ -89,14 +120,20 @@ func (k *algebraic) QPrime(rho float64) float64 {
 }
 
 func (k *algebraic) Q(rho float64) float64 {
-	t := rho / math.Sqrt(1+rho*rho)
-	return k.q(t)
+	u := 1 + rho*rho
+	t := rho / math.Sqrt(u)
+	return t * t * t * horner(&k.pf, 1/u)
+}
+
+// horner evaluates c[0] + c[1]w + … + c[4]w⁴.
+func horner(c *[maxAlgebraicN - 1]float64, w float64) float64 {
+	return c[0] + w*(c[1]+w*(c[2]+w*(c[3]+w*c[4])))
 }
 
 func (k *algebraic) ZetaSeries() [4]float64 {
 	// Expand (1+x)^(−p) = 1 − p x + p(p+1)/2 x² − p(p+1)(p+2)/6 x³ + …
 	// against the numerator a + b x + c x², with x = ρ².
-	p := k.p
+	p := float64(k.n) + 0.5
 	c2 := p * (p + 1) / 2
 	c3 := p * (p + 1) * (p + 2) / 6
 	inv4pi := 1 / (4 * math.Pi)
@@ -113,31 +150,19 @@ func (k *algebraic) ZetaSeries() [4]float64 {
 //
 //	ζ₂(ρ) = (3/4π)(1+ρ²)^(−5/2),   q₂(ρ) = ρ³/(1+ρ²)^(3/2) = t³.
 func Algebraic2() Smoothing {
-	return &algebraic{
-		name: "algebraic2", order: 2,
-		a: 3, b: 0, c: 0, p: 5.0 / 2,
-		q: func(t float64) float64 { return t * t * t },
-	}
+	return newAlgebraic("algebraic2", 2, 3, 0, 0, 2)
 }
 
 // WinckelmansLeonard returns the classical "high-order algebraic" kernel
 // of Winckelmans & Leonard,
 //
-//	ζ(ρ) = (15/8π)(1+ρ²)^(−7/2),   q(ρ) = ρ³(ρ²+5/2)/(1+ρ²)^(5/2).
+//	ζ(ρ) = (15/8π)(1+ρ²)^(−7/2),   q(ρ) = ρ³(ρ²+5/2)/(1+ρ²)^(5/2) = t³(1 + 3/2 w).
 //
 // Its far-field error decays like ρ⁻⁴ although its second radial moment
 // does not vanish; it is included for comparison and carries Order 2 in
 // the strict moment sense used by this package.
 func WinckelmansLeonard() Smoothing {
-	return &algebraic{
-		name: "winckelmans-leonard", order: 2,
-		a: 15.0 / 2, b: 0, c: 0, p: 7.0 / 2,
-		q: func(t float64) float64 {
-			// ρ³(ρ²+5/2)/(1+ρ²)^(5/2) in terms of t²=ρ²/(1+ρ²):
-			// = t³(ρ²+5/2)/(1+ρ²) = t³(t² + (5/2)(1−t²)) = t³(5/2 − (3/2)t²).
-			return t * t * t * (2.5 - 1.5*t*t)
-		},
-	}
+	return newAlgebraic("winckelmans-leonard", 2, 15.0/2, 0, 0, 3)
 }
 
 // Algebraic4 returns the fourth-order member of the generalized algebraic
@@ -147,20 +172,7 @@ func WinckelmansLeonard() Smoothing {
 //
 // with unit mass and vanishing second radial moment.
 func Algebraic4() Smoothing {
-	const a, b = 525.0 / 16, -105.0 / 4
-	return &algebraic{
-		name: "algebraic4", order: 4,
-		a: a, b: b, c: 0, p: 11.0 / 2,
-		q: func(t float64) float64 {
-			t2 := t * t
-			t3 := t2 * t
-			// ∫ s²(1+s²)^(−11/2) ds  = t³/3 − 3t⁵/5 + 3t⁷/7 − t⁹/9
-			// ∫ s⁴(1+s²)^(−11/2) ds  = t⁵/5 − 2t⁷/7 + t⁹/9
-			ia := t3 * (1.0/3 + t2*(-3.0/5+t2*(3.0/7+t2*(-1.0/9))))
-			ib := t3 * t2 * (1.0/5 + t2*(-2.0/7+t2*(1.0/9)))
-			return a*ia + b*ib
-		},
-	}
+	return newAlgebraic("algebraic4", 4, 525.0/16, -105.0/4, 0, 5)
 }
 
 // Algebraic6 returns the sixth-order member of the generalized algebraic
@@ -168,26 +180,10 @@ func Algebraic4() Smoothing {
 //
 //	ζ₆(ρ) = (1/4π)(3675/64 − 735/8·ρ² + 105/8·ρ⁴)(1+ρ²)^(−13/2)
 //
-// with unit mass and vanishing second and fourth radial moments. Its
-// enclosed-circulation function in t = ρ/√(1+ρ²) is
-//
-//	q₆ = a(t³/3 − 4t⁵/5 + 6t⁷/7 − 4t⁹/9 + t¹¹/11)
-//	   + b(t⁵/5 − 3t⁷/7 + t⁹/3 − t¹¹/11)
-//	   + c(t⁷/7 − 2t⁹/9 + t¹¹/11).
+// with unit mass and vanishing second and fourth radial moments, for
+// which P_F = 1 + 3/2 w + 15/8 w² + 945/64 w⁴.
 func Algebraic6() Smoothing {
-	const a, b, c = 3675.0 / 64, -735.0 / 8, 105.0 / 8
-	return &algebraic{
-		name: "algebraic6", order: 6,
-		a: a, b: b, c: c, p: 13.0 / 2,
-		q: func(t float64) float64 {
-			t2 := t * t
-			t3 := t2 * t
-			ia := t3 * (1.0/3 + t2*(-4.0/5+t2*(6.0/7+t2*(-4.0/9+t2*(1.0/11)))))
-			ib := t3 * t2 * (1.0/5 + t2*(-3.0/7+t2*(1.0/3+t2*(-1.0/11))))
-			ic := t3 * t2 * t2 * (1.0/7 + t2*(-2.0/9+t2*(1.0/11)))
-			return a*ia + b*ib + c*ic
-		},
-	}
+	return newAlgebraic("algebraic6", 6, 3675.0/64, -735.0/8, 105.0/8, 6)
 }
 
 // gaussian is the second-order Gaussian kernel

@@ -75,6 +75,38 @@ func TestMomentConditions(t *testing.T) {
 	}
 }
 
+// The one table of the algebraic family: P_F and P_H of the paper's
+// kernel are the exact rationals of NUMERICS.md §1–2, P_F(1) = a/3 is
+// the core value F(0)σ³ = 4πζ(0)/3 for every member, and no coefficient
+// is negative (so neither Horner chain can cancel on 0 < w ≤ 1).
+func TestAlgebraicClosedFormTables(t *testing.T) {
+	const inv4pi = 1 / (4 * math.Pi)
+	k := Algebraic6().(*algebraic)
+	if want := [5]float64{1, 3.0 / 2, 15.0 / 8, 0, 945.0 / 64}; k.pf != want {
+		t.Errorf("algebraic6: P_F = %v, want %v", k.pf, want)
+	}
+	b := NewVortexBatch(Pairwise{Sm: k, Sigma: 1})
+	for i, h := range [5]float64{-3, -15.0 / 2, -105.0 / 8, 0, -10395.0 / 64} {
+		if b.hc[i] != -h*inv4pi || b.fc[i] != -k.pf[i]*inv4pi {
+			t.Errorf("algebraic6: folded tables at w^%d: F %v, H %v", i, b.fc[i], b.hc[i])
+		}
+	}
+	for _, sm := range allKernels() {
+		k, ok := sm.(*algebraic)
+		if !ok {
+			continue
+		}
+		if got := horner(&k.pf, 1); math.Abs(got-k.a/3) > 1e-14*k.a {
+			t.Errorf("%s: P_F(1) = %v, want a/3 = %v", k.name, got, k.a/3)
+		}
+		for i, f := range k.pf {
+			if f < 0 {
+				t.Errorf("%s: P_F coefficient of w^%d is %v < 0", k.name, i, f)
+			}
+		}
+	}
+}
+
 func TestQLimits(t *testing.T) {
 	for _, k := range allKernels() {
 		if got := k.Q(0); got != 0 {

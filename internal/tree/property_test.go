@@ -85,7 +85,7 @@ func TestPropertyThetaZeroIsDirectSum(t *testing.T) {
 		sys := particle.RandomVortexBlob(150, 0.2, seed)
 		n := sys.N()
 		tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
-		pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma}
+		pw := algebraic6Batch(sys.Sigma)
 		var inter, accepts int64
 		for q := 0; q < n; q++ {
 			res := tr.VortexAtNodeMAC(MACBarnesHut, tr.Root, sys.Particles[q].Pos, 0, q, pw, true)
@@ -111,7 +111,7 @@ func TestPropertyMACCounterConsistency(t *testing.T) {
 			sys := particle.RandomVortexBlob(200, 0.15, seed)
 			n := sys.N()
 			tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
-			pw := kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma}
+			pw := algebraic6Batch(sys.Sigma)
 			for q := 0; q < n; q++ {
 				res := tr.VortexAtNodeMAC(MACBarnesHut, tr.Root, sys.Particles[q].Pos, theta, q, pw, true)
 				p2p := res.Interactions - res.CellAccepts

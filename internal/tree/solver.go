@@ -69,6 +69,7 @@ type Solver struct {
 	// capacity, so the single-worker hot path is allocation-free in
 	// steady state.
 	arenaV, arenaC Arena
+	vb             kernel.VortexBatch // this Eval's pair kernel (σ is the system's)
 	groupsBuf      []int32
 	scratchList    InteractionList
 	busyBuf        [1]float64
@@ -115,7 +116,8 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
 		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex, Layout: s.Layout})
 	s.LastTree = t
-	pw := kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma}
+	s.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma})
+	vb := &s.vb
 	if s.Traversal == TraversalRecursive {
 		s.LastSched = sched.Stats{}
 		var inter atomic.Int64
@@ -124,7 +126,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 			var local int64
 			for q := lo; q < hi; q++ {
 				p := &sys.Particles[q]
-				res := t.VortexAtNodeMAC(s.MAC, t.Root, p.Pos, s.Theta, q, pw, s.Dipole)
+				res := t.VortexAtNodeMAC(s.MAC, t.Root, p.Pos, s.Theta, q, vb, s.Dipole)
 				vel[q] = res.U
 				stretch[q] = s.Scheme.Stretch(res.Grad, p.Alpha)
 				local += res.Interactions
@@ -143,7 +145,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 		t0 := telemetry.Wall()
 		var local int64
 		for _, g := range groups {
-			local += s.evalVortexGroup(t, sys, vel, stretch, pw, g, &s.scratchList)
+			local += s.evalVortexGroup(t, sys, vel, stretch, vb, g, &s.scratchList)
 		}
 		s.busyBuf[0] = telemetry.Wall() - t0
 		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
@@ -156,7 +158,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 		list := GetInteractionList()
 		var local int64
 		for gi := lo; gi < hi; gi++ {
-			local += s.evalVortexGroup(t, sys, vel, stretch, pw, groups[gi], list)
+			local += s.evalVortexGroup(t, sys, vel, stretch, vb, groups[gi], list)
 		}
 		PutInteractionList(list)
 		inter.Add(local)
@@ -168,7 +170,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 // list (reset first) and evaluates every particle of the group against
 // it, writing results by original index. Returns the interaction
 // count.
-func (s *Solver) evalVortexGroup(t *Tree, sys *particle.System, vel, stretch []vec.Vec3, pw kernel.Pairwise, g int32, list *InteractionList) int64 {
+func (s *Solver) evalVortexGroup(t *Tree, sys *particle.System, vel, stretch []vec.Vec3, vb *kernel.VortexBatch, g int32, list *InteractionList) int64 {
 	nd := &t.Nodes[g]
 	list.Reset()
 	gc, ge := t.GroupBounds(nd.First, nd.Count)
@@ -177,7 +179,7 @@ func (s *Solver) evalVortexGroup(t *Tree, sys *particle.System, vel, stretch []v
 	for i := nd.First; i < nd.First+nd.Count; i++ {
 		orig := t.Order[i]
 		p := &sys.Particles[orig]
-		res := t.EvalVortexList(list, s.MAC, s.Theta, p.Pos, orig, pw, s.Dipole)
+		res := t.EvalVortexList(list, s.MAC, s.Theta, p.Pos, orig, vb, s.Dipole)
 		vel[orig] = res.U
 		stretch[orig] = s.Scheme.Stretch(res.Grad, p.Alpha)
 		local += res.Interactions

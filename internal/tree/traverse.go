@@ -113,7 +113,7 @@ type VortexResult struct {
 // all accumulate through its three legs, in the order they meet the
 // cells, so they sum the same terms in the same order.
 type vortexEval struct {
-	b           kernel.VortexBatch
+	b           *kernel.VortexBatch
 	acc         kernel.VortexAcc
 	cellAccepts int64
 	rejects     int64
@@ -123,12 +123,11 @@ type vortexEval struct {
 // first-order term of the multipole expansion of the Biot-Savart
 // kernel around the cell centroid. It always uses the singular (q = 1)
 // kernel and has no zero-separation guard: accepted cells are well
-// separated (dist > 0).
+// separated (dist > 0). One reciprocal of |r| gives both powers.
 func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
-	r2 := rx*rx + ry*ry + rz*rz
-	r1 := math.Sqrt(r2)
-	r3 := r2 * r1
-	r5 := r3 * r2
+	inv := 1 / math.Sqrt(rx*rx+ry*ry+rz*rz)
+	inv2 := inv * inv
+	tf := inv2 * inv // 1/|r|³
 	// w_k = Σ_j r_j D_{jk}
 	wx := dip[0][0]*rx + dip[1][0]*ry + dip[2][0]*rz
 	wy := dip[0][1]*rx + dip[1][1]*ry + dip[2][1]*rz
@@ -137,11 +136,10 @@ func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
 	cx := dip[1][2] - dip[2][1]
 	cy := dip[2][0] - dip[0][2]
 	cz := dip[0][1] - dip[1][0]
-	s := 3 / r5
+	s := 3 * tf * inv2 // 3/|r|⁵
 	ux := s * (ry*wz - rz*wy)
 	uy := s * (rz*wx - rx*wz)
 	uz := s * (rx*wy - ry*wx)
-	tf := 1 / r3
 	ux = ux - tf*cx
 	uy = uy - tf*cy
 	uz = uz - tf*cz
@@ -167,7 +165,7 @@ func VortexFar(acc *kernel.VortexAcc, b *kernel.VortexBatch, nd *Node, x vec.Vec
 }
 
 func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
-	VortexFar(&e.acc, &e.b, nd, x, useDipole)
+	VortexFar(&e.acc, e.b, nd, x, useDipole)
 	e.cellAccepts++
 }
 
@@ -276,14 +274,14 @@ func (t *Tree) skipLane(skipOrig int) int {
 // below a branch node. skipOrig, when ≥ 0, excludes the particle with
 // that original index (the target itself). useDipole enables the dipole
 // correction of accepted cells.
-func (t *Tree) VortexAtNode(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	return t.VortexAtNodeMAC(MACBarnesHut, start, x, theta, skipOrig, pw, useDipole)
+func (t *Tree) VortexAtNode(start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+	return t.VortexAtNodeMAC(MACBarnesHut, start, x, theta, skipOrig, b, useDipole)
 }
 
 // VortexAtNodeMAC is VortexAtNode with a selectable acceptance
 // criterion (reference [30] variants).
-func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	e := vortexEval{b: kernel.NewVortexBatch(pw)}
+func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+	e := vortexEval{b: b}
 	e.walk(t, mac, int32(start), x, theta, t.skipLane(skipOrig), useDipole)
 	return e.result(0)
 }
@@ -293,8 +291,8 @@ func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64
 // sums, ambiguous items via the exact per-particle walk accumulating
 // into the running result. The summation order is identical to
 // VortexAtNodeMAC on the subtree the list was built from.
-func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipOrig int, pw kernel.Pairwise, useDipole bool) VortexResult {
-	e := vortexEval{b: kernel.NewVortexBatch(pw)}
+func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+	e := vortexEval{b: b}
 	skipSorted := t.skipLane(skipOrig)
 	for _, it := range list.Items {
 		switch it.Kind {
@@ -324,9 +322,9 @@ func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64,
 // far fraction stays substantial even for small ensembles. A target's
 // own leaf always fails the MAC (the target sits inside the cell, so
 // s/d > 1), hence self-interactions cannot leak into the far part.
-func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int, pw kernel.Pairwise, useDipole, computeFar bool) (near, far VortexResult) {
-	en := vortexEval{b: kernel.NewVortexBatch(pw)}
-	ef := vortexEval{b: en.b}
+func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole, computeFar bool) (near, far VortexResult) {
+	en := vortexEval{b: b}
+	ef := vortexEval{b: b}
 	skipSorted := t.skipLane(skipOrig)
 	theta2 := theta * theta
 	sp := getStack()

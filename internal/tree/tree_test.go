@@ -12,6 +12,13 @@ import (
 	"repro/internal/vec"
 )
 
+// algebraic6Batch is the paper's pair kernel at core size sigma, as the
+// per-target evaluators take it.
+func algebraic6Batch(sigma float64) *kernel.VortexBatch {
+	b := kernel.NewVortexBatch(kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sigma})
+	return &b
+}
+
 func TestMortonRoundTripProperty(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		x &= 0x1fffff
@@ -324,7 +331,7 @@ func TestSingleParticleTree(t *testing.T) {
 	if !tr.Nodes[tr.Root].Leaf {
 		t.Fatal("single particle should be a leaf root")
 	}
-	res := tr.VortexAtNode(tr.Root, vec.V3(2, 2, 2), 0.5, -1, kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: 1}, true)
+	res := tr.VortexAtNode(tr.Root, vec.V3(2, 2, 2), 0.5, -1, algebraic6Batch(1), true)
 	if res.U.Norm() == 0 {
 		t.Fatal("expected nonzero induced velocity")
 	}
