@@ -120,20 +120,24 @@ func stateHash(sys *System) uint64 {
 // TestSpaceTimePinnedAcrossCommits: TestSpaceTimeDeterminism compares
 // a run with itself and cannot see drift between commits. This pins
 // the final state of the 2×2 run — a storage-only change must
-// reproduce it bit for bit. Re-pinned in PR 24, the one change allowed
-// to move it: the algebraic pair kernel became the closed w-form (one
-// square root, one division per pair; DESIGN.md §14), which differs
-// from the quotient form by ≤ 1.3e-11 per pair. 0x83256eb332e02aab was
-// the value from 24e9cfc (before PR 16's arena) up to PR 21. amd64
-// only: arm64 fuses multiply-add, so its bits legitimately differ.
+// reproduce it bit for bit. Last re-pinned when hot began evaluating
+// its locally essential tree as one grafted tree.Tree: each target now
+// sums every term into one accumulator, where it used to add each
+// local branch cell's sub-result to a running sum — the same terms in
+// the same order, associated differently, with every MAC decision and
+// count unchanged (DESIGN.md §14). The value before that was
+// 0x37bb4f09ff19ab1f, pinned when the algebraic pair kernel became the
+// closed w-form (≤ 1.3e-11 per pair from the quotient form), and
+// before that 0x83256eb332e02aab, from 24e9cfc. amd64 only: arm64
+// fuses multiply-add, so its bits legitimately differ.
 func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
 	}
 	out, _ := runOnce(t, 2, 2)
-	const want uint64 = 0x37bb4f09ff19ab1f
+	const want uint64 = 0xe24865c0aea75178
 	if got := stateHash(out); got != want {
-		t.Fatalf("final state hash %#x, want %#x (pinned at PR 24)", got, want)
+		t.Fatalf("final state hash %#x, want %#x (pinned at the graft)", got, want)
 	}
 }
 

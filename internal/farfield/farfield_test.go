@@ -41,10 +41,11 @@ func TestRefreshEveryOneCloseToTree(t *testing.T) {
 
 // TestSplitCountsMatchWalk ties the near/far split to the standard
 // walk on one tree. With one particle per leaf an accepted leaf is one
-// interaction either way, so near + far must reproduce VortexAtNode's
-// interaction and reject counts exactly and its field to rounding (the
+// interaction either way, so near + far must reproduce the tree
+// solver's per-particle walk on the same tree — its interaction count
+// per target and its reject total exactly, its field to rounding (the
 // split reads an accepted leaf as a monopole at the leaf centroid, the
-// walk reads its particle), and the solver at RefreshEvery = 1 must
+// walk reads its particle) — and the solver at RefreshEvery = 1 must
 // report the same total.
 func TestSplitCountsMatchWalk(t *testing.T) {
 	sys := particle.SphericalVortexSheet(particle.ScaledSheet(200))
@@ -59,26 +60,30 @@ func TestSplitCountsMatchWalk(t *testing.T) {
 	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 1, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
 	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma})
 	pw := &vb
-	var total int64
+	ts := tree.NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+	ts.Traversal = tree.TraversalRecursive
+	ts.Workers = 1
+	refVel, refStr, work := make([]vec.Vec3, n), make([]vec.Vec3, n), make([]float64, n)
+	total, _, refRejects := ts.EvalGroups(tr, tr.Groups(1), refVel, refStr, work)
+	var rejects int64
 	for q, p := range sys.Particles {
 		near, far := tr.VortexAtSplit(tr.Root, p.Pos, theta, q, pw, true, true)
-		ref := tr.VortexAtNode(tr.Root, p.Pos, theta, q, pw, true)
-		if got := near.Interactions + far.Interactions; got != ref.Interactions {
-			t.Fatalf("target %d: near+far = %d interactions, walk %d", q, got, ref.Interactions)
-		}
-		if got := near.Rejects + far.Rejects; got != ref.Rejects {
-			t.Fatalf("target %d: near+far = %d rejects, walk %d", q, got, ref.Rejects)
+		if got := near.Interactions + far.Interactions; float64(got) != work[q] {
+			t.Fatalf("target %d: near+far = %d interactions, walk %v", q, got, work[q])
 		}
 		if far.CellAccepts != far.Interactions || near.CellAccepts != 0 {
 			t.Fatalf("target %d: accepts on the wrong side (near %d, far %d of %d)", q, near.CellAccepts, far.CellAccepts, far.Interactions)
 		}
-		if d := near.U.Add(far.U).Sub(ref.U).Norm(); d > 1e-12*(1+ref.U.Norm()) {
+		if d := near.U.Add(far.U).Sub(refVel[q]).Norm(); d > 1e-12*(1+refVel[q].Norm()) {
 			t.Fatalf("target %d: near+far velocity off the walk by %g", q, d)
 		}
 		if vel[q] != near.U.Add(far.U) {
 			t.Fatalf("target %d: solver velocity %v is not near+far %v", q, vel[q], near.U.Add(far.U))
 		}
-		total += ref.Interactions
+		rejects += near.Rejects + far.Rejects
+	}
+	if rejects != refRejects {
+		t.Fatalf("near+far = %d rejects, walk %d", rejects, refRejects)
 	}
 	if got := ff.Stats().Interactions; got != total {
 		t.Fatalf("solver counted %d interactions at RefreshEvery=1, walks %d", got, total)

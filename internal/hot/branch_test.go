@@ -213,46 +213,65 @@ func TestPrefetchIsConservative(t *testing.T) {
 // TestUnresolvedRemoteCellIsTypedPanic: the traversal has no way to
 // ask for a cell, so reaching a remote cell the exchange did not
 // resolve must stop the rank with a panic that names the cell, its
-// owner and the rank — from either walk, for a leaf (no particles) and
-// an internal cell (no children) alike.
+// owner and the rank — from either traversal of either discipline, on
+// one goroutine or on worker goroutines, for a leaf (no particles) and
+// an internal cell (no children) alike. The case is grafted by the
+// production graft: rank 0's particles in octant 0, one per leaf (three
+// target groups, so three workers each reach the cell), and rank 1's
+// branch cell in octant 5 arriving with no prefetch reply.
 func TestUnresolvedRemoteCellIsTypedPanic(t *testing.T) {
 	const childKey = 1<<3 | 5 // child 5 of the root
+	type tc struct {
+		leaf    bool
+		disc    tree.Discipline
+		trav    tree.TraversalMode
+		threads int
+	}
+	var cases []tc
 	for _, leaf := range []bool{true, false} {
-		for _, walk := range []string{"vortex", "coulomb", "list"} {
-			s := &Solver{cfg: defaultCfg(0)}
-			a := &s.arena
-			a.reset(2, 1)
-			root := a.cells.insert(1)
-			*root = gcell{pkey: 1, owner: -1, childLo: 0, childN: 1, partLo: -1}
-			root.nd.Count, root.nd.Size = 3, 1
-			a.childKeys = append(a.childKeys, childKey)
-			g := a.cells.insert(childKey)
-			*g = gcell{pkey: childKey, owner: 1, childLo: -1, partLo: -1}
-			g.nd.Count, g.nd.Size, g.nd.Leaf = 3, 0.5, leaf
-			rt := &evalRT{s: s, a: a, me: 0, disc: tree.Vortex}
-			sc := &a.scratch[0]
-			var got any
-			func() {
-				defer func() { got = recover() }()
-				x := vec.V3(0.1, 0.2, 0.3)
-				switch walk {
-				case "vortex":
-					rt.vortexWalk(sc, new(vortexAcc), 1, x, -1)
-				case "coulomb":
-					rt.disc = tree.Coulomb
-					rt.coulombWalk(sc, new(coulombAcc), 1, x, -1)
-				case "list":
-					rt.buildGroupList(sc, x, vec.V3(0.01, 0.01, 0.01))
-					rt.vortexAtList(sc, new(vortexAcc), x, -1)
+		for _, disc := range []tree.Discipline{tree.Vortex, tree.Coulomb} {
+			for _, trav := range []tree.TraversalMode{tree.TraversalList, tree.TraversalRecursive} {
+				for _, threads := range []int{0, 3} {
+					cases = append(cases, tc{leaf, disc, trav, threads})
 				}
-			}()
-			want := unresolvedCell{pkey: childKey, owner: 1, rank: 0}
-			if got != want {
-				t.Fatalf("leaf=%v %s walk: recovered %v, want %v", leaf, walk, got, want)
 			}
-			if msg := want.Error(); !strings.Contains(msg, "rank 0") || !strings.Contains(msg, "cell d ") || !strings.Contains(msg, "rank 1") {
-				t.Fatalf("message does not name the cell, its owner and the rank: %q", msg)
-			}
+		}
+	}
+	for _, c := range cases {
+		cfg := defaultCfg(0)
+		cfg.Traversal = c.trav
+		cfg.Threads = c.threads
+		cfg.LeafCap = 1
+		s := New(nil, cfg)
+		a := &s.arena
+		a.reset(2)
+		rt := &evalRT{s: s, a: a, me: 0, disc: c.disc, local: &a.local, stats: &s.Last,
+			dom: tree.NewDomain(vec.V3(0, 0, 0), vec.V3(1, 1, 1))}
+		a.local.Sigma = 0.1
+		for _, x := range []vec.Vec3{vec.V3(0.1, 0.1, 0.1), vec.V3(0.2, 0.15, 0.1), vec.V3(0.1, 0.3, 0.2)} {
+			a.local.Particles = append(a.local.Particles, particle.Particle{Pos: x, Alpha: vec.V3(0, 0, 1), Charge: 1})
+		}
+		rt.myLo, rt.myHi = tree.KeyRange(1 << 3) // octant 0
+		rt.buildLocal()
+		a.branches = appendBranchNodes(a.branches[:0], rt.ltree, rt.ltree.Root, rt.myLo, rt.myHi)
+		var mine []byte
+		for _, idx := range a.branches {
+			mine = encodeCell(mine, &rt.ltree.Nodes[idx], c.disc)
+		}
+		prefix, level := tree.PKeyPrefix(childKey)
+		remote := tree.Node{Prefix: prefix, Level: level, Count: 3, Leaf: c.leaf, Centroid: vec.V3(0.75, 0.25, 0.75)}
+		rt.graft([][]byte{mine, encodeCell(nil, &remote, c.disc)}, nil)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			rt.traverse()
+		}()
+		want := unresolvedCell{pkey: childKey, owner: 1, rank: 0}
+		if got != want {
+			t.Fatalf("%+v: recovered %v, want %v", c, got, want)
+		}
+		if msg := want.Error(); !strings.Contains(msg, "rank 0") || !strings.Contains(msg, "cell d ") || !strings.Contains(msg, "rank 1") {
+			t.Fatalf("message does not name the cell, its owner and the rank: %q", msg)
 		}
 	}
 }

@@ -130,11 +130,12 @@ func appendParticleLanes(l *particle.SoA, b []byte, disc tree.Discipline) {
 
 // decodeCell reads one cell record into nd, overwriting it completely,
 // and returns the cell's placeholder key; geometry (Center, Size,
-// Level, Prefix) is reconstructed from the key and the domain.
+// Level, Prefix) is reconstructed from the key and the domain, and the
+// cell has no children.
 func decodeCell(nd *tree.Node, b []byte, disc tree.Discipline, dom tree.Domain) uint64 {
 	pkey := binary.LittleEndian.Uint64(b[0:])
 	meta := binary.LittleEndian.Uint64(b[8:])
-	*nd = tree.Node{}
+	*nd = tree.Node{Children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}}
 	prefix, level := tree.PKeyPrefix(pkey)
 	nd.Prefix, nd.Level = prefix, level
 	nd.Count = int(meta >> 1)

@@ -12,31 +12,32 @@
 //  2. Local tree construction over the rank's particles (package tree),
 //     with cells forced to subdivide across ownership boundaries.
 //  3. Branch-node exchange: the minimal set of fully-owned cells
-//     covering each rank's key range is allgathered, every rank
-//     assembles the shared top of the global tree above the branches,
-//     and every rank ships each other rank, in one Alltoall, the cells
-//     below its branches that the receiver's targets may open under
-//     the MAC — the locally essential tree of Dubinski's parallel tree
-//     code, assembled before the walk (DESIGN.md §15).
-//  4. Tree traversal with the MAC s/d ≤ θ over that tree. The
-//     traversal never communicates: the cell table is read-only by
-//     then, so the node-level workers (PEPC's Pthreads layer) share it
-//     without a lock, and a remote cell the exchange did not ship is a
-//     bug reported by a typed panic.
+//     covering each rank's key range is allgathered, and every rank
+//     ships each other rank, in one Alltoall, the cells below its
+//     branches that the receiver's targets may open under the MAC.
+//     Each rank then grafts what it received onto its local tree —
+//     the other ranks' branches, the shared cells above all branches
+//     with merged moments, and the prefetched cells below the remote
+//     branches, installed by key — which makes the local tree the
+//     locally essential tree of Dubinski's parallel tree code, one
+//     tree.Tree, assembled before the walk (DESIGN.md §15).
+//  4. Tree traversal with the MAC s/d ≤ θ: tree.Solver evaluates the
+//     local targets against that tree, exactly as it evaluates a
+//     serial tree, on one goroutine or on the node-level workers
+//     (PEPC's Pthreads layer) that steal target groups. It never
+//     communicates: the tree is read-only by then, and a remote cell
+//     the exchange did not ship is a bug reported by a typed panic.
 //  5. Results are routed back to the particles' original owners, so
 //     the caller's particle layout (and therefore the ODE state carried
 //     by the time integrators) never changes.
 package hot
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -71,20 +72,18 @@ type Config struct {
 	WeightedBalance bool
 	// Threads is the number of traversal worker goroutines per rank —
 	// the worker half of PEPC's node-level Pthreads layer (Section
-	// III-A); the communicator thread's job is done by the prefetch
-	// before the workers start. Values ≤ 1 select the single-threaded
-	// path.
+	// III-A), tree.Solver's Workers; the communicator thread's job is
+	// done by the prefetch before the workers start. Values ≤ 1 select
+	// the single-threaded path.
 	Threads int
 	// Branch selects the allgather that carries the branch lists (and
 	// the rank boxes) in the branch-node exchange: BranchBatched (the
 	// zero value) or BranchRing. Results are bitwise identical either
 	// way.
 	Branch BranchMode
-	// Traversal selects the local evaluation strategy:
-	// tree.TraversalList (the default) amortizes one MAC walk per leaf
-	// group into near/far interaction lists and, in hybrid mode,
-	// schedules leaf groups with work stealing; tree.TraversalRecursive
-	// is the per-particle walk with static block splits.
+	// Traversal is tree.Solver.Traversal for the evaluation of the
+	// locally essential tree: tree.TraversalList (the default) or the
+	// per-particle tree.TraversalRecursive, bitwise equal.
 	Traversal tree.TraversalMode
 	// Tel, when non-nil, receives this rank's per-phase timings and
 	// work counters (see probe.go for the metric names). The registry
@@ -96,10 +95,9 @@ type Config struct {
 	// rebuild on detection). The rebuild loop is collective-free, so
 	// ranks may retry independently. Nil costs nothing.
 	Hook tree.BuildHook
-	// Layout is tree.BuildConfig.Layout for the local tree: LayoutSoA
-	// gathers its Morton-sorted lanes at build, LayoutAoS (the zero
-	// value) gathers each local leaf as the near leg meets it. Same
-	// kernel, bitwise-equal results (DESIGN.md §14).
+	// Layout is ignored: the locally essential tree always carries SoA
+	// lanes, because the remote leaves' particles exist only as lanes.
+	// The field stays while internal/bench names it.
 	Layout particle.Layout
 }
 
@@ -110,7 +108,7 @@ type Stats struct {
 	TotalBranches int   // branch nodes in the global tree
 	Interactions  int64 // MAC-accepted cells + direct particle pairs
 	Prefetched    int64 // remote cells resolved by the branch exchange
-	Steals        int64 // work-stealing operations of the hybrid traversal
+	Steals        int64 // work-stealing operations of the traversal workers
 
 	// MACAccepts and MACRejects split the traversal decisions: cells
 	// accepted as single interaction partners vs cells the MAC opened.
@@ -139,10 +137,8 @@ type Solver struct {
 	probe probe
 	meter *machine.Meter
 
-	// stealGrain is the work-stealing chunk size in leaf groups of the
-	// hybrid list traversal (≤0: automatic); only the stealing
-	// determinism test sets it.
-	stealGrain int
+	// ts evaluates the locally essential tree.
+	ts tree.Solver
 
 	// workWeights holds, per origin-local particle, the interaction
 	// count of the previous evaluation (WeightedBalance only).
@@ -158,7 +154,10 @@ func New(comm *mpi.Comm, cfg Config) *Solver {
 	if cfg.LeafCap < 1 {
 		cfg.LeafCap = 8
 	}
-	s := &Solver{comm: comm, cfg: cfg, probe: newProbe(cfg.Tel)}
+	s := &Solver{comm: comm, cfg: cfg, probe: newProbe(cfg.Tel), ts: tree.Solver{
+		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: cfg.Theta, Dipole: cfg.Dipole,
+		Workers: max(1, cfg.Threads), Traversal: cfg.Traversal,
+	}}
 	if cfg.Model != nil {
 		s.meter = machine.NewMeter(*cfg.Model, cfg.Tel)
 	}
@@ -204,14 +203,9 @@ func (s *Solver) Coulomb(sys *particle.System, pot []float64, f []vec.Vec3) {
 	s.run(sys, tree.Coulomb, nil, nil, pot, f)
 }
 
-// travCounts aggregates the traversal counters of a target range.
-type travCounts struct {
-	inter, accepts, rejects int64
-}
-
 // evalRT is the state of one evaluation on a rank. Its storage — the
-// local system and tree, the table of global cells, the remote-leaf
-// lanes, outputs and scratch — lives in the solver's arena.
+// local system, the locally essential tree and the outputs — lives in
+// the solver's arena.
 type evalRT struct {
 	s     *Solver
 	a     *evalArena
@@ -221,6 +215,9 @@ type evalRT struct {
 	dom   tree.Domain
 	ltree *tree.Tree // nil when the rank owns no particles
 	local *particle.System
+	// base is the number of local tree nodes: the graft appends the
+	// remote and shared cells from there on.
+	base int
 
 	// Inclusive key interval this rank owns after the decomposition.
 	myLo, myHi uint64
@@ -244,9 +241,8 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	s.Last = Stats{}
 	st := &s.Last
 	a := &s.arena
-	a.reset(s.comm.Size(), max(1, s.cfg.Threads))
+	a.reset(s.comm.Size())
 	a.local.Sigma = sys.Sigma
-	a.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.cfg.Sm, Sigma: sys.Sigma})
 	rt := &evalRT{
 		s: s, a: a, comm: s.comm, me: s.comm.Rank(), disc: disc,
 		local: &a.local,
@@ -352,7 +348,7 @@ func (rt *evalRT) buildLocal() {
 		Discipline: rt.disc,
 		Domain:     &rt.dom,
 		OwnedLo:    rt.myLo, OwnedHi: rt.myHi, OwnedSet: true,
-		Layout: s.cfg.Layout,
+		Layout: particle.LayoutSoA,
 	})
 	if s.meter != nil {
 		rt.comm.Advance(s.meter.TreeBuild(rt.local.N()))
@@ -360,10 +356,10 @@ func (rt *evalRT) buildLocal() {
 }
 
 // exchangeBranches is phase 4, the one place remote cells reach this
-// rank: every rank's branch nodes go into the cell table, the shared
-// top tree is merged above them, and the cells every other rank
-// pruned for this rank's box are installed below them. When it
-// returns the locally essential tree is complete and read-only.
+// rank: every rank's branch nodes and the cells every other rank
+// pruned for this rank's box arrive, and the graft makes them part of
+// the local tree. When it returns the locally essential tree is
+// complete and read-only.
 func (rt *evalRT) exchangeBranches() {
 	s, a, comm := rt.s, rt.a, rt.comm
 	a.branches = a.branches[:0]
@@ -393,18 +389,16 @@ func (rt *evalRT) exchangeBranches() {
 	prefetched := comm.Alltoall(a.prefetch)
 
 	total := 0
-	for owner, raw := range allBranches {
-		for off := 0; off+cellRecBytes <= len(raw); off += cellRecBytes {
-			rt.installCell(raw[off:], owner)
-			total++
-		}
+	for _, raw := range allBranches {
+		total += len(raw) / cellRecBytes
 	}
 	rt.stats.TotalBranches = total
 	if s.meter != nil {
 		comm.Advance(s.meter.Branches(total))
 	}
-	rt.buildTop()
-	rt.installPrefetch(prefetched)
+	if rt.ltree != nil { // a rank without particles has no targets
+		rt.graft(allBranches, prefetched)
+	}
 }
 
 // allgather is the exchange's allgather in the configured algorithm.
@@ -420,118 +414,51 @@ func (rt *evalRT) allgather(data []byte, overlap func()) [][]byte {
 	return rt.comm.Allgather(data)
 }
 
-// installCell decodes one cell record into the table as an unresolved
-// cell of the given owner.
-func (rt *evalRT) installCell(rec []byte, owner int) *gcell {
-	g := rt.a.cells.insert(binary.LittleEndian.Uint64(rec))
-	g.pkey = decodeCell(&g.nd, rec, rt.disc, rt.dom)
-	g.owner = owner
-	g.childLo, g.childN = -1, 0
-	g.partLo, g.partN = -1, 0
-	return g
-}
-
-// traverse is phase 5: every local target against the locally essential
-// tree — on one goroutine or on Threads workers, by interaction list or
-// per-particle walk. It communicates with no other rank.
+// traverse is phase 5: tree.Solver evaluates every local target group
+// against the locally essential tree — on one goroutine, or on Threads
+// workers stealing groups — writing outputs and per-target interaction
+// counts by local index. It communicates with no other rank.
 //
 //lint:hotpath the traverse phase: runs every target of every evaluation
 func (rt *evalRT) traverse() {
-	a := rt.a
+	s, a, ts := rt.s, rt.a, &rt.s.ts
 	n := rt.local.N()
+	a.workPer = grow(a.workPer, n)
+	if n == 0 {
+		return
+	}
+	// The target groups: the non-empty leaves of the local tree, all
+	// below this rank's branches, in Morton order.
+	a.groups = a.groups[:0]
+	for i := range rt.ltree.Nodes[:rt.base] {
+		if nd := &rt.ltree.Nodes[i]; nd.Leaf && nd.Count > 0 {
+			a.groups = append(a.groups, int32(i))
+		}
+	}
+	defer rt.reportUnresolved()
+	st := rt.stats
 	switch rt.disc {
 	case tree.Vortex:
 		a.outVel = grow(a.outVel, n)
 		a.outStr = grow(a.outStr, n)
+		st.Interactions, st.MACAccepts, st.MACRejects = ts.EvalGroups(rt.ltree, a.groups, a.outVel, a.outStr, a.workPer)
+		if s.meter != nil {
+			rt.comm.Advance(s.meter.Vortex(st.Interactions, float64(ts.LastSched.Workers)))
+		}
 	case tree.Coulomb:
 		a.outPot = grow(a.outPot, n)
 		a.outE = grow(a.outE, n)
-	}
-	a.workPer = grow(a.workPer, n)
-	// The list evaluator's target groups: the non-empty leaves of the
-	// local tree in Morton order.
-	list := rt.s.cfg.Traversal == tree.TraversalList && rt.ltree != nil
-	a.groups = a.groups[:0]
-	if list {
-		for i := range rt.ltree.Nodes {
-			if nd := &rt.ltree.Nodes[i]; nd.Leaf && nd.Count > 0 {
-				a.groups = append(a.groups, int32(i))
-			}
-		}
-	}
-	hybrid := rt.s.cfg.Threads > 1
-	var tc travCounts
-	switch {
-	case list && hybrid:
-		tc = rt.traverseHybridSched()
-	case list:
-		tc = rt.groupRange(0, 0, len(a.groups), 1)
-	case hybrid:
-		tc = rt.traverseHybrid()
-	default:
-		tc = rt.traverseRange(0, 0, n, 1)
-	}
-	st := rt.stats
-	st.Interactions += tc.inter
-	st.MACAccepts += tc.accepts
-	st.MACRejects += tc.rejects
-}
-
-// traverseRange evaluates local targets [lo, hi) by per-particle walks
-// from the root, as worker w. advanceDiv divides the modeled compute
-// charge (the node's workers traverse concurrently).
-//
-//lint:hotpath per-particle global traversal: runs once per target particle per evaluation
-func (rt *evalRT) traverseRange(w, lo, hi int, advanceDiv float64) travCounts {
-	var tc travCounts
-	sc := &rt.a.scratch[w]
-	for q := lo; q < hi; q++ {
-		rt.evalTarget(sc, false, q, advanceDiv, &tc)
-	}
-	return tc
-}
-
-// evalTarget evaluates local target q — against the worker's current
-// group list, or by a walk from the root — and stores its outputs,
-// work count and modeled cost.
-func (rt *evalRT) evalTarget(sc *travScratch, list bool, q int, advanceDiv float64, tc *travCounts) {
-	s, a := rt.s, rt.a
-	pq := &rt.local.Particles[q]
-	var inter int64
-	switch rt.disc {
-	case tree.Vortex:
-		var acc vortexAcc
-		if list {
-			rt.vortexAtList(sc, &acc, pq.Pos, q)
-		} else {
-			rt.vortexWalk(sc, &acc, 1, pq.Pos, q)
-		}
-		a.outVel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
-		a.outStr[q] = s.cfg.Scheme.Stretch(acc.grad(), pq.Alpha)
-		inter = acc.N
-		tc.accepts += acc.accepts
-		tc.rejects += acc.rejects
+		st.Interactions, st.MACAccepts, st.MACRejects = ts.CoulombGroups(rt.ltree, a.groups, s.cfg.Eps, a.outPot, a.outE, a.workPer)
 		if s.meter != nil {
-			rt.comm.Advance(s.meter.Vortex(inter, advanceDiv))
-		}
-	case tree.Coulomb:
-		var acc coulombAcc
-		if list {
-			rt.coulombAtList(sc, &acc, pq.Pos, q)
-		} else {
-			rt.coulombWalk(sc, &acc, 1, pq.Pos, q)
-		}
-		a.outPot[q] = acc.Phi
-		a.outE[q] = vec.V3(acc.EX, acc.EY, acc.EZ)
-		inter = acc.N
-		tc.accepts += acc.accepts
-		tc.rejects += acc.rejects
-		if s.meter != nil {
-			rt.comm.Advance(s.meter.Coulomb(inter, advanceDiv))
+			rt.comm.Advance(s.meter.Coulomb(st.Interactions, float64(ts.LastSched.Workers)))
 		}
 	}
-	tc.inter += inter
-	a.workPer[q] = float64(inter)
+	st.Steals = ts.LastSched.Steals
+	if s.cfg.Threads > 1 {
+		for _, b := range ts.LastSched.Busy {
+			s.probe.workerBusy.Observe(b)
+		}
+	}
 }
 
 // routeResults is phase 6: the work-imbalance diagnostic, then results
@@ -686,11 +613,11 @@ func ownedRange(splitters []uint64, rank, p int) (lo, hi uint64) {
 // appendBranchNodes walks the local tree below idx and appends the
 // highest cells fully contained in the rank's key interval (the PEPC
 // branch nodes).
-func appendBranchNodes(out []int, t *tree.Tree, idx int, lo, hi uint64) []int {
+func appendBranchNodes(out []int32, t *tree.Tree, idx int, lo, hi uint64) []int32 {
 	nd := &t.Nodes[idx]
 	clo, chi := tree.KeyRange(nd.PKey())
 	if clo >= lo && chi <= hi {
-		return append(out, idx)
+		return append(out, int32(idx))
 	}
 	if nd.Leaf {
 		panic(fmt.Sprintf("hot: leaf cell %d straddles ownership [%x,%x]", idx, lo, hi))
@@ -701,73 +628,6 @@ func appendBranchNodes(out []int, t *tree.Tree, idx int, lo, hi uint64) []int {
 		}
 	}
 	return out
-}
-
-// buildTop creates the shared cells above the branches and merges
-// their multipole moments bottom-up, so the root cell carries the
-// global moments on every rank. The top tree's links are the distinct
-// (parent, child) pairs on the branches' ancestor chains; sorted
-// deepest parent first, children ascending, each run of equal parents
-// is one shared cell whose children already exist.
-func (rt *evalRT) buildTop() {
-	a := rt.a
-	cells := &a.cells
-	if cells.n == 0 {
-		// The system is empty everywhere: an empty root.
-		g := cells.insert(1)
-		*g = gcell{pkey: 1, owner: -1, childLo: -1, partLo: -1}
-		return
-	}
-	edges := a.edges[:0]
-	for i := 0; i < cells.n; i++ {
-		for cur := cells.at(i).pkey; cur != 1; cur = tree.PKeyParent(cur) {
-			edges = append(edges, topEdge{parent: tree.PKeyParent(cur), child: cur})
-		}
-	}
-	slices.SortFunc(edges, func(x, y topEdge) int {
-		if x.parent != y.parent {
-			return cmp.Compare(y.parent, x.parent) // numerically larger pkey = deeper level
-		}
-		return cmp.Compare(x.child, y.child)
-	})
-	edges = slices.Compact(edges)
-	a.edges = edges
-	for lo := 0; lo < len(edges); {
-		pkey := edges[lo].parent
-		hi := lo + 1
-		for hi < len(edges) && edges[hi].parent == pkey {
-			hi++
-		}
-		run := edges[lo:hi]
-		lo = hi
-		if cells.get(pkey) != nil {
-			// A branch that is also an ancestor of another branch is
-			// impossible (branch cells are disjoint); guard anyway.
-			continue
-		}
-		var kids [8]*tree.Node
-		childLo := len(a.childKeys)
-		count := 0
-		for i, e := range run {
-			c := cells.get(e.child)
-			kids[i] = &c.nd
-			count += c.nd.Count
-			a.childKeys = append(a.childKeys, e.child)
-		}
-		prefix, level := tree.PKeyPrefix(pkey)
-		g := cells.insert(pkey)
-		*g = gcell{pkey: pkey, owner: -1, childLo: int32(childLo), childN: int32(len(run)), partLo: -1}
-		g.nd.Prefix, g.nd.Level = prefix, level
-		g.nd.Size = rt.dom.Size / float64(uint64(1)<<level)
-		g.nd.Center = rt.dom.CellCenter(prefix, level)
-		g.nd.Count = count
-		switch rt.disc {
-		case tree.Vortex:
-			tree.MergeVortex(&g.nd, kids[:len(run)])
-		case tree.Coulomb:
-			tree.MergeCoulomb(&g.nd, kids[:len(run)])
-		}
-	}
 }
 
 // unresolvedCell is the panic value of a traversal that reaches a
@@ -783,181 +643,23 @@ func (e unresolvedCell) Error() string {
 	return fmt.Sprintf("hot: rank %d reached cell %x of rank %d, which the branch exchange did not resolve", e.rank, e.pkey, e.owner)
 }
 
-// open returns the child keys of remote cell g, which the traversal is
-// about to descend into.
-func (rt *evalRT) open(g *gcell) []uint64 {
-	if g.childLo < 0 {
-		panic(unresolvedCell{pkey: g.pkey, owner: g.owner, rank: rt.me})
+// reportUnresolved, deferred by traverse, turns the tree's panic on
+// opening a cell without children — a remote cell of the graft that
+// no reply resolved — into the typed unresolvedCell naming the cell,
+// its owner and this rank.
+func (rt *evalRT) reportUnresolved() {
+	r := recover()
+	if r == nil {
+		return
 	}
-	return rt.a.childKeys[g.childLo : g.childLo+g.childN]
-}
-
-// vortexAcc is one target's running sum over the whole global tree:
-// the batched kernels' scalar accumulator plus the MAC counters they
-// do not track.
-type vortexAcc struct {
-	kernel.VortexAcc
-	accepts, rejects int64
-}
-
-// addLocal folds the local tree's result for one branch cell into the
-// running sum, component by component.
-func (v *vortexAcc) addLocal(sub *tree.VortexResult) {
-	v.UX += sub.U.X
-	v.UY += sub.U.Y
-	v.UZ += sub.U.Z
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			v.G[3*i+j] += sub.Grad[i][j]
-		}
-	}
-	v.N += sub.Interactions
-	v.accepts += sub.CellAccepts
-	v.rejects += sub.Rejects
-}
-
-// grad returns the accumulated velocity gradient (a pure bit copy).
-func (v *vortexAcc) grad() vec.Mat3 {
-	return vec.Mat3{
-		{v.G[0], v.G[1], v.G[2]},
-		{v.G[3], v.G[4], v.G[5]},
-		{v.G[6], v.G[7], v.G[8]},
-	}
-}
-
-// vortexFar folds one MAC-accepted global cell into acc through the
-// tree's far-field leg.
-func (rt *evalRT) vortexFar(acc *vortexAcc, g *gcell, x vec.Vec3) {
-	tree.VortexFar(&acc.VortexAcc, &rt.a.vb, &g.nd, x, rt.s.cfg.Dipole)
-	acc.accepts++
-}
-
-// leafLanes returns the lane range holding the particles of remote
-// leaf g (the lanes of the evaluation's discipline only).
-func (rt *evalRT) leafLanes(g *gcell) (v particle.SoA) {
-	if g.partLo < 0 {
-		panic(unresolvedCell{pkey: g.pkey, owner: g.owner, rank: rt.me})
-	}
-	l := &rt.a.lanes
-	lo, hi := g.partLo, g.partLo+g.partN
-	v.X, v.Y, v.Z = l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi]
-	switch rt.disc {
-	case tree.Vortex:
-		v.AX, v.AY, v.AZ = l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi]
-	case tree.Coulomb:
-		v.Q = l.Q[lo:hi]
-	}
-	return v
-}
-
-// vortexNear folds the particles of a resolved remote leaf into acc by
-// batched direct summation over the leaf's lane range.
-func (rt *evalRT) vortexNear(acc *vortexAcc, g *gcell, x vec.Vec3) {
-	l := rt.leafLanes(g)
-	rt.a.vb.AccumGradRange(&acc.VortexAcc, x.X, x.Y, x.Z, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, -1)
-}
-
-// vortexWalk runs the per-particle global traversal from the cell with
-// parent key startPk, accumulating into acc (it does not reset acc).
-// Local branch cells delegate to the local tree; remote cells were
-// resolved by the branch exchange. The list evaluator reuses this walk
-// for cells whose group-level MAC decision is ambiguous, which keeps
-// both evaluation strategies bitwise identical.
-func (rt *evalRT) vortexWalk(sc *travScratch, acc *vortexAcc, startPk uint64, x vec.Vec3, skipLocal int) {
-	theta := rt.s.cfg.Theta
-	theta2 := theta * theta
-	stack := append(sc.stack[:0], startPk)
-	for len(stack) > 0 {
-		pk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		g := rt.a.cells.get(pk)
-		if g == nil || g.nd.Count == 0 {
-			continue
-		}
-		if g.owner == rt.me {
-			idx := rt.ltree.FindCell(pk)
-			if idx < 0 {
-				panic("hot: local branch cell missing from local tree")
+	if nd, ok := r.(*tree.Node); ok {
+		for i := rt.base; i < len(rt.ltree.Nodes); i++ {
+			if &rt.ltree.Nodes[i] == nd {
+				panic(unresolvedCell{pkey: nd.PKey(), owner: int(rt.a.owner[i-rt.base]), rank: rt.me})
 			}
-			sub := rt.ltree.VortexAtNode(idx, x, theta, skipLocal, &rt.a.vb, rt.s.cfg.Dipole)
-			acc.addLocal(&sub)
-			continue
 		}
-		if !g.nd.Leaf && tree.MACSq(theta2, g.nd.Size*g.nd.Size, x.Sub(g.nd.Centroid).Norm2()) {
-			rt.vortexFar(acc, g, x)
-			continue
-		}
-		if g.nd.Leaf {
-			rt.vortexNear(acc, g, x)
-			continue
-		}
-		acc.rejects++
-		stack = append(stack, rt.open(g)...)
 	}
-	sc.stack = stack
-}
-
-// coulombAcc is vortexAcc for the Coulomb discipline.
-type coulombAcc struct {
-	kernel.CoulombAcc
-	accepts, rejects int64
-}
-
-func (c *coulombAcc) addLocal(sub *tree.CoulombResult) {
-	c.Phi += sub.Phi
-	c.EX += sub.E.X
-	c.EY += sub.E.Y
-	c.EZ += sub.E.Z
-	c.N += sub.Interactions
-	c.accepts += sub.CellAccepts
-	c.rejects += sub.Rejects
-}
-
-// coulombFar is vortexFar for the Coulomb discipline.
-func (rt *evalRT) coulombFar(acc *coulombAcc, g *gcell, x vec.Vec3) {
-	tree.CoulombFar(&acc.CoulombAcc, &g.nd, x)
-	acc.accepts++
-}
-
-// coulombNear is vortexNear for the Coulomb discipline.
-func (rt *evalRT) coulombNear(acc *coulombAcc, g *gcell, x vec.Vec3) {
-	l := rt.leafLanes(g)
-	kernel.AccumCoulombRange(&acc.CoulombAcc, x.X, x.Y, x.Z, rt.s.cfg.Eps, l.X, l.Y, l.Z, l.Q, -1)
-}
-
-// coulombWalk is vortexWalk for the Coulomb discipline.
-func (rt *evalRT) coulombWalk(sc *travScratch, acc *coulombAcc, startPk uint64, x vec.Vec3, skipLocal int) {
-	theta := rt.s.cfg.Theta
-	theta2 := theta * theta
-	stack := append(sc.stack[:0], startPk)
-	for len(stack) > 0 {
-		pk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		g := rt.a.cells.get(pk)
-		if g == nil || g.nd.Count == 0 {
-			continue
-		}
-		if g.owner == rt.me {
-			idx := rt.ltree.FindCell(pk)
-			if idx < 0 {
-				panic("hot: local branch cell missing from local tree")
-			}
-			sub := rt.ltree.CoulombAtNode(idx, x, theta, rt.s.cfg.Eps, skipLocal)
-			acc.addLocal(&sub)
-			continue
-		}
-		if !g.nd.Leaf && tree.MACSq(theta2, g.nd.Size*g.nd.Size, x.Sub(g.nd.Centroid).Norm2()) {
-			rt.coulombFar(acc, g, x)
-			continue
-		}
-		if g.nd.Leaf {
-			rt.coulombNear(acc, g, x)
-			continue
-		}
-		acc.rejects++
-		stack = append(stack, rt.open(g)...)
-	}
-	sc.stack = stack
+	panic(r)
 }
 
 // appendCellReply appends the reply record for local cell idx to out:
@@ -999,88 +701,4 @@ func (rt *evalRT) appendCellReply(out []byte, idx int) []byte {
 		}
 	}
 	return out
-}
-
-// applyReply installs the children (or inline particles) delivered for
-// cell g: child cells go into the table, their keys into the child-key
-// slab, and leaf particles straight into the lanes.
-func (rt *evalRT) applyReply(g *gcell, data []byte) {
-	a := rt.a
-	if binary.LittleEndian.Uint64(data[0:]) != g.pkey {
-		panic("hot: reply for unexpected cell")
-	}
-	nchild := int(binary.LittleEndian.Uint64(data[8:]))
-	off := 16
-	if nchild == 0 {
-		// Leaf reply: inline particles.
-		cnt := int(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		rt.appendLeafLanes(g, data[off:], cnt)
-		return
-	}
-	if nchild > 8 {
-		panic("hot: reply with more than eight children")
-	}
-	var kids [8]*gcell
-	childLo := len(a.childKeys)
-	for i := 0; i < nchild; i++ {
-		kids[i] = rt.installCell(data[off:], g.owner)
-		a.childKeys = append(a.childKeys, kids[i].pkey)
-		off += cellRecBytes
-	}
-	for _, k := range kids[:nchild] {
-		if k.nd.Leaf {
-			off += rt.appendLeafLanes(k, data[off:], k.nd.Count)
-		}
-	}
-	g.childLo, g.childN = int32(childLo), int32(nchild)
-}
-
-// appendLeafLanes decodes cnt particle records from data into the
-// arena's lanes as the particles of remote leaf g, and returns the
-// bytes consumed.
-func (rt *evalRT) appendLeafLanes(g *gcell, data []byte, cnt int) int {
-	l := &rt.a.lanes
-	lo := len(l.X)
-	for i := 0; i < cnt; i++ {
-		appendParticleLanes(l, data[i*particleRecBytes:], rt.disc)
-	}
-	g.partLo, g.partN = int32(lo), int32(cnt)
-	return cnt * particleRecBytes
-}
-
-// traverseHybrid runs the per-particle walks on Threads worker
-// goroutines over static blocks of the local targets. The modeled
-// compute time is divided by the worker count: the node's cores
-// traverse concurrently.
-//
-//lint:coldpath once-per-evaluation worker fan-out (goroutines); the per-target work is rooted at traverseRange
-func (rt *evalRT) traverseHybrid() travCounts {
-	workers := rt.s.cfg.Threads
-	n := rt.local.N()
-	if workers > n && n > 0 {
-		workers = n
-	}
-	var inter, accepts, rejects atomic.Int64
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tc := rt.traverseRange(w, lo, hi, float64(workers))
-			inter.Add(tc.inter)
-			accepts.Add(tc.accepts)
-			rejects.Add(tc.rejects)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return travCounts{inter: inter.Load(), accepts: accepts.Load(), rejects: rejects.Load()}
 }

@@ -20,12 +20,6 @@ import (
 // original particle order, plus rank-0 stats.
 func runEval(t *testing.T, full *particle.System, p int, cfg Config) ([]vec.Vec3, []vec.Vec3, Stats) {
 	t.Helper()
-	return runEvalGrain(t, full, p, cfg, 0)
-}
-
-// runEvalGrain is runEval with an explicit work-stealing grain.
-func runEvalGrain(t *testing.T, full *particle.System, p int, cfg Config, grain int) ([]vec.Vec3, []vec.Vec3, Stats) {
-	t.Helper()
 	n := full.N()
 	vel := make([]vec.Vec3, n)
 	str := make([]vec.Vec3, n)
@@ -35,7 +29,6 @@ func runEvalGrain(t *testing.T, full *particle.System, p int, cfg Config, grain 
 		lv := make([]vec.Vec3, local.N())
 		ls := make([]vec.Vec3, local.N())
 		s := New(c, cfg)
-		s.stealGrain = grain
 		s.Eval(local, lv, ls)
 		if c.Rank() == 0 {
 			stats = s.Last
@@ -55,15 +48,12 @@ func runEvalGrain(t *testing.T, full *particle.System, p int, cfg Config, grain 
 	return vel, str, stats
 }
 
-// defaultCfg uses the production layout: core.levelSystem always
-// passes LayoutSoA, while the Config zero value is the AoS reference.
 func defaultCfg(theta float64) Config {
 	return Config{
 		Sm:     kernel.Algebraic6(),
 		Scheme: kernel.Transpose,
 		Theta:  theta,
 		Dipole: true,
-		Layout: particle.LayoutSoA,
 	}
 }
 

@@ -25,9 +25,9 @@ const (
 	// branches.
 	CounterPrefetched = "hot.prefetched"
 	// CounterSteals counts successful work-stealing operations of the
-	// hybrid traversal's scheduler (zero in synchronous or recursive
-	// mode). Deliberately NOT part of the determinism regression: the
-	// steal count depends on OS scheduling, the results do not.
+	// traversal workers' scheduler (zero with one worker). Deliberately
+	// NOT part of the determinism regression: the steal count depends
+	// on OS scheduling, the results do not.
 	CounterSteals = "hot.steals"
 
 	GaugeNLocal        = "hot.nlocal"

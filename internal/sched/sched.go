@@ -1,6 +1,6 @@
 // Package sched provides the work-stealing scheduler used by the
-// force evaluators (packages tree, direct and hot) to balance
-// irregular per-target cost across worker goroutines.
+// force evaluators (packages tree — and through it hot — and direct)
+// to balance irregular per-target cost across worker goroutines.
 //
 // The static block splits the evaluators used before ("go func(lo,
 // hi)") assign every worker an equal share of the target *indices*,
@@ -82,6 +82,8 @@ func unpack(b uint64) (int, int) { return int(b >> 32), int(uint32(b)) }
 // Each index is processed exactly once; the assignment of chunks to
 // workers is load-driven and not deterministic, so fn must only write
 // state owned by the indices it receives (plus commutative reductions).
+// A panic in fn stops every worker and is re-raised in the caller's
+// goroutine, so the caller recovers it as it would with one worker.
 // RunAligned is Run with every chunk boundary rounded to a multiple of
 // align (the final boundary n excepted): initial splits, claims and
 // steal split points all land on align multiples because the scheduler
@@ -198,13 +200,19 @@ func Run(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 		return false
 	}
 
+	var failed atomic.Pointer[any]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failed.CompareAndSwap(nil, &r)
+				}
+			}()
 			var busySec float64
-			for {
+			for failed.Load() == nil {
 				lo, hi, ok := claim(w)
 				if !ok {
 					if remaining.Load() == 0 {
@@ -227,5 +235,8 @@ func Run(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 		}(w)
 	}
 	wg.Wait()
+	if r := failed.Load(); r != nil {
+		panic(*r)
+	}
 	return Stats{Workers: workers, Steals: steals.Load(), Busy: busy}
 }

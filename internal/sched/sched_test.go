@@ -43,6 +43,32 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
+// TestRunRepanicsInCaller: a panic on a worker goroutine reaches the
+// caller with its value, whichever worker raised it, and Run returns
+// only after every worker stopped.
+func TestRunRepanicsInCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var running atomic.Int32
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			Run(workers, 64, 1, func(_, lo, _ int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if lo == 37 {
+					panic("chunk 37")
+				}
+			})
+		}()
+		if got != "chunk 37" {
+			t.Fatalf("workers=%d: recovered %v, want the worker's panic value", workers, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d chunks still running after Run returned", workers, n)
+		}
+	}
+}
+
 func TestRunChunksRespectGrain(t *testing.T) {
 	Run(4, 1000, 16, func(_, lo, hi int) {
 		if hi-lo > 16 {

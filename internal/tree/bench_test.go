@@ -27,5 +27,5 @@ func benchEval(b *testing.B, mode TraversalMode) {
 	b.ReportMetric(float64(s.LastSched.Steals), "steals")
 }
 
-func BenchmarkEvalListStealing(b *testing.B)    { benchEval(b, TraversalList) }
-func BenchmarkEvalRecursiveStatic(b *testing.B) { benchEval(b, TraversalRecursive) }
+func BenchmarkEvalList(b *testing.B)      { benchEval(b, TraversalList) }
+func BenchmarkEvalRecursive(b *testing.B) { benchEval(b, TraversalRecursive) }

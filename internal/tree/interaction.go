@@ -17,11 +17,11 @@ import (
 //
 // The group-level classification is conservative:
 //
-//   - GroupAccept: the cell passes the MAC for every possible target
+//   - groupAccept: the cell passes the MAC for every possible target
 //     in the group box → one far-field (particle–cell) item.
-//   - GroupOpen: the cell fails the MAC for every possible target →
+//   - groupOpen: the cell fails the MAC for every possible target →
 //     opened exactly as the per-particle walk would, children pushed.
-//   - GroupAmbiguous: the decision differs across the group box → the
+//   - groupAmbiguous: the decision differs across the group box → the
 //     item carries the cell and the evaluator falls back to the exact
 //     per-particle walk for that subtree.
 //
@@ -33,8 +33,8 @@ import (
 // which is what keeps the determinism regression green with the list
 // evaluator as the default.
 
-// TraversalMode selects how the tree and hot evaluators traverse the
-// tree.
+// TraversalMode selects how Solver (and through it package hot)
+// evaluates a target group.
 type TraversalMode int
 
 const (
@@ -42,7 +42,7 @@ const (
 	// emitting near/far interaction lists, evaluated in flat loops.
 	TraversalList TraversalMode = iota
 	// TraversalRecursive is the classic per-particle stack traversal —
-	// kept as the reference implementation and benchmark baseline.
+	// the oracle the list evaluator is held bitwise equal to.
 	TraversalRecursive
 )
 
@@ -65,16 +65,16 @@ func ParseTraversal(s string) (TraversalMode, error) {
 	}
 }
 
-// GroupClass is the outcome of the conservative group-level MAC test.
-type GroupClass int
+// groupClass is the outcome of the conservative group-level MAC test.
+type groupClass int
 
 const (
-	// GroupAccept: the MAC holds for every point of the group box.
-	GroupAccept GroupClass = iota
-	// GroupOpen: the MAC fails for every point of the group box.
-	GroupOpen
-	// GroupAmbiguous: the MAC outcome varies across the group box.
-	GroupAmbiguous
+	// groupAccept: the MAC holds for every point of the group box.
+	groupAccept groupClass = iota
+	// groupOpen: the MAC fails for every point of the group box.
+	groupOpen
+	// groupAmbiguous: the MAC outcome varies across the group box.
+	groupAmbiguous
 )
 
 // classifyMargin pushes marginal cells into the ambiguous (exact)
@@ -122,14 +122,12 @@ func boxBoxGap2(nd *Node, gc, ge vec.Vec3) float64 {
 	return g2
 }
 
-// ClassifyGroup performs the conservative group-level MAC test of cell
+// classifyGroup performs the conservative group-level MAC test of cell
 // nd against the group box (center gc, per-axis half-extents ge);
 // theta2 is θ². Callers pass the tight bounding box of the group's
 // particles (GroupBounds), which keeps the ambiguous fringe thin even
-// when the enclosing cell is mostly empty. It is exported so the
-// distributed evaluator (package hot) can reuse the exact same
-// classification for global cells.
-func ClassifyGroup(mac MACKind, theta2 float64, nd *Node, gc, ge vec.Vec3) GroupClass {
+// when the enclosing cell is mostly empty.
+func classifyGroup(mac MACKind, theta2 float64, nd *Node, gc, ge vec.Vec3) groupClass {
 	var s2, dmin2, dmax2 float64
 	switch mac {
 	case MACBMax:
@@ -148,12 +146,12 @@ func ClassifyGroup(mac MACKind, theta2 float64, nd *Node, gc, ge vec.Vec3) Group
 		dmin2, dmax2 = boxPointDist2(gc, ge, nd.Centroid)
 	}
 	if dmin2 > 0 && s2 <= theta2*dmin2*(1-classifyMargin) {
-		return GroupAccept
+		return groupAccept
 	}
 	if s2 > theta2*dmax2*(1+classifyMargin) {
-		return GroupOpen
+		return groupOpen
 	}
-	return GroupAmbiguous
+	return groupAmbiguous
 }
 
 // ItemKind tags one entry of an interaction list.
@@ -232,16 +230,12 @@ func (t *Tree) AppendInteractionList(list *InteractionList, mac MACKind, theta f
 			list.Items = append(list.Items, ListItem{Kind: ItemNear, Node: idx})
 			continue
 		}
-		switch ClassifyGroup(mac, theta2, nd, gc, ge) {
-		case GroupAccept:
+		switch classifyGroup(mac, theta2, nd, gc, ge) {
+		case groupAccept:
 			list.Items = append(list.Items, ListItem{Kind: ItemFar, Node: idx})
-		case GroupOpen:
+		case groupOpen:
 			list.Opens++
-			for _, ci := range nd.Children {
-				if ci >= 0 {
-					stack = append(stack, ci)
-				}
-			}
+			stack = open(stack, nd)
 		default:
 			list.Items = append(list.Items, ListItem{Kind: ItemAmbiguous, Node: idx})
 		}

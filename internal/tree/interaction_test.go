@@ -173,17 +173,17 @@ func TestClassifyGroupConservative(t *testing.T) {
 					if nd.Leaf || nd.Count == 0 {
 						continue
 					}
-					cls := ClassifyGroup(mac, theta2, nd, gc, ge)
-					if cls == GroupAmbiguous {
+					cls := classifyGroup(mac, theta2, nd, gc, ge)
+					if cls == groupAmbiguous {
 						continue
 					}
 					for _, x := range probes {
 						r2 := x.Sub(nd.Centroid).Norm2()
 						acc := mac.acceptsSq(theta2, nd, x, r2)
-						if cls == GroupAccept && !acc {
+						if cls == groupAccept && !acc {
 							t.Fatalf("mac=%v θ=%.1f: group accept but per-particle reject", mac, theta)
 						}
-						if cls == GroupOpen && acc {
+						if cls == groupOpen && acc {
 							t.Fatalf("mac=%v θ=%.1f: group open but per-particle accept", mac, theta)
 						}
 					}

@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -16,11 +15,12 @@ import (
 
 // Solver is the Barnes-Hut evaluator: every Eval rebuilds the tree for
 // the current particle positions (as PEPC does per force evaluation)
-// and evaluates the field at every target particle. By default targets
-// are processed leaf group by leaf group through the two-phase
-// interaction-list evaluator (see interaction.go) with work-stealing
-// scheduling; Traversal selects the classic per-particle recursive
-// walk instead.
+// and evaluates the field at every target particle. Targets are
+// processed group by group, scheduled with work stealing; by default
+// each group goes through the two-phase interaction-list evaluator (see
+// interaction.go), and Traversal selects the classic per-particle
+// recursive walk instead. EvalGroups and CoulombGroups are the
+// evaluation half alone, over a tree built elsewhere.
 type Solver struct {
 	// Sm and Scheme select the smoothing kernel and stretching form.
 	Sm     kernel.Smoothing
@@ -37,10 +37,10 @@ type Solver struct {
 	// MAC selects the acceptance criterion (default: classical
 	// Barnes-Hut, the paper's choice).
 	MAC MACKind
-	// Traversal selects the evaluator: TraversalList (default) builds
-	// one interaction list per leaf group and schedules groups with
-	// work stealing; TraversalRecursive is the per-particle walk with
-	// static block splits.
+	// Traversal selects the evaluator of a target group: TraversalList
+	// (default) builds one interaction list per group, and
+	// TraversalRecursive walks the tree once per particle. Both sum the
+	// same terms in the same order, so results are bitwise equal.
 	Traversal TraversalMode
 	// GroupCap bounds the particles per target group of the list
 	// evaluator (≤0: max(LeafCap, 8)). Groups larger than a leaf
@@ -56,9 +56,8 @@ type Solver struct {
 	// kernel, bitwise-equal results (DESIGN.md §14).
 	Layout particle.Layout
 
-	// stealGrain is the work-stealing chunk size in leaf groups (≤0:
-	// automatic, ~4 chunks per worker); only the schedule-invariance
-	// test sets it.
+	// stealGrain is the work-stealing chunk size in target groups (≤0:
+	// automatic); only the schedule-invariance test sets it.
 	stealGrain int
 
 	evals        atomic.Int64
@@ -77,8 +76,8 @@ type Solver struct {
 	// LastTree is the tree of the most recent Eval (for inspection by
 	// experiments); it is overwritten on every call.
 	LastTree *Tree
-	// LastSched is the scheduler report of the most recent Eval (zero
-	// in recursive mode): steal count and per-worker busy seconds.
+	// LastSched is the scheduler report of the most recent evaluation:
+	// steal count and per-worker busy seconds.
 	LastSched sched.Stats
 }
 
@@ -104,7 +103,8 @@ func (s *Solver) Stats() field.Stats {
 }
 
 // Eval implements field.Evaluator: Barnes-Hut velocities and
-// stretching terms for all particles.
+// stretching terms for all particles — the tree build, then EvalGroups
+// over the target groups of every particle.
 //
 //lint:hotpath steady-state vortex evaluation: 0 allocs/op contract (BENCH_PR6, ci.sh layout lane)
 func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
@@ -116,75 +116,102 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
 		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex, Layout: s.Layout})
 	s.LastTree = t
-	s.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma})
-	vb := &s.vb
-	if s.Traversal == TraversalRecursive {
-		s.LastSched = sched.Stats{}
-		var inter atomic.Int64
-		//lint:ignore allocfree recursive multi-worker dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker list bypass
-		s.parallelRange(n, func(lo, hi int) {
-			var local int64
-			for q := lo; q < hi; q++ {
-				p := &sys.Particles[q]
-				res := t.VortexAtNodeMAC(s.MAC, t.Root, p.Pos, s.Theta, q, vb, s.Dipole)
-				vel[q] = res.U
-				stretch[q] = s.Scheme.Stretch(res.Grad, p.Alpha)
-				local += res.Interactions
-			}
-			inter.Add(local)
-		})
-		s.interactions.Add(inter.Load())
-		return
-	}
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
-	groups := s.groupsBuf
+	inter, _, _ := s.EvalGroups(t, s.groupsBuf, vel, stretch, nil)
+	s.interactions.Add(inter)
+}
+
+// EvalGroups evaluates velocities and stretching terms at the particles
+// of the target groups — cells of t, each a contiguous run of t.Order —
+// against the whole of t from t.Root: by interaction list per group or
+// by per-particle walk (Traversal), on one worker or on Workers with
+// work stealing over the groups. Each target's results, and with a
+// non-nil work its interaction count, are written at its index in the
+// system t was built over. It returns the interaction, MAC-accept and
+// MAC-reject totals; LastSched reports the schedule. Package hot
+// evaluates its locally essential tree through it, with the local cells
+// as the groups.
+//
+//lint:hotpath steady-state vortex evaluation: shares the zero-alloc single-worker bypass with Eval
+func (s *Solver) EvalGroups(t *Tree, groups []int32, vel, stretch []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
+	s.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: t.sys.Sigma})
 	if s.workerCount(len(groups)) == 1 {
 		// Single-worker bypass: no scheduler, no goroutines, no pool —
 		// with arena-backed build and the solver-held scratch list, a
 		// steady-state Eval performs zero heap allocations.
 		t0 := telemetry.Wall()
-		var local int64
+		var c counts
 		for _, g := range groups {
-			local += s.evalVortexGroup(t, sys, vel, stretch, vb, g, &s.scratchList)
+			c.add(s.evalVortexGroup(t, g, vel, stretch, work, &s.scratchList))
 		}
 		s.busyBuf[0] = telemetry.Wall() - t0
 		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
-		s.interactions.Add(local)
-		return
+		return c.inter, c.accepts, c.rejects
 	}
-	var inter atomic.Int64
+	var total atomicCounts
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker bypass above
 	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
 		list := GetInteractionList()
-		var local int64
+		var c counts
 		for gi := lo; gi < hi; gi++ {
-			local += s.evalVortexGroup(t, sys, vel, stretch, vb, groups[gi], list)
+			c.add(s.evalVortexGroup(t, groups[gi], vel, stretch, work, list))
 		}
 		PutInteractionList(list)
-		inter.Add(local)
+		total.add(c)
 	})
-	s.interactions.Add(inter.Load())
+	return total.load()
 }
 
-// evalVortexGroup builds the interaction list of one target group into
-// list (reset first) and evaluates every particle of the group against
-// it, writing results by original index. Returns the interaction
-// count.
-func (s *Solver) evalVortexGroup(t *Tree, sys *particle.System, vel, stretch []vec.Vec3, vb *kernel.VortexBatch, g int32, list *InteractionList) int64 {
+// counts are the work counters of a run of targets.
+type counts struct{ inter, accepts, rejects int64 }
+
+func (c *counts) add(d counts) {
+	c.inter += d.inter
+	c.accepts += d.accepts
+	c.rejects += d.rejects
+}
+
+// atomicCounts is counts summed across scheduler workers.
+type atomicCounts struct{ inter, accepts, rejects atomic.Int64 }
+
+func (c *atomicCounts) add(d counts) {
+	c.inter.Add(d.inter)
+	c.accepts.Add(d.accepts)
+	c.rejects.Add(d.rejects)
+}
+
+func (c *atomicCounts) load() (inter, accepts, rejects int64) {
+	return c.inter.Load(), c.accepts.Load(), c.rejects.Load()
+}
+
+// evalVortexGroup evaluates every particle of target group g — against
+// the group's interaction list, built into list, or by a walk from the
+// root — and writes its results by original index.
+func (s *Solver) evalVortexGroup(t *Tree, g int32, vel, stretch []vec.Vec3, work []float64, list *InteractionList) (c counts) {
 	nd := &t.Nodes[g]
-	list.Reset()
-	gc, ge := t.GroupBounds(nd.First, nd.Count)
-	t.AppendInteractionList(list, s.MAC, s.Theta, int32(t.Root), gc, ge)
-	var local int64
+	byList := s.Traversal == TraversalList
+	if byList {
+		list.Reset()
+		gc, ge := t.GroupBounds(nd.First, nd.Count)
+		t.AppendInteractionList(list, s.MAC, s.Theta, int32(t.Root), gc, ge)
+	}
 	for i := nd.First; i < nd.First+nd.Count; i++ {
 		orig := t.Order[i]
-		p := &sys.Particles[orig]
-		res := t.EvalVortexList(list, s.MAC, s.Theta, p.Pos, orig, vb, s.Dipole)
+		p := t.Particle(i)
+		var res VortexResult
+		if byList {
+			res = t.evalVortexList(list, s.MAC, s.Theta, p.Pos, i, &s.vb, s.Dipole)
+		} else {
+			res = t.vortexAt(s.MAC, int32(t.Root), p.Pos, s.Theta, i, &s.vb, s.Dipole)
+		}
 		vel[orig] = res.U
 		stretch[orig] = s.Scheme.Stretch(res.Grad, p.Alpha)
-		local += res.Interactions
+		if work != nil {
+			work[orig] = float64(res.Interactions)
+		}
+		c.add(counts{res.Interactions, res.CellAccepts, res.Rejects})
 	}
-	return local
+	return c
 }
 
 // workerCount is the number of workers an n-item schedule would use —
@@ -215,7 +242,7 @@ func (s *Solver) groupCap() int {
 }
 
 // Coulomb evaluates the softened Coulomb potential and field for all
-// particles with the tree.
+// particles with the tree: the build, then CoulombGroups.
 //
 //lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
 func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []vec.Vec3) {
@@ -227,94 +254,66 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	t := BuildArenaWithHook(s.Hook, &s.arenaC, sys,
 		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb, Layout: s.Layout})
 	s.LastTree = t
-	if s.Traversal == TraversalRecursive {
-		s.LastSched = sched.Stats{}
-		var inter atomic.Int64
-		//lint:ignore allocfree recursive multi-worker dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker list bypass
-		s.parallelRange(n, func(lo, hi int) {
-			var local int64
-			for q := lo; q < hi; q++ {
-				res := t.CoulombAtNode(t.Root, sys.Particles[q].Pos, s.Theta, eps, q)
-				pot[q] = res.Phi
-				f[q] = res.E
-				local += res.Interactions
-			}
-			inter.Add(local)
-		})
-		s.interactions.Add(inter.Load())
-		return
-	}
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
-	groups := s.groupsBuf
+	inter, _, _ := s.CoulombGroups(t, s.groupsBuf, eps, pot, f, nil)
+	s.interactions.Add(inter)
+}
+
+// CoulombGroups is EvalGroups for the Coulomb discipline, which always
+// uses the classical Barnes-Hut criterion.
+//
+//lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
+func (s *Solver) CoulombGroups(t *Tree, groups []int32, eps float64, pot []float64, f []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
 	if s.workerCount(len(groups)) == 1 {
 		t0 := telemetry.Wall()
-		var local int64
+		var c counts
 		for _, g := range groups {
-			local += s.evalCoulombGroup(t, sys, eps, pot, f, g, &s.scratchList)
+			c.add(s.evalCoulombGroup(t, g, eps, pot, f, work, &s.scratchList))
 		}
 		s.busyBuf[0] = telemetry.Wall() - t0
 		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
-		s.interactions.Add(local)
-		return
+		return c.inter, c.accepts, c.rejects
 	}
-	var inter atomic.Int64
+	var total atomicCounts
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker bypass above
 	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
 		list := GetInteractionList()
-		var local int64
+		var c counts
 		for gi := lo; gi < hi; gi++ {
-			local += s.evalCoulombGroup(t, sys, eps, pot, f, groups[gi], list)
+			c.add(s.evalCoulombGroup(t, groups[gi], eps, pot, f, work, list))
 		}
 		PutInteractionList(list)
-		inter.Add(local)
+		total.add(c)
 	})
-	s.interactions.Add(inter.Load())
+	return total.load()
 }
 
 // evalCoulombGroup is evalVortexGroup for the Coulomb discipline.
-func (s *Solver) evalCoulombGroup(t *Tree, sys *particle.System, eps float64, pot []float64, f []vec.Vec3, g int32, list *InteractionList) int64 {
+func (s *Solver) evalCoulombGroup(t *Tree, g int32, eps float64, pot []float64, f []vec.Vec3, work []float64, list *InteractionList) (c counts) {
 	nd := &t.Nodes[g]
-	list.Reset()
-	gc, ge := t.GroupBounds(nd.First, nd.Count)
-	t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
-	var local int64
+	byList := s.Traversal == TraversalList
+	if byList {
+		list.Reset()
+		gc, ge := t.GroupBounds(nd.First, nd.Count)
+		t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
+	}
 	for i := nd.First; i < nd.First+nd.Count; i++ {
 		orig := t.Order[i]
-		res := t.EvalCoulombList(list, s.Theta, eps, sys.Particles[orig].Pos, orig)
+		x := t.Particle(i).Pos
+		var res CoulombResult
+		if byList {
+			res = t.evalCoulombList(list, s.Theta, eps, x, i)
+		} else {
+			res = t.coulombAt(int32(t.Root), x, s.Theta, eps, i)
+		}
 		pot[orig] = res.Phi
 		f[orig] = res.E
-		local += res.Interactions
-	}
-	return local
-}
-
-func (s *Solver) parallelRange(n int, fn func(lo, hi int)) {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		if work != nil {
+			work[orig] = float64(res.Interactions)
 		}
-		wg.Add(1)
-		//lint:ignore allocfree one goroutine closure per worker per call; only the w<=1 path is on the zero-alloc contract
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		c.add(counts{res.Interactions, res.CellAccepts, res.Rejects})
 	}
-	wg.Wait()
+	return c
 }
 
 var _ field.Evaluator = (*Solver)(nil)

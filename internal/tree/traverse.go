@@ -149,23 +149,18 @@ func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
 	acc.UZ += k * uz
 }
 
-// VortexFar folds one MAC-accepted cell into acc as a single
+// far folds one MAC-accepted cell into the accumulator as a single
 // interaction: the multipole (monopole + optional dipole) of nd at
-// target x. It is the far-field leg of every vortex evaluator; package
-// hot calls it for the remote and shared cells of the global tree.
-func VortexFar(acc *kernel.VortexAcc, b *kernel.VortexBatch, nd *Node, x vec.Vec3, useDipole bool) {
+// target x — the far-field leg of every vortex evaluator.
+func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
 	rx := x.X - nd.Centroid.X
 	ry := x.Y - nd.Centroid.Y
 	rz := x.Z - nd.Centroid.Z
-	b.AccumGrad(acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
+	e.b.AccumGrad(&e.acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
 	if useDipole {
-		accumDipole(acc, rx, ry, rz, &nd.Dipole)
+		accumDipole(&e.acc, rx, ry, rz, &nd.Dipole)
 	}
-	acc.N++
-}
-
-func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
-	VortexFar(&e.acc, e.b, nd, x, useDipole)
+	e.acc.N++
 	e.cellAccepts++
 }
 
@@ -205,6 +200,25 @@ func (e *vortexEval) near(t *Tree, nd *Node, x vec.Vec3, skipSorted int) {
 		l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi], skip)
 }
 
+// open pushes the children of the MAC-rejected cell nd onto stack in
+// digit order. A non-empty cell without children is one whose subtree
+// the tree does not hold — only package hot's locally essential tree
+// has such cells, remote cells the branch exchange did not resolve —
+// and opening one panics with the cell instead of skipping its
+// particles silently.
+func open(stack []int32, nd *Node) []int32 {
+	n := len(stack)
+	for _, ci := range nd.Children {
+		if ci >= 0 {
+			stack = append(stack, ci)
+		}
+	}
+	if len(stack) == n {
+		panic(nd)
+	}
+	return stack
+}
+
 // walk runs the per-particle MAC traversal of the subtree rooted at
 // start, accumulating into e (it does not reset e). The
 // interaction-list evaluator calls it for cells whose group-level
@@ -228,11 +242,7 @@ func (e *vortexEval) walk(t *Tree, mac MACKind, start int32, x vec.Vec3, theta f
 				continue
 			}
 			e.rejects++
-			for _, ci := range nd.Children {
-				if ci >= 0 {
-					stack = append(stack, ci)
-				}
-			}
+			stack = open(stack, nd)
 			continue
 		}
 		e.near(t, nd, x, skipSorted)
@@ -268,32 +278,25 @@ func (t *Tree) skipLane(skipOrig int) int {
 	return int(t.sortedPos[skipOrig])
 }
 
-// VortexAtNode evaluates velocity and gradient at x by the per-particle
-// traversal of the subtree rooted at node start under the classical
-// Barnes-Hut criterion; the parallel tree uses it for the local part
-// below a branch node. skipOrig, when ≥ 0, excludes the particle with
-// that original index (the target itself). useDipole enables the dipole
-// correction of accepted cells.
-func (t *Tree) VortexAtNode(start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
-	return t.VortexAtNodeMAC(MACBarnesHut, start, x, theta, skipOrig, b, useDipole)
-}
-
-// VortexAtNodeMAC is VortexAtNode with a selectable acceptance
-// criterion (reference [30] variants).
-func (t *Tree) VortexAtNodeMAC(mac MACKind, start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+// vortexAt evaluates velocity and gradient at x by the per-particle
+// traversal of the subtree rooted at node start under the criterion
+// mac: the recursive evaluator, and the oracle the list evaluator is
+// held bitwise equal to. skipSorted, when ≥ 0, is the lane of a
+// particle to exclude (the target itself). useDipole enables the
+// dipole correction of accepted cells.
+func (t *Tree) vortexAt(mac MACKind, start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
-	e.walk(t, mac, int32(start), x, theta, t.skipLane(skipOrig), useDipole)
+	e.walk(t, mac, start, x, theta, skipSorted, useDipole)
 	return e.result(0)
 }
 
-// EvalVortexList evaluates one target at x against a prepared
+// evalVortexList evaluates one target at x against a prepared
 // interaction list: far items as multipoles, near items as direct
 // sums, ambiguous items via the exact per-particle walk accumulating
 // into the running result. The summation order is identical to
-// VortexAtNodeMAC on the subtree the list was built from.
-func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipOrig int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+// vortexAt on the subtree the list was built from.
+func (t *Tree) evalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
-	skipSorted := t.skipLane(skipOrig)
 	for _, it := range list.Items {
 		switch it.Kind {
 		case ItemFar:
@@ -307,7 +310,8 @@ func (t *Tree) EvalVortexList(list *InteractionList, mac MACKind, theta float64,
 	return e.result(list.Opens)
 }
 
-// VortexAtSplit is VortexAtNode with the result separated into the
+// VortexAtSplit is the classical Barnes-Hut walk of vortexAt with the
+// result separated into the
 // near field (direct leaf interactions) and the far field
 // (MAC-accepted cluster interactions), each summed by the same leg as
 // in every other evaluator. The split is the basis of the
@@ -392,18 +396,6 @@ func coulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	return phi, e
 }
 
-// CoulombFar folds one MAC-accepted cell's multipole expansion at
-// target x into acc as a single interaction — the far-field leg of
-// every Coulomb evaluator, package hot's included.
-func CoulombFar(acc *kernel.CoulombAcc, nd *Node, x vec.Vec3) {
-	phi, e := coulombCell(x.Sub(nd.Centroid), nd)
-	acc.Phi += phi
-	acc.EX += e.X
-	acc.EY += e.Y
-	acc.EZ += e.Z
-	acc.N++
-}
-
 // coulombEval is vortexEval for the Coulomb discipline, which always
 // uses the classical Barnes-Hut criterion.
 type coulombEval struct {
@@ -412,8 +404,15 @@ type coulombEval struct {
 	rejects     int64
 }
 
+// far folds one MAC-accepted cell's multipole expansion at target x
+// into the accumulator as a single interaction.
 func (e *coulombEval) far(nd *Node, x vec.Vec3) {
-	CoulombFar(&e.acc, nd, x)
+	phi, f := coulombCell(x.Sub(nd.Centroid), nd)
+	e.acc.Phi += phi
+	e.acc.EX += f.X
+	e.acc.EY += f.Y
+	e.acc.EZ += f.Z
+	e.acc.N++
 	e.cellAccepts++
 }
 
@@ -458,11 +457,7 @@ func (e *coulombEval) walk(t *Tree, start int32, x vec.Vec3, theta, eps float64,
 				continue
 			}
 			e.rejects++
-			for _, ci := range nd.Children {
-				if ci >= 0 {
-					stack = append(stack, ci)
-				}
-			}
+			stack = open(stack, nd)
 			continue
 		}
 		e.near(t, nd, x, eps, skipSorted)
@@ -481,18 +476,17 @@ func (e *coulombEval) result(opens int64) CoulombResult {
 	}
 }
 
-// CoulombAtNode evaluates the softened Coulomb potential and field at
-// x by the per-particle traversal of the subtree rooted at node start.
-func (t *Tree) CoulombAtNode(start int, x vec.Vec3, theta, eps float64, skipOrig int) CoulombResult {
+// coulombAt evaluates the softened Coulomb potential and field at x by
+// the per-particle traversal of the subtree rooted at node start.
+func (t *Tree) coulombAt(start int32, x vec.Vec3, theta, eps float64, skipSorted int) CoulombResult {
 	var e coulombEval
-	e.walk(t, int32(start), x, theta, eps, t.skipLane(skipOrig))
+	e.walk(t, start, x, theta, eps, skipSorted)
 	return e.result(0)
 }
 
-// EvalCoulombList is EvalVortexList for the Coulomb discipline.
-func (t *Tree) EvalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipOrig int) CoulombResult {
+// evalCoulombList is evalVortexList for the Coulomb discipline.
+func (t *Tree) evalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipSorted int) CoulombResult {
 	var e coulombEval
-	skipSorted := t.skipLane(skipOrig)
 	for _, it := range list.Items {
 		switch it.Kind {
 		case ItemFar:

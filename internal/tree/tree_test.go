@@ -331,7 +331,7 @@ func TestSingleParticleTree(t *testing.T) {
 	if !tr.Nodes[tr.Root].Leaf {
 		t.Fatal("single particle should be a leaf root")
 	}
-	res := tr.VortexAtNode(tr.Root, vec.V3(2, 2, 2), 0.5, -1, algebraic6Batch(1), true)
+	res := tr.vortexAt(MACBarnesHut, int32(tr.Root), vec.V3(2, 2, 2), 0.5, -1, algebraic6Batch(1), true)
 	if res.U.Norm() == 0 {
 		t.Fatal("expected nonzero induced velocity")
 	}
