@@ -71,8 +71,11 @@ rm -f "$alloc_out"
 # Kernel fuzz smoke: what is bitwise about a range (== its lanes fed in
 # order as single pairs, == itself cut at any lane, velocity loop ==
 # gradient loop's velocity) plus the oracle bound on every pair, over
-# random tails, denormal circulations and coincident sources.
+# random tails, denormal circulations and coincident sources; the
+# Coulomb range within 1 ulp of its scalar reference over random
+# softenings.
 go test -run '^$' -fuzz FuzzBatchGradRange -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 
 # Chaos lane: the fault-injection and resilience suites once more under
 # the race detector, -count=1 so cached passes don't mask flakiness in

@@ -27,7 +27,7 @@ func main() {
 		n          = flag.Int("n", 2000, "number of particles")
 		setup      = flag.String("setup", "scaled-sheet", "initial condition: sheet | scaled-sheet | blob")
 		solver     = flag.String("solver", "tree", "spatial solver: tree | direct")
-		theta      = flag.Float64("theta", 0.3, "tree MAC parameter")
+		theta      = flag.Float64("theta", 0.3, "tree MAC parameter (with -spacetime: the fine level's)")
 		integrator = flag.String("integrator", "sdc", "time integrator: rk1..rk4 | sdc")
 		sweeps     = flag.Int("sweeps", 4, "SDC sweeps per step")
 		t1         = flag.Float64("t1", 5, "final time")
@@ -38,6 +38,18 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write the final state to this file")
 	)
 	flag.Parse()
+	if *spacetime != "" {
+		// The space-time run has its own solver (the parallel tree at
+		// -theta) and integrator (PFASST); these flags would be ignored.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "solver", "integrator", "sweeps", "vtk":
+				fmt.Fprintf(os.Stderr, "nbody: -%s cannot be combined with -spacetime\n", f.Name)
+				flag.Usage()
+				os.Exit(2)
+			}
+		})
+	}
 
 	var sys *nbody.System
 	switch *setup {
@@ -61,6 +73,7 @@ func main() {
 			log.Fatalf("bad -spacetime %q (want PTxPS)", *spacetime)
 		}
 		cfg := nbody.DefaultSpaceTime(pt, ps)
+		cfg.ThetaFine = *theta
 		cfg.Modeled = *modeled
 		out, stats, err := nbody.RunSpaceTime(cfg, sys, 0, *t1, *steps)
 		if err != nil {
@@ -72,6 +85,7 @@ func main() {
 		if *modeled {
 			fmt.Printf("modeled BG/P wall-clock: %.3f s\n", stats.ModeledSeconds)
 		}
+		writeCheckpoint(*checkpoint, out)
 		return
 	}
 
@@ -116,10 +130,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *checkpoint != "" {
-		if err := nbody.SaveCheckpoint(*checkpoint, sys); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("checkpoint written to %s\n", *checkpoint)
+	writeCheckpoint(*checkpoint, sys)
+}
+
+// writeCheckpoint saves the final state to path, when one is given.
+func writeCheckpoint(path string, sys *nbody.System) {
+	if path == "" {
+		return
 	}
+	if err := nbody.SaveCheckpoint(path, sys); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("checkpoint written to %s\n", path)
 }

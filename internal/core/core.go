@@ -70,9 +70,6 @@ func (v *VortexSystem) F(t float64, u, f []float64) {
 	}
 }
 
-// Evaluator returns the wrapped evaluator (for statistics).
-func (v *VortexSystem) Evaluator() field.Evaluator { return v.eval }
-
 // DistVortexSystem is the distributed counterpart: the state holds the
 // rank's local particles and the right-hand side is computed
 // collectively by the parallel tree on the rank's spatial communicator.

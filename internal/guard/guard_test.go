@@ -316,3 +316,52 @@ func TestCoulombMomentInjectionDetected(t *testing.T) {
 		t.Fatalf("coulomb flip missed: %v", err)
 	}
 }
+
+// TestTreeWordLayout pins the node word space of tree-domain
+// injection: for both disciplines every word index below wordsPerNode
+// addresses a distinct Node field, and a one-bit flip of any of them,
+// on a leaf and on an internal node, is an ErrMoments verdict of
+// CheckMoments. The seeded sweeps only sample this layout.
+func TestTreeWordLayout(t *testing.T) {
+	sys := particle.RandomVortexBlob(48, 0.3, 21)
+	for i := range sys.Particles {
+		sys.Particles[i].Charge = 1 - 2*float64(i%2)
+	}
+	for _, disc := range []tree.Discipline{tree.Vortex, tree.Coulomb} {
+		tr := tree.Build(sys, tree.BuildConfig{LeafCap: 4, Discipline: disc})
+		leaf := -1
+		for i := range tr.Nodes {
+			if tr.Nodes[i].Leaf && tr.Nodes[i].Count > 1 {
+				leaf = i
+				break
+			}
+		}
+		if leaf < 0 || tr.Nodes[tr.Root].Leaf {
+			t.Fatalf("disc %d: want a multi-particle leaf and an internal root", disc)
+		}
+		wpn := wordsPerNode(disc)
+		seen := make(map[*float64]int, wpn)
+		for w := 0; w < wpn; w++ {
+			p := wordPtr(&tr.Nodes[tr.Root], disc, w)
+			if prev, dup := seen[p]; dup {
+				t.Fatalf("disc %d: words %d and %d address the same field", disc, prev, w)
+			}
+			seen[p] = w
+			for _, idx := range []int{leaf, tr.Root} {
+				for _, bit := range []uint{0, 51, 62} {
+					saved := tr.Nodes[idx]
+					if !flipWord(wordPtr(&tr.Nodes[idx], disc, w), bit) {
+						t.Fatalf("disc %d node %d word %d: bit %d flip is invisible", disc, idx, w, bit)
+					}
+					if err := tr.CheckMoments(); !errors.Is(err, tree.ErrMoments) {
+						t.Fatalf("disc %d node %d word %d bit %d: CheckMoments = %v, want ErrMoments", disc, idx, w, bit, err)
+					}
+					tr.Nodes[idx] = saved
+				}
+			}
+		}
+		if err := tr.CheckMoments(); err != nil {
+			t.Fatalf("disc %d: restored tree flagged: %v", disc, err)
+		}
+	}
+}

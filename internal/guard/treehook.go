@@ -10,10 +10,10 @@ import (
 )
 
 // Words per node eligible for tree-domain injection: the multipole
-// moment payload plus BMax, exactly the fields CheckMoments verifies.
+// moment payload, exactly the fields CheckMoments verifies.
 const (
-	vortexWords  = 17 // CircSum 3, AbsCirc 1, Centroid 3, BMax 1, Dipole 9
-	coulombWords = 18 // Charge 1, AbsCharge 1, Centroid 3, BMax 1, DipoleQ 3, QuadQ 9
+	vortexWords  = 16 // CircSum 3, AbsCirc 1, Centroid 3, Dipole 9
+	coulombWords = 17 // Charge 1, AbsCharge 1, Centroid 3, DipoleQ 3, QuadQ 9
 )
 
 func wordsPerNode(disc tree.Discipline) int {
@@ -70,12 +70,10 @@ func wordPtr(nd *tree.Node, disc tree.Discipline, w int) *float64 {
 			return &nd.AbsCharge
 		case w < 5:
 			return [...]*float64{&nd.Centroid.X, &nd.Centroid.Y, &nd.Centroid.Z}[w-2]
-		case w == 5:
-			return &nd.BMax
-		case w < 9:
-			return [...]*float64{&nd.DipoleQ.X, &nd.DipoleQ.Y, &nd.DipoleQ.Z}[w-6]
+		case w < 8:
+			return [...]*float64{&nd.DipoleQ.X, &nd.DipoleQ.Y, &nd.DipoleQ.Z}[w-5]
 		default:
-			return &nd.QuadQ[(w-9)/3][(w-9)%3]
+			return &nd.QuadQ[(w-8)/3][(w-8)%3]
 		}
 	}
 	switch {
@@ -85,10 +83,8 @@ func wordPtr(nd *tree.Node, disc tree.Discipline, w int) *float64 {
 		return &nd.AbsCirc
 	case w < 7:
 		return [...]*float64{&nd.Centroid.X, &nd.Centroid.Y, &nd.Centroid.Z}[w-4]
-	case w == 7:
-		return &nd.BMax
 	default:
-		return &nd.Dipole[(w-8)/3][(w-8)%3]
+		return &nd.Dipole[(w-7)/3][(w-7)%3]
 	}
 }
 

@@ -257,7 +257,7 @@ func TestCodecCellRoundTrip(t *testing.T) {
 	}
 	// Decode over a dirty node: a slab cell reused from an earlier
 	// evaluation must be overwritten completely.
-	got := tree.Node{Charge: 7, BMax: 3, First: 5}
+	got := tree.Node{Charge: 7, AbsCharge: 3, First: 5}
 	pkey := decodeCell(&got, buf, tree.Vortex, tr.Domain)
 	if pkey != nd.PKey() {
 		t.Fatalf("pkey %x, want %x", pkey, nd.PKey())
@@ -273,7 +273,7 @@ func TestCodecCellRoundTrip(t *testing.T) {
 	if got.Count != nd.Count || got.Leaf != nd.Leaf {
 		t.Fatal("meta corrupted")
 	}
-	if got.Charge != 0 || got.BMax != 0 || got.First != 0 {
+	if got.Charge != 0 || got.AbsCharge != 0 || got.First != 0 {
 		t.Fatal("decodeCell left stale fields behind")
 	}
 

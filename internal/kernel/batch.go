@@ -21,16 +21,12 @@ import "math"
 //
 // where F'(r)/|r| = H(ρ)/σ⁵ with H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵.
 //
-// For the algebraic family (every production caller) both are closed
-// forms in w = 1/(1+ρ²): F σ³ = w^(3/2) P_F(w) and H = w^(5/2) P_H(w)
-// with P_H = −(3 P_F + 2w P_F') — one division, one square root and
-// two Horner chains per pair. Every coefficient of P_F is ≥ 0 for the
-// four members and 0 < w ≤ 1, so each chain sums terms of one sign and
-// nothing cancels at any radius (NUMERICS.md §1–2). The other kernels (Gaussian, singular) go through
-// the Smoothing interface and, below hSwitch, the Taylor series of ζ
-// (fSeries, hSeries): the two terms of H cancel to leading order there,
-// and the direct quotient q/|r|³ turns into 0/0 at denormal
-// separations.
+// Both are closed forms in w = 1/(1+ρ²): F σ³ = w^(3/2) P_F(w) and
+// H = w^(5/2) P_H(w) with P_H = −(3 P_F + 2w P_F') — one division, one
+// square root and two Horner chains per pair. Every coefficient of P_F
+// is ≥ 0 for both kernels and 0 < w ≤ 1, so each chain sums terms of
+// one sign and nothing cancels at any radius, down to denormal
+// separations (NUMERICS.md §1–2).
 //
 // Sources are summed strictly in lane order with one accumulation
 // chain per output component, which is what makes a sum independent of
@@ -45,13 +41,6 @@ import "math"
 // (PERFORMANCE.md "Kernel-level notes").
 const BatchWidth = 8
 
-// hSwitch is the scaled radius below which the non-algebraic kernels
-// take F and H from their series forms. At the switch point both
-// branches agree to better than 1e-6 relative (verified by tests): the
-// direct form of H loses ~4 digits to cancellation there while the
-// series truncation error is O(ρ⁶) ≈ 1e-7.
-const hSwitch = 0.02
-
 // VortexAcc accumulates one target's velocity, velocity gradient and
 // interaction count over batched evaluation. G is the row-major
 // velocity gradient ∂u_i/∂x_j (G[3*i+j]), matching vec.Mat3 layout.
@@ -61,103 +50,38 @@ type VortexAcc struct {
 	N          int64
 }
 
-// VortexBatch carries the loop-invariant data of vortex evaluation.
-// Construct once per evaluation with NewVortexBatch and pass a pointer;
-// the struct is read-only afterwards and safe to share across
-// goroutines.
+// VortexBatch carries the loop-invariant data of vortex evaluation:
+// σ⁻² and the Horner tables of −P_F/4πσ³ and −P_H/4πσ⁵, lowest power
+// of w first. Construct once per evaluation with NewVortexBatch and
+// pass a pointer; the struct is read-only afterwards and safe to share
+// across goroutines.
 type VortexBatch struct {
-	// Algebraic family: σ⁻² and the Horner tables of −P_F/4πσ³ and
-	// −P_H/4πσ⁵, lowest power of w first.
-	closed bool
 	is2    float64
 	fc, hc [maxAlgebraicN - 1]float64
-
-	// Any other kernel: the interface, σ and its powers, and the ζ
-	// Taylor coefficients.
-	sm     Smoothing
-	sigma  float64
-	s3, s5 float64
-	z      [4]float64
-	series bool
 }
 
-// NewVortexBatch precomputes the per-evaluation constants of pw. The
-// form of the pair kernel follows from the kernel's type alone: closed
-// for the algebraic family, interface + series otherwise. A kernel
-// without a series (the singular kernel: q ≡ 1, ζ ≡ 0) keeps the direct
-// quotient for F at every radius; it diverges at the origin by
-// definition.
+// NewVortexBatch precomputes the per-evaluation constants of pw.
 func NewVortexBatch(pw Pairwise) VortexBatch {
 	const inv4pi = 1 / (4 * math.Pi)
 	s2 := pw.Sigma * pw.Sigma
 	s3 := s2 * pw.Sigma
-	s5 := s3 * pw.Sigma * pw.Sigma // left to right: the oracle holds the quotient kernels to 1 ulp
-	if k, ok := pw.Sm.(*algebraic); ok {
-		b := VortexBatch{closed: true, is2: 1 / s2}
-		for i, f := range k.pf {
-			b.fc[i] = -f * inv4pi / s3
-			b.hc[i] = float64(3+2*i) * f * inv4pi / s5
-		}
-		return b
+	s5 := s3 * pw.Sigma * pw.Sigma // left to right: the association the pinned hashes were taken with
+	b := VortexBatch{is2: 1 / s2}
+	for i, f := range pw.Sm.pf {
+		b.fc[i] = -f * inv4pi / s3
+		b.hc[i] = float64(3+2*i) * f * inv4pi / s5
 	}
-	z := pw.Sm.ZetaSeries()
-	return VortexBatch{sm: pw.Sm, sigma: pw.Sigma, s3: s3, s5: s5, z: z, series: z[0] != 0}
-}
-
-// fSeries is F below hSwitch: q(ρ) = 4π(ζ0 ρ³/3 + ζ1 ρ⁵/5 + …), whose
-// ρ³ factor cancels |r|³ analytically, so
-//
-//	F = 4π(ζ0/3 + ζ1 ρ²/5 + ζ2 ρ⁴/7 + ζ3 ρ⁶/9)/σ³
-//
-// stays finite down to |r| = 0.
-func (b *VortexBatch) fSeries(rho float64) float64 {
-	r2 := rho * rho
-	return 4 * math.Pi * (b.z[0]/3 + r2*(b.z[1]/5+r2*(b.z[2]/7+r2*(b.z[3]/9)))) / b.s3
-}
-
-// hSeries is H below hSwitch:
-// ρq' − 3q = 4π((2/5)ζ1 ρ⁵ + (4/7)ζ2 ρ⁷ + (6/9)ζ3 ρ⁹ + …).
-func (b *VortexBatch) hSeries(rho float64) float64 {
-	r2 := rho * rho
-	return 4 * math.Pi * (2.0/5*b.z[1] + r2*(4.0/7*b.z[2]+r2*(6.0/9*b.z[3])))
-}
-
-// openFH is −F/4π and −H/4πσ⁵ at separation d2 = |r|² > 0 for a kernel
-// outside the algebraic family.
-func (b *VortexBatch) openFH(d2 float64) (fs, gs float64) {
-	d := math.Sqrt(d2)
-	rho := d / b.sigma
-	var f, hq float64
-	if rho < hSwitch {
-		if b.series {
-			f = b.fSeries(rho)
-		} else {
-			f = b.sm.Q(rho) / (d2 * d)
-		}
-		hq = b.hSeries(rho)
-	} else {
-		q := b.sm.Q(rho)
-		f = q / (d2 * d)
-		r5 := rho * rho * rho * rho * rho
-		hq = (rho*b.sm.QPrime(rho) - 3*q) / r5
-	}
-	const inv4pi = 1 / (4 * math.Pi)
-	return -f * inv4pi, -(hq / b.s5) * inv4pi
+	return b
 }
 
 // pairGrad adds the velocity and gradient one source induces at
 // separation r (d2 = |r|² > 0) with weight vector α. An overflowing
 // d2·σ⁻² gives w = 0 and a contribution of exactly zero.
 func (b *VortexBatch) pairGrad(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float64) {
-	var fs, gs float64
-	if b.closed {
-		w := 1 / (1 + d2*b.is2)
-		w32 := w * math.Sqrt(w)
-		fs = w32 * horner(&b.fc, w)
-		gs = w32 * w * horner(&b.hc, w)
-	} else {
-		fs, gs = b.openFH(d2)
-	}
+	w := 1 / (1 + d2*b.is2)
+	w32 := w * math.Sqrt(w)
+	fs := w32 * horner(&b.fc, w)
+	gs := w32 * w * horner(&b.hc, w)
 	cx := ry*az - rz*ay // r × α
 	cy := rz*ax - rx*az
 	cz := rx*ay - ry*ax
@@ -213,13 +137,8 @@ func (b *VortexBatch) AccumGrad(acc *VortexAcc, rx, ry, rz, ax, ay, az float64) 
 
 // pairVel is the velocity half of pairGrad, bit for bit.
 func (b *VortexBatch) pairVel(acc *VortexAcc, d2, rx, ry, rz, ax, ay, az float64) {
-	var fs float64
-	if b.closed {
-		w := 1 / (1 + d2*b.is2)
-		fs = w * math.Sqrt(w) * horner(&b.fc, w)
-	} else {
-		fs, _ = b.openFH(d2)
-	}
+	w := 1 / (1 + d2*b.is2)
+	fs := w * math.Sqrt(w) * horner(&b.fc, w)
 	acc.UX += fs * (ry*az - rz*ay)
 	acc.UY += fs * (rz*ax - rx*az)
 	acc.UZ += fs * (rx*ay - ry*ax)
@@ -256,7 +175,7 @@ type CoulombAcc struct {
 // every source lane to acc, skipping lane `skip` (negative: none), in
 // lane order. With r = x_target − x_source and softening ε a source of
 // charge Q contributes the potential φ = Q/√(r²+ε²) and the field
-// E = Q r/(r²+ε²)^(3/2) (Gaussian units, unit prefactor); an
+// E = Q r/(r²+ε²)^(3/2) (unit prefactor); an
 // unsoftened source at zero separation contributes nothing.
 func AccumCoulombRange(acc *CoulombAcc, tx, ty, tz, eps float64, xs, ys, zs, qs []float64, skip int) {
 	n := len(xs)

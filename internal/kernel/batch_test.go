@@ -33,13 +33,18 @@ func ulpDist(a, b float64) uint64 {
 
 // oracle is the scalar reference the batched kernels are held to: one
 // source at a time through vec types, F and H as the quotients they
-// are defined by (three square roots and the Smoothing interface per
-// pair), by series below hSwitch. It shares no arithmetic with
-// batch.go's closed form, which must stay within 1e-10 of it per pair
-// (relative, on the velocity and gradient norms: the quotient for H
-// itself loses ~4 digits near hSwitch); the kernels that still run the
-// quotients in production (Gaussian, singular) must match it to 1 ulp.
+// are defined by (three square roots and q, q' per pair), by series
+// below hSwitch. It shares no arithmetic with batch.go's closed
+// form, which must stay within 1e-10 of it per pair (relative, on the
+// velocity and gradient norms: the quotient for H itself loses ~4
+// digits near hSwitch).
 type oracle Pairwise
+
+// hSwitch is the scaled radius below which the oracle takes F and H
+// from their series forms. At the switch point both branches agree to
+// better than 1e-6 relative: the direct form of H loses ~4 digits to
+// cancellation there while the series truncation error is O(ρ⁶) ≈ 1e-7.
+const hSwitch = 0.02
 
 // h evaluates H(ρ) = (ρ q'(ρ) − 3 q(ρ))/ρ⁵, by series below hSwitch.
 func (o oracle) h(rho float64) float64 {
@@ -96,30 +101,6 @@ func coulombOracle(r vec.Vec3, charge, eps float64) (phi float64, field vec.Vec3
 	return charge * inv, r.Scale(charge * inv * inv * inv)
 }
 
-// refGradRange sums the oracle over a lane range in index order.
-func refGradRange(pw Pairwise, tx, ty, tz float64, xs, ys, zs, axs, ays, azs []float64, skip int) VortexAcc {
-	var u vec.Vec3
-	var g vec.Mat3
-	var acc VortexAcc
-	x := vec.V3(tx, ty, tz)
-	for i := range xs {
-		if i == skip {
-			continue
-		}
-		du, dg := oracle(pw).velocityGrad(x.Sub(vec.V3(xs[i], ys[i], zs[i])), vec.V3(axs[i], ays[i], azs[i]))
-		u = u.Add(du)
-		g = g.Add(dg)
-		acc.N++
-	}
-	acc.UX, acc.UY, acc.UZ = u.X, u.Y, u.Z
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			acc.G[3*i+j] = g[i][j]
-		}
-	}
-	return acc
-}
-
 // refCoulombRange sums coulombOracle over a lane range in index order.
 func refCoulombRange(tx, ty, tz, eps float64, xs, ys, zs, qs []float64, skip int) CoulombAcc {
 	var acc CoulombAcc
@@ -159,11 +140,6 @@ func checkVortexAcc(t *testing.T, ctx string, got, want VortexAcc, maxUlp uint64
 	}
 }
 
-var batchKernelNames = []string{
-	"algebraic2", "algebraic4", "algebraic6",
-	"winckelmans-leonard", "gaussian", "singular",
-}
-
 // randomLanes fills n source lanes with positions in a unit-scale cloud
 // around the target and O(1) circulations.
 func randomLanes(rng *rand.Rand, n int, tx, ty, tz float64) (xs, ys, zs, axs, ays, azs []float64) {
@@ -184,29 +160,17 @@ func randomLanes(rng *rand.Rand, n int, tx, ty, tz float64) (xs, ys, zs, axs, ay
 	return
 }
 
-// closedForm reports whether sm runs the closed w-form (the algebraic
-// family) rather than the interface + series body.
-func closedForm(sm Smoothing) bool {
-	_, ok := sm.(*algebraic)
-	return ok
-}
-
 // checkPairAgainstOracle holds one pair's contribution (got, from an
 // empty accumulator) to the oracle: 1e-10 relative on the velocity and
-// gradient norms for the closed form, 1 ulp per component otherwise.
+// gradient norms.
 func checkPairAgainstOracle(t *testing.T, ctx string, pw Pairwise, got VortexAcc, r, a vec.Vec3) {
 	t.Helper()
 	u, g := oracle(pw).velocityGrad(r, a)
 	var want VortexAcc
-	want.UX, want.UY, want.UZ = u.X, u.Y, u.Z
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			want.G[3*i+j] = g[i][j]
 		}
-	}
-	if !closedForm(pw.Sm) {
-		checkVortexAcc(t, ctx, got, want, 1)
-		return
 	}
 	du := vec.V3(got.UX, got.UY, got.UZ).Sub(u).Norm()
 	var dg, ng float64
@@ -264,16 +228,14 @@ func checkRangeContracts(t *testing.T, ctx string, b *VortexBatch, tx, ty, tz fl
 
 // TestBatchMatchesScalarReference sweeps every kernel over every range
 // length from 0 to several full blocks and every skip position, with a
-// coincident source in the range. What is a contract stays bitwise
-// (checkRangeContracts); the kernels that run the quotient form in
-// production must also keep their sums within 1 ulp of the oracle's —
-// bitwise in practice on non-FMA builds. The closed form's accuracy is
-// bounded per pair, in TestBatchFarMatchesVelocityGrad.
+// coincident source in the range: what is a contract stays bitwise
+// (checkRangeContracts). The closed form's accuracy against the oracle
+// is bounded per pair, in TestBatchFarMatchesVelocityGrad.
 func TestBatchMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, name := range batchKernelNames {
-		pw := Pairwise{Sm: ByName(name), Sigma: 0.35}
-		b := NewVortexBatch(pw)
+	for _, sm := range allKernels() {
+		name := sm.Name()
+		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 0.35})
 		for n := 0; n <= 3*BatchWidth+1; n++ {
 			tx, ty, tz := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 			xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tx, ty, tz)
@@ -282,49 +244,36 @@ func TestBatchMatchesScalarReference(t *testing.T) {
 				xs[1], ys[1], zs[1] = tx, ty, tz
 			}
 			for skip := -1; skip < n; skip++ {
-				got := checkRangeContracts(t, name, &b, tx, ty, tz, xs, ys, zs, axs, ays, azs, skip)
-				if closedForm(ByName(name)) {
-					continue
-				}
-				want := refGradRange(pw, tx, ty, tz, xs, ys, zs, axs, ays, azs, skip)
-				checkVortexAcc(t, name, got, want, 1)
+				checkRangeContracts(t, name, &b, tx, ty, tz, xs, ys, zs, axs, ays, azs, skip)
 			}
 		}
 	}
 }
 
 // TestBatchFarMatchesVelocityGrad checks the single-pair leg against
-// the oracle: for the closed form over σ ∈ {0.05, 0.657, 5} and ρ
-// log-uniform in [1e-8, 1e4] (both sides of the old series switch, the
-// core and the far field), for the quotient form at random unit-scale
-// separations as before. Zero separation is the early return.
+// the oracle over σ ∈ {0.05, 0.657, 5} and ρ log-uniform in [1e-8, 1e4]
+// (both sides of the oracle's series switch, the core and the far
+// field). Zero separation is the early return.
 func TestBatchFarMatchesVelocityGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	randDir := func() vec.Vec3 {
 		v := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		return v.Scale(1 / v.Norm())
 	}
-	for _, name := range batchKernelNames {
-		sigmas, trials := []float64{0.2}, 200
-		if closedForm(ByName(name)) {
-			sigmas, trials = []float64{0.05, 0.657, 5}, 2000
-		}
-		for _, sigma := range sigmas {
-			pw := Pairwise{Sm: ByName(name), Sigma: sigma}
+	for _, sm := range allKernels() {
+		for _, sigma := range []float64{0.05, 0.657, 5} {
+			pw := Pairwise{Sm: sm, Sigma: sigma}
 			b := NewVortexBatch(pw)
-			for trial := 0; trial < trials; trial++ {
-				r := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-				if closedForm(ByName(name)) {
-					rho := math.Pow(10, -8+12*rng.Float64())
-					r = randDir().Scale(rho * sigma)
-				}
+			for trial := 0; trial < 2000; trial++ {
+				rho := math.Pow(10, -8+12*rng.Float64())
+				r := randDir().Scale(rho * sigma)
 				if trial == 0 {
 					r = vec.Zero3
 				}
 				a := vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 				var acc VortexAcc
 				b.AccumGrad(&acc, r.X, r.Y, r.Z, a.X, a.Y, a.Z)
-				checkPairAgainstOracle(t, name+"/far", pw, acc, r, a)
+				checkPairAgainstOracle(t, sm.Name()+"/far", pw, acc, r, a)
 			}
 		}
 	}
@@ -392,9 +341,8 @@ func fuzzLanes(rng *rand.Rand, n int, tx, ty, tz, sigma float64, denorm, coincid
 // FuzzBatchGradRange fuzzes the batched gradient loop over random tail
 // lengths (0..BatchWidth−1 beyond whole blocks), denormal circulations
 // and coincident sources: the range contracts hold bitwise, every pair
-// stays inside the oracle bound (the quotient kernels' sums within
-// 1 ulp of the reference), and the regularized kernels never produce
-// NaN/Inf from finite bounded input.
+// stays inside the oracle bound, and the kernels never produce NaN/Inf
+// from finite bounded input.
 func FuzzBatchGradRange(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), 0.3, false, false)
 	f.Add(int64(2), uint8(3), uint8(1), 1.0, true, false)
@@ -414,28 +362,22 @@ func FuzzBatchGradRange(f *testing.F) {
 		if n > 0 && rng.Intn(2) == 0 {
 			skip = rng.Intn(n)
 		}
-		for _, name := range batchKernelNames {
-			pw := Pairwise{Sm: ByName(name), Sigma: sigma}
+		for _, sm := range allKernels() {
+			name := sm.Name()
+			pw := Pairwise{Sm: sm, Sigma: sigma}
 			b := NewVortexBatch(pw)
 			got := checkRangeContracts(t, name, &b, tx, ty, tz, xs, ys, zs, axs, ays, azs, skip)
-			if closedForm(ByName(name)) {
-				for k := range xs {
-					var pair VortexAcc
-					r := vec.V3(tx-xs[k], ty-ys[k], tz-zs[k])
-					b.AccumGrad(&pair, r.X, r.Y, r.Z, axs[k], ays[k], azs[k])
-					checkPairAgainstOracle(t, name, pw, pair, r, vec.V3(axs[k], ays[k], azs[k]))
-				}
-			} else {
-				want := refGradRange(pw, tx, ty, tz, xs, ys, zs, axs, ays, azs, skip)
-				checkVortexAcc(t, name, got, want, 1)
+			for k := range xs {
+				var pair VortexAcc
+				r := vec.V3(tx-xs[k], ty-ys[k], tz-zs[k])
+				b.AccumGrad(&pair, r.X, r.Y, r.Z, axs[k], ays[k], azs[k])
+				checkPairAgainstOracle(t, name, pw, pair, r, vec.V3(axs[k], ays[k], azs[k]))
 			}
-			if name != "singular" { // the singular kernel diverges at r→0 by definition
-				vals := []float64{got.UX, got.UY, got.UZ}
-				vals = append(vals, got.G[:]...)
-				for k, v := range vals {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("%s: non-finite output %d (%g) from finite input", name, k, v)
-					}
+			vals := []float64{got.UX, got.UY, got.UZ}
+			vals = append(vals, got.G[:]...)
+			for k, v := range vals {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: non-finite output %d (%g) from finite input", name, k, v)
 				}
 			}
 		}

@@ -7,13 +7,12 @@ import (
 	"repro/internal/vec"
 )
 
-// NaN-hygiene property sweep: regularized kernels must return finite
-// velocity and gradient for every separation down to and including
-// denormals and exact zero. The historic failure mode is the direct
-// quotient q(ρ)/|r|³ at |r| ≲ 1e-108, where numerator and denominator
-// both underflow to 0 and produce 0/0 = NaN; the ζ-series branch of F
-// removes it. The truly singular kernel (q ≡ 1) is excluded: it
-// diverges at the origin by definition.
+// NaN-hygiene property sweep: the kernels must return finite velocity
+// and gradient for every separation down to and including denormals
+// and exact zero. The historic failure mode is the direct quotient
+// q(ρ)/|r|³ at |r| ≲ 1e-108, where numerator and denominator both
+// underflow to 0 and produce 0/0 = NaN; the closed form in
+// w = 1/(1+ρ²) has no quotient of that kind.
 func TestNaNHygieneNearZeroSeparations(t *testing.T) {
 	seps := []float64{
 		0,
@@ -69,25 +68,14 @@ func TestNaNHygieneNearZeroSeparations(t *testing.T) {
 	}
 }
 
-// The two branches of F must agree at the switch radius, mirroring the
-// H(ρ) continuity test: a jump there would make tree-vs-direct
-// comparisons discipline-dependent on particle spacing. The algebraic
-// family has no branch: its closed form must match the ζ series there
-// and be smooth across the radius.
+// F mirrors the H(ρ) continuity test: a jump would make tree-vs-direct
+// comparisons discipline-dependent on particle spacing. The closed form
+// has no branch: it must match the ζ series at the oracle's switch
+// radius and be smooth across it.
 func TestFOfBranchContinuity(t *testing.T) {
 	for _, sm := range allKernels() {
 		pw := Pairwise{Sm: sm, Sigma: 1}
-		b := NewVortexBatch(pw)
 		rho := hSwitch * 0.999
-		if !closedForm(sm) {
-			series := b.fSeries(rho)
-			direct := sm.Q(rho) / (rho * rho * rho) // σ = 1: |r| = ρ
-			if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
-				t.Errorf("%s: F branches disagree at switch: series %v vs direct %v",
-					sm.Name(), series, direct)
-			}
-			continue
-		}
 		closed, _ := producedFH(t, pw, rho)
 		if series := (oracle(pw)).f(rho, rho*rho, rho); math.Abs(closed-series) > 1e-6*(1+math.Abs(series)) {
 			t.Errorf("%s: closed-form F %v vs ζ series %v at ρ = %v", sm.Name(), closed, series, rho)
@@ -108,10 +96,6 @@ func TestClosedFormEdgeSeparations(t *testing.T) {
 	alpha := vec.V3(0.3, -1.1, 0.7)
 	xs, ys, zs, axs, ays, azs := sourceLanes(alpha)
 	for _, sm := range allKernels() {
-		k, ok := sm.(*algebraic)
-		if !ok {
-			continue
-		}
 		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 1})
 		var acc VortexAcc
 		r := vec.V3(1e-160, -2e-161, 0) // d² ≈ 1e-320, subnormal
@@ -119,7 +103,7 @@ func TestClosedFormEdgeSeparations(t *testing.T) {
 			t.Fatalf("d² = %g is not subnormal", d2)
 		}
 		b.AccumGradRange(&acc, r.X, r.Y, r.Z, xs, ys, zs, axs, ays, azs, -1)
-		want := r.Cross(alpha).Scale(-k.a / 3 / (4 * math.Pi))
+		want := r.Cross(alpha).Scale(-sm.a / 3 / (4 * math.Pi))
 		if got := vec.V3(acc.UX, acc.UY, acc.UZ); got.Sub(want).Norm() > 1e-14*want.Norm() {
 			t.Errorf("%s: core velocity %v at denormal d², want %v", sm.Name(), got, want)
 		}

@@ -57,29 +57,37 @@ func TestVelocityZeroSeparation(t *testing.T) {
 	}
 }
 
+// singularVelocity is the unregularized Biot–Savart velocity of one
+// source, −(1/4π) r×α/|r|³: the σ→0 limit of every kernel.
+func singularVelocity(r, alpha vec.Vec3) vec.Vec3 {
+	d := r.Norm()
+	return r.Cross(alpha).Scale(-1 / (4 * math.Pi) / (d * d * d))
+}
+
 func TestVelocityFarFieldMatchesSingular(t *testing.T) {
 	// Far from the core the regularized kernel reduces to the singular
 	// Biot–Savart kernel.
 	alpha := vec.V3(0.3, -0.2, 0.9)
 	r := vec.V3(5, -3, 2) // |r| ≈ 6.16, σ = 0.05 ⇒ ρ ≈ 123
 	reg := Pairwise{Sm: Algebraic6(), Sigma: 0.05}
-	sing := Pairwise{Sm: Singular(), Sigma: 1}
-	u1, u2 := velocityAt(reg, r, alpha), velocityAt(sing, r, alpha)
+	u1, u2 := velocityAt(reg, r, alpha), singularVelocity(r, alpha)
 	if u1.Sub(u2).Norm() > 1e-10*u2.Norm() {
 		t.Fatalf("far field: regularized %v vs singular %v", u1, u2)
 	}
 }
 
 func TestVelocityAgainstHandComputed(t *testing.T) {
-	// Singular kernel, r = (1,0,0), α = (0,0,1):
-	// u = −(1/4π) (r × α)/|r|³ = −(1/4π)(0·? ...) r×α = (0,-1,0)·? …
+	// r = (1,0,0), α = (0,0,1):
 	// r×α = (1,0,0)×(0,0,1) = (0·1−0·0, 0·0−1·1, 0) = (0,−1,0)
-	// ⇒ u = (0, 1/4π, 0).
-	pw := Pairwise{Sm: Singular(), Sigma: 1}
-	u := velocityAt(pw, vec.V3(1, 0, 0), vec.V3(0, 0, 1))
+	// ⇒ u = −(1/4π)(r×α)/|r|³ = (0, 1/4π, 0). The singular reference
+	// and the paper's kernel at ρ = 1000 (1 − q ≈ 1e-18) both give it.
+	r, alpha := vec.V3(1, 0, 0), vec.V3(0, 0, 1)
 	want := vec.V3(0, 1/(4*math.Pi), 0)
-	if u.Sub(want).Norm() > 1e-14 {
-		t.Fatalf("u = %v, want %v", u, want)
+	if u := singularVelocity(r, alpha); u.Sub(want).Norm() > 1e-14 {
+		t.Fatalf("singular u = %v, want %v", u, want)
+	}
+	if u := velocityAt(Pairwise{Sm: Algebraic6(), Sigma: 1e-3}, r, alpha); u.Sub(want).Norm() > 1e-14 {
+		t.Fatalf("algebraic6 u = %v, want %v", u, want)
 	}
 }
 
@@ -127,25 +135,12 @@ func producedFH(t *testing.T, pw Pairwise, rho float64) (f, h float64) {
 }
 
 func TestGradSmallRhoBranchContinuity(t *testing.T) {
-	// Gaussian: the H(ρ) series branch and the direct branch must agree
-	// near the switch radius. Algebraic family: there is no branch —
-	// the closed form must agree with the ζ series there (an
-	// independent derivation from the same (a, b, c, p)) and be smooth
-	// across the radius where the switch used to sit.
+	// The closed form has no branch: it must agree with the ζ series
+	// near the oracle's switch radius (an independent derivation from
+	// the same (a, b, c, p)) and be smooth across it.
 	for _, sm := range allKernels() {
 		pw := Pairwise{Sm: sm, Sigma: 1}
-		b := NewVortexBatch(pw)
 		rho := hSwitch * 0.999
-		if !closedForm(sm) {
-			series := b.hSeries(rho)
-			r5 := rho * rho * rho * rho * rho
-			direct := (rho*sm.QPrime(rho) - 3*sm.Q(rho)) / r5
-			if math.Abs(series-direct) > 1e-6*(1+math.Abs(direct)) {
-				t.Errorf("%s: H branches disagree at switch: series %v vs direct %v",
-					sm.Name(), series, direct)
-			}
-			continue
-		}
 		_, closed := producedFH(t, pw, rho)
 		if series := (oracle(pw)).h(rho); math.Abs(closed-series) > 1e-6*(1+math.Abs(series)) {
 			t.Errorf("%s: closed-form H %v vs ζ series %v at ρ = %v", sm.Name(), closed, series, rho)
@@ -196,7 +191,7 @@ func TestVelocityAntisymmetricInSeparation(t *testing.T) {
 
 func TestVelocityParallelAlphaIsZero(t *testing.T) {
 	// r × α = 0 when r ∥ α.
-	pw := Pairwise{Sm: Algebraic4(), Sigma: 0.3}
+	pw := Pairwise{Sm: Algebraic2(), Sigma: 0.3}
 	u := velocityAt(pw, vec.V3(2, 2, 2), vec.V3(-1, -1, -1))
 	if u.Norm() > 1e-14 {
 		t.Fatalf("parallel-α velocity = %v, want 0", u)

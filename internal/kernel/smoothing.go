@@ -18,29 +18,7 @@ package kernel
 
 import "math"
 
-// Smoothing describes a radially symmetric smoothing function ζ and its
-// derived quantities. All methods take the scaled radius ρ = r/σ.
-type Smoothing interface {
-	// Name identifies the kernel ("algebraic6", ...).
-	Name() string
-	// Order is the formal convergence order of the regularization.
-	Order() int
-	// Zeta evaluates the smoothing function ζ(ρ) (3D normalization:
-	// ∫ ζ(|x|) d³x = 1).
-	Zeta(rho float64) float64
-	// Q evaluates the enclosed-circulation function
-	// q(ρ) = ∫₀^ρ 4π s² ζ(s) ds; q(0)=0 and q(ρ)→1 as ρ→∞.
-	Q(rho float64) float64
-	// QPrime evaluates q'(ρ) = 4π ρ² ζ(ρ).
-	QPrime(rho float64) float64
-	// ZetaSeries returns the leading Taylor coefficients of ζ around
-	// ρ=0: ζ(ρ) = z[0] + z[1]ρ² + z[2]ρ⁴ + z[3]ρ⁶ + O(ρ⁸). They are
-	// used for the cancellation-free small-ρ evaluation of velocity
-	// gradients.
-	ZetaSeries() [4]float64
-}
-
-// algebraic is a generalized algebraic kernel
+// Smoothing is a generalized algebraic smoothing kernel
 //
 //	ζ(ρ) = (1/4π) (a + b ρ² + c ρ⁴) (1+ρ²)^(−p),   p = n + ½,
 //
@@ -55,8 +33,9 @@ type Smoothing interface {
 // the one representation of q: Q evaluates it, and NewVortexBatch
 // scales it into the per-pair Horner tables of F and H. The
 // coefficients (a,b,c,p) are chosen so that ζ is normalized and the
-// required radial moments vanish (see the constructors below).
-type algebraic struct {
+// required radial moments vanish (see the constructors below). All
+// methods take the scaled radius ρ = r/σ.
+type Smoothing struct {
 	name    string
 	order   int
 	a, b, c float64
@@ -77,9 +56,9 @@ const maxAlgebraicN = 6
 // i.e. m_k = (2k+1) f_{k−1} − 2k f_k coefficient by coefficient. M has
 // degree n−1 and P_F degree n−2, so the recurrence runs downward from
 // f_{n−1} = 0; f_0 = q(∞) comes out as 1 for a normalized kernel. For
-// the four members below every intermediate is a dyadic rational, so
+// the two members below every intermediate is a dyadic rational, so
 // the table is exact (NUMERICS.md §1).
-func newAlgebraic(name string, order int, a, b, c float64, n int) *algebraic {
+func newAlgebraic(name string, order int, a, b, c float64, n int) Smoothing {
 	var m [maxAlgebraicN + 1]float64 // m[k+1]: coefficient of w^k, so k = n−3 ≥ −1 needs no guard
 	m[n] += a
 	m[n-1] += b
@@ -87,7 +66,7 @@ func newAlgebraic(name string, order int, a, b, c float64, n int) *algebraic {
 	m[n-2] += c
 	m[n-1] -= 2 * c
 	m[n] += c
-	k := &algebraic{name: name, order: order, a: a, b: b, c: c, n: n}
+	k := Smoothing{name: name, order: order, a: a, b: b, c: c, n: n}
 	f := 0.0
 	for j := n - 1; j >= 1; j-- {
 		f = (m[j+1] + float64(2*j)*f) / float64(2*j+1)
@@ -96,8 +75,11 @@ func newAlgebraic(name string, order int, a, b, c float64, n int) *algebraic {
 	return k
 }
 
-func (k *algebraic) Name() string { return k.name }
-func (k *algebraic) Order() int   { return k.order }
+// Name identifies the kernel ("algebraic6", ...).
+func (k Smoothing) Name() string { return k.name }
+
+// Order is the formal convergence order of the regularization.
+func (k Smoothing) Order() int { return k.order }
 
 // powNegHalfInt computes u^(−(n+½)) = 1/(uⁿ·√u) for u > 0 by repeated
 // multiplication (it agrees with math.Pow to a few ulp, far below the
@@ -110,16 +92,21 @@ func powNegHalfInt(u float64, n int) float64 {
 	return 1 / prod
 }
 
-func (k *algebraic) Zeta(rho float64) float64 {
+// Zeta evaluates the smoothing function ζ(ρ) (3D normalization:
+// ∫ ζ(|x|) d³x = 1).
+func (k Smoothing) Zeta(rho float64) float64 {
 	x := rho * rho
 	return (k.a + x*(k.b+x*k.c)) / (4 * math.Pi) * powNegHalfInt(1+x, k.n)
 }
 
-func (k *algebraic) QPrime(rho float64) float64 {
+// QPrime evaluates q'(ρ) = 4π ρ² ζ(ρ).
+func (k Smoothing) QPrime(rho float64) float64 {
 	return 4 * math.Pi * rho * rho * k.Zeta(rho)
 }
 
-func (k *algebraic) Q(rho float64) float64 {
+// Q evaluates the enclosed-circulation function
+// q(ρ) = ∫₀^ρ 4π s² ζ(s) ds; q(0)=0 and q(ρ)→1 as ρ→∞.
+func (k Smoothing) Q(rho float64) float64 {
 	u := 1 + rho*rho
 	t := rho / math.Sqrt(u)
 	return t * t * t * horner(&k.pf, 1/u)
@@ -130,7 +117,11 @@ func horner(c *[maxAlgebraicN - 1]float64, w float64) float64 {
 	return c[0] + w*(c[1]+w*(c[2]+w*(c[3]+w*c[4])))
 }
 
-func (k *algebraic) ZetaSeries() [4]float64 {
+// ZetaSeries returns the leading Taylor coefficients of ζ around ρ=0:
+// ζ(ρ) = z[0] + z[1]ρ² + z[2]ρ⁴ + z[3]ρ⁶ + O(ρ⁸) — an independent
+// derivation from (a, b, c, p) that the tests hold the closed form to
+// near the core.
+func (k Smoothing) ZetaSeries() [4]float64 {
 	// Expand (1+x)^(−p) = 1 − p x + p(p+1)/2 x² − p(p+1)(p+2)/6 x³ + …
 	// against the numerator a + b x + c x², with x = ρ².
 	p := float64(k.n) + 0.5
@@ -153,28 +144,6 @@ func Algebraic2() Smoothing {
 	return newAlgebraic("algebraic2", 2, 3, 0, 0, 2)
 }
 
-// WinckelmansLeonard returns the classical "high-order algebraic" kernel
-// of Winckelmans & Leonard,
-//
-//	ζ(ρ) = (15/8π)(1+ρ²)^(−7/2),   q(ρ) = ρ³(ρ²+5/2)/(1+ρ²)^(5/2) = t³(1 + 3/2 w).
-//
-// Its far-field error decays like ρ⁻⁴ although its second radial moment
-// does not vanish; it is included for comparison and carries Order 2 in
-// the strict moment sense used by this package.
-func WinckelmansLeonard() Smoothing {
-	return newAlgebraic("winckelmans-leonard", 2, 15.0/2, 0, 0, 3)
-}
-
-// Algebraic4 returns the fourth-order member of the generalized algebraic
-// family: the unique kernel
-//
-//	ζ₄(ρ) = (1/4π)(525/16 − 105/4·ρ²)(1+ρ²)^(−11/2)
-//
-// with unit mass and vanishing second radial moment.
-func Algebraic4() Smoothing {
-	return newAlgebraic("algebraic4", 4, 525.0/16, -105.0/4, 0, 5)
-}
-
 // Algebraic6 returns the sixth-order member of the generalized algebraic
 // family used by the paper: the unique kernel
 //
@@ -186,66 +155,14 @@ func Algebraic6() Smoothing {
 	return newAlgebraic("algebraic6", 6, 3675.0/64, -735.0/8, 105.0/8, 6)
 }
 
-// gaussian is the second-order Gaussian kernel
-// ζ(ρ) = (2π)^(−3/2) exp(−ρ²/2).
-type gaussian struct{}
-
-// Gaussian returns the second-order Gaussian smoothing kernel.
-func Gaussian() Smoothing { return gaussian{} }
-
-func (gaussian) Name() string { return "gaussian" }
-func (gaussian) Order() int   { return 2 }
-
-func (gaussian) Zeta(rho float64) float64 {
-	return math.Exp(-rho*rho/2) / math.Pow(2*math.Pi, 1.5)
-}
-
-func (g gaussian) QPrime(rho float64) float64 {
-	return 4 * math.Pi * rho * rho * g.Zeta(rho)
-}
-
-func (gaussian) Q(rho float64) float64 {
-	// q(ρ) = erf(ρ/√2) − ρ √(2/π) e^(−ρ²/2)
-	return math.Erf(rho/math.Sqrt2) - rho*math.Sqrt(2/math.Pi)*math.Exp(-rho*rho/2)
-}
-
-func (g gaussian) ZetaSeries() [4]float64 {
-	z0 := 1 / math.Pow(2*math.Pi, 1.5)
-	return [4]float64{z0, -z0 / 2, z0 / 8, -z0 / 48}
-}
-
-// Singular returns the unregularized Biot–Savart kernel (q ≡ 1). It is
-// the σ→0 limit used by the far-field multipole approximation and by
-// tests. Zeta is a delta distribution and therefore reported as zero for
-// every ρ > 0 (and zero at ρ = 0 as well, by convention).
-func Singular() Smoothing { return singular{} }
-
-type singular struct{}
-
-func (singular) Name() string           { return "singular" }
-func (singular) Order() int             { return 0 }
-func (singular) Zeta(float64) float64   { return 0 }
-func (singular) Q(float64) float64      { return 1 }
-func (singular) QPrime(float64) float64 { return 0 }
-func (singular) ZetaSeries() [4]float64 { return [4]float64{} }
-
-// ByName returns the smoothing kernel with the given Name, or nil when
-// the name is unknown. Recognized names: "algebraic2", "algebraic4",
-// "algebraic6", "winckelmans-leonard", "gaussian", "singular".
-func ByName(name string) Smoothing {
+// ByName returns the smoothing kernel with the given Name — "algebraic2"
+// or "algebraic6" — and whether the name is known.
+func ByName(name string) (Smoothing, bool) {
 	switch name {
 	case "algebraic2":
-		return Algebraic2()
-	case "algebraic4":
-		return Algebraic4()
+		return Algebraic2(), true
 	case "algebraic6":
-		return Algebraic6()
-	case "winckelmans-leonard":
-		return WinckelmansLeonard()
-	case "gaussian":
-		return Gaussian()
-	case "singular":
-		return Singular()
+		return Algebraic6(), true
 	}
-	return nil
+	return Smoothing{}, false
 }

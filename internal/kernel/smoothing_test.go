@@ -7,9 +7,7 @@ import (
 )
 
 func allKernels() []Smoothing {
-	return []Smoothing{
-		Algebraic2(), Algebraic4(), Algebraic6(), WinckelmansLeonard(), Gaussian(),
-	}
+	return []Smoothing{Algebraic2(), Algebraic6()}
 }
 
 // integrate computes ∫_0^upper f(ρ) dρ with composite Simpson.
@@ -51,10 +49,7 @@ func TestMomentConditions(t *testing.T) {
 		nonzero []int
 	}{
 		{Algebraic2(), nil, []int{2}},
-		{Algebraic4(), []int{2}, []int{4}},
 		{Algebraic6(), []int{2, 4}, nil},
-		{WinckelmansLeonard(), nil, []int{2}},
-		{Gaussian(), nil, []int{2}},
 	}
 	moment := func(k Smoothing, j int) float64 {
 		return integrate(func(r float64) float64 {
@@ -81,7 +76,7 @@ func TestMomentConditions(t *testing.T) {
 // is negative (so neither Horner chain can cancel on 0 < w ≤ 1).
 func TestAlgebraicClosedFormTables(t *testing.T) {
 	const inv4pi = 1 / (4 * math.Pi)
-	k := Algebraic6().(*algebraic)
+	k := Algebraic6()
 	if want := [5]float64{1, 3.0 / 2, 15.0 / 8, 0, 945.0 / 64}; k.pf != want {
 		t.Errorf("algebraic6: P_F = %v, want %v", k.pf, want)
 	}
@@ -91,11 +86,7 @@ func TestAlgebraicClosedFormTables(t *testing.T) {
 			t.Errorf("algebraic6: folded tables at w^%d: F %v, H %v", i, b.fc[i], b.hc[i])
 		}
 	}
-	for _, sm := range allKernels() {
-		k, ok := sm.(*algebraic)
-		if !ok {
-			continue
-		}
+	for _, k := range allKernels() {
 		if got := horner(&k.pf, 1); math.Abs(got-k.a/3) > 1e-14*k.a {
 			t.Errorf("%s: P_F(1) = %v, want a/3 = %v", k.name, got, k.a/3)
 		}
@@ -144,18 +135,17 @@ func TestQPrimeIsDerivativeOfQ(t *testing.T) {
 }
 
 func TestQMonotoneForPositiveKernels(t *testing.T) {
-	// ζ ≥ 0 for the 2nd-order kernels, so q must be nondecreasing.
-	for _, k := range []Smoothing{Algebraic2(), WinckelmansLeonard(), Gaussian()} {
-		f := func(a, b float64) bool {
-			a, b = math.Abs(a), math.Abs(b)
-			if a > b {
-				a, b = b, a
-			}
-			return k.Q(a) <= k.Q(b)+1e-14
+	// ζ ≥ 0 for the 2nd-order kernel, so q must be nondecreasing.
+	k := Algebraic2()
+	f := func(a, b float64) bool {
+		a, b = math.Abs(a), math.Abs(b)
+		if a > b {
+			a, b = b, a
 		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", k.Name(), err)
-		}
+		return k.Q(a) <= k.Q(b)+1e-14
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Errorf("%s: %v", k.Name(), err)
 	}
 }
 
@@ -194,8 +184,6 @@ func TestSixthOrderFarField(t *testing.T) {
 		decay float64
 	}{
 		{Algebraic2(), 2},
-		{WinckelmansLeonard(), 4},
-		{Algebraic4(), 6}, // numerator tail s⁻⁷ ⇒ ρ⁻⁶ here
 		{Algebraic6(), 6},
 	}
 	for _, c := range cases {
@@ -208,41 +196,28 @@ func TestSixthOrderFarField(t *testing.T) {
 	}
 }
 
-func TestSingularKernel(t *testing.T) {
-	s := Singular()
-	if s.Q(0.5) != 1 || s.Q(100) != 1 {
-		t.Fatal("singular kernel must have q ≡ 1")
-	}
-	if s.Zeta(1) != 0 || s.QPrime(1) != 0 {
-		t.Fatal("singular kernel must have ζ = q' = 0 for ρ>0")
-	}
-}
-
 func TestByName(t *testing.T) {
-	names := []string{"algebraic2", "algebraic4", "algebraic6",
-		"winckelmans-leonard", "gaussian", "singular"}
-	for _, n := range names {
-		k := ByName(n)
-		if k == nil {
-			t.Fatalf("ByName(%q) = nil", n)
+	for _, n := range []string{"algebraic2", "algebraic6"} {
+		k, ok := ByName(n)
+		if !ok {
+			t.Fatalf("ByName(%q) unknown", n)
 		}
 		if k.Name() != n {
 			t.Fatalf("ByName(%q).Name() = %q", n, k.Name())
 		}
 	}
-	if ByName("nope") != nil {
-		t.Fatal("ByName of unknown name must return nil")
+	for _, n := range []string{"nope", "gaussian", "singular", "algebraic4", "winckelmans-leonard"} {
+		if k, ok := ByName(n); ok || k != (Smoothing{}) {
+			t.Fatalf("ByName(%q) = %v, %v; want the zero kernel, false", n, k, ok)
+		}
 	}
 }
 
 func TestKernelOrders(t *testing.T) {
-	want := map[string]int{
-		"algebraic2": 2, "algebraic4": 4, "algebraic6": 6,
-		"winckelmans-leonard": 2, "gaussian": 2, "singular": 0,
-	}
+	want := map[string]int{"algebraic2": 2, "algebraic6": 6}
 	for name, order := range want {
-		if got := ByName(name).Order(); got != order {
-			t.Errorf("%s: order %d, want %d", name, got, order)
+		if k, _ := ByName(name); k.Order() != order {
+			t.Errorf("%s: order %d, want %d", name, k.Order(), order)
 		}
 	}
 }

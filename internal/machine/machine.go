@@ -6,8 +6,8 @@
 //
 // BlueGeneP returns fixed constants in the range of the 850 MHz
 // PowerPC 450 cores of JUGENE, used for the figure-shape
-// reproductions; fitting the constants to the local host is ROADMAP
-// item 3(a).
+// reproductions; they are not fitted to the host that executes the
+// run.
 package machine
 
 // CostModel holds per-operation compute costs in seconds.

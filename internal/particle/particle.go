@@ -207,8 +207,9 @@ func HomogeneousCoulomb(n int, seed int64) *System {
 	return sys
 }
 
-// RandomVortexBlob builds a Gaussian cloud of n vortex particles with
-// random circulation vectors; it is the generic test workload.
+// RandomVortexBlob builds a normally distributed cloud of n vortex
+// particles with random circulation vectors; it is the generic test
+// workload.
 func RandomVortexBlob(n int, sigma float64, seed int64) *System {
 	rng := rand.New(rand.NewSource(seed))
 	sys := &System{Particles: make([]Particle, n), Sigma: sigma}

@@ -34,7 +34,7 @@ var ErrBadSpec = errors.New("server: bad job spec")
 type SystemSpec struct {
 	// Kind names a façade builder: "vortex" (the paper's sheet),
 	// "scaled" (absolute-σ sheet), "coulomb" (homogeneous plasma) or
-	// "blob" (Gaussian vortex cloud).
+	// "blob" (normally distributed vortex cloud).
 	Kind string `json:"kind"`
 	// N is the particle count, in [1, 200000].
 	N int `json:"n"`

@@ -128,8 +128,7 @@ func momentsEqual(a, b *Node) bool {
 	return a.CircSum == b.CircSum && a.AbsCirc == b.AbsCirc &&
 		a.Centroid == b.Centroid && a.Dipole == b.Dipole &&
 		a.Charge == b.Charge && a.AbsCharge == b.AbsCharge &&
-		a.DipoleQ == b.DipoleQ && a.QuadQ == b.QuadQ &&
-		a.BMax == b.BMax
+		a.DipoleQ == b.DipoleQ && a.QuadQ == b.QuadQ
 }
 
 // BuildWithHook builds a tree and runs the hook's inject/verify cycle,

@@ -78,7 +78,7 @@ func TestZeroExtentDomainBuilds(t *testing.T) {
 		t.Fatalf("root leaf holds %d of %d particles", root.Count, n)
 	}
 	// Far-field evaluation on the degenerate tree must stay finite.
-	res := tr.vortexAt(MACBarnesHut, int32(tr.Root), vec.V3(1, 1, 1), 0.5, -1, algebraic6Batch(0.1), true)
+	res := tr.vortexAt(int32(tr.Root), vec.V3(1, 1, 1), 0.5, -1, algebraic6Batch(0.1), true)
 	if !finiteV(res.U) {
 		t.Fatalf("non-finite velocity %v from zero-extent tree", res.U)
 	}

@@ -104,47 +104,14 @@ func boxPointDist2(gc, ge vec.Vec3, p vec.Vec3) (dmin2, dmax2 float64) {
 	return dmin2, dmax2
 }
 
-// boxBoxGap2 returns the squared gap between the cell's box and the
-// group box (zero when they touch or overlap) — a lower bound on
-// boxDistance2(nd, x) over all x in the group box.
-func boxBoxGap2(nd *Node, gc, ge vec.Vec3) float64 {
-	h := nd.Size / 2
-	var g2 float64
-	for _, d := range [3]float64{
-		math.Abs(nd.Center.X-gc.X) - (h + ge.X),
-		math.Abs(nd.Center.Y-gc.Y) - (h + ge.Y),
-		math.Abs(nd.Center.Z-gc.Z) - (h + ge.Z),
-	} {
-		if d > 0 {
-			g2 += d * d
-		}
-	}
-	return g2
-}
-
 // classifyGroup performs the conservative group-level MAC test of cell
 // nd against the group box (center gc, per-axis half-extents ge);
 // theta2 is θ². Callers pass the tight bounding box of the group's
 // particles (GroupBounds), which keeps the ambiguous fringe thin even
 // when the enclosing cell is mostly empty.
-func classifyGroup(mac MACKind, theta2 float64, nd *Node, gc, ge vec.Vec3) groupClass {
-	var s2, dmin2, dmax2 float64
-	switch mac {
-	case MACBMax:
-		s2 = nd.BMax * nd.BMax
-		dmin2, dmax2 = boxPointDist2(gc, ge, nd.Centroid)
-	case MACMinDist:
-		s2 = nd.Size * nd.Size
-		dmin2 = boxBoxGap2(nd, gc, ge)
-		// The distance to the cell box is 1-Lipschitz, so its maximum
-		// over the group box is at most its value at the center plus
-		// the group half diagonal.
-		ub := math.Sqrt(boxDistance2(nd, gc)) + math.Sqrt(ge.Norm2())
-		dmax2 = ub * ub
-	default:
-		s2 = nd.Size * nd.Size
-		dmin2, dmax2 = boxPointDist2(gc, ge, nd.Centroid)
-	}
+func classifyGroup(theta2 float64, nd *Node, gc, ge vec.Vec3) groupClass {
+	s2 := nd.Size * nd.Size
+	dmin2, dmax2 := boxPointDist2(gc, ge, nd.Centroid)
 	if dmin2 > 0 && s2 <= theta2*dmin2*(1-classifyMargin) {
 		return groupAccept
 	}
@@ -212,8 +179,9 @@ func PutInteractionList(l *InteractionList) {
 // uses the same stack discipline as the per-particle traversal
 // (children pushed in order, popped last-first), so evaluating the
 // items in list order reproduces the per-particle evaluation order
-// exactly.
-func (t *Tree) AppendInteractionList(list *InteractionList, mac MACKind, theta float64, start int32, gc, ge vec.Vec3) {
+// exactly. The criterion is always Barnes-Hut; the MACKind parameter
+// remains only because internal/bench passes it.
+func (t *Tree) AppendInteractionList(list *InteractionList, _ MACKind, theta float64, start int32, gc, ge vec.Vec3) {
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -230,7 +198,7 @@ func (t *Tree) AppendInteractionList(list *InteractionList, mac MACKind, theta f
 			list.Items = append(list.Items, ListItem{Kind: ItemNear, Node: idx})
 			continue
 		}
-		switch classifyGroup(mac, theta2, nd, gc, ge) {
+		switch classifyGroup(theta2, nd, gc, ge) {
 		case groupAccept:
 			list.Items = append(list.Items, ListItem{Kind: ItemFar, Node: idx})
 		case groupOpen:
@@ -242,19 +210,6 @@ func (t *Tree) AppendInteractionList(list *InteractionList, mac MACKind, theta f
 	}
 	*sp = stack
 	putStack(sp)
-}
-
-// LeafGroups returns the indices of the non-empty leaf cells in Morton
-// (depth-first preorder) order — the target groups of the list
-// evaluator.
-func (t *Tree) LeafGroups() []int32 {
-	out := make([]int32, 0, 1+len(t.Nodes)/2)
-	for i := range t.Nodes {
-		if t.Nodes[i].Leaf && t.Nodes[i].Count > 0 {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // GroupBounds returns the tight axis-aligned bounding box — center and
@@ -287,8 +242,9 @@ func (t *Tree) GroupBounds(first, count int) (gc, ge vec.Vec3) {
 // so the list-build walk is amortized over up to cap targets even on a
 // classical (LeafCap = 1) tree — the regime where per-particle walks
 // are most expensive. Each group's particles are the contiguous range
-// [First, First+Count) of t.Order. cap ≤ LeafCap degenerates to
-// LeafGroups (every internal cell holds more than LeafCap particles).
+// [First, First+Count) of t.Order. cap ≤ LeafCap degenerates to the
+// non-empty leaves (every internal cell holds more than LeafCap
+// particles).
 func (t *Tree) Groups(cap int) []int32 {
 	return t.AppendGroups(make([]int32, 0, 64), cap)
 }

@@ -1,7 +1,7 @@
 package tree
 
 // Property tests for the two-phase interaction-list evaluator: across
-// θ ∈ {0, 0.3, 0.6} and all MAC kinds it must agree with the
+// θ ∈ {0, 0.3, 0.6} it must agree with the
 // per-particle recursive traversal to ≤1 ulp per component (by
 // construction the agreement is bitwise: conservative group
 // classification plus exact fallback reproduces the recursive
@@ -59,30 +59,27 @@ func TestListMatchesRecursiveVortex(t *testing.T) {
 		"sheet": particle.SphericalVortexSheet(particle.DefaultSheet(500)),
 	}
 	for name, sys := range systems {
-		for _, mac := range []MACKind{MACBarnesHut, MACBMax, MACMinDist} {
-			for _, theta := range []float64{0, 0.3, 0.6} {
-				n := sys.N()
-				mk := func(mode TraversalMode) (*Solver, []vec.Vec3, []vec.Vec3) {
-					s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
-					s.MAC = mac
-					s.Traversal = mode
-					s.Workers = 4
-					vel := make([]vec.Vec3, n)
-					str := make([]vec.Vec3, n)
-					s.Eval(sys, vel, str)
-					return s, vel, str
-				}
-				sL, velL, strL := mk(TraversalList)
-				sR, velR, strR := mk(TraversalRecursive)
-				if d := maxUlpsVec(velL, velR); d > 1 {
-					t.Errorf("%s mac=%v θ=%.1f: velocity differs by %d ulp", name, mac, theta, d)
-				}
-				if d := maxUlpsVec(strL, strR); d > 1 {
-					t.Errorf("%s mac=%v θ=%.1f: stretching differs by %d ulp", name, mac, theta, d)
-				}
-				if li, ri := sL.Stats().Interactions, sR.Stats().Interactions; li != ri {
-					t.Errorf("%s mac=%v θ=%.1f: interaction counts differ: list=%d recursive=%d", name, mac, theta, li, ri)
-				}
+		for _, theta := range []float64{0, 0.3, 0.6} {
+			n := sys.N()
+			mk := func(mode TraversalMode) (*Solver, []vec.Vec3, []vec.Vec3) {
+				s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+				s.Traversal = mode
+				s.Workers = 4
+				vel := make([]vec.Vec3, n)
+				str := make([]vec.Vec3, n)
+				s.Eval(sys, vel, str)
+				return s, vel, str
+			}
+			sL, velL, strL := mk(TraversalList)
+			sR, velR, strR := mk(TraversalRecursive)
+			if d := maxUlpsVec(velL, velR); d > 1 {
+				t.Errorf("%s θ=%.1f: velocity differs by %d ulp", name, theta, d)
+			}
+			if d := maxUlpsVec(strL, strR); d > 1 {
+				t.Errorf("%s θ=%.1f: stretching differs by %d ulp", name, theta, d)
+			}
+			if li, ri := sL.Stats().Interactions, sR.Stats().Interactions; li != ri {
+				t.Errorf("%s θ=%.1f: interaction counts differ: list=%d recursive=%d", name, theta, li, ri)
 			}
 		}
 	}
@@ -153,39 +150,36 @@ func TestClassifyGroupConservative(t *testing.T) {
 	// bounds being monotone).
 	sys := particle.RandomVortexBlob(512, 0.2, 3)
 	tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
-	groups := tr.LeafGroups()
-	for _, mac := range []MACKind{MACBarnesHut, MACBMax, MACMinDist} {
-		for _, theta := range []float64{0.3, 0.6, 1.0} {
-			theta2 := theta * theta
-			for _, g := range groups {
-				gn := &tr.Nodes[g]
-				gc, ge := tr.GroupBounds(gn.First, gn.Count)
-				probes := []vec.Vec3{gc}
-				for dx := -1.0; dx <= 1; dx += 2 {
-					for dy := -1.0; dy <= 1; dy += 2 {
-						for dz := -1.0; dz <= 1; dz += 2 {
-							probes = append(probes, vec.V3(gc.X+dx*ge.X, gc.Y+dy*ge.Y, gc.Z+dz*ge.Z))
-						}
+	groups := tr.Groups(8) // at LeafCap 8: the non-empty leaves
+	for _, theta := range []float64{0.3, 0.6, 1.0} {
+		theta2 := theta * theta
+		for _, g := range groups {
+			gn := &tr.Nodes[g]
+			gc, ge := tr.GroupBounds(gn.First, gn.Count)
+			probes := []vec.Vec3{gc}
+			for dx := -1.0; dx <= 1; dx += 2 {
+				for dy := -1.0; dy <= 1; dy += 2 {
+					for dz := -1.0; dz <= 1; dz += 2 {
+						probes = append(probes, vec.V3(gc.X+dx*ge.X, gc.Y+dy*ge.Y, gc.Z+dz*ge.Z))
 					}
 				}
-				for ni := range tr.Nodes {
-					nd := &tr.Nodes[ni]
-					if nd.Leaf || nd.Count == 0 {
-						continue
+			}
+			for ni := range tr.Nodes {
+				nd := &tr.Nodes[ni]
+				if nd.Leaf || nd.Count == 0 {
+					continue
+				}
+				cls := classifyGroup(theta2, nd, gc, ge)
+				if cls == groupAmbiguous {
+					continue
+				}
+				for _, x := range probes {
+					acc := MACSq(theta2, nd.Size*nd.Size, x.Sub(nd.Centroid).Norm2())
+					if cls == groupAccept && !acc {
+						t.Fatalf("θ=%.1f: group accept but per-particle reject", theta)
 					}
-					cls := classifyGroup(mac, theta2, nd, gc, ge)
-					if cls == groupAmbiguous {
-						continue
-					}
-					for _, x := range probes {
-						r2 := x.Sub(nd.Centroid).Norm2()
-						acc := mac.acceptsSq(theta2, nd, x, r2)
-						if cls == groupAccept && !acc {
-							t.Fatalf("mac=%v θ=%.1f: group accept but per-particle reject", mac, theta)
-						}
-						if cls == groupOpen && acc {
-							t.Fatalf("mac=%v θ=%.1f: group open but per-particle accept", mac, theta)
-						}
+					if cls == groupOpen && acc {
+						t.Fatalf("θ=%.1f: group open but per-particle accept", theta)
 					}
 				}
 			}

@@ -19,10 +19,7 @@ func layoutSolver(sm kernel.Smoothing, theta float64, trav TraversalMode, layout
 	return s
 }
 
-var layoutKernels = []string{
-	"algebraic2", "algebraic4", "algebraic6",
-	"winckelmans-leonard", "gaussian", "singular",
-}
+var layoutKernels = []kernel.Smoothing{kernel.Algebraic2(), kernel.Algebraic6()}
 
 // TestLayoutSweepEquivalence is the layout matrix: θ ∈ {0, 0.3, 0.6},
 // every smoothing kernel, both traversals, clustered and uniform
@@ -36,8 +33,8 @@ func TestLayoutSweepEquivalence(t *testing.T) {
 		"uniform":   particle.RandomVortexBlob(240, 0.08, 7),
 	}
 	for sysName, sys := range systems {
-		for _, kn := range layoutKernels {
-			sm := kernel.ByName(kn)
+		for _, sm := range layoutKernels {
+			kn := sm.Name()
 			for _, theta := range []float64{0, 0.3, 0.6} {
 				for _, trav := range []TraversalMode{TraversalList, TraversalRecursive} {
 					n := sys.N()
@@ -59,9 +56,8 @@ func TestLayoutSweepEquivalence(t *testing.T) {
 	}
 }
 
-// sameBits is == on every component, with NaN equal to NaN (the
-// singular kernel may overflow on a clustered system; both layouts
-// must then overflow alike).
+// sameBits is == on every component, with NaN equal to NaN (should a
+// kernel overflow, both layouts must overflow alike).
 func sameBits(a, b vec.Vec3) bool {
 	return ulps(a.X, b.X) == 0 && ulps(a.Y, b.Y) == 0 && ulps(a.Z, b.Z) == 0
 }
@@ -74,7 +70,7 @@ func sameBits(a, b vec.Vec3) bool {
 func TestLayoutBitwiseDefaultConfig(t *testing.T) {
 	sys := particle.ClusteredVortexSheet(500)
 	n := sys.N()
-	sm := kernel.ByName("algebraic6")
+	sm := kernel.Algebraic6()
 	velA := make([]vec.Vec3, n)
 	strA := make([]vec.Vec3, n)
 	velS := make([]vec.Vec3, n)
@@ -100,9 +96,9 @@ func TestLayoutCoulombEquivalence(t *testing.T) {
 			fA := make([]vec.Vec3, n)
 			potS := make([]float64, n)
 			fS := make([]vec.Vec3, n)
-			sA := layoutSolver(kernel.ByName("algebraic6"), theta, trav, particle.LayoutAoS, 2)
+			sA := layoutSolver(kernel.Algebraic6(), theta, trav, particle.LayoutAoS, 2)
 			sA.Coulomb(sys, 1e-3, potA, fA)
-			sS := layoutSolver(kernel.ByName("algebraic6"), theta, trav, particle.LayoutSoA, 2)
+			sS := layoutSolver(kernel.Algebraic6(), theta, trav, particle.LayoutSoA, 2)
 			sS.Coulomb(sys, 1e-3, potS, fS)
 			for i := 0; i < n; i++ {
 				if potA[i] != potS[i] || fA[i] != fS[i] {
@@ -227,7 +223,7 @@ func TestLayoutInputOrderInvariance(t *testing.T) {
 	for i, p := range perm {
 		shuf.Particles[i] = base.Particles[p]
 	}
-	sm := kernel.ByName("algebraic6")
+	sm := kernel.Algebraic6()
 	velB := make([]vec.Vec3, n)
 	strB := make([]vec.Vec3, n)
 	velS := make([]vec.Vec3, n)
@@ -274,7 +270,7 @@ func TestSoAEvalZeroAllocSteadyState(t *testing.T) {
 	}
 	sys := particle.ClusteredVortexSheet(1500)
 	n := sys.N()
-	s := NewSolver(kernel.ByName("algebraic6"), kernel.Transpose, 0.3)
+	s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.3)
 	s.Workers = 1
 	vel := make([]vec.Vec3, n)
 	str := make([]vec.Vec3, n)

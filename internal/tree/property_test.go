@@ -88,7 +88,7 @@ func TestPropertyThetaZeroIsDirectSum(t *testing.T) {
 		pw := algebraic6Batch(sys.Sigma)
 		var inter, accepts int64
 		for q := 0; q < n; q++ {
-			res := tr.vortexAt(MACBarnesHut, int32(tr.Root), sys.Particles[q].Pos, 0, tr.skipLane(q), pw, true)
+			res := tr.vortexAt(int32(tr.Root), sys.Particles[q].Pos, 0, tr.skipLane(q), pw, true)
 			inter += res.Interactions
 			accepts += res.CellAccepts
 		}
@@ -113,7 +113,7 @@ func TestPropertyMACCounterConsistency(t *testing.T) {
 			tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
 			pw := algebraic6Batch(sys.Sigma)
 			for q := 0; q < n; q++ {
-				res := tr.vortexAt(MACBarnesHut, int32(tr.Root), sys.Particles[q].Pos, theta, tr.skipLane(q), pw, true)
+				res := tr.vortexAt(int32(tr.Root), sys.Particles[q].Pos, theta, tr.skipLane(q), pw, true)
 				p2p := res.Interactions - res.CellAccepts
 				if p2p < 0 {
 					t.Fatalf("θ=%.1f seed=%d q=%d: negative p2p share", theta, seed, q)

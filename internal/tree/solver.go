@@ -34,18 +34,11 @@ type Solver struct {
 	Workers int
 	// Dipole enables the cluster dipole correction for velocities.
 	Dipole bool
-	// MAC selects the acceptance criterion (default: classical
-	// Barnes-Hut, the paper's choice).
-	MAC MACKind
 	// Traversal selects the evaluator of a target group: TraversalList
 	// (default) builds one interaction list per group, and
 	// TraversalRecursive walks the tree once per particle. Both sum the
 	// same terms in the same order, so results are bitwise equal.
 	Traversal TraversalMode
-	// GroupCap bounds the particles per target group of the list
-	// evaluator (≤0: max(LeafCap, 8)). Groups larger than a leaf
-	// amortize one list-build walk over several leaf cells.
-	GroupCap int
 	// Hook, when non-nil, observes every built tree before use (guard
 	// layer: moment-flip injection + ABFT verification with rebuild on
 	// detection). Nil costs nothing.
@@ -193,16 +186,16 @@ func (s *Solver) evalVortexGroup(t *Tree, g int32, vel, stretch []vec.Vec3, work
 	if byList {
 		list.Reset()
 		gc, ge := t.GroupBounds(nd.First, nd.Count)
-		t.AppendInteractionList(list, s.MAC, s.Theta, int32(t.Root), gc, ge)
+		t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
 	}
 	for i := nd.First; i < nd.First+nd.Count; i++ {
 		orig := t.Order[i]
 		p := t.Particle(i)
 		var res VortexResult
 		if byList {
-			res = t.evalVortexList(list, s.MAC, s.Theta, p.Pos, i, &s.vb, s.Dipole)
+			res = t.evalVortexList(list, s.Theta, p.Pos, i, &s.vb, s.Dipole)
 		} else {
-			res = t.vortexAt(s.MAC, int32(t.Root), p.Pos, s.Theta, i, &s.vb, s.Dipole)
+			res = t.vortexAt(int32(t.Root), p.Pos, s.Theta, i, &s.vb, s.Dipole)
 		}
 		vel[orig] = res.U
 		stretch[orig] = s.Scheme.Stretch(res.Grad, p.Alpha)
@@ -230,16 +223,10 @@ func (s *Solver) workerCount(n int) int {
 	return w
 }
 
-// groupCap is the effective target-group size of the list evaluator.
-func (s *Solver) groupCap() int {
-	if s.GroupCap > 0 {
-		return s.GroupCap
-	}
-	if s.LeafCap > 8 {
-		return s.LeafCap
-	}
-	return 8
-}
+// groupCap is the target-group size of the list evaluator: groups
+// larger than a leaf amortize one list-build walk over several leaf
+// cells.
+func (s *Solver) groupCap() int { return max(s.LeafCap, 8) }
 
 // Coulomb evaluates the softened Coulomb potential and field for all
 // particles with the tree: the build, then CoulombGroups.
@@ -259,8 +246,7 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	s.interactions.Add(inter)
 }
 
-// CoulombGroups is EvalGroups for the Coulomb discipline, which always
-// uses the classical Barnes-Hut criterion.
+// CoulombGroups is EvalGroups for the Coulomb discipline.
 //
 //lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
 func (s *Solver) CoulombGroups(t *Tree, groups []int32, eps float64, pot []float64, f []vec.Vec3, work []float64) (inter, accepts, rejects int64) {

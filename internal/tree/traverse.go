@@ -8,78 +8,25 @@ import (
 	"repro/internal/vec"
 )
 
-// MAC is the classical Barnes-Hut multipole acceptance criterion: a
-// cell of size s at distance d from the target may be used as a single
-// interaction partner when s/d ≤ θ (Fig. 4 of the paper). θ = 0 never
-// accepts a cell, reducing the tree code to direct summation over the
-// leaves.
-func MAC(theta, size, dist float64) bool {
-	return dist > 0 && size <= theta*dist
-}
-
-// MACSq is MAC on squared quantities: size² ≤ θ²·d² with d² > 0. The
-// hot paths use this form so the accept/reject decision needs no
-// square root; callers precompute theta2 = θ² once per traversal.
+// MACSq is the Barnes-Hut multipole acceptance criterion on squared
+// quantities: a cell of size s at distance d from the target may be
+// used as a single interaction partner when s/d ≤ θ (Fig. 4 of the
+// paper), tested as s² ≤ θ²·d² with d² > 0 so the accept/reject
+// decision needs no square root; callers precompute theta2 = θ² once
+// per traversal. θ = 0 never accepts a cell, reducing the tree code to
+// direct summation over the leaves.
 func MACSq(theta2, size2, dist2 float64) bool {
 	return dist2 > 0 && size2 <= theta2*dist2
 }
 
-// MACKind selects among the acceptance criteria discussed in the
-// paper's reference [30] (Salmon & Warren, "Skeletons from the
-// treecode closet").
+// MACKind names the acceptance criterion of AppendInteractionList.
+// Barnes-Hut is the only one; the type and its one value remain because
+// internal/bench passes MACBarnesHut.
 type MACKind int
 
-const (
-	// MACBarnesHut is the classical criterion s/d ≤ θ with d measured
-	// to the cell centroid (the paper's choice).
-	MACBarnesHut MACKind = iota
-	// MACBMax replaces the cell size by b_max, the distance from the
-	// centroid to the farthest cell corner — tighter for clusters whose
-	// centroid sits off-center.
-	MACBMax
-	// MACMinDist measures d to the nearest point of the cell box
-	// instead of the centroid — the most conservative of the three.
-	MACMinDist
-)
-
-func (k MACKind) String() string {
-	switch k {
-	case MACBMax:
-		return "bmax"
-	case MACMinDist:
-		return "min-dist"
-	default:
-		return "barnes-hut"
-	}
-}
-
-// acceptsSq applies the criterion to a cell for a target at x on
-// squared quantities — the single per-particle acceptance predicate
-// shared by the recursive traversal and the interaction-list evaluator
-// (both must take identical decisions for the two to agree bitwise).
-// r2 is |x − centroid|².
-func (k MACKind) acceptsSq(theta2 float64, nd *Node, x vec.Vec3, r2 float64) bool {
-	switch k {
-	case MACBMax:
-		return MACSq(theta2, nd.BMax*nd.BMax, r2)
-	case MACMinDist:
-		return MACSq(theta2, nd.Size*nd.Size, boxDistance2(nd, x))
-	default:
-		return MACSq(theta2, nd.Size*nd.Size, r2)
-	}
-}
-
-// boxDistance2 is the squared distance from x to the surface of the
-// cell's axis-aligned box (zero when x is inside); the MAC hot path
-// compares squared distances so the square root is never taken for a
-// pure accept/reject decision.
-func boxDistance2(nd *Node, x vec.Vec3) float64 {
-	h := nd.Size / 2
-	dx := math.Max(0, math.Abs(x.X-nd.Center.X)-h)
-	dy := math.Max(0, math.Abs(x.Y-nd.Center.Y)-h)
-	dz := math.Max(0, math.Abs(x.Z-nd.Center.Z)-h)
-	return dx*dx + dy*dy + dz*dz
-}
+// MACBarnesHut is the classical criterion s/d ≤ θ with d measured to
+// the cell centroid (the paper's choice).
+const MACBarnesHut MACKind = 0
 
 // stackPool recycles traversal stacks across walks; per-call stack
 // allocations would otherwise dominate the allocation profile of a
@@ -224,7 +171,7 @@ func open(stack []int32, nd *Node) []int32 {
 // interaction-list evaluator calls it for cells whose group-level
 // accept/open decision is ambiguous, so both evaluators sum exactly
 // the same terms in exactly the same order.
-func (e *vortexEval) walk(t *Tree, mac MACKind, start int32, x vec.Vec3, theta float64, skipSorted int, useDipole bool) {
+func (e *vortexEval) walk(t *Tree, start int32, x vec.Vec3, theta float64, skipSorted int, useDipole bool) {
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -237,7 +184,7 @@ func (e *vortexEval) walk(t *Tree, mac MACKind, start int32, x vec.Vec3, theta f
 		}
 		if !nd.Leaf {
 			r2 := x.Sub(nd.Centroid).Norm2()
-			if mac.acceptsSq(theta2, nd, x, r2) {
+			if MACSq(theta2, nd.Size*nd.Size, r2) {
 				e.far(nd, x, useDipole)
 				continue
 			}
@@ -279,14 +226,14 @@ func (t *Tree) skipLane(skipOrig int) int {
 }
 
 // vortexAt evaluates velocity and gradient at x by the per-particle
-// traversal of the subtree rooted at node start under the criterion
-// mac: the recursive evaluator, and the oracle the list evaluator is
+// traversal of the subtree rooted at node start: the recursive
+// evaluator, and the oracle the list evaluator is
 // held bitwise equal to. skipSorted, when ≥ 0, is the lane of a
 // particle to exclude (the target itself). useDipole enables the
 // dipole correction of accepted cells.
-func (t *Tree) vortexAt(mac MACKind, start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
-	e.walk(t, mac, start, x, theta, skipSorted, useDipole)
+	e.walk(t, start, x, theta, skipSorted, useDipole)
 	return e.result(0)
 }
 
@@ -295,7 +242,7 @@ func (t *Tree) vortexAt(mac MACKind, start int32, x vec.Vec3, theta float64, ski
 // sums, ambiguous items via the exact per-particle walk accumulating
 // into the running result. The summation order is identical to
 // vortexAt on the subtree the list was built from.
-func (t *Tree) evalVortexList(list *InteractionList, mac MACKind, theta float64, x vec.Vec3, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+func (t *Tree) evalVortexList(list *InteractionList, theta float64, x vec.Vec3, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
 	for _, it := range list.Items {
 		switch it.Kind {
@@ -304,7 +251,7 @@ func (t *Tree) evalVortexList(list *InteractionList, mac MACKind, theta float64,
 		case ItemNear:
 			e.near(t, &t.Nodes[it.Node], x, skipSorted)
 		default:
-			e.walk(t, mac, it.Node, x, theta, skipSorted, useDipole)
+			e.walk(t, it.Node, x, theta, skipSorted, useDipole)
 		}
 	}
 	return e.result(list.Opens)
@@ -396,8 +343,7 @@ func coulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	return phi, e
 }
 
-// coulombEval is vortexEval for the Coulomb discipline, which always
-// uses the classical Barnes-Hut criterion.
+// coulombEval is vortexEval for the Coulomb discipline.
 type coulombEval struct {
 	acc         kernel.CoulombAcc
 	cellAccepts int64

@@ -25,9 +25,6 @@ type Node struct {
 	// Prefix is the Morton prefix of the cell (full-key resolution with
 	// the bits below Level zeroed).
 	Prefix uint64
-	// BMax is the distance from the multipole centroid to the farthest
-	// cell corner (for the b_max acceptance criterion).
-	BMax float64
 
 	// Vortex multipole data: total circulation, |α|-weighted centroid,
 	// and the dipole tensor D = Σ (x_p − centroid) ⊗ α_p.
@@ -106,8 +103,8 @@ type BuildConfig struct {
 	// particles at build so the batched kernel streams lanes linearly;
 	// LayoutAoS (the zero value) gathers nothing at build. Both feed the
 	// same kernel, so results are bitwise equal. Every production
-	// caller passes LayoutSoA; the field goes when internal/bench,
-	// which names it, may be edited (ROADMAP item 1(b)).
+	// caller passes LayoutSoA; the field stays only because
+	// internal/bench names it.
 	Layout particle.Layout
 }
 
@@ -174,7 +171,6 @@ func (t *Tree) build(first, count, level int, prefix uint64) int {
 // particles.
 func (t *Tree) accumulateLeaf(idx int) {
 	nd := &t.Nodes[idx]
-	defer t.setBMax(nd)
 	switch t.discipline {
 	case Vortex:
 		var circ, wpos vec.Vec3
@@ -238,7 +234,6 @@ func (t *Tree) accumulateLeaf(idx int) {
 // the standard shift formulas.
 func (t *Tree) accumulateInternal(idx int) {
 	nd := &t.Nodes[idx]
-	defer t.setBMax(nd)
 	// Fixed-size backing instead of make: this runs once per internal
 	// node per build, on the steady-state Eval path.
 	var kids [8]*Node
@@ -379,25 +374,6 @@ func (t *Tree) Check() error {
 		return fmt.Errorf("tree: root covers %d particles, system has %d", n, t.sys.N())
 	}
 	return nil
-}
-
-// setBMax computes the distance from the node's centroid to its
-// farthest cell corner.
-func (t *Tree) setBMax(nd *Node) {
-	h := nd.Size / 2
-	d := vec.V3(
-		h+abs(nd.Centroid.X-nd.Center.X),
-		h+abs(nd.Centroid.Y-nd.Center.Y),
-		h+abs(nd.Centroid.Z-nd.Center.Z),
-	)
-	nd.BMax = d.Norm()
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // PKey returns the placeholder key of a node.

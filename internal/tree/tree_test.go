@@ -331,7 +331,7 @@ func TestSingleParticleTree(t *testing.T) {
 	if !tr.Nodes[tr.Root].Leaf {
 		t.Fatal("single particle should be a leaf root")
 	}
-	res := tr.vortexAt(MACBarnesHut, int32(tr.Root), vec.V3(2, 2, 2), 0.5, -1, algebraic6Batch(1), true)
+	res := tr.vortexAt(int32(tr.Root), vec.V3(2, 2, 2), 0.5, -1, algebraic6Batch(1), true)
 	if res.U.Norm() == 0 {
 		t.Fatal("expected nonzero induced velocity")
 	}
@@ -364,16 +364,19 @@ func TestDepthReasonable(t *testing.T) {
 }
 
 func TestMACBoundary(t *testing.T) {
-	if MAC(0.5, 1, 1.9) {
+	if MACSq(0.5*0.5, 1, 1.9*1.9) {
 		t.Fatal("s/d = 0.53 > 0.5 must not be accepted")
 	}
-	if !MAC(0.5, 1, 2.1) {
+	if !MACSq(0.5*0.5, 1, 2.1*2.1) {
 		t.Fatal("s/d = 0.48 <= 0.5 must be accepted")
 	}
-	if MAC(0.5, 1, 0) {
+	if !MACSq(0.5*0.5, 1, 2*2) {
+		t.Fatal("s/d = 0.5 exactly must be accepted")
+	}
+	if MACSq(0.5*0.5, 1, 0) {
 		t.Fatal("zero distance must never be accepted")
 	}
-	if MAC(0, 1, 100) {
+	if MACSq(0, 1, 100*100) {
 		t.Fatal("θ=0 must never accept")
 	}
 }
@@ -434,73 +437,6 @@ func BenchmarkTreeBuild10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
-	}
-}
-
-func TestMACVariantsAccuracyHierarchy(t *testing.T) {
-	// At equal θ the min-dist criterion is the most conservative (more
-	// interactions, less error) and b_max sits near the classical one.
-	sys := particle.SphericalVortexSheet(particle.ScaledSheet(800))
-	ds := direct.New(kernel.Algebraic6(), kernel.Transpose, 0)
-	wantV := make([]vec.Vec3, sys.N())
-	wantS := make([]vec.Vec3, sys.N())
-	ds.Eval(sys, wantV, wantS)
-	maxRef := 0.0
-	for _, v := range wantV {
-		maxRef = math.Max(maxRef, v.Norm())
-	}
-	type out struct {
-		err   float64
-		inter int64
-	}
-	run := func(kind MACKind) out {
-		s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.6)
-		s.MAC = kind
-		vel := make([]vec.Vec3, sys.N())
-		str := make([]vec.Vec3, sys.N())
-		s.Eval(sys, vel, str)
-		maxErr := 0.0
-		for i := range vel {
-			maxErr = math.Max(maxErr, vel[i].Sub(wantV[i]).Norm())
-		}
-		return out{maxErr / maxRef, s.Stats().Interactions}
-	}
-	classic := run(MACBarnesHut)
-	minDist := run(MACMinDist)
-	bmax := run(MACBMax)
-	if minDist.inter <= classic.inter {
-		t.Fatalf("min-dist should do more work: %d vs %d", minDist.inter, classic.inter)
-	}
-	if minDist.err >= classic.err {
-		t.Fatalf("min-dist should be more accurate: %g vs %g", minDist.err, classic.err)
-	}
-	if bmax.inter < classic.inter {
-		t.Fatalf("bmax should be at least as conservative: %d vs %d", bmax.inter, classic.inter)
-	}
-	if bmax.err > classic.err*1.5 {
-		t.Fatalf("bmax error %g worse than classic %g", bmax.err, classic.err)
-	}
-}
-
-func TestMACKindStrings(t *testing.T) {
-	if MACBarnesHut.String() != "barnes-hut" || MACBMax.String() != "bmax" ||
-		MACMinDist.String() != "min-dist" {
-		t.Fatal("names wrong")
-	}
-}
-
-func TestBMaxBoundsCellRadius(t *testing.T) {
-	sys := particle.RandomVortexBlob(300, 0.2, 83)
-	tr := Build(sys, BuildConfig{LeafCap: 4, Discipline: Vortex})
-	for i := range tr.Nodes {
-		nd := &tr.Nodes[i]
-		half := nd.Size / 2 * math.Sqrt(3)
-		if nd.BMax < half-1e-12 {
-			t.Fatalf("node %d: BMax %g below half-diagonal %g", i, nd.BMax, half)
-		}
-		if nd.BMax > 2*nd.Size*math.Sqrt(3) {
-			t.Fatalf("node %d: BMax %g implausibly large (size %g)", i, nd.BMax, nd.Size)
-		}
 	}
 }
 

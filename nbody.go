@@ -72,8 +72,8 @@ func CoulombCloud(n int, seed int64) *System {
 	return particle.HomogeneousCoulomb(n, seed)
 }
 
-// RandomBlob returns a Gaussian cloud of vortex particles (a generic
-// test workload).
+// RandomBlob returns a normally distributed cloud of vortex particles
+// (a generic test workload).
 func RandomBlob(n int, sigma float64, seed int64) *System {
 	return particle.RandomVortexBlob(n, sigma, seed)
 }
@@ -81,13 +81,12 @@ func RandomBlob(n int, sigma float64, seed int64) *System {
 // Diagnose computes the invariants and monitors of a system.
 func Diagnose(s *System) Diagnostics { return particle.Diagnose(s) }
 
-// Kernel returns a smoothing kernel by name: "algebraic2",
-// "algebraic4", "algebraic6" (the paper's sixth-order kernel),
-// "winckelmans-leonard", "gaussian" or "singular".
+// Kernel returns a smoothing kernel by name: "algebraic2" or
+// "algebraic6" (the paper's sixth-order kernel).
 func Kernel(name string) (Smoothing, error) {
-	k := kernel.ByName(name)
-	if k == nil {
-		return nil, fmt.Errorf("nbody: unknown kernel %q", name)
+	k, ok := kernel.ByName(name)
+	if !ok {
+		return k, fmt.Errorf("nbody: unknown kernel %q", name)
 	}
 	return k, nil
 }
