@@ -40,11 +40,12 @@ go test -race ./...
 # drivers compiling and running.
 go test -bench . -benchtime 1x -run '^$' ./...
 
-# Layout lane: the façade suite once more, uncached (TestLayoutLane
-# holds a serial simulation on build-time lanes == one on leaf-by-leaf
-# gathers), plus an allocation smoke over BenchmarkLayoutEvalSoA — the
-# tree's hot path must be allocation-free in steady state (0 allocs/op,
-# averaged over the benchtime iterations).
+# Layout lane: the façade suite once more, uncached (every tree build
+# gathers SoA lanes, so the façade's serial, space-parallel and
+# space-time runs all evaluate through them), plus an allocation smoke
+# over BenchmarkLayoutEvalSoA — the tree's hot path must be
+# allocation-free in steady state (0 allocs/op, averaged over the
+# benchtime iterations).
 go test -count=1 .
 alloc_out=$(mktemp)
 go test -bench 'BenchmarkLayoutEval' -benchtime 20x -benchmem -run '^$' . | tee "$alloc_out"
@@ -76,6 +77,15 @@ rm -f "$alloc_out"
 # softenings.
 go test -run '^$' -fuzz FuzzBatchGradRange -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
+
+# Tree and transport fuzz smoke: Morton key encode/decode over the full
+# coordinate range; mutated multi-block frames against the mpi decoder
+# (a clean error or a valid block list, never a panic or a runaway
+# pre-allocation) and the float64 payload codec (bit-exact round trip,
+# misaligned buffers rejected).
+go test -run '^$' -fuzz FuzzMortonRoundTrip -fuzztime 10s ./internal/tree/
+go test -run '^$' -fuzz FuzzDecodeBlocks -fuzztime 10s ./internal/mpi/
+go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 
 # Chaos lane: the fault-injection and resilience suites once more under
 # the race detector, -count=1 so cached passes don't mask flakiness in

@@ -38,18 +38,26 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write the final state to this file")
 	)
 	flag.Parse()
-	if *spacetime != "" {
-		// The space-time run has its own solver (the parallel tree at
-		// -theta) and integrator (PFASST); these flags would be ignored.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "solver", "integrator", "sweeps", "vtk":
-				fmt.Fprintf(os.Stderr, "nbody: -%s cannot be combined with -spacetime\n", f.Name)
-				flag.Usage()
-				os.Exit(2)
-			}
-		})
-	}
+	// A flag the selected run would ignore is a usage error. The
+	// space-time run has its own solver (the parallel tree at -theta)
+	// and integrator (PFASST); only it reports a modeled time; the
+	// direct solver has no MAC.
+	flag.Visit(func(f *flag.Flag) {
+		var conflict string
+		switch {
+		case *spacetime != "" && (f.Name == "solver" || f.Name == "integrator" || f.Name == "sweeps" || f.Name == "vtk"):
+			conflict = "cannot be combined with -spacetime"
+		case *spacetime == "" && f.Name == "modeled":
+			conflict = "needs -spacetime"
+		case *spacetime == "" && *solver == "direct" && f.Name == "theta":
+			conflict = "has no effect with -solver direct"
+		}
+		if conflict != "" {
+			fmt.Fprintf(os.Stderr, "nbody: -%s %s\n", f.Name, conflict)
+			flag.Usage()
+			os.Exit(2)
+		}
+	})
 
 	var sys *nbody.System
 	switch *setup {

@@ -38,26 +38,3 @@ func ExampleRunSpaceTime() {
 	// particles: 128
 	// converging: true
 }
-
-// Remeshing restores a quadrature-quality particle distribution while
-// conserving the invariants.
-func ExampleRemesh() {
-	sys := nbody.ScaledVortexSheet(400)
-	before := nbody.Diagnose(sys).TotalCirculation
-	out, stats := nbody.Remesh(sys, nbody.RemeshConfig{H: 0.15})
-	after := nbody.Diagnose(out).TotalCirculation
-	fmt.Printf("regridded %d particles onto a grid: %v\n", stats.Before, stats.After > 0)
-	fmt.Printf("circulation conserved: %v\n", after.Sub(before).Norm() < 1e-12)
-	// Output:
-	// regridded 400 particles onto a grid: true
-	// circulation conserved: true
-}
-
-// Kernels are looked up by name; the paper's sixth-order algebraic
-// kernel is the default everywhere.
-func ExampleKernel() {
-	k, _ := nbody.Kernel("algebraic6")
-	fmt.Println(k.Name(), k.Order())
-	// Output:
-	// algebraic6 6
-}

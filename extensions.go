@@ -1,21 +1,6 @@
 package nbody
 
-// Extended library surface: checkpointing, remeshing, the
-// frequency-split far-field solver (the paper's Section V outlook),
-// and the IMEX SDC integrator.
-
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/farfield"
-	"repro/internal/kernel"
-	"repro/internal/particle"
-	"repro/internal/remesh"
-	"repro/internal/sdc"
-)
+import "repro/internal/checkpoint"
 
 // SaveCheckpoint writes the system to path (atomic, checksummed binary
 // format).
@@ -26,89 +11,4 @@ func SaveCheckpoint(path string, sys *System) error {
 // LoadCheckpoint reads a system written by SaveCheckpoint.
 func LoadCheckpoint(path string) (*System, error) {
 	return checkpoint.Load(path)
-}
-
-// WriteCheckpoint and ReadCheckpoint are the stream variants.
-func WriteCheckpoint(w io.Writer, sys *System) error { return checkpoint.Write(w, sys) }
-
-// ReadCheckpoint reads a checkpoint stream.
-func ReadCheckpoint(r io.Reader) (*System, error) { return checkpoint.Read(r) }
-
-// RemeshConfig re-exports the remeshing parameters.
-type RemeshConfig = remesh.Config
-
-// RemeshStats re-exports the remeshing statistics.
-type RemeshStats = remesh.Stats
-
-// Remesh interpolates the particle set onto a regular grid with the
-// M'4 kernel (conserving total circulation and linear impulse) and
-// returns the regularized particle set — the maintenance step long
-// vortex runs need (the paper's companion reference [25]).
-func Remesh(sys *System, cfg RemeshConfig) (*System, RemeshStats) {
-	return remesh.Apply(sys, cfg)
-}
-
-// NewFarFieldSolver returns the frequency-split solver of the paper's
-// Section V outlook: MAC-accepted far-field contributions are
-// refreshed only every refreshEvery-th evaluation and reused in
-// between, making it an even cheaper PFASST coarse propagator than
-// plain θ-coarsening.
-func NewFarFieldSolver(theta float64, refreshEvery int) Solver {
-	return farfield.New(kernel.Algebraic6(), kernel.Transpose, theta, refreshEvery)
-}
-
-// FlowDiagnostics re-exports the velocity-dependent invariants.
-type FlowDiagnostics = particle.FlowDiagnostics
-
-// DiagnoseFlow computes kinetic energy, helicity and enstrophy from
-// the particle state and the induced velocities.
-func DiagnoseFlow(sys *System, vel []Vec3) FlowDiagnostics {
-	return particle.DiagnoseFlow(sys, vel)
-}
-
-// GravitySimulation advances a mass distribution under Barnes-Hut
-// self-gravity with SDC time integration — the gravitation discipline
-// PEPC started from. Particle masses live in the Charge attribute.
-type GravitySimulation struct {
-	Sys *System
-	Vel []Vec3
-	// Theta is the MAC parameter, G the gravitational constant, Eps
-	// the Plummer softening.
-	Theta, G, Eps float64
-	// Nodes and Sweeps configure the SDC integrator (defaults 3, 4).
-	Nodes, Sweeps int
-	// OnStep, when non-nil, runs after every step.
-	OnStep func(t float64, sys *System, vel []Vec3)
-}
-
-// NewGravitySimulation returns a gravity run with SDC(4) defaults.
-func NewGravitySimulation(sys *System, vel []Vec3) *GravitySimulation {
-	return &GravitySimulation{Sys: sys, Vel: vel, Theta: 0.4, G: 1, Eps: 0.01, Nodes: 3, Sweeps: 4}
-}
-
-// Run advances positions and velocities in place from t0 to t1.
-func (g *GravitySimulation) Run(t0, t1 float64, nsteps int) error {
-	if nsteps < 1 {
-		return fmt.Errorf("nbody: nsteps %d < 1", nsteps)
-	}
-	if len(g.Vel) != g.Sys.N() {
-		return fmt.Errorf("nbody: %d velocities for %d particles", len(g.Vel), g.Sys.N())
-	}
-	nodes, sweeps := g.Nodes, g.Sweeps
-	if nodes < 2 {
-		nodes, sweeps = 3, 4
-	}
-	gs := core.NewGravitySystem(g.Sys, g.Theta, g.G, g.Eps)
-	u := gs.PackState(g.Sys, g.Vel)
-	in := sdc.NewIntegrator(gs, nodes, sweeps)
-	dt := (t1 - t0) / float64(nsteps)
-	for n := 0; n < nsteps; n++ {
-		in.Step(t0+float64(n)*dt, dt, u)
-		if g.OnStep != nil {
-			copy(g.Vel, gs.UnpackState(u, g.Sys))
-			g.OnStep(t0+float64(n+1)*dt, g.Sys, g.Vel)
-		}
-	}
-	copy(g.Vel, gs.UnpackState(u, g.Sys))
-	return nil
 }

@@ -40,7 +40,7 @@ var numericPackages = map[string]bool{
 	"tree": true, "kernel": true, "pfasst": true, "sdc": true,
 	"guard": true, "hot": true, "core": true, "quadrature": true,
 	"particle": true, "direct": true, "farfield": true, "vec": true,
-	"rk": true, "ode": true, "remesh": true, "field": true,
+	"rk": true, "ode": true, "field": true,
 	"parareal": true, "checkpoint": true,
 }
 

@@ -161,10 +161,7 @@ type Config struct {
 	// tree solver: tree.TraversalList (default) or
 	// tree.TraversalRecursive.
 	Traversal tree.TraversalMode
-	// Layout is hot.Config.Layout for every level's solver:
-	// particle.LayoutSoA (the Default) gathers the local tree's lanes
-	// at build, particle.LayoutAoS gathers each leaf as the near leg
-	// meets it. Same kernel, bitwise-equal results (DESIGN.md §14).
+	// Layout is read by nothing; it goes when internal/bench stops naming it.
 	Layout particle.Layout
 	// Balance enables cross-rank dynamic load balancing: every force
 	// evaluation routes per-particle interaction counts back to the
@@ -241,7 +238,6 @@ func Default(pt, ps int) Config {
 		Iterations: 2, CoarseSweeps: 2,
 		LeafCap: 8,
 		Dipole:  true,
-		Layout:  particle.LayoutSoA,
 	}
 }
 
@@ -334,7 +330,6 @@ func levelSystem(space *mpi.Comm, cfg Config, local *particle.System, theta floa
 		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: theta,
 		LeafCap: cfg.LeafCap, Dipole: cfg.Dipole, Model: cfg.Model, Threads: cfg.Threads,
 		Traversal:       cfg.Traversal,
-		Layout:          cfg.Layout,
 		WeightedBalance: cfg.Balance,
 		Branch:          cfg.Branch,
 		Tel:             cfg.Tel,

@@ -79,7 +79,6 @@ func Fig5Executed(cfg Fig5Config) ([]Fig5ExecPoint, *Table, *Table) {
 			s := hot.New(c, hot.Config{
 				Sm: kernel.Algebraic2(), Scheme: kernel.Transpose,
 				Theta: cfg.Theta, Eps: cfg.Eps, Model: &model,
-				Layout: particle.LayoutSoA,
 				// The paper's exchange: Fig5Model prices the branch
 				// allgather at the ring's P−1 chained latencies.
 				Branch: hot.BranchRing,

@@ -113,7 +113,6 @@ func Fig5XTBranch(cfg Fig5XTConfig) ([]XTBranchPoint, *Table) {
 				s := hot.New(c, hot.Config{
 					Sm: kernel.Algebraic2(), Scheme: kernel.Transpose,
 					Theta: cfg.Theta, Eps: cfg.Eps, Model: &model,
-					Layout: particle.LayoutSoA,
 					Branch: mode,
 				})
 				pot := make([]float64, local.N())

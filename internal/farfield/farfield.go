@@ -71,8 +71,8 @@ func (s *Solver) Stats() field.Stats {
 	return field.Stats{Evaluations: s.evals.Load(), Interactions: s.interactions.Load()}
 }
 
-// Reset clears the cached far field (e.g. after remeshing changes the
-// particle count).
+// Reset clears the cached far field (e.g. after the particle count
+// changes).
 func (s *Solver) Reset() {
 	s.counter = 0
 	s.farU = nil
@@ -94,7 +94,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	refresh := s.counter%s.RefreshEvery == 0
 	s.counter++
 
-	t := tree.Build(sys, tree.BuildConfig{LeafCap: s.LeafCap, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
+	t := tree.Build(sys, tree.BuildConfig{LeafCap: s.LeafCap, Discipline: tree.Vortex})
 	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: sys.Sigma})
 	var inter int64
 	for q := 0; q < n; q++ {

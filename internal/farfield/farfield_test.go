@@ -57,7 +57,7 @@ func TestSplitCountsMatchWalk(t *testing.T) {
 	str := make([]vec.Vec3, n)
 	ff.Eval(sys, vel, str)
 
-	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 1, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
+	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 1, Discipline: tree.Vortex})
 	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: kernel.Algebraic6(), Sigma: sys.Sigma})
 	pw := &vb
 	ts := tree.NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)

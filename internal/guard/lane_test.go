@@ -16,7 +16,7 @@ import (
 // recovered by a clean rebuild, exactly like a flipped moment word.
 func TestAfterBuildDetectsLaneFlip(t *testing.T) {
 	sys := particle.RandomVortexBlob(64, 0.3, 9)
-	cfg := tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex, Layout: particle.LayoutSoA}
+	cfg := tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex}
 	tr := tree.Build(sys, cfg)
 	reg := telemetry.New()
 	g := New(Policy{Enabled: true}, 0, reg)
@@ -63,7 +63,7 @@ func TestCoulombLaneInjectionDetected(t *testing.T) {
 	for i := range sys.Particles {
 		sys.Particles[i].Charge = 1 - 2*float64(i%2)
 	}
-	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Coulomb, Layout: particle.LayoutSoA})
+	tr := tree.Build(sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Coulomb})
 	g := New(Policy{Enabled: true}, 0, nil)
 	if err := g.AfterBuild(tr, 0); err != nil {
 		t.Fatalf("clean coulomb tree flagged: %v", err)
@@ -84,7 +84,7 @@ func TestBuildWithHookRecoversLaneInjection(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		pol := Policy{Enabled: true, Mem: mustMem(t, "rate=2e-4,in=tree", seed), MaxRecompute: 8}
 		g := New(pol, 0, reg)
-		tr := tree.BuildWithHook(g, sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex, Layout: particle.LayoutSoA})
+		tr := tree.BuildWithHook(g, sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex})
 		if err := tr.CheckMoments(); err != nil {
 			t.Fatalf("seed %d: returned tree corrupt: %v", seed, err)
 		}

@@ -25,7 +25,7 @@ func wordsPerNode(disc tree.Discipline) int {
 
 // Words per SoA lane index eligible for tree-domain injection: the
 // gathered per-particle payload that CheckLanes verifies against the
-// AoS source of truth.
+// particles it was gathered from.
 const (
 	vortexLaneWords  = 6 // X, Y, Z, AX, AY, AZ
 	coulombLaneWords = 4 // X, Y, Z, Q
@@ -120,16 +120,15 @@ func (g *Guard) AfterBuild(t *tree.Tree, attempt int) error {
 		// The SoA lanes extend the tree word space past the node
 		// moments: a flip in a gathered coordinate or weight lane is
 		// the same class of fault as a flipped moment word, and
-		// CheckLanes detects it against the AoS source of truth.
-		if l := t.Lanes; l != nil {
-			base := len(t.Nodes) * wpn
-			wpl := wordsPerLane(disc)
-			for lane := 0; lane < l.N(); lane++ {
-				for w := 0; w < wpl; w++ {
-					bit, ok := g.mem.Flip(fault.MemTree, uint64(epoch), attempt, base+lane*wpl+w)
-					if ok && flipWord(laneWordPtr(l, disc, lane, w), bit) {
-						inj++
-					}
+		// CheckLanes detects it against the particles.
+		l := t.Lanes
+		base := len(t.Nodes) * wpn
+		wpl := wordsPerLane(disc)
+		for lane := 0; lane < l.N(); lane++ {
+			for w := 0; w < wpl; w++ {
+				bit, ok := g.mem.Flip(fault.MemTree, uint64(epoch), attempt, base+lane*wpl+w)
+				if ok && flipWord(laneWordPtr(l, disc, lane, w), bit) {
+					inj++
 				}
 			}
 		}

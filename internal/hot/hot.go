@@ -95,9 +95,7 @@ type Config struct {
 	// rebuild on detection). The rebuild loop is collective-free, so
 	// ranks may retry independently. Nil costs nothing.
 	Hook tree.BuildHook
-	// Layout is ignored: the locally essential tree always carries SoA
-	// lanes, because the remote leaves' particles exist only as lanes.
-	// The field stays while internal/bench names it.
+	// Layout is read by nothing; it goes when internal/bench stops naming it.
 	Layout particle.Layout
 }
 
@@ -348,7 +346,6 @@ func (rt *evalRT) buildLocal() {
 		Discipline: rt.disc,
 		Domain:     &rt.dom,
 		OwnedLo:    rt.myLo, OwnedHi: rt.myHi, OwnedSet: true,
-		Layout: particle.LayoutSoA,
 	})
 	if s.meter != nil {
 		rt.comm.Advance(s.meter.TreeBuild(rt.local.N()))

@@ -35,7 +35,7 @@ import "math"
 // convention); the range loops still count the pair.
 
 // BatchWidth is the block width of the Coulomb loop's distance prepass
-// and of the tree's AoS source adapters: chunks whose temporaries fit
+// and of the direct solver's work chunks: chunks whose temporaries fit
 // in registers. The vortex loops walk their lanes one by one — with no
 // interface call left in the pair body the prepass bought nothing
 // (PERFORMANCE.md "Kernel-level notes").

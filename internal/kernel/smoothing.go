@@ -1,5 +1,5 @@
 // Package kernel implements the regularized interaction kernels of the
-// vortex particle method and the Coulomb/gravity kernels used by the
+// vortex particle method and the Coulomb kernel used by the
 // multi-purpose tree code.
 //
 // A vortex particle p carries a circulation vector α_p = ω(x_p)·vol_p.
@@ -153,16 +153,4 @@ func Algebraic2() Smoothing {
 // which P_F = 1 + 3/2 w + 15/8 w² + 945/64 w⁴.
 func Algebraic6() Smoothing {
 	return newAlgebraic("algebraic6", 6, 3675.0/64, -735.0/8, 105.0/8, 6)
-}
-
-// ByName returns the smoothing kernel with the given Name — "algebraic2"
-// or "algebraic6" — and whether the name is known.
-func ByName(name string) (Smoothing, bool) {
-	switch name {
-	case "algebraic2":
-		return Algebraic2(), true
-	case "algebraic6":
-		return Algebraic6(), true
-	}
-	return Smoothing{}, false
 }

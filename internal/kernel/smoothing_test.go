@@ -196,28 +196,14 @@ func TestSixthOrderFarField(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"algebraic2", "algebraic6"} {
-		k, ok := ByName(n)
-		if !ok {
-			t.Fatalf("ByName(%q) unknown", n)
-		}
-		if k.Name() != n {
-			t.Fatalf("ByName(%q).Name() = %q", n, k.Name())
-		}
-	}
-	for _, n := range []string{"nope", "gaussian", "singular", "algebraic4", "winckelmans-leonard"} {
-		if k, ok := ByName(n); ok || k != (Smoothing{}) {
-			t.Fatalf("ByName(%q) = %v, %v; want the zero kernel, false", n, k, ok)
-		}
-	}
-}
-
 func TestKernelOrders(t *testing.T) {
-	want := map[string]int{"algebraic2": 2, "algebraic6": 6}
-	for name, order := range want {
-		if k, _ := ByName(name); k.Order() != order {
-			t.Errorf("%s: order %d, want %d", name, k.Order(), order)
+	for _, c := range []struct {
+		k     Smoothing
+		name  string
+		order int
+	}{{Algebraic2(), "algebraic2", 2}, {Algebraic6(), "algebraic6", 6}} {
+		if c.k.Name() != c.name || c.k.Order() != c.order {
+			t.Errorf("%s: order %d, want %s of order %d", c.k.Name(), c.k.Order(), c.name, c.order)
 		}
 	}
 }

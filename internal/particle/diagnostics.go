@@ -122,34 +122,3 @@ func MaxSpeed(vel []vec.Vec3) float64 {
 	}
 	return m
 }
-
-// FlowDiagnostics are the quadratic flow invariants that require the
-// induced velocities (from any solver) alongside the particle state.
-type FlowDiagnostics struct {
-	// KineticEnergy is Lamb's unbounded-domain functional
-	// E = ∫ u·(x×ω) dV ≈ Σ_p u_p·(x_p×α_p), equal to ½∫|u|² dV for
-	// decaying flows and conserved by the inviscid dynamics.
-	KineticEnergy float64
-	// Helicity is H = ∫ u·ω dV ≈ Σ_p u_p·α_p (zero for mirror-
-	// symmetric flows such as the vortex ring).
-	Helicity float64
-	// Enstrophy is the particle proxy Σ_p |α_p|²/vol_p ≈ ∫|ω|² dV.
-	Enstrophy float64
-}
-
-// DiagnoseFlow computes the velocity-dependent invariants; vel must be
-// parallel to the particle slice.
-func DiagnoseFlow(s *System, vel []vec.Vec3) FlowDiagnostics {
-	if len(vel) != s.N() {
-		panic("particle: DiagnoseFlow needs one velocity per particle")
-	}
-	var d FlowDiagnostics
-	for i, p := range s.Particles {
-		d.KineticEnergy += vel[i].Dot(p.Pos.Cross(p.Alpha))
-		d.Helicity += vel[i].Dot(p.Alpha)
-		if p.Vol > 0 {
-			d.Enstrophy += p.Alpha.Norm2() / p.Vol
-		}
-	}
-	return d
-}

@@ -251,31 +251,3 @@ func TestPackUnpackProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDiagnoseFlowPanicsOnLengthMismatch(t *testing.T) {
-	s := RandomVortexBlob(4, 0.3, 99)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DiagnoseFlow(s, make([]vec.Vec3, 3))
-}
-
-func TestDiagnoseFlowSimpleValues(t *testing.T) {
-	s := &System{Particles: []Particle{
-		{Pos: vec.V3(1, 0, 0), Alpha: vec.V3(0, 0, 2), Vol: 0.5},
-	}}
-	vel := []vec.Vec3{vec.V3(0, 3, 0)}
-	d := DiagnoseFlow(s, vel)
-	// x×α = (1,0,0)×(0,0,2) = (0,−2,0); u·(x×α) = −6.
-	if d.KineticEnergy != -6 {
-		t.Fatalf("E = %v", d.KineticEnergy)
-	}
-	if d.Helicity != 0 {
-		t.Fatalf("H = %v", d.Helicity)
-	}
-	if d.Enstrophy != 8 { // |α|²/vol = 4/0.5
-		t.Fatalf("Z = %v", d.Enstrophy)
-	}
-}

@@ -1,29 +1,7 @@
 package particle
 
-// Layout selects where the evaluators' near-field leg finds its
-// sources.
+// Layout is read by nothing; it goes when internal/bench stops naming it.
 type Layout int
-
-const (
-	// LayoutAoS gathers no lanes at tree build: the near-field leg
-	// reads []Particle through the Morton permutation, one leaf block
-	// at a time, into the same batched kernel. It is the zero value;
-	// every production configuration (core.Default, tree.NewSolver)
-	// selects LayoutSoA.
-	LayoutAoS Layout = iota
-	// LayoutSoA is the struct-of-arrays hot-path layout: positions and
-	// weights live in separate Morton-sorted slices (an SoA mirror
-	// gathered at tree build) so interaction loops walk memory
-	// linearly in fixed-width blocks.
-	LayoutSoA
-)
-
-func (l Layout) String() string {
-	if l == LayoutSoA {
-		return "soa"
-	}
-	return "aos"
-}
 
 // SoA is a struct-of-arrays mirror of a System: one slice per
 // component, gathered under a permutation so that lane i holds
@@ -105,22 +83,5 @@ func (s *SoA) GatherCoulomb(sys *System, order []int) {
 		p := &sys.Particles[idx]
 		s.X[i], s.Y[i], s.Z[i] = p.Pos.X, p.Pos.Y, p.Pos.Z
 		s.Q[i] = p.Charge
-	}
-}
-
-// ScatterVortex writes the position and circulation lanes back into
-// dst under the permutation: dst.Particles[order[i]] receives lane i
-// (nil order scatters in index order). It is the inverse of
-// GatherVortex for the gathered components and exists so tests can
-// prove sort→gather→scatter is a bijection.
-func (s *SoA) ScatterVortex(dst *System, order []int) {
-	for i := 0; i < s.N(); i++ {
-		idx := i
-		if order != nil {
-			idx = order[i]
-		}
-		p := &dst.Particles[idx]
-		p.Pos.X, p.Pos.Y, p.Pos.Z = s.X[i], s.Y[i], s.Z[i]
-		p.Alpha.X, p.Alpha.Y, p.Alpha.Z = s.AX[i], s.AY[i], s.AZ[i]
 	}
 }

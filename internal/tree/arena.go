@@ -8,9 +8,8 @@ import (
 // BuildPhases records the serialized durations of the most recent
 // BuildInto on an arena, in host seconds: Morton key computation, the
 // radix sort of (key, index), node construction with moment
-// accumulation, and the inverse permutation with the SoA lane gather
-// (the gather is skipped under LayoutAoS). The
-// stamps cost four telemetry.Wall reads per build — noise against the
+// accumulation, and the inverse permutation with the SoA lane gather.
+// The stamps cost four telemetry.Wall reads per build — noise against the
 // build itself — and feed the per-phase benchmark breakdowns.
 type BuildPhases struct {
 	KeysSec, SortSec, NodesSec, GatherSec float64
@@ -151,16 +150,13 @@ func BuildInto(a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 	for i, idx := range t.Order {
 		t.sortedPos[idx] = int32(i)
 	}
-	t.Lanes = nil
-	if cfg.Layout == particle.LayoutSoA {
-		switch cfg.Discipline {
-		case Coulomb:
-			a.lanes.GatherCoulomb(sys, t.Order)
-		default:
-			a.lanes.GatherVortex(sys, t.Order)
-		}
-		t.Lanes = &a.lanes
+	switch cfg.Discipline {
+	case Coulomb:
+		a.lanes.GatherCoulomb(sys, t.Order)
+	default:
+		a.lanes.GatherVortex(sys, t.Order)
 	}
+	t.Lanes = &a.lanes
 	t4 := telemetry.Wall()
 	a.Phases = BuildPhases{
 		KeysSec:   t1 - t0,

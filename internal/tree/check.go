@@ -170,12 +170,9 @@ func BuildArenaWithHook(hook BuildHook, a *Arena, sys *particle.System, cfg Buil
 // exact inverse of Order. Lanes are a redundant copy of the particle
 // state, so the check needs no tolerance — float equality (NaN never
 // matching itself) detects any flipped lane word, including flips that
-// turn a lane into NaN. AoS trees (no lanes) pass trivially.
+// turn a lane into NaN.
 func (t *Tree) CheckLanes() error {
 	l := t.Lanes
-	if l == nil {
-		return nil
-	}
 	n := t.sys.N()
 	if l.N() != n {
 		return fmt.Errorf("%w: %d lanes for %d particles", ErrLanes, l.N(), n)

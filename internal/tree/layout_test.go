@@ -11,112 +11,13 @@ import (
 	"repro/internal/vec"
 )
 
-func layoutSolver(sm kernel.Smoothing, theta float64, trav TraversalMode, layout particle.Layout, workers int) *Solver {
-	s := NewSolver(sm, kernel.Transpose, theta)
-	s.Traversal = trav
-	s.Layout = layout
-	s.Workers = workers
-	return s
-}
-
-var layoutKernels = []kernel.Smoothing{kernel.Algebraic2(), kernel.Algebraic6()}
-
-// TestLayoutSweepEquivalence is the layout matrix: θ ∈ {0, 0.3, 0.6},
-// every smoothing kernel, both traversals, clustered and uniform
-// systems. Both layouts feed one kernel through one walker — LayoutAoS
-// only changes where the near leg finds its sources — so every output
-// component must be == across layouts; a re-forked arithmetic fails
-// here.
-func TestLayoutSweepEquivalence(t *testing.T) {
-	systems := map[string]*particle.System{
-		"clustered": particle.ClusteredVortexSheet(240),
-		"uniform":   particle.RandomVortexBlob(240, 0.08, 7),
-	}
-	for sysName, sys := range systems {
-		for _, sm := range layoutKernels {
-			kn := sm.Name()
-			for _, theta := range []float64{0, 0.3, 0.6} {
-				for _, trav := range []TraversalMode{TraversalList, TraversalRecursive} {
-					n := sys.N()
-					velA := make([]vec.Vec3, n)
-					strA := make([]vec.Vec3, n)
-					velS := make([]vec.Vec3, n)
-					strS := make([]vec.Vec3, n)
-					layoutSolver(sm, theta, trav, particle.LayoutAoS, 2).Eval(sys, velA, strA)
-					layoutSolver(sm, theta, trav, particle.LayoutSoA, 2).Eval(sys, velS, strS)
-					for i := 0; i < n; i++ {
-						if !sameBits(velA[i], velS[i]) || !sameBits(strA[i], strS[i]) {
-							t.Fatalf("%s/%s θ=%g %v: particle %d differs across layouts (vel aos %v soa %v, stretch aos %v soa %v)",
-								sysName, kn, theta, trav, i, velA[i], velS[i], strA[i], strS[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// sameBits is == on every component, with NaN equal to NaN (should a
-// kernel overflow, both layouts must overflow alike).
-func sameBits(a, b vec.Vec3) bool {
-	return ulps(a.X, b.X) == 0 && ulps(a.Y, b.Y) == 0 && ulps(a.Z, b.Z) == 0
-}
-
-// TestLayoutBitwiseDefaultConfig pins the stronger half of the
-// contract on the configuration the façade ships: with the evaluation
-// order preserved everywhere, SoA results are bitwise equal to AoS —
-// any regression to "merely close" means an accidental reassociation
-// crept into the batched path.
-func TestLayoutBitwiseDefaultConfig(t *testing.T) {
-	sys := particle.ClusteredVortexSheet(500)
-	n := sys.N()
-	sm := kernel.Algebraic6()
-	velA := make([]vec.Vec3, n)
-	strA := make([]vec.Vec3, n)
-	velS := make([]vec.Vec3, n)
-	strS := make([]vec.Vec3, n)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutAoS, 4).Eval(sys, velA, strA)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 4).Eval(sys, velS, strS)
-	for i := 0; i < n; i++ {
-		if velA[i] != velS[i] || strA[i] != strS[i] {
-			t.Fatalf("particle %d: SoA not bitwise equal to AoS (vel %v vs %v, stretch %v vs %v)",
-				i, velA[i], velS[i], strA[i], strS[i])
-		}
-	}
-}
-
-// TestLayoutCoulombEquivalence covers the Coulomb discipline of the
-// matrix: potentials and fields == across layouts.
-func TestLayoutCoulombEquivalence(t *testing.T) {
-	sys := particle.HomogeneousCoulomb(300, 11)
-	n := sys.N()
-	for _, theta := range []float64{0, 0.3, 0.6} {
-		for _, trav := range []TraversalMode{TraversalList, TraversalRecursive} {
-			potA := make([]float64, n)
-			fA := make([]vec.Vec3, n)
-			potS := make([]float64, n)
-			fS := make([]vec.Vec3, n)
-			sA := layoutSolver(kernel.Algebraic6(), theta, trav, particle.LayoutAoS, 2)
-			sA.Coulomb(sys, 1e-3, potA, fA)
-			sS := layoutSolver(kernel.Algebraic6(), theta, trav, particle.LayoutSoA, 2)
-			sS.Coulomb(sys, 1e-3, potS, fS)
-			for i := 0; i < n; i++ {
-				if potA[i] != potS[i] || fA[i] != fS[i] {
-					t.Fatalf("θ=%g %v: particle %d differs across layouts (pot %v vs %v, field %v vs %v)",
-						theta, trav, i, potA[i], potS[i], fA[i], fS[i])
-				}
-			}
-		}
-	}
-}
-
 // TestMortonPermutationBijection verifies that the radix sort produces
 // a true permutation with ascending keys and that sortedPos is its
 // exact inverse — sort→evaluate→unsort writes every result to exactly
 // one original index.
 func TestMortonPermutationBijection(t *testing.T) {
 	sys := particle.ClusteredVortexSheet(777)
-	tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex, Layout: particle.LayoutSoA})
+	tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
 	n := sys.N()
 	seen := make([]bool, n)
 	for _, idx := range tr.Order {
@@ -138,6 +39,41 @@ func TestMortonPermutationBijection(t *testing.T) {
 	}
 }
 
+type noHook struct{}
+
+func (noHook) AfterBuild(*Tree, int) error { return nil }
+
+// TestLanesAtEveryBuild: a zero-value BuildConfig of either discipline
+// gathers lanes through every build entry point, and the lanes are the
+// bitwise image of the particles under the Morton permutation.
+func TestLanesAtEveryBuild(t *testing.T) {
+	systems := map[Discipline]*particle.System{
+		Vortex:  particle.ClusteredVortexSheet(321),
+		Coulomb: particle.HomogeneousCoulomb(321, 5),
+	}
+	for disc, sys := range systems {
+		cfg := BuildConfig{Discipline: disc}
+		checked, err := BuildChecked(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds := map[string]*Tree{
+			"Build":         Build(sys, cfg),
+			"BuildInto":     BuildInto(new(Arena), sys, cfg),
+			"BuildWithHook": BuildWithHook(noHook{}, sys, cfg),
+			"BuildChecked":  checked,
+		}
+		for name, tr := range builds {
+			if tr.Lanes == nil || tr.Lanes.N() != sys.N() {
+				t.Fatalf("discipline %v, %s: lanes %v for %d particles", disc, name, tr.Lanes, sys.N())
+			}
+			if err := tr.CheckLanes(); err != nil {
+				t.Fatalf("discipline %v, %s: %v", disc, name, err)
+			}
+		}
+	}
+}
+
 // TestMortonSortStableUnderDuplicateKeys builds a system of coincident
 // particles (identical Morton keys) and verifies ties fall in original
 // index order — the tie-break contract of the comparator the radix
@@ -155,7 +91,7 @@ func TestMortonSortStableUnderDuplicateKeys(t *testing.T) {
 			Alpha: vec.V3(1, 0, 0),
 		})
 	}
-	tr := Build(sys, BuildConfig{LeafCap: 4, Discipline: Vortex, Layout: particle.LayoutSoA})
+	tr := Build(sys, BuildConfig{LeafCap: 4, Discipline: Vortex})
 	for i := 1; i < len(tr.Keys); i++ {
 		if tr.Keys[i-1] == tr.Keys[i] && tr.Order[i-1] >= tr.Order[i] {
 			t.Fatalf("duplicate key at %d: order %d before %d (stability violated)",
@@ -223,36 +159,17 @@ func TestLayoutInputOrderInvariance(t *testing.T) {
 	for i, p := range perm {
 		shuf.Particles[i] = base.Particles[p]
 	}
-	sm := kernel.Algebraic6()
+	s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.3)
+	s.Workers = 3
 	velB := make([]vec.Vec3, n)
 	strB := make([]vec.Vec3, n)
 	velS := make([]vec.Vec3, n)
 	strS := make([]vec.Vec3, n)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 3).Eval(base, velB, strB)
-	layoutSolver(sm, 0.3, TraversalList, particle.LayoutSoA, 3).Eval(shuf, velS, strS)
+	s.Eval(base, velB, strB)
+	s.Eval(shuf, velS, strS)
 	for i, p := range perm {
 		if velS[i] != velB[p] || strS[i] != strB[p] {
 			t.Fatalf("particle identity %d: result depends on input ordering", p)
-		}
-	}
-}
-
-// TestSortGatherScatterRoundTrip proves gather∘scatter is the identity
-// on the gathered components: sort→gather→scatter reproduces the
-// original system bitwise.
-func TestSortGatherScatterRoundTrip(t *testing.T) {
-	sys := particle.ClusteredVortexSheet(333)
-	tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex, Layout: particle.LayoutSoA})
-	dst := sys.Clone()
-	for i := range dst.Particles {
-		dst.Particles[i].Pos = vec.V3(math.NaN(), math.NaN(), math.NaN())
-		dst.Particles[i].Alpha = vec.V3(math.NaN(), math.NaN(), math.NaN())
-	}
-	tr.Lanes.ScatterVortex(dst, tr.Order)
-	for i := range sys.Particles {
-		if dst.Particles[i].Pos != sys.Particles[i].Pos ||
-			dst.Particles[i].Alpha != sys.Particles[i].Alpha {
-			t.Fatalf("round trip altered particle %d", i)
 		}
 	}
 }
@@ -293,14 +210,14 @@ func TestSoAEvalZeroAllocSteadyState(t *testing.T) {
 func TestArenaRebuildReuse(t *testing.T) {
 	sys := particle.ClusteredVortexSheet(256)
 	var a Arena
-	t1 := BuildInto(&a, sys, BuildConfig{LeafCap: 8, Discipline: Vortex, Layout: particle.LayoutSoA})
+	t1 := BuildInto(&a, sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
 	nodes1 := len(t1.Nodes)
 	// Corrupt everything the arena owns, then rebuild.
 	for i := range t1.Nodes {
 		t1.Nodes[i].CircSum = vec.V3(math.NaN(), 0, 0)
 	}
 	t1.Lanes.X[0] = math.NaN()
-	t2 := BuildInto(&a, sys, BuildConfig{LeafCap: 8, Discipline: Vortex, Layout: particle.LayoutSoA})
+	t2 := BuildInto(&a, sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
 	if t2 != t1 {
 		t.Fatal("BuildInto must reuse the arena's tree")
 	}

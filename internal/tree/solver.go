@@ -43,11 +43,6 @@ type Solver struct {
 	// layer: moment-flip injection + ABFT verification with rebuild on
 	// detection). Nil costs nothing.
 	Hook BuildHook
-	// Layout is BuildConfig.Layout for the solver's trees: LayoutSoA
-	// (the NewSolver default) gathers Morton-sorted lanes at build,
-	// LayoutAoS gathers each leaf as the near leg meets it. Same
-	// kernel, bitwise-equal results (DESIGN.md §14).
-	Layout particle.Layout
 
 	// stealGrain is the work-stealing chunk size in target groups (≤0:
 	// automatic); only the schedule-invariance test sets it.
@@ -75,11 +70,10 @@ type Solver struct {
 }
 
 // NewSolver returns a tree evaluator with the given kernel, stretching
-// scheme and MAC parameter θ, with dipole corrections enabled, a
-// bucket size of 8 and the SoA layout.
+// scheme and MAC parameter θ, with dipole corrections enabled and a
+// bucket size of 8.
 func NewSolver(sm kernel.Smoothing, scheme kernel.Scheme, theta float64) *Solver {
-	return &Solver{Sm: sm, Scheme: scheme, Theta: theta, LeafCap: 8, Dipole: true,
-		Layout: particle.LayoutSoA}
+	return &Solver{Sm: sm, Scheme: scheme, Theta: theta, LeafCap: 8, Dipole: true}
 }
 
 // Name implements field.Evaluator.
@@ -107,7 +101,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	}
 	s.evals.Add(1)
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
-		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex, Layout: s.Layout})
+		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex})
 	s.LastTree = t
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
 	inter, _, _ := s.EvalGroups(t, s.groupsBuf, vel, stretch, nil)
@@ -239,7 +233,7 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 	}
 	s.evals.Add(1)
 	t := BuildArenaWithHook(s.Hook, &s.arenaC, sys,
-		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb, Layout: s.Layout})
+		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb})
 	s.LastTree = t
 	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
 	inter, _, _ := s.CoulombGroups(t, s.groupsBuf, eps, pot, f, nil)

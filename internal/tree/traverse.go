@@ -127,21 +127,6 @@ func (e *vortexEval) near(t *Tree, nd *Node, x vec.Vec3, skipSorted int) {
 	lo, hi := nd.First, nd.First+nd.Count
 	skip := leafSkip(nd, skipSorted)
 	l := t.Lanes
-	if l == nil {
-		// LayoutAoS source adapter: no lanes were gathered at build, so
-		// gather the leaf one block at a time and feed the same kernel.
-		var s [6][kernel.BatchWidth]float64
-		for ; lo < hi; lo, skip = lo+kernel.BatchWidth, skip-kernel.BatchWidth {
-			n := min(kernel.BatchWidth, hi-lo)
-			for k := 0; k < n; k++ {
-				p := t.Particle(lo + k)
-				s[0][k], s[1][k], s[2][k] = p.Pos.X, p.Pos.Y, p.Pos.Z
-				s[3][k], s[4][k], s[5][k] = p.Alpha.X, p.Alpha.Y, p.Alpha.Z
-			}
-			e.b.AccumGradRange(&e.acc, x.X, x.Y, x.Z, s[0][:n], s[1][:n], s[2][:n], s[3][:n], s[4][:n], s[5][:n], skip)
-		}
-		return
-	}
 	e.b.AccumGradRange(&e.acc, x.X, x.Y, x.Z,
 		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi],
 		l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi], skip)
@@ -367,19 +352,6 @@ func (e *coulombEval) near(t *Tree, nd *Node, x vec.Vec3, eps float64, skipSorte
 	lo, hi := nd.First, nd.First+nd.Count
 	skip := leafSkip(nd, skipSorted)
 	l := t.Lanes
-	if l == nil {
-		// LayoutAoS source adapter, as in vortexEval.near.
-		var s [4][kernel.BatchWidth]float64
-		for ; lo < hi; lo, skip = lo+kernel.BatchWidth, skip-kernel.BatchWidth {
-			n := min(kernel.BatchWidth, hi-lo)
-			for k := 0; k < n; k++ {
-				p := t.Particle(lo + k)
-				s[0][k], s[1][k], s[2][k], s[3][k] = p.Pos.X, p.Pos.Y, p.Pos.Z, p.Charge
-			}
-			kernel.AccumCoulombRange(&e.acc, x.X, x.Y, x.Z, eps, s[0][:n], s[1][:n], s[2][:n], s[3][:n], skip)
-		}
-		return
-	}
 	kernel.AccumCoulombRange(&e.acc, x.X, x.Y, x.Z, eps,
 		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.Q[lo:hi], skip)
 }

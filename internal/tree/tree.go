@@ -49,7 +49,7 @@ type Discipline int
 const (
 	// Vortex builds circulation moments for the vortex particle method.
 	Vortex Discipline = iota
-	// Coulomb builds charge moments for the plasma/gravity discipline.
+	// Coulomb builds charge moments for the plasma discipline.
 	Coulomb
 )
 
@@ -63,11 +63,9 @@ type Tree struct {
 	Order []int
 	Keys  []uint64 // keys parallel to Order
 
-	// Lanes, in the SoA layout, is the struct-of-arrays mirror of the
-	// system gathered under Order: lane i holds particle Order[i], so
-	// every node's [First, First+Count) range is a contiguous run of
-	// all lanes. Nil in the AoS layout, where the near-field leg
-	// gathers each leaf as it meets it.
+	// Lanes is the struct-of-arrays mirror of the system gathered
+	// under Order: lane i holds particle Order[i], so every node's
+	// [First, First+Count) range is a contiguous run of all lanes.
 	Lanes *particle.SoA
 
 	sys        *particle.System
@@ -98,13 +96,7 @@ type BuildConfig struct {
 	// boundary, which makes every leaf eligible as a branch node.
 	OwnedLo, OwnedHi uint64
 	OwnedSet         bool
-	// Layout selects the source storage of the near-field leg:
-	// LayoutSoA gathers a struct-of-arrays mirror of the sorted
-	// particles at build so the batched kernel streams lanes linearly;
-	// LayoutAoS (the zero value) gathers nothing at build. Both feed the
-	// same kernel, so results are bitwise equal. Every production
-	// caller passes LayoutSoA; the field stays only because
-	// internal/bench names it.
+	// Layout is read by nothing; it goes when internal/bench stops naming it.
 	Layout particle.Layout
 }
 

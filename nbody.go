@@ -44,8 +44,6 @@ type (
 	Vec3 = vec.Vec3
 	// Diagnostics summarizes conserved quantities and sheet monitors.
 	Diagnostics = particle.Diagnostics
-	// Smoothing is a regularization kernel (ζ, q).
-	Smoothing = kernel.Smoothing
 	// Solver computes velocities and vortex stretching for a System.
 	Solver = field.Evaluator
 )
@@ -81,16 +79,6 @@ func RandomBlob(n int, sigma float64, seed int64) *System {
 // Diagnose computes the invariants and monitors of a system.
 func Diagnose(s *System) Diagnostics { return particle.Diagnose(s) }
 
-// Kernel returns a smoothing kernel by name: "algebraic2" or
-// "algebraic6" (the paper's sixth-order kernel).
-func Kernel(name string) (Smoothing, error) {
-	k, ok := kernel.ByName(name)
-	if !ok {
-		return k, fmt.Errorf("nbody: unknown kernel %q", name)
-	}
-	return k, nil
-}
-
 // NewDirectSolver returns the O(N²) direct-summation solver with the
 // sixth-order algebraic kernel and the paper's transpose stretching
 // scheme.
@@ -103,11 +91,6 @@ func NewDirectSolver() Solver {
 // coarse).
 func NewTreeSolver(theta float64) Solver {
 	return tree.NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
-}
-
-// NewTreeSolverKernel is NewTreeSolver with an explicit kernel.
-func NewTreeSolverKernel(sm Smoothing, theta float64) Solver {
-	return tree.NewSolver(sm, kernel.Transpose, theta)
 }
 
 // Integrator selects the time-stepping method of a serial Simulation.

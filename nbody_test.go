@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestKernelLookup(t *testing.T) {
-	for _, name := range []string{"algebraic2", "algebraic6"} {
-		k, err := Kernel(name)
-		if err != nil || k.Name() != name {
-			t.Fatalf("Kernel(%q): %v %v", name, k, err)
-		}
-	}
-	if _, err := Kernel("bogus"); err == nil {
-		t.Fatal("expected error for unknown kernel")
-	}
-}
-
 func TestSystemBuilders(t *testing.T) {
 	if s := VortexSheet(100); s.N() != 100 || s.Sigma <= 0 {
 		t.Fatal("VortexSheet")
@@ -197,84 +185,5 @@ func TestCheckpointFacade(t *testing.T) {
 	}
 	if got.N() != 50 || got.Sigma != sys.Sigma {
 		t.Fatal("round trip failed")
-	}
-}
-
-func TestRemeshFacade(t *testing.T) {
-	sys := ScaledVortexSheet(300)
-	out, st := Remesh(sys, RemeshConfig{H: 0.15})
-	if out.N() == 0 || st.Before != 300 {
-		t.Fatalf("remesh stats %+v", st)
-	}
-	dBefore := Diagnose(sys).LinearImpulse
-	dAfter := Diagnose(out).LinearImpulse
-	if dAfter.Sub(dBefore).Norm() > 1e-12 {
-		t.Fatal("remesh broke impulse conservation")
-	}
-}
-
-func TestFarFieldSolverFacade(t *testing.T) {
-	sys := ScaledVortexSheet(200)
-	sim := NewSimulation(sys)
-	sim.Solver = NewFarFieldSolver(0.4, 3)
-	if err := sim.Run(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	d := Diagnose(sys)
-	if d.Centroid.Z >= 0 {
-		t.Fatalf("sheet did not descend under far-field solver: %v", d.Centroid.Z)
-	}
-}
-
-func TestDiagnoseFlowFacade(t *testing.T) {
-	sys := ScaledVortexSheet(150)
-	vel := make([]Vec3, sys.N())
-	str := make([]Vec3, sys.N())
-	NewDirectSolver().Eval(sys, vel, str)
-	fd := DiagnoseFlow(sys, vel)
-	if fd.KineticEnergy <= 0 {
-		t.Fatalf("kinetic energy %v should be positive", fd.KineticEnergy)
-	}
-	if math.Abs(fd.Helicity) > 1e-3 {
-		t.Fatalf("sheet helicity %v should vanish by symmetry", fd.Helicity)
-	}
-	if fd.Enstrophy <= 0 {
-		t.Fatal("enstrophy must be positive")
-	}
-}
-
-func TestGravitySimulationFacade(t *testing.T) {
-	// Equal-mass binary on a circular orbit returns home after one
-	// period (direct gravity, θ=0).
-	sys := &System{Sigma: 0.01, Particles: []Particle{
-		{Pos: V3(-0.5, 0, 0), Charge: 1, Vol: 1},
-		{Pos: V3(0.5, 0, 0), Charge: 1, Vol: 1},
-	}}
-	v := math.Sqrt(0.5)
-	vel := []Vec3{V3(0, -v, 0), V3(0, v, 0)}
-	start := sys.Clone()
-	g := NewGravitySimulation(sys, vel)
-	g.Theta, g.Eps = 0, 0
-	period := 2 * math.Pi * 0.5 / v
-	steps := 0
-	g.OnStep = func(tt float64, s *System, vv []Vec3) { steps++ }
-	if err := g.Run(0, period, 64); err != nil {
-		t.Fatal(err)
-	}
-	if steps != 64 {
-		t.Fatalf("OnStep ran %d times", steps)
-	}
-	for i := range sys.Particles {
-		if d := sys.Particles[i].Pos.Sub(start.Particles[i].Pos).Norm(); d > 1e-4 {
-			t.Fatalf("body %d displaced %g after a period", i, d)
-		}
-	}
-	// Validation errors.
-	if err := g.Run(0, 1, 0); err == nil {
-		t.Fatal("expected nsteps error")
-	}
-	g.Vel = vel[:1]
-	if err := g.Run(0, 1, 1); err == nil {
-		t.Fatal("expected velocity-length error")
 	}
 }

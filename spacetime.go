@@ -402,18 +402,8 @@ func filterInjectedCrashes(err error) error {
 // the modeled parallel wall-clock seconds.
 func RunSpaceParallel(ps int, theta float64, sweeps int, modeled bool,
 	sys *System, t0, t1 float64, nsteps int) (*System, float64, error) {
-	out, vt, _, err := RunSpaceParallelInstrumented(ps, theta, sweeps, modeled, false, sys, t0, t1, nsteps)
-	return out, vt, err
-}
-
-// RunSpaceParallelInstrumented is RunSpaceParallel with optional
-// telemetry: when instrument is set, the returned RunStats merges the
-// per-rank snapshots (tree phase timers, interaction counters, message
-// counts) of the space-parallel run.
-func RunSpaceParallelInstrumented(ps int, theta float64, sweeps int, modeled, instrument bool,
-	sys *System, t0, t1 float64, nsteps int) (*System, float64, *RunStats, error) {
 	if ps < 1 {
-		return nil, 0, nil, fmt.Errorf("nbody: ps %d < 1", ps)
+		return nil, 0, fmt.Errorf("nbody: ps %d < 1", ps)
 	}
 	ccfg := core.Default(1, ps)
 	ccfg.ThetaFine = theta
@@ -423,24 +413,14 @@ func RunSpaceParallelInstrumented(ps int, theta float64, sweeps int, modeled, in
 		ccfg.Model = &model
 	}
 	out := sys.Clone()
-	var mu sync.Mutex
-	var merged RunStats
 	runner := func(w *mpi.Comm) error {
-		rcfg := ccfg
-		if instrument {
-			rcfg.Tel = telemetry.New()
-		}
 		lo, hi := hot.BlockRange(sys.N(), w.Rank(), ps)
 		local := hot.BlockPartition(sys, w.Rank(), ps)
-		if _, err := core.RunSpaceSerialSDC(w, rcfg, local, t0, t1, nsteps, 3, sweeps); err != nil {
+		if _, err := core.RunSpaceSerialSDC(w, ccfg, local, t0, t1, nsteps, 3, sweeps); err != nil {
 			return err
 		}
-		mu.Lock()
+		// Each rank writes its own block range of out.
 		copy(out.Particles[lo:hi], local.Particles)
-		if rcfg.Tel != nil {
-			merged.Merge(rcfg.Tel.Snapshot())
-		}
-		mu.Unlock()
 		return nil
 	}
 	var vt float64
@@ -451,13 +431,9 @@ func RunSpaceParallelInstrumented(ps int, theta float64, sweeps int, modeled, in
 		err = mpi.Run(ps, runner)
 	}
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	var stats *RunStats
-	if instrument {
-		stats = &merged
-	}
-	return out, vt, stats, nil
+	return out, vt, nil
 }
 
 // TransposeScheme and ClassicalScheme expose the two discretizations
