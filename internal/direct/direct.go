@@ -16,8 +16,8 @@ import (
 
 // Solver is a direct-summation evaluator: it gathers identity-ordered
 // SoA lanes once per evaluation and runs the batched kernels, summing
-// sources in index order. The zero value is not usable; construct with
-// New.
+// sources in index order (Eval four targets per tile call). The zero
+// value is not usable; construct with New.
 type Solver struct {
 	sm      kernel.Smoothing
 	scheme  kernel.Scheme
@@ -64,17 +64,26 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	l.GatherVortex(sys, nil) // identity order: lane p = particle p
 	b := kernel.NewVortexBatch(pw)
 	s.alignedRange(n, func(lo, hi int) {
-		for q := lo; q < hi; q++ {
-			var acc kernel.VortexAcc
-			b.AccumGradRange(&acc, l.X[q], l.Y[q], l.Z[q],
-				l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
-			vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
-			grad := vec.Mat3{
-				{acc.G[0], acc.G[1], acc.G[2]},
-				{acc.G[3], acc.G[4], acc.G[5]},
-				{acc.G[6], acc.G[7], acc.G[8]},
+		var tile kernel.GradTile
+		for q0 := lo; q0 < hi; q0 += kernel.TileWidth {
+			// Four targets per tile; spare lanes repeat the chunk's last.
+			for k := range kernel.TileWidth {
+				q := min(q0+k, hi-1)
+				tile.X[k], tile.Y[k], tile.Z[k], tile.Skip[k] = l.X[q], l.Y[q], l.Z[q], q
 			}
-			stretch[q] = s.scheme.Stretch(grad, ps[q].Alpha)
+			tile.Live = min(kernel.TileWidth, hi-q0)
+			tile.Reset()
+			b.AccumGradTile(&tile, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ)
+			for q := q0; q < min(q0+kernel.TileWidth, hi); q++ {
+				acc := tile.Lane(q - q0)
+				vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
+				grad := vec.Mat3{
+					{acc.G[0], acc.G[1], acc.G[2]},
+					{acc.G[3], acc.G[4], acc.G[5]},
+					{acc.G[6], acc.G[7], acc.G[8]},
+				}
+				stretch[q] = s.scheme.Stretch(grad, ps[q].Alpha)
+			}
 		}
 	})
 }

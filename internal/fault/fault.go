@@ -167,7 +167,7 @@ func (p *Plan) parseCrash(v string) error {
 
 func parseProb(s string) (float64, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 || v > 1 {
+	if err != nil || !(v >= 0 && v <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("probability %q not in [0,1]", s)
 	}
 	return v, nil

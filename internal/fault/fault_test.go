@@ -53,7 +53,7 @@ func TestParseMultiCrash(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"drop=2", "drop=x", "bogus=1", "crash=1", "crash=x@iter:0",
+		"drop=2", "drop=x", "drop=NaN", "bogus=1", "crash=1", "crash=x@iter:0",
 		"crash=1@iter", "corrupt=0.1:weird", "delay", "backoff=zz",
 	} {
 		if _, err := Parse(spec, 0); err == nil {

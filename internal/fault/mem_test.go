@@ -47,7 +47,7 @@ func TestParseMemFull(t *testing.T) {
 
 func TestParseMemErrors(t *testing.T) {
 	for _, spec := range []string{
-		"rate=2", "rate=-0.1", "rate=x",
+		"rate=2", "rate=-0.1", "rate=x", "rate=NaN",
 		"in=bogus", "bits=9", "bits=5-99", "bits=60-50", "bits=0-0",
 		"unknown=1", "noequals",
 	} {

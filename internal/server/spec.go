@@ -76,8 +76,11 @@ type JobSpec struct {
 	// in milliseconds; 0 inherits the daemon default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxRetries bounds retries of retryable (Agree-abort, injected
-	// crash) failures, in [0, 10]; -1 inherits the daemon default.
-	MaxRetries int `json:"max_retries,omitempty"`
+	// crash) failures, in [0, 10]; -1 inherits the daemon default. An
+	// omitted field parses as -1, so the canonical encoding always
+	// writes the field: with omitempty an explicit 0 would be dropped
+	// and read back from the journal as -1.
+	MaxRetries int `json:"max_retries"`
 	// FaultPlan and FaultSeed inject rank-level transport faults into
 	// the solve itself (fault.Parse grammar); empty injects nothing.
 	FaultPlan string `json:"fault_plan,omitempty"`

@@ -79,6 +79,43 @@ func TestSpecCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecRetryBudgetSurvivesJournal is the restart reproducer: the
+// canonical encoding is what the journal replays, so an explicit
+// max_retries — 0 included — and an inherited one (-1) must come back
+// with the same budget, and the bytes must be a fixed point.
+func TestSpecRetryBudgetSurvivesJournal(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		want  int // RetryBudget(3)
+	}{
+		{``, 3},
+		{`,"max_retries":-1`, 3},
+		{`,"max_retries":0`, 0},
+		{`,"max_retries":3`, 3},
+		{`,"max_retries":7`, 7},
+	} {
+		body := `{"tenant":"0","system":{"kind":"coulomb","n":1},"t1":1,"steps":8,"pt":1,"ps":1` + tc.field + `}`
+		spec, err := ParseJobSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got := spec.RetryBudget(3); got != tc.want {
+			t.Fatalf("%s: budget %d before the round trip, want %d", body, got, tc.want)
+		}
+		canon := spec.Canonical()
+		again, err := ParseJobSpec(canon)
+		if err != nil {
+			t.Fatalf("%s: canonical form %s rejected: %v", body, canon, err)
+		}
+		if got := again.RetryBudget(3); got != tc.want {
+			t.Fatalf("%s: budget %d after the round trip through %s, want %d", body, got, canon, tc.want)
+		}
+		if *again != *spec || !bytes.Equal(again.Canonical(), canon) {
+			t.Fatalf("%s: canonical encoding %s is not a fixed point", body, canon)
+		}
+	}
+}
+
 func TestSpecDeadlineAndRetryDefaults(t *testing.T) {
 	spec := &JobSpec{MaxRetries: -1}
 	if got := spec.RetryBudget(3); got != 3 {

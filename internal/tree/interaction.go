@@ -13,7 +13,9 @@ import (
 // instead of walking the tree once per particle, one MAC-driven walk
 // per *leaf group* classifies every encountered cell for the whole
 // group at once and emits a flat interaction list, which is then
-// evaluated per particle in tight loops with no tree navigation.
+// evaluated in tight loops with no tree navigation — item by item for
+// the whole group four targets at a time (vortex), or per particle
+// (Coulomb).
 //
 // The group-level classification is conservative:
 //
@@ -145,10 +147,13 @@ type ListItem struct {
 
 // InteractionList is the output of one group walk: the items in
 // evaluation order plus the number of cells the walk opened (each
-// opened cell counts one MAC reject per target particle).
+// opened cell counts one MAC reject per target particle). It also
+// holds the group's tile scratch for the vortex evaluation.
 type InteractionList struct {
 	Items []ListItem
 	Opens int64
+
+	tiles vortexTiles
 }
 
 // Reset empties the list for reuse.

@@ -172,8 +172,9 @@ func (c *atomicCounts) load() (inter, accepts, rejects int64) {
 }
 
 // evalVortexGroup evaluates every particle of target group g — against
-// the group's interaction list, built into list, or by a walk from the
-// root — and writes its results by original index.
+// the group's interaction list, built into list and evaluated four
+// targets at a time, or by a walk from the root — and writes its
+// results by original index.
 func (s *Solver) evalVortexGroup(t *Tree, g int32, vel, stretch []vec.Vec3, work []float64, list *InteractionList) (c counts) {
 	nd := &t.Nodes[g]
 	byList := s.Traversal == TraversalList
@@ -181,13 +182,14 @@ func (s *Solver) evalVortexGroup(t *Tree, g int32, vel, stretch []vec.Vec3, work
 		list.Reset()
 		gc, ge := t.GroupBounds(nd.First, nd.Count)
 		t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
+		t.evalVortexTiles(list, s.Theta, nd.First, nd.Count, &s.vb, s.Dipole)
 	}
 	for i := nd.First; i < nd.First+nd.Count; i++ {
 		orig := t.Order[i]
 		p := t.Particle(i)
 		var res VortexResult
 		if byList {
-			res = t.evalVortexList(list, s.Theta, p.Pos, i, &s.vb, s.Dipole)
+			res = list.tiles.result(i-nd.First, list.Opens)
 		} else {
 			res = t.vortexAt(int32(t.Root), p.Pos, s.Theta, i, &s.vb, s.Dipole)
 		}

@@ -56,9 +56,11 @@ type VortexResult struct {
 
 // vortexEval is one target's running sum over a walk: the kernel's
 // scalar accumulator plus the MAC counters it does not track. The
-// recursive walk, the interaction-list evaluator and the near/far split
-// all accumulate through its three legs, in the order they meet the
-// cells, so they sum the same terms in the same order.
+// recursive walk, the near/far split and the list evaluator's
+// ambiguous items accumulate through its three legs, in the order they
+// meet the cells; vortexTiles' legs do the same arithmetic for a whole
+// target group, so every evaluator sums the same terms in the same
+// order.
 type vortexEval struct {
 	b           *kernel.VortexBatch
 	acc         kernel.VortexAcc
@@ -66,12 +68,12 @@ type vortexEval struct {
 	rejects     int64
 }
 
-// accumDipole adds the dipole correction of an accepted cell: the
-// first-order term of the multipole expansion of the Biot-Savart
+// dipoleVel is the dipole correction of an accepted cell's velocity:
+// the first-order term of the multipole expansion of the Biot-Savart
 // kernel around the cell centroid. It always uses the singular (q = 1)
 // kernel and has no zero-separation guard: accepted cells are well
 // separated (dist > 0). One reciprocal of |r| gives both powers.
-func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
+func dipoleVel(rx, ry, rz float64, dip *vec.Mat3) (ux, uy, uz float64) {
 	inv := 1 / math.Sqrt(rx*rx+ry*ry+rz*rz)
 	inv2 := inv * inv
 	tf := inv2 * inv // 1/|r|³
@@ -84,16 +86,14 @@ func accumDipole(acc *kernel.VortexAcc, rx, ry, rz float64, dip *vec.Mat3) {
 	cy := dip[2][0] - dip[0][2]
 	cz := dip[0][1] - dip[1][0]
 	s := 3 * tf * inv2 // 3/|r|⁵
-	ux := s * (ry*wz - rz*wy)
-	uy := s * (rz*wx - rx*wz)
-	uz := s * (rx*wy - ry*wx)
+	ux = s * (ry*wz - rz*wy)
+	uy = s * (rz*wx - rx*wz)
+	uz = s * (rx*wy - ry*wx)
 	ux = ux - tf*cx
 	uy = uy - tf*cy
 	uz = uz - tf*cz
 	const k = -1 / (4 * math.Pi)
-	acc.UX += k * ux
-	acc.UY += k * uy
-	acc.UZ += k * uz
+	return k * ux, k * uy, k * uz
 }
 
 // far folds one MAC-accepted cell into the accumulator as a single
@@ -105,7 +105,10 @@ func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
 	rz := x.Z - nd.Centroid.Z
 	e.b.AccumGrad(&e.acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
 	if useDipole {
-		accumDipole(&e.acc, rx, ry, rz, &nd.Dipole)
+		ux, uy, uz := dipoleVel(rx, ry, rz, &nd.Dipole)
+		e.acc.UX += ux
+		e.acc.UY += uy
+		e.acc.UZ += uz
 	}
 	e.acc.N++
 	e.cellAccepts++
@@ -183,20 +186,25 @@ func (e *vortexEval) walk(t *Tree, start int32, x vec.Vec3, theta float64, skipS
 	putStack(sp)
 }
 
-// result converts the scalar accumulator into a VortexResult — a pure
-// bit copy, performed once after the full accumulation. opens are the
-// cells a group walk opened on this target's behalf.
-func (e *vortexEval) result(opens int64) VortexResult {
+// result converts the scalar accumulator into a VortexResult.
+func (e *vortexEval) result() VortexResult {
+	return vortexResult(&e.acc, e.cellAccepts, e.rejects)
+}
+
+// vortexResult converts one target's sums and MAC counters into a
+// VortexResult — a pure bit copy, performed once after the full
+// accumulation.
+func vortexResult(acc *kernel.VortexAcc, cellAccepts, rejects int64) VortexResult {
 	return VortexResult{
-		U: vec.V3(e.acc.UX, e.acc.UY, e.acc.UZ),
+		U: vec.V3(acc.UX, acc.UY, acc.UZ),
 		Grad: vec.Mat3{
-			{e.acc.G[0], e.acc.G[1], e.acc.G[2]},
-			{e.acc.G[3], e.acc.G[4], e.acc.G[5]},
-			{e.acc.G[6], e.acc.G[7], e.acc.G[8]},
+			{acc.G[0], acc.G[1], acc.G[2]},
+			{acc.G[3], acc.G[4], acc.G[5]},
+			{acc.G[6], acc.G[7], acc.G[8]},
 		},
-		Interactions: e.acc.N,
-		CellAccepts:  e.cellAccepts,
-		Rejects:      opens + e.rejects,
+		Interactions: acc.N,
+		CellAccepts:  cellAccepts,
+		Rejects:      rejects,
 	}
 }
 
@@ -219,27 +227,136 @@ func (t *Tree) skipLane(skipOrig int) int {
 func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
 	e.walk(t, start, x, theta, skipSorted, useDipole)
-	return e.result(0)
+	return e.result()
 }
 
-// evalVortexList evaluates one target at x against a prepared
-// interaction list: far items as multipoles, near items as direct
-// sums, ambiguous items via the exact per-particle walk accumulating
-// into the running result. The summation order is identical to
-// vortexAt on the subtree the list was built from.
-func (t *Tree) evalVortexList(list *InteractionList, theta float64, x vec.Vec3, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
-	e := vortexEval{b: b}
+// vortexTiles is a target group's running sums in tile layout, held
+// for the whole list evaluation: target j of the group is lane
+// j%TileWidth of tiles[j/TileWidth], and the spare lanes of the last
+// tile duplicate the group's last target and are not live. farItems counts the group's
+// far items; accepts[j] and rejects[j] are the MAC counters of target j's
+// ambiguous walks. The scratch lives in the InteractionList, so it is
+// pooled per worker.
+type vortexTiles struct {
+	tiles            []kernel.GradTile
+	accepts, rejects []int64
+	farItems         int64
+	src              [6]float64 // a far item as a one-source range: centroid, circulation sum
+}
+
+// reset sizes the tiles for the count targets at lanes first.. and
+// zeroes their sums.
+func (v *vortexTiles) reset(t *Tree, first, count int) {
+	const w = kernel.TileWidth
+	nt := (count + w - 1) / w
+	if cap(v.tiles) < nt {
+		v.tiles = make([]kernel.GradTile, nt)
+	}
+	if cap(v.accepts) < count {
+		v.accepts = make([]int64, count)
+		v.rejects = make([]int64, count)
+	}
+	v.tiles, v.accepts, v.rejects = v.tiles[:nt], v.accepts[:count], v.rejects[:count]
+	clear(v.accepts)
+	clear(v.rejects)
+	v.farItems = 0
+	for j := range nt * w {
+		tl := &v.tiles[j/w]
+		p := t.Particle(first + min(j, count-1)).Pos
+		tl.X[j%w], tl.Y[j%w], tl.Z[j%w] = p.X, p.Y, p.Z
+	}
+	for i := range v.tiles {
+		v.tiles[i].Live = min(w, count-i*w)
+		v.tiles[i].Reset()
+	}
+}
+
+// far is vortexEval.far for every target of the group: the cell as a
+// one-source tile range, then the dipole lane by lane.
+func (v *vortexTiles) far(b *kernel.VortexBatch, nd *Node, useDipole bool) {
+	const w = kernel.TileWidth
+	s := &v.src
+	s[0], s[1], s[2] = nd.Centroid.X, nd.Centroid.Y, nd.Centroid.Z
+	s[3], s[4], s[5] = nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z
+	for i := range v.tiles {
+		tl := &v.tiles[i]
+		tl.Skip = [w]int{-1, -1, -1, -1}
+		b.AccumGradTile(tl, s[0:1], s[1:2], s[2:3], s[3:4], s[4:5], s[5:6])
+	}
+	if useDipole {
+		for j := range v.accepts {
+			tl, k := &v.tiles[j/w], j%w
+			ux, uy, uz := dipoleVel(tl.X[k]-nd.Centroid.X, tl.Y[k]-nd.Centroid.Y, tl.Z[k]-nd.Centroid.Z, &nd.Dipole)
+			tl.Acc[0][k] += ux
+			tl.Acc[1][k] += uy
+			tl.Acc[2][k] += uz
+		}
+	}
+	v.farItems++
+}
+
+// near is vortexEval.near for every target of the group; first is the
+// lane of the group's target 0. A leaf that holds none of the group's
+// targets skips no source.
+func (v *vortexTiles) near(t *Tree, b *kernel.VortexBatch, nd *Node, first int) {
+	const w = kernel.TileWidth
+	lo, hi := nd.First, nd.First+nd.Count
+	l := t.Lanes
+	last := len(v.accepts) - 1
+	own := lo <= first+last && first < hi // the leaf holds a target of the group
+	for i := range v.tiles {
+		tl := &v.tiles[i]
+		tl.Skip = [w]int{-1, -1, -1, -1}
+		if own {
+			for k := range w {
+				tl.Skip[k] = leafSkip(nd, first+min(i*w+k, last))
+			}
+		}
+		b.AccumGradTile(tl, l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi])
+	}
+}
+
+// walk is vortexEval.walk for every target of the group: each target's
+// lane is copied out, walked and copied back.
+func (v *vortexTiles) walk(t *Tree, b *kernel.VortexBatch, start int32, theta float64, first int, useDipole bool) {
+	const w = kernel.TileWidth
+	for j := range v.accepts {
+		tl, k := &v.tiles[j/w], j%w
+		e := vortexEval{b: b, acc: tl.Lane(k)}
+		e.walk(t, start, vec.V3(tl.X[k], tl.Y[k], tl.Z[k]), theta, first+j, useDipole)
+		tl.SetLane(k, &e.acc)
+		v.accepts[j] += e.cellAccepts
+		v.rejects[j] += e.rejects
+	}
+}
+
+// result is target j's VortexResult; opens are the cells the group
+// walk opened on every target's behalf.
+func (v *vortexTiles) result(j int, opens int64) VortexResult {
+	acc := v.tiles[j/kernel.TileWidth].Lane(j % kernel.TileWidth)
+	return vortexResult(&acc, v.farItems+v.accepts[j], opens+v.rejects[j])
+}
+
+// evalVortexTiles evaluates the count targets at lanes first.. of a
+// group against the group's prepared interaction list, item-major: for
+// each item in list order every target advances — far items through
+// the tile as one source plus the dipole, near items as tile ranges,
+// ambiguous items by the exact per-particle walk. Each target sums the
+// terms vortexAt sums on the subtree the list was built from, in the
+// same order; vortexTiles.result reads them back.
+func (t *Tree) evalVortexTiles(list *InteractionList, theta float64, first, count int, b *kernel.VortexBatch, useDipole bool) {
+	v := &list.tiles
+	v.reset(t, first, count)
 	for _, it := range list.Items {
 		switch it.Kind {
 		case ItemFar:
-			e.far(&t.Nodes[it.Node], x, useDipole)
+			v.far(b, &t.Nodes[it.Node], useDipole)
 		case ItemNear:
-			e.near(t, &t.Nodes[it.Node], x, skipSorted)
+			v.near(t, b, &t.Nodes[it.Node], first)
 		default:
-			e.walk(t, it.Node, x, theta, skipSorted, useDipole)
+			v.walk(t, b, it.Node, theta, first, useDipole)
 		}
 	}
-	return e.result(list.Opens)
 }
 
 // VortexAtSplit is the classical Barnes-Hut walk of vortexAt with the
@@ -291,7 +408,7 @@ func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int,
 	}
 	*sp = stack
 	putStack(sp)
-	return en.result(0), ef.result(0)
+	return en.result(), ef.result()
 }
 
 // CoulombResult is the potential and field at one target point with
@@ -402,7 +519,11 @@ func (t *Tree) coulombAt(start int32, x vec.Vec3, theta, eps float64, skipSorted
 	return e.result(0)
 }
 
-// evalCoulombList is evalVortexList for the Coulomb discipline.
+// evalCoulombList evaluates one target at x against a prepared
+// interaction list: far items as multipoles, near items as direct
+// sums, ambiguous items via the exact per-particle walk accumulating
+// into the running result. The summation order is identical to
+// coulombAt on the subtree the list was built from.
 func (t *Tree) evalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipSorted int) CoulombResult {
 	var e coulombEval
 	for _, it := range list.Items {
