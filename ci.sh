@@ -73,17 +73,19 @@ rm -f "$alloc_out"
 # order as single pairs, == itself cut at any lane, velocity loop ==
 # gradient loop's velocity) plus the oracle bound on every pair, over
 # random tails, denormal circulations and coincident sources; the
-# four-target tile == four ranges, bitwise, over per-lane skips, edge
-# separations, NaN/Inf inputs and non-zero starting sums; the Coulomb
+# four-target tile == four ranges, bitwise, over lane masks, per-lane
+# skips, edge separations, NaN/Inf inputs and non-zero starting sums,
+# with the lanes outside the mask untouched; the Coulomb
 # range within 1 ulp of its scalar reference over random softenings.
 go test -run '^$' -fuzz FuzzBatchGradRange -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzGradTile -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 
 # Fallback lane: the Go body stays the definition. Under the purego tag
-# the tile runs as one AccumGradRange per lane, and the cross-commit
-# pins (façade hashes, list == recursive, hot at PS = 1 == tree.Solver)
-# must hold through it as they hold through the AVX2 loop. The arm64
+# the tile runs as one AccumGradRange per lane inside its mask, and the
+# cross-commit pins (façade hashes, tile walk == recursive, hot at
+# PS = 1 == tree.Solver) must hold through it as they hold through the
+# AVX2 loop. The arm64
 # vet is a cross-build with no emulator: the non-amd64 build compiles
 # and vets clean (asmdecl checks the amd64 frame in the plain vet
 # above).
@@ -91,11 +93,13 @@ go test -count=1 -tags purego ./internal/kernel/ ./internal/tree/ ./internal/hot
 GOARCH=arm64 go vet ./internal/kernel/ ./internal/tree/ ./internal/direct/
 
 # Tree and transport fuzz smoke: Morton key encode/decode over the full
-# coordinate range; mutated multi-block frames against the mpi decoder
-# (a clean error or a valid block list, never a panic or a runaway
-# pre-allocation) and the float64 payload codec (bit-exact round trip,
-# misaligned buffers rejected).
+# coordinate range; the tile walk == the per-particle walk, bitwise with
+# equal counters, over blob size, θ, LeafCap and the group cut; mutated
+# multi-block frames against the mpi decoder (a clean error or a valid
+# block list, never a panic or a runaway pre-allocation) and the float64
+# payload codec (bit-exact round trip, misaligned buffers rejected).
 go test -run '^$' -fuzz FuzzMortonRoundTrip -fuzztime 10s ./internal/tree/
+go test -run '^$' -fuzz FuzzTileWalk -fuzztime 10s ./internal/tree/
 go test -run '^$' -fuzz FuzzDecodeBlocks -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 

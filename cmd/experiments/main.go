@@ -11,7 +11,7 @@
 //	experiments -exp fig5-xt -xt-out new.json     # also write the record; an existing file is never replaced
 //	experiments -balance -exp phases              # work-weighted domain decomposition
 //	experiments -list           # validate -fig/-exp and list the known names, run nothing
-//	experiments -traversal recursive -exp phases  # per-particle walk instead of interaction lists
+//	experiments -traversal recursive -exp phases  # per-particle walk instead of the tile walk
 //	experiments -threads 4 -exp phases            # per-rank worker pool (steals visible)
 //	experiments -csv out/       # additionally write CSV files
 //	experiments -json out/      # write telemetry snapshots as JSON

@@ -158,8 +158,8 @@ type Config struct {
 	// Pthreads analog of PEPC; ≤1 = synchronous).
 	Threads int
 	// Traversal selects the force-evaluation strategy of every level's
-	// tree solver: tree.TraversalList (default) or
-	// tree.TraversalRecursive.
+	// tree solver: tree.TraversalList (default: the vortex tile walk)
+	// or tree.TraversalRecursive.
 	Traversal tree.TraversalMode
 	// Layout is read by nothing; it goes when internal/bench stops naming it.
 	Layout particle.Layout

@@ -66,12 +66,12 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	s.alignedRange(n, func(lo, hi int) {
 		var tile kernel.GradTile
 		for q0 := lo; q0 < hi; q0 += kernel.TileWidth {
-			// Four targets per tile; spare lanes repeat the chunk's last.
+			// Four targets per tile; the mask leaves out the spare lanes.
 			for k := range kernel.TileWidth {
 				q := min(q0+k, hi-1)
 				tile.X[k], tile.Y[k], tile.Z[k], tile.Skip[k] = l.X[q], l.Y[q], l.Z[q], q
 			}
-			tile.Live = min(kernel.TileWidth, hi-q0)
+			tile.Mask = kernel.AllLanes >> (kernel.TileWidth - min(kernel.TileWidth, hi-q0))
 			tile.Reset()
 			b.AccumGradTile(&tile, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ)
 			for q := q0; q < min(q0+kernel.TileWidth, hi); q++ {

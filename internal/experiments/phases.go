@@ -18,8 +18,8 @@ type PhasesConfig struct {
 	N      int // particles
 	NSteps int // must be a multiple of PT
 	Seed   int64
-	// Traversal selects the tree evaluator (TraversalList is the
-	// default).
+	// Traversal selects the tree evaluator (TraversalList, the
+	// default, is the vortex tile walk).
 	Traversal tree.TraversalMode
 	// Threads > 1 selects the threaded per-rank traversal (worker
 	// pool), the path where hot.steals and hot.worker_busy are

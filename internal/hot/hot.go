@@ -82,8 +82,9 @@ type Config struct {
 	// way.
 	Branch BranchMode
 	// Traversal is tree.Solver.Traversal for the evaluation of the
-	// locally essential tree: tree.TraversalList (the default) or the
-	// per-particle tree.TraversalRecursive, bitwise equal.
+	// locally essential tree: tree.TraversalList (the default: the
+	// vortex tile walk, Coulomb interaction lists) or the per-particle
+	// tree.TraversalRecursive, bitwise equal.
 	Traversal tree.TraversalMode
 	// Tel, when non-nil, receives this rank's per-phase timings and
 	// work counters (see probe.go for the metric names). The registry

@@ -28,13 +28,30 @@ func haveAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// laneMasks[m] is mask m spread over the four lanes of a YMM register:
+// all ones in lane l when bit l of m is set.
+var laneMasks = func() (ms [AllLanes + 1][TileWidth]uint64) {
+	for m := range ms {
+		for l := range TileWidth {
+			if m>>l&1 != 0 {
+				ms[m][l] = ^uint64(0)
+			}
+		}
+	}
+	return ms
+}()
+
 // gradTileAsm runs the AVX2 loop over a non-empty range. The loop
-// leaves the counts to its caller: lane l counts every source but the
-// one it skips.
+// leaves the counts to its caller: lane l inside the mask counts every
+// source but the one it skips.
 func gradTileAsm(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs []float64) {
 	n := len(xs)
-	gradTileAVX2(b, t, &xs[0], &ys[0], &zs[0], &axs[0], &ays[0], &azs[0], n)
+	m := t.Mask & AllLanes
+	gradTileAVX2(b, t, &xs[0], &ys[0], &zs[0], &axs[0], &ays[0], &azs[0], n, &laneMasks[m])
 	for l, s := range t.Skip {
+		if m>>l&1 == 0 {
+			continue
+		}
 		t.N[l] += int64(n)
 		if s >= 0 && s < n {
 			t.N[l]--
@@ -43,10 +60,11 @@ func gradTileAsm(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs []float6
 }
 
 // gradTileAVX2 adds the velocity and gradient of the n sources at
-// xs..azs to the four lanes of t, as pairGrad does lane by lane.
+// xs..azs to the lanes of t that mask selects, as pairGrad does lane by
+// lane.
 //
 //go:noescape
-func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int)
+func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int, mask *[TileWidth]uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

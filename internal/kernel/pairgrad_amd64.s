@@ -11,18 +11,18 @@
 // legacy-SSE instruction between them costs a state transition), and
 // VZEROUPPER precedes the return.
 //
-// A lane that skips source k (k == Skip[l]) or sees it at zero
-// separation (d2 == 0, NaN counting as non-zero as with Go's !=) still
-// computes the term; the term is ANDed with the lane's live mask and
-// added as +0. acc + (+0) is acc for every acc but −0, and a sum that
+// A lane that skips source k (k == Skip[l]), sees it at zero
+// separation (d2 == 0, NaN counting as non-zero as with Go's !=) or
+// lies outside the caller's lane mask still computes the term; the
+// term is ANDed with the lane's live mask and added as +0. acc + (+0) is acc for every acc but −0, and a sum that
 // starts at +0 never becomes −0 (x + y is −0 only when both are −0), so
 // this is the scalar loop's skip, bit for bit.
 
 // ACC adds the masked term t to the tile accumulator at offset off.
 #define ACC(t, off) VANDPD Y5, t, t; VADDPD off(DI), t, t; VMOVUPD t, off(DI)
 
-// func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int)
-TEXT ·gradTileAVX2(SB), NOSPLIT, $0-72
+// func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int, mask *[4]uint64)
+TEXT ·gradTileAVX2(SB), NOSPLIT, $0-80
 	MOVQ b+0(FP), AX
 	MOVQ t+8(FP), DI
 	MOVQ xs+16(FP), R8
@@ -32,6 +32,7 @@ TEXT ·gradTileAVX2(SB), NOSPLIT, $0-72
 	MOVQ ays+48(FP), R12
 	MOVQ azs+56(FP), R13
 	MOVQ n+64(FP), BX
+	MOVQ mask+72(FP), SI
 	XORQ CX, CX
 	CMPQ BX, $0
 	JLE  done
@@ -55,13 +56,14 @@ loop:
 	VMULPD Y2, Y2, Y4
 	VADDPD Y4, Y3, Y3
 
-	// Y5 = live mask: d2 != 0 (NEQ_UQ) and k != Skip
+	// Y5 = live mask: d2 != 0 (NEQ_UQ), k != Skip and the lane mask
 	VXORPD       Y4, Y4, Y4
 	VCMPPD       $4, Y4, Y3, Y5
 	VMOVQ        CX, X6
 	VPBROADCASTQ X6, Y6
 	VPCMPEQQ     GradTile_Skip(DI), Y6, Y6
 	VANDNPD      Y5, Y6, Y5
+	VANDPD       (SI), Y5, Y5
 
 	// w = 1/(1 + d2·σ⁻²), w32 = w·√w
 	VMULPD  VortexBatch_tis2(AX), Y3, Y3

@@ -9,18 +9,22 @@ const TileWidth = 4
 // order (UX, UY, UZ, G[0..8]), and target l's interaction count at
 // N[l]. X, Y, Z hold the targets' positions and Skip[l] is target l's
 // skip index into the source range of the next AccumGradTile call
-// (negative: none). Lanes are independent. A caller with fewer than
-// TileWidth targets sets Live to their number and fills the spare
-// lanes with copies of a live one: the sums of lanes from Live on are
-// unspecified (the AVX2 loop computes them, the Go body skips them).
-// Live = 0 means every lane is live.
+// (negative: none). Lanes are independent. Mask selects the lanes the
+// next AccumGradTile call advances (bit l: lane l, AllLanes: every
+// lane); the sums and counts of the lanes outside it stay as they are,
+// so a caller with fewer than TileWidth targets, or one whose targets
+// take different paths through a tree, clears their bits instead of
+// copying lanes in and out.
 type GradTile struct {
 	X, Y, Z [TileWidth]float64
 	Skip    [TileWidth]int
-	Live    int
+	Mask    uint8
 	Acc     [12][TileWidth]float64
 	N       [TileWidth]int64
 }
+
+// AllLanes is the GradTile.Mask of a full tile.
+const AllLanes uint8 = 1<<TileWidth - 1
 
 // Reset zeroes the sums of every lane, keeping targets and skips.
 func (t *GradTile) Reset() {
@@ -55,25 +59,26 @@ func (t *GradTile) SetLane(l int, acc *VortexAcc) {
 	t.N[l] = acc.N
 }
 
-// AccumGradTile is AccumGradRange for the TileWidth targets of t at
-// once, lane l with its own skip t.Skip[l]. The lane slices must have
-// equal length. Every live lane gets the bits of
+// AccumGradTile is AccumGradRange for the targets of t at once, lane
+// l with its own skip t.Skip[l]. The lane slices must have equal
+// length. Every lane inside t.Mask gets the bits of
 //
 //	acc := t.Lane(l)
 //	b.AccumGradRange(&acc, t.X[l], t.Y[l], t.Z[l], xs, ys, zs, axs, ays, azs, t.Skip[l])
 //	t.SetLane(l, &acc)
 //
 // which is what it runs under the purego build tag, on other GOARCHes
-// and on amd64 CPUs without AVX2. On AVX2 an assembly loop runs the
-// same operations in the same order four lanes wide (pairgrad_amd64.s),
-// with one exception outside every caller's reach: a sum holding −0
-// becomes +0 where its lane skips a source, and a sum that starts at +0
-// never holds −0. NaN results are NaN on both paths; their payload bits
-// may differ.
+// and on amd64 CPUs without AVX2; every lane outside it keeps its sums
+// and count. On AVX2 an assembly loop runs the same operations in the
+// same order four lanes wide (pairgrad_amd64.s), with one exception
+// outside every caller's reach: a sum holding −0 becomes +0 where its
+// lane skips a source or lies outside the mask, and a sum that starts
+// at +0 never holds −0. NaN results are NaN on both paths; their
+// payload bits may differ.
 func (b *VortexBatch) AccumGradTile(t *GradTile, xs, ys, zs, axs, ays, azs []float64) {
 	n := len(xs)
 	ys, zs, axs, ays, azs = ys[:n], zs[:n], axs[:n], ays[:n], azs[:n]
-	if n == 0 {
+	if n == 0 || t.Mask&AllLanes == 0 {
 		return
 	}
 	if tileAsm != nil {
@@ -91,14 +96,13 @@ func (b *VortexBatch) AccumGradTile(t *GradTile, xs, ys, zs, axs, ays, azs []flo
 var tileAsm func(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs []float64)
 
 // gradTileGo is the definition of AccumGradTile: one AccumGradRange
-// per live lane.
+// per lane inside the mask.
 func (b *VortexBatch) gradTileGo(t *GradTile, xs, ys, zs, axs, ays, azs []float64) {
-	live := t.Live
-	if live <= 0 || live > TileWidth {
-		live = TileWidth
-	}
 	var acc VortexAcc
-	for l := range live {
+	for l := range TileWidth {
+		if t.Mask>>l&1 == 0 {
+			continue
+		}
 		t.loadLane(l, &acc)
 		b.AccumGradRange(&acc, t.X[l], t.Y[l], t.Z[l], xs, ys, zs, axs, ays, azs, t.Skip[l])
 		t.SetLane(l, &acc)

@@ -25,14 +25,17 @@ func sameAcc(a, b *VortexAcc) bool {
 	return true
 }
 
-// checkTileContract asserts that every live lane of the tile equals an
-// AccumGradRange call from the lane's starting sums, bit for bit.
+// checkTileContract asserts that every lane inside the tile's mask
+// equals an AccumGradRange call from the lane's starting sums, bit for
+// bit, and that every lane outside it keeps its sums and count.
 func checkTileContract(t *testing.T, ctx string, b *VortexBatch, tile *GradTile, xs, ys, zs, axs, ays, azs []float64) {
 	t.Helper()
 	var want [TileWidth]VortexAcc
 	for l := range TileWidth {
 		want[l] = tile.Lane(l)
-		b.AccumGradRange(&want[l], tile.X[l], tile.Y[l], tile.Z[l], xs, ys, zs, axs, ays, azs, tile.Skip[l])
+		if tile.Mask>>l&1 != 0 {
+			b.AccumGradRange(&want[l], tile.X[l], tile.Y[l], tile.Z[l], xs, ys, zs, axs, ays, azs, tile.Skip[l])
+		}
 	}
 	got := *tile
 	b.AccumGradTile(&got, xs, ys, zs, axs, ays, azs)
@@ -43,35 +46,41 @@ func checkTileContract(t *testing.T, ctx string, b *VortexBatch, tile *GradTile,
 			}
 		}
 	}
-	if got.Skip != tile.Skip {
-		t.Fatalf("%s: the tile changed its skips", ctx)
+	if got.Skip != tile.Skip || got.Mask != tile.Mask {
+		t.Fatalf("%s: the tile changed its skips or its mask", ctx)
 	}
-	live := tile.Live
-	if live == 0 {
-		live = TileWidth
-	}
-	for l := range live {
-		if g := got.Lane(l); !sameAcc(&g, &want[l]) {
-			t.Fatalf("%s: lane %d (skip %d, n=%d):\n got %+v\nwant %+v", ctx, l, tile.Skip[l], len(xs), g, want[l])
+	for l := range TileWidth {
+		g := got.Lane(l)
+		if tile.Mask>>l&1 == 0 {
+			if !sameBits(&g, &want[l]) {
+				t.Fatalf("%s: lane %d outside mask %04b changed (n=%d):\n got %+v\nwant %+v", ctx, l, tile.Mask, len(xs), g, want[l])
+			}
+			continue
+		}
+		if !sameAcc(&g, &want[l]) {
+			t.Fatalf("%s: lane %d of mask %04b (skip %d, n=%d):\n got %+v\nwant %+v", ctx, l, tile.Mask, tile.Skip[l], len(xs), g, want[l])
 		}
 	}
 }
 
-// tileTargets fills the targets of a tile with live live lanes; the
-// spare lanes duplicate lane 0's target and skip.
-func tileTargets(rng *rand.Rand, live int, skips [TileWidth]int) GradTile {
-	tile := GradTile{Live: live}
+// sameBits compares two sums bit for bit, NaN payloads included.
+func sameBits(a, b *VortexAcc) bool {
+	fa := append([]float64{a.UX, a.UY, a.UZ}, a.G[:]...)
+	fb := append([]float64{b.UX, b.UY, b.UZ}, b.G[:]...)
+	for k := range fa {
+		if math.Float64bits(fa[k]) != math.Float64bits(fb[k]) {
+			return false
+		}
+	}
+	return a.N == b.N
+}
+
+// tileTargets fills the four targets of a tile at random and sets its
+// mask and skips.
+func tileTargets(rng *rand.Rand, mask uint8, skips [TileWidth]int) GradTile {
+	tile := GradTile{Mask: mask, Skip: skips}
 	for l := range TileWidth {
-		src := l
-		if l >= live {
-			src = 0
-		}
-		if src == l {
-			tile.X[l], tile.Y[l], tile.Z[l] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		} else {
-			tile.X[l], tile.Y[l], tile.Z[l] = tile.X[src], tile.Y[src], tile.Z[src]
-		}
-		tile.Skip[l] = skips[src]
+		tile.X[l], tile.Y[l], tile.Z[l] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 	}
 	return tile
 }
@@ -121,17 +130,19 @@ func edgeSources(rng *rand.Rand, tile *GradTile, xs, ys, zs, axs, ays, azs []flo
 }
 
 // TestGradTileMatchesRanges sweeps both kernels over every source
-// length 0–25, 1–4 live lanes, and every skip position of every lane
-// (the other lanes at random positions, and all lanes at the same
-// one), with edge-case sources and non-zero starting sums: the tile is
-// four AccumGradRange calls, bitwise.
+// length 0–25, every lane mask — empty, single lanes, lane sets that
+// are not a prefix, full — and every skip position of every lane (the
+// other lanes at random positions, and all lanes at the same one),
+// with edge-case sources and non-zero starting sums: the lanes inside
+// the mask are AccumGradRange calls, bitwise, and the lanes outside it
+// are untouched.
 func TestGradTileMatchesRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sm := range allKernels() {
 		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 0.35})
 		for n := 0; n <= 25; n++ {
-			for live := 1; live <= TileWidth; live++ {
-				for lane := range live {
+			for mask := range AllLanes + 1 {
+				for lane := range TileWidth {
 					for skip := -1; skip <= n; skip++ {
 						var skips [TileWidth]int
 						for l := range skips {
@@ -141,12 +152,12 @@ func TestGradTileMatchesRanges(t *testing.T) {
 						if lane == 0 && skip%3 == 0 {
 							skips = [TileWidth]int{skip, skip, skip, skip}
 						}
-						tile := tileTargets(rng, live, skips)
+						tile := tileTargets(rng, mask, skips)
 						xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
 						if skip%2 == 0 {
 							edgeSources(rng, &tile, xs, ys, zs, axs, ays, azs)
 						}
-						if skip%4 == 1 {
+						if skip%4 == 1 || mask == 0 {
 							seedSums(rng, &tile)
 						}
 						checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
@@ -159,46 +170,50 @@ func TestGradTileMatchesRanges(t *testing.T) {
 
 // TestGradTileSpecialTargets puts NaN and Inf into the targets and the
 // starting sums, and shrinks σ until d2·σ⁻² overflows on every pair.
+// Every source length 0–9 runs under every lane mask, so each special
+// lane is checked inside the mask and untouched outside it at every n.
 func TestGradTileSpecialTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sm := range allKernels() {
 		for _, sigma := range []float64{0.35, 1e-160} {
 			b := NewVortexBatch(Pairwise{Sm: sm, Sigma: sigma})
 			for n := 0; n <= 9; n++ {
-				tile := tileTargets(rng, TileWidth, [TileWidth]int{-1, 0, n - 1, n / 2})
-				tile.X[1] = math.NaN()
-				tile.Z[2] = math.Inf(1)
-				seedSums(rng, &tile)
-				tile.Acc[4][3] = math.Inf(-1)
-				tile.Acc[7][0] = math.NaN()
-				xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
-				checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
+				for mask := range AllLanes + 1 {
+					tile := tileTargets(rng, mask, [TileWidth]int{-1, 0, n - 1, n / 2})
+					tile.X[1] = math.NaN()
+					tile.Z[2] = math.Inf(1)
+					seedSums(rng, &tile)
+					tile.Acc[4][3] = math.Inf(-1)
+					tile.Acc[7][0] = math.NaN()
+					xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
+					checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
+				}
 			}
 		}
 	}
 }
 
 // FuzzGradTile fuzzes the tile contract over the same space: source
-// length, live lanes, per-lane skips, σ, edge-case sources and
-// starting sums.
+// length, lane mask, per-lane skips, σ, edge-case sources and starting
+// sums.
 func FuzzGradTile(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(4), 0.3, false, false)
-	f.Add(int64(2), uint8(7), uint8(1), 1.0, true, false)
-	f.Add(int64(3), uint8(25), uint8(3), 0.02, true, true)
-	f.Add(int64(4), uint8(9), uint8(2), 1e-160, false, true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, liveRaw uint8, sigmaRaw float64, edges, seeded bool) {
+	f.Add(int64(1), uint8(0), uint8(0b1111), 0.3, false, false)
+	f.Add(int64(2), uint8(7), uint8(0b0001), 1.0, true, false)
+	f.Add(int64(3), uint8(25), uint8(0b1010), 0.02, true, true)
+	f.Add(int64(4), uint8(9), uint8(0b0000), 1e-160, false, true)
+	f.Add(int64(5), uint8(13), uint8(0b0110), 0.35, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, maskRaw uint8, sigmaRaw float64, edges, seeded bool) {
 		sigma := sigmaRaw
 		if !(sigma > 0 && sigma < 1e300) { // also rejects NaN
 			sigma = 0.5
 		}
 		n := int(nRaw % 26)
-		live := 1 + int(liveRaw)%TileWidth
 		rng := rand.New(rand.NewSource(seed))
 		var skips [TileWidth]int
 		for l := range skips {
 			skips[l] = rng.Intn(n+2) - 1
 		}
-		tile := tileTargets(rng, live, skips)
+		tile := tileTargets(rng, maskRaw&AllLanes, skips)
 		xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
 		if edges {
 			edgeSources(rng, &tile, xs, ys, zs, axs, ays, azs)
@@ -219,7 +234,7 @@ func FuzzGradTile(f *testing.F) {
 func benchPairs(b *testing.B, tiled bool) {
 	rng := rand.New(rand.NewSource(1))
 	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.35})
-	tile := tileTargets(rng, TileWidth, [TileWidth]int{-1, 2, -1, 5})
+	tile := tileTargets(rng, AllLanes, [TileWidth]int{-1, 2, -1, 5})
 	xs, ys, zs, axs, ays, azs := randomLanes(rng, 8, 0, 0, 0)
 	b.ResetTimer()
 	for range b.N {

@@ -8,8 +8,9 @@ import (
 	"repro/internal/vec"
 )
 
-// benchEval times one full Eval (build + traversal) of the clustered
-// vortex sheet under the given traversal mode; the CI smoke lane runs
+// benchEval times one full Eval (build + traversal) of the uniform
+// spherical vortex sheet of 2,000 particles under the given traversal
+// mode; the CI smoke lane runs
 // it with -benchtime 1x to keep both evaluators compiling and working.
 func benchEval(b *testing.B, mode TraversalMode) {
 	sys := particle.SphericalVortexSheet(particle.DefaultSheet(2000))

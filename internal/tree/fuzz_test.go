@@ -1,6 +1,10 @@
 package tree
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/particle"
+)
 
 // FuzzMortonRoundTrip checks key encode/decode over the full
 // coordinate range, plus the placeholder-key algebra.
@@ -31,5 +35,25 @@ func FuzzMortonRoundTrip(f *testing.F) {
 		if key < lo || key > hi {
 			t.Fatalf("key %x outside its own cell range [%x,%x]", key, lo, hi)
 		}
+	})
+}
+
+// FuzzTileWalk holds the tile walk to the per-particle walk on random
+// vortex blobs, seeded by the blob size, θ, LeafCap and the group cut
+// (the cap of the target groups, so tiles span groups of every size):
+// every target matches vortexAt bitwise with its counters equal, per
+// tile and through EvalGroups at 1 and 3 workers.
+func FuzzTileWalk(f *testing.F) {
+	f.Add(int64(1), uint16(200), 0.3, uint8(1), uint8(8))
+	f.Add(int64(2), uint16(37), 0.6, uint8(8), uint8(1))
+	f.Add(int64(3), uint16(513), 0.0, uint8(2), uint8(5))
+	f.Add(int64(4), uint16(3), 1.5, uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, theta float64, leafRaw, cutRaw uint8) {
+		if !(theta >= 0 && theta <= 2) { // also rejects NaN
+			theta = 0.5
+		}
+		sys := particle.RandomVortexBlob(1+int(nRaw%600), 0.2, seed)
+		tr := Build(sys, BuildConfig{LeafCap: 1 + int(leafRaw%16), Discipline: Vortex})
+		checkTileWalk(t, tr, tr.Groups(1+int(cutRaw%32)), theta, 1, 3)
 	})
 }

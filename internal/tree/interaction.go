@@ -8,14 +8,15 @@ import (
 	"repro/internal/vec"
 )
 
-// This file implements the two-phase interaction-list evaluator (the
-// PEPC-style amortized traversal, cf. Dubinski's parallel tree code):
-// instead of walking the tree once per particle, one MAC-driven walk
-// per *leaf group* classifies every encountered cell for the whole
-// group at once and emits a flat interaction list, which is then
-// evaluated in tight loops with no tree navigation — item by item for
-// the whole group four targets at a time (vortex), or per particle
-// (Coulomb).
+// This file implements the two-phase interaction-list evaluator of the
+// Coulomb discipline (the PEPC-style amortized traversal, cf.
+// Dubinski's parallel tree code): instead of walking the tree once per
+// particle, one MAC-driven walk per *leaf group* classifies every
+// encountered cell for the whole group at once and emits a flat
+// interaction list, which is then evaluated per particle with no tree
+// navigation. The vortex discipline has no lists: its targets share an
+// instruction four at a time, so it walks once per tile with an exact
+// MAC decision per lane instead (tileWalk, traverse.go).
 //
 // The group-level classification is conservative:
 //
@@ -31,20 +32,20 @@ import (
 // predicate and stack discipline as the recursive traversal, and
 // because the group walk pushes children in the same order, the list
 // evaluation sums exactly the same floating-point terms in exactly the
-// same order as the recursive traversal — the two are bitwise equal,
-// which is what keeps the determinism regression green with the list
-// evaluator as the default.
+// same order as the recursive traversal — the two are bitwise equal.
 
 // TraversalMode selects how Solver (and through it package hot)
 // evaluates a target group.
 type TraversalMode int
 
 const (
-	// TraversalList is the default: one MAC walk per leaf group
-	// emitting near/far interaction lists, evaluated in flat loops.
+	// TraversalList is the default: vortex targets are walked four to
+	// a tile with a MAC decision per lane, and Coulomb groups by one
+	// MAC walk per group emitting near/far interaction lists.
 	TraversalList TraversalMode = iota
 	// TraversalRecursive is the classic per-particle stack traversal —
-	// the oracle the list evaluator is held bitwise equal to.
+	// the oracle the tile walk and the list evaluator are held bitwise
+	// equal to.
 	TraversalRecursive
 )
 
@@ -147,13 +148,10 @@ type ListItem struct {
 
 // InteractionList is the output of one group walk: the items in
 // evaluation order plus the number of cells the walk opened (each
-// opened cell counts one MAC reject per target particle). It also
-// holds the group's tile scratch for the vortex evaluation.
+// opened cell counts one MAC reject per target particle).
 type InteractionList struct {
 	Items []ListItem
 	Opens int64
-
-	tiles vortexTiles
 }
 
 // Reset empties the list for reuse.

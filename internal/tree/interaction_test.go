@@ -113,28 +113,41 @@ func TestListMatchesRecursiveCoulomb(t *testing.T) {
 }
 
 func TestWorkStealingScheduleInvariance(t *testing.T) {
-	// The assignment of leaf groups to workers is load-driven and
+	// The assignment of tiles to workers is load-driven and
 	// nondeterministic; the results must be bitwise identical anyway
 	// (and identical across worker counts), because every target's sum
-	// is computed independently in a fixed order.
-	sys := particle.SphericalVortexSheet(particle.DefaultSheet(600))
-	n := sys.N()
-	run := func(workers, grain int) ([]vec.Vec3, []vec.Vec3) {
-		s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.45)
-		s.Workers = workers
-		s.stealGrain = grain
-		vel := make([]vec.Vec3, n)
-		str := make([]vec.Vec3, n)
-		s.Eval(sys, vel, str)
-		return vel, str
-	}
-	velRef, strRef := run(1, 0)
-	for _, cfg := range [][2]int{{2, 0}, {4, 1}, {8, 3}, {4, 0}} {
-		for rep := 0; rep < 3; rep++ {
-			vel, str := run(cfg[0], cfg[1])
-			for i := range vel {
-				if vel[i] != velRef[i] || str[i] != strRef[i] {
-					t.Fatalf("workers=%d grain=%d rep=%d: particle %d differs from single-worker run", cfg[0], cfg[1], rep, i)
+	// is computed independently in a fixed order. The N = 603 row ends
+	// in a tile of three targets, which grains 1 and 3 let a worker
+	// steal.
+	for _, row := range []struct {
+		n    int
+		cfgs [][2]int // workers, grain
+	}{
+		{600, [][2]int{{2, 0}, {4, 1}, {8, 3}, {4, 0}}},
+		{603, [][2]int{{2, 1}, {4, 3}}},
+	} {
+		sys := particle.SphericalVortexSheet(particle.DefaultSheet(row.n))
+		n := sys.N()
+		if n != row.n {
+			t.Fatalf("the sheet of %d particles has %d", row.n, n)
+		}
+		run := func(workers, grain int) ([]vec.Vec3, []vec.Vec3) {
+			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.45)
+			s.Workers = workers
+			s.stealGrain = grain
+			vel := make([]vec.Vec3, n)
+			str := make([]vec.Vec3, n)
+			s.Eval(sys, vel, str)
+			return vel, str
+		}
+		velRef, strRef := run(1, 0)
+		for _, cfg := range row.cfgs {
+			for rep := 0; rep < 3; rep++ {
+				vel, str := run(cfg[0], cfg[1])
+				for i := range vel {
+					if vel[i] != velRef[i] || str[i] != strRef[i] {
+						t.Fatalf("N=%d workers=%d grain=%d rep=%d: particle %d differs from single-worker run", n, cfg[0], cfg[1], rep, i)
+					}
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -15,12 +16,14 @@ import (
 
 // Solver is the Barnes-Hut evaluator: every Eval rebuilds the tree for
 // the current particle positions (as PEPC does per force evaluation)
-// and evaluates the field at every target particle. Targets are
-// processed group by group, scheduled with work stealing; by default
-// each group goes through the two-phase interaction-list evaluator (see
-// interaction.go), and Traversal selects the classic per-particle
-// recursive walk instead. EvalGroups and CoulombGroups are the
-// evaluation half alone, over a tree built elsewhere.
+// and evaluates the field at every target particle, scheduled with work
+// stealing. By default vortex targets are packed four to a tile and
+// each tile is evaluated by one lane-masked walk from the root
+// (tileWalk), and Coulomb targets group by group through the two-phase
+// interaction-list evaluator (interaction.go); Traversal selects the
+// classic per-particle recursive walk instead. EvalGroups and
+// CoulombGroups are the evaluation half alone, over a tree built
+// elsewhere.
 type Solver struct {
 	// Sm and Scheme select the smoothing kernel and stretching form.
 	Sm     kernel.Smoothing
@@ -34,30 +37,33 @@ type Solver struct {
 	Workers int
 	// Dipole enables the cluster dipole correction for velocities.
 	Dipole bool
-	// Traversal selects the evaluator of a target group: TraversalList
-	// (default) builds one interaction list per group, and
-	// TraversalRecursive walks the tree once per particle. Both sum the
-	// same terms in the same order, so results are bitwise equal.
+	// Traversal selects the evaluator: TraversalList (default) walks
+	// the vortex targets once per tile and builds one interaction list
+	// per Coulomb group, and TraversalRecursive walks the tree once per
+	// particle. Both sum the same terms in the same order, so results
+	// are bitwise equal.
 	Traversal TraversalMode
 	// Hook, when non-nil, observes every built tree before use (guard
 	// layer: moment-flip injection + ABFT verification with rebuild on
 	// detection). Nil costs nothing.
 	Hook BuildHook
 
-	// stealGrain is the work-stealing chunk size in target groups (≤0:
+	// stealGrain is the work-stealing chunk size in tiles (≤0:
 	// automatic); only the schedule-invariance test sets it.
 	stealGrain int
 
 	evals        atomic.Int64
 	interactions atomic.Int64
 
-	// Per-discipline build arenas plus group/list scratch: every
-	// per-step allocation of Eval/Coulomb reuses the previous step's
-	// capacity, so the single-worker hot path is allocation-free in
-	// steady state.
+	// Per-discipline build arenas plus group, walk and list scratch:
+	// every per-step allocation of Eval/Coulomb reuses the previous
+	// step's capacity, so the single-worker hot path is allocation-free
+	// in steady state.
 	arenaV, arenaC Arena
 	vb             kernel.VortexBatch // this Eval's pair kernel (σ is the system's)
 	groupsBuf      []int32
+	groupEnds      []int
+	walks          []tileWalk // one per worker
 	scratchList    InteractionList
 	busyBuf        [1]float64
 
@@ -91,7 +97,9 @@ func (s *Solver) Stats() field.Stats {
 
 // Eval implements field.Evaluator: Barnes-Hut velocities and
 // stretching terms for all particles — the tree build, then EvalGroups
-// over the target groups of every particle.
+// with the root as the one group. Tiles span groups, so any cover of
+// the particles by cells in depth-first preorder packs the same tiles
+// as the root alone.
 //
 //lint:hotpath steady-state vortex evaluation: 0 allocs/op contract (BENCH_PR6, ci.sh layout lane)
 func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
@@ -103,50 +111,107 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
 		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex})
 	s.LastTree = t
-	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
+	s.groupsBuf = append(s.groupsBuf[:0], int32(t.Root))
 	inter, _, _ := s.EvalGroups(t, s.groupsBuf, vel, stretch, nil)
 	s.interactions.Add(inter)
 }
 
 // EvalGroups evaluates velocities and stretching terms at the particles
 // of the target groups — cells of t, each a contiguous run of t.Order —
-// against the whole of t from t.Root: by interaction list per group or
-// by per-particle walk (Traversal), on one worker or on Workers with
-// work stealing over the groups. Each target's results, and with a
-// non-nil work its interaction count, are written at its index in the
-// system t was built over. It returns the interaction, MAC-accept and
-// MAC-reject totals; LastSched reports the schedule. Package hot
-// evaluates its locally essential tree through it, with the local cells
-// as the groups.
+// against the whole of t from t.Root. The targets are packed four to a
+// tile in group order, so a tile may span groups, and each tile is
+// evaluated by one lane-masked walk from the root (or, under
+// TraversalRecursive, by one walk per target), on one worker or on
+// Workers with work stealing over the tiles. Each target's results,
+// and with a non-nil work its interaction count, are written at its
+// index in the system t was built over. It returns the interaction,
+// MAC-accept and MAC-reject totals; LastSched reports the schedule.
+// Package hot evaluates its locally essential tree through it, with the
+// local leaves as the groups.
 //
 //lint:hotpath steady-state vortex evaluation: shares the zero-alloc single-worker bypass with Eval
 func (s *Solver) EvalGroups(t *Tree, groups []int32, vel, stretch []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
 	s.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: t.sys.Sigma})
-	if s.workerCount(len(groups)) == 1 {
-		// Single-worker bypass: no scheduler, no goroutines, no pool —
-		// with arena-backed build and the solver-held scratch list, a
+	s.groupEnds = s.groupEnds[:0]
+	total := 0
+	for _, g := range groups {
+		total += t.Nodes[g].Count
+		s.groupEnds = append(s.groupEnds, total)
+	}
+	tiles := (total + kernel.TileWidth - 1) / kernel.TileWidth
+	nw := s.workerCount(tiles)
+	if cap(s.walks) < nw {
+		s.walks = make([]tileWalk, nw)
+	}
+	s.walks = s.walks[:nw]
+	if nw == 1 {
+		// Single-worker bypass: no scheduler, no goroutines — with
+		// arena-backed build and the solver-held walk state, a
 		// steady-state Eval performs zero heap allocations.
 		t0 := telemetry.Wall()
-		var c counts
-		for _, g := range groups {
-			c.add(s.evalVortexGroup(t, g, vel, stretch, work, &s.scratchList))
-		}
+		c := s.evalTiles(t, groups, 0, tiles, vel, stretch, work, &s.walks[0])
 		s.busyBuf[0] = telemetry.Wall() - t0
 		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
 		return c.inter, c.accepts, c.rejects
 	}
-	var total atomicCounts
+	var sum atomicCounts
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker bypass above
-	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
-		list := GetInteractionList()
-		var c counts
-		for gi := lo; gi < hi; gi++ {
-			c.add(s.evalVortexGroup(t, groups[gi], vel, stretch, work, list))
-		}
-		PutInteractionList(list)
-		total.add(c)
+	s.LastSched = sched.Run(nw, tiles, s.stealGrain, func(worker, lo, hi int) {
+		sum.add(s.evalTiles(t, groups, lo, hi, vel, stretch, work, &s.walks[worker]))
 	})
-	return total.load()
+	return sum.load()
+}
+
+// evalTiles evaluates tiles [lo, hi) of the targets of groups — target
+// k is lane k%TileWidth of tile k/TileWidth, the targets numbered in
+// group order (s.groupEnds holds the running counts) — and writes
+// their results by original index.
+func (s *Solver) evalTiles(t *Tree, groups []int32, lo, hi int, vel, stretch []vec.Vec3, work []float64, w *tileWalk) (c counts) {
+	const tw = kernel.TileWidth
+	if lo >= hi {
+		return c
+	}
+	ends := s.groupEnds
+	k, end := lo*tw, min(hi*tw, ends[len(ends)-1])
+	g := sort.SearchInts(ends, k+1) // the group holding target k
+	nd := &t.Nodes[groups[g]]
+	i := nd.First + k - (ends[g] - nd.Count)
+	for ; k < end; k += tw {
+		n := min(tw, end-k)
+		for l := range n {
+			for i == nd.First+nd.Count {
+				g++
+				nd = &t.Nodes[groups[g]]
+				i = nd.First
+			}
+			w.at[l] = i
+			i++
+		}
+		if s.Traversal == TraversalRecursive {
+			for _, i := range w.at[:n] {
+				res := t.vortexAt(int32(t.Root), t.Particle(i).Pos, s.Theta, i, &s.vb, s.Dipole)
+				c.add(s.store(t, i, res, vel, stretch, work))
+			}
+			continue
+		}
+		w.walk(t, &s.vb, s.Theta, n, s.Dipole)
+		for l := range n {
+			c.add(s.store(t, w.at[l], w.result(l), vel, stretch, work))
+		}
+	}
+	return c
+}
+
+// store writes the result of the target at lane i by its original
+// index and returns its counters.
+func (s *Solver) store(t *Tree, i int, res VortexResult, vel, stretch []vec.Vec3, work []float64) counts {
+	orig := t.Order[i]
+	vel[orig] = res.U
+	stretch[orig] = s.Scheme.Stretch(res.Grad, t.Particle(i).Alpha)
+	if work != nil {
+		work[orig] = float64(res.Interactions)
+	}
+	return counts{res.Interactions, res.CellAccepts, res.Rejects}
 }
 
 // counts are the work counters of a run of targets.
@@ -171,40 +236,9 @@ func (c *atomicCounts) load() (inter, accepts, rejects int64) {
 	return c.inter.Load(), c.accepts.Load(), c.rejects.Load()
 }
 
-// evalVortexGroup evaluates every particle of target group g — against
-// the group's interaction list, built into list and evaluated four
-// targets at a time, or by a walk from the root — and writes its
-// results by original index.
-func (s *Solver) evalVortexGroup(t *Tree, g int32, vel, stretch []vec.Vec3, work []float64, list *InteractionList) (c counts) {
-	nd := &t.Nodes[g]
-	byList := s.Traversal == TraversalList
-	if byList {
-		list.Reset()
-		gc, ge := t.GroupBounds(nd.First, nd.Count)
-		t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
-		t.evalVortexTiles(list, s.Theta, nd.First, nd.Count, &s.vb, s.Dipole)
-	}
-	for i := nd.First; i < nd.First+nd.Count; i++ {
-		orig := t.Order[i]
-		p := t.Particle(i)
-		var res VortexResult
-		if byList {
-			res = list.tiles.result(i-nd.First, list.Opens)
-		} else {
-			res = t.vortexAt(int32(t.Root), p.Pos, s.Theta, i, &s.vb, s.Dipole)
-		}
-		vel[orig] = res.U
-		stretch[orig] = s.Scheme.Stretch(res.Grad, p.Alpha)
-		if work != nil {
-			work[orig] = float64(res.Interactions)
-		}
-		c.add(counts{res.Interactions, res.CellAccepts, res.Rejects})
-	}
-	return c
-}
-
-// workerCount is the number of workers an n-item schedule would use —
-// the same clamping sched.Run applies.
+// workerCount is the number of workers of an n-item schedule: Workers
+// (≤0: GOMAXPROCS) clamped to [1, n]. The evaluators pass it to
+// sched.Run, so worker ids index per-worker state sized by it.
 func (s *Solver) workerCount(n int) int {
 	w := s.Workers
 	if w <= 0 {
@@ -219,9 +253,8 @@ func (s *Solver) workerCount(n int) int {
 	return w
 }
 
-// groupCap is the target-group size of the list evaluator: groups
-// larger than a leaf amortize one list-build walk over several leaf
-// cells.
+// groupCap is the target-group size of Coulomb: groups larger than a
+// leaf amortize one list-build walk over several leaf cells.
 func (s *Solver) groupCap() int { return max(s.LeafCap, 8) }
 
 // Coulomb evaluates the softened Coulomb potential and field for all
@@ -246,7 +279,8 @@ func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []v
 //
 //lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
 func (s *Solver) CoulombGroups(t *Tree, groups []int32, eps float64, pot []float64, f []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
-	if s.workerCount(len(groups)) == 1 {
+	nw := s.workerCount(len(groups))
+	if nw == 1 {
 		t0 := telemetry.Wall()
 		var c counts
 		for _, g := range groups {
@@ -258,7 +292,7 @@ func (s *Solver) CoulombGroups(t *Tree, groups []int32, eps float64, pot []float
 	}
 	var total atomicCounts
 	//lint:ignore allocfree work-stealing dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker bypass above
-	s.LastSched = sched.Run(s.Workers, len(groups), s.stealGrain, func(_, lo, hi int) {
+	s.LastSched = sched.Run(nw, len(groups), s.stealGrain, func(_, lo, hi int) {
 		list := GetInteractionList()
 		var c counts
 		for gi := lo; gi < hi; gi++ {

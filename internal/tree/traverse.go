@@ -56,11 +56,10 @@ type VortexResult struct {
 
 // vortexEval is one target's running sum over a walk: the kernel's
 // scalar accumulator plus the MAC counters it does not track. The
-// recursive walk, the near/far split and the list evaluator's
-// ambiguous items accumulate through its three legs, in the order they
-// meet the cells; vortexTiles' legs do the same arithmetic for a whole
-// target group, so every evaluator sums the same terms in the same
-// order.
+// recursive walk and the near/far split accumulate through its three
+// legs, in the order they meet the cells; tileWalk's legs do the same
+// arithmetic for the lanes of a tile, so every evaluator sums the same
+// terms in the same order.
 type vortexEval struct {
 	b           *kernel.VortexBatch
 	acc         kernel.VortexAcc
@@ -155,10 +154,7 @@ func open(stack []int32, nd *Node) []int32 {
 }
 
 // walk runs the per-particle MAC traversal of the subtree rooted at
-// start, accumulating into e (it does not reset e). The
-// interaction-list evaluator calls it for cells whose group-level
-// accept/open decision is ambiguous, so both evaluators sum exactly
-// the same terms in exactly the same order.
+// start, accumulating into e (it does not reset e).
 func (e *vortexEval) walk(t *Tree, start int32, x vec.Vec3, theta float64, skipSorted int, useDipole bool) {
 	theta2 := theta * theta
 	sp := getStack()
@@ -220,9 +216,9 @@ func (t *Tree) skipLane(skipOrig int) int {
 
 // vortexAt evaluates velocity and gradient at x by the per-particle
 // traversal of the subtree rooted at node start: the recursive
-// evaluator, and the oracle the list evaluator is
-// held bitwise equal to. skipSorted, when ≥ 0, is the lane of a
-// particle to exclude (the target itself). useDipole enables the
+// evaluator, and the oracle the tile walk is held bitwise equal to.
+// skipSorted, when ≥ 0, is the lane of a particle to exclude (the
+// target itself). useDipole enables the
 // dipole correction of accepted cells.
 func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
 	e := vortexEval{b: b}
@@ -230,133 +226,131 @@ func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, 
 	return e.result()
 }
 
-// vortexTiles is a target group's running sums in tile layout, held
-// for the whole list evaluation: target j of the group is lane
-// j%TileWidth of tiles[j/TileWidth], and the spare lanes of the last
-// tile duplicate the group's last target and are not live. farItems counts the group's
-// far items; accepts[j] and rejects[j] are the MAC counters of target j's
-// ambiguous walks. The scratch lives in the InteractionList, so it is
-// pooled per worker.
-type vortexTiles struct {
-	tiles            []kernel.GradTile
-	accepts, rejects []int64
-	farItems         int64
-	src              [6]float64 // a far item as a one-source range: centroid, circulation sum
+// tileWalk is the tile walk's state: up to kernel.TileWidth targets in
+// the lanes of one GradTile — lane l is the particle at sorted position
+// at[l] — their MAC counters, and the walk's (cell, lane mask) stack.
+// The solver holds one per worker.
+type tileWalk struct {
+	tile             kernel.GradTile
+	at               [kernel.TileWidth]int
+	accepts, rejects [kernel.TileWidth]int64
+	src              [6]float64 // an accepted cell as a one-source range: centroid, circulation sum
+	stack            []maskedCell
+	_                [64]byte // keeps the next worker's walk off this one's cache lines
 }
 
-// reset sizes the tiles for the count targets at lanes first.. and
-// zeroes their sums.
-func (v *vortexTiles) reset(t *Tree, first, count int) {
-	const w = kernel.TileWidth
-	nt := (count + w - 1) / w
-	if cap(v.tiles) < nt {
-		v.tiles = make([]kernel.GradTile, nt)
-	}
-	if cap(v.accepts) < count {
-		v.accepts = make([]int64, count)
-		v.rejects = make([]int64, count)
-	}
-	v.tiles, v.accepts, v.rejects = v.tiles[:nt], v.accepts[:count], v.rejects[:count]
-	clear(v.accepts)
-	clear(v.rejects)
-	v.farItems = 0
-	for j := range nt * w {
-		tl := &v.tiles[j/w]
-		p := t.Particle(first + min(j, count-1)).Pos
-		tl.X[j%w], tl.Y[j%w], tl.Z[j%w] = p.X, p.Y, p.Z
-	}
-	for i := range v.tiles {
-		v.tiles[i].Live = min(w, count-i*w)
-		v.tiles[i].Reset()
-	}
+// maskedCell is a cell on the tile walk's stack with the lanes that
+// reach it.
+type maskedCell struct {
+	node int32
+	mask uint8
 }
 
-// far is vortexEval.far for every target of the group: the cell as a
-// one-source tile range, then the dipole lane by lane.
-func (v *vortexTiles) far(b *kernel.VortexBatch, nd *Node, useDipole bool) {
-	const w = kernel.TileWidth
-	s := &v.src
-	s[0], s[1], s[2] = nd.Centroid.X, nd.Centroid.Y, nd.Centroid.Z
-	s[3], s[4], s[5] = nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z
-	for i := range v.tiles {
-		tl := &v.tiles[i]
-		tl.Skip = [w]int{-1, -1, -1, -1}
-		b.AccumGradTile(tl, s[0:1], s[1:2], s[2:3], s[3:4], s[4:5], s[5:6])
+// walk evaluates the first n lanes of w from the root: one walk for
+// all of them, with each lane in a cell's mask making its own MAC
+// decision. A lane that accepts the cell adds it as a one-source tile
+// and its dipole; a lane that opens it counts a reject and reaches the
+// children, pushed under the mask of the lanes that opened it in
+// open's order; a leaf is one tile range, each lane with its own skip.
+// Restricted to the cells one lane reaches — a set closed under
+// ancestors — the walk's preorder is that lane's own walk's preorder,
+// so every lane sums exactly the terms vortexAt sums, in the same
+// order.
+func (w *tileWalk) walk(t *Tree, b *kernel.VortexBatch, theta float64, n int, useDipole bool) {
+	const tw = kernel.TileWidth
+	theta2 := theta * theta
+	tl := &w.tile
+	for l := range tw {
+		p := t.Particle(w.at[min(l, n-1)]).Pos // spare lanes repeat the last target
+		tl.X[l], tl.Y[l], tl.Z[l] = p.X, p.Y, p.Z
 	}
-	if useDipole {
-		for j := range v.accepts {
-			tl, k := &v.tiles[j/w], j%w
-			ux, uy, uz := dipoleVel(tl.X[k]-nd.Centroid.X, tl.Y[k]-nd.Centroid.Y, tl.Z[k]-nd.Centroid.Z, &nd.Dipole)
-			tl.Acc[0][k] += ux
-			tl.Acc[1][k] += uy
-			tl.Acc[2][k] += uz
+	tl.Reset()
+	w.accepts, w.rejects = [tw]int64{}, [tw]int64{}
+	stack := append(w.stack[:0], maskedCell{int32(t.Root), kernel.AllLanes >> (tw - n)})
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &t.Nodes[top.node]
+		if nd.Count == 0 {
+			continue
 		}
-	}
-	v.farItems++
-}
-
-// near is vortexEval.near for every target of the group; first is the
-// lane of the group's target 0. A leaf that holds none of the group's
-// targets skips no source.
-func (v *vortexTiles) near(t *Tree, b *kernel.VortexBatch, nd *Node, first int) {
-	const w = kernel.TileWidth
-	lo, hi := nd.First, nd.First+nd.Count
-	l := t.Lanes
-	last := len(v.accepts) - 1
-	own := lo <= first+last && first < hi // the leaf holds a target of the group
-	for i := range v.tiles {
-		tl := &v.tiles[i]
-		tl.Skip = [w]int{-1, -1, -1, -1}
-		if own {
-			for k := range w {
-				tl.Skip[k] = leafSkip(nd, first+min(i*w+k, last))
+		if nd.Leaf {
+			w.near(t, b, nd, top.mask)
+			continue
+		}
+		s2 := nd.Size * nd.Size
+		var accept, opened uint8
+		for l := range tw {
+			if top.mask>>l&1 == 0 {
+				continue
+			}
+			if MACSq(theta2, s2, vec.V3(tl.X[l], tl.Y[l], tl.Z[l]).Sub(nd.Centroid).Norm2()) {
+				accept |= 1 << l
+			} else {
+				opened |= 1 << l
+				w.rejects[l]++
 			}
 		}
-		b.AccumGradTile(tl, l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi])
-	}
-}
-
-// walk is vortexEval.walk for every target of the group: each target's
-// lane is copied out, walked and copied back.
-func (v *vortexTiles) walk(t *Tree, b *kernel.VortexBatch, start int32, theta float64, first int, useDipole bool) {
-	const w = kernel.TileWidth
-	for j := range v.accepts {
-		tl, k := &v.tiles[j/w], j%w
-		e := vortexEval{b: b, acc: tl.Lane(k)}
-		e.walk(t, start, vec.V3(tl.X[k], tl.Y[k], tl.Z[k]), theta, first+j, useDipole)
-		tl.SetLane(k, &e.acc)
-		v.accepts[j] += e.cellAccepts
-		v.rejects[j] += e.rejects
-	}
-}
-
-// result is target j's VortexResult; opens are the cells the group
-// walk opened on every target's behalf.
-func (v *vortexTiles) result(j int, opens int64) VortexResult {
-	acc := v.tiles[j/kernel.TileWidth].Lane(j % kernel.TileWidth)
-	return vortexResult(&acc, v.farItems+v.accepts[j], opens+v.rejects[j])
-}
-
-// evalVortexTiles evaluates the count targets at lanes first.. of a
-// group against the group's prepared interaction list, item-major: for
-// each item in list order every target advances — far items through
-// the tile as one source plus the dipole, near items as tile ranges,
-// ambiguous items by the exact per-particle walk. Each target sums the
-// terms vortexAt sums on the subtree the list was built from, in the
-// same order; vortexTiles.result reads them back.
-func (t *Tree) evalVortexTiles(list *InteractionList, theta float64, first, count int, b *kernel.VortexBatch, useDipole bool) {
-	v := &list.tiles
-	v.reset(t, first, count)
-	for _, it := range list.Items {
-		switch it.Kind {
-		case ItemFar:
-			v.far(b, &t.Nodes[it.Node], useDipole)
-		case ItemNear:
-			v.near(t, b, &t.Nodes[it.Node], first)
-		default:
-			v.walk(t, b, it.Node, theta, first, useDipole)
+		if accept != 0 {
+			w.far(b, nd, accept, useDipole)
+		}
+		if opened != 0 {
+			// open, under a mask.
+			k := len(stack)
+			for _, ci := range nd.Children {
+				if ci >= 0 {
+					stack = append(stack, maskedCell{ci, opened})
+				}
+			}
+			if len(stack) == k {
+				panic(nd)
+			}
 		}
 	}
+	w.stack = stack
+}
+
+// far is vortexEval.far for the lanes of mask: the cell as a
+// one-source tile range, then the dipole lane by lane.
+func (w *tileWalk) far(b *kernel.VortexBatch, nd *Node, mask uint8, useDipole bool) {
+	const tw = kernel.TileWidth
+	tl, s := &w.tile, &w.src
+	s[0], s[1], s[2] = nd.Centroid.X, nd.Centroid.Y, nd.Centroid.Z
+	s[3], s[4], s[5] = nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z
+	tl.Skip = [tw]int{-1, -1, -1, -1}
+	tl.Mask = mask
+	b.AccumGradTile(tl, s[0:1], s[1:2], s[2:3], s[3:4], s[4:5], s[5:6])
+	for l := range tw {
+		if mask>>l&1 == 0 {
+			continue
+		}
+		if useDipole {
+			ux, uy, uz := dipoleVel(tl.X[l]-nd.Centroid.X, tl.Y[l]-nd.Centroid.Y, tl.Z[l]-nd.Centroid.Z, &nd.Dipole)
+			tl.Acc[0][l] += ux
+			tl.Acc[1][l] += uy
+			tl.Acc[2][l] += uz
+		}
+		w.accepts[l]++
+	}
+}
+
+// near is vortexEval.near for the lanes of mask: leaf nd as one tile
+// range, each lane skipping its own target.
+func (w *tileWalk) near(t *Tree, b *kernel.VortexBatch, nd *Node, mask uint8) {
+	tl := &w.tile
+	for l, i := range w.at {
+		tl.Skip[l] = leafSkip(nd, i)
+	}
+	tl.Mask = mask
+	lo, hi := nd.First, nd.First+nd.Count
+	l := t.Lanes
+	b.AccumGradTile(tl, l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi])
+}
+
+// result is lane l's VortexResult after walk.
+func (w *tileWalk) result(l int) VortexResult {
+	acc := w.tile.Lane(l)
+	return vortexResult(&acc, w.accepts[l], w.rejects[l])
 }
 
 // VortexAtSplit is the classical Barnes-Hut walk of vortexAt with the
