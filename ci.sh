@@ -37,7 +37,8 @@ go test ./...
 go test -race ./...
 
 # Benchmark smoke lane: one iteration each, just to keep the benchmark
-# drivers compiling and running.
+# drivers compiling and running (BenchmarkEvalList and
+# BenchmarkEvalCoulomb run the tree's tile walk in both disciplines).
 go test -bench . -benchtime 1x -run '^$' ./...
 
 # Layout lane: the façade suite once more, uncached (every tree build
@@ -83,9 +84,9 @@ go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 
 # Fallback lane: the Go body stays the definition. Under the purego tag
 # the tile runs as one AccumGradRange per lane inside its mask, and the
-# cross-commit pins (façade hashes, tile walk == recursive, hot at
-# PS = 1 == tree.Solver) must hold through it as they hold through the
-# AVX2 loop. The arm64
+# cross-commit pins (façade hashes, tile walk == recursive for both
+# disciplines, hot at PS = 1 == tree.Solver) must hold through it as
+# they hold through the AVX2 loop. The arm64
 # vet is a cross-build with no emulator: the non-amd64 build compiles
 # and vets clean (asmdecl checks the amd64 frame in the plain vet
 # above).
@@ -94,7 +95,8 @@ GOARCH=arm64 go vet ./internal/kernel/ ./internal/tree/ ./internal/direct/
 
 # Tree and transport fuzz smoke: Morton key encode/decode over the full
 # coordinate range; the tile walk == the per-particle walk, bitwise with
-# equal counters, over blob size, θ, LeafCap and the group cut; mutated
+# equal counters, over blob size, θ, LeafCap and the discipline (vortex,
+# or Coulomb with a drawn softening ε); mutated
 # multi-block frames against the mpi decoder (a clean error or a valid
 # block list, never a panic or a runaway pre-allocation) and the float64
 # payload codec (bit-exact round trip, misaligned buffers rejected).

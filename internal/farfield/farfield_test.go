@@ -64,7 +64,7 @@ func TestSplitCountsMatchWalk(t *testing.T) {
 	ts.Traversal = tree.TraversalRecursive
 	ts.Workers = 1
 	refVel, refStr, work := make([]vec.Vec3, n), make([]vec.Vec3, n), make([]float64, n)
-	total, _, refRejects := ts.EvalGroups(tr, tr.Groups(1), refVel, refStr, work)
+	total, _, refRejects := ts.EvalTree(tr, refVel, refStr, work)
 	var rejects int64
 	for q, p := range sys.Particles {
 		near, far := tr.VortexAtSplit(tr.Root, p.Pos, theta, q, pw, true, true)

@@ -54,9 +54,7 @@ type evalArena struct {
 	tops     []int32
 	owner    []int32
 
-	// Traversal: the target groups and per-target outputs in local
-	// order.
-	groups               []int32
+	// Traversal: the per-target outputs in local order.
 	outVel, outStr, outE []vec.Vec3
 	outPot, workPer      []float64
 

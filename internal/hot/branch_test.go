@@ -216,9 +216,9 @@ func TestPrefetchIsConservative(t *testing.T) {
 // owner and the rank — from either traversal of either discipline, on
 // one goroutine or on worker goroutines, for a leaf (no particles) and
 // an internal cell (no children) alike. The case is grafted by the
-// production graft: rank 0's particles in octant 0, one per leaf (three
-// target groups, so three workers each reach the cell), and rank 1's
-// branch cell in octant 5 arriving with no prefetch reply.
+// production graft: rank 0's nine particles in octant 0, one per leaf
+// (three tiles of targets, so three workers each reach the cell), and
+// rank 1's branch cell in octant 5 arriving with no prefetch reply.
 func TestUnresolvedRemoteCellIsTypedPanic(t *testing.T) {
 	const childKey = 1<<3 | 5 // child 5 of the root
 	type tc struct {
@@ -248,7 +248,8 @@ func TestUnresolvedRemoteCellIsTypedPanic(t *testing.T) {
 		rt := &evalRT{s: s, a: a, me: 0, disc: c.disc, local: &a.local, stats: &s.Last,
 			dom: tree.NewDomain(vec.V3(0, 0, 0), vec.V3(1, 1, 1))}
 		a.local.Sigma = 0.1
-		for _, x := range []vec.Vec3{vec.V3(0.1, 0.1, 0.1), vec.V3(0.2, 0.15, 0.1), vec.V3(0.1, 0.3, 0.2)} {
+		for k := range 9 {
+			x := vec.V3(0.05+0.04*float64(k), 0.1+0.03*float64(k%3), 0.1+0.02*float64(k%2))
 			a.local.Particles = append(a.local.Particles, particle.Particle{Pos: x, Alpha: vec.V3(0, 0, 1), Charge: 1})
 		}
 		rt.myLo, rt.myHi = tree.KeyRange(1 << 3) // octant 0

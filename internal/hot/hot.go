@@ -24,7 +24,7 @@
 //  4. Tree traversal with the MAC s/d ≤ θ: tree.Solver evaluates the
 //     local targets against that tree, exactly as it evaluates a
 //     serial tree, on one goroutine or on the node-level workers
-//     (PEPC's Pthreads layer) that steal target groups. It never
+//     (PEPC's Pthreads layer) that steal tiles of targets. It never
 //     communicates: the tree is read-only by then, and a remote cell
 //     the exchange did not ship is a bug reported by a typed panic.
 //  5. Results are routed back to the particles' original owners, so
@@ -82,8 +82,8 @@ type Config struct {
 	// way.
 	Branch BranchMode
 	// Traversal is tree.Solver.Traversal for the evaluation of the
-	// locally essential tree: tree.TraversalList (the default: the
-	// vortex tile walk, Coulomb interaction lists) or the per-particle
+	// locally essential tree: tree.TraversalList (the default: the tile
+	// walk, both disciplines) or the per-particle
 	// tree.TraversalRecursive, bitwise equal.
 	Traversal tree.TraversalMode
 	// Tel, when non-nil, receives this rank's per-phase timings and
@@ -412,10 +412,11 @@ func (rt *evalRT) allgather(data []byte, overlap func()) [][]byte {
 	return rt.comm.Allgather(data)
 }
 
-// traverse is phase 5: tree.Solver evaluates every local target group
+// traverse is phase 5: tree.Solver evaluates every local particle
 // against the locally essential tree — on one goroutine, or on Threads
-// workers stealing groups — writing outputs and per-target interaction
-// counts by local index. It communicates with no other rank.
+// workers stealing tiles of four targets — writing outputs and
+// per-target interaction counts by local index. It communicates with
+// no other rank.
 //
 //lint:hotpath the traverse phase: runs every target of every evaluation
 func (rt *evalRT) traverse() {
@@ -425,28 +426,20 @@ func (rt *evalRT) traverse() {
 	if n == 0 {
 		return
 	}
-	// The target groups: the non-empty leaves of the local tree, all
-	// below this rank's branches, in Morton order.
-	a.groups = a.groups[:0]
-	for i := range rt.ltree.Nodes[:rt.base] {
-		if nd := &rt.ltree.Nodes[i]; nd.Leaf && nd.Count > 0 {
-			a.groups = append(a.groups, int32(i))
-		}
-	}
 	defer rt.reportUnresolved()
 	st := rt.stats
 	switch rt.disc {
 	case tree.Vortex:
 		a.outVel = grow(a.outVel, n)
 		a.outStr = grow(a.outStr, n)
-		st.Interactions, st.MACAccepts, st.MACRejects = ts.EvalGroups(rt.ltree, a.groups, a.outVel, a.outStr, a.workPer)
+		st.Interactions, st.MACAccepts, st.MACRejects = ts.EvalTree(rt.ltree, a.outVel, a.outStr, a.workPer)
 		if s.meter != nil {
 			rt.comm.Advance(s.meter.Vortex(st.Interactions, float64(ts.LastSched.Workers)))
 		}
 	case tree.Coulomb:
 		a.outPot = grow(a.outPot, n)
 		a.outE = grow(a.outE, n)
-		st.Interactions, st.MACAccepts, st.MACRejects = ts.CoulombGroups(rt.ltree, a.groups, s.cfg.Eps, a.outPot, a.outE, a.workPer)
+		st.Interactions, st.MACAccepts, st.MACRejects = ts.CoulombTree(rt.ltree, s.cfg.Eps, a.outPot, a.outE, a.workPer)
 		if s.meter != nil {
 			rt.comm.Advance(s.meter.Coulomb(st.Interactions, float64(ts.LastSched.Workers)))
 		}

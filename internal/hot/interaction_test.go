@@ -103,8 +103,8 @@ func TestSingleRankIsTreeSolver(t *testing.T) {
 // active (Threads > 1) the results must stay bitwise identical to the
 // synchronous run, over repeated evaluations — the schedule varies,
 // the sums do not. At this size tree.Solver's automatic steal grain is
-// a single target group, so every chunk a worker claims or steals is
-// one group.
+// a single tile, so every chunk a worker claims or steals is one tile
+// of four targets.
 func TestHybridListStealingDeterminism(t *testing.T) {
 	full := particle.SphericalVortexSheet(particle.DefaultSheet(400))
 	cfgSync := defaultCfg(0.4)
@@ -122,13 +122,15 @@ func TestHybridListStealingDeterminism(t *testing.T) {
 }
 
 // TestCoulombListMatchesRecursive: same bitwise agreement for the
-// Coulomb discipline — list ≡ recursive with remote cells in play.
+// Coulomb discipline — list ≡ recursive with remote cells in play,
+// results and every rank's work counters.
 func TestCoulombListMatchesRecursive(t *testing.T) {
 	full := particle.HomogeneousCoulomb(300, 5)
-	run := func(p int, mode tree.TraversalMode) ([]float64, []vec.Vec3) {
+	run := func(p int, mode tree.TraversalMode) ([]float64, []vec.Vec3, []Stats) {
 		n := full.N()
 		pot := make([]float64, n)
 		f := make([]vec.Vec3, n)
+		stats := make([]Stats, p)
 		err := mpi.Run(p, func(c *mpi.Comm) error {
 			local := BlockPartition(full, c.Rank(), p)
 			lp := make([]float64, local.N())
@@ -138,6 +140,7 @@ func TestCoulombListMatchesRecursive(t *testing.T) {
 			cfg.Traversal = mode
 			s := New(c, cfg)
 			s.Coulomb(local, lp, lf)
+			stats[c.Rank()] = s.Last
 			base := n * c.Rank() / p
 			copy(pot[base:], lp)
 			copy(f[base:], lf)
@@ -147,15 +150,20 @@ func TestCoulombListMatchesRecursive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pot, f
+		return pot, f, stats
 	}
 	for _, p := range []int{2, 3} {
-		potRef, fRef := run(p, tree.TraversalList)
-		potR, fR := run(p, tree.TraversalRecursive)
+		potRef, fRef, stRef := run(p, tree.TraversalList)
+		potR, fR, stR := run(p, tree.TraversalRecursive)
 		for i := range potRef {
 			if potRef[i] != potR[i] || fRef[i] != fR[i] {
 				t.Fatalf("p=%d: particle %d differs: list %v/%v recursive %v/%v",
 					p, i, potRef[i], fRef[i], potR[i], fR[i])
+			}
+		}
+		for r := range stRef {
+			if !sameWork(stRef[r], stR[r]) {
+				t.Fatalf("p=%d rank %d: counters differ: list %+v recursive %+v", p, r, stRef[r], stR[r])
 			}
 		}
 		if p == 3 && runtime.GOARCH == "amd64" {

@@ -39,21 +39,33 @@ func FuzzMortonRoundTrip(f *testing.F) {
 }
 
 // FuzzTileWalk holds the tile walk to the per-particle walk on random
-// vortex blobs, seeded by the blob size, θ, LeafCap and the group cut
-// (the cap of the target groups, so tiles span groups of every size):
-// every target matches vortexAt bitwise with its counters equal, per
-// tile and through EvalGroups at 1 and 3 workers.
+// blobs of alternating unit charges, seeded by the blob size, θ,
+// LeafCap, the discipline and, for Coulomb, the softening ε: every
+// target matches vortexAt or coulombAt bitwise with its counters
+// equal, per tile and through EvalTree or CoulombTree at 1 and 3
+// workers.
 func FuzzTileWalk(f *testing.F) {
-	f.Add(int64(1), uint16(200), 0.3, uint8(1), uint8(8))
-	f.Add(int64(2), uint16(37), 0.6, uint8(8), uint8(1))
-	f.Add(int64(3), uint16(513), 0.0, uint8(2), uint8(5))
-	f.Add(int64(4), uint16(3), 1.5, uint8(4), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, theta float64, leafRaw, cutRaw uint8) {
+	f.Add(int64(1), uint16(200), 0.3, uint8(1), false, 0.0)
+	f.Add(int64(2), uint16(37), 0.6, uint8(8), false, 0.0)
+	f.Add(int64(3), uint16(513), 0.0, uint8(2), false, 0.0)
+	f.Add(int64(4), uint16(3), 1.5, uint8(4), false, 0.0)
+	f.Add(int64(5), uint16(200), 0.3, uint8(1), true, 0.01)
+	f.Add(int64(6), uint16(37), 0.6, uint8(8), true, 0.0)
+	f.Add(int64(7), uint16(513), 0.45, uint8(3), true, 0.2)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, theta float64, leafRaw uint8, coulomb bool, eps float64) {
 		if !(theta >= 0 && theta <= 2) { // also rejects NaN
 			theta = 0.5
 		}
+		if !(eps >= 0 && eps <= 1) {
+			eps = 0.01
+		}
+		disc := Vortex
+		if coulomb {
+			disc = Coulomb
+		}
 		sys := particle.RandomVortexBlob(1+int(nRaw%600), 0.2, seed)
-		tr := Build(sys, BuildConfig{LeafCap: 1 + int(leafRaw%16), Discipline: Vortex})
-		checkTileWalk(t, tr, tr.Groups(1+int(cutRaw%32)), theta, 1, 3)
+		alternateCharges(sys)
+		tr := Build(sys, BuildConfig{LeafCap: 1 + int(leafRaw%16), Discipline: disc})
+		checkTileWalk(t, tr, theta, eps, 1, 3)
 	})
 }

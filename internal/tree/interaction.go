@@ -8,16 +8,17 @@ import (
 	"repro/internal/vec"
 )
 
-// This file implements the two-phase interaction-list evaluator of the
-// Coulomb discipline (the PEPC-style amortized traversal, cf.
-// Dubinski's parallel tree code): instead of walking the tree once per
-// particle, one MAC-driven walk per *leaf group* classifies every
-// encountered cell for the whole group at once and emits a flat
-// interaction list, which is then evaluated per particle with no tree
-// navigation. The vortex discipline has no lists: its targets share an
-// instruction four at a time, so it walks once per tile with an exact
-// MAC decision per lane instead (tileWalk, traverse.go).
+// This file holds the group interaction-list builder (the PEPC-style
+// amortized traversal, cf. Dubinski's parallel tree code) and the
+// traversal mode. No evaluator uses the lists: both disciplines walk
+// their targets four to a tile with an exact MAC decision per lane
+// (tileWalk, traverse.go). The builder, its list pool, Groups,
+// GroupBounds and MACKind remain because internal/bench times one
+// list build per target group as its tree.list_build_ms probe; they go
+// when that probe does.
 //
+// One MAC-driven walk per target group classifies every encountered
+// cell for the whole group at once and emits a flat interaction list.
 // The group-level classification is conservative:
 //
 //   - groupAccept: the cell passes the MAC for every possible target
@@ -25,27 +26,23 @@ import (
 //   - groupOpen: the cell fails the MAC for every possible target →
 //     opened exactly as the per-particle walk would, children pushed.
 //   - groupAmbiguous: the decision differs across the group box → the
-//     item carries the cell and the evaluator falls back to the exact
-//     per-particle walk for that subtree.
+//     item carries the cell, whose subtree a per-particle walk would
+//     have to decide.
 //
-// Because ambiguous cells fall back to the *same* per-particle
-// predicate and stack discipline as the recursive traversal, and
-// because the group walk pushes children in the same order, the list
-// evaluation sums exactly the same floating-point terms in exactly the
-// same order as the recursive traversal — the two are bitwise equal.
+// The walk pushes children in the same order as the per-particle
+// walk, so the items are in that walk's order.
 
 // TraversalMode selects how Solver (and through it package hot)
-// evaluates a target group.
+// walks the tree for its targets.
 type TraversalMode int
 
 const (
-	// TraversalList is the default: vortex targets are walked four to
-	// a tile with a MAC decision per lane, and Coulomb groups by one
-	// MAC walk per group emitting near/far interaction lists.
+	// TraversalList is the default: the targets are walked four to a
+	// tile with a MAC decision per lane, for both disciplines. (The
+	// name predates the tile walk; it builds no lists.)
 	TraversalList TraversalMode = iota
 	// TraversalRecursive is the classic per-particle stack traversal —
-	// the oracle the tile walk and the list evaluator are held bitwise
-	// equal to.
+	// the oracle the tile walk is held bitwise equal to.
 	TraversalRecursive
 )
 
@@ -111,7 +108,8 @@ func boxPointDist2(gc, ge vec.Vec3, p vec.Vec3) (dmin2, dmax2 float64) {
 // nd against the group box (center gc, per-axis half-extents ge);
 // theta2 is θ². Callers pass the tight bounding box of the group's
 // particles (GroupBounds), which keeps the ambiguous fringe thin even
-// when the enclosing cell is mostly empty.
+// when the enclosing cell is mostly empty. Only the list builder calls
+// it.
 func classifyGroup(theta2 float64, nd *Node, gc, ge vec.Vec3) groupClass {
 	s2 := nd.Size * nd.Size
 	dmin2, dmax2 := boxPointDist2(gc, ge, nd.Centroid)
@@ -134,8 +132,7 @@ const (
 	// ItemNear is a leaf cell: direct particle–particle summation.
 	ItemNear
 	// ItemAmbiguous is a cell whose group-level MAC test was
-	// inconclusive: the evaluator runs the exact per-particle walk on
-	// its subtree.
+	// inconclusive: each target would decide its subtree on its own.
 	ItemAmbiguous
 )
 
@@ -146,9 +143,10 @@ type ListItem struct {
 	Node int32
 }
 
-// InteractionList is the output of one group walk: the items in
-// evaluation order plus the number of cells the walk opened (each
-// opened cell counts one MAC reject per target particle).
+// InteractionList is the output of one group walk: the items in the
+// per-particle walk's order plus the number of cells the walk opened.
+// No evaluator reads one; internal/bench's list-build probe builds
+// them.
 type InteractionList struct {
 	Items []ListItem
 	Opens int64
@@ -160,9 +158,8 @@ func (l *InteractionList) Reset() {
 	l.Opens = 0
 }
 
-// listPool recycles interaction lists across leaf groups; a group walk
-// on a clustered distribution can emit hundreds of items and runs once
-// per leaf, so per-walk allocations would dominate.
+// listPool recycles interaction lists for the list-build probe; a group
+// walk on a clustered distribution can emit hundreds of items.
 var listPool = sync.Pool{
 	New: func() any { return &InteractionList{Items: make([]ListItem, 0, 256)} },
 }
@@ -180,10 +177,10 @@ func PutInteractionList(l *InteractionList) {
 // subtree rooted at start for the group box (center gc, per-axis
 // half-extents ge) and appends the resulting items to list. The walk
 // uses the same stack discipline as the per-particle traversal
-// (children pushed in order, popped last-first), so evaluating the
-// items in list order reproduces the per-particle evaluation order
-// exactly. The criterion is always Barnes-Hut; the MACKind parameter
-// remains only because internal/bench passes it.
+// (children pushed in order, popped last-first), so the items are in
+// the per-particle walk's order. The criterion is always Barnes-Hut;
+// the MACKind parameter remains only because internal/bench passes it.
+// Its one caller is that probe (see the file comment).
 func (t *Tree) AppendInteractionList(list *InteractionList, _ MACKind, theta float64, start int32, gc, ge vec.Vec3) {
 	theta2 := theta * theta
 	sp := getStack()
@@ -221,7 +218,8 @@ func (t *Tree) AppendInteractionList(list *InteractionList, _ MACKind, theta flo
 // the enclosing cell (which is mostly empty on clustered
 // distributions) keeps the ambiguous fringe of the group walk thin.
 // The center/extent rounding can place a boundary particle a few ulps
-// outside the box; classifyMargin absorbs that.
+// outside the box; classifyMargin absorbs that. Its one caller outside
+// tests is internal/bench's list-build probe.
 func (t *Tree) GroupBounds(first, count int) (gc, ge vec.Vec3) {
 	lo := t.Particle(first).Pos
 	hi := lo
@@ -239,26 +237,18 @@ func (t *Tree) GroupBounds(first, count int) (gc, ge vec.Vec3) {
 	return gc, ge
 }
 
-// Groups returns the target groups of the two-phase traversal: the
-// shallowest non-empty cells holding at most cap particles, in
-// depth-first preorder. A group may be an ancestor of several leaves,
-// so the list-build walk is amortized over up to cap targets even on a
-// classical (LeafCap = 1) tree — the regime where per-particle walks
-// are most expensive. Each group's particles are the contiguous range
+// Groups returns the target groups of the list builder: the shallowest
+// non-empty cells holding at most cap particles, in depth-first
+// preorder. Each group's particles are the contiguous range
 // [First, First+Count) of t.Order. cap ≤ LeafCap degenerates to the
 // non-empty leaves (every internal cell holds more than LeafCap
-// particles).
+// particles). Its one caller outside tests is internal/bench's
+// list-build probe.
 func (t *Tree) Groups(cap int) []int32 {
-	return t.AppendGroups(make([]int32, 0, 64), cap)
-}
-
-// AppendGroups is Groups appending into buf (pass buf[:0] to reuse the
-// previous step's capacity — the solver's arena contract).
-func (t *Tree) AppendGroups(buf []int32, cap int) []int32 {
 	if cap < 1 {
 		cap = 1
 	}
-	out := buf
+	out := make([]int32, 0, 64)
 	sp := getStack()
 	stack := append(*sp, int32(t.Root))
 	for len(stack) > 0 {

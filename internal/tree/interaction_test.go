@@ -1,15 +1,13 @@
 package tree
 
-// Property tests for the two-phase interaction-list evaluator: across
-// θ ∈ {0, 0.3, 0.6} it must agree with the
-// per-particle recursive traversal to ≤1 ulp per component (by
-// construction the agreement is bitwise: conservative group
-// classification plus exact fallback reproduces the recursive
-// summation order term for term), and its results must not depend on
-// the work-stealing schedule.
+// The tile walk (the default traversal) against the per-particle
+// recursive traversal through the Solver, across θ ∈ {0, 0.3, 0.6}:
+// every result bit and the interaction, accept and reject totals are
+// equal (DESIGN.md §14), and results do not depend on the
+// work-stealing schedule.
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
@@ -17,40 +15,15 @@ import (
 	"repro/internal/vec"
 )
 
-// ulps returns the distance between a and b in units in the last
-// place (0 when bitwise equal).
-func ulps(a, b float64) uint64 {
-	ua, ub := orderedBits(a), orderedBits(b)
-	if ua > ub {
-		return ua - ub
-	}
-	return ub - ua
-}
-
-// orderedBits maps float64 to uint64 monotonically (lexicographic
-// order of the mapped values matches numeric order of the floats).
-func orderedBits(f float64) uint64 {
-	u := math.Float64bits(f)
-	if u&(1<<63) != 0 {
-		return ^u
-	}
-	return u | 1<<63
-}
-
-func maxUlpsVec(a, b []vec.Vec3) uint64 {
-	var m uint64
-	for i := range a {
-		for _, d := range [3]uint64{
-			ulps(a[i].X, b[i].X),
-			ulps(a[i].Y, b[i].Y),
-			ulps(a[i].Z, b[i].Z),
-		} {
-			if d > m {
-				m = d
-			}
+// vecBits is the bits of every component of vs.
+func vecBits(vs ...[]vec.Vec3) []uint64 {
+	var out []uint64
+	for _, v := range vs {
+		for _, x := range v {
+			out = append(out, bits(x.X, x.Y, x.Z)...)
 		}
 	}
-	return m
+	return out
 }
 
 func TestListMatchesRecursiveVortex(t *testing.T) {
@@ -59,27 +32,26 @@ func TestListMatchesRecursiveVortex(t *testing.T) {
 		"sheet": particle.SphericalVortexSheet(particle.DefaultSheet(500)),
 	}
 	for name, sys := range systems {
+		tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Vortex})
 		for _, theta := range []float64{0, 0.3, 0.6} {
 			n := sys.N()
-			mk := func(mode TraversalMode) (*Solver, []vec.Vec3, []vec.Vec3) {
+			run := func(mode TraversalMode) ([]uint64, counts) {
 				s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
 				s.Traversal = mode
 				s.Workers = 4
 				vel := make([]vec.Vec3, n)
 				str := make([]vec.Vec3, n)
-				s.Eval(sys, vel, str)
-				return s, vel, str
+				var c counts
+				c.inter, c.accepts, c.rejects = s.EvalTree(tr, vel, str, nil)
+				return vecBits(vel, str), c
 			}
-			sL, velL, strL := mk(TraversalList)
-			sR, velR, strR := mk(TraversalRecursive)
-			if d := maxUlpsVec(velL, velR); d > 1 {
-				t.Errorf("%s θ=%.1f: velocity differs by %d ulp", name, theta, d)
+			bl, cl := run(TraversalList)
+			br, cr := run(TraversalRecursive)
+			if !slices.Equal(bl, br) {
+				t.Errorf("%s θ=%.1f: velocity or stretching differs", name, theta)
 			}
-			if d := maxUlpsVec(strL, strR); d > 1 {
-				t.Errorf("%s θ=%.1f: stretching differs by %d ulp", name, theta, d)
-			}
-			if li, ri := sL.Stats().Interactions, sR.Stats().Interactions; li != ri {
-				t.Errorf("%s θ=%.1f: interaction counts differ: list=%d recursive=%d", name, theta, li, ri)
+			if cl != cr {
+				t.Errorf("%s θ=%.1f: counters differ: list %+v recursive %+v", name, theta, cl, cr)
 			}
 		}
 	}
@@ -87,27 +59,27 @@ func TestListMatchesRecursiveVortex(t *testing.T) {
 
 func TestListMatchesRecursiveCoulomb(t *testing.T) {
 	sys := particle.HomogeneousCoulomb(350, 12)
+	tr := Build(sys, BuildConfig{LeafCap: 8, Discipline: Coulomb})
 	const eps = 0.01
 	for _, theta := range []float64{0, 0.3, 0.6} {
 		n := sys.N()
-		mk := func(mode TraversalMode) ([]float64, []vec.Vec3) {
+		run := func(mode TraversalMode) ([]uint64, counts) {
 			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
 			s.Traversal = mode
 			s.Workers = 4
 			pot := make([]float64, n)
 			f := make([]vec.Vec3, n)
-			s.Coulomb(sys, eps, pot, f)
-			return pot, f
+			var c counts
+			c.inter, c.accepts, c.rejects = s.CoulombTree(tr, eps, pot, f, nil)
+			return append(bits(pot...), vecBits(f)...), c
 		}
-		potL, fL := mk(TraversalList)
-		potR, fR := mk(TraversalRecursive)
-		for i := range potL {
-			if d := ulps(potL[i], potR[i]); d > 1 {
-				t.Fatalf("θ=%.1f: potential[%d] differs by %d ulp", theta, i, d)
-			}
+		bl, cl := run(TraversalList)
+		br, cr := run(TraversalRecursive)
+		if !slices.Equal(bl, br) {
+			t.Errorf("θ=%.1f: potential or field differs", theta)
 		}
-		if d := maxUlpsVec(fL, fR); d > 1 {
-			t.Errorf("θ=%.1f: field differs by %d ulp", theta, d)
+		if cl != cr {
+			t.Errorf("θ=%.1f: counters differ: list %+v recursive %+v", theta, cl, cr)
 		}
 	}
 }
@@ -116,38 +88,44 @@ func TestWorkStealingScheduleInvariance(t *testing.T) {
 	// The assignment of tiles to workers is load-driven and
 	// nondeterministic; the results must be bitwise identical anyway
 	// (and identical across worker counts), because every target's sum
-	// is computed independently in a fixed order. The N = 603 row ends
+	// is computed independently in a fixed order. The N = 603 rows end
 	// in a tile of three targets, which grains 1 and 3 let a worker
-	// steal.
+	// steal; one of them is Coulomb's.
 	for _, row := range []struct {
-		n    int
-		cfgs [][2]int // workers, grain
+		n       int
+		coulomb bool
+		cfgs    [][2]int // workers, grain
 	}{
-		{600, [][2]int{{2, 0}, {4, 1}, {8, 3}, {4, 0}}},
-		{603, [][2]int{{2, 1}, {4, 3}}},
+		{600, false, [][2]int{{2, 0}, {4, 1}, {8, 3}, {4, 0}}},
+		{603, false, [][2]int{{2, 1}, {4, 3}}},
+		{603, true, [][2]int{{2, 1}, {4, 3}}},
 	} {
 		sys := particle.SphericalVortexSheet(particle.DefaultSheet(row.n))
+		if row.coulomb {
+			sys = particle.HomogeneousCoulomb(row.n, 5)
+		}
 		n := sys.N()
 		if n != row.n {
-			t.Fatalf("the sheet of %d particles has %d", row.n, n)
+			t.Fatalf("the system of %d particles has %d", row.n, n)
 		}
-		run := func(workers, grain int) ([]vec.Vec3, []vec.Vec3) {
+		run := func(workers, grain int) []uint64 {
 			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, 0.45)
 			s.Workers = workers
 			s.stealGrain = grain
-			vel := make([]vec.Vec3, n)
-			str := make([]vec.Vec3, n)
-			s.Eval(sys, vel, str)
-			return vel, str
+			a, b := make([]vec.Vec3, n), make([]vec.Vec3, n)
+			if row.coulomb {
+				pot := make([]float64, n)
+				s.Coulomb(sys, 0.01, pot, a)
+				return append(bits(pot...), vecBits(a)...)
+			}
+			s.Eval(sys, a, b)
+			return vecBits(a, b)
 		}
-		velRef, strRef := run(1, 0)
+		ref := run(1, 0)
 		for _, cfg := range row.cfgs {
 			for rep := 0; rep < 3; rep++ {
-				vel, str := run(cfg[0], cfg[1])
-				for i := range vel {
-					if vel[i] != velRef[i] || str[i] != strRef[i] {
-						t.Fatalf("N=%d workers=%d grain=%d rep=%d: particle %d differs from single-worker run", n, cfg[0], cfg[1], rep, i)
-					}
+				if got := run(cfg[0], cfg[1]); !slices.Equal(got, ref) {
+					t.Fatalf("N=%d coulomb=%v workers=%d grain=%d rep=%d: results differ from the single-worker run", n, row.coulomb, cfg[0], cfg[1], rep)
 				}
 			}
 		}

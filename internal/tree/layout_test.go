@@ -191,17 +191,29 @@ func TestSoAEvalZeroAllocSteadyState(t *testing.T) {
 	s.Workers = 1
 	vel := make([]vec.Vec3, n)
 	str := make([]vec.Vec3, n)
-	s.Eval(sys, vel, str)
-	s.Eval(sys, vel, str)
-	var best float64 = math.Inf(1)
+	expectZeroAllocs(t, "Eval", func() { s.Eval(sys, vel, str) })
+
+	cloud := particle.HomogeneousCoulomb(1500, 1)
+	pot := make([]float64, cloud.N())
+	f := make([]vec.Vec3, cloud.N())
+	expectZeroAllocs(t, "Coulomb", func() { s.Coulomb(cloud, 0.01, pot, f) })
+}
+
+// expectZeroAllocs runs eval twice to reach steady state, then fails
+// unless one of three measurements of it allocates nothing.
+func expectZeroAllocs(t *testing.T, name string, eval func()) {
+	t.Helper()
+	eval()
+	eval()
+	best := math.Inf(1)
 	for attempt := 0; attempt < 3; attempt++ {
-		got := testing.AllocsPerRun(3, func() { s.Eval(sys, vel, str) })
+		got := testing.AllocsPerRun(3, eval)
 		if got == 0 {
 			return
 		}
 		best = math.Min(best, got)
 	}
-	t.Fatalf("steady-state SoA Eval allocates %.1f times per run, want 0", best)
+	t.Fatalf("steady-state SoA %s allocates %.1f times per run, want 0", name, best)
 }
 
 // TestArenaRebuildReuse verifies BuildInto over one arena returns a

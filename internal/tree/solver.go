@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -17,13 +16,11 @@ import (
 // Solver is the Barnes-Hut evaluator: every Eval rebuilds the tree for
 // the current particle positions (as PEPC does per force evaluation)
 // and evaluates the field at every target particle, scheduled with work
-// stealing. By default vortex targets are packed four to a tile and
-// each tile is evaluated by one lane-masked walk from the root
-// (tileWalk), and Coulomb targets group by group through the two-phase
-// interaction-list evaluator (interaction.go); Traversal selects the
-// classic per-particle recursive walk instead. EvalGroups and
-// CoulombGroups are the evaluation half alone, over a tree built
-// elsewhere.
+// stealing. By default the targets are packed four to a tile in sorted
+// order and each tile is evaluated by one lane-masked walk from the
+// root (tileWalk), for both disciplines; Traversal selects the classic
+// per-particle recursive walk instead. EvalTree and CoulombTree are the
+// evaluation half alone, over a tree built elsewhere.
 type Solver struct {
 	// Sm and Scheme select the smoothing kernel and stretching form.
 	Sm     kernel.Smoothing
@@ -38,10 +35,9 @@ type Solver struct {
 	// Dipole enables the cluster dipole correction for velocities.
 	Dipole bool
 	// Traversal selects the evaluator: TraversalList (default) walks
-	// the vortex targets once per tile and builds one interaction list
-	// per Coulomb group, and TraversalRecursive walks the tree once per
-	// particle. Both sum the same terms in the same order, so results
-	// are bitwise equal.
+	// the targets once per tile, and TraversalRecursive walks the tree
+	// once per particle. Both sum the same terms in the same order, so
+	// results are bitwise equal.
 	Traversal TraversalMode
 	// Hook, when non-nil, observes every built tree before use (guard
 	// layer: moment-flip injection + ABFT verification with rebuild on
@@ -55,17 +51,21 @@ type Solver struct {
 	evals        atomic.Int64
 	interactions atomic.Int64
 
-	// Per-discipline build arenas plus group, walk and list scratch:
-	// every per-step allocation of Eval/Coulomb reuses the previous
-	// step's capacity, so the single-worker hot path is allocation-free
-	// in steady state.
+	// Per-discipline build arenas plus walk scratch: every per-step
+	// allocation of Eval/Coulomb reuses the previous step's capacity,
+	// so the single-worker hot path is allocation-free in steady state.
 	arenaV, arenaC Arena
-	vb             kernel.VortexBatch // this Eval's pair kernel (σ is the system's)
-	groupsBuf      []int32
-	groupEnds      []int
 	walks          []tileWalk // one per worker
-	scratchList    InteractionList
 	busyBuf        [1]float64
+
+	// The evaluation in progress: its legs, and the output slices its
+	// targets' results are written to by original index (vel, stretch
+	// for vortex; pot, f for Coulomb).
+	legs         legs
+	vel, stretch []vec.Vec3
+	pot          []float64
+	f            []vec.Vec3
+	work         []float64
 
 	// LastTree is the tree of the most recent Eval (for inspection by
 	// experiments); it is overwritten on every call.
@@ -96,10 +96,7 @@ func (s *Solver) Stats() field.Stats {
 }
 
 // Eval implements field.Evaluator: Barnes-Hut velocities and
-// stretching terms for all particles — the tree build, then EvalGroups
-// with the root as the one group. Tiles span groups, so any cover of
-// the particles by cells in depth-first preorder packs the same tiles
-// as the root alone.
+// stretching terms for all particles — the tree build, then EvalTree.
 //
 //lint:hotpath steady-state vortex evaluation: 0 allocs/op contract (BENCH_PR6, ci.sh layout lane)
 func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
@@ -111,34 +108,63 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	t := BuildArenaWithHook(s.Hook, &s.arenaV, sys,
 		BuildConfig{LeafCap: s.LeafCap, Discipline: Vortex})
 	s.LastTree = t
-	s.groupsBuf = append(s.groupsBuf[:0], int32(t.Root))
-	inter, _, _ := s.EvalGroups(t, s.groupsBuf, vel, stretch, nil)
+	inter, _, _ := s.EvalTree(t, vel, stretch, nil)
 	s.interactions.Add(inter)
 }
 
-// EvalGroups evaluates velocities and stretching terms at the particles
-// of the target groups — cells of t, each a contiguous run of t.Order —
-// against the whole of t from t.Root. The targets are packed four to a
-// tile in group order, so a tile may span groups, and each tile is
-// evaluated by one lane-masked walk from the root (or, under
+// EvalTree evaluates velocities and stretching terms at every particle
+// of the system t was built over — sorted positions [0, len(t.Order))
+// — against the whole of t from t.Root. Package hot evaluates its
+// locally essential tree through it: there those positions are the
+// local particles, and the graft's remote particles lie beyond them.
+// The targets are packed four to a tile in sorted order, and each tile
+// is evaluated by one lane-masked walk from the root (or, under
 // TraversalRecursive, by one walk per target), on one worker or on
 // Workers with work stealing over the tiles. Each target's results,
 // and with a non-nil work its interaction count, are written at its
-// index in the system t was built over. It returns the interaction,
-// MAC-accept and MAC-reject totals; LastSched reports the schedule.
-// Package hot evaluates its locally essential tree through it, with the
-// local leaves as the groups.
+// index in that system. It returns the interaction, MAC-accept and
+// MAC-reject totals; LastSched reports the schedule.
 //
 //lint:hotpath steady-state vortex evaluation: shares the zero-alloc single-worker bypass with Eval
-func (s *Solver) EvalGroups(t *Tree, groups []int32, vel, stretch []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
-	s.vb = kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: t.sys.Sigma})
-	s.groupEnds = s.groupEnds[:0]
-	total := 0
-	for _, g := range groups {
-		total += t.Nodes[g].Count
-		s.groupEnds = append(s.groupEnds, total)
+func (s *Solver) EvalTree(t *Tree, vel, stretch []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
+	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: t.sys.Sigma})
+	s.legs = legs{disc: Vortex, vb: vb, dipole: s.Dipole}
+	s.vel, s.stretch, s.work = vel, stretch, work
+	return s.evalTree(t)
+}
+
+// Coulomb evaluates the softened Coulomb potential and field for all
+// particles with the tree: the build, then CoulombTree.
+//
+//lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
+func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []vec.Vec3) {
+	n := sys.N()
+	if len(pot) != n || len(f) != n {
+		panic("tree: Coulomb output slices must have length N")
 	}
-	tiles := (total + kernel.TileWidth - 1) / kernel.TileWidth
+	s.evals.Add(1)
+	t := BuildArenaWithHook(s.Hook, &s.arenaC, sys,
+		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb})
+	s.LastTree = t
+	inter, _, _ := s.CoulombTree(t, eps, pot, f, nil)
+	s.interactions.Add(inter)
+}
+
+// CoulombTree is EvalTree for the Coulomb discipline: the potential and
+// field at every particle of the system t was built over, with
+// softening eps.
+//
+//lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
+func (s *Solver) CoulombTree(t *Tree, eps float64, pot []float64, f []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
+	s.legs = legs{disc: Coulomb, eps: eps}
+	s.pot, s.f, s.work = pot, f, work
+	return s.evalTree(t)
+}
+
+// evalTree is the schedule of both disciplines: the tiles of the
+// targets of t on one worker, or on Workers with work stealing.
+func (s *Solver) evalTree(t *Tree) (inter, accepts, rejects int64) {
+	tiles := (len(t.Order) + kernel.TileWidth - 1) / kernel.TileWidth
 	nw := s.workerCount(tiles)
 	if cap(s.walks) < nw {
 		s.walks = make([]tileWalk, nw)
@@ -147,71 +173,69 @@ func (s *Solver) EvalGroups(t *Tree, groups []int32, vel, stretch []vec.Vec3, wo
 	if nw == 1 {
 		// Single-worker bypass: no scheduler, no goroutines — with
 		// arena-backed build and the solver-held walk state, a
-		// steady-state Eval performs zero heap allocations.
+		// steady-state evaluation performs zero heap allocations.
 		t0 := telemetry.Wall()
-		c := s.evalTiles(t, groups, 0, tiles, vel, stretch, work, &s.walks[0])
+		c := s.evalTiles(t, 0, tiles, &s.walks[0])
 		s.busyBuf[0] = telemetry.Wall() - t0
 		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
 		return c.inter, c.accepts, c.rejects
 	}
 	var sum atomicCounts
-	//lint:ignore allocfree work-stealing dispatch allocates one closure per Eval; the zero-alloc contract is the single-worker bypass above
+	//lint:ignore allocfree work-stealing dispatch allocates one closure per evaluation; the zero-alloc contract is the single-worker bypass above
 	s.LastSched = sched.Run(nw, tiles, s.stealGrain, func(worker, lo, hi int) {
-		sum.add(s.evalTiles(t, groups, lo, hi, vel, stretch, work, &s.walks[worker]))
+		sum.add(s.evalTiles(t, lo, hi, &s.walks[worker]))
 	})
 	return sum.load()
 }
 
-// evalTiles evaluates tiles [lo, hi) of the targets of groups — target
-// k is lane k%TileWidth of tile k/TileWidth, the targets numbered in
-// group order (s.groupEnds holds the running counts) — and writes
-// their results by original index.
-func (s *Solver) evalTiles(t *Tree, groups []int32, lo, hi int, vel, stretch []vec.Vec3, work []float64, w *tileWalk) (c counts) {
+// evalTiles evaluates tiles [lo, hi) of the targets — target i, at
+// sorted position i, is lane i%TileWidth of tile i/TileWidth — and
+// writes their results by original index.
+func (s *Solver) evalTiles(t *Tree, lo, hi int, w *tileWalk) (c counts) {
 	const tw = kernel.TileWidth
-	if lo >= hi {
-		return c
-	}
-	ends := s.groupEnds
-	k, end := lo*tw, min(hi*tw, ends[len(ends)-1])
-	g := sort.SearchInts(ends, k+1) // the group holding target k
-	nd := &t.Nodes[groups[g]]
-	i := nd.First + k - (ends[g] - nd.Count)
-	for ; k < end; k += tw {
+	end := min(hi*tw, len(t.Order))
+	for k := lo * tw; k < end; k += tw {
 		n := min(tw, end-k)
-		for l := range n {
-			for i == nd.First+nd.Count {
-				g++
-				nd = &t.Nodes[groups[g]]
-				i = nd.First
-			}
-			w.at[l] = i
-			i++
+		if s.Traversal == TraversalList {
+			w.walk(t, &s.legs, s.Theta, k, n)
 		}
-		if s.Traversal == TraversalRecursive {
-			for _, i := range w.at[:n] {
-				res := t.vortexAt(int32(t.Root), t.Particle(i).Pos, s.Theta, i, &s.vb, s.Dipole)
-				c.add(s.store(t, i, res, vel, stretch, work))
-			}
-			continue
-		}
-		w.walk(t, &s.vb, s.Theta, n, s.Dipole)
 		for l := range n {
-			c.add(s.store(t, w.at[l], w.result(l), vel, stretch, work))
+			c.add(s.store(t, w, k+l))
 		}
 	}
 	return c
 }
 
-// store writes the result of the target at lane i by its original
-// index and returns its counters.
-func (s *Solver) store(t *Tree, i int, res VortexResult, vel, stretch []vec.Vec3, work []float64) counts {
-	orig := t.Order[i]
-	vel[orig] = res.U
-	stretch[orig] = s.Scheme.Stretch(res.Grad, t.Particle(i).Alpha)
-	if work != nil {
-		work[orig] = float64(res.Interactions)
+// store writes the results of the target at sorted position i — its
+// lane of w, or under TraversalRecursive its own per-particle walk —
+// by original index and returns its counters.
+func (s *Solver) store(t *Tree, w *tileWalk, i int) (c counts) {
+	orig, l := t.Order[i], i-w.first
+	recursive := s.Traversal == TraversalRecursive
+	if s.legs.disc == Coulomb {
+		var res CoulombResult
+		if recursive {
+			res = t.coulombAt(int32(t.Root), t.Particle(i).Pos, s.Theta, s.legs.eps, i)
+		} else {
+			res = w.coulombResult(l)
+		}
+		s.pot[orig], s.f[orig] = res.Phi, res.E
+		c = counts{res.Interactions, res.CellAccepts, res.Rejects}
+	} else {
+		var res VortexResult
+		if recursive {
+			res = t.vortexAt(int32(t.Root), t.Particle(i).Pos, s.Theta, i, &s.legs.vb, s.legs.dipole)
+		} else {
+			res = w.vortexResult(l)
+		}
+		s.vel[orig] = res.U
+		s.stretch[orig] = s.Scheme.Stretch(res.Grad, t.Particle(i).Alpha)
+		c = counts{res.Interactions, res.CellAccepts, res.Rejects}
 	}
-	return counts{res.Interactions, res.CellAccepts, res.Rejects}
+	if s.work != nil {
+		s.work[orig] = float64(c.inter)
+	}
+	return c
 }
 
 // counts are the work counters of a run of targets.
@@ -251,85 +275,6 @@ func (s *Solver) workerCount(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// groupCap is the target-group size of Coulomb: groups larger than a
-// leaf amortize one list-build walk over several leaf cells.
-func (s *Solver) groupCap() int { return max(s.LeafCap, 8) }
-
-// Coulomb evaluates the softened Coulomb potential and field for all
-// particles with the tree: the build, then CoulombGroups.
-//
-//lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
-func (s *Solver) Coulomb(sys *particle.System, eps float64, pot []float64, f []vec.Vec3) {
-	n := sys.N()
-	if len(pot) != n || len(f) != n {
-		panic("tree: Coulomb output slices must have length N")
-	}
-	s.evals.Add(1)
-	t := BuildArenaWithHook(s.Hook, &s.arenaC, sys,
-		BuildConfig{LeafCap: s.LeafCap, Discipline: Coulomb})
-	s.LastTree = t
-	s.groupsBuf = t.AppendGroups(s.groupsBuf[:0], s.groupCap())
-	inter, _, _ := s.CoulombGroups(t, s.groupsBuf, eps, pot, f, nil)
-	s.interactions.Add(inter)
-}
-
-// CoulombGroups is EvalGroups for the Coulomb discipline.
-//
-//lint:hotpath steady-state Coulomb evaluation: shares the zero-alloc single-worker bypass with Eval
-func (s *Solver) CoulombGroups(t *Tree, groups []int32, eps float64, pot []float64, f []vec.Vec3, work []float64) (inter, accepts, rejects int64) {
-	nw := s.workerCount(len(groups))
-	if nw == 1 {
-		t0 := telemetry.Wall()
-		var c counts
-		for _, g := range groups {
-			c.add(s.evalCoulombGroup(t, g, eps, pot, f, work, &s.scratchList))
-		}
-		s.busyBuf[0] = telemetry.Wall() - t0
-		s.LastSched = sched.Stats{Workers: 1, Busy: s.busyBuf[:]}
-		return c.inter, c.accepts, c.rejects
-	}
-	var total atomicCounts
-	//lint:ignore allocfree work-stealing dispatch allocates one closure per Coulomb; the zero-alloc contract is the single-worker bypass above
-	s.LastSched = sched.Run(nw, len(groups), s.stealGrain, func(_, lo, hi int) {
-		list := GetInteractionList()
-		var c counts
-		for gi := lo; gi < hi; gi++ {
-			c.add(s.evalCoulombGroup(t, groups[gi], eps, pot, f, work, list))
-		}
-		PutInteractionList(list)
-		total.add(c)
-	})
-	return total.load()
-}
-
-// evalCoulombGroup is evalVortexGroup for the Coulomb discipline.
-func (s *Solver) evalCoulombGroup(t *Tree, g int32, eps float64, pot []float64, f []vec.Vec3, work []float64, list *InteractionList) (c counts) {
-	nd := &t.Nodes[g]
-	byList := s.Traversal == TraversalList
-	if byList {
-		list.Reset()
-		gc, ge := t.GroupBounds(nd.First, nd.Count)
-		t.AppendInteractionList(list, MACBarnesHut, s.Theta, int32(t.Root), gc, ge)
-	}
-	for i := nd.First; i < nd.First+nd.Count; i++ {
-		orig := t.Order[i]
-		x := t.Particle(i).Pos
-		var res CoulombResult
-		if byList {
-			res = t.evalCoulombList(list, s.Theta, eps, x, i)
-		} else {
-			res = t.coulombAt(int32(t.Root), x, s.Theta, eps, i)
-		}
-		pot[orig] = res.Phi
-		f[orig] = res.E
-		if work != nil {
-			work[orig] = float64(res.Interactions)
-		}
-		c.add(counts{res.Interactions, res.CellAccepts, res.Rejects})
-	}
-	return c
 }
 
 var _ field.Evaluator = (*Solver)(nil)

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
@@ -9,39 +10,41 @@ import (
 	"repro/internal/vec"
 )
 
-// sameVortexResult reports whether two results agree bit for bit,
-// counters included.
-func sameVortexResult(a, b VortexResult) bool {
-	fa := []float64{a.U.X, a.U.Y, a.U.Z}
-	fb := []float64{b.U.X, b.U.Y, b.U.Z}
-	for i := range 3 {
-		fa = append(fa, a.Grad[i][:]...)
-		fb = append(fb, b.Grad[i][:]...)
-	}
-	for k := range fa {
-		if math.Float64bits(fa[k]) != math.Float64bits(fb[k]) {
-			return false
-		}
-	}
-	return a.Interactions == b.Interactions && a.CellAccepts == b.CellAccepts && a.Rejects == b.Rejects
+// target is one target's evaluation in either discipline: the bits of
+// its whole result, the bits of what the solver writes for it (vortex:
+// velocity and stretching; Coulomb: potential and field), and its
+// interaction, accept and reject counts.
+type target struct {
+	res, out []uint64
+	c        counts
 }
 
-// sameVecs reports whether two vector slices agree bit for bit.
-func sameVecs(a, b []vec.Vec3) bool {
-	for i := range a {
-		for _, c := range [3][2]float64{{a[i].X, b[i].X}, {a[i].Y, b[i].Y}, {a[i].Z, b[i].Z}} {
-			if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
-				return false
-			}
-		}
+func bits(fs ...float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for k, f := range fs {
+		out[k] = math.Float64bits(f)
 	}
-	return true
+	return out
 }
 
-// tileGroupSystem is a vortex blob plus a clump of twelve coincident
-// particles: their Morton keys never separate, so they share one leaf
-// at the level cap however small LeafCap is — a target group larger
-// than the Coulomb group cap.
+func vortexTarget(r VortexResult, stretch vec.Vec3) target {
+	g := &r.Grad
+	return target{
+		res: bits(r.U.X, r.U.Y, r.U.Z, g[0][0], g[0][1], g[0][2], g[1][0], g[1][1], g[1][2], g[2][0], g[2][1], g[2][2]),
+		out: bits(r.U.X, r.U.Y, r.U.Z, stretch.X, stretch.Y, stretch.Z),
+		c:   counts{r.Interactions, r.CellAccepts, r.Rejects},
+	}
+}
+
+func coulombTarget(r CoulombResult) target {
+	b := bits(r.Phi, r.E.X, r.E.Y, r.E.Z)
+	return target{res: b, out: b, c: counts{r.Interactions, r.CellAccepts, r.Rejects}}
+}
+
+// tileGroupSystem is a blob of alternating unit charges with random
+// circulations plus a clump of twelve coincident particles: their
+// Morton keys never separate, so they share one leaf at the level cap
+// however small LeafCap is, and their tiles' lanes skip one another.
 func tileGroupSystem() *particle.System {
 	sys := particle.RandomVortexBlob(300, 0.15, 3)
 	p0 := sys.Particles[0].Pos
@@ -49,30 +52,27 @@ func tileGroupSystem() *particle.System {
 		a := vec.V3(1e-3*float64(k+1), -2e-3, 5e-4*float64(k))
 		sys.Particles = append(sys.Particles, particle.Particle{Pos: p0, Alpha: a})
 	}
+	alternateCharges(sys)
 	return sys
 }
 
-// groupTargets is the target sequence EvalGroups packs into tiles: the
-// lanes of each group in group order.
-func groupTargets(tr *Tree, groups []int32) []int {
-	var at []int
-	for _, g := range groups {
-		nd := &tr.Nodes[g]
-		for i := nd.First; i < nd.First+nd.Count; i++ {
-			at = append(at, i)
-		}
+// alternateCharges gives the particles of sys unit charges of
+// alternating sign, so one system serves both disciplines.
+func alternateCharges(sys *particle.System) {
+	for i := range sys.Particles {
+		sys.Particles[i].Charge = 1 - 2*float64(i%2)
 	}
-	return at
 }
 
-// splitCells counts the cells of one tile's walk that some of its
-// lanes (the targets at lanes at) accept and others open.
-func splitCells(tr *Tree, at []int, theta float64) int {
+// splitCells counts the cells of one tile's walk — the targets at
+// sorted positions [first, first+n) — that some of its lanes accept
+// and others open.
+func splitCells(tr *Tree, first, n int, theta float64) int {
 	type item struct {
 		node int32
 		mask uint8
 	}
-	stack := []item{{int32(tr.Root), 1<<len(at) - 1}}
+	stack := []item{{int32(tr.Root), 1<<n - 1}}
 	split := 0
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
@@ -82,11 +82,11 @@ func splitCells(tr *Tree, at []int, theta float64) int {
 			continue
 		}
 		var accept, opened uint8
-		for l, i := range at {
+		for l := range n {
 			if it.mask>>l&1 == 0 {
 				continue
 			}
-			if MACSq(theta*theta, nd.Size*nd.Size, tr.Particle(i).Pos.Sub(nd.Centroid).Norm2()) {
+			if MACSq(theta*theta, nd.Size*nd.Size, tr.Particle(first+l).Pos.Sub(nd.Centroid).Norm2()) {
 				accept |= 1 << l
 			} else {
 				opened |= 1 << l
@@ -106,54 +106,73 @@ func splitCells(tr *Tree, at []int, theta float64) int {
 	return split
 }
 
-// checkTileWalk holds the tile walk over the given target groups to the
-// per-particle walk, bitwise with every counter equal: tile by tile,
-// packed as EvalGroups packs them, and through EvalGroups at each
-// worker count. It returns the number of split cells the tiles met.
-func checkTileWalk(t *testing.T, tr *Tree, groups []int32, theta float64, workers ...int) (split int) {
+// checkTileWalk holds the tile walk over every target of tr, in the
+// tree's discipline (Coulomb with softening eps), to the per-particle
+// walk, bitwise with every counter equal: tile by tile, and through
+// EvalTree or CoulombTree at each worker count. It returns the number
+// of split cells the tiles met.
+func checkTileWalk(t *testing.T, tr *Tree, theta, eps float64, workers ...int) (split int) {
 	t.Helper()
 	s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
-	vb := kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: tr.sys.Sigma})
-	at := groupTargets(tr, groups)
-	want := make([]VortexResult, len(at))
-	var inter, accepts, rejects int64
-	for k, i := range at {
-		want[k] = tr.vortexAt(int32(tr.Root), tr.Particle(i).Pos, theta, i, &vb, s.Dipole)
-		inter += want[k].Interactions
-		accepts += want[k].CellAccepts
-		rejects += want[k].Rejects
+	lg := legs{disc: tr.Discipline(), eps: eps, dipole: s.Dipole,
+		vb: kernel.NewVortexBatch(kernel.Pairwise{Sm: s.Sm, Sigma: tr.sys.Sigma})}
+	coulomb := lg.disc == Coulomb
+	n := len(tr.Order)
+	want := make([]target, n)
+	var sum counts
+	for i := range want {
+		p := tr.Particle(i)
+		if coulomb {
+			want[i] = coulombTarget(tr.coulombAt(int32(tr.Root), p.Pos, theta, eps, i))
+		} else {
+			r := tr.vortexAt(int32(tr.Root), p.Pos, theta, i, &lg.vb, lg.dipole)
+			want[i] = vortexTarget(r, s.Scheme.Stretch(r.Grad, p.Alpha))
+		}
+		sum.add(want[i].c)
 	}
 	var w tileWalk
-	for k := 0; k < len(at); k += kernel.TileWidth {
-		n := min(kernel.TileWidth, len(at)-k)
-		copy(w.at[:], at[k:k+n])
-		w.walk(tr, &vb, theta, n, s.Dipole)
-		for l := range n {
-			if got := w.result(l); !sameVortexResult(got, want[k+l]) {
-				t.Fatalf("θ=%g target %d (lane %d of %d): tiled %+v, recursive %+v", theta, k+l, l, n, got, want[k+l])
+	for k := 0; k < n; k += kernel.TileWidth {
+		m := min(kernel.TileWidth, n-k)
+		w.walk(tr, &lg, theta, k, m)
+		for l := range m {
+			var got target
+			if coulomb {
+				got = coulombTarget(w.coulombResult(l))
+			} else {
+				got = vortexTarget(w.vortexResult(l), vec.Vec3{})
+			}
+			if !slices.Equal(got.res, want[k+l].res) || got.c != want[k+l].c {
+				t.Fatalf("disc=%v θ=%g target %d (lane %d of %d): tiled %+v, recursive %+v", lg.disc, theta, k+l, l, m, got, want[k+l])
 			}
 		}
-		split += splitCells(tr, at[k:k+n], theta)
+		split += splitCells(tr, k, m, theta)
 	}
 
-	n := tr.sys.N()
 	for _, workers := range workers {
 		s.Workers = workers
-		vel, str, work := make([]vec.Vec3, n), make([]vec.Vec3, n), make([]float64, n)
-		gi, ga, gr := s.EvalGroups(tr, groups, vel, str, work)
-		for k, i := range at {
-			orig := tr.Order[i]
-			wantStr := s.Scheme.Stretch(want[k].Grad, tr.Particle(i).Alpha)
-			if !sameVecs([]vec.Vec3{vel[orig], str[orig]}, []vec.Vec3{want[k].U, wantStr}) {
-				t.Fatalf("θ=%g workers=%d: EvalGroups differs from the recursive walk at target %d", theta, workers, k)
+		a, b, work := make([]vec.Vec3, n), make([]vec.Vec3, n), make([]float64, n)
+		pot := make([]float64, n)
+		var got counts
+		if coulomb {
+			got.inter, got.accepts, got.rejects = s.CoulombTree(tr, eps, pot, a, work)
+		} else {
+			got.inter, got.accepts, got.rejects = s.EvalTree(tr, a, b, work)
+		}
+		for i := range want {
+			o := tr.Order[i]
+			out := bits(a[o].X, a[o].Y, a[o].Z, b[o].X, b[o].Y, b[o].Z)
+			if coulomb {
+				out = bits(pot[o], a[o].X, a[o].Y, a[o].Z)
 			}
-			if work[orig] != float64(want[k].Interactions) {
-				t.Fatalf("θ=%g workers=%d: target %d: %g interactions tiled, %d recursive", theta, workers, k, work[orig], want[k].Interactions)
+			if !slices.Equal(out, want[i].out) {
+				t.Fatalf("disc=%v θ=%g workers=%d: the solver differs from the recursive walk at target %d", lg.disc, theta, workers, i)
+			}
+			if work[o] != float64(want[i].c.inter) {
+				t.Fatalf("disc=%v θ=%g workers=%d: target %d: %g interactions tiled, %d recursive", lg.disc, theta, workers, i, work[o], want[i].c.inter)
 			}
 		}
-		if gi != inter || ga != accepts || gr != rejects {
-			t.Fatalf("θ=%g workers=%d: counters (%d, %d, %d) tiled, (%d, %d, %d) recursive",
-				theta, workers, gi, ga, gr, inter, accepts, rejects)
+		if got != sum {
+			t.Fatalf("disc=%v θ=%g workers=%d: counters %+v tiled, %+v recursive", lg.disc, theta, workers, got, sum)
 		}
 	}
 	return split
@@ -161,64 +180,28 @@ func checkTileWalk(t *testing.T, tr *Tree, groups []int32, theta float64, worker
 
 // TestTiledGroupsMatchRecursive holds the tile walk to the recursive
 // walk bitwise, with the interaction, accept and reject counts equal,
-// per target and through EvalGroups at 1 and 3 workers, at θ = 0, 0.3
-// and 0.6, over two cuts of the targets: consecutive groups of 1, 3 and
-// 5 targets and the coincident clump's leaf of more than the group cap
-// targets, so tiles span groups, and the non-empty leaves, the groups
-// package hot passes. At θ > 0 some tile must meet a cell that one of
-// its lanes accepts and another opens.
+// per target and through EvalTree and CoulombTree at 1 and 3 workers,
+// at θ = 0, 0.3 and 0.6, in both disciplines, on a system whose
+// coincident clump is one leaf spanning several tiles. At θ > 0 some
+// tile must meet a cell that one of its lanes accepts and another
+// opens.
 func TestTiledGroupsMatchRecursive(t *testing.T) {
 	sys := tileGroupSystem()
-	tr := Build(sys, BuildConfig{LeafCap: 2, Discipline: Vortex})
-	disjoint := func(i int, picked []int32) bool {
-		a := &tr.Nodes[i]
-		for _, g := range picked {
-			b := &tr.Nodes[g]
-			if a.First < b.First+b.Count && b.First < a.First+a.Count {
-				return false
-			}
-		}
-		return true
-	}
-	var spans []int32
-	for _, size := range []int{1, 3, 5} {
-		found := false
+	for _, disc := range []Discipline{Vortex, Coulomb} {
+		tr := Build(sys, BuildConfig{LeafCap: 2, Discipline: disc})
+		clump := false
 		for i := range tr.Nodes {
-			if tr.Nodes[i].Count == size && disjoint(i, spans) {
-				spans = append(spans, int32(i))
-				found = true
-				break
+			if nd := &tr.Nodes[i]; nd.Leaf && nd.Count >= 12 {
+				clump = true
 			}
 		}
-		if !found {
-			t.Fatalf("no cell outside the others holds %d particles", size)
+		if !clump {
+			t.Fatalf("disc=%v: the coincident clump is not one leaf of 12 particles", disc)
 		}
-	}
-	big := -1
-	for i := range tr.Nodes {
-		if nd := &tr.Nodes[i]; nd.Leaf && nd.Count > 8 && disjoint(i, spans) {
-			big = i
-		}
-	}
-	if big < 0 {
-		t.Fatal("the coincident clump is not one leaf of more than 8 particles")
-	}
-	spans = append(spans, int32(big))
-	var leaves []int32
-	for i := range tr.Nodes {
-		if nd := &tr.Nodes[i]; nd.Leaf && nd.Count > 0 {
-			leaves = append(leaves, int32(i))
-		}
-	}
-
-	for _, cut := range []struct {
-		name   string
-		groups []int32
-	}{{"spans", spans}, {"leaves", leaves}} {
 		for _, theta := range []float64{0, 0.3, 0.6} {
-			split := checkTileWalk(t, tr, cut.groups, theta, 1, 3)
+			split := checkTileWalk(t, tr, theta, 0.01, 1, 3)
 			if theta > 0 && split == 0 {
-				t.Fatalf("%s θ=%g: no tile met a cell its lanes decided differently", cut.name, theta)
+				t.Fatalf("disc=%v θ=%g: no tile met a cell its lanes decided differently", disc, theta)
 			}
 		}
 	}

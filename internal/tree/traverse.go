@@ -226,13 +226,25 @@ func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, 
 	return e.result()
 }
 
+// legs are the discipline of a tile walk: what a lane adds for a cell
+// it accepts and for a leaf. The walk around them — the per-lane MAC
+// decision, the masked open — is the same for both disciplines.
+type legs struct {
+	disc   Discipline
+	vb     kernel.VortexBatch // vortex: the pair kernel (σ is the system's)
+	dipole bool               // vortex: add each accepted cell's dipole
+	eps    float64            // Coulomb: the softening
+}
+
 // tileWalk is the tile walk's state: up to kernel.TileWidth targets in
-// the lanes of one GradTile — lane l is the particle at sorted position
-// at[l] — their MAC counters, and the walk's (cell, lane mask) stack.
-// The solver holds one per worker.
+// the lanes of one tile — lane l is the particle at sorted position
+// first+l — their sums (vortex in the GradTile, Coulomb in coul),
+// their MAC counters, and the walk's (cell, lane mask) stack. The
+// solver holds one per worker.
 type tileWalk struct {
 	tile             kernel.GradTile
-	at               [kernel.TileWidth]int
+	coul             [kernel.TileWidth]kernel.CoulombAcc
+	first            int
 	accepts, rejects [kernel.TileWidth]int64
 	src              [6]float64 // an accepted cell as a one-source range: centroid, circulation sum
 	stack            []maskedCell
@@ -246,25 +258,30 @@ type maskedCell struct {
 	mask uint8
 }
 
-// walk evaluates the first n lanes of w from the root: one walk for
-// all of them, with each lane in a cell's mask making its own MAC
-// decision. A lane that accepts the cell adds it as a one-source tile
-// and its dipole; a lane that opens it counts a reject and reaches the
-// children, pushed under the mask of the lanes that opened it in
-// open's order; a leaf is one tile range, each lane with its own skip.
-// Restricted to the cells one lane reaches — a set closed under
-// ancestors — the walk's preorder is that lane's own walk's preorder,
-// so every lane sums exactly the terms vortexAt sums, in the same
-// order.
-func (w *tileWalk) walk(t *Tree, b *kernel.VortexBatch, theta float64, n int, useDipole bool) {
+// walk evaluates the n targets at sorted positions [first, first+n)
+// from the root: one walk for all of them, with each lane in a cell's
+// mask making its own MAC decision. A lane that accepts the cell adds
+// it through lg's far leg; a lane that opens it counts a reject and
+// reaches the children, pushed under the mask of the lanes that opened
+// it in open's order; a leaf goes through lg's near leg, each lane
+// with its own skip. Restricted to the cells one lane reaches — a set
+// closed under ancestors — the walk's preorder is that lane's own
+// walk's preorder, so every lane sums exactly the terms vortexAt or
+// coulombAt sums, in the same order.
+func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 	const tw = kernel.TileWidth
 	theta2 := theta * theta
-	tl := &w.tile
+	tl, ln := &w.tile, t.Lanes
+	w.first = first
 	for l := range tw {
-		p := t.Particle(w.at[min(l, n-1)]).Pos // spare lanes repeat the last target
-		tl.X[l], tl.Y[l], tl.Z[l] = p.X, p.Y, p.Z
+		i := first + min(l, n-1) // spare lanes repeat the last target
+		tl.X[l], tl.Y[l], tl.Z[l] = ln.X[i], ln.Y[i], ln.Z[i]
 	}
-	tl.Reset()
+	if lg.disc == Coulomb {
+		w.coul = [tw]kernel.CoulombAcc{}
+	} else {
+		tl.Reset()
+	}
 	w.accepts, w.rejects = [tw]int64{}, [tw]int64{}
 	stack := append(w.stack[:0], maskedCell{int32(t.Root), kernel.AllLanes >> (tw - n)})
 	for len(stack) > 0 {
@@ -275,7 +292,11 @@ func (w *tileWalk) walk(t *Tree, b *kernel.VortexBatch, theta float64, n int, us
 			continue
 		}
 		if nd.Leaf {
-			w.near(t, b, nd, top.mask)
+			if lg.disc == Coulomb {
+				w.nearCoulomb(t, nd, top.mask, lg.eps)
+			} else {
+				w.near(t, &lg.vb, nd, top.mask)
+			}
 			continue
 		}
 		s2 := nd.Size * nd.Size
@@ -286,13 +307,18 @@ func (w *tileWalk) walk(t *Tree, b *kernel.VortexBatch, theta float64, n int, us
 			}
 			if MACSq(theta2, s2, vec.V3(tl.X[l], tl.Y[l], tl.Z[l]).Sub(nd.Centroid).Norm2()) {
 				accept |= 1 << l
+				w.accepts[l]++
 			} else {
 				opened |= 1 << l
 				w.rejects[l]++
 			}
 		}
 		if accept != 0 {
-			w.far(b, nd, accept, useDipole)
+			if lg.disc == Coulomb {
+				w.farCoulomb(nd, accept)
+			} else {
+				w.far(&lg.vb, nd, accept, lg.dipole)
+			}
 		}
 		if opened != 0 {
 			// open, under a mask.
@@ -320,17 +346,17 @@ func (w *tileWalk) far(b *kernel.VortexBatch, nd *Node, mask uint8, useDipole bo
 	tl.Skip = [tw]int{-1, -1, -1, -1}
 	tl.Mask = mask
 	b.AccumGradTile(tl, s[0:1], s[1:2], s[2:3], s[3:4], s[4:5], s[5:6])
+	if !useDipole {
+		return
+	}
 	for l := range tw {
 		if mask>>l&1 == 0 {
 			continue
 		}
-		if useDipole {
-			ux, uy, uz := dipoleVel(tl.X[l]-nd.Centroid.X, tl.Y[l]-nd.Centroid.Y, tl.Z[l]-nd.Centroid.Z, &nd.Dipole)
-			tl.Acc[0][l] += ux
-			tl.Acc[1][l] += uy
-			tl.Acc[2][l] += uz
-		}
-		w.accepts[l]++
+		ux, uy, uz := dipoleVel(tl.X[l]-nd.Centroid.X, tl.Y[l]-nd.Centroid.Y, tl.Z[l]-nd.Centroid.Z, &nd.Dipole)
+		tl.Acc[0][l] += ux
+		tl.Acc[1][l] += uy
+		tl.Acc[2][l] += uz
 	}
 }
 
@@ -338,8 +364,8 @@ func (w *tileWalk) far(b *kernel.VortexBatch, nd *Node, mask uint8, useDipole bo
 // range, each lane skipping its own target.
 func (w *tileWalk) near(t *Tree, b *kernel.VortexBatch, nd *Node, mask uint8) {
 	tl := &w.tile
-	for l, i := range w.at {
-		tl.Skip[l] = leafSkip(nd, i)
+	for l := range tl.Skip {
+		tl.Skip[l] = leafSkip(nd, w.first+l)
 	}
 	tl.Mask = mask
 	lo, hi := nd.First, nd.First+nd.Count
@@ -347,10 +373,38 @@ func (w *tileWalk) near(t *Tree, b *kernel.VortexBatch, nd *Node, mask uint8) {
 	b.AccumGradTile(tl, l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi])
 }
 
-// result is lane l's VortexResult after walk.
-func (w *tileWalk) result(l int) VortexResult {
+// farCoulomb is coulombAt's far leg for each lane of mask.
+func (w *tileWalk) farCoulomb(nd *Node, mask uint8) {
+	tl := &w.tile
+	for l := range kernel.TileWidth {
+		if mask>>l&1 != 0 {
+			coulombFar(&w.coul[l], nd, vec.V3(tl.X[l], tl.Y[l], tl.Z[l]))
+		}
+	}
+}
+
+// nearCoulomb is coulombAt's near leg for each lane of mask: leaf
+// nd's range, each lane skipping its own target.
+func (w *tileWalk) nearCoulomb(t *Tree, nd *Node, mask uint8, eps float64) {
+	tl, ln := &w.tile, t.Lanes
+	lo, hi := nd.First, nd.First+nd.Count
+	xs, ys, zs, qs := ln.X[lo:hi], ln.Y[lo:hi], ln.Z[lo:hi], ln.Q[lo:hi]
+	for l := range kernel.TileWidth {
+		if mask>>l&1 != 0 {
+			kernel.AccumCoulombRange(&w.coul[l], tl.X[l], tl.Y[l], tl.Z[l], eps, xs, ys, zs, qs, leafSkip(nd, w.first+l))
+		}
+	}
+}
+
+// vortexResult is lane l's VortexResult after a vortex walk.
+func (w *tileWalk) vortexResult(l int) VortexResult {
 	acc := w.tile.Lane(l)
 	return vortexResult(&acc, w.accepts[l], w.rejects[l])
+}
+
+// coulombResult is lane l's CoulombResult after a Coulomb walk.
+func (w *tileWalk) coulombResult(l int) CoulombResult {
+	return coulombResult(&w.coul[l], w.accepts[l], w.rejects[l])
 }
 
 // VortexAtSplit is the classical Barnes-Hut walk of vortexAt with the
@@ -439,36 +493,38 @@ func coulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 	return phi, e
 }
 
-// coulombEval is vortexEval for the Coulomb discipline.
-type coulombEval struct {
-	acc         kernel.CoulombAcc
-	cellAccepts int64
-	rejects     int64
-}
-
-// far folds one MAC-accepted cell's multipole expansion at target x
-// into the accumulator as a single interaction.
-func (e *coulombEval) far(nd *Node, x vec.Vec3) {
+// coulombFar folds one MAC-accepted cell's multipole expansion at
+// target x into acc as a single interaction — the far-field leg of
+// every Coulomb evaluator.
+func coulombFar(acc *kernel.CoulombAcc, nd *Node, x vec.Vec3) {
 	phi, f := coulombCell(x.Sub(nd.Centroid), nd)
-	e.acc.Phi += phi
-	e.acc.EX += f.X
-	e.acc.EY += f.Y
-	e.acc.EZ += f.Z
-	e.acc.N++
-	e.cellAccepts++
+	acc.Phi += phi
+	acc.EX += f.X
+	acc.EY += f.Y
+	acc.EZ += f.Z
+	acc.N++
 }
 
-// near folds leaf nd by batched direct summation over its lanes.
-func (e *coulombEval) near(t *Tree, nd *Node, x vec.Vec3, eps float64, skipSorted int) {
-	lo, hi := nd.First, nd.First+nd.Count
-	skip := leafSkip(nd, skipSorted)
-	l := t.Lanes
-	kernel.AccumCoulombRange(&e.acc, x.X, x.Y, x.Z, eps,
-		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.Q[lo:hi], skip)
+// coulombResult converts one target's sums and MAC counters into a
+// CoulombResult.
+func coulombResult(acc *kernel.CoulombAcc, cellAccepts, rejects int64) CoulombResult {
+	return CoulombResult{
+		Phi:          acc.Phi,
+		E:            vec.V3(acc.EX, acc.EY, acc.EZ),
+		Interactions: acc.N,
+		CellAccepts:  cellAccepts,
+		Rejects:      rejects,
+	}
 }
 
-// walk is vortexEval.walk for the Coulomb discipline.
-func (e *coulombEval) walk(t *Tree, start int32, x vec.Vec3, theta, eps float64, skipSorted int) {
+// coulombAt evaluates the softened Coulomb potential and field at x by
+// the per-particle traversal of the subtree rooted at node start — the
+// recursive evaluator, and the oracle the tile walk is held bitwise
+// equal to. skipSorted, when ≥ 0, is the lane of a particle to exclude
+// (the target itself).
+func (t *Tree) coulombAt(start int32, x vec.Vec3, theta, eps float64, skipSorted int) CoulombResult {
+	var acc kernel.CoulombAcc
+	var accepts, rejects int64
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -480,55 +536,23 @@ func (e *coulombEval) walk(t *Tree, start int32, x vec.Vec3, theta, eps float64,
 			continue
 		}
 		if !nd.Leaf {
-			r2 := x.Sub(nd.Centroid).Norm2()
-			if MACSq(theta2, nd.Size*nd.Size, r2) {
-				e.far(nd, x)
+			if MACSq(theta2, nd.Size*nd.Size, x.Sub(nd.Centroid).Norm2()) {
+				coulombFar(&acc, nd, x)
+				accepts++
 				continue
 			}
-			e.rejects++
+			rejects++
 			stack = open(stack, nd)
 			continue
 		}
-		e.near(t, nd, x, eps, skipSorted)
+		// The near leg: leaf nd by batched direct summation over its
+		// lanes.
+		lo, hi := nd.First, nd.First+nd.Count
+		l := t.Lanes
+		kernel.AccumCoulombRange(&acc, x.X, x.Y, x.Z, eps,
+			l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.Q[lo:hi], leafSkip(nd, skipSorted))
 	}
 	*sp = stack
 	putStack(sp)
-}
-
-func (e *coulombEval) result(opens int64) CoulombResult {
-	return CoulombResult{
-		Phi:          e.acc.Phi,
-		E:            vec.V3(e.acc.EX, e.acc.EY, e.acc.EZ),
-		Interactions: e.acc.N,
-		CellAccepts:  e.cellAccepts,
-		Rejects:      opens + e.rejects,
-	}
-}
-
-// coulombAt evaluates the softened Coulomb potential and field at x by
-// the per-particle traversal of the subtree rooted at node start.
-func (t *Tree) coulombAt(start int32, x vec.Vec3, theta, eps float64, skipSorted int) CoulombResult {
-	var e coulombEval
-	e.walk(t, start, x, theta, eps, skipSorted)
-	return e.result(0)
-}
-
-// evalCoulombList evaluates one target at x against a prepared
-// interaction list: far items as multipoles, near items as direct
-// sums, ambiguous items via the exact per-particle walk accumulating
-// into the running result. The summation order is identical to
-// coulombAt on the subtree the list was built from.
-func (t *Tree) evalCoulombList(list *InteractionList, theta, eps float64, x vec.Vec3, skipSorted int) CoulombResult {
-	var e coulombEval
-	for _, it := range list.Items {
-		switch it.Kind {
-		case ItemFar:
-			e.far(&t.Nodes[it.Node], x)
-		case ItemNear:
-			e.near(t, &t.Nodes[it.Node], x, eps, skipSorted)
-		default:
-			e.walk(t, it.Node, x, theta, eps, skipSorted)
-		}
-	}
-	return e.result(list.Opens)
+	return coulombResult(&acc, accepts, rejects)
 }
