@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/hot"
 )
 
 // BenchmarkFig1VortexSheetEvolution regenerates the Fig. 1 evolution
@@ -34,7 +35,7 @@ func BenchmarkFig1VortexSheetEvolution(b *testing.B) {
 func BenchmarkFig5PEPCStrongScaling(b *testing.B) {
 	cfg := experiments.DefaultFig5()
 	for i := 0; i < b.N; i++ {
-		points, _, _ := experiments.Fig5Executed(cfg)
+		points := experiments.Fig5Executed(cfg.Fig5ExecConfig, hot.BranchRing)
 		fit := experiments.FitBranches(points)
 		model, _ := experiments.Fig5Model(cfg, fit)
 		b.ReportMetric(float64(experiments.SaturationCores(model, 0.125e6)), "satCores(0.125M)")

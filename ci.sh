@@ -163,16 +163,20 @@ go test -run '^$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/server/
 
 # Scaling lane: the joint space-time study at lane scale under the race
-# detector — the executed 8-rank PSxPT grid (both allgathers of the
-# branch exchange, same prefetch set) plus the modeled grid up to 4096
-# ranks, asserting the Fig. 5 x Fig. 8 crossover shape: beyond spatial
+# detector — Fig5Executed's runs up to 8 ranks in both allgathers of the
+# branch exchange (same prefetch set), the executed 8-rank PSxPT grid
+# (Fig5XTGrid) and BenchPR7Model's modeled grid up to 4096 ranks,
+# asserting the Fig. 5 x Fig. 8 crossover shape: beyond spatial
 # saturation the best PT>1 layout beats space-only, and the batched
 # exchange beats the ring.
 go test -race -count=1 -timeout 10m -run 'ScalingLane' .
 
 # Docs gate: the handbooks are executable documentation — every
 # `go run ./cmd/experiments ...` command they quote must parse (-list
-# validates -fig/-exp and exits before running anything). A trailing
+# validates -fig/-exp and exits before running anything). The check
+# of ignored flags runs before -list exits, so a quoted command whose
+# flag its selection would not read (-xt-out without fig5-xt, -threads
+# or -balance without phases, -paper without 7a/7b/8) fails too. A trailing
 # `# comment` is stripped first: left in, the bare `#` argument would
 # end flag parsing before -list and the experiment would run.
 grep -ohE 'go run \./cmd/experiments[^`]*' SCALING.md README.md EXPERIMENTS.md PERFORMANCE.md |

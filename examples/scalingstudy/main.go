@@ -12,13 +12,15 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/hot"
 )
 
 func main() {
 	cfg := experiments.DefaultFig5()
 
 	fmt.Println("Executing the parallel tree (Coulomb discipline) on in-process ranks...")
-	points, tb, ptb := experiments.Fig5Executed(cfg)
+	points := experiments.Fig5Executed(cfg.Fig5ExecConfig, hot.BranchRing)
+	tb, ptb := experiments.Fig5Tables(cfg.Fig5ExecConfig, points)
 	tb.Fprint(os.Stdout)
 	ptb.Fprint(os.Stdout)
 

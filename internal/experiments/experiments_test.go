@@ -6,8 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/hot"
+	"repro/internal/telemetry"
 )
 
 func TestTablePrintAndCSV(t *testing.T) {
@@ -115,10 +119,11 @@ func TestFig7bPFASSTTracksSDC(t *testing.T) {
 }
 
 func TestFig5ExecutedShape(t *testing.T) {
-	cfg := Fig5Config{
+	cfg := Fig5ExecConfig{
 		NExec: 2048, ExecRanks: []int{1, 2, 4, 8}, Theta: 0.6, Eps: 0.01, Seed: 3,
 	}
-	points, tb, ptb := Fig5Executed(cfg)
+	points := Fig5Executed(cfg, hot.BranchRing)
+	tb, ptb := Fig5Tables(cfg, points)
 	if len(points) != 4 {
 		t.Fatalf("%d points", len(points))
 	}
@@ -175,6 +180,60 @@ func TestFig5ModelSaturation(t *testing.T) {
 	}
 	if len(tb.Rows) != len(points) {
 		t.Fatal("table shape wrong")
+	}
+}
+
+// Fig. 5 and fig5-xt are one study: fig5-xt's ring branch points are
+// Fig. 5's executed points (running the batched exchange beside them
+// moves none of them), the two tables print the same ring numbers, and
+// the joint model's space-only ring terms are Fig. 5's per-evaluation
+// sort, build and branch exchange scaled by the sweeps.
+func TestFig5XTSharesFig5(t *testing.T) {
+	exec := Fig5ExecConfig{NExec: 1024, ExecRanks: []int{1, 2, 4}, Theta: 0.6, Eps: 0.01, Seed: 3}
+	both := Fig5Executed(exec, hot.BranchRing, hot.BranchBatched)
+	ring := Fig5Executed(exec, hot.BranchRing)
+	xtRing := ModePoints(both, hot.BranchRing)
+	if len(xtRing) != len(ring) || len(both) != 2*len(ring) {
+		t.Fatalf("%d ring points beside the batched runs, %d alone, %d in all", len(xtRing), len(ring), len(both))
+	}
+	for i := range ring {
+		got, want := xtRing[i], ring[i]
+		got.Telemetry, want.Telemetry = telemetry.Snapshot{}, telemetry.Snapshot{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ring point %d: %+v beside the batched runs, %+v alone", i, xtRing[i], ring[i])
+		}
+	}
+	tb, _ := Fig5Tables(exec, xtRing)
+	xtb := Fig5XTBranchTable(exec, both)
+	for i, row := range tb.Rows {
+		x := xtb.Rows[2*i]
+		// fig5-xt: ranks mode total branch traversal branches;
+		// Fig. 5: ranks total decomp build branch traversal branches.
+		if x[1] != "ring" || x[0] != row[0] || x[2] != row[1] || x[3] != row[4] || x[4] != row[5] || x[5] != row[6] {
+			t.Errorf("row %d: fig5-xt %v, Fig. 5 %v", i, x, row)
+		}
+	}
+
+	fit := BranchFit{A: 10, Exp: 0.9}
+	xt := DefaultFig5XT()
+	xtModel, _, _, _ := Fig5XTModel(xt, fit, 1, 0.2)
+	sweeps := float64(xt.ModelSteps * xt.SerialSweeps)
+	seen := 0
+	for _, x := range xtModel {
+		if x.PT != 1 || x.Mode != hot.BranchRing.String() {
+			continue
+		}
+		seen++
+		cfg := Fig5Config{NModel: []float64{xt.NModel}, ModelCores: []int{x.PS}}
+		pts, _ := Fig5Model(cfg, fit)
+		m := pts[0]
+		if sweeps*m.TDecomp != x.TSort || sweeps*m.TBuild != x.TBuild || sweeps*m.TBranch != x.TBranch {
+			t.Errorf("p=%d: Fig. 5 sort/build/branch %g/%g/%g x %g sweeps, joint model %g/%g/%g",
+				x.PS, m.TDecomp, m.TBuild, m.TBranch, sweeps, x.TSort, x.TBuild, x.TBranch)
+		}
+	}
+	if seen != len(xt.ModelCores) {
+		t.Fatalf("%d space-only ring points, want %d", seen, len(xt.ModelCores))
 	}
 }
 

@@ -8,12 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hot"
-	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/particle"
 	"repro/internal/pfasst"
-	"repro/internal/vec"
 )
 
 // Fig5XTConfig parameterizes the joint space×time scaling study
@@ -22,20 +20,16 @@ import (
 // with the Fig. 8 time-parallel extension, extrapolated on the machine
 // model to the paper's 262,144 Blue Gene/P cores.
 //
-// Three parts. The *executed branch* part runs the real parallel tree
-// at each rank count under virtual clocks, once per allgather of the
-// branch exchange, yielding honest per-phase times, branch counts and
-// the prefetch volume. The *executed grid* part runs the full
-// space-time solver on small PS×PT grids at a fixed total rank count
-// against the space-only SDC baseline. The *modeled* part extrapolates
-// both cost structures — calibrated by the executed branch-count fit
-// and prefetch ratio — to the paper's particle and core counts.
+// Three parts. The *executed branch* part is Fig. 5's executed runs
+// (Fig5Executed) under both allgathers of the branch exchange: honest
+// per-phase times, branch counts and the prefetch volume. The
+// *executed grid* part runs the full space-time solver on small PS×PT
+// grids at a fixed total rank count against the space-only SDC
+// baseline. The *modeled* part prices Fig. 5's per-evaluation cost
+// (modelEval) — calibrated by the executed branch-count fit and
+// prefetch ratio — at the paper's particle and core counts.
 type Fig5XTConfig struct {
-	NExec     int   // particle count of the executed branch runs
-	ExecRanks []int // rank counts of the executed branch runs
-	Theta     float64
-	Eps       float64 // Coulomb softening of the branch runs
-	Seed      int64
+	Fig5ExecConfig // the executed branch runs
 
 	GridN     int   // particle count of the executed PS×PT grid
 	GridRanks int   // total ranks of every executed grid point
@@ -59,11 +53,7 @@ type Fig5XTConfig struct {
 // BENCH_PR7.json.
 func DefaultFig5XT() Fig5XTConfig {
 	return Fig5XTConfig{
-		NExec:     8192,
-		ExecRanks: []int{1, 2, 4, 8, 16, 32},
-		Theta:     0.6,
-		Eps:       0.01,
-		Seed:      1,
+		Fig5ExecConfig: DefaultFig5Exec(),
 
 		GridN:     2048,
 		GridRanks: 16,
@@ -82,64 +72,9 @@ func DefaultFig5XT() Fig5XTConfig {
 	}
 }
 
-// XTBranchPoint is one executed strong-scaling sample of one branch
-// exchange mode (virtual-clock phase times, maxima over ranks).
-type XTBranchPoint struct {
-	Ranks         int     `json:"ranks"`
-	Mode          string  `json:"mode"`
-	VTTotal       float64 `json:"vt_total_s"`
-	VTDecomp      float64 `json:"vt_decomp_s"`
-	VTBuild       float64 `json:"vt_build_s"`
-	VTBranch      float64 `json:"vt_branch_s"`
-	VTTraverse    float64 `json:"vt_traverse_s"`
-	TotalBranches int     `json:"branches"`
-	Prefetched    int64   `json:"prefetched"`
-}
-
-// Fig5XTBranch runs the parallel tree for real at each rank count in
-// both exchange modes and reports the modeled per-phase wall-clock
-// times — the before/after record of the branch-exchange optimization.
-func Fig5XTBranch(cfg Fig5XTConfig) ([]XTBranchPoint, *Table) {
-	full := particle.HomogeneousCoulomb(cfg.NExec, cfg.Seed)
-	model := machine.BlueGeneP()
-	var points []XTBranchPoint
-	for _, p := range cfg.ExecRanks {
-		for _, mode := range []hot.BranchMode{hot.BranchRing, hot.BranchBatched} {
-			var pt XTBranchPoint
-			pt.Ranks = p
-			pt.Mode = mode.String()
-			vt, err := mpi.RunTimed(p, mpi.BlueGeneP(), func(c *mpi.Comm) error {
-				local := hot.BlockPartition(full, c.Rank(), p)
-				s := hot.New(c, hot.Config{
-					Sm: kernel.Algebraic2(), Scheme: kernel.Transpose,
-					Theta: cfg.Theta, Eps: cfg.Eps, Model: &model,
-					Branch: mode,
-				})
-				pot := make([]float64, local.N())
-				ef := make([]vec.Vec3, local.N())
-				s.Coulomb(local, pot, ef)
-				st := s.Last
-				phases := c.AllreduceFloat64([]float64{
-					st.TDecomp, st.TBuild, st.TBranch, st.TTraverse,
-				}, mpi.OpMax)
-				prefetched := c.AllreduceInt64([]int64{st.Prefetched}, mpi.OpSum)
-				if c.Rank() == 0 {
-					pt.VTDecomp, pt.VTBuild = phases[0], phases[1]
-					pt.VTBranch, pt.VTTraverse = phases[2], phases[3]
-					pt.TotalBranches = st.TotalBranches
-					pt.Prefetched = prefetched[0]
-				}
-				c.Barrier()
-				return nil
-			})
-			if err != nil {
-				panic(err)
-			}
-			pt.VTTotal = vt
-			points = append(points, pt)
-		}
-	}
-
+// Fig5XTBranchTable renders the executed runs of both exchange modes
+// — the before/after record of the branch-exchange optimization.
+func Fig5XTBranchTable(cfg Fig5ExecConfig, points []Fig5ExecPoint) *Table {
 	tb := &Table{
 		Title: "PR7 (executed) — branch exchange before/after, virtual BG/P clock",
 		Header: []string{"ranks", "mode", "total(s)", "branch_xchg(s)",
@@ -153,27 +88,15 @@ func Fig5XTBranch(cfg Fig5XTConfig) ([]XTBranchPoint, *Table) {
 	tb.AddNote("N=%d homogeneous neutral Coulomb cloud, theta=%g; results bitwise equal across modes", cfg.NExec, cfg.Theta)
 	tb.AddNote("expected shape: batched turns the (P-1)-latency ring allgathers into ~log2(P) rounds")
 	tb.AddNote("and walks the prefetch set in their overlap window; both modes ship the same MAC-pruned cells")
-	return points, tb
-}
-
-// branchFitFromXT adapts the ring-mode branch counts to the Fig. 5
-// power-law fit B(P) = A·P^Exp.
-func branchFitFromXT(points []XTBranchPoint) BranchFit {
-	var fit []Fig5ExecPoint
-	for _, p := range points {
-		if p.Mode == hot.BranchRing.String() {
-			fit = append(fit, Fig5ExecPoint{Ranks: p.Ranks, TotalBranches: p.TotalBranches})
-		}
-	}
-	return FitBranches(fit)
+	return tb
 }
 
 // prefetchRatio calibrates the modeled prefetch volume: cells shipped
 // by the batched exchange per branch node, from the executed runs.
-func prefetchRatio(points []XTBranchPoint) float64 {
+func prefetchRatio(points []Fig5ExecPoint) float64 {
 	var cells, branches float64
-	for _, p := range points {
-		if p.Mode == hot.BranchBatched.String() && p.Ranks > 1 {
+	for _, p := range ModePoints(points, hot.BranchBatched) {
+		if p.Ranks > 1 {
 			cells += float64(p.Prefetched)
 			branches += float64(p.TotalBranches)
 		}
@@ -201,40 +124,22 @@ type XTGridPoint struct {
 // ranks, and each point runs once per branch exchange mode.
 func Fig5XTGrid(cfg Fig5XTConfig) ([]XTGridPoint, *Table) {
 	full := particle.SphericalVortexSheet(particle.ScaledSheet(cfg.GridN))
-	model := machine.BlueGeneP()
 	t1 := float64(cfg.Steps) * cfg.Dt
 
 	var points []XTGridPoint
 	spaceOnly := map[string]float64{}
 	for _, pt := range cfg.GridPTs {
 		ps := cfg.GridRanks / pt
-		for _, mode := range []hot.BranchMode{hot.BranchRing, hot.BranchBatched} {
+		for _, mode := range exchanges {
+			ccfg := core.Default(pt, ps)
+			ccfg.ThetaFine, ccfg.ThetaCoarse = cfg.ThetaFine, cfg.ThetaCoarse
+			ccfg.Iterations, ccfg.CoarseSweeps = cfg.Iterations, cfg.CoarseSweeps
+			ccfg.Branch = mode
 			var vt float64
-			var err error
 			if pt == 1 {
-				vt, err = mpi.RunTimed(ps, mpi.BlueGeneP(), func(c *mpi.Comm) error {
-					ccfg := core.Default(1, ps)
-					ccfg.ThetaFine = cfg.ThetaFine
-					ccfg.Model = &model
-					ccfg.Branch = mode
-					local := hot.BlockPartition(full, c.Rank(), ps)
-					_, e := core.RunSpaceSerialSDC(c, ccfg, local, 0, t1, cfg.Steps, 3, cfg.SerialSweeps)
-					return e
-				})
+				vt = modeledSerialSDC(ccfg, full, t1, cfg.Steps, cfg.SerialSweeps)
 			} else {
-				vt, err = mpi.RunTimed(pt*ps, mpi.BlueGeneP(), func(w *mpi.Comm) error {
-					ccfg := core.Default(pt, ps)
-					ccfg.ThetaFine, ccfg.ThetaCoarse = cfg.ThetaFine, cfg.ThetaCoarse
-					ccfg.Iterations, ccfg.CoarseSweeps = cfg.Iterations, cfg.CoarseSweeps
-					ccfg.Model = &model
-					ccfg.Branch = mode
-					_, e := core.RunSpaceTime(w, ccfg, full, 0, t1, cfg.Steps)
-					w.Barrier()
-					return e
-				})
-			}
-			if err != nil {
-				panic(err)
+				vt, _ = modeledSpaceTime(ccfg, full, t1, cfg.Steps)
 			}
 			gp := XTGridPoint{PT: pt, PS: ps, Ranks: pt * ps, Mode: mode.String(), VTTotal: vt}
 			if pt == 1 {
@@ -295,26 +200,17 @@ type XTCrossover struct {
 }
 
 // Fig5XTModel extrapolates the joint cost structure to the paper's
-// scale. Per (cores, PT, mode) with p = cores/(PT·CoresPerRank)
-// spatial ranks and nloc = N/p:
-//
-//	t_sort   = sort(nloc·log2 N) + pairwise exchange        (Fig. 5 model)
-//	t_build  = build cost · nloc
-//	t_branch = ring:    (p−1)·L + B·152·BP + B·handling
-//	           batched: 3·⌈log2 p⌉·L + (p·48 + B·152)·BP + B·handling
-//	t_eval   = interactions(nloc, θ_fine, N) · cost
-//
-// with B(p) from the executed power-law fit. The ring row is the
-// paper's exchange, one (p−1)-latency allgather of the branch lists;
-// the batched row pays three aggregated rounds (rank AABBs, Bruck
-// branch exchange, framed prefetch replies) instead. What resolves the
-// cells below the branches — pref cells per branch in the executed
-// runs, recorded for calibration — is charged to neither row, as the
-// Fig. 5 model never charged it. The space-only baseline pays
-// Ks·(sum) per step; PFASST(X, Y, PT) divides the compute by the
-// Eq. 24 speedup S(PT; α, β) and adds its own communication — per
-// block, X neighbor sends of the 48-byte-per-particle state plus a
-// ⌈log2 PT⌉-round block-end broadcast.
+// scale. Per (cores, PT, mode) it prices one fine evaluation on
+// p = cores/(PT·CoresPerRank) spatial ranks with Fig. 5's modelEval —
+// vortex interactions at θ_fine, B(p) from the executed power-law fit
+// — and scales it by the sweeps the horizon pays. The prefetch volume
+// (pref cells per branch in the executed runs) is recorded for
+// calibration and charged to neither exchange, as Fig. 5 never charged
+// it. The space-only baseline pays Ks sweeps per step; PFASST(X, Y,
+// PT) divides the sweeps by the Eq. 24 speedup S(PT; α, β) and adds its
+// own communication — per block, X neighbor sends of the
+// 48-byte-per-particle state plus a ⌈log2 PT⌉-round block-end
+// broadcast.
 func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTModelPoint, []XTCrossover, *Table, *Table) {
 	tm := mpi.BlueGeneP()
 	cm := machine.BlueGeneP()
@@ -332,30 +228,8 @@ func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTMode
 			}
 			p := float64(ranks / pt)
 			nloc := n / p
-			log2p := math.Ceil(math.Log2(p + 1))
-			branches := fit.A * math.Pow(p, fit.Exp)
-			if branches < 1 {
-				branches = 1
-			}
-			for _, mode := range []hot.BranchMode{hot.BranchRing, hot.BranchBatched} {
-				sort := cm.SortPerKey*nloc*math.Log2(n+2) +
-					4*math.Log2(p+1)*tm.Latency +
-					2*nloc*80*tm.BytePeriod
-				build := cm.TreeBuildPerParticle * nloc
-				var branch float64
-				if p > 1 {
-					handling := branches * cm.BranchPerNode
-					if mode == hot.BranchBatched {
-						branch = 3*log2p*tm.Latency +
-							(p*48+branches*152)*tm.BytePeriod +
-							handling
-					} else {
-						branch = (p-1)*tm.Latency +
-							branches*152*tm.BytePeriod +
-							handling
-					}
-				}
-				eval := cm.VortexInteraction * nloc * machine.TraversalWork(int(n), cfg.ThetaFine)
+			for _, mode := range exchanges {
+				e := modelEval(n, p, fit.branches(p), cm.VortexInteraction, cfg.ThetaFine, mode)
 
 				// Sweeps the horizon pays: the SDC(Ks) baseline runs
 				// Ks per step; PFASST divides by S(PT) of Eq. 24.
@@ -370,10 +244,10 @@ func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTMode
 				}
 				mp := XTModelPoint{
 					Cores: cores, PT: pt, PS: int(p), Mode: mode.String(), NLoc: nloc,
-					TSort:       sweeps * sort,
-					TBuild:      sweeps * build,
-					TBranch:     sweeps * branch,
-					TEval:       sweeps * eval,
+					TSort:       sweeps * e.sort,
+					TBuild:      sweeps * e.build,
+					TBranch:     sweeps * e.branch,
+					TEval:       sweeps * e.eval,
 					TPfasstComm: comm,
 				}
 				mp.TTotal = mp.TSort + mp.TBuild + mp.TBranch + mp.TEval + mp.TPfasstComm
@@ -391,7 +265,7 @@ func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTMode
 				}
 			}
 		}
-		for _, mode := range []hot.BranchMode{hot.BranchRing, hot.BranchBatched} {
+		for _, mode := range exchanges {
 			c := best[mode.String()]
 			if c == nil || c.BestPT == 0 {
 				continue
@@ -446,7 +320,7 @@ type BenchPR7Result struct {
 	PrefetchPerBranch float64 `json:"prefetch_per_branch"`
 	Alpha             float64 `json:"alpha"`
 
-	BranchPoints []XTBranchPoint `json:"branch_executed"`
+	BranchPoints []Fig5ExecPoint `json:"branch_executed"`
 	Grid         []XTGridPoint   `json:"grid_executed"`
 	Model        []XTModelPoint  `json:"model"`
 	Crossovers   []XTCrossover   `json:"crossovers"`
@@ -458,11 +332,11 @@ type BenchPR7Result struct {
 }
 
 // BenchPR7Model runs the modeled part of the study: it calibrates the
-// branch fit, prefetch ratio and coarse/fine ratio from the given
-// executed branch points, extrapolates, and fills everything of the
-// result except the executed grid.
-func BenchPR7Model(cfg Fig5XTConfig, branchPoints []XTBranchPoint) (BenchPR7Result, []*Table) {
-	fit := branchFitFromXT(branchPoints)
+// branch fit (on the ring points), prefetch ratio and coarse/fine ratio
+// from the given executed branch points of both modes, extrapolates,
+// and fills everything of the result except the executed grid.
+func BenchPR7Model(cfg Fig5XTConfig, branchPoints []Fig5ExecPoint) (BenchPR7Result, []*Table) {
+	fit := FitBranches(ModePoints(branchPoints, hot.BranchRing))
 	pref := prefetchRatio(branchPoints)
 	alpha, _ := MeasureAlpha(cfg.GridN, cfg.ThetaFine, cfg.ThetaCoarse)
 	model, crossovers, mtb, ctb := Fig5XTModel(cfg, fit, pref, alpha)
@@ -485,9 +359,11 @@ func BenchPR7Model(cfg Fig5XTConfig, branchPoints []XTBranchPoint) (BenchPR7Resu
 	return res, []*Table{mtb, ctb}
 }
 
-// BenchPR7 runs the full joint scaling study and renders its tables.
-func BenchPR7(cfg Fig5XTConfig) (BenchPR7Result, []*Table) {
-	branchPoints, btb := Fig5XTBranch(cfg)
+// BenchPR7 runs the rest of the joint scaling study on the executed
+// branch points of both modes (Fig5Executed at cfg.Fig5ExecConfig) and
+// renders its tables.
+func BenchPR7(cfg Fig5XTConfig, branchPoints []Fig5ExecPoint) (BenchPR7Result, []*Table) {
+	btb := Fig5XTBranchTable(cfg.Fig5ExecConfig, branchPoints)
 	grid, gtb := Fig5XTGrid(cfg)
 	res, mtbs := BenchPR7Model(cfg, branchPoints)
 	res.Grid = grid

@@ -88,47 +88,17 @@ func MeasureAlpha(n int, thetaFine, thetaCoarse float64) (alpha, ratio float64) 
 // same horizon, and the Eq. (24) theory curve.
 func Fig8Speedup(cfg Fig8Config) ([]Fig8Point, *Table) {
 	full := particle.SphericalVortexSheet(particle.ScaledSheet(cfg.N))
-	model := machine.BlueGeneP()
 	alpha, ratio := MeasureAlpha(cfg.N, cfg.ThetaFine, cfg.ThetaCoarse)
 
 	var points []Fig8Point
 	for _, pt := range cfg.PTs {
 		nsteps := pt // one block; horizon grows with PT as in the paper's strong-scaling-in-time reading
 		t1 := float64(nsteps) * cfg.Dt
-
-		// Baseline: time-serial SDC(Ks) on PS spatial ranks.
-		tSerial, err := mpi.RunTimed(cfg.PS, mpi.BlueGeneP(), func(c *mpi.Comm) error {
-			ccfg := core.Default(1, cfg.PS)
-			ccfg.ThetaFine = cfg.ThetaFine
-			ccfg.Model = &model
-			local := hot.BlockPartition(full, c.Rank(), cfg.PS)
-			_, err := core.RunSpaceSerialSDC(c, ccfg, local, 0, t1, nsteps, 3, cfg.SerialSweeps)
-			return err
-		})
-		if err != nil {
-			panic(err)
-		}
-
-		// Space-time run.
-		var iterDiff float64
-		tPfasst, err := mpi.RunTimed(pt*cfg.PS, mpi.BlueGeneP(), func(w *mpi.Comm) error {
-			ccfg := core.Default(pt, cfg.PS)
-			ccfg.ThetaFine, ccfg.ThetaCoarse = cfg.ThetaFine, cfg.ThetaCoarse
-			ccfg.Iterations, ccfg.CoarseSweeps = cfg.Iterations, cfg.CoarseSweeps
-			ccfg.Model = &model
-			res, err := core.RunSpaceTime(w, ccfg, full, 0, t1, nsteps)
-			if err != nil {
-				return err
-			}
-			if res.TimeSlice == pt-1 && res.SpatialIndex == 0 {
-				iterDiff = res.PFASST.IterDiffs[len(res.PFASST.IterDiffs)-1]
-			}
-			w.Barrier()
-			return nil
-		})
-		if err != nil {
-			panic(err)
-		}
+		ccfg := core.Default(pt, cfg.PS)
+		ccfg.ThetaFine, ccfg.ThetaCoarse = cfg.ThetaFine, cfg.ThetaCoarse
+		ccfg.Iterations, ccfg.CoarseSweeps = cfg.Iterations, cfg.CoarseSweeps
+		tSerial := modeledSerialSDC(ccfg, full, t1, nsteps, cfg.SerialSweeps)
+		tPfasst, iterDiff := modeledSpaceTime(ccfg, full, t1, nsteps)
 
 		points = append(points, Fig8Point{
 			PT:                pt,
@@ -157,4 +127,45 @@ func Fig8Speedup(cfg Fig8Config) ([]Fig8Point, *Table) {
 	tb.AddNote("paper shape: measured speedup tracks the Eq. 24 theory curve;")
 	tb.AddNote("PFASST extends scaling beyond the saturated spatial decomposition")
 	return points, tb
+}
+
+// modeledSerialSDC returns the virtual BG/P wall-clock time of the
+// time-serial SDC(sweeps) baseline: ccfg's fine level on ccfg.PS
+// spatial ranks over [0, t1] in nsteps steps. ccfg's PT and coarse
+// level are not read.
+func modeledSerialSDC(ccfg core.Config, full *particle.System, t1 float64, nsteps, sweeps int) float64 {
+	model := machine.BlueGeneP()
+	ccfg.Model = &model
+	vt, err := mpi.RunTimed(ccfg.PS, mpi.BlueGeneP(), func(c *mpi.Comm) error {
+		local := hot.BlockPartition(full, c.Rank(), ccfg.PS)
+		_, err := core.RunSpaceSerialSDC(c, ccfg, local, 0, t1, nsteps, 3, sweeps)
+		return err
+	})
+	if err != nil {
+		panic(err)
+	}
+	return vt
+}
+
+// modeledSpaceTime returns the virtual BG/P wall-clock time of the
+// space-time solver on ccfg's PT×PS grid over [0, t1] in nsteps steps,
+// and the last time slice's final PFASST iteration difference.
+func modeledSpaceTime(ccfg core.Config, full *particle.System, t1 float64, nsteps int) (vt, iterDiff float64) {
+	model := machine.BlueGeneP()
+	ccfg.Model = &model
+	vt, err := mpi.RunTimed(ccfg.PT*ccfg.PS, mpi.BlueGeneP(), func(w *mpi.Comm) error {
+		res, err := core.RunSpaceTime(w, ccfg, full, 0, t1, nsteps)
+		if err != nil {
+			return err
+		}
+		if res.TimeSlice == ccfg.PT-1 && res.SpatialIndex == 0 {
+			iterDiff = res.PFASST.IterDiffs[len(res.PFASST.IterDiffs)-1]
+		}
+		w.Barrier()
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return vt, iterDiff
 }

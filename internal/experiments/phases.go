@@ -9,7 +9,6 @@ import (
 	"repro/internal/particle"
 	"repro/internal/pfasst"
 	"repro/internal/telemetry"
-	"repro/internal/tree"
 )
 
 // PhasesConfig parameterizes the space-time phase-breakdown run.
@@ -18,9 +17,6 @@ type PhasesConfig struct {
 	N      int // particles
 	NSteps int // must be a multiple of PT
 	Seed   int64
-	// Traversal selects the tree evaluator (TraversalList, the
-	// default, is the vortex tile walk).
-	Traversal tree.TraversalMode
 	// Threads > 1 selects the threaded per-rank traversal (worker
 	// pool), the path where hot.steals and hot.worker_busy are
 	// recorded.
@@ -44,7 +40,6 @@ func DefaultPhases() PhasesConfig {
 func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 	full := particle.RandomVortexBlob(cfg.N, 0.05, cfg.Seed)
 	ccfg := core.Default(cfg.PT, cfg.PS)
-	ccfg.Traversal = cfg.Traversal
 	if cfg.Threads > 0 {
 		ccfg.Threads = cfg.Threads
 	}

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -45,25 +44,6 @@ const (
 	// the oracle the tile walk is held bitwise equal to.
 	TraversalRecursive
 )
-
-func (m TraversalMode) String() string {
-	if m == TraversalRecursive {
-		return "recursive"
-	}
-	return "list"
-}
-
-// ParseTraversal parses a traversal mode name ("list" or "recursive").
-func ParseTraversal(s string) (TraversalMode, error) {
-	switch s {
-	case "", "list":
-		return TraversalList, nil
-	case "recursive":
-		return TraversalRecursive, nil
-	default:
-		return TraversalList, fmt.Errorf("unknown traversal mode %q (want list or recursive)", s)
-	}
-}
 
 // groupClass is the outcome of the conservative group-level MAC test.
 type groupClass int

@@ -21,7 +21,7 @@ import (
 // 4 cores/rank) — among them the 64-spatial × 16-time layout. The
 // modeled particle count is small enough that the branch exchange
 // saturates the spatial decomposition inside the lane's core budget;
-// the full-size study is the opt-in fig5-xt experiment.
+// the full-size study is the fig5-xt experiment.
 func laneConfig() experiments.Fig5XTConfig {
 	cfg := experiments.DefaultFig5XT()
 	cfg.NExec = 1024
@@ -39,7 +39,7 @@ func laneConfig() experiments.Fig5XTConfig {
 
 func TestScalingLaneModelCrossover(t *testing.T) {
 	cfg := laneConfig()
-	branchPoints, _ := experiments.Fig5XTBranch(cfg)
+	branchPoints := experiments.Fig5Executed(cfg.Fig5ExecConfig, hot.BranchRing, hot.BranchBatched)
 	if len(branchPoints) != 2*len(cfg.ExecRanks) {
 		t.Fatalf("branch study ran %d points, want %d", len(branchPoints), 2*len(cfg.ExecRanks))
 	}
