@@ -110,7 +110,9 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # the recovery protocol. Time-bounded by -timeout rather than test count.
 # The façade names matched here include the PS>1 grid sweep (gridchaos
 # _test.go): spatial shrink, slice loss, column loss + checkpoint
-# restore, and the guard×crash interleaving on 2×2 and 4×2 grids.
+# restore, the guard×crash interleaving on 2×2 and 4×2 grids, and the
+# tail block (TestFacadeCrashTail*: bitwise equal to resuming the
+# pre-tail manifest, and a guarded redo of a flip in the tail).
 # ./internal/core/ holds the recovery loop's own suites beside the loop
 # (the PT×1 block-attempt tests and the PT-shrink on 4×2);
 # ./internal/pfasst/ keeps the pure-PFASST guard and validation rows.
@@ -141,6 +143,10 @@ go test -race -count=1 -timeout 10m \
 # Memory-fault-plan fuzz smoke: mutated mem-plan specs against the
 # parser — malformed specs must surface as errors, never panics.
 go test -run '^$' -fuzz FuzzParseMem -fuzztime 10s ./internal/fault/
+# Same for the transport and server grammars, plus the round trip:
+# every accepted non-empty plan re-parses from its String form to an
+# equal plan (a NaN probability is accepted but renders as nothing).
+go test -run '^$' -fuzz 'FuzzParse$' -fuzztime 10s ./internal/fault/
 
 # Server lane: build the job daemon, run the server, scheduler and
 # chaos suites once more under the race detector with -count=1 (the

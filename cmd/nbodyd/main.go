@@ -27,16 +27,27 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/server"
 )
+
+// ignoredFlag returns the first of the set flags the daemon would not
+// read, or "": -chaos-seed seeds a chaos plan, so it needs -chaos.
+func ignoredFlag(set []string, chaos string) string {
+	if chaos == "" && slices.Contains(set, "chaos-seed") {
+		return "chaos-seed"
+	}
+	return ""
+}
 
 func main() {
 	var (
@@ -53,6 +64,13 @@ func main() {
 		chaosSeed     = flag.Int64("chaos-seed", 42, "seed of the chaos plan's deterministic verdicts")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if name := ignoredFlag(set, *chaos); name != "" {
+		fmt.Fprintf(os.Stderr, "nbodyd: -%s has no effect without -chaos\n", name)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	plan, err := fault.ParseServer(*chaos, *chaosSeed)
 	if err != nil {

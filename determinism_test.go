@@ -146,12 +146,18 @@ func TestSpaceTimePinnedAcrossCommits(t *testing.T) {
 // the last commit that had it: the grid loop on a 1-wide grid (which
 // replaced it) must reproduce that loop bit for bit — fault-free, under
 // transient chaos, across a rank death mid-block and at a block
-// boundary (3-wide blocks, then a serial tail), across a cancel and
+// boundary (3-wide blocks, then a tail block), across a cancel and
 // resume, and with the guard on. The rows that lose no rank also equal
 // the plain, non-resilient run. Re-pinned in PR 24 with the closed-form
 // pair kernel, as above (be134b7 → PR 21: clean 0xb9aaa344ff2693c5,
 // mid-block 0xc7d91829b18dbbd0, boundary 0x3c3852c9c335654b); what the
 // rows assert about one another is unchanged. amd64 only, as above.
+// The two crash rows were re-pinned once more when the tail their
+// 3-wide blocks leave (2 steps, resp. 1) stopped running as serial SDC
+// on every survivor and became a grid block on the first live slices
+// (before: mid-block 0x11c7b36776fef795, boundary 0x9e43766f1312d572).
+// The mid-block row is the 4×1 row of TestFacadeCrashTailEqualsResume:
+// its hash is that of resuming the 6-step manifest on a fresh 2×1 grid.
 func TestResilientPinnedAcrossCommits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("pinned on amd64, running on %s", runtime.GOARCH)
@@ -179,14 +185,14 @@ func TestResilientPinnedAcrossCommits(t *testing.T) {
 			c.Resilience.FaultPlan = "drop=0.08,delay=0.15:30us,corrupt=0.04"
 			c.Resilience.FaultSeed = 11
 		}},
-		{"crash mid-block", 0x11c7b36776fef795, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=1@iter:1" }},
-		{"crash at boundary", 0x9e43766f1312d572, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=3@block:4" }},
+		{"crash mid-block", 0x55421299943747ba, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=1@iter:1" }},
+		{"crash at boundary", 0xdbeca0e440a20b3a, func(c *SpaceTimeConfig) { c.Resilience.FaultPlan = "crash=3@block:4" }},
 		{"guard clean", clean, func(c *SpaceTimeConfig) { c.Guard.Enabled = true }},
 	} {
 		cfg := chaosConfig(4, 1)
 		row.mut(&cfg)
 		if got := run(cfg); got != row.want {
-			t.Errorf("%s: hash %#x, want %#x (pinned at PR 24)", row.name, got, row.want)
+			t.Errorf("%s: hash %#x, want %#x", row.name, got, row.want)
 		}
 	}
 

@@ -11,16 +11,23 @@ package nbody
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/guard"
 	"repro/internal/pfasst"
 )
 
 // gridDeviation is the acceptance bound for degraded completion after
-// rank deaths: recovery re-decomposes onto fewer spatial ranks (or
-// serial SDC), which is scientifically consistent but not bitwise.
+// rank deaths: recovery re-decomposes onto fewer spatial ranks and
+// runs blocks on fewer time slices, which is scientifically consistent
+// but not bitwise.
 const gridDeviation = 1e-4
 
 func maxPosDev(a, b *System) float64 {
@@ -238,9 +245,10 @@ func TestFacadeGridCrash4x2Shrink(t *testing.T) {
 
 // TestFacadeGridSliceLossContinuesNarrower: BOTH ranks of time slice 1
 // of a 4×2 grid die mid-block. The slice drops out and the three live
-// slices close ranks: the run continues 3×2 — nobody retires, every
-// survivor commits two 3-step blocks — and only the 2-step tail runs
-// serially, instead of the whole remainder collapsing to serial SDC.
+// slices close ranks: the run continues 3×2 — nobody is retired by the
+// width, every survivor commits two 3-step blocks — and the 2-step
+// tail runs as a 2×2 block on slices 0 and 2, instead of the whole
+// remainder collapsing to one slice.
 func TestFacadeGridSliceLossContinuesNarrower(t *testing.T) {
 	sys := RandomBlob(32, 0.2, 7)
 	clean, _, err := RunSpaceTime(chaosConfig(4, 2), sys, 0, 0.2, 8)
@@ -257,15 +265,156 @@ func TestFacadeGridSliceLossContinuesNarrower(t *testing.T) {
 	if d := maxPosDev(clean, out); d > gridDeviation {
 		t.Fatalf("3×2 degraded run diverges by %g", d)
 	}
-	const survivors = 6
+	const survivors, tailRanks = 6, 4
 	if got := stats.Run.Counter(core.CounterRecoveryRetired); got != 0 {
-		t.Errorf("%s = %d: a whole-slice loss must not narrow the spatial width", core.CounterRecoveryRetired, got)
+		t.Errorf("%s = %d: neither a whole-slice loss nor a tail narrows the spatial width", core.CounterRecoveryRetired, got)
 	}
-	if got := stats.Run.Counter(pfasst.CounterBlocks); got != survivors*2 {
-		t.Errorf("pfasst.blocks = %d, want %d (each survivor's 2 three-step blocks)", got, survivors*2)
+	if got := stats.Run.Counter(pfasst.CounterBlocks); got != survivors*2+tailRanks {
+		t.Errorf("pfasst.blocks = %d, want %d (each survivor's 2 three-step blocks, the tail on 4 ranks)", got, survivors*2+tailRanks)
 	}
 	if got := stats.Run.Counter(pfasst.CounterShrinks); got != survivors {
 		t.Errorf("pfasst.shrinks = %d, want one per survivor", got)
+	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(src, dst string) error {
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFacadeCrashTailEqualsResume is the tail's oracle. A tail of fewer
+// steps than live slices is an ordinary grid block on the first of
+// them, so a crashed run that ends in one must land bitwise where a
+// fresh grid of the tail's shape lands when it resumes the manifest
+// committed before the tail. 4×1 loses slice 1 mid-block and runs
+// 3 + 3 steps, then the 2-step tail on 2×1; 4×2 loses slice 1 whole
+// and runs its tail on 2×2.
+func TestFacadeCrashTailEqualsResume(t *testing.T) {
+	sys := RandomBlob(48, 0.2, 7)
+	for _, row := range []struct {
+		pt, ps int
+		plan   string
+	}{
+		{4, 1, "crash=1@iter:1"},
+		{4, 2, "crash=2@iter:1,crash=3@iter:1"},
+	} {
+		dir, saved := t.TempDir(), t.TempDir()
+		var copyErr error
+		cfg := chaosConfig(row.pt, row.ps)
+		cfg.Resilience.FaultPlan = row.plan
+		cfg.Resilience.CheckpointDir = dir
+		cfg.OnBlock = func(b int) {
+			if b == 2 { // the tail: 6 steps are committed
+				copyErr = copyDir(dir, saved)
+			}
+		}
+		out, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+		if err != nil || copyErr != nil {
+			t.Fatalf("%s on %d×%d: %v, copy %v", row.plan, row.pt, row.ps, err, copyErr)
+		}
+		for _, c := range []struct {
+			dir              string
+			steps, timeRanks int
+		}{{saved, 6, 3}, {dir, 8, 2}} {
+			gl, err := checkpoint.LoadGrid(c.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gl.StepsDone != c.steps || gl.TimeRanks != c.timeRanks {
+				t.Fatalf("%d×%d: manifest at %d steps, %d time ranks; want %d, %d",
+					row.pt, row.ps, gl.StepsDone, gl.TimeRanks, c.steps, c.timeRanks)
+			}
+		}
+
+		rcfg := chaosConfig(2, row.ps)
+		rcfg.Resilience.CheckpointDir = saved
+		rcfg.Resilience.Resume = true
+		want, _, err := RunSpaceTime(rcfg, sys, 0, 0.2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Particles {
+			if out.Particles[i] != want.Particles[i] {
+				t.Fatalf("%d×%d: particle %d: the crashed run's tail differs from resuming its manifest on 2×%d",
+					row.pt, row.ps, i, row.ps)
+			}
+		}
+	}
+}
+
+// TestFacadeCrashTailGuardRedo: the tail block meets the guard like
+// every other block. A seeded block-domain flip that lands in the tail
+// alone (block 2, first attempt) is detected, the tail is redone once
+// from its committed start state, and the run ends bitwise where the
+// unguarded crash run ends.
+func TestFacadeCrashTailGuardRedo(t *testing.T) {
+	sys := RandomBlob(48, 0.2, 7)
+	cfg := chaosConfig(4, 1)
+	cfg.Resilience.FaultPlan = "crash=1@iter:1"
+	want, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first seed whose flips hit block 2's first attempt and no
+	// other attempt the run makes (blocks 0 and 1 commit at attempt 0,
+	// the tail's redo is attempt 1).
+	const spec = "rate=2e-3,in=block,bits=62-62"
+	flips := func(m *fault.MemPlan, block, attempt int) int {
+		return m.FlipWords(fault.MemBlock, uint64(block), attempt, make([]float64, 6*sys.N()))
+	}
+	seed := int64(0)
+	for s := int64(1); seed == 0 && s < 1000; s++ {
+		m, err := fault.ParseMem(spec, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flips(m, 0, 0) == 0 && flips(m, 1, 0) == 0 && flips(m, 2, 0) > 0 && flips(m, 2, 1) == 0 {
+			seed = s
+		}
+	}
+	if seed == 0 {
+		t.Fatal("no seed flips the tail alone")
+	}
+
+	cfg.Guard.Enabled = true
+	cfg.Guard.FlipPlan, cfg.Guard.FlipSeed = spec, seed
+	cfg.Telemetry = true
+	var mu sync.Mutex
+	var seen []int
+	cfg.OnBlock = func(b int) {
+		mu.Lock()
+		seen = append(seen, b)
+		mu.Unlock()
+	}
+	out, stats, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatalf("guarded tail: %v", err)
+	}
+	// Block 0 twice (the crash), block 1 once, the tail twice (the flip).
+	if !reflect.DeepEqual(seen, []int{0, 0, 1, 2, 2}) {
+		t.Fatalf("hook saw blocks %v, want [0 0 1 2 2]", seen)
+	}
+	if stats.Run.Counter(guard.CounterDetected) == 0 || stats.Run.Counter(guard.CounterRedo) == 0 {
+		t.Fatalf("flip in the tail: %d detected, %d redone", stats.Run.Counter(guard.CounterDetected), stats.Run.Counter(guard.CounterRedo))
+	}
+	for i := range want.Particles {
+		if out.Particles[i] != want.Particles[i] {
+			t.Fatalf("particle %d: the redone tail differs from the unguarded crash run", i)
+		}
 	}
 }
 

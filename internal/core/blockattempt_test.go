@@ -59,25 +59,21 @@ func runGrid(cfg Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
 // must reproduce the lockstep loop bitwise on every rank — same block
 // body, same sweeps, same per-block records; only the message plumbing
 // differs. The Tol row sets the deadline allreduce against the tree
-// allreduce (same early stop, same IterationsRun), the three-level row
-// covers the intermediate-level receives.
+// allreduce (same early stop, same IterationsRun).
 func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 	const p, nsteps = 4, 8
-	threeLevel := []LevelTheta{{Theta: 0.3, NNodes: 5}, {Theta: 0.45, NNodes: 3}, {Theta: 0.6, NNodes: 2}}
 
 	for _, tc := range []struct {
-		name   string
-		levels []LevelTheta
-		tol    float64
+		name string
+		tol  float64
 	}{
-		{"fixed", nil, 0},
-		{"tol", nil, 1e-7},
-		{"three-level", threeLevel, 0},
+		{"fixed", 0},
+		{"tol", 1e-7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resilientCfg(p, 1)
 			cfg.Iterations = 8
-			cfg.Levels, cfg.Tol = tc.levels, tc.tol
+			cfg.Tol = tc.tol
 			plainCfg := cfg
 			plainCfg.Resilience = pfasst.Resilience{}
 			want, err := runGrid(plainCfg, nil, nsteps)
@@ -154,16 +150,21 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// checkShrunkTo3 asserts the accounting of a 4×1 run that lost one
-// rank: the survivors finish 3 wide, each counted one shrink, and
-// pfasst.fine_sweeps includes the serial tail's sweeps (the counter
-// and the Result are fed by the same Record* calls).
-func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
+// checkShrunkTo3 asserts the shape of a 4×1 run of nsteps = 8 that
+// lost one rank: every survivor ends with 3 live time slices and
+// counted one shrink and no spatial retirement; the ranks in tail —
+// the first live slices, which ran the tail block the 3-wide blocks
+// leave over — hold the final state and agree on it, with one block
+// record more than the survivors retired for the tail; and
+// pfasst.fine_sweeps equals Result.SweepsFine (the counter and the
+// Result are fed by the same Record* calls). It returns the first tail
+// rank's outcome.
+func checkShrunkTo3(t *testing.T, dead int, tail []int, results []*gridRank) *gridRank {
 	t.Helper()
 	if results[dead] != nil {
 		t.Fatal("crashed rank produced a result")
 	}
-	var first *gridRank
+	first := results[tail[0]]
 	for r, res := range results {
 		if r == dead {
 			continue
@@ -175,19 +176,27 @@ func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
 		if pr.FinalRanks != 3 {
 			t.Fatalf("rank %d: FinalRanks = %d, want 3", r, pr.FinalRanks)
 		}
-		if pr.BlockRestarts < 1 || pr.DegradedBlocks < 1 {
+		if pr.BlockRestarts != 1 || pr.DegradedBlocks < 2 {
 			t.Fatalf("rank %d: %d restarts, %d degraded blocks recorded", r, pr.BlockRestarts, pr.DegradedBlocks)
 		}
 		if n := res.tel.Counters[pfasst.CounterShrinks]; n != 1 {
 			t.Fatalf("rank %d: %s = %d, want 1", r, pfasst.CounterShrinks, n)
 		}
+		if n := res.tel.Counters[CounterRecoveryRetired]; n != 0 {
+			t.Fatalf("rank %d: %s = %d: a tail retires nobody into the count", r, CounterRecoveryRetired, n)
+		}
 		if n := res.tel.Counters[pfasst.CounterFineSweeps]; n != int64(pr.SweepsFine) {
 			t.Fatalf("rank %d: %s = %d but Result.SweepsFine = %d", r, pfasst.CounterFineSweeps, n, pr.SweepsFine)
 		}
-		if first == nil {
-			first = res
-		} else if !slices.Equal(res.PFASST.U, first.PFASST.U) {
-			t.Fatalf("survivors 0 and %d disagree on U", r)
+		inTail := slices.Contains(tail, r)
+		if res.Participated != inTail {
+			t.Fatalf("rank %d: participated = %v, want %v", r, res.Participated, inTail)
+		}
+		if want := len(first.PFASST.Residuals) - 1; !inTail && len(pr.Residuals) != want {
+			t.Fatalf("rank %d retired for the tail with %d block records, want %d", r, len(pr.Residuals), want)
+		}
+		if inTail && !slices.Equal(pr.U, first.PFASST.U) {
+			t.Fatalf("tail ranks %d and %d disagree on U", tail[0], r)
 		}
 	}
 	return first
@@ -195,9 +204,9 @@ func checkShrunkTo3(t *testing.T, dead int, results []*gridRank) *gridRank {
 
 // TestCrashRecoveryCompletesDegraded kills one time rank mid-block and
 // requires the survivors to finish: drop the dead slice, redo the block
-// 3 wide from its consistent start state, and absorb the 2-step tail
-// serially — with the final answer still within tolerance of the
-// fault-free run.
+// 3 wide from its consistent start state, run a second 3-step block,
+// and the 2-step tail as one more block on the first two live slices —
+// with the final answer still within tolerance of the fault-free run.
 func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
@@ -213,17 +222,19 @@ func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	if !errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("run error should be the injected crash, got %v", err)
 	}
-	first := checkShrunkTo3(t, 1, results)
-	// Two committed 3-step blocks, then a 2-step serial tail at the
-	// default 8 sweeps per step on every survivor.
-	if pr := first.PFASST; len(pr.Residuals) != 2 || pr.SweepsFine < 2*3+2*pfasst.DefaultFallbackSweeps {
-		t.Fatalf("%d block records, %d fine sweeps: not two blocks + a serial tail", len(pr.Residuals), pr.SweepsFine)
+	first := checkShrunkTo3(t, 1, []int{0, 2}, results)
+	// Two 3-wide blocks and the 2-wide tail, all three degraded.
+	if pr := first.PFASST; len(pr.Residuals) != 3 || pr.DegradedBlocks != 3 {
+		t.Fatalf("%d block records, %d degraded: not two 3-step blocks + a 2-step tail block", len(pr.Residuals), pr.DegradedBlocks)
 	}
 	if d := ode.MaxDiff(first.PFASST.U, clean[0].PFASST.U); d > 1e-4 {
 		t.Fatalf("degraded-mode deviation %g exceeds tolerance", d)
 	}
 }
 
+// TestCrashAtBlockBoundary: rank 3 (the broadcast root) dies right
+// before the second block. Block 0 committed 4 wide; the survivors run
+// one 3-step block and the 1-step tail on slice 0 alone.
 func TestCrashAtBlockBoundary(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
@@ -231,7 +242,6 @@ func TestCrashAtBlockBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rank 3 (the broadcast root) dies right before the second block.
 	plan, err := fault.Parse("crash=3@block:4", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +250,10 @@ func TestCrashAtBlockBoundary(t *testing.T) {
 	if !errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("want injected crash in run error, got %v", err)
 	}
-	first := checkShrunkTo3(t, 3, results)
+	first := checkShrunkTo3(t, 3, []int{0}, results)
+	if pr := first.PFASST; len(pr.Residuals) != 3 || pr.DegradedBlocks != 2 {
+		t.Fatalf("%d block records, %d degraded: not a 4-wide, a 3-wide and a 1-wide block", len(pr.Residuals), pr.DegradedBlocks)
+	}
 	if d := ode.MaxDiff(first.PFASST.U, clean[0].PFASST.U); d > 1e-4 {
 		t.Fatalf("degraded-mode deviation %g", d)
 	}

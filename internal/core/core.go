@@ -140,11 +140,6 @@ type Config struct {
 	// NodesFine and NodesCoarse are the collocation node counts
 	// (paper: 3 and 2).
 	NodesFine, NodesCoarse int
-	// Levels, when non-empty, overrides the two-level configuration
-	// with an arbitrary hierarchy (finest first): each entry gives the
-	// MAC parameter and collocation node count of one PFASST level.
-	// Node counts must be nested (e.g. 5/3/2).
-	Levels []LevelTheta
 	// Iterations and CoarseSweeps select PFASST(X, Y, ·).
 	Iterations, CoarseSweeps int
 	// Tol, when positive, lets PFASST stop iterating early once the
@@ -193,8 +188,8 @@ type Config struct {
 	// is dropped and the run continues PT − 1 wide, a thinned slice
 	// narrows the spatial width and the committed state is
 	// re-decomposed onto it — and a tail of fewer steps than live
-	// slices runs as redundant serial SDC on every live rank (see
-	// resilient.go and DESIGN.md §11).
+	// slices runs as one block on the first of them (see resilient.go
+	// and DESIGN.md §11).
 	Resilience pfasst.Resilience
 	// Guard configures the silent-data-corruption detectors and the
 	// recovery ladder (package guard). When Enabled, every rank gets a
@@ -241,12 +236,6 @@ func Default(pt, ps int) Config {
 	}
 }
 
-// LevelTheta describes one level of a custom space-time hierarchy.
-type LevelTheta struct {
-	Theta  float64
-	NNodes int
-}
-
 // Result is one world rank's view of a space-time run.
 type Result struct {
 	// Local holds the rank's local particles advanced to the final
@@ -262,7 +251,8 @@ type Result struct {
 	SpatialRanks int
 	// Participated reports whether Local holds a share of the final
 	// state. False only for ranks the grid-resilient path retired after
-	// a shrink (their Local is nil).
+	// a shrink or for a tail block on fewer time slices (their Local is
+	// nil).
 	Participated bool
 	// TimeSlice is this rank's slice index.
 	TimeSlice int
@@ -342,35 +332,18 @@ func levelSystem(space *mpi.Comm, cfg Config, local *particle.System, theta floa
 	return sys
 }
 
-// levelPlan expands the two-level default into the explicit hierarchy.
-func levelPlan(cfg Config) []LevelTheta {
-	if len(cfg.Levels) > 0 {
-		return cfg.Levels
-	}
-	return []LevelTheta{
-		{Theta: cfg.ThetaFine, NNodes: cfg.NodesFine},
-		{Theta: cfg.ThetaCoarse, NNodes: cfg.NodesCoarse},
-	}
-}
-
-// levelSolver builds one system per level of the space-time hierarchy
-// (the two-level θ_fine/θ_coarse default unless cfg.Levels overrides
-// it) and the PFASST configuration over them; it also returns the
-// finest and coarsest systems, whose evaluation counts the Result
-// reports.
+// levelSolver builds the two systems of the space-time hierarchy —
+// θ_fine on NodesFine nodes, θ_coarse on NodesCoarse — and the PFASST
+// configuration over them; it also returns both systems, whose
+// evaluation counts the Result reports.
 func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard.Guard) (pcfg pfasst.Config, fine, coarse *DistVortexSystem) {
-	levels := levelPlan(cfg)
-	specs := make([]pfasst.LevelSpec, len(levels))
-	for i, l := range levels {
-		sys := levelSystem(space, cfg, local, l.Theta, i, grd)
-		specs[i] = pfasst.LevelSpec{Sys: sys, NNodes: l.NNodes}
-		if i == 0 {
-			fine = sys
-		}
-		coarse = sys
-	}
+	fine = levelSystem(space, cfg, local, cfg.ThetaFine, 0, grd)
+	coarse = levelSystem(space, cfg, local, cfg.ThetaCoarse, 1, grd)
 	return pfasst.Config{
-		Levels:       specs,
+		Levels: []pfasst.LevelSpec{
+			{Sys: fine, NNodes: cfg.NodesFine},
+			{Sys: coarse, NNodes: cfg.NodesCoarse},
+		},
 		Iterations:   cfg.Iterations,
 		CoarseSweeps: cfg.CoarseSweeps,
 		Tol:          cfg.Tol,

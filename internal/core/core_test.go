@@ -297,46 +297,3 @@ func TestSpaceTimeLargerGrid(t *testing.T) {
 		t.Fatalf("16-rank space-time run deviates by %g", maxErr)
 	}
 }
-
-func TestSpaceTimeThreeLevelHierarchy(t *testing.T) {
-	// A three-level space-time hierarchy (θ 0 / 0.4 / 0.7 on 5/3/2
-	// nodes) must converge to the serial reference.
-	full := particle.SphericalVortexSheet(particle.ScaledSheet(96))
-	cfg := Default(2, 2)
-	cfg.Levels = []LevelTheta{
-		{Theta: 0, NNodes: 5},
-		{Theta: 0.4, NNodes: 3},
-		{Theta: 0.7, NNodes: 2},
-	}
-	cfg.Iterations = 8
-
-	// Serial reference at the finest level's accuracy (θ=0, 5 nodes).
-	sys := NewVortexSystem(full, direct.New(kernel.Algebraic6(), kernel.Transpose, 0))
-	u := full.PackNew()
-	sdc.NewIntegrator(sys, 5, 12).Integrate(0, 1, 2, u)
-	want := full.Clone()
-	want.Unpack(u)
-
-	var got *particle.System
-	err := mpi.Run(4, func(w *mpi.Comm) error {
-		res, err := RunSpaceTime(w, cfg, full, 0, 1, 2)
-		if err != nil {
-			return err
-		}
-		if w.Rank() == 0 {
-			got = res.Local
-		}
-		w.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxErr := 0.0
-	for i := range got.Particles {
-		maxErr = math.Max(maxErr, got.Particles[i].Pos.Sub(want.Particles[i].Pos).Norm())
-	}
-	if maxErr > 1e-6 {
-		t.Fatalf("3-level space-time run deviates by %g", maxErr)
-	}
-}

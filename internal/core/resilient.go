@@ -28,12 +28,14 @@ package core
 //     whole column died out), and re-partitioned onto PS'. Resume from
 //     a checkpoint takes exactly this path, which is why a checkpoint
 //     written at one PT×PS restores onto any other.
-//  4. Steps that no longer fill a block of PT' (a tail the shrunken
-//     width does not divide) run through the serial fallback: the full
-//     state is reassembled once more and every live rank redundantly
-//     integrates the tail with serial SDC — deterministic, identical
-//     output on every rank, completion within tolerance rather than
-//     speedup.
+//  4. A tail of fewer steps than live slices (what a shrunken PT' does
+//     not divide) runs as one more block on the first `remaining` live
+//     slices, at the width of the thinnest of them. The round that sets
+//     it up is an ordinary recovery round with no new death: the active
+//     set is a pure function of the agreed dead list and the steps
+//     left, the other live slices retire for the tail (they keep
+//     voting and hold no share), and the tail block meets the same
+//     scrub, detectors, agreement and checkpoint as every other block.
 //
 // Wake-up cascade: a rank whose attempt hits a transport failure
 // revokes its spatial and temporal communicators, so peers blocked in
@@ -57,7 +59,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/particle"
 	"repro/internal/pfasst"
-	"repro/internal/sdc"
 )
 
 // ErrStateLost is returned, identically on every live rank, when a
@@ -69,7 +70,10 @@ var ErrStateLost = errors.New("core: committed state lost (no surviving replica,
 
 // Recovery-phase telemetry of the grid-resilient loop: the timers
 // split one recovery round into its phases (the BENCH_PR8 per-phase
-// recovery cost columns), the counter tallies rounds.
+// recovery cost columns), the first counter tallies rounds, and the
+// second counts, once per shrink, a rank left without a column by the
+// spatial width of the slices that run (a tail retires nobody into
+// it).
 const (
 	PhaseRecoveryAgree        = "core.recovery.agree"
 	PhaseRecoveryRebuild      = "core.recovery.rebuild"
@@ -93,10 +97,6 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	maxRetries := rz.MaxBlockRetries
 	if maxRetries <= 0 {
 		maxRetries = pfasst.DefaultMaxBlockRetries
-	}
-	fallbackSweeps := rz.FallbackSweeps
-	if fallbackSweeps <= 0 {
-		fallbackSweeps = pfasst.DefaultFallbackSweeps
 	}
 
 	tAgree := cfg.Tel.Timer(PhaseRecoveryAgree)
@@ -123,17 +123,17 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		rgen      int   // recovery generation (communicator labels)
 		oldPS     int   // partition width of the committed state; 0 = undistributed
 		psNew     int   // current active spatial width
-		ptNew     int   // current time width: slices with a live rank = steps per block
+		ptLive    int   // time slices with a live rank (Result.FinalRanks)
+		ptNew     int   // current time width = steps per block: ptLive, fewer for a tail
 		retries   int   // consecutive retries without a new death
 		lastAbort error // cause of the most recent aborted attempt (per-rank)
 		prevDead  = -1  // size of the last agreed dead set; -1 = none yet
 		shrunk    int   // size of the dead set the current grid was built on
 		col       = -1  // my spatial column, -1 = retired
 		active    bool
-		// fullU holds the full committed state whenever this rank does
-		// not hold a distributed share of it: before the first recovery
-		// round distributes anything (oldPS == 0), and on retired ranks
-		// or in the serial tail afterwards.
+		// fullU holds the full committed state: before the first
+		// recovery round distributes it (oldPS == 0), and as every
+		// later round reassembles it.
 		fullU []float64
 	)
 	surv := world
@@ -201,11 +201,11 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 
 	// gatherFull reassembles the full committed block-start state into
 	// fullU on every member of surv — retired ranks included, so
-	// reactivation and the serial tail need no extra path. Every rank
-	// that holds a share of the oldPS-wide partition (held, heldCol)
-	// contributes it; a column with no live holder survives only on
-	// disk. The error wraps ErrStateLost and is this rank's own verdict:
-	// the caller's agreement makes it uniform.
+	// reactivation needs no extra path. Every rank that holds a share of
+	// the oldPS-wide partition (held, heldCol) contributes it; a column
+	// with no live holder survives only on disk. The error wraps
+	// ErrStateLost and is this rank's own verdict: the caller's
+	// agreement makes it uniform.
 	gatherFull := func(held bool, heldCol int) error {
 		msg := make([]float64, 2, 2+len(u))
 		if held {
@@ -250,7 +250,11 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	// It loops internally until a round completes without a transport
 	// failure, and returns only errors that are identical on every live
 	// rank (lost state, corrupt checkpoint, exhausted retry budget).
-	recoverGrid := func() error {
+	// spend marks a round that follows a rejected attempt or a skipped
+	// checkpoint: unless it finds a new death it costs one of
+	// maxRetries. The initial decomposition and a tail round cost
+	// nothing; a round retried after a transport failure always costs.
+	recoverGrid := func(spend bool) error {
 		for {
 			cRounds.Inc()
 			spanA := tAgree.Start()
@@ -259,28 +263,26 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 
 			// Retry accounting is a pure function of agreed data, so
 			// every rank takes the give-up branch together (no extra
-			// agreement needed). The first round and rounds that found a
-			// new death are free: shrinks do not consume the retry
-			// budget.
-			if prevDead >= 0 {
-				if len(dead) > prevDead {
-					retries = 0
-				} else {
-					retries++
-					if retries > maxRetries {
-						// Wrap this rank's last abort cause so callers
-						// keep a typed handle on WHY the budget ran out
-						// (e.g. a recurring guard violation).
-						if lastAbort != nil {
-							return fmt.Errorf("core: block %d failed %d attempts without a new rank death: %w", block, retries, lastAbort)
-						}
-						return fmt.Errorf("core: block %d failed %d attempts without a new rank death (aborts raised by peers)", block, retries)
+			// agreement needed). Rounds that found a new death are free:
+			// shrinks do not consume the retry budget.
+			if len(dead) > prevDead {
+				retries = 0
+			} else if spend {
+				retries++
+				if retries > maxRetries {
+					// Wrap this rank's last abort cause so callers keep
+					// a typed handle on WHY the budget ran out (e.g. a
+					// recurring guard violation).
+					if lastAbort != nil {
+						return fmt.Errorf("core: block %d failed %d attempts without a new rank death: %w", block, retries, lastAbort)
 					}
+					return fmt.Errorf("core: block %d failed %d attempts without a new rank death (aborts raised by peers)", block, retries)
 				}
 			}
 			prevDead = len(dead)
 
 			var lost error
+			thinned := false // retired by the spatial width, not by a tail
 			err := func() (rerr error) {
 				defer func() {
 					if p := recover(); p != nil {
@@ -302,45 +304,47 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				surv.SetLabel(fmt.Sprintf("surv[gen=%d]", rgen))
 				surv.FailFast(true)
 
-				// Active set: a pure function of the agreed dead list. A
-				// slice with no live rank drops out of the grid — blocks
-				// get one step shorter — and the thinnest LIVE slice sets
-				// the spatial width. This rank is alive, so its own slice
-				// is: ptNew, psNew ≥ 1.
+				// Active set: a pure function of the agreed dead list
+				// and the steps left. A slice with no live rank drops out
+				// of the grid — blocks get one step shorter — and a tail
+				// of fewer steps than live slices runs on the first
+				// `remaining` of them. The thinnest running slice sets the
+				// spatial width. This rank is alive, so its own slice is:
+				// ptLive, ptNew, psNew ≥ 1.
 				deadSet := make(map[int]bool, len(dead))
 				for _, wr := range dead {
 					deadSet[wr] = true
 				}
-				liveOf := make([][]int, pt0)
-				for wr := 0; wr < pt0*ps0; wr++ {
-					if !deadSet[wr] {
-						s := wr / ps0
-						liveOf[s] = append(liveOf[s], wr)
+				var live [][]int // each live slice's live world ranks, in slice order
+				myRun, myIdx := -1, -1
+				for s := 0; s < pt0; s++ {
+					var lv []int
+					for wr := s * ps0; wr < (s+1)*ps0; wr++ {
+						if !deadSet[wr] {
+							if wr == world.Rank() {
+								myRun, myIdx = len(live), len(lv)
+							}
+							lv = append(lv, wr)
+						}
+					}
+					if len(lv) > 0 {
+						live = append(live, lv)
 					}
 				}
-				ptNew, psNew = 0, 0
-				for _, lv := range liveOf {
-					if len(lv) == 0 {
-						continue
-					}
-					if ptNew == 0 || len(lv) < psNew {
-						psNew = len(lv)
-					}
-					ptNew++
+				ptLive, ptNew = len(live), len(live)
+				if remaining := nsteps - stepsDone; remaining > 0 && remaining < ptNew {
+					ptNew = remaining
 				}
-				myIdx := -1
-				for i, wr := range liveOf[slice] {
-					if wr == world.Rank() {
-						myIdx = i
-					}
+				psNew = ps0
+				for _, lv := range live[:ptNew] {
+					psNew = min(psNew, len(lv))
 				}
 				wasActive, oldCol := active, col
-				active = myIdx < psNew
+				active = myRun < ptNew && myIdx < psNew
+				thinned = myRun < ptNew && !active
 				col = -1
 				if active {
 					col = myIdx
-				} else {
-					cRetired.Inc()
 				}
 
 				// Rebuild both communicator families. Retired ranks pass
@@ -416,9 +420,13 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				if len(dead) > shrunk {
 					shrunk = len(dead)
 					solver.RecordShrink()
+					if thinned {
+						cRetired.Inc()
+					}
 				}
 				return nil
 			case 1:
+				spend = true
 				continue
 			default:
 				if lost != nil {
@@ -537,62 +545,15 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		}
 	}
 
-	// runDegradedAll is the serial fallback for a tail of fewer steps
-	// than live time slices: the full committed state is reassembled on
-	// every live rank, which then redundantly integrates the remaining
-	// interval with serial SDC. Output is deterministic and identical
-	// on every rank (completion within tolerance, not speedup); a comm
-	// failure while gathering reports back for another recovery round.
-	runDegradedAll := func() (res Result, ok bool) {
-		defer func() {
-			if p := recover(); p != nil {
-				if _, is := mpi.AsCommFailure(p); !is {
-					panic(p)
-				}
-				ok = false
-			}
-		}()
-		world.FaultPoint("degraded", stepsDone)
-		if gatherFull(active, col) != nil {
-			// Only a death the allgather did not see can lose a share
-			// here; the recovery round re-derives and agrees the loss.
-			return Result{}, false
-		}
-		single := surv.Split(surv.Rank(), 0)
-		fullSys := full.Clone()
-		fullSys.Unpack(fullU)
-		fineLevel := levelPlan(cfg)[0]
-		sys := levelSystem(single, cfg, fullSys, fineLevel.Theta, 0, nil)
-		in := sdc.NewIntegrator(sys, fineLevel.NNodes, fallbackSweeps)
-		uu := fullSys.PackNew()
-		remaining := nsteps - stepsDone
-		tn := t0 + float64(stepsDone)*dt
-		in.Integrate(tn, tn+float64(remaining)*dt, remaining, uu)
-		solver.RecordSerialSweeps(remaining * fallbackSweeps)
-		solver.RecordDegraded()
-		pres.U = uu
-		pres.FinalRanks = ptNew
-		fullSys.Unpack(uu)
-		bankEvals()
-		return Result{
-			Local:        fullSys,
-			SpatialIndex: 0,
-			TimeSlice:    slice,
-			SpatialRanks: 1,
-			Participated: true,
-			PFASST:       pres,
-			FineEvals:    fineEvals + sys.Evals,
-			CoarseEvals:  coarseEvals,
-		}, true
-	}
-
 	// The first "recovery" round is the initial decomposition (empty
 	// dead set). It runs even when a resumed checkpoint already covers
 	// every step, so the final Result always holds distributed state.
-	needRecovery := true
+	// A block wider than the steps left calls a tail round, which
+	// spends nothing.
+	needRecovery, spend := true, false
 	for {
 		if needRecovery {
-			if err := recoverGrid(); err != nil {
+			if err := recoverGrid(spend); err != nil {
 				return Result{}, err
 			}
 			needRecovery = false
@@ -601,20 +562,15 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 		if remaining <= 0 {
 			break
 		}
+		if remaining < ptNew {
+			needRecovery, spend = true, false
+			continue
+		}
 
 		if boundary != nil {
 			if err := boundary(block); err != nil {
 				return Result{}, err
 			}
-		}
-
-		if remaining < ptNew {
-			res, ok := runDegradedAll()
-			if !ok {
-				needRecovery = true
-				continue
-			}
-			return res, nil
 		}
 
 		world.FaultPoint("block", stepsDone)
@@ -651,7 +607,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 					return Result{}, err
 				}
 				if redo {
-					needRecovery = true
+					needRecovery, spend = true, true
 				}
 			}
 		case 1:
@@ -660,7 +616,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 				lastAbort = aerr
 			}
 			solver.RecordRestart()
-			needRecovery = true
+			needRecovery, spend = true, true
 		default:
 			if aerr != nil {
 				return Result{}, aerr
@@ -670,7 +626,7 @@ func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1
 	}
 
 	bankEvals()
-	pres.FinalRanks = ptNew
+	pres.FinalRanks = ptLive
 	if !active {
 		return Result{
 			SpatialIndex: -1,

@@ -12,6 +12,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -83,11 +85,13 @@ func New(seed int64) *Plan {
 //	corrupt=0.02        corruption probability (transport-absorbed)
 //	corrupt=0.02:leak   ... delivered torn instead (tests decoders)
 //	crash=1@iter:1      world rank 1 crashes at phase "iter", epoch 1
-//	                    (repeatable: each crash= adds one rank death)
+//	                    (repeatable: each crash= adds one rank death;
+//	                    phases: block, iter, predictor)
 //	retries=6           transport retransmission bound
 //	backoff=7us         retransmission backoff (Go duration)
 //
-// An empty spec yields an empty plan. Unknown keys are errors.
+// Durations lie in [0, 1h]. An empty spec yields an empty plan.
+// Unknown keys are errors.
 func Parse(spec string, seed int64) (*Plan, error) {
 	p := New(seed)
 	if strings.TrimSpace(spec) == "" {
@@ -112,9 +116,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			if err == nil {
 				p.DelaySeconds = 5 * DefaultRetryBackoff
 				if hasDur {
-					var d time.Duration
-					d, err = time.ParseDuration(dur)
-					p.DelaySeconds = d.Seconds()
+					p.DelaySeconds, err = parseDelay(dur)
 				}
 			}
 		case "corrupt":
@@ -131,9 +133,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 		case "retries":
 			p.MaxRetries, err = strconv.Atoi(v)
 		case "backoff":
-			var d time.Duration
-			d, err = time.ParseDuration(v)
-			p.RetryBackoff = d.Seconds()
+			p.RetryBackoff, err = parseDelay(v)
 		default:
 			return nil, fmt.Errorf("fault: unknown key %q (want drop, delay, corrupt, crash, retries, backoff)", k)
 		}
@@ -141,7 +141,31 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			return nil, fmt.Errorf("fault: %q: %w", part, err)
 		}
 	}
+	// Normalize so String round-trips exactly: a setting that never
+	// applies is not rendered.
+	if p.DelayProb == 0 {
+		p.DelaySeconds = 0
+	}
+	if p.CorruptProb == 0 {
+		p.LeakCorrupt = false
+	}
 	return p, nil
+}
+
+// parseDelay reads a Go duration in [0, 1h] as seconds. The bound keeps
+// the float seconds exact in whole nanoseconds, which String renders.
+func parseDelay(s string) (float64, error) {
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 || d > time.Hour {
+		return 0, fmt.Errorf("duration %q not in [0, 1h]", s)
+	}
+	return d.Seconds(), nil
+}
+
+// duration renders seconds as the whole-nanosecond Go duration
+// parseDelay read them from.
+func duration(sec float64) time.Duration {
+	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
 func (p *Plan) parseCrash(v string) error {
@@ -154,14 +178,34 @@ func (p *Plan) parseCrash(v string) error {
 		return fmt.Errorf("bad crash rank %q", rankStr)
 	}
 	phase, epochStr, ok := strings.Cut(at, ":")
-	if !ok || phase == "" {
+	if !ok {
 		return fmt.Errorf("crash wants rank@phase:epoch, got %q", v)
 	}
+	if !slices.Contains(crashPhases, phase) {
+		return fmt.Errorf("crash phase %q never fires (want %s)", phase, strings.Join(crashPhases, ", "))
+	}
 	epoch, err := strconv.Atoi(epochStr)
-	if err != nil {
+	if err != nil || epoch < 0 {
 		return fmt.Errorf("bad crash epoch %q", epochStr)
 	}
 	p.Crashes = append(p.Crashes, Crash{Rank: rank, Phase: phase, Epoch: epoch})
+	return nil
+}
+
+// crashPhases are the phase points the solver passes to
+// mpi.Comm.FaultPoint: the block boundary (epoch = steps done), the
+// PFASST predictor (epoch = block) and each PFASST iteration (epoch =
+// iteration index).
+var crashPhases = []string{"block", "iter", "predictor"}
+
+// CheckRanks rejects a crash scheduled for a world rank a run of size
+// ranks does not have: it could never fire.
+func (p *Plan) CheckRanks(size int) error {
+	for _, c := range p.Crashes {
+		if c.Rank >= size {
+			return fmt.Errorf("fault: crash rank %d outside a %d-rank run", c.Rank, size)
+		}
+	}
 	return nil
 }
 
@@ -288,8 +332,7 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("drop=%g", p.DropProb))
 	}
 	if p.DelayProb > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%g:%s", p.DelayProb,
-			time.Duration(p.DelaySeconds*float64(time.Second))))
+		parts = append(parts, fmt.Sprintf("delay=%g:%s", p.DelayProb, duration(p.DelaySeconds)))
 	}
 	if p.CorruptProb > 0 {
 		s := fmt.Sprintf("corrupt=%g", p.CorruptProb)
@@ -300,6 +343,12 @@ func (p *Plan) String() string {
 	}
 	for _, c := range p.Crashes {
 		parts = append(parts, fmt.Sprintf("crash=%d@%s:%d", c.Rank, c.Phase, c.Epoch))
+	}
+	if p.MaxRetries != 0 {
+		parts = append(parts, fmt.Sprintf("retries=%d", p.MaxRetries))
+	}
+	if p.RetryBackoff != 0 {
+		parts = append(parts, fmt.Sprintf("backoff=%s", duration(p.RetryBackoff)))
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +56,10 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"drop=2", "drop=x", "drop=NaN", "bogus=1", "crash=1", "crash=x@iter:0",
 		"crash=1@iter", "corrupt=0.1:weird", "delay", "backoff=zz",
+		// Crashes that could never fire: a phase no FaultPoint passes,
+		// a negative epoch.
+		"crash=1@bogus:0", "crash=1@degraded:0", "crash=1@:0", "crash=1@iter:-1",
+		"delay=0.1:-5us", "backoff=2h",
 	} {
 		if _, err := Parse(spec, 0); err == nil {
 			t.Errorf("spec %q: expected error", spec)
@@ -141,4 +146,56 @@ func TestLeakCorruptTruncates(t *testing.T) {
 	if !v.Injected || !v.Recovered || v.CorruptTruncate || v.ExtraDelay <= 0 {
 		t.Fatalf("absorbed verdict: %+v", v)
 	}
+}
+
+// TestCheckRanks: a crash of a rank the run does not have is refused,
+// so a typo'd plan cannot run clean.
+func TestCheckRanks(t *testing.T) {
+	p, err := Parse("crash=1@iter:1,crash=3@block:4", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		size int
+		ok   bool
+	}{{4, true}, {8, true}, {3, false}, {2, false}} {
+		if err := p.CheckRanks(c.size); (err == nil) != c.ok {
+			t.Errorf("CheckRanks(%d) = %v, want ok = %v", c.size, err, c.ok)
+		}
+	}
+	if err := New(0).CheckRanks(1); err != nil {
+		t.Errorf("crash-free plan: %v", err)
+	}
+}
+
+// FuzzParse covers both spec grammars of the package, the transport
+// plan and the server plan: a spec either fails to parse or yields a
+// plan whose String form parses back to an equal plan (empty plans
+// render as placeholders and are skipped). A probability that injects
+// nothing but counts as set, such as NaN, breaks the round trip.
+func FuzzParse(f *testing.F) {
+	f.Add("drop=0.05,delay=0.1:50us,corrupt=0.02:leak,crash=1@iter:2,retries=4,backoff=7us", int64(42))
+	f.Add("delay=0.2,corrupt=0:leak,crash=0@block:0,crash=3@predictor:1", int64(1))
+	f.Add("slow=0.3:2ms,cancel=0.2,crash=0.5,corrupt=0.25,killdrain=1", int64(7))
+	f.Add("crash=NaN,slow=0:1s,cancel=1", int64(0))
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		if p, err := Parse(spec, seed); err == nil && !p.Empty() {
+			q, err := Parse(p.String(), seed)
+			if err != nil {
+				t.Fatalf("transport round trip of %q -> %q: %v", spec, p.String(), err)
+			}
+			if !reflect.DeepEqual(p, q) {
+				t.Fatalf("transport round trip of %q: %+v vs %+v", spec, p, q)
+			}
+		}
+		if p, err := ParseServer(spec, seed); err == nil && !p.Empty() {
+			q, err := ParseServer(p.String(), seed)
+			if err != nil || q == nil {
+				t.Fatalf("server round trip of %q -> %q: %v", spec, p.String(), err)
+			}
+			if *q != *p {
+				t.Fatalf("server round trip of %q: %+v vs %+v", spec, p, q)
+			}
+		}
+	})
 }

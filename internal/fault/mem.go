@@ -9,8 +9,8 @@ import (
 
 // MemDomain names a class of in-memory float64 words eligible for
 // bit-flip injection. Injection sites pass their domain so a single
-// plan can target particle state, tree moments, block results and
-// checkpoint buffers independently.
+// plan can target particle state, tree moments and block results
+// independently.
 type MemDomain int
 
 const (
@@ -22,13 +22,11 @@ const (
 	// MemBlock is a freshly computed block-end state, before the
 	// invariant monitors inspect it.
 	MemBlock
-	// MemCkpt is a checkpoint buffer about to be encoded.
-	MemCkpt
 
 	numMemDomains
 )
 
-var memDomainNames = [numMemDomains]string{"state", "tree", "block", "ckpt"}
+var memDomainNames = [numMemDomains]string{"state", "tree", "block"}
 
 func (d MemDomain) String() string {
 	if d < 0 || d >= numMemDomains {
@@ -61,8 +59,8 @@ type MemPlan struct {
 	// opportunity.
 	Rate float64
 	// Domains enables injection per memory domain. Parse defaults to
-	// state+tree (the domains whose detectors are exact); block and
-	// ckpt are opt-in.
+	// state+tree (the domains whose detectors are exact); block is
+	// opt-in.
 	Domains [numMemDomains]bool
 	// Sticky drops the attempt number from the hash: a flipped word
 	// flips again after every recovery attempt, driving the escalation
@@ -141,7 +139,7 @@ func (m *MemPlan) parseDomains(v string) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("unknown domain %q (want state, tree, block, ckpt)", name)
+			return fmt.Errorf("unknown domain %q (want state, tree, block)", name)
 		}
 	}
 	return nil

@@ -13,8 +13,8 @@ func TestParseMemDefaults(t *testing.T) {
 	if !m.Enabled(MemState) || !m.Enabled(MemTree) {
 		t.Fatalf("default domains should be state+tree, got %v", m.Domains)
 	}
-	if m.Enabled(MemBlock) || m.Enabled(MemCkpt) {
-		t.Fatalf("block/ckpt must be opt-in, got %v", m.Domains)
+	if m.Enabled(MemBlock) {
+		t.Fatalf("block must be opt-in, got %v", m.Domains)
 	}
 	if m.loBit() != DefaultLoBit || m.hiBit() != DefaultHiBit {
 		t.Fatalf("default bit window %d-%d", m.loBit(), m.hiBit())
@@ -25,14 +25,14 @@ func TestParseMemDefaults(t *testing.T) {
 }
 
 func TestParseMemFull(t *testing.T) {
-	m, err := ParseMem("rate=1e-3,in=state+block+ckpt,bits=0-63,sticky", 1)
+	m, err := ParseMem("rate=1e-3,in=state+block,bits=0-63,sticky", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rate != 1e-3 || !m.Sticky || m.loBit() != 0 || m.hiBit() != 63 {
 		t.Fatalf("parsed %+v", m)
 	}
-	if !m.Enabled(MemBlock) || !m.Enabled(MemCkpt) || m.Enabled(MemTree) {
+	if !m.Enabled(MemState) || !m.Enabled(MemBlock) || m.Enabled(MemTree) {
 		t.Fatalf("domains %v", m.Domains)
 	}
 	// String renders a spec that parses back to the same plan.
@@ -48,7 +48,7 @@ func TestParseMemFull(t *testing.T) {
 func TestParseMemErrors(t *testing.T) {
 	for _, spec := range []string{
 		"rate=2", "rate=-0.1", "rate=x", "rate=NaN",
-		"in=bogus", "bits=9", "bits=5-99", "bits=60-50", "bits=0-0",
+		"in=bogus", "in=ckpt", "in=state+ckpt", "bits=9", "bits=5-99", "bits=60-50", "bits=0-0",
 		"unknown=1", "noequals",
 	} {
 		if _, err := ParseMem(spec, 0); err == nil {
@@ -152,7 +152,7 @@ func TestFlipBit(t *testing.T) {
 
 func FuzzParseMem(f *testing.F) {
 	f.Add("rate=0.5", int64(1))
-	f.Add("rate=1e-3,in=state+tree+block+ckpt,bits=0-63,sticky", int64(42))
+	f.Add("rate=1e-3,in=state+tree+block,bits=0-63,sticky", int64(42))
 	f.Add("bits=52-63", int64(0))
 	f.Add(",,,rate=0,", int64(-1))
 	f.Fuzz(func(t *testing.T, spec string, seed int64) {

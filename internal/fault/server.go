@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -70,9 +69,9 @@ func ParseServer(spec string, seed int64) (*ServerPlan, error) {
 			return nil, fmt.Errorf("fault: server spec %q: missing '=' in %q", spec, part)
 		}
 		prob := func(s string) (float64, error) {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v < 0 || v > 1 {
-				return 0, fmt.Errorf("fault: server spec %q: probability %q outside [0, 1]", spec, s)
+			v, err := parseProb(s)
+			if err != nil {
+				return 0, fmt.Errorf("fault: server spec %q: %w", spec, err)
 			}
 			return v, nil
 		}
@@ -109,6 +108,9 @@ func ParseServer(spec string, seed int64) (*ServerPlan, error) {
 		default:
 			return nil, fmt.Errorf("fault: server spec %q: unknown key %q", spec, key)
 		}
+	}
+	if p.SlowProb == 0 {
+		p.SlowDelay = 0 // a delay that never applies; String omits it
 	}
 	return p, nil
 }

@@ -27,6 +27,9 @@ func TestParseServerRejects(t *testing.T) {
 	for _, spec := range []string{
 		"slow=0.3", "slow=2:1ms", "cancel=x", "crash=-1", "corrupt=1.5",
 		"killdrain=yes", "bogus=1", "crash",
+		// NaN passes neither bound test yet is not Empty: it must
+		// not parse.
+		"crash=NaN", "cancel=NaN", "corrupt=NaN", "slow=NaN:1ms",
 	} {
 		if _, err := ParseServer(spec, 1); err == nil {
 			t.Errorf("spec %q accepted", spec)

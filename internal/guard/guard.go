@@ -598,20 +598,6 @@ func (g *Guard) CheckpointDiag(u []float64) []float64 {
 	return particle.DiagnoseState(u).Floats()
 }
 
-// InjectCheckpoint applies checkpoint-domain flips to a buffer about
-// to be written (or just read); used by tests and the chaos bench to
-// model corruption between the CRC computation and the invariants.
-func (g *Guard) InjectCheckpoint(u []float64, epoch int) int {
-	if g == nil {
-		return 0
-	}
-	inj := g.mem.FlipWords(fault.MemCkpt, uint64(epoch), 0, u)
-	if inj > 0 {
-		g.pb.injected.Add(int64(inj))
-	}
-	return inj
-}
-
 // CheckResidual is the advisory divergence monitor: it flags a block
 // whose finest-level SDC residual is non-finite or exceeds
 // ResidualFactor × the previous block's. The residual is rank-local

@@ -97,7 +97,7 @@ func (s *GridSolver) RecordRestart() {
 }
 
 // RecordDegraded counts one block executed at reduced parallelism
-// (shrunken grid or redundant-serial fallback).
+// (a shrunken grid, or a tail on fewer time slices).
 func (s *GridSolver) RecordDegraded() {
 	s.res.DegradedBlocks++
 	s.pb.degraded.Inc()
@@ -106,18 +106,12 @@ func (s *GridSolver) RecordDegraded() {
 // RecordShrink counts one contraction of the grid after rank deaths.
 func (s *GridSolver) RecordShrink() { s.pb.shrinks.Inc() }
 
-// RecordSerialSweeps accounts fine-level SDC sweeps executed by the
-// degraded serial fallback outside BlockAttempt.
-func (s *GridSolver) RecordSerialSweeps(n int) {
-	s.res.SweepsFine += n
-	s.pb.fineSweeps.Add(int64(n))
-}
-
 // NewRetiredSolver is the solver of a rank that holds no share of the
-// grid (retired after a spatial shrink): it has no levels and must not
-// run attempts, but the Record* methods keep accounting into res and
-// tel, so the driver counts restarts, shrinks and serial sweeps the
-// same way on every live rank.
+// grid (retired after a spatial shrink, or for a tail on fewer time
+// slices): it has no levels and must not run attempts, but the Record*
+// methods keep accounting into res and tel, so the driver counts
+// restarts, shrinks and degraded blocks the same way on every live
+// rank.
 func NewRetiredSolver(tel *telemetry.Registry, res *Result) *GridSolver {
 	return &GridSolver{res: res, pb: newProbe(tel)}
 }

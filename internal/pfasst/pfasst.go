@@ -107,7 +107,7 @@ type Result struct {
 	// BlockRestarts counts block attempts aborted and redone by the
 	// resilient path (crashes and transport losses); DegradedBlocks
 	// counts blocks executed at reduced parallelism (shrunken grid or
-	// serial tail). Both stay zero on the plain path.
+	// a tail on fewer time slices). Both stay zero on the plain path.
 	BlockRestarts  int
 	DegradedBlocks int
 	// FinalRanks is the live time width at the end of a resilient run:

@@ -20,7 +20,7 @@ const (
 	PhaseIteration = "pfasst.iteration"
 
 	// Resilient-path counters: degraded_blocks counts blocks executed
-	// at reduced parallelism (after a shrink, or the serial tail),
+	// at reduced parallelism (after a shrink, or a tail on fewer slices),
 	// block_restarts counts aborted-and-redone block attempts, shrinks
 	// counts communicator contractions after rank deaths.
 	CounterDegradedBlocks = "fault.degraded_blocks"

@@ -14,10 +14,10 @@ import (
 // deadline, each block ends in a ULFM-style agreement that commits or
 // aborts it identically on every survivor, rank deaths shrink the
 // PT×PS grid, and the block restarts from its consistent start state.
-// Steps that no longer fill a block after a shrink run through a
-// serial SDC fallback. This package reads RecvTimeout (BlockAttempt's
-// deadline link); the other fields parameterize the driver. Run itself
-// is the lockstep loop and rejects Enabled.
+// Steps that no longer fill a block after a shrink run as one shorter
+// block on fewer time slices. This package reads RecvTimeout
+// (BlockAttempt's deadline link); the other fields parameterize the
+// driver. Run itself is the lockstep loop and rejects Enabled.
 type Resilience struct {
 	Enabled bool
 	// RecvTimeout bounds every pipelined receive in host time; a block
@@ -35,10 +35,6 @@ type Resilience struct {
 	// has. A missing manifest is not an error — the run simply starts
 	// from the beginning.
 	Resume bool
-	// FallbackSweeps is the serial-SDC sweep count per step for the
-	// degraded tail (steps that cannot fill a parallel block after a
-	// shrink). Zero means DefaultFallbackSweeps.
-	FallbackSweeps int
 	// MaxBlockRetries bounds how many consecutive recovery rounds
 	// without a newly agreed rank death a single block may consume
 	// before the run gives up. Zero means DefaultMaxBlockRetries.
@@ -47,7 +43,6 @@ type Resilience struct {
 
 const (
 	DefaultRecvTimeout     = 10 * time.Second
-	DefaultFallbackSweeps  = 8
 	DefaultMaxBlockRetries = 3
 )
 

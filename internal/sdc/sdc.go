@@ -127,18 +127,6 @@ func (sw *Sweeper) SetU0Lazy(u0 []float64) {
 	sw.u0Stale = true
 }
 
-// MarkU0Stale declares that U[0] was modified in place (e.g. by a
-// PFASST interpolation) and F[0] intentionally kept at the previous
-// iterate's value.
-func (sw *Sweeper) MarkU0Stale() { sw.u0Stale = true }
-
-// EvalNodesFrom re-evaluates F at nodes start..M.
-func (sw *Sweeper) EvalNodesFrom(start int) {
-	for m := start; m < len(sw.nodes); m++ {
-		sw.evalF(m)
-	}
-}
-
 // Spread copies U_0 to every node and evaluates F there (the
 // provisional solution U⁰ of the paper).
 func (sw *Sweeper) Spread() {

@@ -161,7 +161,11 @@ func (s *JobSpec) Validate() error {
 	if s.MaxRetries < -1 || s.MaxRetries > maxRetryCap {
 		return bad("max_retries %d outside [-1, %d]", s.MaxRetries, maxRetryCap)
 	}
-	if _, err := fault.Parse(s.FaultPlan, s.FaultSeed); err != nil {
+	plan, err := fault.Parse(s.FaultPlan, s.FaultSeed)
+	if err == nil {
+		err = plan.CheckRanks(s.PT * s.PS)
+	}
+	if err != nil {
 		return bad("fault_plan: %v", err)
 	}
 	return nil

@@ -50,6 +50,8 @@ func TestParseJobSpecRejects(t *testing.T) {
 		"steps not mult pt": `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":5,"pt":2,"ps":1}`,
 		"t1 below t0":       `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":1,"t1":0,"steps":4,"pt":2,"ps":1}`,
 		"bad fault plan":    `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":4,"pt":2,"ps":1,"fault_plan":"explode=9"}`,
+		"crash phase typo":  `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":4,"pt":2,"ps":1,"fault_plan":"crash=1@bogus:0"}`,
+		"crash rank > grid": `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":4,"pt":2,"ps":1,"fault_plan":"crash=2@iter:1"}`,
 		"bad retries":       `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":4,"pt":2,"ps":1,"max_retries":99}`,
 		"trailing data":     `{"tenant":"a","system":{"kind":"vortex","n":10},"t0":0,"t1":1,"steps":4,"pt":2,"ps":1}{}`,
 		"not json":          `hello`,

@@ -142,9 +142,6 @@ func PKeyLevel(pkey uint64) int {
 // PKeyChild returns the placeholder key of the digit-th child.
 func PKeyChild(pkey uint64, digit int) uint64 { return pkey<<3 | uint64(digit) }
 
-// PKeyParent returns the placeholder key of the parent cell.
-func PKeyParent(pkey uint64) uint64 { return pkey >> 3 }
-
 // PKeyPrefix converts a placeholder key back to (prefix, level).
 func PKeyPrefix(pkey uint64) (uint64, int) {
 	level := PKeyLevel(pkey)

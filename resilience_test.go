@@ -100,26 +100,35 @@ func TestFacadeCrashRecovery(t *testing.T) {
 // TestFacadeCrashContinuesNarrower: losing one of four time ranks
 // costs one slice of parallelism, not all of it. After crash=1@iter:1
 // the three survivors redo block 0 three steps wide, run a second
-// 3-step block and absorb the 2-step tail serially — the counters must
-// show exactly that shape, not an all-serial remainder (which would be
-// 8 steps × 8 sweeps on every survivor and no committed block).
-// FinalRanks = 3 is asserted where pfasst.Result is visible
-// (internal/pfasst's TestCrashRecoveryCompletesDegraded).
+// 3-step block, and run the 2-step tail as a block on the first two
+// live slices — the counters must show exactly that shape. FinalRanks
+// = 3 is asserted where pfasst.Result is visible (internal/core's
+// TestCrashRecoveryCompletesDegraded).
 func TestFacadeCrashContinuesNarrower(t *testing.T) {
 	sys := RandomBlob(48, 0.2, 7)
+	clean, _, err := RunSpaceTime(chaosConfig(4, 1), sys, 0, 0.2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := chaosConfig(4, 1)
 	cfg.Resilience.FaultPlan = "crash=1@iter:1"
 	cfg.Telemetry = true
-	_, stats, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
+	out, stats, err := RunSpaceTime(cfg, sys, 0, 0.2, 8)
 	if err != nil {
 		t.Fatalf("crash was not survived: %v", err)
 	}
-	const survivors, blocks, tail = 3, 2, 2
+	if d := maxPosDev(clean, out); d > 1e-4 {
+		t.Fatalf("degraded-mode positions diverge by %g", d)
+	}
+	// Every survivor commits the two 3-step blocks; two of them the
+	// tail as well.
+	const survivors, blocks, tailRanks = 3, 2, 2
+	const records = survivors*blocks + tailRanks
 	for _, want := range []struct {
 		counter string
 		n       int64
 	}{
-		{"pfasst.blocks", survivors * blocks},
+		{"pfasst.blocks", records},
 		{"pfasst.shrinks", survivors},
 		{"pfasst.block_restarts", survivors},
 		{"fault.degraded_blocks", survivors * (blocks + 1)},
@@ -128,10 +137,9 @@ func TestFacadeCrashContinuesNarrower(t *testing.T) {
 			t.Errorf("%s = %d, want %d", want.counter, got, want.n)
 		}
 	}
-	// Per survivor: 2 iterations + the trailing sweep per committed
-	// block, 8 fallback sweeps per tail step, and at most one aborted
-	// 4-wide attempt's worth on top.
-	committed := int64(survivors * (blocks*3 + tail*8))
+	// 2 iterations + the trailing sweep per committed block record, and
+	// at most one aborted 4-wide attempt's worth on top per survivor.
+	committed := int64(records * 3)
 	if got := stats.Run.Counter("pfasst.fine_sweeps"); got < committed || got > committed+survivors*3 {
 		t.Errorf("pfasst.fine_sweeps = %d, want %d plus at most %d from the aborted attempt", got, committed, survivors*3)
 	}
@@ -165,6 +173,15 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	cfg.Resilience.FaultPlan = "bogus=1"
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
 		t.Fatal("malformed fault plan accepted")
+	}
+	// So is a crash that could never fire: a rank the grid does not
+	// have, a phase no fault point passes. Either would run clean.
+	for _, plan := range []string{"crash=4@iter:1", "crash=1@bogus:0"} {
+		cfg = chaosConfig(2, 2)
+		cfg.Resilience.FaultPlan = plan
+		if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
+			t.Errorf("fault plan %q on a 2×2 grid accepted", plan)
+		}
 	}
 }
 

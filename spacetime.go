@@ -106,8 +106,8 @@ type GuardConfig struct {
 	Enabled bool
 	// FlipPlan is a fault.ParseMem spec describing seeded bit flips,
 	// e.g. "rate=5e-4,in=state+tree,bits=52-63" (domains: state, tree,
-	// block, ckpt; add ",sticky" for persistent faults that exhaust
-	// the ladder). Empty injects nothing — the detectors still guard
+	// block; add ",sticky" for persistent faults that exhaust the
+	// ladder). Empty injects nothing — the detectors still guard
 	// against real corruption.
 	FlipPlan string
 	// FlipSeed seeds the plan's deterministic per-word verdicts.
@@ -129,11 +129,12 @@ type GuardConfig struct {
 // plan to inject, and the recovery machinery to survive it.
 type ResilienceConfig struct {
 	// Enabled turns on resilient time stepping (deadline receives,
-	// block agreement commits, shrink-and-redo crash recovery,
-	// serial-SDC degraded fallback). One protocol at every PS: a time
-	// slice that died out is dropped and the run continues PT − 1 wide,
-	// a thinned slice narrows the spatial width and the particle state
-	// is re-decomposed onto it (DESIGN.md §11). Fault injection without
+	// block agreement commits, shrink-and-redo crash recovery). One
+	// protocol at every PS: a time slice that died out is dropped and
+	// the run continues PT − 1 wide, a thinned slice narrows the
+	// spatial width and the particle state is re-decomposed onto it,
+	// and a tail the narrower blocks leave over runs as one block on
+	// fewer time slices (DESIGN.md §11). Fault injection without
 	// Enabled exercises the plain solver, which absorbs transient plans
 	// but dies on crashes.
 	Enabled bool
@@ -154,9 +155,6 @@ type ResilienceConfig struct {
 	// PS = 1 runs wrote before the layouts were merged.
 	CheckpointDir string
 	Resume        bool
-	// FallbackSweeps is the serial-SDC sweep count of the degraded
-	// tail (0 = default).
-	FallbackSweeps int
 	// MaxBlockRetries bounds consecutive redo attempts of one block
 	// that make no progress: recovery rounds without a newly agreed
 	// rank death (0 = default).
@@ -229,6 +227,9 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 	var err error
 	if rz.FaultPlan != "" {
 		plan, err = fault.Parse(rz.FaultPlan, rz.FaultSeed)
+		if err == nil {
+			err = plan.CheckRanks(cfg.PT * cfg.PS)
+		}
 		if err != nil {
 			return nil, SpaceTimeStats{}, err
 		}
@@ -250,7 +251,6 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 			RecvTimeout:     rz.RecvTimeout,
 			CheckpointDir:   rz.CheckpointDir,
 			Resume:          rz.Resume,
-			FallbackSweeps:  rz.FallbackSweeps,
 			MaxBlockRetries: rz.MaxBlockRetries,
 		}
 	}
@@ -311,8 +311,9 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		// surviving slice may write the output — the nominal writer may
 		// have been the crashed rank. The plain path keeps its single
 		// writer (slice PT−1). Ranks the grid-resilient path retired
-		// after a shrink hold no share; the decomposition is indexed by
-		// the FINAL spatial width, which recovery may have reduced.
+		// after a shrink or for a tail hold no share; the decomposition
+		// is indexed by the FINAL spatial width, which recovery may have
+		// reduced.
 		if res.Participated && (res.TimeSlice == cfg.PT-1 || rz.Enabled) {
 			lo, _ := hot.BlockRange(sys.N(), res.SpatialIndex, res.SpatialRanks)
 			copy(out.Particles[lo:lo+res.Local.N()], res.Local.Particles)
