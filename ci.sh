@@ -119,9 +119,12 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # TestFacadeGridCrashMidAttempt carries the `Threads: 2` row: traversal
 # workers across a mid-attempt crash, bitwise equal to `Threads: 1`.
 # `Cancel` is TestFacadeCancelAtBlockBoundary: cancellation through
-# both block loops via the one block-boundary callback.
+# both block loops via the one block-boundary callback. `Deadlock`
+# re-runs the deadlock detector's tests (every rank blocked, a dead
+# rank, the diagnostics, a death while all survivors wait), whose
+# timing the receive's poll-then-park wait rule changes.
 go test -race -count=1 -timeout 10m \
-  -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Shrink|Agree|Torn|Levels|Fault|Cancel' \
+  -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Deadlock|Shrink|Agree|Torn|Levels|Fault|Cancel' \
   ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ .
 
 # Checkpoint fuzz smoke: a few seconds of mutated NBLV headers against

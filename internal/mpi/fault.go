@@ -109,7 +109,8 @@ func (c *Comm) deadMemberLocked() int {
 // when no matching message arrives within timeout (host time). A
 // matching message that is already queued is returned even if a member
 // has died. The wait does not participate in deadlock detection — the
-// deadline is its liveness bound.
+// deadline is its liveness bound — and it parks at once, without the
+// poll of Recv's wait rule (see recv for why).
 func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) (data []byte, actualSrc, actualTag int, err error) {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("mpi: RecvDeadline tag %d invalid", tag))
@@ -135,11 +136,14 @@ func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) (data []byte, a
 	defer timer.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for {
+	for parked := false; ; parked = true {
 		if w.failed != nil {
 			panic(w.failed)
 		}
 		if m, cr, ok := c.matchLocked(box, wantWorldSrc, tag); ok {
+			if pb := w.tel[me]; pb != nil && parked {
+				pb.recvParked.Inc()
+			}
 			return m.data, cr, m.tag, nil
 		}
 		if w.revoked[c.id] {

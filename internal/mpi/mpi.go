@@ -10,18 +10,21 @@
 // and every receive synchronizes the receiver's clock with
 // sendTime + latency + bytes/bandwidth. Because the collectives are
 // implemented on top of point-to-point messages with realistic
-// algorithms (dissemination barrier, binomial trees, ring allgather),
-// modeled wall-clock times emerge from the actual message pattern of
-// the executed program. This is the substitution for the 262,144-core
-// Blue Gene/P installation: same algorithm, same messages, modeled
-// time.
+// algorithms (dissemination barrier, binomial trees, ring Allgather,
+// and the Bruck AllgatherBatchedOverlap of the tree code's branch
+// exchange), modeled wall-clock times emerge from the actual message
+// pattern of the executed program. This is the substitution for the
+// 262,144-core Blue Gene/P installation: same algorithm, same
+// messages, modeled time.
 package mpi
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // AnySource matches messages from any source rank in Recv.
@@ -64,7 +67,17 @@ type message struct {
 type mailbox struct {
 	cond sync.Cond
 	msgs []message
+	// arrivals counts the events that can end a wait on this mailbox:
+	// every post to it and every allBox wake-up (failure, rank death,
+	// revocation, an Agree contribution). A polling receive reads it
+	// without w.mu to learn that a re-check is worth the lock.
+	arrivals atomic.Uint64
 }
+
+// pollYields is the number of runtime.Gosched calls a plain receive
+// spends polling its mailbox's arrival count before it parks on the
+// mailbox condition (see recv).
+const pollYields = 50
 
 // waitInfo records what a blocked rank is waiting for — the epoch it
 // observed plus the (src, tag) pair of the pending receive (world src,
@@ -136,6 +149,7 @@ func newWorld(size int, timed bool, tm TimeModel, fault FaultPolicy) *world {
 	}
 	w.allBox = func() {
 		for _, b := range w.boxes {
+			b.arrivals.Add(1)
 			b.cond.Broadcast()
 		}
 	}
@@ -405,6 +419,7 @@ func (c *Comm) post(dst, tag int, buf []byte) {
 		sendVT:  w.vt[me],
 		extraVT: extraVT,
 	})
+	box.arrivals.Add(1)
 	box.cond.Broadcast()
 	w.mu.Unlock()
 }
@@ -413,6 +428,12 @@ func (c *Comm) post(dst, tag int, buf []byte) {
 // its payload and actual source (as a communicator rank) and tag. Use
 // AnySource / AnyTag as wildcards. Messages from a given source with a
 // given tag are received in send order.
+//
+// The wait rule: a receive that finds no match first polls — it yields
+// the processor while nothing new has reached its mailbox, up to a
+// fixed budget of yields — and only then parks on the mailbox. The
+// poll decides only which goroutine runs while a message is in flight;
+// it changes no match, no order and no modeled time.
 func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("mpi: Recv tag %d invalid", tag))
@@ -421,7 +442,20 @@ func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 }
 
 // recv is Recv without the user-tag check (collectives use negative
-// tags). A wait registers with the deadlock detector.
+// tags). A parked wait registers with the deadlock detector.
+//
+// Why it polls: a rank woken from cond.Wait is queued on the sender's
+// processor, and when the other processor is idle its thread must be
+// woken by the OS before it can steal the rank, so every dependent hop
+// of a collective would pay a cross-core wake-up. A polling rank stays
+// runnable and picks the message up on its next turn. The poll holds
+// no registration, so the deadlock detector sees a polling rank as
+// running until its budget is spent and it parks. RecvDeadline and
+// Agree park at once: their waits are long (deadlines, recovery
+// rounds), and yields there only take turns from the ranks doing the
+// work. Polling in them as well raised the benchmark's daemon-fleet
+// 80th-percentile job latency by 30 % on a 2-core host (PERFORMANCE.md,
+// "Waiting for a message").
 func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 	wantWorldSrc := AnySource
 	if src != AnySource {
@@ -430,22 +464,55 @@ func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 		}
 		wantWorldSrc = c.ranks[src]
 	}
+	box := c.w.boxes[c.WorldRank()]
+	polled := false
+	for budget := pollYields; ; polled = true {
+		m, cr, seen, ok := c.await(box, wantWorldSrc, tag, polled, budget == 0)
+		if ok {
+			return m.data, cr, m.tag
+		}
+		// Every post and wake-up bumps arrivals under w.mu, so nothing
+		// that landed after await's scan goes unseen here.
+		for budget > 0 && box.arrivals.Load() == seen {
+			runtime.Gosched()
+			budget--
+		}
+	}
+}
+
+// await scans box for the first message matching (wantWorldSrc, tag).
+// Without a match it either returns the mailbox's arrival count, for
+// recv's poll, or — with park set — registers with the deadlock
+// detector and waits on the mailbox until a match comes. A match
+// counts as parked when this call waited, else as polled when a poll
+// preceded it (polled), else in neither wait counter.
+func (c *Comm) await(box *mailbox, wantWorldSrc, tag int, polled, park bool) (message, int, uint64, bool) {
 	w := c.w
 	me := c.WorldRank()
-	box := w.boxes[me]
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for {
+	for parked := false; ; parked = true {
 		if w.failed != nil {
 			panic(w.failed)
 		}
 		if m, cr, ok := c.matchLocked(box, wantWorldSrc, tag); ok {
-			return m.data, cr, m.tag
+			if pb := w.tel[me]; pb != nil {
+				switch {
+				case parked:
+					pb.recvParked.Inc()
+				case polled:
+					pb.recvPolled.Inc()
+				}
+			}
+			return m, cr, 0, true
 		}
 		// Queued matches are delivered above even on a revoked or
 		// failing communicator; only a receive that would block fails.
 		if err := c.revokedOrDeadLocked(); err != nil {
 			panic(commFailure{err})
+		}
+		if !park {
+			return message{}, -1, box.arrivals.Load(), false
 		}
 		w.waiting[me] = waitInfo{epoch: w.epoch, src: wantWorldSrc, tag: tag, comm: c}
 		if w.deadlocked() {
@@ -527,6 +594,13 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		return data
 	}
 	defer c.probe().timer(collBcast).Start().Stop()
+	return c.bcast(root, data)
+}
+
+// bcast is Bcast without its timer: the allreduces end in it, and their
+// broadcast half is allreduce time, not broadcast time.
+func (c *Comm) bcast(root int, data []byte) []byte {
+	p := c.Size()
 	tag := c.collTag(1)
 	rel := (c.rank - root + p) % p // relative rank, root = 0
 	// Receive from parent (highest set bit), then forward to children.
@@ -715,13 +789,13 @@ func (c *Comm) AllreduceFloat64(x []float64, op Op) []float64 {
 		}
 		mask <<= 1
 	}
-	res := c.Bcast(0, Float64sToBytes(acc))
+	res := c.bcast(0, Float64sToBytes(acc))
 	return BytesToFloat64s(res)
 }
 
-// AllreduceInt64 is AllreduceFloat64 for int64 values (sum/max/min are
-// exact within ±2^53 via the float64 path is NOT acceptable, so a
-// dedicated integer path is used).
+// AllreduceInt64 is AllreduceFloat64 for int64 values. It reduces in
+// integer arithmetic on its own path: routed through float64, a sum,
+// max or min would be exact only within ±2^53.
 func (c *Comm) AllreduceInt64(x []int64, op Op) []int64 {
 	acc := append([]int64(nil), x...)
 	p := c.Size()
@@ -757,7 +831,7 @@ func (c *Comm) AllreduceInt64(x []int64, op Op) []int64 {
 		}
 		mask <<= 1
 	}
-	res := c.Bcast(0, Int64sToBytes(acc))
+	res := c.bcast(0, Int64sToBytes(acc))
 	return BytesToInt64s(res)
 }
 

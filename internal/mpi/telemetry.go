@@ -14,6 +14,14 @@ const (
 	CounterRecvs     = "mpi.recvs"
 	CounterRecvBytes = "mpi.recv_bytes"
 
+	// How receives that found no match ended (see Recv's wait rule):
+	// polled counts those matched while polling, parked those that
+	// parked on the mailbox at least once (RecvDeadline parks at once).
+	// A receive whose message was already queued counts in neither, so
+	// polled + parked ≤ recvs.
+	CounterRecvPolled = "mpi.recv_polled"
+	CounterRecvParked = "mpi.recv_parked"
+
 	TimerBarrier   = "mpi.barrier"
 	TimerBcast     = "mpi.bcast"
 	TimerAllgather = "mpi.allgather"
@@ -46,6 +54,7 @@ const (
 // probe() snapshot, and only the owning rank ever writes its slot.
 type commProbe struct {
 	sends, sendBytes, recvs, recvBytes       *telemetry.Counter
+	recvPolled, recvParked                   *telemetry.Counter
 	faultInjected, faultRecovered, faultLost *telemetry.Counter
 	coll                                     [collCount]*telemetry.Timer
 }
@@ -56,6 +65,8 @@ func newCommProbe(reg *telemetry.Registry) *commProbe {
 		sendBytes:      reg.Counter(CounterSendBytes),
 		recvs:          reg.Counter(CounterRecvs),
 		recvBytes:      reg.Counter(CounterRecvBytes),
+		recvPolled:     reg.Counter(CounterRecvPolled),
+		recvParked:     reg.Counter(CounterRecvParked),
 		faultInjected:  reg.Counter(CounterFaultInjected),
 		faultRecovered: reg.Counter(CounterFaultRecovered),
 		faultLost:      reg.Counter(CounterFaultLost),
