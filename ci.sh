@@ -74,16 +74,18 @@ rm -f "$alloc_out"
 # order as single pairs, == itself cut at any lane, velocity loop ==
 # gradient loop's velocity) plus the oracle bound on every pair, over
 # random tails, denormal circulations and coincident sources; the
-# four-target tile == four ranges, bitwise, over lane masks, per-lane
-# skips, edge separations, NaN/Inf inputs and non-zero starting sums,
-# with the lanes outside the mask untouched; the Coulomb
+# four-target stream == its per-lane scalar legs, bitwise, over mixed
+# leaf and cell items (with dipoles, runs past the stream's capacity),
+# lane masks, absolute per-lane skips, edge separations, NaN/Inf inputs
+# and non-zero starting sums, with the lanes outside every mask
+# untouched; the Coulomb
 # range within 1 ulp of its scalar reference over random softenings.
 go test -run '^$' -fuzz FuzzBatchGradRange -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzGradTile -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 
 # Fallback lane: the Go body stays the definition. Under the purego tag
-# the tile runs as one AccumGradRange per lane inside its mask, and the
+# the stream runs as the scalar legs lane by lane, and the
 # cross-commit pins (façade hashes, tile walk == recursive for both
 # disciplines, hot at PS = 1 == tree.Solver) must hold through it as
 # they hold through the AVX2 loop. The arm64
@@ -91,7 +93,7 @@ go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 # and vets clean (asmdecl checks the amd64 frame in the plain vet
 # above).
 go test -count=1 -tags purego ./internal/kernel/ ./internal/tree/ ./internal/hot/ ./internal/direct/ .
-GOARCH=arm64 go vet ./internal/kernel/ ./internal/tree/ ./internal/direct/
+GOARCH=arm64 go vet ./internal/kernel/ ./internal/tree/ ./internal/direct/ ./internal/hot/
 
 # Tree and transport fuzz smoke: Morton key encode/decode over the full
 # coordinate range; the tile walk == the per-particle walk, bitwise with

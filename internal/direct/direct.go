@@ -5,6 +5,7 @@
 package direct
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/field"
@@ -16,7 +17,7 @@ import (
 
 // Solver is a direct-summation evaluator: it gathers identity-ordered
 // SoA lanes once per evaluation and runs the batched kernels, summing
-// sources in index order (Eval four targets per tile call). The zero
+// sources in index order (Eval four targets per kernel call). The zero
 // value is not usable; construct with New.
 type Solver struct {
 	sm      kernel.Smoothing
@@ -26,8 +27,16 @@ type Solver struct {
 	evals        atomic.Int64
 	interactions atomic.Int64
 
-	// lanes is the SoA gather arena, reused across evaluations.
+	// lanes is the SoA gather arena, and tiles the per-worker tile and
+	// stream of Eval, both reused across evaluations.
 	lanes particle.SoA
+	tiles []tileState
+}
+
+// tileState is one worker's tile and stream.
+type tileState struct {
+	tile   kernel.GradTile
+	stream kernel.TileStream
 }
 
 // New returns a direct solver using the given smoothing kernel and
@@ -63,17 +72,27 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	l := &s.lanes
 	l.GatherVortex(sys, nil) // identity order: lane p = particle p
 	b := kernel.NewVortexBatch(pw)
-	s.alignedRange(n, func(lo, hi int) {
-		var tile kernel.GradTile
+	nw := s.workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	if len(s.tiles) < nw {
+		s.tiles = make([]tileState, nw)
+	}
+	// alignedRange's schedule, with the worker id to pick the tile by.
+	sched.RunAligned(nw, n, 0, kernel.BatchWidth, func(worker, lo, hi int) {
+		tile, stream := &s.tiles[worker].tile, &s.tiles[worker].stream
 		for q0 := lo; q0 < hi; q0 += kernel.TileWidth {
-			// Four targets per tile; the mask leaves out the spare lanes.
+			// Four targets per tile, each skipping its own lane; the
+			// mask of the one leaf item, every source, leaves out the
+			// spare lanes.
 			for k := range kernel.TileWidth {
 				q := min(q0+k, hi-1)
 				tile.X[k], tile.Y[k], tile.Z[k], tile.Skip[k] = l.X[q], l.Y[q], l.Z[q], q
 			}
-			tile.Mask = kernel.AllLanes >> (kernel.TileWidth - min(kernel.TileWidth, hi-q0))
 			tile.Reset()
-			b.AccumGradTile(&tile, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ)
+			stream.Leaf(kernel.AllLanes>>(kernel.TileWidth-min(kernel.TileWidth, hi-q0)), 0, n)
+			b.AccumGradStream(tile, stream, l.X, l.Y, l.Z, l.AX, l.AY, l.AZ)
 			for q := q0; q < min(q0+kernel.TileWidth, hi); q++ {
 				acc := tile.Lane(q - q0)
 				vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
@@ -84,29 +103,6 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 				}
 				stretch[q] = s.scheme.Stretch(grad, ps[q].Alpha)
 			}
-		}
-	})
-}
-
-// Velocities computes only the induced velocities (no stretching); it
-// is cheaper when the gradient is not needed.
-func (s *Solver) Velocities(sys *particle.System, vel []vec.Vec3) {
-	n := sys.N()
-	if len(vel) != n {
-		panic("direct: Velocities output slice must have length N")
-	}
-	s.evals.Add(1)
-	s.interactions.Add(int64(n) * int64(n-1))
-	pw := kernel.Pairwise{Sm: s.sm, Sigma: sys.Sigma}
-	l := &s.lanes
-	l.GatherVortex(sys, nil)
-	b := kernel.NewVortexBatch(pw)
-	s.alignedRange(n, func(lo, hi int) {
-		for q := lo; q < hi; q++ {
-			var acc kernel.VortexAcc
-			b.AccumVelRange(&acc, l.X[q], l.Y[q], l.Z[q],
-				l.X, l.Y, l.Z, l.AX, l.AY, l.AZ, q)
-			vel[q] = vec.V3(acc.UX, acc.UY, acc.UZ)
 		}
 	})
 }

@@ -52,16 +52,17 @@ type VortexAcc struct {
 
 // VortexBatch carries the loop-invariant data of vortex evaluation:
 // σ⁻² and the Horner tables of −P_F/4πσ³ and −P_H/4πσ⁵, lowest power
-// of w first, plus the same constants (and 1) broadcast to TileWidth
-// lanes for the tile loop. Construct once per evaluation with
-// NewVortexBatch and pass a pointer; the struct is read-only afterwards
-// and safe to share across goroutines.
+// of w first, plus the same constants (and 1, and DipoleVel's 3 and
+// −1/4π) broadcast to TileWidth lanes for the tile loop. Construct once
+// per evaluation with NewVortexBatch and pass a pointer; the struct is
+// read-only afterwards and safe to share across goroutines.
 type VortexBatch struct {
 	is2    float64
 	fc, hc [maxAlgebraicN - 1]float64
 
-	tis2, tone [TileWidth]float64
-	tfc, thc   [maxAlgebraicN - 1][TileWidth]float64
+	tis2, tone    [TileWidth]float64
+	tfc, thc      [maxAlgebraicN - 1][TileWidth]float64
+	tthree, tdipk [TileWidth]float64
 }
 
 // NewVortexBatch precomputes the per-evaluation constants of pw.
@@ -77,6 +78,7 @@ func NewVortexBatch(pw Pairwise) VortexBatch {
 	}
 	for l := range TileWidth {
 		b.tis2[l], b.tone[l] = b.is2, 1
+		b.tthree[l], b.tdipk[l] = 3, dipoleK
 		for i := range b.fc {
 			b.tfc[i][l], b.thc[i][l] = b.fc[i], b.hc[i]
 		}

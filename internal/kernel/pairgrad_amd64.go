@@ -4,7 +4,7 @@ package kernel
 
 func init() {
 	if haveAVX2() {
-		tileAsm = gradTileAsm
+		streamAsm = gradStreamAVX2
 	}
 }
 
@@ -28,43 +28,14 @@ func haveAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// laneMasks[m] is mask m spread over the four lanes of a YMM register:
-// all ones in lane l when bit l of m is set.
-var laneMasks = func() (ms [AllLanes + 1][TileWidth]uint64) {
-	for m := range ms {
-		for l := range TileWidth {
-			if m>>l&1 != 0 {
-				ms[m][l] = ^uint64(0)
-			}
-		}
-	}
-	return ms
-}()
-
-// gradTileAsm runs the AVX2 loop over a non-empty range. The loop
-// leaves the counts to its caller: lane l inside the mask counts every
-// source but the one it skips.
-func gradTileAsm(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs []float64) {
-	n := len(xs)
-	m := t.Mask & AllLanes
-	gradTileAVX2(b, t, &xs[0], &ys[0], &zs[0], &axs[0], &ays[0], &azs[0], n, &laneMasks[m])
-	for l, s := range t.Skip {
-		if m>>l&1 == 0 {
-			continue
-		}
-		t.N[l] += int64(n)
-		if s >= 0 && s < n {
-			t.N[l]--
-		}
-	}
-}
-
-// gradTileAVX2 adds the velocity and gradient of the n sources at
-// xs..azs to the lanes of t that mask selects, as pairGrad does lane by
-// lane.
+// gradStreamAVX2 adds the items of the stream, in order, to the lanes
+// of t that each item's mask selects, as gradStreamGo does lane by
+// lane: a leaf item through the pair body with the skip compared as an
+// absolute lane index, a cell item through the same body then, with
+// its dipole, DipoleVel's operations four lanes wide.
 //
 //go:noescape
-func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int, mask *[TileWidth]uint64)
+func gradStreamAVX2(b *VortexBatch, t *GradTile, items []tileItem, xs, ys, zs, axs, ays, azs []float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

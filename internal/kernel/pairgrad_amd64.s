@@ -3,41 +3,118 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// The vortex pair body four targets wide: lane l of every YMM register
-// is target l of the GradTile. Each lane runs the operations of
-// AccumGradRange and pairGrad in their order — Go on amd64 never fuses
+// The vortex tile stream four targets wide: lane l of every YMM
+// register is target l of the GradTile. One call runs every item of
+// the stream in order through one pair body. A leaf item loops the
+// body over its source lanes; a cell item points the source registers
+// at its centroid and circulation sum, runs the body once and, with
+// a dipole, adds DipoleVel four lanes wide. Each lane runs the
+// operations of gradStreamGo in their order — Go on amd64 never fuses
 // a multiply-add, VDIVPD and VSQRTPD round correctly — so every lane
 // gets the Go body's bits. Only VEX-encoded instructions are used (a
 // legacy-SSE instruction between them costs a state transition), and
 // VZEROUPPER precedes the return.
 //
-// A lane that skips source k (k == Skip[l]), sees it at zero
-// separation (d2 == 0, NaN counting as non-zero as with Go's !=) or
-// lies outside the caller's lane mask still computes the term; the
-// term is ANDed with the lane's live mask and added as +0. acc + (+0) is acc for every acc but −0, and a sum that
-// starts at +0 never becomes −0 (x + y is −0 only when both are −0), so
-// this is the scalar loop's skip, bit for bit.
+// A lane that skips source k (a leaf item's absolute lane index
+// k == Skip[l]), sees it at zero separation (d2 == 0, NaN counting as
+// non-zero as with Go's !=) or lies outside the item's lane mask still
+// computes the term; the term is ANDed with the lane's live mask and
+// added as +0. acc + (+0) is acc for every acc but −0, and a sum that
+// starts at +0 never becomes −0 (x + y is −0 only when both are −0),
+// so this is the scalar loop's skip, bit for bit. The dipole has no
+// zero-separation guard, as in DipoleVel: its terms are ANDed with the
+// lane mask alone.
+//
+// Registers across the loops: AX the batch, DI the tile, SI the item,
+// R14 the end of the items, R8..R13 the source lanes (x, y, z, αx, αy,
+// αz), CX the source index and BX its end, DX the item's kind. The
+// item's lane mask, spread to all-ones lanes, lives in the frame.
+
+// laneBits is bit l in lane l: the lane mask spreads to all-ones lanes
+// by one AND and one compare against it.
+DATA laneBits<>+0(SB)/8, $1
+DATA laneBits<>+8(SB)/8, $2
+DATA laneBits<>+16(SB)/8, $4
+DATA laneBits<>+24(SB)/8, $8
+GLOBL laneBits<>(SB), RODATA|NOPTR, $32
 
 // ACC adds the masked term t to the tile accumulator at offset off.
 #define ACC(t, off) VANDPD Y5, t, t; VADDPD off(DI), t, t; VMOVUPD t, off(DI)
 
-// func gradTileAVX2(b *VortexBatch, t *GradTile, xs, ys, zs, axs, ays, azs *float64, n int, mask *[4]uint64)
-TEXT ·gradTileAVX2(SB), NOSPLIT, $0-80
-	MOVQ b+0(FP), AX
-	MOVQ t+8(FP), DI
-	MOVQ xs+16(FP), R8
-	MOVQ ys+24(FP), R9
-	MOVQ zs+32(FP), R10
-	MOVQ axs+40(FP), R11
-	MOVQ ays+48(FP), R12
-	MOVQ azs+56(FP), R13
-	MOVQ n+64(FP), BX
-	MOVQ mask+72(FP), SI
-	XORQ CX, CX
-	CMPQ BX, $0
-	JLE  done
+// DIP adds the masked dipole term t to the tile accumulator at offset off.
+#define DIP(t, off) VANDPD lanes-32(SP), t, t; VADDPD off(DI), t, t; VMOVUPD t, off(DI)
 
-loop:
+// func gradStreamAVX2(b *VortexBatch, t *GradTile, items []tileItem, xs, ys, zs, axs, ays, azs []float64)
+TEXT ·gradStreamAVX2(SB), NOSPLIT, $32-184
+	MOVQ  b+0(FP), AX
+	MOVQ  t+8(FP), DI
+	MOVQ  items_base+16(FP), SI
+	MOVQ  items_len+24(FP), R14
+	IMULQ $tileItem__size, R14
+	ADDQ  SI, R14
+	CMPQ  SI, R14
+	JGE   done
+
+item:
+	// The item's lane mask, spread: all ones in lane l when bit l is set.
+	MOVBQZX      tileItem_mask(SI), DX
+	VMOVQ        DX, X6
+	VPBROADCASTQ X6, Y6
+	VMOVDQU      laneBits<>(SB), Y7
+	VPAND        Y7, Y6, Y6
+	VPCMPEQQ     Y7, Y6, Y6
+	VMOVDQU      Y6, lanes-32(SP)
+	MOVBQZX      tileItem_kind(SI), DX
+	CMPQ         DX, $const_itemLeaf
+	JNE          cell
+
+	// A leaf: the source lanes [lo, hi). Inside the mask, N += (hi − lo)
+	// less one where lo ≤ Skip < hi.
+	MOVQ         tileItem_lo(SI), CX
+	MOVQ         tileItem_hi(SI), BX
+	MOVQ         BX, R8
+	SUBQ         CX, R8
+	VMOVQ        R8, X7
+	VPBROADCASTQ X7, Y7
+	VMOVDQU      GradTile_Skip(DI), Y8
+	LEAQ         -1(CX), R8
+	VMOVQ        R8, X9
+	VPBROADCASTQ X9, Y9
+	VPCMPGTQ     Y9, Y8, Y9
+	VMOVQ        BX, X10
+	VPBROADCASTQ X10, Y10
+	VPCMPGTQ     Y8, Y10, Y10
+	VPAND        Y10, Y9, Y9
+	VPADDQ       Y9, Y7, Y7
+	VPAND        Y6, Y7, Y7
+	VPADDQ       GradTile_N(DI), Y7, Y7
+	VMOVDQU      Y7, GradTile_N(DI)
+	MOVQ         xs_base+40(FP), R8
+	MOVQ         ys_base+64(FP), R9
+	MOVQ         zs_base+88(FP), R10
+	MOVQ         axs_base+112(FP), R11
+	MOVQ         ays_base+136(FP), R12
+	MOVQ         azs_base+160(FP), R13
+	CMPQ         CX, BX
+	JLT          pair
+	JMP          next
+
+cell:
+	// A cell: one source, its centroid and circulation sum, counted
+	// once inside the mask.
+	VPSRLQ  $63, Y6, Y7
+	VPADDQ  GradTile_N(DI), Y7, Y7
+	VMOVDQU Y7, GradTile_N(DI)
+	LEAQ    tileItem_x(SI), R8
+	LEAQ    tileItem_y(SI), R9
+	LEAQ    tileItem_z(SI), R10
+	LEAQ    tileItem_ax(SI), R11
+	LEAQ    tileItem_ay(SI), R12
+	LEAQ    tileItem_az(SI), R13
+	XORQ    CX, CX
+	MOVQ    $1, BX
+
+pair:
 	// r = target − source
 	VBROADCASTSD (R8)(CX*8), Y0
 	VMOVUPD      GradTile_X(DI), Y15
@@ -56,14 +133,19 @@ loop:
 	VMULPD Y2, Y2, Y4
 	VADDPD Y4, Y3, Y3
 
-	// Y5 = live mask: d2 != 0 (NEQ_UQ), k != Skip and the lane mask
+	// Y5 = live mask: d2 != 0 (NEQ_UQ), in a leaf k != Skip, and the
+	// lane mask
 	VXORPD       Y4, Y4, Y4
 	VCMPPD       $4, Y4, Y3, Y5
+	CMPQ         DX, $const_itemLeaf
+	JNE          live
 	VMOVQ        CX, X6
 	VPBROADCASTQ X6, Y6
 	VPCMPEQQ     GradTile_Skip(DI), Y6, Y6
 	VANDNPD      Y5, Y6, Y5
-	VANDPD       (SI), Y5, Y5
+
+live:
+	VANDPD lanes-32(SP), Y5, Y5
 
 	// w = 1/(1 + d2·σ⁻²), w32 = w·√w
 	VMULPD  VortexBatch_tis2(AX), Y3, Y3
@@ -156,11 +238,101 @@ loop:
 
 	INCQ CX
 	CMPQ CX, BX
-	JLT  loop
+	JLT  pair
+	CMPQ DX, $const_itemCellDipole
+	JEQ  dipole
+
+next:
+	ADDQ $tileItem__size, SI
+	CMPQ SI, R14
+	JLT  item
 
 done:
 	VZEROUPPER
 	RET
+
+dipole:
+	// DipoleVel at r (still in Y0..Y2): inv = 1/√((rx·rx + ry·ry) +
+	// rz·rz), inv2 = inv·inv, tf = inv2·inv, s = (3·tf)·inv2
+	VMULPD  Y0, Y0, Y3
+	VMULPD  Y1, Y1, Y4
+	VADDPD  Y4, Y3, Y3
+	VMULPD  Y2, Y2, Y4
+	VADDPD  Y4, Y3, Y3
+	VSQRTPD Y3, Y3
+	VMOVUPD VortexBatch_tone(AX), Y4
+	VDIVPD  Y3, Y4, Y3
+	VMULPD  Y3, Y3, Y4
+	VMULPD  Y3, Y4, Y5
+	VMULPD  VortexBatch_tthree(AX), Y5, Y6
+	VMULPD  Y4, Y6, Y6
+
+	// w_k = (D0k·rx + D1k·ry) + D2k·rz in Y7..Y9; D[j][k] sits at
+	// tileItem_d + 8·(3j + k)
+	VBROADCASTSD tileItem_d+0(SI), Y7
+	VMULPD       Y0, Y7, Y7
+	VBROADCASTSD tileItem_d+24(SI), Y10
+	VMULPD       Y1, Y10, Y10
+	VADDPD       Y10, Y7, Y7
+	VBROADCASTSD tileItem_d+48(SI), Y10
+	VMULPD       Y2, Y10, Y10
+	VADDPD       Y10, Y7, Y7
+	VBROADCASTSD tileItem_d+8(SI), Y8
+	VMULPD       Y0, Y8, Y8
+	VBROADCASTSD tileItem_d+32(SI), Y10
+	VMULPD       Y1, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VBROADCASTSD tileItem_d+56(SI), Y10
+	VMULPD       Y2, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VBROADCASTSD tileItem_d+16(SI), Y9
+	VMULPD       Y0, Y9, Y9
+	VBROADCASTSD tileItem_d+40(SI), Y10
+	VMULPD       Y1, Y10, Y10
+	VADDPD       Y10, Y9, Y9
+	VBROADCASTSD tileItem_d+64(SI), Y10
+	VMULPD       Y2, Y10, Y10
+	VADDPD       Y10, Y9, Y9
+
+	// ux = k·(s·(ry·wz − rz·wy) − tf·(D12 − D21))
+	VMULPD       Y9, Y1, Y10
+	VMULPD       Y8, Y2, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       Y10, Y6, Y10
+	VBROADCASTSD tileItem_d+40(SI), Y11
+	VBROADCASTSD tileItem_d+56(SI), Y12
+	VSUBPD       Y12, Y11, Y11
+	VMULPD       Y11, Y5, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       VortexBatch_tdipk(AX), Y10, Y10
+	DIP(Y10, GradTile_Acc+0)
+
+	// uy = k·(s·(rz·wx − rx·wz) − tf·(D20 − D02))
+	VMULPD       Y7, Y2, Y10
+	VMULPD       Y9, Y0, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       Y10, Y6, Y10
+	VBROADCASTSD tileItem_d+48(SI), Y11
+	VBROADCASTSD tileItem_d+16(SI), Y12
+	VSUBPD       Y12, Y11, Y11
+	VMULPD       Y11, Y5, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       VortexBatch_tdipk(AX), Y10, Y10
+	DIP(Y10, GradTile_Acc+32)
+
+	// uz = k·(s·(rx·wy − ry·wx) − tf·(D01 − D10))
+	VMULPD       Y8, Y0, Y10
+	VMULPD       Y7, Y1, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       Y10, Y6, Y10
+	VBROADCASTSD tileItem_d+8(SI), Y11
+	VBROADCASTSD tileItem_d+24(SI), Y12
+	VSUBPD       Y12, Y11, Y11
+	VMULPD       Y11, Y5, Y11
+	VSUBPD       Y11, Y10, Y10
+	VMULPD       VortexBatch_tdipk(AX), Y10, Y10
+	DIP(Y10, GradTile_Acc+64)
+	JMP          next
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -1,9 +1,12 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 // sameFloat is the tile contract's equality: identical bits, or NaN
@@ -25,40 +28,101 @@ func sameAcc(a, b *VortexAcc) bool {
 	return true
 }
 
-// checkTileContract asserts that every lane inside the tile's mask
-// equals an AccumGradRange call from the lane's starting sums, bit for
-// bit, and that every lane outside it keeps its sums and count.
-func checkTileContract(t *testing.T, ctx string, b *VortexBatch, tile *GradTile, xs, ys, zs, axs, ays, azs []float64) {
-	t.Helper()
-	var want [TileWidth]VortexAcc
-	for l := range TileWidth {
-		want[l] = tile.Lane(l)
-		if tile.Mask>>l&1 != 0 {
-			b.AccumGradRange(&want[l], tile.X[l], tile.Y[l], tile.Z[l], xs, ys, zs, axs, ays, azs, tile.Skip[l])
+// testItem is one item of a test stream in the form the oracle reads:
+// a leaf range [lo, hi) of the source lanes, or (leaf false) a cell
+// with centroid c, circulation sum a and, when dip is non-nil, a
+// dipole.
+type testItem struct {
+	leaf   bool
+	mask   uint8
+	lo, hi int
+	c, a   vec.Vec3
+	dip    *vec.Mat3
+}
+
+// laneOracle runs items on lane l of tile from the lane's current sums,
+// by the scalar legs: a leaf is an AccumGradRange with the lane's skip
+// made relative to the leaf, a cell is AccumGrad, then DipoleVel, then
+// one count.
+func laneOracle(b *VortexBatch, tile *GradTile, l int, items []testItem, xs, ys, zs, axs, ays, azs []float64) VortexAcc {
+	acc := tile.Lane(l)
+	tx, ty, tz := tile.X[l], tile.Y[l], tile.Z[l]
+	for _, it := range items {
+		if it.mask>>l&1 == 0 {
+			continue
+		}
+		if it.leaf {
+			lo, hi := it.lo, it.hi
+			b.AccumGradRange(&acc, tx, ty, tz, xs[lo:hi], ys[lo:hi], zs[lo:hi], axs[lo:hi], ays[lo:hi], azs[lo:hi], tile.Skip[l]-lo)
+			continue
+		}
+		rx, ry, rz := tx-it.c.X, ty-it.c.Y, tz-it.c.Z
+		b.AccumGrad(&acc, rx, ry, rz, it.a.X, it.a.Y, it.a.Z)
+		if it.dip != nil {
+			ux, uy, uz := DipoleVel(rx, ry, rz, it.dip)
+			acc.UX += ux
+			acc.UY += uy
+			acc.UZ += uz
+		}
+		acc.N++
+	}
+	return acc
+}
+
+// runStream appends items to one stream in order, flushing it into
+// tile whenever it is full and once at the end, as the tree's tile walk
+// does.
+func runStream(b *VortexBatch, tile *GradTile, items []testItem, xs, ys, zs, axs, ays, azs []float64) {
+	var s TileStream
+	for _, it := range items {
+		if it.leaf {
+			s.Leaf(it.mask, it.lo, it.hi)
+		} else {
+			s.Cell(it.mask, it.c, it.a, it.dip)
+		}
+		if s.Full() {
+			b.AccumGradStream(tile, &s, xs, ys, zs, axs, ays, azs)
 		}
 	}
+	b.AccumGradStream(tile, &s, xs, ys, zs, axs, ays, azs)
+}
+
+// checkStream asserts that the stream of items leaves every lane of
+// tile with the bits of laneOracle, that a lane outside every item's
+// mask keeps its sums and count bit for bit, and that the targets and
+// skips are untouched.
+func checkStream(t *testing.T, ctx string, b *VortexBatch, tile *GradTile, items []testItem, xs, ys, zs, axs, ays, azs []float64) {
+	t.Helper()
+	var want [TileWidth]VortexAcc
+	var masks uint8
+	for l := range TileWidth {
+		want[l] = laneOracle(b, tile, l, items, xs, ys, zs, axs, ays, azs)
+	}
+	for _, it := range items {
+		masks |= it.mask
+	}
 	got := *tile
-	b.AccumGradTile(&got, xs, ys, zs, axs, ays, azs)
+	runStream(b, &got, items, xs, ys, zs, axs, ays, azs)
 	for l := range TileWidth {
 		for _, p := range [3][2]float64{{got.X[l], tile.X[l]}, {got.Y[l], tile.Y[l]}, {got.Z[l], tile.Z[l]}} {
 			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("%s: the tile changed target %d", ctx, l)
+				t.Fatalf("%s: the stream changed target %d", ctx, l)
 			}
 		}
 	}
-	if got.Skip != tile.Skip || got.Mask != tile.Mask {
-		t.Fatalf("%s: the tile changed its skips or its mask", ctx)
+	if got.Skip != tile.Skip {
+		t.Fatalf("%s: the stream changed the skips", ctx)
 	}
 	for l := range TileWidth {
 		g := got.Lane(l)
-		if tile.Mask>>l&1 == 0 {
+		if masks>>l&1 == 0 {
 			if !sameBits(&g, &want[l]) {
-				t.Fatalf("%s: lane %d outside mask %04b changed (n=%d):\n got %+v\nwant %+v", ctx, l, tile.Mask, len(xs), g, want[l])
+				t.Fatalf("%s: lane %d outside every mask changed (%d items, %d sources):\n got %+v\nwant %+v", ctx, l, len(items), len(xs), g, want[l])
 			}
 			continue
 		}
 		if !sameAcc(&g, &want[l]) {
-			t.Fatalf("%s: lane %d of mask %04b (skip %d, n=%d):\n got %+v\nwant %+v", ctx, l, tile.Mask, tile.Skip[l], len(xs), g, want[l])
+			t.Fatalf("%s: lane %d (skip %d, %d items, %d sources):\n got %+v\nwant %+v\nitems %+v", ctx, l, tile.Skip[l], len(items), len(xs), g, want[l], items)
 		}
 	}
 }
@@ -76,9 +140,9 @@ func sameBits(a, b *VortexAcc) bool {
 }
 
 // tileTargets fills the four targets of a tile at random and sets its
-// mask and skips.
-func tileTargets(rng *rand.Rand, mask uint8, skips [TileWidth]int) GradTile {
-	tile := GradTile{Mask: mask, Skip: skips}
+// skips.
+func tileTargets(rng *rand.Rand, skips [TileWidth]int) GradTile {
+	tile := GradTile{Skip: skips}
 	for l := range TileWidth {
 		tile.X[l], tile.Y[l], tile.Z[l] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 	}
@@ -129,38 +193,87 @@ func edgeSources(rng *rand.Rand, tile *GradTile, xs, ys, zs, axs, ays, azs []flo
 	}
 }
 
-// TestGradTileMatchesRanges sweeps both kernels over every source
-// length 0–25, every lane mask — empty, single lanes, lane sets that
-// are not a prefix, full — and every skip position of every lane (the
-// other lanes at random positions, and all lanes at the same one),
-// with edge-case sources and non-zero starting sums: the lanes inside
-// the mask are AccumGradRange calls, bitwise, and the lanes outside it
-// are untouched.
+// randomCell draws a cell near the tile's targets with a random
+// circulation sum, a dipole unless plain, and, one time in eight, its
+// centroid at a target's own position (zero separation: no monopole,
+// a non-finite dipole).
+func randomCell(rng *rand.Rand, tile *GradTile, mask uint8, plain bool) testItem {
+	it := testItem{mask: mask}
+	l := rng.Intn(TileWidth)
+	it.c = vec.V3(tile.X[l]+2*rng.NormFloat64(), tile.Y[l]+2*rng.NormFloat64(), tile.Z[l]+2*rng.NormFloat64())
+	if rng.Intn(8) == 0 {
+		it.c = vec.V3(tile.X[l], tile.Y[l], tile.Z[l])
+	}
+	it.a = vec.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+	if !plain {
+		var d vec.Mat3
+		for j := range d {
+			for k := range d[j] {
+				d[j][k] = 0.1 * rng.NormFloat64()
+			}
+		}
+		it.dip = &d
+	}
+	return it
+}
+
+// randomStream draws k items over n source lanes in random order: leaf
+// ranges (empty ones, the whole range, and every lane's skip inside
+// some of them) and cells with and without a dipole, each under a
+// random lane mask.
+func randomStream(rng *rand.Rand, tile *GradTile, n, k int) []testItem {
+	items := make([]testItem, k)
+	for i := range items {
+		mask := uint8(rng.Intn(int(AllLanes) + 1))
+		if rng.Intn(2) == 0 {
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(n-lo+1)
+			if rng.Intn(6) == 0 {
+				lo, hi = 0, n
+			}
+			items[i] = testItem{leaf: true, mask: mask, lo: lo, hi: hi}
+			continue
+		}
+		items[i] = randomCell(rng, tile, mask, rng.Intn(3) == 0)
+	}
+	return items
+}
+
+// TestGradTileMatchesRanges sweeps both kernels over one leaf item of
+// every source length 0–25 at offsets 0–2 into the source lanes, every
+// lane mask — empty, single lanes, lane sets that are not a prefix,
+// full — and every absolute skip position of every lane, from one
+// below the range to one past it (the other lanes at random positions,
+// and all lanes at the same one), with edge-case sources and non-zero
+// starting sums: the lanes inside the mask are AccumGradRange calls,
+// bitwise, and the lanes outside it are untouched.
 func TestGradTileMatchesRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sm := range allKernels() {
 		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 0.35})
 		for n := 0; n <= 25; n++ {
+			lo := n % 3
 			for mask := range AllLanes + 1 {
 				for lane := range TileWidth {
-					for skip := -1; skip <= n; skip++ {
+					for skip := lo - 1; skip <= lo+n; skip++ {
 						var skips [TileWidth]int
 						for l := range skips {
-							skips[l] = rng.Intn(n+2) - 1
+							skips[l] = lo + rng.Intn(n+2) - 1
 						}
 						skips[lane] = skip
 						if lane == 0 && skip%3 == 0 {
 							skips = [TileWidth]int{skip, skip, skip, skip}
 						}
-						tile := tileTargets(rng, mask, skips)
-						xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
+						tile := tileTargets(rng, skips)
+						xs, ys, zs, axs, ays, azs := randomLanes(rng, lo+n+1, tile.X[0], tile.Y[0], tile.Z[0])
 						if skip%2 == 0 {
-							edgeSources(rng, &tile, xs, ys, zs, axs, ays, azs)
+							edgeSources(rng, &tile, xs[lo:lo+n], ys[lo:lo+n], zs[lo:lo+n], axs[lo:lo+n], ays[lo:lo+n], azs[lo:lo+n])
 						}
 						if skip%4 == 1 || mask == 0 {
 							seedSums(rng, &tile)
 						}
-						checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
+						items := []testItem{{leaf: true, mask: mask, lo: lo, hi: lo + n}}
+						checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
 					}
 				}
 			}
@@ -170,8 +283,9 @@ func TestGradTileMatchesRanges(t *testing.T) {
 
 // TestGradTileSpecialTargets puts NaN and Inf into the targets and the
 // starting sums, and shrinks σ until d2·σ⁻² overflows on every pair.
-// Every source length 0–9 runs under every lane mask, so each special
-// lane is checked inside the mask and untouched outside it at every n.
+// Every source length 0–9 runs as a leaf item, then a cell with a
+// dipole, under every lane mask, so each special lane is checked
+// inside the mask and untouched outside it at every n.
 func TestGradTileSpecialTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sm := range allKernels() {
@@ -179,30 +293,62 @@ func TestGradTileSpecialTargets(t *testing.T) {
 			b := NewVortexBatch(Pairwise{Sm: sm, Sigma: sigma})
 			for n := 0; n <= 9; n++ {
 				for mask := range AllLanes + 1 {
-					tile := tileTargets(rng, mask, [TileWidth]int{-1, 0, n - 1, n / 2})
+					tile := tileTargets(rng, [TileWidth]int{-1, 0, n - 1, n / 2})
 					tile.X[1] = math.NaN()
 					tile.Z[2] = math.Inf(1)
 					seedSums(rng, &tile)
 					tile.Acc[4][3] = math.Inf(-1)
 					tile.Acc[7][0] = math.NaN()
 					xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
-					checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
+					items := []testItem{{leaf: true, mask: mask, hi: n}, randomCell(rng, &tile, mask, false)}
+					checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
 				}
 			}
 		}
 	}
 }
 
-// FuzzGradTile fuzzes the tile contract over the same space: source
-// length, lane mask, per-lane skips, σ, edge-case sources and starting
-// sums.
+// TestGradStreamMatchesLanes runs random mixed streams of leaf and
+// cell items — up to three times the stream's capacity, and exactly
+// at it, one under it and one over it, so the walk's flush lands
+// mid-run — against the per-lane oracle, bitwise.
+func TestGradStreamMatchesLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	counts := []int{0, 1, 2, 5, StreamCap - 1, StreamCap, StreamCap + 1, 2*StreamCap + 7, 3 * StreamCap}
+	for _, sm := range allKernels() {
+		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 0.35})
+		for _, k := range counts {
+			for rep := range 8 {
+				n := rng.Intn(30)
+				var skips [TileWidth]int
+				for l := range skips {
+					skips[l] = rng.Intn(n+2) - 1
+				}
+				tile := tileTargets(rng, skips)
+				xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
+				if rep%2 == 0 {
+					edgeSources(rng, &tile, xs, ys, zs, axs, ays, azs)
+				}
+				if rep%3 == 0 {
+					seedSums(rng, &tile)
+				}
+				checkStream(t, sm.Name(), &b, &tile, randomStream(rng, &tile, n, k), xs, ys, zs, axs, ays, azs)
+			}
+		}
+	}
+}
+
+// FuzzGradTile fuzzes the stream contract: source length, the number
+// of items (past the stream's capacity, so a run flushes mid-stream),
+// leaf and cell items with dipoles under random lane masks, absolute
+// per-lane skips, σ, edge-case sources and starting sums.
 func FuzzGradTile(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0b1111), 0.3, false, false)
-	f.Add(int64(2), uint8(7), uint8(0b0001), 1.0, true, false)
-	f.Add(int64(3), uint8(25), uint8(0b1010), 0.02, true, true)
-	f.Add(int64(4), uint8(9), uint8(0b0000), 1e-160, false, true)
-	f.Add(int64(5), uint8(13), uint8(0b0110), 0.35, true, true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, maskRaw uint8, sigmaRaw float64, edges, seeded bool) {
+	f.Add(int64(1), uint8(0), uint8(1), 0.3, false, false)
+	f.Add(int64(2), uint8(7), uint8(9), 1.0, true, false)
+	f.Add(int64(3), uint8(25), uint8(StreamCap+3), 0.02, true, true)
+	f.Add(int64(4), uint8(9), uint8(StreamCap), 1e-160, false, true)
+	f.Add(int64(5), uint8(13), uint8(2*StreamCap+1), 0.35, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, itemsRaw uint8, sigmaRaw float64, edges, seeded bool) {
 		sigma := sigmaRaw
 		if !(sigma > 0 && sigma < 1e300) { // also rejects NaN
 			sigma = 0.5
@@ -213,7 +359,7 @@ func FuzzGradTile(f *testing.F) {
 		for l := range skips {
 			skips[l] = rng.Intn(n+2) - 1
 		}
-		tile := tileTargets(rng, maskRaw&AllLanes, skips)
+		tile := tileTargets(rng, skips)
 		xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
 		if edges {
 			edgeSources(rng, &tile, xs, ys, zs, axs, ays, azs)
@@ -221,27 +367,67 @@ func FuzzGradTile(f *testing.F) {
 		if seeded {
 			seedSums(rng, &tile)
 		}
+		items := randomStream(rng, &tile, n, int(itemsRaw))
 		for _, sm := range allKernels() {
 			b := NewVortexBatch(Pairwise{Sm: sm, Sigma: sigma})
-			checkTileContract(t, sm.Name(), &b, &tile, xs, ys, zs, axs, ays, azs)
+			checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
 		}
 	})
 }
 
-// benchPairs times the vortex pair body over a leaf-sized range of 8
-// sources: four targets per tile call, or the same four targets one
-// AccumGradRange each, reported per pair.
-func benchPairs(b *testing.B, tiled bool) {
+// BenchmarkGradTile times one stream call: one leaf item of 1, 5 or
+// 128 sources — the per-call cost of a walk that calls the kernel once
+// per item — and a full stream of one-source cells with their dipoles,
+// what a far-heavy walk pays per item in one call. Both include the
+// appends; ns/pair is per lane-source pair (a cell is one source).
+func BenchmarkGradTile(b *testing.B) {
+	for _, n := range []int{1, 5, 128} {
+		b.Run(fmt.Sprintf("leaf=%d", n), func(b *testing.B) {
+			benchStream(b, n, func(s *TileStream, _ []testItem) { s.Leaf(AllLanes, 0, n) })
+		})
+	}
+	b.Run(fmt.Sprintf("cells=%d", StreamCap), func(b *testing.B) {
+		benchStream(b, StreamCap, func(s *TileStream, cells []testItem) {
+			for i := range cells {
+				s.Cell(AllLanes, cells[i].c, cells[i].a, cells[i].dip)
+			}
+		})
+	})
+}
+
+// benchStream times one fill and one AccumGradStream call per
+// iteration, reported per call and per pair.
+func benchStream(b *testing.B, pairs int, fill func(s *TileStream, cells []testItem)) {
 	rng := rand.New(rand.NewSource(1))
 	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.35})
-	tile := tileTargets(rng, AllLanes, [TileWidth]int{-1, 2, -1, 5})
+	tile := tileTargets(rng, [TileWidth]int{-1, 0, -1, 3})
+	xs, ys, zs, axs, ays, azs := randomLanes(rng, 128, 0, 0, 0)
+	cells := make([]testItem, StreamCap)
+	for i := range cells {
+		cells[i] = randomCell(rng, &tile, AllLanes, false)
+		cells[i].c = cells[i].c.Add(vec.V3(8, 8, 8)) // well separated, as an accepted cell is
+	}
+	var s TileStream
+	b.ResetTimer()
+	for range b.N {
+		fill(&s, cells)
+		vb.AccumGradStream(&tile, &s, xs, ys, zs, axs, ays, azs)
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/call")
+	b.ReportMetric(ns/float64(TileWidth*pairs), "ns/pair")
+}
+
+// BenchmarkGradRange times the scalar pair body over a leaf-sized
+// range of 8 sources, the four targets one AccumGradRange each,
+// reported per pair.
+func BenchmarkGradRange(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.35})
+	tile := tileTargets(rng, [TileWidth]int{-1, 2, -1, 5})
 	xs, ys, zs, axs, ays, azs := randomLanes(rng, 8, 0, 0, 0)
 	b.ResetTimer()
 	for range b.N {
-		if tiled {
-			vb.AccumGradTile(&tile, xs, ys, zs, axs, ays, azs)
-			continue
-		}
 		for l := range TileWidth {
 			acc := tile.Lane(l)
 			vb.AccumGradRange(&acc, tile.X[l], tile.Y[l], tile.Z[l], xs, ys, zs, axs, ays, azs, tile.Skip[l])
@@ -250,6 +436,3 @@ func benchPairs(b *testing.B, tiled bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*TileWidth*len(xs)), "ns/pair")
 }
-
-func BenchmarkGradTile(b *testing.B)  { benchPairs(b, true) }
-func BenchmarkGradRange(b *testing.B) { benchPairs(b, false) }

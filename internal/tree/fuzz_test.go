@@ -40,7 +40,9 @@ func FuzzMortonRoundTrip(f *testing.F) {
 
 // FuzzTileWalk holds the tile walk to the per-particle walk on random
 // blobs of alternating unit charges, seeded by the blob size, θ,
-// LeafCap, the discipline and, for Coulomb, the softening ε: every
+// LeafCap, the discipline and, for Coulomb, the softening ε (θ = 0 on
+// hundreds of particles overflows a tile's stream several times over;
+// θ = 0.6 on N ≤ 64 fills it with accepted cells): every
 // target matches vortexAt or coulombAt bitwise with its counters
 // equal, per tile and through EvalTree or CoulombTree at 1 and 3
 // workers.
@@ -52,6 +54,11 @@ func FuzzTileWalk(f *testing.F) {
 	f.Add(int64(5), uint16(200), 0.3, uint8(1), true, 0.01)
 	f.Add(int64(6), uint16(37), 0.6, uint8(8), true, 0.0)
 	f.Add(int64(7), uint16(513), 0.45, uint8(3), true, 0.2)
+	// Far-heavy: the coarse θ on a few dozen particles, where most
+	// stream items are accepted cells of one source.
+	f.Add(int64(8), uint16(63), 0.6, uint8(1), false, 0.0)
+	f.Add(int64(9), uint16(40), 0.6, uint8(2), false, 0.0)
+	f.Add(int64(10), uint16(17), 0.6, uint8(1), false, 0.0)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, theta float64, leafRaw uint8, coulomb bool, eps float64) {
 		if !(theta >= 0 && theta <= 2) { // also rejects NaN
 			theta = 0.5

@@ -28,16 +28,18 @@ type Solver struct {
 	// Theta is the MAC parameter; larger is faster and less accurate.
 	// The paper's fine/coarse PFASST propagators use 0.3 / 0.6.
 	Theta float64
-	// LeafCap is the leaf bucket size (default 1 = classical tree).
+	// LeafCap is the leaf bucket size (NewSolver sets 8; 1 is the
+	// classical tree).
 	LeafCap int
 	// Workers bounds traversal concurrency (≤0: GOMAXPROCS).
 	Workers int
 	// Dipole enables the cluster dipole correction for velocities.
 	Dipole bool
-	// Traversal selects the evaluator: TraversalList (default) walks
-	// the targets once per tile, and TraversalRecursive walks the tree
-	// once per particle. Both sum the same terms in the same order, so
-	// results are bitwise equal.
+	// Traversal selects the evaluator: the zero value, TraversalList,
+	// walks the targets once per tile of four (it builds no lists),
+	// and TraversalRecursive walks the tree once per particle. Both
+	// sum the same terms in the same order, so results are bitwise
+	// equal.
 	Traversal TraversalMode
 	// Hook, when non-nil, observes every built tree before use (guard
 	// layer: moment-flip injection + ABFT verification with rebuild on

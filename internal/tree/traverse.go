@@ -28,9 +28,9 @@ type MACKind int
 // the cell centroid (the paper's choice).
 const MACBarnesHut MACKind = 0
 
-// stackPool recycles traversal stacks across walks; per-call stack
-// allocations would otherwise dominate the allocation profile of a
-// force evaluation (one walk per target, thousands of targets).
+// stackPool recycles the stacks of the per-particle walks — the
+// recursive oracle (vortexAt, coulombAt) and the near/far split
+// (VortexAtSplit) — so a walk per target does not allocate one.
 var stackPool = sync.Pool{
 	New: func() any { s := make([]int32, 0, 128); return &s },
 }
@@ -57,42 +57,15 @@ type VortexResult struct {
 // vortexEval is one target's running sum over a walk: the kernel's
 // scalar accumulator plus the MAC counters it does not track. The
 // recursive walk and the near/far split accumulate through its three
-// legs, in the order they meet the cells; tileWalk's legs do the same
-// arithmetic for the lanes of a tile, so every evaluator sums the same
-// terms in the same order.
+// legs, in the order they meet the cells; tileWalk's stream items do
+// the same arithmetic for the lanes of a tile
+// (kernel.VortexBatch.AccumGradStream), so every evaluator sums the
+// same terms in the same order.
 type vortexEval struct {
 	b           *kernel.VortexBatch
 	acc         kernel.VortexAcc
 	cellAccepts int64
 	rejects     int64
-}
-
-// dipoleVel is the dipole correction of an accepted cell's velocity:
-// the first-order term of the multipole expansion of the Biot-Savart
-// kernel around the cell centroid. It always uses the singular (q = 1)
-// kernel and has no zero-separation guard: accepted cells are well
-// separated (dist > 0). One reciprocal of |r| gives both powers.
-func dipoleVel(rx, ry, rz float64, dip *vec.Mat3) (ux, uy, uz float64) {
-	inv := 1 / math.Sqrt(rx*rx+ry*ry+rz*rz)
-	inv2 := inv * inv
-	tf := inv2 * inv // 1/|r|³
-	// w_k = Σ_j r_j D_{jk}
-	wx := dip[0][0]*rx + dip[1][0]*ry + dip[2][0]*rz
-	wy := dip[0][1]*rx + dip[1][1]*ry + dip[2][1]*rz
-	wz := dip[0][2]*rx + dip[1][2]*ry + dip[2][2]*rz
-	// C = Σ d_p × α_p (antisymmetric part of D)
-	cx := dip[1][2] - dip[2][1]
-	cy := dip[2][0] - dip[0][2]
-	cz := dip[0][1] - dip[1][0]
-	s := 3 * tf * inv2 // 3/|r|⁵
-	ux = s * (ry*wz - rz*wy)
-	uy = s * (rz*wx - rx*wz)
-	uz = s * (rx*wy - ry*wx)
-	ux = ux - tf*cx
-	uy = uy - tf*cy
-	uz = uz - tf*cz
-	const k = -1 / (4 * math.Pi)
-	return k * ux, k * uy, k * uz
 }
 
 // far folds one MAC-accepted cell into the accumulator as a single
@@ -104,7 +77,7 @@ func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
 	rz := x.Z - nd.Centroid.Z
 	e.b.AccumGrad(&e.acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
 	if useDipole {
-		ux, uy, uz := dipoleVel(rx, ry, rz, &nd.Dipole)
+		ux, uy, uz := kernel.DipoleVel(rx, ry, rz, &nd.Dipole)
 		e.acc.UX += ux
 		e.acc.UY += uy
 		e.acc.UZ += uz
@@ -227,7 +200,8 @@ func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, 
 }
 
 // legs are the discipline of a tile walk: what a lane adds for a cell
-// it accepts and for a leaf. The walk around them — the per-lane MAC
+// it accepts and for a leaf — a stream item (vortex) or a scalar leg
+// per lane (Coulomb). The walk around them — the per-lane MAC
 // decision, the masked open — is the same for both disciplines.
 type legs struct {
 	disc   Discipline
@@ -238,15 +212,15 @@ type legs struct {
 
 // tileWalk is the tile walk's state: up to kernel.TileWidth targets in
 // the lanes of one tile — lane l is the particle at sorted position
-// first+l — their sums (vortex in the GradTile, Coulomb in coul),
-// their MAC counters, and the walk's (cell, lane mask) stack. The
-// solver holds one per worker.
+// first+l — their sums (vortex in the GradTile, Coulomb in coul), the
+// vortex items not yet run, their MAC counters, and the walk's (cell,
+// lane mask) stack. The solver holds one per worker.
 type tileWalk struct {
 	tile             kernel.GradTile
+	stream           kernel.TileStream
 	coul             [kernel.TileWidth]kernel.CoulombAcc
 	first            int
 	accepts, rejects [kernel.TileWidth]int64
-	src              [6]float64 // an accepted cell as a one-source range: centroid, circulation sum
 	stack            []maskedCell
 	_                [64]byte // keeps the next worker's walk off this one's cache lines
 }
@@ -267,7 +241,9 @@ type maskedCell struct {
 // with its own skip. Restricted to the cells one lane reaches — a set
 // closed under ancestors — the walk's preorder is that lane's own
 // walk's preorder, so every lane sums exactly the terms vortexAt or
-// coulombAt sums, in the same order.
+// coulombAt sums, in the same order. The vortex legs append to the
+// stream in that order, and the stream runs whenever it is full and
+// once at the end (DESIGN.md §14).
 func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 	const tw = kernel.TileWidth
 	theta2 := theta * theta
@@ -276,6 +252,7 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 	for l := range tw {
 		i := first + min(l, n-1) // spare lanes repeat the last target
 		tl.X[l], tl.Y[l], tl.Z[l] = ln.X[i], ln.Y[i], ln.Z[i]
+		tl.Skip[l] = first + l // each target skips its own lane
 	}
 	if lg.disc == Coulomb {
 		w.coul = [tw]kernel.CoulombAcc{}
@@ -295,7 +272,8 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 			if lg.disc == Coulomb {
 				w.nearCoulomb(t, nd, top.mask, lg.eps)
 			} else {
-				w.near(t, &lg.vb, nd, top.mask)
+				w.stream.Leaf(top.mask, nd.First, nd.First+nd.Count)
+				w.flushFull(t, &lg.vb)
 			}
 			continue
 		}
@@ -317,7 +295,12 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 			if lg.disc == Coulomb {
 				w.farCoulomb(nd, accept)
 			} else {
-				w.far(&lg.vb, nd, accept, lg.dipole)
+				var dip *vec.Mat3
+				if lg.dipole {
+					dip = &nd.Dipole
+				}
+				w.stream.Cell(accept, nd.Centroid, nd.CircSum, dip)
+				w.flushFull(t, &lg.vb)
 			}
 		}
 		if opened != 0 {
@@ -334,43 +317,23 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 		}
 	}
 	w.stack = stack
-}
-
-// far is vortexEval.far for the lanes of mask: the cell as a
-// one-source tile range, then the dipole lane by lane.
-func (w *tileWalk) far(b *kernel.VortexBatch, nd *Node, mask uint8, useDipole bool) {
-	const tw = kernel.TileWidth
-	tl, s := &w.tile, &w.src
-	s[0], s[1], s[2] = nd.Centroid.X, nd.Centroid.Y, nd.Centroid.Z
-	s[3], s[4], s[5] = nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z
-	tl.Skip = [tw]int{-1, -1, -1, -1}
-	tl.Mask = mask
-	b.AccumGradTile(tl, s[0:1], s[1:2], s[2:3], s[3:4], s[4:5], s[5:6])
-	if !useDipole {
-		return
-	}
-	for l := range tw {
-		if mask>>l&1 == 0 {
-			continue
-		}
-		ux, uy, uz := dipoleVel(tl.X[l]-nd.Centroid.X, tl.Y[l]-nd.Centroid.Y, tl.Z[l]-nd.Centroid.Z, &nd.Dipole)
-		tl.Acc[0][l] += ux
-		tl.Acc[1][l] += uy
-		tl.Acc[2][l] += uz
+	if lg.disc == Vortex {
+		w.flush(t, &lg.vb)
 	}
 }
 
-// near is vortexEval.near for the lanes of mask: leaf nd as one tile
-// range, each lane skipping its own target.
-func (w *tileWalk) near(t *Tree, b *kernel.VortexBatch, nd *Node, mask uint8) {
-	tl := &w.tile
-	for l := range tl.Skip {
-		tl.Skip[l] = leafSkip(nd, w.first+l)
+// flushFull runs the stream into the tile when it has no room left.
+func (w *tileWalk) flushFull(t *Tree, b *kernel.VortexBatch) {
+	if w.stream.Full() {
+		w.flush(t, b)
 	}
-	tl.Mask = mask
-	lo, hi := nd.First, nd.First+nd.Count
-	l := t.Lanes
-	b.AccumGradTile(tl, l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi], l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi])
+}
+
+// flush runs the stream's items, in walk order, on the tile's lanes:
+// the leaf items' sources are t's lanes.
+func (w *tileWalk) flush(t *Tree, b *kernel.VortexBatch) {
+	ln := t.Lanes
+	b.AccumGradStream(&w.tile, &w.stream, ln.X, ln.Y, ln.Z, ln.AX, ln.AY, ln.AZ)
 }
 
 // farCoulomb is coulombAt's far leg for each lane of mask.

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -429,6 +430,26 @@ func BenchmarkTreeEvalSheet2k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Eval(sys, vel, str)
+	}
+}
+
+// BenchmarkTreeEvalSheet448 times one evaluation (build + walk) of a
+// 448-particle sheet, pt4_sheet's input, on one worker at the paper's
+// fine and coarse θ. Its walks meet 2–3 sources per item, so what
+// surrounds each item shows here; the 2k row averages about five.
+func BenchmarkTreeEvalSheet448(b *testing.B) {
+	for _, theta := range []float64{0.3, 0.6} {
+		b.Run(fmt.Sprintf("theta=%g", theta), func(b *testing.B) {
+			sys := particle.SphericalVortexSheet(particle.ScaledSheet(448))
+			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+			s.Workers = 1
+			vel := make([]vec.Vec3, sys.N())
+			str := make([]vec.Vec3, sys.N())
+			b.ResetTimer()
+			for range b.N {
+				s.Eval(sys, vel, str)
+			}
+		})
 	}
 }
 
