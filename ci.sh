@@ -74,7 +74,8 @@ rm -f "$alloc_out"
 # order as single pairs, == itself cut at any lane, velocity loop ==
 # gradient loop's velocity) plus the oracle bound on every pair, over
 # random tails, denormal circulations and coincident sources; the
-# four-target stream == its per-lane scalar legs, bitwise, over mixed
+# eight-target stream == its per-lane scalar legs, bitwise, through
+# every body the CPU offers (AVX-512, AVX2 by halves, Go), over mixed
 # leaf and cell items (with dipoles, runs past the stream's capacity),
 # lane masks, absolute per-lane skips, edge separations, NaN/Inf inputs
 # and non-zero starting sums, with the lanes outside every mask
@@ -88,7 +89,7 @@ go test -run '^$' -fuzz FuzzBatchCoulombRange -fuzztime 10s ./internal/kernel/
 # the stream runs as the scalar legs lane by lane, and the
 # cross-commit pins (façade hashes, tile walk == recursive for both
 # disciplines, hot at PS = 1 == tree.Solver) must hold through it as
-# they hold through the AVX2 loop. The arm64
+# they hold through the assembly bodies. The arm64
 # vet is a cross-build with no emulator: the non-amd64 build compiles
 # and vets clean (asmdecl checks the amd64 frame in the plain vet
 # above).

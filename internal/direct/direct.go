@@ -17,8 +17,8 @@ import (
 
 // Solver is a direct-summation evaluator: it gathers identity-ordered
 // SoA lanes once per evaluation and runs the batched kernels, summing
-// sources in index order (Eval four targets per kernel call). The zero
-// value is not usable; construct with New.
+// sources in index order (Eval one tile of kernel.TileWidth targets per
+// kernel call). The zero value is not usable; construct with New.
 type Solver struct {
 	sm      kernel.Smoothing
 	scheme  kernel.Scheme
@@ -83,9 +83,9 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 	sched.RunAligned(nw, n, 0, kernel.BatchWidth, func(worker, lo, hi int) {
 		tile, stream := &s.tiles[worker].tile, &s.tiles[worker].stream
 		for q0 := lo; q0 < hi; q0 += kernel.TileWidth {
-			// Four targets per tile, each skipping its own lane; the
-			// mask of the one leaf item, every source, leaves out the
-			// spare lanes.
+			// One tile of TileWidth targets, each skipping its own
+			// lane; the mask of the one leaf item, every source, leaves
+			// out the spare lanes.
 			for k := range kernel.TileWidth {
 				q := min(q0+k, hi-1)
 				tile.X[k], tile.Y[k], tile.Z[k], tile.Skip[k] = l.X[q], l.Y[q], l.Z[q], q

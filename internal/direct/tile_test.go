@@ -24,7 +24,7 @@ func rangeVelocities(sys *particle.System, sm kernel.Smoothing) []vec.Vec3 {
 	return vel
 }
 
-// TestEvalVelocityIsVelocities holds Eval, which sums four targets per
+// TestEvalVelocityIsVelocities holds Eval, which sums eight targets per
 // kernel call, to rangeVelocities, which sums one target per range:
 // the velocity bits must agree for every target, including the spare
 // lanes of a chunk whose length is not a multiple of the tile width.

@@ -414,7 +414,7 @@ func (rt *evalRT) allgather(data []byte, overlap func()) [][]byte {
 
 // traverse is phase 5: tree.Solver evaluates every local particle
 // against the locally essential tree — on one goroutine, or on Threads
-// workers stealing tiles of four targets — writing outputs and
+// workers stealing tiles of eight targets — writing outputs and
 // per-target interaction counts by local index. It communicates with
 // no other rank.
 //

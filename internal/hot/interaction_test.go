@@ -104,7 +104,7 @@ func TestSingleRankIsTreeSolver(t *testing.T) {
 // synchronous run, over repeated evaluations — the schedule varies,
 // the sums do not. At this size tree.Solver's automatic steal grain is
 // a single tile, so every chunk a worker claims or steals is one tile
-// of four targets.
+// of eight targets.
 func TestHybridListStealingDeterminism(t *testing.T) {
 	full := particle.SphericalVortexSheet(particle.DefaultSheet(400))
 	cfgSync := defaultCfg(0.4)

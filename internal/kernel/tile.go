@@ -7,8 +7,9 @@ import (
 )
 
 // TileWidth is the number of targets one AccumGradStream call
-// evaluates: the four float64 lanes of an AVX2 register.
-const TileWidth = 4
+// evaluates: the eight float64 lanes of an AVX-512 register, or two
+// AVX2 registers run one after the other.
+const TileWidth = 8
 
 // GradTile is the running sum of TileWidth targets in tile layout:
 // component c of target l at Acc[c][l], the components in VortexAcc
@@ -140,13 +141,21 @@ func (s *TileStream) Cell(mask uint8, c, alpha vec.Vec3, dip *vec.Mat3) {
 //
 // which is what runs under the purego build tag, on other GOARCHes and
 // on amd64 CPUs without AVX2; a lane outside an item's mask keeps its
-// sums and count through that item. On AVX2 an assembly loop runs the
-// same operations in the same order four lanes wide
-// (pairgrad_amd64.s), with one exception outside every caller's reach:
-// a sum holding −0 becomes +0 where its lane skips a source or lies
-// outside an item's mask, and a sum that starts at +0 never holds −0.
-// NaN results are NaN on both paths; their payload bits may differ.
+// sums and count through that item. On amd64 an assembly loop runs the
+// same operations in the same order (pairgrad_amd64.s): eight lanes
+// wide where the CPU has AVX-512, else four lanes wide on each half of
+// the tile in turn. NaN results are NaN on every body; their payload
+// bits may differ. The AVX2 body has one more exception, outside every
+// caller's reach: a sum holding −0 becomes +0 where its lane skips a
+// source or lies outside an item's mask, and a sum that starts at +0
+// never holds −0. The AVX-512 body leaves such a lane's sums as they
+// are, as the Go body does.
 func (b *VortexBatch) AccumGradStream(t *GradTile, s *TileStream, xs, ys, zs, axs, ays, azs []float64) {
+	b.accumGradStream(streamBodies[0].run, t, s, xs, ys, zs, axs, ays, azs)
+}
+
+// accumGradStream is AccumGradStream through the body run.
+func (b *VortexBatch) accumGradStream(run streamFunc, t *GradTile, s *TileStream, xs, ys, zs, axs, ays, azs []float64) {
 	n := len(xs)
 	ys, zs, axs, ays, azs = ys[:n], zs[:n], axs[:n], ays[:n], azs[:n]
 	if s.hi > n {
@@ -157,19 +166,27 @@ func (b *VortexBatch) AccumGradStream(t *GradTile, s *TileStream, xs, ys, zs, ax
 	if len(items) == 0 {
 		return
 	}
-	if streamAsm != nil {
-		streamAsm(b, t, items, xs, ys, zs, axs, ays, azs)
-		return
-	}
-	b.gradStreamGo(t, items, xs, ys, zs, axs, ays, azs)
+	run(b, t, items, xs, ys, zs, axs, ays, azs)
 }
 
-// streamAsm is the assembly stream loop, installed at start-up by the
-// amd64 build when the CPU has AVX2 (pairgrad_amd64.go); nil runs the
-// Go definition. A tagged init rather than a tagged pair of functions
-// keeps the package type-checking under tools that ignore build
-// constraints.
-var streamAsm func(b *VortexBatch, t *GradTile, items []tileItem, xs, ys, zs, axs, ays, azs []float64)
+// streamFunc is a body of AccumGradStream: it adds items, in order, to
+// the lanes of t, given lane slices of equal length that hold every
+// leaf item's range.
+type streamFunc func(b *VortexBatch, t *GradTile, items []tileItem, xs, ys, zs, axs, ays, azs []float64)
+
+// streamBody is a named body of AccumGradStream.
+type streamBody struct {
+	name string
+	run  streamFunc
+}
+
+// streamBodies are the bodies this build and CPU can run, the one
+// AccumGradStream runs first. The Go definition is always last; the
+// amd64 build puts the assembly bodies the CPU offers in front of it
+// at start-up (pairgrad_amd64.go). The tests run every entry. A tagged
+// init rather than a tagged pair of declarations keeps the package
+// type-checking under tools that ignore build constraints.
+var streamBodies = []streamBody{{"go", (*VortexBatch).gradStreamGo}}
 
 // gradStreamGo is the definition of AccumGradStream. Lanes are
 // independent, so it runs the items lane by lane, each lane's in

@@ -70,9 +70,9 @@ func laneOracle(b *VortexBatch, tile *GradTile, l int, items []testItem, xs, ys,
 }
 
 // runStream appends items to one stream in order, flushing it into
-// tile whenever it is full and once at the end, as the tree's tile walk
-// does.
-func runStream(b *VortexBatch, tile *GradTile, items []testItem, xs, ys, zs, axs, ays, azs []float64) {
+// tile through the body run whenever it is full and once at the end,
+// as the tree's tile walk does.
+func runStream(b *VortexBatch, run streamFunc, tile *GradTile, items []testItem, xs, ys, zs, axs, ays, azs []float64) {
 	var s TileStream
 	for _, it := range items {
 		if it.leaf {
@@ -81,16 +81,16 @@ func runStream(b *VortexBatch, tile *GradTile, items []testItem, xs, ys, zs, axs
 			s.Cell(it.mask, it.c, it.a, it.dip)
 		}
 		if s.Full() {
-			b.AccumGradStream(tile, &s, xs, ys, zs, axs, ays, azs)
+			b.accumGradStream(run, tile, &s, xs, ys, zs, axs, ays, azs)
 		}
 	}
-	b.AccumGradStream(tile, &s, xs, ys, zs, axs, ays, azs)
+	b.accumGradStream(run, tile, &s, xs, ys, zs, axs, ays, azs)
 }
 
-// checkStream asserts that the stream of items leaves every lane of
-// tile with the bits of laneOracle, that a lane outside every item's
-// mask keeps its sums and count bit for bit, and that the targets and
-// skips are untouched.
+// checkStream asserts, for every body this build and CPU can run, that
+// the stream of items leaves every lane of tile with the bits of
+// laneOracle, that a lane outside every item's mask keeps its sums and
+// count bit for bit, and that the targets and skips are untouched.
 func checkStream(t *testing.T, ctx string, b *VortexBatch, tile *GradTile, items []testItem, xs, ys, zs, axs, ays, azs []float64) {
 	t.Helper()
 	var want [TileWidth]VortexAcc
@@ -101,28 +101,30 @@ func checkStream(t *testing.T, ctx string, b *VortexBatch, tile *GradTile, items
 	for _, it := range items {
 		masks |= it.mask
 	}
-	got := *tile
-	runStream(b, &got, items, xs, ys, zs, axs, ays, azs)
-	for l := range TileWidth {
-		for _, p := range [3][2]float64{{got.X[l], tile.X[l]}, {got.Y[l], tile.Y[l]}, {got.Z[l], tile.Z[l]}} {
-			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-				t.Fatalf("%s: the stream changed target %d", ctx, l)
+	for _, body := range streamBodies {
+		got := *tile
+		runStream(b, body.run, &got, items, xs, ys, zs, axs, ays, azs)
+		for l := range TileWidth {
+			for _, p := range [3][2]float64{{got.X[l], tile.X[l]}, {got.Y[l], tile.Y[l]}, {got.Z[l], tile.Z[l]}} {
+				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+					t.Fatalf("%s/%s: the stream changed target %d", ctx, body.name, l)
+				}
 			}
 		}
-	}
-	if got.Skip != tile.Skip {
-		t.Fatalf("%s: the stream changed the skips", ctx)
-	}
-	for l := range TileWidth {
-		g := got.Lane(l)
-		if masks>>l&1 == 0 {
-			if !sameBits(&g, &want[l]) {
-				t.Fatalf("%s: lane %d outside every mask changed (%d items, %d sources):\n got %+v\nwant %+v", ctx, l, len(items), len(xs), g, want[l])
-			}
-			continue
+		if got.Skip != tile.Skip {
+			t.Fatalf("%s/%s: the stream changed the skips", ctx, body.name)
 		}
-		if !sameAcc(&g, &want[l]) {
-			t.Fatalf("%s: lane %d (skip %d, %d items, %d sources):\n got %+v\nwant %+v\nitems %+v", ctx, l, tile.Skip[l], len(items), len(xs), g, want[l], items)
+		for l := range TileWidth {
+			g := got.Lane(l)
+			if masks>>l&1 == 0 {
+				if !sameBits(&g, &want[l]) {
+					t.Fatalf("%s/%s: lane %d outside every mask changed (%d items, %d sources):\n got %+v\nwant %+v", ctx, body.name, l, len(items), len(xs), g, want[l])
+				}
+				continue
+			}
+			if !sameAcc(&g, &want[l]) {
+				t.Fatalf("%s/%s: lane %d (skip %d, %d items, %d sources):\n got %+v\nwant %+v\nitems %+v", ctx, body.name, l, tile.Skip[l], len(items), len(xs), g, want[l], items)
+			}
 		}
 	}
 }
@@ -139,7 +141,7 @@ func sameBits(a, b *VortexAcc) bool {
 	return a.N == b.N
 }
 
-// tileTargets fills the four targets of a tile at random and sets its
+// tileTargets fills the targets of a tile at random and sets its
 // skips.
 func tileTargets(rng *rand.Rand, skips [TileWidth]int) GradTile {
 	tile := GradTile{Skip: skips}
@@ -240,40 +242,63 @@ func randomStream(rng *rand.Rand, tile *GradTile, n, k int) []testItem {
 }
 
 // TestGradTileMatchesRanges sweeps both kernels over one leaf item of
-// every source length 0–25 at offsets 0–2 into the source lanes, every
-// lane mask — empty, single lanes, lane sets that are not a prefix,
-// full — and every absolute skip position of every lane, from one
-// below the range to one past it (the other lanes at random positions,
-// and all lanes at the same one), with edge-case sources and non-zero
-// starting sums: the lanes inside the mask are AccumGradRange calls,
-// bitwise, and the lanes outside it are untouched.
+// every source length 0–25 at offsets 0–2 into the source lanes, in
+// two passes. The first runs all 256 lane masks — empty, single lanes,
+// lane sets that are not a prefix, one half or both halves of the tile,
+// full — with every lane's skip at random, from one below the range to
+// one past it. The second puts every lane at every absolute skip
+// position in that span (the other lanes at random positions, or all
+// lanes at the same one) under all sixteen masks of the lane's own
+// half of the tile (the half an AVX2 body runs it in), the other
+// half's lanes drawn at random, and under the full and the empty mask.
+// Both draw edge-case sources
+// and non-zero starting sums. The lanes inside the mask are
+// AccumGradRange calls, bitwise, and the lanes outside it are
+// untouched.
 func TestGradTileMatchesRanges(t *testing.T) {
+	const half = TileWidth / 2
 	rng := rand.New(rand.NewSource(31))
 	for _, sm := range allKernels() {
 		b := NewVortexBatch(Pairwise{Sm: sm, Sigma: 0.35})
+		check := func(n, lo, k int, mask uint8, skips [TileWidth]int) {
+			tile := tileTargets(rng, skips)
+			xs, ys, zs, axs, ays, azs := randomLanes(rng, lo+n+1, tile.X[0], tile.Y[0], tile.Z[0])
+			if k%2 == 0 {
+				edgeSources(rng, &tile, xs[lo:lo+n], ys[lo:lo+n], zs[lo:lo+n], axs[lo:lo+n], ays[lo:lo+n], azs[lo:lo+n])
+			}
+			if k%4 == 1 || mask == 0 {
+				seedSums(rng, &tile)
+			}
+			items := []testItem{{leaf: true, mask: mask, lo: lo, hi: lo + n}}
+			checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
+		}
+		randomSkips := func(n, lo int) (skips [TileWidth]int) {
+			for l := range skips {
+				skips[l] = lo + rng.Intn(n+2) - 1
+			}
+			return skips
+		}
 		for n := 0; n <= 25; n++ {
 			lo := n % 3
-			for mask := range AllLanes + 1 {
-				for lane := range TileWidth {
-					for skip := lo - 1; skip <= lo+n; skip++ {
-						var skips [TileWidth]int
-						for l := range skips {
-							skips[l] = lo + rng.Intn(n+2) - 1
-						}
+			for m := range int(AllLanes) + 1 {
+				check(n, lo, m, uint8(m), randomSkips(n, lo))
+			}
+			for lane := range TileWidth {
+				own := lane / half * half // first lane of lane's half; the other starts at half-own
+				for skip := lo - 1; skip <= lo+n; skip++ {
+					masks := []uint8{AllLanes, 0}
+					for m := range 1 << half {
+						masks = append(masks, uint8(m<<own|rng.Intn(1<<half)<<(half-own)))
+					}
+					for _, mask := range masks {
+						skips := randomSkips(n, lo)
 						skips[lane] = skip
 						if lane == 0 && skip%3 == 0 {
-							skips = [TileWidth]int{skip, skip, skip, skip}
+							for l := range skips {
+								skips[l] = skip
+							}
 						}
-						tile := tileTargets(rng, skips)
-						xs, ys, zs, axs, ays, azs := randomLanes(rng, lo+n+1, tile.X[0], tile.Y[0], tile.Z[0])
-						if skip%2 == 0 {
-							edgeSources(rng, &tile, xs[lo:lo+n], ys[lo:lo+n], zs[lo:lo+n], axs[lo:lo+n], ays[lo:lo+n], azs[lo:lo+n])
-						}
-						if skip%4 == 1 || mask == 0 {
-							seedSums(rng, &tile)
-						}
-						items := []testItem{{leaf: true, mask: mask, lo: lo, hi: lo + n}}
-						checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
+						check(n, lo, skip, mask, skips)
 					}
 				}
 			}
@@ -292,13 +317,18 @@ func TestGradTileSpecialTargets(t *testing.T) {
 		for _, sigma := range []float64{0.35, 1e-160} {
 			b := NewVortexBatch(Pairwise{Sm: sm, Sigma: sigma})
 			for n := 0; n <= 9; n++ {
-				for mask := range AllLanes + 1 {
-					tile := tileTargets(rng, [TileWidth]int{-1, 0, n - 1, n / 2})
+				for m := range int(AllLanes) + 1 {
+					mask := uint8(m)
+					tile := tileTargets(rng, [TileWidth]int{-1, 0, n - 1, n / 2, n, n - 2, -1, 1})
 					tile.X[1] = math.NaN()
 					tile.Z[2] = math.Inf(1)
+					tile.Y[5] = math.Inf(-1)
+					tile.X[6] = math.NaN()
 					seedSums(rng, &tile)
 					tile.Acc[4][3] = math.Inf(-1)
 					tile.Acc[7][0] = math.NaN()
+					tile.Acc[2][7] = math.Inf(1)
+					tile.Acc[9][4] = math.NaN()
 					xs, ys, zs, axs, ays, azs := randomLanes(rng, n, tile.X[0], tile.Y[0], tile.Z[0])
 					items := []testItem{{leaf: true, mask: mask, hi: n}, randomCell(rng, &tile, mask, false)}
 					checkStream(t, sm.Name(), &b, &tile, items, xs, ys, zs, axs, ays, azs)
@@ -375,32 +405,35 @@ func FuzzGradTile(f *testing.F) {
 	})
 }
 
-// BenchmarkGradTile times one stream call: one leaf item of 1, 5 or
-// 128 sources — the per-call cost of a walk that calls the kernel once
-// per item — and a full stream of one-source cells with their dipoles,
-// what a far-heavy walk pays per item in one call. Both include the
-// appends; ns/pair is per lane-source pair (a cell is one source).
+// BenchmarkGradTile times one stream call through every body this
+// build and CPU can run: one leaf item of 1, 5 or 128 sources — the
+// per-call cost of a walk that calls the kernel once per item — and a
+// full stream of one-source cells with their dipoles, what a far-heavy
+// walk pays per item in one call. Both include the appends; ns/pair is
+// per lane-source pair (a cell is one source).
 func BenchmarkGradTile(b *testing.B) {
-	for _, n := range []int{1, 5, 128} {
-		b.Run(fmt.Sprintf("leaf=%d", n), func(b *testing.B) {
-			benchStream(b, n, func(s *TileStream, _ []testItem) { s.Leaf(AllLanes, 0, n) })
+	for _, body := range streamBodies {
+		for _, n := range []int{1, 5, 128} {
+			b.Run(fmt.Sprintf("%s/leaf=%d", body.name, n), func(b *testing.B) {
+				benchStream(b, body.run, n, func(s *TileStream, _ []testItem) { s.Leaf(AllLanes, 0, n) })
+			})
+		}
+		b.Run(fmt.Sprintf("%s/cells=%d", body.name, StreamCap), func(b *testing.B) {
+			benchStream(b, body.run, StreamCap, func(s *TileStream, cells []testItem) {
+				for i := range cells {
+					s.Cell(AllLanes, cells[i].c, cells[i].a, cells[i].dip)
+				}
+			})
 		})
 	}
-	b.Run(fmt.Sprintf("cells=%d", StreamCap), func(b *testing.B) {
-		benchStream(b, StreamCap, func(s *TileStream, cells []testItem) {
-			for i := range cells {
-				s.Cell(AllLanes, cells[i].c, cells[i].a, cells[i].dip)
-			}
-		})
-	})
 }
 
-// benchStream times one fill and one AccumGradStream call per
-// iteration, reported per call and per pair.
-func benchStream(b *testing.B, pairs int, fill func(s *TileStream, cells []testItem)) {
+// benchStream times one fill and one stream call through the body run
+// per iteration, reported per call and per pair.
+func benchStream(b *testing.B, run streamFunc, pairs int, fill func(s *TileStream, cells []testItem)) {
 	rng := rand.New(rand.NewSource(1))
 	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.35})
-	tile := tileTargets(rng, [TileWidth]int{-1, 0, -1, 3})
+	tile := tileTargets(rng, [TileWidth]int{-1, 0, -1, 3, -1, 5, 6, -1})
 	xs, ys, zs, axs, ays, azs := randomLanes(rng, 128, 0, 0, 0)
 	cells := make([]testItem, StreamCap)
 	for i := range cells {
@@ -411,7 +444,7 @@ func benchStream(b *testing.B, pairs int, fill func(s *TileStream, cells []testI
 	b.ResetTimer()
 	for range b.N {
 		fill(&s, cells)
-		vb.AccumGradStream(&tile, &s, xs, ys, zs, axs, ays, azs)
+		vb.accumGradStream(run, &tile, &s, xs, ys, zs, axs, ays, azs)
 	}
 	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(ns, "ns/call")
@@ -419,12 +452,12 @@ func benchStream(b *testing.B, pairs int, fill func(s *TileStream, cells []testI
 }
 
 // BenchmarkGradRange times the scalar pair body over a leaf-sized
-// range of 8 sources, the four targets one AccumGradRange each,
+// range of 8 sources, a tile's targets one AccumGradRange each,
 // reported per pair.
 func BenchmarkGradRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vb := NewVortexBatch(Pairwise{Sm: Algebraic6(), Sigma: 0.35})
-	tile := tileTargets(rng, [TileWidth]int{-1, 2, -1, 5})
+	tile := tileTargets(rng, [TileWidth]int{-1, 2, -1, 5, 7, -1, 0, -1})
 	xs, ys, zs, axs, ays, azs := randomLanes(rng, 8, 0, 0, 0)
 	b.ResetTimer()
 	for range b.N {

@@ -59,6 +59,11 @@ func FuzzTileWalk(f *testing.F) {
 	f.Add(int64(8), uint16(63), 0.6, uint8(1), false, 0.0)
 	f.Add(int64(9), uint16(40), 0.6, uint8(2), false, 0.0)
 	f.Add(int64(10), uint16(17), 0.6, uint8(1), false, 0.0)
+	// The last tile partly full at width 8: 45, 95 and 96 particles
+	// leave 5, 7 and 8 targets in it.
+	f.Add(int64(11), uint16(44), 0.3, uint8(2), false, 0.0)
+	f.Add(int64(12), uint16(94), 0.45, uint8(8), true, 0.05)
+	f.Add(int64(13), uint16(95), 0.6, uint8(3), false, 0.0)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, theta float64, leafRaw uint8, coulomb bool, eps float64) {
 		if !(theta >= 0 && theta <= 2) { // also rejects NaN
 			theta = 0.5

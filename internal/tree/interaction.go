@@ -10,7 +10,7 @@ import (
 // This file holds the group interaction-list builder (the PEPC-style
 // amortized traversal, cf. Dubinski's parallel tree code) and the
 // traversal mode. No evaluator uses the lists: both disciplines walk
-// their targets four to a tile with an exact MAC decision per lane
+// their targets eight to a tile with an exact MAC decision per lane
 // (tileWalk, traverse.go). The builder, its list pool, Groups,
 // GroupBounds and MACKind remain because internal/bench times one
 // list build per target group as its tree.list_build_ms probe; they go
@@ -36,8 +36,8 @@ import (
 type TraversalMode int
 
 const (
-	// TraversalList is the default: the targets are walked four to a
-	// tile with a MAC decision per lane, for both disciplines. (The
+	// TraversalList is the default: the targets are walked eight to
+	// a tile with a MAC decision per lane, for both disciplines. (The
 	// name predates the tile walk; it builds no lists.)
 	TraversalList TraversalMode = iota
 	// TraversalRecursive is the classic per-particle stack traversal —

@@ -16,7 +16,7 @@ import (
 // Solver is the Barnes-Hut evaluator: every Eval rebuilds the tree for
 // the current particle positions (as PEPC does per force evaluation)
 // and evaluates the field at every target particle, scheduled with work
-// stealing. By default the targets are packed four to a tile in sorted
+// stealing. By default the targets are packed eight to a tile in sorted
 // order and each tile is evaluated by one lane-masked walk from the
 // root (tileWalk), for both disciplines; Traversal selects the classic
 // per-particle recursive walk instead. EvalTree and CoulombTree are the
@@ -36,7 +36,7 @@ type Solver struct {
 	// Dipole enables the cluster dipole correction for velocities.
 	Dipole bool
 	// Traversal selects the evaluator: the zero value, TraversalList,
-	// walks the targets once per tile of four (it builds no lists),
+	// walks the targets once per tile of eight (it builds no lists),
 	// and TraversalRecursive walks the tree once per particle. Both
 	// sum the same terms in the same order, so results are bitwise
 	// equal.
@@ -52,6 +52,7 @@ type Solver struct {
 
 	evals        atomic.Int64
 	interactions atomic.Int64
+	slots        atomic.Int64
 
 	// Per-discipline build arenas plus walk scratch: every per-step
 	// allocation of Eval/Coulomb reuses the previous step's capacity,
@@ -97,6 +98,13 @@ func (s *Solver) Stats() field.Stats {
 	}
 }
 
+// LaneSlots is the number of vector slots the vortex tile walks have
+// run: over every stream item, its sources (one for a cell) times
+// kernel.TileWidth, the lanes outside the item's mask included. Over
+// Eval alone, Stats().Interactions ÷ LaneSlots is the occupancy of the
+// vector loop.
+func (s *Solver) LaneSlots() int64 { return s.slots.Load() }
+
 // Eval implements field.Evaluator: Barnes-Hut velocities and
 // stretching terms for all particles — the tree build, then EvalTree.
 //
@@ -119,7 +127,7 @@ func (s *Solver) Eval(sys *particle.System, vel, stretch []vec.Vec3) {
 // — against the whole of t from t.Root. Package hot evaluates its
 // locally essential tree through it: there those positions are the
 // local particles, and the graft's remote particles lie beyond them.
-// The targets are packed four to a tile in sorted order, and each tile
+// The targets are packed eight to a tile in sorted order, and each tile
 // is evaluated by one lane-masked walk from the root (or, under
 // TraversalRecursive, by one walk per target), on one worker or on
 // Workers with work stealing over the tiles. Each target's results,
@@ -196,15 +204,18 @@ func (s *Solver) evalTree(t *Tree) (inter, accepts, rejects int64) {
 func (s *Solver) evalTiles(t *Tree, lo, hi int, w *tileWalk) (c counts) {
 	const tw = kernel.TileWidth
 	end := min(hi*tw, len(t.Order))
+	var slots int64
 	for k := lo * tw; k < end; k += tw {
 		n := min(tw, end-k)
 		if s.Traversal == TraversalList {
 			w.walk(t, &s.legs, s.Theta, k, n)
+			slots += w.slots
 		}
 		for l := range n {
 			c.add(s.store(t, w, k+l))
 		}
 	}
+	s.slots.Add(slots)
 	return c
 }
 

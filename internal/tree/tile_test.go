@@ -206,3 +206,59 @@ func TestTiledGroupsMatchRecursive(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneSlotsCounted holds Solver.LaneSlots to an independent count
+// on a small sheet, at both of the paper's θ and at 1 and 3 workers.
+// Per tile, every node that some lane's own walk sums as a leaf or
+// accepts as a cell is one stream item, of its particle count or one
+// source, on kernel.TileWidth slots; the occupancy, interactions per
+// slot, lies in (0, 1].
+func TestLaneSlotsCounted(t *testing.T) {
+	const tw = kernel.TileWidth
+	sys := particle.SphericalVortexSheet(particle.ScaledSheet(180))
+	vel, stretch := make([]vec.Vec3, sys.N()), make([]vec.Vec3, sys.N())
+	for _, theta := range []float64{0.3, 0.6} {
+		for _, workers := range []int{1, 3} {
+			s := NewSolver(kernel.Algebraic6(), kernel.Transpose, theta)
+			s.Workers = workers
+			s.Eval(sys, vel, stretch)
+			tr := s.LastTree
+			var want int64
+			for k := 0; k < len(tr.Order); k += tw {
+				items := map[int32]bool{}
+				var visit func(i int, c int32)
+				visit = func(i int, c int32) {
+					nd := &tr.Nodes[c]
+					switch {
+					case nd.Count == 0:
+					case nd.Leaf || MACSq(theta*theta, nd.Size*nd.Size, tr.Particle(i).Pos.Sub(nd.Centroid).Norm2()):
+						items[c] = true
+					default:
+						for _, ch := range nd.Children {
+							if ch >= 0 {
+								visit(i, ch)
+							}
+						}
+					}
+				}
+				for i := k; i < min(k+tw, len(tr.Order)); i++ {
+					visit(i, int32(tr.Root))
+				}
+				for c := range items {
+					if nd := &tr.Nodes[c]; nd.Leaf {
+						want += int64(nd.Count) * tw
+					} else {
+						want += tw
+					}
+				}
+			}
+			got, inter := s.LaneSlots(), s.Stats().Interactions
+			if got != want {
+				t.Fatalf("θ=%g workers=%d: %d slots counted, %d by the per-lane walks", theta, workers, got, want)
+			}
+			if occ := float64(inter) / float64(got); !(occ > 0 && occ <= 1) {
+				t.Fatalf("θ=%g workers=%d: occupancy %g (%d interactions on %d slots)", theta, workers, occ, inter, got)
+			}
+		}
+	}
+}

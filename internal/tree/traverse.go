@@ -213,14 +213,17 @@ type legs struct {
 // tileWalk is the tile walk's state: up to kernel.TileWidth targets in
 // the lanes of one tile — lane l is the particle at sorted position
 // first+l — their sums (vortex in the GradTile, Coulomb in coul), the
-// vortex items not yet run, their MAC counters, and the walk's (cell,
-// lane mask) stack. The solver holds one per worker.
+// vortex items not yet run, their MAC counters, the vector slots the
+// vortex items take (an item's sources times the tile width, masked
+// lanes included), and the walk's (cell, lane mask) stack. The solver
+// holds one per worker.
 type tileWalk struct {
 	tile             kernel.GradTile
 	stream           kernel.TileStream
 	coul             [kernel.TileWidth]kernel.CoulombAcc
 	first            int
 	accepts, rejects [kernel.TileWidth]int64
+	slots            int64
 	stack            []maskedCell
 	_                [64]byte // keeps the next worker's walk off this one's cache lines
 }
@@ -259,7 +262,7 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 	} else {
 		tl.Reset()
 	}
-	w.accepts, w.rejects = [tw]int64{}, [tw]int64{}
+	w.accepts, w.rejects, w.slots = [tw]int64{}, [tw]int64{}, 0
 	stack := append(w.stack[:0], maskedCell{int32(t.Root), kernel.AllLanes >> (tw - n)})
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
@@ -273,6 +276,7 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 				w.nearCoulomb(t, nd, top.mask, lg.eps)
 			} else {
 				w.stream.Leaf(top.mask, nd.First, nd.First+nd.Count)
+				w.slots += int64(nd.Count) * tw
 				w.flushFull(t, &lg.vb)
 			}
 			continue
@@ -300,6 +304,7 @@ func (w *tileWalk) walk(t *Tree, lg *legs, theta float64, first, n int) {
 					dip = &nd.Dipole
 				}
 				w.stream.Cell(accept, nd.Centroid, nd.CircSum, dip)
+				w.slots += tw
 				w.flushFull(t, &lg.vb)
 			}
 		}
