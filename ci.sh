@@ -116,13 +116,17 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # restore, the guard×crash interleaving on 2×2 and 4×2 grids, and the
 # tail block (TestFacadeCrashTail*: bitwise equal to resuming the
 # pre-tail manifest, and a guarded redo of a flip in the tail).
-# ./internal/core/ holds the recovery loop's own suites beside the loop
-# (the PT×1 block-attempt tests and the PT-shrink on 4×2);
-# ./internal/pfasst/ keeps the pure-PFASST guard and validation rows.
+# ./internal/core/ holds the grid loop's own suites beside the loop
+# (the PT×1 block-attempt tests, the PT-shrink on 4×2, and `Deadline`:
+# the one loop's deadline link against its plain link on 4×1, 2×2 and
+# 4×2); the guard ladder's rows (scrub, sticky abort, block redo) are
+# core's `Guard` tests in the guard lane below. No ./internal/pfasst/
+# test matches either lane since the lockstep loop went; the package
+# stays listed so a resilience or guard test added there runs here.
 # TestFacadeGridCrashMidAttempt carries the `Threads: 2` row: traversal
 # workers across a mid-attempt crash, bitwise equal to `Threads: 1`.
 # `Cancel` is TestFacadeCancelAtBlockBoundary: cancellation through
-# both block loops via the one block-boundary callback. `Deadlock`
+# the grid loop's one block-boundary callback, on both links. `Deadlock`
 # re-runs the deadlock detector's tests (every rank blocked, a dead
 # rank, the diagnostics, a death while all survivors wait), whose
 # timing the receive's poll-then-park wait rule changes.

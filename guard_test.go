@@ -30,9 +30,9 @@ func TestFacadeRejectsBadGuardConfigs(t *testing.T) {
 		!strings.Contains(err.Error(), "without Guard.Enabled") {
 		t.Fatalf("flip plan without guard not rejected: %v", err)
 	}
-	// Guard + resilient time stepping at PS > 1 was the last rejected
-	// combination; the grid-resilient loop composes both, so the
-	// configuration must now run cleanly.
+	// Guard + deadline receives at PS > 1 was the last rejected
+	// combination; the grid loop composes both, so the configuration
+	// must run cleanly.
 	cfg = DefaultSpaceTime(2, 2)
 	cfg.Guard.Enabled = true
 	cfg.Resilience.Enabled = true

@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-// Grid checkpoints (format v3) of the resilient loop, at every PS: the
+// Grid checkpoints (format v3) of core's grid loop, at every PS: the
 // fine state is partitioned over the spatial communicator, so one NBLV
 // shard per spatial column (one shard at PS = 1) is written by that
 // column's rank in the first live time slice, and a single checksummed

@@ -42,7 +42,7 @@ type LevelState struct {
 	TimeRanks int     // time-communicator size at checkpoint time
 	T         float64 // physical time at block start
 	// U holds the per-level solution at block start, finest level
-	// first. The resilient loop checkpoints only the fine vector
+	// first. The grid loop checkpoints only the fine vector
 	// (coarse levels are rebuilt by restriction), but the format
 	// carries the full hierarchy for solvers that need it.
 	U [][]float64

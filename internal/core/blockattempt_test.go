@@ -3,7 +3,7 @@ package core
 // The resilience contract of the block attempt — deadline link,
 // generation tags, typed aborts, committed-block records — tested
 // through the one driver that runs it: RunSpaceTime's grid loop on a
-// PT×1 grid of a small vortex blob.
+// small vortex blob, mostly on PT×1 grids.
 
 import (
 	"errors"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/guard"
 	"repro/internal/mpi"
 	"repro/internal/ode"
 	"repro/internal/particle"
@@ -38,7 +39,7 @@ type gridRank struct {
 // fault plan, every rank on its own registry, and returns each rank's
 // outcome (nil entries for ranks that died or errored) plus the joined
 // run error.
-func runGrid(cfg Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
+func runBlob(cfg Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
 	full := blob()
 	out := make([]*gridRank, cfg.PT*cfg.PS)
 	_, err := mpi.RunOpts(len(out), mpi.Options{Fault: pol}, func(w *mpi.Comm) error {
@@ -54,33 +55,41 @@ func runGrid(cfg Config, pol mpi.FaultPolicy, nsteps int) ([]*gridRank, error) {
 	return out, err
 }
 
-// TestResilientMatchesPlainWithoutFaults: with no fault plan, the
-// resilient loop (deadline link, generation tags, agreement commits)
-// must reproduce the lockstep loop bitwise on every rank — same block
-// body, same sweeps, same per-block records; only the message plumbing
-// differs. The Tol row sets the deadline allreduce against the tree
-// allreduce (same early stop, same IterationsRun).
-func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
-	const p, nsteps = 4, 8
+// TestDeadlineLinkMatchesPlainLink: with no fault plan, the grid loop
+// on the deadline link (bounded receives, generation tags, linear
+// collectives) must reproduce the same loop on the plain link bitwise
+// on every rank — same block body, same sweeps, same per-block records;
+// only the message plumbing differs. The Tol row sets the deadline
+// allreduce against the tree allreduce (same early stop, same
+// IterationsRun); the 2×2 and 4×2 rows add spatial columns, and the
+// guard row runs the block-end detectors on both links.
+func TestDeadlineLinkMatchesPlainLink(t *testing.T) {
+	const nsteps = 8
 
 	for _, tc := range []struct {
-		name string
-		tol  float64
+		name    string
+		pt, ps  int
+		tol     float64
+		guarded bool
 	}{
-		{"fixed", 0},
-		{"tol", 1e-7},
+		{"fixed", 4, 1, 0, false},
+		{"tol", 4, 1, 1e-7, false},
+		{"2x2", 2, 2, 0, false},
+		{"4x2", 4, 2, 0, false},
+		{"guard", 4, 1, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := resilientCfg(p, 1)
+			cfg := resilientCfg(tc.pt, tc.ps)
 			cfg.Iterations = 8
 			cfg.Tol = tc.tol
+			cfg.Guard.Enabled = tc.guarded
 			plainCfg := cfg
 			plainCfg.Resilience = pfasst.Resilience{}
-			want, err := runGrid(plainCfg, nil, nsteps)
+			want, err := runBlob(plainCfg, nil, nsteps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runGrid(cfg, nil, nsteps)
+			got, err := runBlob(cfg, nil, nsteps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,19 +102,26 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 					t.Fatalf("rank %d: Tol %g never stopped a block early: %v", r, tc.tol, w.IterationsRun)
 				}
 				if !slices.Equal(g.U, w.U) || !slices.Equal(g.Residuals, w.Residuals) || !slices.Equal(g.IterDiffs, w.IterDiffs) {
-					t.Fatalf("rank %d: resilient run not bitwise identical to plain:\n got %+v\nwant %+v", r, g, w)
+					t.Fatalf("rank %d: deadline link not bitwise identical to the plain link:\n got %+v\nwant %+v", r, g, w)
 				}
 				if !reflect.DeepEqual(g.IterationsRun, w.IterationsRun) || g.SweepsFine != w.SweepsFine || g.SweepsCoarse != w.SweepsCoarse {
-					t.Fatalf("rank %d: resilient run did different work:\n got %+v\nwant %+v", r, g, w)
+					t.Fatalf("rank %d: deadline link did different work:\n got %+v\nwant %+v", r, g, w)
 				}
-				if len(g.Residuals) != nsteps/p {
-					t.Fatalf("rank %d: %d block records for %d blocks", r, len(g.Residuals), nsteps/p)
+				if len(g.Residuals) != nsteps/tc.pt {
+					t.Fatalf("rank %d: %d block records for %d blocks", r, len(g.Residuals), nsteps/tc.pt)
 				}
-				if g.BlockRestarts != 0 || g.DegradedBlocks != 0 || g.FinalRanks != p {
-					t.Fatalf("rank %d: fault-free run reported faults: %+v", r, g)
+				for _, x := range []pfasst.Result{w, g} {
+					if x.BlockRestarts != 0 || x.DegradedBlocks != 0 || x.FinalRanks != tc.pt {
+						t.Fatalf("rank %d: fault-free run reported faults: %+v", r, x)
+					}
 				}
-				if n := got[r].tel.Counters[pfasst.CounterShrinks]; n != 0 {
-					t.Fatalf("rank %d: fault-free run counted %d shrinks", r, n)
+				for _, x := range []*gridRank{want[r], got[r]} {
+					if n := x.tel.Counters[pfasst.CounterShrinks]; n != 0 {
+						t.Fatalf("rank %d: fault-free run counted %d shrinks", r, n)
+					}
+					if n := x.tel.Counters[guard.CounterDetected]; n != 0 {
+						t.Fatalf("rank %d: fault-free run detected %d corruptions", r, n)
+					}
 				}
 			}
 		})
@@ -121,7 +137,7 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
 
-	clean, err := runGrid(cfg, nil, nsteps)
+	clean, err := runBlob(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +145,14 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err := runGrid(cfg, plan, nsteps)
+	chaos, err := runBlob(cfg, plan, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The plain (non-resilient) path must absorb the same plan too.
+	// The plain link must absorb the same plan too.
 	plainCfg := cfg
 	plainCfg.Resilience = pfasst.Resilience{}
-	plain, err := runGrid(plainCfg, plan, nsteps)
+	plain, err := runBlob(plainCfg, plan, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +161,7 @@ func TestTransientChaosBitwiseIdentical(t *testing.T) {
 			t.Fatalf("rank %d: transient chaos changed U", r)
 		}
 		if !slices.Equal(plain[r].PFASST.U, clean[r].PFASST.U) {
-			t.Fatalf("rank %d: plain path under transient chaos diverged", r)
+			t.Fatalf("rank %d: plain link under transient chaos diverged", r)
 		}
 	}
 }
@@ -210,7 +226,7 @@ func checkShrunkTo3(t *testing.T, dead int, tail []int, results []*gridRank) *gr
 func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
-	clean, err := runGrid(cfg, nil, nsteps)
+	clean, err := runBlob(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +234,7 @@ func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := runGrid(cfg, plan, nsteps)
+	results, err := runBlob(cfg, plan, nsteps)
 	if !errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("run error should be the injected crash, got %v", err)
 	}
@@ -238,7 +254,7 @@ func TestCrashRecoveryCompletesDegraded(t *testing.T) {
 func TestCrashAtBlockBoundary(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
-	clean, err := runGrid(cfg, nil, nsteps)
+	clean, err := runBlob(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +262,7 @@ func TestCrashAtBlockBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := runGrid(cfg, plan, nsteps)
+	results, err := runBlob(cfg, plan, nsteps)
 	if !errors.Is(err, mpi.ErrInjectedCrash) {
 		t.Fatalf("want injected crash in run error, got %v", err)
 	}
@@ -281,12 +297,12 @@ func TestHardLossRetriesBlockBitwise(t *testing.T) {
 	cfg := resilientCfg(p, 1)
 	cfg.Resilience.RecvTimeout = 150 * time.Millisecond
 
-	clean, err := runGrid(cfg, nil, nsteps)
+	clean, err := runBlob(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
-	lossy, err := runGrid(cfg, lossPlan{hits: &hits}, nsteps)
+	lossy, err := runBlob(cfg, lossPlan{hits: &hits}, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +354,7 @@ func TestLeakCorruptionTypedFailure(t *testing.T) {
 			cfg.Resilience.RecvTimeout = 200 * time.Millisecond
 			cfg.Resilience.MaxBlockRetries = 2
 
-			ranks, err := runGrid(cfg, row.pol, 8)
+			ranks, err := runBlob(cfg, row.pol, 8)
 			if err == nil {
 				t.Fatal("universally torn payloads reported success")
 			}
@@ -392,12 +408,12 @@ func (tornOnce) CrashAt(rank int, phase string, epoch int) bool { return false }
 func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
 	const p, nsteps = 4, 8
 	cfg := resilientCfg(p, 1)
-	clean, err := runGrid(cfg, nil, nsteps)
+	clean, err := runBlob(cfg, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
-	torn, err := runGrid(cfg, tornOnce{hits: &hits}, nsteps)
+	torn, err := runBlob(cfg, tornOnce{hits: &hits}, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +440,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	cfg.Resilience.CheckpointDir = t.TempDir()
 
 	// Uninterrupted 12-step reference, writing checkpoints as it goes.
-	full, err := runGrid(cfg, nil, 12)
+	full, err := runBlob(cfg, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +448,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	// The final checkpoint records all 12 steps: a resume runs zero
 	// blocks and must return the stored state verbatim.
 	cfg.Resilience.Resume = true
-	resumed, err := runGrid(cfg, nil, 12)
+	resumed, err := runBlob(cfg, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,11 +461,11 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	// the uninterrupted run bitwise.
 	cfg8 := resilientCfg(p, 1)
 	cfg8.Resilience.CheckpointDir = t.TempDir()
-	if _, err := runGrid(cfg8, nil, 8); err != nil {
+	if _, err := runBlob(cfg8, nil, 8); err != nil {
 		t.Fatal(err)
 	}
 	cfg8.Resilience.Resume = true
-	cont, err := runGrid(cfg8, nil, 12)
+	cont, err := runBlob(cfg8, nil, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

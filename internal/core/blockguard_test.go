@@ -1,12 +1,14 @@
 package core
 
-// The guard ladder and the guarded resume through the resilient grid
-// loop, on the blob of blockattempt_test.go.
+// The guard ladder — state scrub and rollback, block-end redo, typed
+// abort — and the guarded resume, through the grid loop on the blob of
+// blockattempt_test.go.
 
 import (
 	"errors"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,25 +16,164 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/guard"
+	"repro/internal/mpi"
 	"repro/internal/ode"
 	"repro/internal/telemetry"
 )
+
+// TestGuardedCleanBitwise: an enabled guard with no fault plan only
+// observes, and a nil guard runs the same messages and the same
+// arithmetic, so "guarded clean = plain" has to hold for the whole
+// pfasst.Result, not only U. The nil row also checks that no guard
+// counter is registered at all.
+func TestGuardedCleanBitwise(t *testing.T) {
+	const p, nsteps = 4, 8
+	want, err := runBlob(Default(p, 1), nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		pol  guard.Policy
+	}{
+		{"nil guard", guard.Policy{}},
+		{"clean guard", guard.Policy{Enabled: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Default(p, 1)
+			cfg.Guard = row.pol
+			got, err := runBlob(cfg, nil, nsteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if !reflect.DeepEqual(got[r].PFASST, want[r].PFASST) {
+					t.Fatalf("rank %d: Result differs from the unguarded run:\n got %+v\nwant %+v", r, got[r].PFASST, want[r].PFASST)
+				}
+				for name, n := range got[r].tel.Counters {
+					if strings.HasPrefix(name, "guard.") && (n != 0 || !row.pol.Enabled) {
+						t.Errorf("rank %d: clean run registered %s = %d", r, name, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGuardedStateFlipsRecovered: transient bit flips in the
+// block-start state are caught by the checksum scrub and rolled back
+// from the shadow copy, leaving the final answer bitwise identical to
+// the clean run.
+func TestGuardedStateFlipsRecovered(t *testing.T) {
+	const p, nsteps = 4, 8
+	clean, err := runBlob(Default(p, 1), nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clean[p-1].PFASST.U
+	injTotal := int64(0)
+	for seed := int64(0); seed < 12; seed++ {
+		// 288 words per blob state: about 0.3 flips per scrub, so the
+		// rollback, whose flips re-roll, converges.
+		mem, err := fault.ParseMem("rate=1e-3,in=state", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Default(p, 1)
+		cfg.Guard = guard.Policy{Enabled: true, Mem: mem, MaxRollback: 8}
+		ranks, err := runBlob(cfg, nil, nsteps)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !slices.Equal(ranks[p-1].PFASST.U, want) {
+			t.Fatalf("seed %d: recovered run differs bitwise from clean run", seed)
+		}
+		var s telemetry.Snapshot
+		for _, r := range ranks {
+			s.Merge(r.tel)
+		}
+		inj, det := s.Counters[guard.CounterInjected], s.Counters[guard.CounterDetected]
+		injTotal += inj
+		if rec := s.Counters[guard.CounterRecovered]; det != rec {
+			t.Fatalf("seed %d: detected %d != recovered %d", seed, det, rec)
+		}
+		if det < inj {
+			t.Fatalf("seed %d: detected %d < injected %d (silent corruption)", seed, det, inj)
+		}
+	}
+	if injTotal == 0 {
+		t.Fatal("no flips injected across any seed; test exercised nothing")
+	}
+}
+
+// TestGuardedStickyAborts: a sticky flip reappears after every
+// rollback, so the ladder must exhaust and abort with a typed
+// Violation on every rank — never a wrong answer.
+func TestGuardedStickyAborts(t *testing.T) {
+	const p, nsteps = 4, 8
+	clean, err := runBlob(Default(p, 1), nil, nsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborts := 0
+	for seed := int64(0); seed < 4; seed++ {
+		mem, err := fault.ParseMem("rate=2e-3,in=state,sticky", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Default(p, 1)
+		cfg.Guard = guard.Policy{Enabled: true, Mem: mem}
+		regs := make([]*telemetry.Registry, p)
+		out := make([][]float64, p)
+		_, err = mpi.RunOpts(p, mpi.Options{}, func(w *mpi.Comm) error {
+			rcfg := cfg
+			rcfg.Tel = telemetry.New()
+			regs[w.Rank()] = rcfg.Tel
+			res, err := RunSpaceTime(w, rcfg, blob(), 0, nsteps*blobDT, nsteps)
+			out[w.Rank()] = res.PFASST.U
+			return err
+		})
+		if err == nil {
+			// The seed planned no flip: the run must then be bitwise
+			// clean. Silent wrong answers are the one forbidden outcome.
+			for r := range out {
+				if !slices.Equal(out[r], clean[r].PFASST.U) {
+					t.Fatalf("seed %d rank %d: no error but corrupted answer", seed, r)
+				}
+			}
+			continue
+		}
+		aborts++
+		var v *guard.Violation
+		if !errors.As(err, &v) || !errors.Is(err, guard.ErrCorrupt) || v.Monitor == "" {
+			t.Fatalf("seed %d: abort is not a typed guard violation wrapping guard.ErrCorrupt: %v", seed, err)
+		}
+		n := int64(0)
+		for _, reg := range regs {
+			n += reg.Snapshot().Counters[guard.CounterAborts]
+		}
+		if n == 0 {
+			t.Fatalf("seed %d: typed abort without %s increment", seed, guard.CounterAborts)
+		}
+	}
+	if aborts == 0 {
+		t.Fatal("no seed produced a sticky abort; rate too low to exercise the ladder")
+	}
+}
 
 // Flips injected into the block-end buffer trigger a collective block
 // redo; transient flips re-roll, so the redo converges and the answer
 // stays within the degraded tolerance of the clean run (extra SDC
 // sweeps from attempt 2 onward may perturb it below solver accuracy).
-// The ladder is the attempt's, so it climbs under the resilient loop
-// (the blob on the grid loop, 4×1), where the guard verdict folds into
-// the block agreement and the retry budget is MaxBlockRetries, as it
-// does under the lockstep loop (the test of the same name in
-// internal/pfasst).
+// The ladder is the attempt's: it climbs under the grid loop (the blob,
+// 4×1, on the deadline link), where the guard verdict folds into the
+// block agreement and the retry budget is MaxBlockRetries.
 func TestGuardedBlockRedoRecovers(t *testing.T) {
 	const p, nsteps = 4, 8
 	grid := resilientCfg(p, 1)
 	grid.Iterations = 8
 	grid.Resilience.MaxBlockRetries = 8
-	clean, err := runGrid(grid, nil, nsteps)
+	clean, err := runBlob(grid, nil, nsteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +191,7 @@ func TestGuardedBlockRedoRecovers(t *testing.T) {
 			}
 			gcfg := grid
 			gcfg.Guard = guard.Policy{Enabled: true, Mem: mem, MaxRecompute: 8}
-			ranks, err := runGrid(gcfg, nil, nsteps)
+			ranks, err := runBlob(gcfg, nil, nsteps)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -118,7 +259,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		cfg.Guard = guard.Policy{Enabled: true}
 		cfg.Resilience.CheckpointDir = dir
 		cfg.Resilience.Resume = true
-		_, err := runGrid(cfg, nil, 4)
+		_, err := runBlob(cfg, nil, 4)
 		return err
 	}
 

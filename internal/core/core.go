@@ -180,30 +180,31 @@ type Config struct {
 	// counters). Each rank needs its own registry; merge the Snapshots
 	// afterwards.
 	Tel *telemetry.Registry
-	// Resilience selects the fault-tolerant execution path
-	// (checkpointed blocks, bounded-wait receives, shrink-and-redo
-	// recovery): the grid-resilient loop in this package, at any PS.
-	// Commit/abort is agreed over the full PT×PS world, survivors
-	// shrink BOTH communicator families — a time slice that died out
-	// is dropped and the run continues PT − 1 wide, a thinned slice
-	// narrows the spatial width and the committed state is
-	// re-decomposed onto it — and a tail of fewer steps than live
-	// slices runs as one block on the first of them (see resilient.go
-	// and DESIGN.md §11).
+	// Resilience parameterizes the grid loop every run goes through
+	// (resilient.go, DESIGN.md §11): RecvTimeout > 0 puts the block
+	// attempts on the deadline link, CheckpointDir/Resume persist and
+	// restore the committed block state, MaxBlockRetries bounds the
+	// redos of one block. The zero value runs the plain link without
+	// checkpoints; crash recovery works either way — commit/abort is
+	// agreed over the full PT×PS world, survivors shrink BOTH
+	// communicator families (a time slice that died out is dropped and
+	// the run continues PT − 1 wide, a thinned slice narrows the
+	// spatial width and the committed state is re-decomposed onto it),
+	// and a tail of fewer steps than live slices runs as one block on
+	// the first of them.
 	Resilience pfasst.Resilience
 	// Guard configures the silent-data-corruption detectors and the
 	// recovery ladder (package guard). When Enabled, every rank gets a
 	// private guard wired into its tree builds (ABFT moment checks)
 	// and its PFASST time loop (state checksum, block-end monitors).
-	// Works at any PS: with PS > 1 the ladder's verdicts are agreed
-	// collectively over the spatial communicator and the invariant
-	// monitors compare global sums (DESIGN.md §15). Guard composes
-	// with Resilience.Enabled at any PS: corruption verdicts and crash
-	// verdicts fold into the same per-block agreement, so a bit-flip
-	// redo and a concurrent rank crash interleave safely (DESIGN.md
-	// §12).
+	// Works at any PS: with PS > 1 the invariant monitors compare
+	// global sums (DESIGN.md §15). Corruption verdicts and crash
+	// verdicts fold into the same per-block world agreement, so a
+	// bit-flip redo and a concurrent rank crash interleave safely
+	// (DESIGN.md §12); a rejected block is redone up to
+	// Resilience.MaxBlockRetries times.
 	Guard guard.Policy
-	// Ctx enables cooperative cancellation: both block loops poll it at
+	// Ctx enables cooperative cancellation: the grid loop polls it at
 	// every block boundary (never mid-block) and the run returns an
 	// error wrapping pfasst.ErrCanceled, identically on every rank. The
 	// decision is collective — the ranks' observations of the Context
@@ -216,8 +217,8 @@ type Config struct {
 	// before the Context is polled: a hook that cancels the Context
 	// stops the run at that block boundary deterministically (the
 	// server's chaos plan and progress telemetry hang off this). The
-	// resilient loop passes a boundary once per attempt, so a retried
-	// block reports again.
+	// grid loop passes a boundary once per attempt, so a retried block
+	// reports again.
 	OnBlock func(block int)
 }
 
@@ -250,9 +251,8 @@ type Result struct {
 	// slicing by SpatialIndex/SpatialRanks.
 	SpatialRanks int
 	// Participated reports whether Local holds a share of the final
-	// state. False only for ranks the grid-resilient path retired after
-	// a shrink or for a tail block on fewer time slices (their Local is
-	// nil).
+	// state. False only for ranks the grid loop retired after a shrink
+	// or for a tail block on fewer time slices (their Local is nil).
 	Participated bool
 	// TimeSlice is this rank's slice index.
 	TimeSlice int
@@ -266,49 +266,14 @@ type Result struct {
 // RunSpaceTime advances the full particle system from t0 to t1 in
 // nsteps steps using PT×PS-way space-time parallelism. Every world
 // rank must call it with identical arguments; the world communicator
-// must have PT·PS ranks and nsteps must be a multiple of PT.
+// must have PT·PS ranks and nsteps must be a multiple of PT. Every run
+// goes through the one grid loop (runGrid in resilient.go).
 func RunSpaceTime(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
 	if world.Size() != cfg.PT*cfg.PS {
 		return Result{}, fmt.Errorf("core: world has %d ranks, config wants PT×PS = %d×%d",
 			world.Size(), cfg.PT, cfg.PS)
 	}
-	if cfg.Resilience.Enabled {
-		return runGridResilient(world, cfg, full, t0, t1, nsteps)
-	}
-	slice := world.Rank() / cfg.PS
-	spatial := world.Rank() % cfg.PS
-	spaceComm := world.Split(slice, spatial)
-	timeComm := world.Split(spatial, slice)
-
-	local := hot.BlockPartition(full, spatial, cfg.PS)
-	var grd *guard.Guard
-	if cfg.Guard.Enabled {
-		grd = guard.New(cfg.Guard, world.Rank(), cfg.Tel)
-		// With PS > 1 the ladder's redo/rollback/abort verdicts are
-		// agreed over the spatial communicator and the invariant
-		// monitors see global sums; with PS = 1 AttachSpace is a no-op
-		// and the guard behaves exactly as before.
-		grd.AttachSpace(spaceComm)
-	}
-	pcfg, fineSys, coarseSys := levelSolver(spaceComm, cfg, local, grd)
-	pcfg.Boundary = blockBoundary(world, cfg.Ctx, cfg.OnBlock)
-	u0 := local.PackNew()
-	pres, err := pfasst.Run(timeComm, pcfg, t0, t1, nsteps, u0)
-	if err != nil {
-		return Result{}, err
-	}
-	out := local.Clone()
-	out.Unpack(pres.U)
-	return Result{
-		Local:        out,
-		SpatialIndex: spatial,
-		SpatialRanks: cfg.PS,
-		Participated: true,
-		TimeSlice:    slice,
-		PFASST:       pres,
-		FineEvals:    fineSys.Evals,
-		CoarseEvals:  coarseSys.Evals,
-	}, nil
+	return runGrid(world, cfg, full, t0, t1, nsteps)
 }
 
 // levelSystem builds the distributed vortex system of one hierarchy
@@ -353,16 +318,15 @@ func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard
 	}, fine, coarse
 }
 
-// blockBoundary returns the one collective block-boundary callback
-// both block loops call at the top of a block (nil when there is
+// blockBoundary returns the collective block-boundary callback the
+// grid loop calls at the top of every block attempt (nil when there is
 // neither a Context nor a hook, so such runs pay nothing). The lowest
 // live world rank invokes the OnBlock hook; then every live rank polls
 // the Context and the verdicts fold into a world agreement, so every
 // rank — of every spatial column, active or retired — takes the
 // identical abort-or-continue decision (an asymmetric local return
 // would strand peers in deadline-less spatial collectives). The
-// agreement completes despite dead ranks, which is what lets the
-// resilient loop share it with the lockstep one.
+// agreement completes despite dead ranks.
 func blockBoundary(world *mpi.Comm, ctx context.Context, onBlock func(int)) func(int) error {
 	if ctx == nil && onBlock == nil {
 		return nil

@@ -1,10 +1,11 @@
 package core
 
-// Fault tolerance on the PT×PS communicator grid: the one resilient
-// driver, at every PS — PS = 1 is the grid one column wide, not a
-// different program. It runs the same block attempt
-// (pfasst.GridSolver) and the same block-boundary callback
-// (blockBoundary) as the lockstep loop. The failure surface is
+// The one block loop of every space-time run, on the PT×PS
+// communicator grid, at every PS — PS = 1 is the grid one column wide,
+// not a different program. It drives pfasst.GridSolver's block attempt
+// on the plain link or, with Resilience.RecvTimeout > 0, the deadline
+// link; a run without faults commits every block on the first attempt
+// and pays one world agreement per block. The failure surface is
 // two-dimensional — a dead rank breaks its temporal column AND its
 // spatial slice — so the recovery protocol lives in the layer that owns
 // the spatial decomposition:
@@ -68,7 +69,7 @@ import (
 // whole temporal column to die inside one block.
 var ErrStateLost = errors.New("core: committed state lost (no surviving replica, no checkpoint)")
 
-// Recovery-phase telemetry of the grid-resilient loop: the timers
+// Recovery-phase telemetry of the grid loop: the timers
 // split one recovery round into its phases (the BENCH_PR8 per-phase
 // recovery cost columns), the first counter tallies rounds, and the
 // second counts, once per shrink, a rank left without a column by the
@@ -83,9 +84,9 @@ const (
 	CounterRecoveryRetired    = "core.recovery.retired_ranks"
 )
 
-// runGridResilient is the fault-tolerant space-time loop, at any PS.
-// Every world rank calls it with identical arguments.
-func runGridResilient(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
+// runGrid is the space-time block loop, at any PS. Every world rank
+// calls it with identical arguments.
+func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64, nsteps int) (Result, error) {
 	if nsteps%cfg.PT != 0 {
 		return Result{}, fmt.Errorf("core: nsteps %d not a multiple of PT %d", nsteps, cfg.PT)
 	}

@@ -15,10 +15,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// resilientCfg is Default(pt, ps) with the resilient driver on.
+// resilientCfg is Default(pt, ps) on the deadline link.
 func resilientCfg(pt, ps int) Config {
 	cfg := Default(pt, ps)
-	cfg.Resilience = pfasst.Resilience{Enabled: true, RecvTimeout: 5 * time.Second}
+	cfg.Resilience = pfasst.Resilience{RecvTimeout: 5 * time.Second}
 	return cfg
 }
 
@@ -184,7 +184,8 @@ func TestGridCrashFirstSliceKeepsCheckpointing(t *testing.T) {
 // TestGridResilientHonoursThreadsAtPS1: traversal workers never
 // communicate, so the grid loop keeps the configured Threads at every
 // PS, one column or two (the test ID predates that): the workers
-// report busy time, and the run still equals the lockstep one bitwise.
+// report busy time, and the deadline-link run still equals the
+// plain-link one bitwise.
 func TestGridResilientHonoursThreadsAtPS1(t *testing.T) {
 	for _, ps := range []int{1, 2} {
 		cfg := resilientCfg(2, ps)
@@ -199,7 +200,7 @@ func TestGridResilientHonoursThreadsAtPS1(t *testing.T) {
 			}
 			for i, v := range got[r].PFASST.U {
 				if v != want[r].PFASST.U[i] {
-					t.Fatalf("PS = %d rank %d: resilient run with Threads = 2 differs from the lockstep one", ps, r)
+					t.Fatalf("PS = %d rank %d: deadline-link run with Threads = 2 differs from the plain-link one", ps, r)
 				}
 			}
 		}
@@ -207,8 +208,8 @@ func TestGridResilientHonoursThreadsAtPS1(t *testing.T) {
 }
 
 // TestSpaceTimeRejectsRaggedSteps: nsteps must be a multiple of PT on
-// both drivers — the grid loop would otherwise serialise the remainder
-// as if a slice had died.
+// both links — the grid loop would otherwise run the remainder as a
+// tail block as if a slice had died.
 func TestSpaceTimeRejectsRaggedSteps(t *testing.T) {
 	full := particle.RandomVortexBlob(16, 0.2, 67)
 	for _, cfg := range []Config{Default(2, 1), resilientCfg(2, 1)} {

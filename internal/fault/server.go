@@ -49,7 +49,7 @@ type ServerPlan struct {
 
 // ErrWorkerCrash is the cancel cause of an injected worker crash: the
 // server's retry classifier treats it as retryable, exactly like a
-// real Agree-abort from the resilient loop.
+// real Agree-abort from the space-time grid loop.
 var ErrWorkerCrash = errors.New("fault: injected worker crash")
 
 // ParseServer builds a ServerPlan from a spec string (see the type

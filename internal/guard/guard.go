@@ -57,9 +57,11 @@ type Policy struct {
 	// residual is rank-local, so it never drives collective control
 	// flow). Zero means DefaultResidualFactor.
 	ResidualFactor float64
-	// MaxRecompute bounds tree rebuilds per evaluation and block redos
-	// per block before the ladder escalates to a typed abort. Zero
-	// means DefaultMaxRecompute.
+	// MaxRecompute bounds tree rebuilds per evaluation before the tree
+	// hook escalates to a typed abort. Zero means DefaultMaxRecompute.
+	// Block redos do not count here: the space-time grid loop redoes a
+	// rejected block within its own retry budget
+	// (pfasst.Resilience.MaxBlockRetries).
 	MaxRecompute int
 	// MaxRollback bounds shadow-copy restores per scrub of the
 	// block-start state. Zero means DefaultMaxRollback.
@@ -202,8 +204,9 @@ func newProbe(reg *telemetry.Registry) probe {
 // Guard is the per-rank detector and recovery state. Methods on a nil
 // Guard are no-ops, so call sites need no feature flag. The fault
 // plan's hash excludes the rank: state replicated across time ranks
-// receives identical flips, which keeps every recovery decision
-// identical in lockstep without extra agreement rounds.
+// receives identical flips. The caller makes every recovery decision
+// uniform (the space-time grid loop folds the verdicts into one world
+// agreement per block).
 type Guard struct {
 	pol  Policy
 	mem  *fault.MemPlan
@@ -233,9 +236,8 @@ type Guard struct {
 	// epoch credits them as recovered (a ladder abort never does).
 	blockPending int
 
-	// space, when non-nil, is the spatial communicator collective
-	// decisions run on (PS > 1): the invariant monitors switch to
-	// global sums and Agree becomes a spatial allreduce.
+	// space, when non-nil, is the spatial communicator (PS > 1) the
+	// invariant monitors sum over.
 	space *mpi.Comm
 }
 
@@ -251,8 +253,8 @@ func New(pol Policy, rank int, reg *telemetry.Registry) *Guard {
 
 // Policy returns the (zero-filled) policy the guard was built with. A
 // nil guard yields the zero policy, whose accessors return the
-// package defaults — callers on the resilient block loop read ladder
-// bounds through here without first checking for a disabled guard.
+// package defaults — the block attempt reads ladder bounds through
+// here without first checking for a disabled guard.
 func (g *Guard) Policy() Policy {
 	if g == nil {
 		return Policy{}
@@ -260,11 +262,10 @@ func (g *Guard) Policy() Policy {
 	return g.pol
 }
 
-// AttachSpace binds the spatial communicator the guard's collective
-// decisions run on. With PS = 1 (or no attachment) every decision
-// stays rank-local and bitwise identical to earlier guards-on runs;
-// with PS > 1 the invariant monitors compare global sums over the
-// spatial ranks and Agree folds verdicts collectively (DESIGN.md §15).
+// AttachSpace binds the spatial communicator the guard's invariant
+// monitors sum over. With PS = 1 (or no attachment) every check stays
+// rank-local; with PS > 1 the monitors compare global sums over the
+// spatial ranks (DESIGN.md §15).
 // Attaching nil or a singleton communicator DETACHES: after crash
 // recovery re-decomposes onto a single spatial rank, the guard must
 // stop running collectives on the abandoned communicator.
@@ -279,29 +280,9 @@ func (g *Guard) AttachSpace(c *mpi.Comm) {
 	g.space = c
 }
 
-// Agree folds a rank-local verdict ("I saw a violation") into the
-// collective one: true when any spatial rank's verdict is true. The
-// recovery ladder's redo/rollback/abort decisions must be uniform
-// across the spatial communicator — a lone rank redoing a block would
-// deadlock the next collective force evaluation. Without an attached
-// spatial communicator the local verdict is returned unchanged, at
-// zero communication cost. Collective when attached: every spatial
-// rank must call it at the same decision point.
-func (g *Guard) Agree(local bool) bool {
-	if g == nil || g.space == nil {
-		return local
-	}
-	var x int64
-	if local {
-		x = 1
-	}
-	return g.space.AllreduceInt64([]int64{x}, mpi.OpMax)[0] != 0
-}
-
-// PeerViolation is the violation a rank adopts when Agree reports
-// corruption that its own detectors did not see: the collective
-// verdict redoes or aborts on every spatial rank, and each needs a
-// typed error wrapping ErrCorrupt to return.
+// PeerViolation is the violation a rank adopts when the agreed verdict
+// aborts on corruption its own detectors did not see: every rank
+// needs a typed error wrapping ErrCorrupt to return.
 func (g *Guard) PeerViolation(monitor string, epoch int) *Violation {
 	rank := 0
 	if g != nil {
@@ -311,7 +292,7 @@ func (g *Guard) PeerViolation(monitor string, epoch int) *Violation {
 		Monitor: monitor,
 		Rank:    rank,
 		Epoch:   epoch,
-		Detail:  "spatial peer detected corruption (collective verdict)",
+		Detail:  "a peer rank detected corruption (collective verdict)",
 	}
 }
 

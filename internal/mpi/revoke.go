@@ -79,8 +79,8 @@ func AsCommFailure(p any) (error, bool) {
 // a comm failure (AsCommFailure → ErrRankDead) instead of waiting for
 // a message that can never arrive. The flag lives on the per-rank
 // handle; every rank that wants the behavior sets it on its own handle
-// (the grid-resilient loop sets it on both its spatial and temporal
-// communicators). Plain communicators keep the default behavior, where
+// (core's space-time grid loop sets it on both its spatial and
+// temporal communicators). Plain communicators keep the default behavior, where
 // a dead peer surfaces through deadline receives or the world-level
 // deadlock detector.
 func (c *Comm) FailFast(on bool) { c.failFast = on }

@@ -9,25 +9,26 @@ import (
 
 // GridSolver owns the one block attempt (see attempt in pfasst.go) and
 // everything it accumulates into: the level hierarchy, the Result and
-// the telemetry handles. Two loops drive it:
+// the telemetry handles. Run drives it for generic ode.System callers;
+// every space-time run of the particle method is driven by core's grid
+// loop through BlockAttempt, on one of two transports (see link):
 //
-//	runLockstep            no resilience: blocking transport, the guard's
-//	                       spatial Agree is the only agreement
-//	core.runGridResilient  resilience at any PS, through BlockAttempt:
-//	                       deadline transport, one world agreement per
-//	                       block, the grid shrinks after a death
+//	plain link      RecvTimeout == 0: blocking fail-fast receives, tree
+//	                collectives, plain tags
+//	deadline link   RecvTimeout > 0: bounded receives, linear
+//	                collectives, generation tags
 //
-// The second lives in internal/core because its commit-or-abort must be
+// The loop lives in internal/core because its commit-or-abort must be
 // agreed over the entire PS×PT grid — after a rank dies, the survivors
 // drop dead time slices, re-decompose the particle state and rebuild
 // every communicator — and that belongs to the layer that owns the
-// spatial decomposition. The split of responsibilities there:
+// spatial decomposition. The split of responsibilities:
 //
-//	core (runGridResilient)   grid-wide agreement, shrink, state
+//	core (runGrid)            grid-wide agreement, shrink, state
 //	                          redistribution, checkpoint orchestration,
 //	                          guard commits, retry/abort policy
-//	pfasst (GridSolver)       one fault-aware block attempt on the
-//	                          current time communicator
+//	pfasst (GridSolver)       one block attempt on the current time
+//	                          communicator
 //
 // A GridSolver is bound to one generation of communicators: after a
 // shrink the core rebuilds the level systems on the new spatial
@@ -67,19 +68,20 @@ func NewGridSolver(cfg Config, res *Result) (*GridSolver, error) {
 	return &GridSolver{cfg: cfg, levels: levels, res: res, pb: newProbe(cfg.Tel)}, nil
 }
 
-// BlockAttempt runs one fault-aware block attempt (body, end-value
-// distribution, guard block-end detectors) on the time communicator
-// cur, starting this rank's slice at tn from block-start state u0.
-// Every receive carries the Resilience deadline and message tags embed
-// gen, so a retried attempt never consumes stale traffic; retries is
-// the count of consecutive rejected attempts at this block (the guard
-// ladder's rung). It returns the committed-candidate block end value,
+// BlockAttempt runs one block attempt (body, end-value distribution,
+// guard block-end detectors) on the time communicator cur, starting
+// this rank's slice at tn from block-start state u0. With a positive
+// Resilience.RecvTimeout every receive carries that deadline and
+// message tags embed gen, so a retried attempt never consumes stale
+// traffic; with zero it runs the plain link. retries is the count of
+// consecutive rejected attempts at this block (the guard ladder's
+// rung). It returns the committed-candidate block end value,
 // or an error that wraps ErrBlockAbort (transport) or guard.ErrCorrupt
 // (a detector fired) — the caller folds that into the grid-wide
 // agreement, decides commit, retry or shrink, and calls RecordRestart
 // when the agreed verdict rejects the attempt.
 func (s *GridSolver) BlockAttempt(cur *mpi.Comm, tn, dt float64, u0 []float64, block, gen, retries int) ([]float64, error) {
-	lk := link{gen: gen, timeout: s.cfg.Resilience.recvTimeout()}
+	lk := link{gen: gen, timeout: s.cfg.Resilience.RecvTimeout}
 	return s.attempt(cur, lk, tn, dt, u0, block, retries)
 }
 

@@ -64,26 +64,16 @@ type Config struct {
 	// probe.go). Must be private to the rank.
 	Tel *telemetry.Registry
 	// Resilience carries the fault-tolerance parameters (see
-	// resilient.go). BlockAttempt reads its receive deadline; Run is the
-	// lockstep loop and rejects Enabled — resilient runs go through
-	// core.RunSpaceTime, whose grid loop drives BlockAttempt.
+	// resilient.go). BlockAttempt reads its receive deadline; Run has no
+	// recovery and rejects a non-zero Resilience — resilient runs go
+	// through core.RunSpaceTime, whose grid loop drives BlockAttempt.
 	Resilience Resilience
-	// Guard, when non-nil, runs the silent-data-corruption detectors
-	// and recovery ladder around every block attempt. Nil runs the
-	// same loops with every detector a no-op: same messages, same
-	// arithmetic.
+	// Guard, when non-nil, runs the guard's block-end detectors and
+	// ladder rungs inside every block attempt (the commit, scrub and
+	// retry decisions around it belong to core's grid loop). Nil runs
+	// the same attempt with every detector a no-op: same messages, same
+	// arithmetic. Run rejects a non-nil Guard.
 	Guard *guard.Guard
-	// Boundary, when non-nil, is called by every time loop at the top
-	// of a block, before any work or communication of that block; a
-	// non-nil return aborts the run with that error (cancellation:
-	// wrap ErrCanceled). It must return the identical verdict on every
-	// live rank — an asymmetric return would strand peers in the
-	// block's collectives — so it has to decide collectively and
-	// survive dead ranks (internal/core folds the Context into a world
-	// agreement). u still holds the committed block-start state, and
-	// the checkpoint (when configured) already covers it, so an abort
-	// here abandons nothing. Nil changes nothing.
-	Boundary func(block int) error
 }
 
 // Result reports one rank's view of a PFASST solve.
@@ -104,14 +94,15 @@ type Result struct {
 	// performed per block (smaller than Config.Iterations only when
 	// Tol triggered early termination).
 	IterationsRun []int
-	// BlockRestarts counts block attempts aborted and redone by the
-	// resilient path (crashes and transport losses); DegradedBlocks
-	// counts blocks executed at reduced parallelism (shrunken grid or
-	// a tail on fewer time slices). Both stay zero on the plain path.
+	// BlockRestarts counts block attempts aborted and redone by core's
+	// grid loop (crashes, transport losses, guard rejections);
+	// DegradedBlocks counts blocks executed at reduced parallelism
+	// (shrunken grid or a tail on fewer time slices). Both stay zero in
+	// Run and in a run without faults.
 	BlockRestarts  int
 	DegradedBlocks int
-	// FinalRanks is the live time width at the end of a resilient run:
-	// the number of time slices that still have a rank (equal to the
+	// FinalRanks is the live time width at the end of the run: the
+	// number of time slices that still have a rank (equal to the
 	// starting PT when no slice died out).
 	FinalRanks int
 }
@@ -135,101 +126,38 @@ type level struct {
 // distributing blocks of comm.Size() consecutive steps over the time
 // ranks. nsteps must be a multiple of comm.Size(). All ranks must pass
 // identical arguments; the returned Result.U is the same on every rank.
+//
+// Run is the plain block loop for generic ode.System callers: one
+// attempt per block on the blocking transport, with no agreement, no
+// retry and no guard. A space-time run of the particle method goes
+// through core.RunSpaceTime, whose grid loop drives the same attempt
+// through BlockAttempt.
 func Run(comm *mpi.Comm, cfg Config, t0, t1 float64, nsteps int, u0 []float64) (Result, error) {
 	res := Result{FinalRanks: comm.Size()}
 	s, err := NewGridSolver(cfg, &res)
 	if err != nil {
 		return Result{}, err
 	}
-	if p := comm.Size(); nsteps%p != 0 {
+	p := comm.Size()
+	if nsteps%p != 0 {
 		return Result{}, fmt.Errorf("pfasst: nsteps %d not a multiple of ranks %d", nsteps, p)
 	}
-	if cfg.Resilience.Enabled {
-		return Result{}, fmt.Errorf("pfasst: Run is the lockstep loop; Resilience.Enabled needs core.RunSpaceTime")
+	if cfg.Guard != nil || cfg.Resilience != (Resilience{}) {
+		return Result{}, fmt.Errorf("pfasst: Run has no recovery; a guarded or resilient run needs core.RunSpaceTime")
 	}
 	if cfg.Tel != nil {
 		comm.AttachTelemetry(cfg.Tel)
 	}
-	if err := s.runLockstep(comm, t0, t1, nsteps, u0); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// runLockstep is the non-resilient time loop: blocks are indexed
-// statically and every rank commits or redoes each one in lockstep.
-// Per block it
-//
-//  1. calls the Boundary callback (collective cancellation),
-//  2. scrubs the committed block-start state against its checksum
-//     (rollback to the shadow copy on mismatch — the replicated state
-//     is the at-rest window most exposed to memory corruption),
-//  3. runs one attempt (body, end broadcast, block-end detectors), and
-//  4. on a violation redoes the block from the unchanged start state
-//     up to MaxRecompute times before returning the typed Violation.
-//
-// Without a guard steps 2 and 4 are no-ops and Agree(false) is false
-// at zero communication cost, so the plain solver is this loop.
-//
-// Every decision is taken on data all time ranks hold identically
-// (the fault plan's hash excludes the rank), so across the TIME
-// communicator the ladder needs no extra agreement rounds: ranks redo
-// and commit in lockstep. Across an attached SPATIAL communicator the
-// per-rank states differ, so every verdict passes through Guard.Agree
-// (a spatial allreduce; the identity with PS = 1) — ranks that saw no
-// local violation adopt a PeerViolation and follow the collective
-// redo or abort. Time slices stay consistent because each spatial
-// index holds identical state and flips in every slice, making the
-// spatial verdict set — and hence the agreement result — identical
-// across slices.
-func (s *GridSolver) runLockstep(comm *mpi.Comm, t0, t1 float64, nsteps int, u0 []float64) error {
-	g := s.cfg.Guard
-	p := comm.Size()
-	rank := comm.Rank()
 	dt := (t1 - t0) / float64(nsteps)
-
 	u := append([]float64(nil), u0...)
-	if v := g.ValidateState(u, "initial state", 0); g.Agree(v != nil) {
-		if v == nil {
-			v = g.PeerViolation("initial-state", 0)
-		}
-		g.RecordAbort()
-		return v
-	}
-	g.CommitState(u, 0)
-
 	for b := 0; b < nsteps/p; b++ {
-		if s.cfg.Boundary != nil {
-			if err := s.cfg.Boundary(b); err != nil {
-				return err
-			}
+		tn := t0 + (float64(b*p)+float64(comm.Rank()))*dt
+		if u, err = s.attempt(comm, link{}, tn, dt, u, b, 0); err != nil {
+			return Result{}, err
 		}
-		if v := g.ScrubState(u); g.Agree(v != nil) {
-			if v == nil {
-				v = g.PeerViolation("state-checksum", b)
-			}
-			return v
-		}
-		tn := t0 + (float64(b*p)+float64(rank))*dt
-		for redo := 0; ; redo++ {
-			end, err := s.attempt(comm, link{}, tn, dt, u, b, redo)
-			if !g.Agree(err != nil) {
-				u = end
-				break
-			}
-			if err == nil {
-				err = g.PeerViolation("block-end", b)
-			}
-			if redo >= g.Policy().MaxRecomputeN() {
-				g.RecordAbort()
-				return err
-			}
-			s.dropRecord()
-		}
-		g.CommitState(u, b+1)
 	}
-	s.res.U = u
-	return nil
+	res.U = u
+	return res, nil
 }
 
 func buildLevels(cfg Config) ([]*level, error) {
@@ -343,11 +271,6 @@ func (l *level) interpolateCorrection() {
 	l.sw.EvalAll()
 }
 
-// trailingSweep finalizes every block with one extra sweep at the
-// finest level so the reported solution incorporates the last coarse
-// correction (the "finalize" stage of standard PFASST controllers).
-const trailingSweep = true
-
 // blockRecord is the per-block diagnostics of one attempt: the finest
 // collocation residual of this rank's slice, the slice-end update of
 // the last iteration and the iterations performed.
@@ -356,7 +279,7 @@ type blockRecord struct {
 	iters              int
 }
 
-// attempt is the one block attempt every time loop runs: the block
+// attempt is the one block attempt both time loops run: the block
 // body, the distribution of the last rank's end value (which starts
 // the next block), the guard's block-end detectors, and — only when
 // this rank's verdict is clean — the commit of the per-block record.
@@ -567,11 +490,12 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		}
 	}
 
-	if trailingSweep {
-		fine.sw.Sweep()
-		res.SweepsFine++
-		pb.fineSweeps.Inc()
-	}
+	// The trailing sweep: one more finest sweep so the reported solution
+	// incorporates the last coarse correction (the "finalize" stage of
+	// standard PFASST controllers).
+	fine.sw.Sweep()
+	res.SweepsFine++
+	pb.fineSweeps.Inc()
 	pb.iters.Add(int64(rec.iters))
 	rec.residual = fine.sw.Residual()
 	return rec, nil

@@ -3,7 +3,9 @@ package pfasst_test
 import (
 	"math"
 	"testing"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/mpi"
 	"repro/internal/ode"
 	. "repro/internal/pfasst"
@@ -241,10 +243,11 @@ func TestRunValidation(t *testing.T) {
 	sys, _ := ode.Dahlquist(-1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		cases := []Config{
-			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}}, Iterations: 1},                        // 1 level
-			{Levels: twoLevel(sys), Iterations: 0},                                             // no iterations
-			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1}, // bad nodes
-			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{Enabled: true}},      // the resilient driver is core's
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}}, Iterations: 1},                                   // 1 level
+			{Levels: twoLevel(sys), Iterations: 0},                                                        // no iterations
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1},            // bad nodes
+			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{RecvTimeout: time.Second}},      // recovery is core's grid loop
+			{Levels: twoLevel(sys), Iterations: 1, Guard: guard.New(guard.Policy{Enabled: true}, 0, nil)}, // so is the guard ladder
 		}
 		for i, cfg := range cases {
 			if _, err := Run(c, cfg, 0, 1, 2, []float64{1}); err == nil {

@@ -8,21 +8,21 @@ import (
 	"repro/internal/mpi"
 )
 
-// Resilience configures fault-tolerant execution. The resilient driver
-// is core.runGridResilient (internal/core owns the grid, so it owns
-// recovery): every pipelined receive of a block attempt carries a
-// deadline, each block ends in a ULFM-style agreement that commits or
-// aborts it identically on every survivor, rank deaths shrink the
-// PT×PS grid, and the block restarts from its consistent start state.
-// Steps that no longer fill a block after a shrink run as one shorter
-// block on fewer time slices. This package reads RecvTimeout
-// (BlockAttempt's deadline link); the other fields parameterize the
-// driver. Run itself is the lockstep loop and rejects Enabled.
+// Resilience configures fault-tolerant execution. Its driver is
+// core's grid loop (internal/core owns the grid, so it owns recovery):
+// each block ends in a ULFM-style agreement that commits or aborts it
+// identically on every survivor, rank deaths shrink the PT×PS grid,
+// and the block restarts from its consistent start state. Steps that
+// no longer fill a block after a shrink run as one shorter block on
+// fewer time slices. This package reads RecvTimeout (BlockAttempt's
+// link); the other fields parameterize the driver.
 type Resilience struct {
-	Enabled bool
-	// RecvTimeout bounds every pipelined receive in host time; a block
-	// whose receive times out is aborted and retried. Zero means
-	// DefaultRecvTimeout.
+	// RecvTimeout, when positive, bounds every pipelined receive of a
+	// block attempt in host time: the attempt runs on the deadline link,
+	// and a block whose receive times out is aborted and retried. Zero
+	// runs the plain link (blocking fail-fast receives, tree
+	// collectives), which a crash still cannot hang: the grid loop's
+	// communicators fail fast on a dead peer.
 	RecvTimeout time.Duration
 	// CheckpointDir, when non-empty, persists the committed block-start
 	// state there after every block — one NBLV shard per spatial
@@ -37,30 +37,28 @@ type Resilience struct {
 	Resume bool
 	// MaxBlockRetries bounds how many consecutive recovery rounds
 	// without a newly agreed rank death a single block may consume
-	// before the run gives up. Zero means DefaultMaxBlockRetries.
+	// before the run gives up: transport aborts and guard rejections
+	// alike. Zero means DefaultMaxBlockRetries.
 	MaxBlockRetries int
 }
 
 const (
+	// DefaultRecvTimeout is the deadline the façade's
+	// ResilienceConfig.Enabled selects when it names none.
 	DefaultRecvTimeout     = 10 * time.Second
 	DefaultMaxBlockRetries = 3
 )
-
-func (r Resilience) recvTimeout() time.Duration {
-	if r.RecvTimeout > 0 {
-		return r.RecvTimeout
-	}
-	return DefaultRecvTimeout
-}
 
 // errBlockAbort wraps any failure that aborts a block attempt.
 var errBlockAbort = errors.New("pfasst: block attempt aborted")
 
 // link is how one block attempt talks to its time communicator: the
 // attempt generation its message tags embed and the deadline of every
-// receive. The zero value is the lockstep transport — blocking
+// receive. Without a deadline it is the plain transport — blocking
 // receives, the tree Bcast/Allreduce, the plain tag space — whose
-// exact message sequence the modeled Blue Gene/P clock depends on.
+// exact message sequence the modeled Blue Gene/P clock depends on; a
+// retry on it is safe because every retried attempt runs on
+// communicators core's recovery round has just rebuilt.
 // With a deadline every receive is bounded and fails with a typed
 // error instead of blocking forever, tags live above the plain space
 // and embed gen so a retried block can never match a stale message

@@ -235,15 +235,16 @@ func (s *Solver) store(t *Tree, w *tileWalk, i int) (c counts) {
 		s.pot[orig], s.f[orig] = res.Phi, res.E
 		c = counts{res.Interactions, res.CellAccepts, res.Rejects}
 	} else {
-		var res VortexResult
+		var u vec.Vec3
+		var grad vec.Mat3
 		if recursive {
-			res = t.vortexAt(int32(t.Root), t.Particle(i).Pos, s.Theta, i, &s.legs.vb, s.legs.dipole)
+			res := t.vortexAt(int32(t.Root), t.Particle(i).Pos, s.Theta, i, &s.legs.vb, s.legs.dipole)
+			u, grad, c = res.U, res.Grad, counts{res.Interactions, res.CellAccepts, res.Rejects}
 		} else {
-			res = w.vortexResult(l)
+			u, grad, c = w.vortexLane(l)
 		}
-		s.vel[orig] = res.U
-		s.stretch[orig] = s.Scheme.Stretch(res.Grad, t.Particle(i).Alpha)
-		c = counts{res.Interactions, res.CellAccepts, res.Rejects}
+		s.vel[orig] = u
+		s.stretch[orig] = s.Scheme.Stretch(grad, t.Particle(i).Alpha)
 	}
 	if s.work != nil {
 		s.work[orig] = float64(c.inter)

@@ -139,7 +139,8 @@ func checkTileWalk(t *testing.T, tr *Tree, theta, eps float64, workers ...int) (
 			if coulomb {
 				got = coulombTarget(w.coulombResult(l))
 			} else {
-				got = vortexTarget(w.vortexResult(l), vec.Vec3{})
+				u, g, c := w.vortexLane(l)
+				got = vortexTarget(VortexResult{U: u, Grad: g, Interactions: c.inter, CellAccepts: c.accepts, Rejects: c.rejects}, vec.Vec3{})
 			}
 			if !slices.Equal(got.res, want[k+l].res) || got.c != want[k+l].c {
 				t.Fatalf("disc=%v θ=%g target %d (lane %d of %d): tiled %+v, recursive %+v", lg.disc, theta, k+l, l, m, got, want[k+l])

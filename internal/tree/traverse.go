@@ -364,10 +364,18 @@ func (w *tileWalk) nearCoulomb(t *Tree, nd *Node, mask uint8, eps float64) {
 	}
 }
 
-// vortexResult is lane l's VortexResult after a vortex walk.
-func (w *tileWalk) vortexResult(l int) VortexResult {
-	acc := w.tile.Lane(l)
-	return vortexResult(&acc, w.accepts[l], w.rejects[l])
+// vortexLane reads lane l's velocity, velocity gradient and counters
+// in place from the tile after a vortex walk (the same bits
+// vortexResult copies out of a scalar accumulator).
+func (w *tileWalk) vortexLane(l int) (vec.Vec3, vec.Mat3, counts) {
+	a := &w.tile.Acc
+	return vec.V3(a[0][l], a[1][l], a[2][l]),
+		vec.Mat3{
+			{a[3][l], a[4][l], a[5][l]},
+			{a[6][l], a[7][l], a[8][l]},
+			{a[9][l], a[10][l], a[11][l]},
+		},
+		counts{w.tile.N[l], w.accepts[l], w.rejects[l]}
 }
 
 // coulombResult is lane l's CoulombResult after a Coulomb walk.

@@ -3,15 +3,19 @@ package nbody
 // Facade-level chaos tests: the full space-time solver (parallel trees
 // + PFASST) under seeded fault plans. Transient plans must be bitwise
 // invisible; a planned rank crash must complete degraded within
-// tolerance; misconfigurations must be rejected up front.
+// tolerance, with or without receive deadlines; misconfigurations must
+// be rejected up front.
 
 import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 func chaosConfig(pt, ps int) SpaceTimeConfig {
@@ -146,22 +150,28 @@ func TestFacadeCrashContinuesNarrower(t *testing.T) {
 }
 
 func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
-	sys := RandomBlob(16, 0.2, 7)
-	// Crash plan without the resilient loop: refuse, don't hang.
-	cfg := DefaultSpaceTime(2, 1)
-	cfg.Resilience.FaultPlan = "crash=0@block:0"
-	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil {
-		t.Fatal("crash plan without Resilience.Enabled accepted")
+	// A crash plan needs no receive deadlines: every run goes through
+	// the one block loop, whose plain link fails fast on the dead peer.
+	// The 4×1 mid-block crash must land on the hash pinned for it in
+	// TestResilientPinnedAcrossCommits.
+	cfg := DefaultSpaceTime(4, 1)
+	cfg.Resilience.FaultPlan = "crash=1@iter:1"
+	out, _, err := RunSpaceTime(cfg, RandomBlob(48, 0.2, 7), 0, 0.2, 8)
+	if err != nil {
+		t.Fatalf("crash plan without Resilience.Enabled not survived: %v", err)
 	}
-	// Crash recovery at PS>1 used to be rejected;
-	// the grid-resilient loop (spatial shrink + re-decomposition) now
-	// accepts and survives it.
+	if got, want := stateHash(out), uint64(0x55421299943747ba); runtime.GOARCH == "amd64" && got != want {
+		t.Fatalf("crash plan without Resilience.Enabled: hash %#x, want %#x", got, want)
+	}
+	sys := RandomBlob(16, 0.2, 7)
+	// Crash recovery at PS>1 used to be rejected; the grid loop
+	// (spatial shrink + re-decomposition) accepts and survives it.
 	cfg = chaosConfig(2, 2)
 	cfg.Resilience.FaultPlan = "crash=0@block:0"
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err != nil {
 		t.Fatalf("crash plan with PS>1 no longer supported: %v", err)
 	}
-	// The guard layer composes with the resilient loop at any PS:
+	// The guard layer composes with crash recovery at any PS:
 	// corruption and crash verdicts share the per-block grid agreement.
 	cfg = chaosConfig(2, 2)
 	cfg.Guard.Enabled = true
@@ -185,26 +195,38 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	}
 }
 
-// TestFacadeRejectsIgnoredResilienceSettings: a checkpoint setting
-// the run would silently drop — a directory or a resume request
-// without the resilient loop, a resume request without a directory —
-// is a configuration error, not a run from t0 that writes nothing.
+// TestFacadeRejectsIgnoredResilienceSettings: a resume request without
+// a directory is a configuration error, not a run from t0. A directory
+// needs no Resilience.Enabled: the plain-link run writes a manifest,
+// and resuming it finishes bitwise equal to the uninterrupted run.
 func TestFacadeRejectsIgnoredResilienceSettings(t *testing.T) {
 	sys := RandomBlob(16, 0.2, 7)
-	for _, c := range []struct {
-		name string
-		rz   ResilienceConfig
-		want string
-	}{
-		{"dir without enabled", ResilienceConfig{CheckpointDir: t.TempDir()}, "without Resilience.Enabled"},
-		{"resume without enabled", ResilienceConfig{Resume: true}, "without Resilience.Enabled"},
-		{"resume without dir", ResilienceConfig{Enabled: true, Resume: true}, "without Resilience.CheckpointDir"},
-	} {
-		cfg := DefaultSpaceTime(2, 1)
-		cfg.Resilience = c.rz
-		_, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+	cfg := DefaultSpaceTime(2, 1)
+	cfg.Resilience = ResilienceConfig{Enabled: true, Resume: true}
+	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil || !strings.Contains(err.Error(), "without Resilience.CheckpointDir") {
+		t.Errorf("resume without dir: err = %v", err)
+	}
+
+	want, _, err := RunSpaceTime(DefaultSpaceTime(2, 1), sys, 0, 0.2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resilience = ResilienceConfig{CheckpointDir: t.TempDir()}
+	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err != nil {
+		t.Fatal(err)
+	}
+	gl, err := checkpoint.LoadGrid(cfg.Resilience.CheckpointDir)
+	if err != nil || gl.StepsDone != 2 {
+		t.Fatalf("dir without Enabled: manifest %+v, err %v; want 2 steps done", gl, err)
+	}
+	cfg.Resilience.Resume = true
+	got, _, err := RunSpaceTime(cfg, sys, 0, 0.2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Particles {
+		if want.Particles[i] != got.Particles[i] {
+			t.Fatalf("resume without Enabled differs from the uninterrupted run at particle %d", i)
 		}
 	}
 }

@@ -73,9 +73,10 @@ type SpaceTimeConfig struct {
 	// is returned in SpaceTimeStats.Run. The disabled path costs
 	// nothing on the evaluation hot loops.
 	Telemetry bool
-	// Resilience configures fault injection and fault-tolerant time
-	// stepping. The zero value runs the plain solver with no fault
-	// hooks (a single nil check on the hot paths).
+	// Resilience configures fault injection, receive deadlines and
+	// checkpoints. Every run steps through the one block loop, which
+	// survives a crash with or without them; the zero value injects
+	// nothing, runs blocking receives and writes no checkpoint.
 	Resilience ResilienceConfig
 	// Guard configures silent-data-corruption detection and the
 	// adaptive recovery ladder (numerical guardrails). The zero value
@@ -96,13 +97,10 @@ type SpaceTimeConfig struct {
 // monitors; recompute → rollback → extra sweeps → typed abort).
 type GuardConfig struct {
 	// Enabled turns the guard layer on. Works at any PS: with PS > 1
-	// the ladder's redo/rollback/abort verdicts are agreed over the
-	// spatial communicator and the physics invariants are monitored as
-	// global sums (DESIGN.md §15). Composes with Resilience.Enabled at
-	// any PS — corruption verdicts and crash verdicts fold into the
-	// same per-block grid agreement, so a guarded redo and a
-	// concurrent rank crash interleave without tearing a block
-	// (DESIGN.md §12).
+	// the physics invariants are monitored as global sums (DESIGN.md
+	// §15). Corruption verdicts and crash verdicts fold into the same
+	// per-block grid agreement, so a guarded redo and a concurrent rank
+	// crash interleave without tearing a block (DESIGN.md §12).
 	Enabled bool
 	// FlipPlan is a fault.ParseMem spec describing seeded bit flips,
 	// e.g. "rate=5e-4,in=state+tree,bits=52-63" (domains: state, tree,
@@ -112,10 +110,11 @@ type GuardConfig struct {
 	FlipPlan string
 	// FlipSeed seeds the plan's deterministic per-word verdicts.
 	FlipSeed int64
-	// MaxRecompute bounds tree rebuilds and block redos, MaxRollback
+	// MaxRecompute bounds tree rebuilds per evaluation, MaxRollback
 	// bounds state restores from the shadow copy, ExtraSweeps is added
 	// to the fine sweep count from the second block redo on. Zero
-	// selects the package defaults.
+	// selects the package defaults. Block redos count against
+	// Resilience.MaxBlockRetries, like every other rejected attempt.
 	MaxRecompute, MaxRollback, ExtraSweeps int
 	// CircTol, ImpulseTol and AngularTol override the relative
 	// tolerances of the physics invariant monitors (zero = package
@@ -128,22 +127,23 @@ type GuardConfig struct {
 // ResilienceConfig is the facade's resilience block: a seeded fault
 // plan to inject, and the recovery machinery to survive it.
 type ResilienceConfig struct {
-	// Enabled turns on resilient time stepping (deadline receives,
-	// block agreement commits, shrink-and-redo crash recovery). One
-	// protocol at every PS: a time slice that died out is dropped and
-	// the run continues PT − 1 wide, a thinned slice narrows the
-	// spatial width and the particle state is re-decomposed onto it,
-	// and a tail the narrower blocks leave over runs as one block on
-	// fewer time slices (DESIGN.md §11). Fault injection without
-	// Enabled exercises the plain solver, which absorbs transient plans
-	// but dies on crashes.
+	// Enabled puts a deadline on every pipelined receive (RecvTimeout,
+	// or pfasst.DefaultRecvTimeout when that is 0), so a lost message
+	// aborts and retries its block instead of blocking. Without it the
+	// receives block and fail fast on a dead peer. Crash recovery needs
+	// neither: every run goes through the one block loop, where a time
+	// slice that died out is dropped and the run continues PT − 1 wide,
+	// a thinned slice narrows the spatial width and the particle state
+	// is re-decomposed onto it, and a tail the narrower blocks leave
+	// over runs as one block on fewer time slices (DESIGN.md §11).
 	Enabled bool
 	// FaultPlan is a fault.Parse spec ("drop=0.05,crash=1@iter:1", see
 	// internal/fault); empty injects nothing.
 	FaultPlan string
 	// FaultSeed seeds the plan's deterministic per-message verdicts.
 	FaultSeed int64
-	// RecvTimeout bounds every pipelined receive (0 = default).
+	// RecvTimeout is the deadline Enabled puts on every pipelined
+	// receive (0 = pfasst.DefaultRecvTimeout).
 	RecvTimeout time.Duration
 	// CheckpointDir persists committed block state for crash-safe
 	// restarts; Resume continues from the checkpoint found there: a
@@ -233,25 +233,19 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		if err != nil {
 			return nil, SpaceTimeStats{}, err
 		}
-		if !plan.Transient() && !rz.Enabled {
-			// A crash can only be survived by the resilient loop (the
-			// grid recovery protocol: shrink + re-decomposition).
-			return nil, SpaceTimeStats{}, fmt.Errorf("nbody: fault plan %q injects a crash; set Resilience.Enabled", rz.FaultPlan)
-		}
-	}
-	if !rz.Enabled && (rz.CheckpointDir != "" || rz.Resume) {
-		return nil, SpaceTimeStats{}, fmt.Errorf("nbody: Resilience.CheckpointDir/Resume set without Resilience.Enabled: no checkpoint would be written or read")
 	}
 	if rz.Resume && rz.CheckpointDir == "" {
 		return nil, SpaceTimeStats{}, fmt.Errorf("nbody: Resilience.Resume set without Resilience.CheckpointDir")
 	}
+	ccfg.Resilience = pfasst.Resilience{
+		CheckpointDir:   rz.CheckpointDir,
+		Resume:          rz.Resume,
+		MaxBlockRetries: rz.MaxBlockRetries,
+	}
 	if rz.Enabled {
-		ccfg.Resilience = pfasst.Resilience{
-			Enabled:         true,
-			RecvTimeout:     rz.RecvTimeout,
-			CheckpointDir:   rz.CheckpointDir,
-			Resume:          rz.Resume,
-			MaxBlockRetries: rz.MaxBlockRetries,
+		ccfg.Resilience.RecvTimeout = rz.RecvTimeout
+		if rz.RecvTimeout <= 0 {
+			ccfg.Resilience.RecvTimeout = pfasst.DefaultRecvTimeout
 		}
 	}
 
@@ -307,14 +301,12 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 			merged.Merge(rcfg.Tel.Snapshot())
 		}
 		// Every time slice ends with the identical advanced state (the
-		// block-end broadcast invariant), so in resilient mode any
-		// surviving slice may write the output — the nominal writer may
-		// have been the crashed rank. The plain path keeps its single
-		// writer (slice PT−1). Ranks the grid-resilient path retired
-		// after a shrink or for a tail hold no share; the decomposition
-		// is indexed by the FINAL spatial width, which recovery may have
-		// reduced.
-		if res.Participated && (res.TimeSlice == cfg.PT-1 || rz.Enabled) {
+		// block-end broadcast invariant), so every participating rank
+		// writes its share, the same bits from every slice. Ranks the
+		// grid loop retired after a shrink or for a tail hold no share;
+		// the decomposition is indexed by the FINAL spatial width, which
+		// recovery may have reduced.
+		if res.Participated {
 			lo, _ := hot.BlockRange(sys.N(), res.SpatialIndex, res.SpatialRanks)
 			copy(out.Particles[lo:lo+res.Local.N()], res.Local.Particles)
 			if res.SpatialIndex == 0 && res.TimeSlice > statsSlice {
