@@ -172,17 +172,6 @@ func BenchmarkAblationPararealVsPFASST(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFarFieldRefresh sweeps the Section V outlook
-// feature (frequency-split far field): staleness error vs saved work.
-func BenchmarkAblationFarFieldRefresh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.AblationFarFieldRefresh(1000, []int{1, 2, 4, 8})
-		if len(tb.Rows) != 4 {
-			b.Fatal("shape")
-		}
-	}
-}
-
 // BenchmarkAblationLeafCap sweeps the tree bucket size.
 func BenchmarkAblationLeafCap(b *testing.B) {
 	for i := 0; i < b.N; i++ {

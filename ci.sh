@@ -129,7 +129,9 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # the grid loop's one block-boundary callback, on both links. `Deadlock`
 # re-runs the deadlock detector's tests (every rank blocked, a dead
 # rank, the diagnostics, a death while all survivors wait), whose
-# timing the receive's poll-then-park wait rule changes.
+# timing the receive's poll-then-park wait rule changes. `Agree`
+# includes TestAgreeFreesSlots: 1,000 agreements on a 4-rank world,
+# one member dying before it posts, and no agreement slot left after.
 go test -race -count=1 -timeout 10m \
   -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Deadlock|Shrink|Agree|Torn|Levels|Fault|Cancel' \
   ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ .

@@ -260,7 +260,6 @@ func main() {
 		emit("ablation_dipole", experiments.AblationDipole(1000, 0.6))
 		emit("ablation_stretching", experiments.AblationStretching(500, 3))
 		emit("ablation_parareal", experiments.AblationPararealVsPFASST(128, 4))
-		emit("ablation_farfield", experiments.AblationFarFieldRefresh(1000, []int{1, 2, 4, 8}))
 		emit("ablation_leafcap", experiments.AblationLeafCap(2000, []int{1, 4, 8, 16, 32}))
 	}
 	if want("speedup-model") {

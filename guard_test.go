@@ -35,7 +35,7 @@ func TestFacadeRejectsBadGuardConfigs(t *testing.T) {
 	// must run cleanly.
 	cfg = DefaultSpaceTime(2, 2)
 	cfg.Guard.Enabled = true
-	cfg.Resilience.Enabled = true
+	cfg.Resilience.RecvTimeout = DefaultRecvTimeout
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err != nil {
 		t.Fatalf("guard + resilience with PS>1 no longer supported: %v", err)
 	}

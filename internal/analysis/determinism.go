@@ -39,7 +39,7 @@ var AnalyzerDeterminism = &Analyzer{
 var numericPackages = map[string]bool{
 	"tree": true, "kernel": true, "pfasst": true, "sdc": true,
 	"guard": true, "hot": true, "core": true, "quadrature": true,
-	"particle": true, "direct": true, "farfield": true, "vec": true,
+	"particle": true, "direct": true, "vec": true,
 	"rk": true, "ode": true, "field": true,
 	"parareal": true, "checkpoint": true,
 }

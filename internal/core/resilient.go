@@ -132,9 +132,11 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 		shrunk    int   // size of the dead set the current grid was built on
 		col       = -1  // my spatial column, -1 = retired
 		active    bool
-		// fullU holds the full committed state: before the first
-		// recovery round distributes it (oldPS == 0), and as every
-		// later round reassembles it.
+		// fullU holds the full committed state as every recovery
+		// round after the first reassembles it. Before the first
+		// round distributes anything (oldPS == 0) it holds a resumed
+		// checkpoint or the initial state the guard validates, and is
+		// nil otherwise: that round packs each share from full.
 		fullU []float64
 	)
 	surv := world
@@ -172,7 +174,7 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 			stepsDone, block, fullU = gl.StepsDone, gl.Block, gl.U
 		}
 	}
-	if fullU == nil {
+	if fullU == nil && grd != nil {
 		fullU = full.PackNew()
 		if v := grd.ValidateState(fullU, "initial state", 0); v != nil {
 			grd.RecordAbort()
@@ -370,7 +372,7 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 
 				// Redistribute the committed block-start state. Before
 				// anything was distributed (oldPS == 0) every live rank
-				// already holds it in fullU.
+				// already holds it: in fullU, or else in full itself.
 				spanR := tRedist.Start()
 				defer spanR.Stop()
 				if oldPS > 0 {
@@ -385,8 +387,12 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 				if active {
 					local = hot.BlockPartition(full, col, psNew)
 					lo, hi := hot.BlockRange(n, col, psNew)
-					u = append([]float64(nil), fullU[6*lo:6*hi]...)
-					local.Unpack(u)
+					if fullU != nil {
+						u = append([]float64(nil), fullU[6*lo:6*hi]...)
+						local.Unpack(u)
+					} else {
+						u = local.PackNew()
+					}
 					var pcfg pfasst.Config
 					pcfg, fineSys, coarseSys = levelSolver(spaceComm, cfg, local, grd)
 					gs, err := pfasst.NewGridSolver(pcfg, &pres)

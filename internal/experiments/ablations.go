@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/direct"
-	"repro/internal/farfield"
 	"repro/internal/kernel"
 	"repro/internal/mpi"
 	"repro/internal/parareal"
@@ -173,46 +172,6 @@ func AblationPararealVsPFASST(n, pt int) *Table {
 	tb.AddNote("N=%d, PT=%d slices, dt=0.5, direct summation; reference: serial SDC(8 sweeps)", n, pt)
 	tb.AddNote("PFASST reaches fine accuracy in fewer iterations and its efficiency")
 	tb.AddNote("bound Ks/Kp beats parareal's 1/K (Section III-B4)")
-	return tb
-}
-
-// AblationFarFieldRefresh sweeps the refresh period of the
-// frequency-split solver (the Section V outlook feature): error vs
-// work per evaluation.
-func AblationFarFieldRefresh(n int, periods []int) *Table {
-	sys := particle.SphericalVortexSheet(particle.ScaledSheet(n))
-	// The reference is the same split traversal with the far field
-	// always refreshed, so the measured error isolates staleness.
-	exact := farfield.New(kernel.Algebraic6(), kernel.Transpose, 0.4, 1)
-	velEx := make([]vec.Vec3, n)
-	strEx := make([]vec.Vec3, n)
-
-	tb := &Table{
-		Title:  "Ablation — frequency-split far field (Sec. V outlook)",
-		Header: []string{"refresh every", "rel. max vel error (stale eval)", "interactions/eval (stale)"},
-	}
-	for _, every := range periods {
-		ff := farfield.New(kernel.Algebraic6(), kernel.Transpose, 0.4, every)
-		vel := make([]vec.Vec3, n)
-		str := make([]vec.Vec3, n)
-		ff.Eval(sys, vel, str) // refresh
-		// Displace as an SDC substep would, then evaluate stale.
-		moved := sys.Clone()
-		for i := range moved.Particles {
-			moved.Particles[i].Pos = moved.Particles[i].Pos.AddScaled(0.05, vel[i])
-		}
-		base := ff.Stats().Interactions
-		ff.Eval(moved, vel, str)
-		stale := ff.Stats().Interactions - base
-		exact.Eval(moved, velEx, strEx)
-		maxErr, maxRef := 0.0, 0.0
-		for i := range vel {
-			maxErr = math.Max(maxErr, vel[i].Sub(velEx[i]).Norm())
-			maxRef = math.Max(maxRef, velEx[i].Norm())
-		}
-		tb.AddRow(f("%d", every), f("%.3e", maxErr/maxRef), f("%d", stale))
-	}
-	tb.AddNote("N=%d, theta=0.4; refresh=1 recomputes the far field every evaluation", n)
 	return tb
 }
 

@@ -399,25 +399,6 @@ func TestAblationPararealVsPFASST(t *testing.T) {
 	}
 }
 
-func TestAblationFarFieldRefresh(t *testing.T) {
-	tb := AblationFarFieldRefresh(400, []int{1, 4})
-	if len(tb.Rows) != 2 {
-		t.Fatal("shape")
-	}
-	var e1, e4 float64
-	fmtSscan(t, tb.Rows[0][1], &e1)
-	fmtSscan(t, tb.Rows[1][1], &e4)
-	if e1 > 1e-11 {
-		t.Fatalf("refresh=1 must be exact, error %g", e1)
-	}
-	if e4 <= e1 {
-		t.Fatalf("stale far field should cost some accuracy: %g vs %g", e4, e1)
-	}
-	if e4 > 0.05 {
-		t.Fatalf("stale error %g too large", e4)
-	}
-}
-
 func TestAblationLeafCap(t *testing.T) {
 	tb := AblationLeafCap(500, []int{1, 8, 32})
 	if len(tb.Rows) != 3 {

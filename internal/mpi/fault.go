@@ -234,11 +234,15 @@ type agreeKey struct {
 	gen  int
 }
 
-// agreeSlot collects the contributions of one agreement round.
+// agreeSlot collects the contributions of one agreement round. A
+// poster stays in Agree until the round is done (crashes fire only at
+// FaultPoint), so left, set to the poster count at completion, counts
+// the posters still to return; the last one deletes the slot.
 type agreeSlot struct {
 	posts  map[int]int64 // world rank → contributed value
 	done   bool
 	result int64
+	left   int
 }
 
 // Agree is a failure-aware agreement collective in the spirit of
@@ -286,6 +290,7 @@ func (c *Comm) Agree(v int64) int64 {
 			}
 			if complete {
 				slot.done = true
+				slot.left = len(slot.posts)
 				first := true
 				for _, pv := range slot.posts {
 					if first || pv < slot.result {
@@ -297,6 +302,10 @@ func (c *Comm) Agree(v int64) int64 {
 			}
 		}
 		if slot.done {
+			slot.left--
+			if slot.left == 0 {
+				delete(w.agree, key)
+			}
 			return slot.result
 		}
 		// Blocked agreements participate in deadlock detection (a lone

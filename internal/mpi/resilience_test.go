@@ -195,6 +195,40 @@ func TestAgreeCompletesAcrossDeath(t *testing.T) {
 	}
 }
 
+// TestAgreeFreesSlots: every agreement round's slot is deleted once
+// its last poster returns, so a world that agrees once per block does
+// not grow by a slot per block — also across a round in which a member
+// died before posting (the dead rank is never counted as a poster).
+func TestAgreeFreesSlots(t *testing.T) {
+	const rounds, dieAt = 1000, 500
+	pol := planStub{crash: func(rank int, phase string, epoch int) bool {
+		return rank == 3 && phase == "pre-agree" && epoch == dieAt
+	}}
+	var w *world
+	_, err := RunOpts(4, Options{Fault: pol}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			w = c.w
+		}
+		for i := 0; i < rounds; i++ {
+			c.FaultPoint("pre-agree", i)
+			want := int64(0) // rank 3 posts the minimum
+			if i >= dieAt {
+				want = 1 // rank 3 is gone: rank 2's post is the minimum
+			}
+			if got := c.Agree(int64(3 - c.Rank())); got != want {
+				return fmt.Errorf("round %d: agree = %d, want %d", i, got, want)
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("expected the injected crash in the joined error, got %v", err)
+	}
+	if n := len(w.agree); n != 0 {
+		t.Fatalf("%d agreement slots left after %d rounds, want 0", n, rounds)
+	}
+}
+
 func TestTransientFaultsDeliverIdenticalPayloads(t *testing.T) {
 	// Drops (with retransmit), delays and absorbed corruption must be
 	// invisible to the application except through virtual time and
@@ -396,7 +430,8 @@ func TestDeadlockDiagnosticsNameBlockedRanks(t *testing.T) {
 // with the deadlock detector, and must not pay for a report nobody asks
 // for — the communicator is described only when a deadlock fires. The
 // communicator is an unlabeled split (its description is formatted, not
-// stored), as every communicator of the lockstep path is. Rank 1 sends
+// stored) — the costlier case: the one grid loop labels the survivor,
+// space and time communicators it builds. Rank 1 sends
 // each empty message only once rank 0 is registered as waiting at the
 // current epoch, so every measured Recv blocks exactly once.
 func TestBlockedRecvAllocatesNothing(t *testing.T) {

@@ -43,8 +43,9 @@ type Resilience struct {
 }
 
 const (
-	// DefaultRecvTimeout is the deadline the façade's
-	// ResilienceConfig.Enabled selects when it names none.
+	// DefaultRecvTimeout is a receive deadline long enough that only a
+	// lost message reaches it; the façade exports it as
+	// nbody.DefaultRecvTimeout, which the job daemon sets.
 	DefaultRecvTimeout     = 10 * time.Second
 	DefaultMaxBlockRetries = 3
 )

@@ -247,7 +247,7 @@ func (s *JobSpec) SolverConfig(ckptDir string) nbody.SpaceTimeConfig {
 		cfg.Tol = s.Tol
 	}
 	cfg.Resilience = nbody.ResilienceConfig{
-		Enabled:       true,
+		RecvTimeout:   nbody.DefaultRecvTimeout,
 		FaultPlan:     s.FaultPlan,
 		FaultSeed:     s.FaultSeed,
 		CheckpointDir: ckptDir,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	nbody "repro"
 )
 
 func validSpecJSON() []byte {
@@ -33,7 +35,7 @@ func TestParseJobSpecValid(t *testing.T) {
 		t.Fatalf("built %d particles, want 48", sys.N())
 	}
 	cfg := spec.SolverConfig(t.TempDir())
-	if !cfg.Resilience.Enabled || !cfg.Resilience.Resume || cfg.Resilience.CheckpointDir == "" {
+	if cfg.Resilience.RecvTimeout != nbody.DefaultRecvTimeout || !cfg.Resilience.Resume || cfg.Resilience.CheckpointDir == "" {
 		t.Fatalf("solver config lacks forced resilience: %+v", cfg.Resilience)
 	}
 }

@@ -21,6 +21,16 @@ import (
 // fine propagator, and the paper's coarse propagator.
 var propThetas = []float64{0.0, 0.3, 0.6}
 
+// skipLane translates an original particle index into its lane (-1:
+// skip none). Order is a bijection, so lane sortedPos[skipOrig] is that
+// particle.
+func (t *Tree) skipLane(skipOrig int) int {
+	if skipOrig < 0 {
+		return -1
+	}
+	return int(t.sortedPos[skipOrig])
+}
+
 // vortexError evaluates tree-vs-direct on one seeded vortex system and
 // returns the max relative errors of velocity and stretching.
 func vortexError(sys *particle.System, theta float64) (velErr, strErr float64) {

@@ -29,8 +29,8 @@ type MACKind int
 const MACBarnesHut MACKind = 0
 
 // stackPool recycles the stacks of the per-particle walks — the
-// recursive oracle (vortexAt, coulombAt) and the near/far split
-// (VortexAtSplit) — so a walk per target does not allocate one.
+// recursive oracle (vortexAt, coulombAt) — and of
+// AppendInteractionList, so a walk per target does not allocate one.
 var stackPool = sync.Pool{
 	New: func() any { s := make([]int32, 0, 128); return &s },
 }
@@ -54,38 +54,6 @@ type VortexResult struct {
 	Rejects int64
 }
 
-// vortexEval is one target's running sum over a walk: the kernel's
-// scalar accumulator plus the MAC counters it does not track. The
-// recursive walk and the near/far split accumulate through its three
-// legs, in the order they meet the cells; tileWalk's stream items do
-// the same arithmetic for the lanes of a tile
-// (kernel.VortexBatch.AccumGradStream), so every evaluator sums the
-// same terms in the same order.
-type vortexEval struct {
-	b           *kernel.VortexBatch
-	acc         kernel.VortexAcc
-	cellAccepts int64
-	rejects     int64
-}
-
-// far folds one MAC-accepted cell into the accumulator as a single
-// interaction: the multipole (monopole + optional dipole) of nd at
-// target x — the far-field leg of every vortex evaluator.
-func (e *vortexEval) far(nd *Node, x vec.Vec3, useDipole bool) {
-	rx := x.X - nd.Centroid.X
-	ry := x.Y - nd.Centroid.Y
-	rz := x.Z - nd.Centroid.Z
-	e.b.AccumGrad(&e.acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
-	if useDipole {
-		ux, uy, uz := kernel.DipoleVel(rx, ry, rz, &nd.Dipole)
-		e.acc.UX += ux
-		e.acc.UY += uy
-		e.acc.UZ += uz
-	}
-	e.acc.N++
-	e.cellAccepts++
-}
-
 // leafSkip translates the target's lane into an index relative to
 // leaf nd (-1 when the target is not in the leaf).
 func leafSkip(nd *Node, skipSorted int) int {
@@ -93,18 +61,6 @@ func leafSkip(nd *Node, skipSorted int) int {
 		return -1
 	}
 	return skipSorted - nd.First
-}
-
-// near folds the particles of leaf nd into the accumulator by batched
-// direct summation over its lane range. skipSorted is the target's
-// lane (-1: none).
-func (e *vortexEval) near(t *Tree, nd *Node, x vec.Vec3, skipSorted int) {
-	lo, hi := nd.First, nd.First+nd.Count
-	skip := leafSkip(nd, skipSorted)
-	l := t.Lanes
-	e.b.AccumGradRange(&e.acc, x.X, x.Y, x.Z,
-		l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi],
-		l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi], skip)
 }
 
 // open pushes the children of the MAC-rejected cell nd onto stack in
@@ -126,9 +82,16 @@ func open(stack []int32, nd *Node) []int32 {
 	return stack
 }
 
-// walk runs the per-particle MAC traversal of the subtree rooted at
-// start, accumulating into e (it does not reset e).
-func (e *vortexEval) walk(t *Tree, start int32, x vec.Vec3, theta float64, skipSorted int, useDipole bool) {
+// vortexAt evaluates velocity and gradient at x by the per-particle
+// traversal of the subtree rooted at node start — the recursive
+// evaluator, and the oracle the tile walk is held bitwise equal to:
+// tileWalk's stream items do the same arithmetic for the lanes of a
+// tile (kernel.VortexBatch.AccumGradStream), in the same order.
+// skipSorted, when ≥ 0, is the lane of a particle to exclude (the
+// target itself). useDipole adds each accepted cell's dipole.
+func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
+	var acc kernel.VortexAcc
+	var accepts, rejects int64
 	theta2 := theta * theta
 	sp := getStack()
 	stack := append(*sp, start)
@@ -140,30 +103,35 @@ func (e *vortexEval) walk(t *Tree, start int32, x vec.Vec3, theta float64, skipS
 			continue
 		}
 		if !nd.Leaf {
-			r2 := x.Sub(nd.Centroid).Norm2()
-			if MACSq(theta2, nd.Size*nd.Size, r2) {
-				e.far(nd, x, useDipole)
+			if MACSq(theta2, nd.Size*nd.Size, x.Sub(nd.Centroid).Norm2()) {
+				// The far leg: the cell's multipole (monopole +
+				// optional dipole) as a single interaction.
+				rx, ry, rz := x.X-nd.Centroid.X, x.Y-nd.Centroid.Y, x.Z-nd.Centroid.Z
+				b.AccumGrad(&acc, rx, ry, rz, nd.CircSum.X, nd.CircSum.Y, nd.CircSum.Z)
+				if useDipole {
+					ux, uy, uz := kernel.DipoleVel(rx, ry, rz, &nd.Dipole)
+					acc.UX += ux
+					acc.UY += uy
+					acc.UZ += uz
+				}
+				acc.N++
+				accepts++
 				continue
 			}
-			e.rejects++
+			rejects++
 			stack = open(stack, nd)
 			continue
 		}
-		e.near(t, nd, x, skipSorted)
+		// The near leg: leaf nd by batched direct summation over its
+		// lanes.
+		lo, hi := nd.First, nd.First+nd.Count
+		l := t.Lanes
+		b.AccumGradRange(&acc, x.X, x.Y, x.Z,
+			l.X[lo:hi], l.Y[lo:hi], l.Z[lo:hi],
+			l.AX[lo:hi], l.AY[lo:hi], l.AZ[lo:hi], leafSkip(nd, skipSorted))
 	}
 	*sp = stack
 	putStack(sp)
-}
-
-// result converts the scalar accumulator into a VortexResult.
-func (e *vortexEval) result() VortexResult {
-	return vortexResult(&e.acc, e.cellAccepts, e.rejects)
-}
-
-// vortexResult converts one target's sums and MAC counters into a
-// VortexResult — a pure bit copy, performed once after the full
-// accumulation.
-func vortexResult(acc *kernel.VortexAcc, cellAccepts, rejects int64) VortexResult {
 	return VortexResult{
 		U: vec.V3(acc.UX, acc.UY, acc.UZ),
 		Grad: vec.Mat3{
@@ -172,31 +140,9 @@ func vortexResult(acc *kernel.VortexAcc, cellAccepts, rejects int64) VortexResul
 			{acc.G[6], acc.G[7], acc.G[8]},
 		},
 		Interactions: acc.N,
-		CellAccepts:  cellAccepts,
+		CellAccepts:  accepts,
 		Rejects:      rejects,
 	}
-}
-
-// skipLane translates an original particle index into its lane (-1:
-// skip none). Order is a bijection, so lane sortedPos[skipOrig] is that
-// particle.
-func (t *Tree) skipLane(skipOrig int) int {
-	if skipOrig < 0 {
-		return -1
-	}
-	return int(t.sortedPos[skipOrig])
-}
-
-// vortexAt evaluates velocity and gradient at x by the per-particle
-// traversal of the subtree rooted at node start: the recursive
-// evaluator, and the oracle the tile walk is held bitwise equal to.
-// skipSorted, when ≥ 0, is the lane of a particle to exclude (the
-// target itself). useDipole enables the
-// dipole correction of accepted cells.
-func (t *Tree) vortexAt(start int32, x vec.Vec3, theta float64, skipSorted int, b *kernel.VortexBatch, useDipole bool) VortexResult {
-	e := vortexEval{b: b}
-	e.walk(t, start, x, theta, skipSorted, useDipole)
-	return e.result()
 }
 
 // legs are the discipline of a tile walk: what a lane adds for a cell
@@ -365,8 +311,8 @@ func (w *tileWalk) nearCoulomb(t *Tree, nd *Node, mask uint8, eps float64) {
 }
 
 // vortexLane reads lane l's velocity, velocity gradient and counters
-// in place from the tile after a vortex walk (the same bits
-// vortexResult copies out of a scalar accumulator).
+// in place from the tile after a vortex walk (the same bits vortexAt
+// copies out of a scalar accumulator).
 func (w *tileWalk) vortexLane(l int) (vec.Vec3, vec.Mat3, counts) {
 	a := &w.tile.Acc
 	return vec.V3(a[0][l], a[1][l], a[2][l]),
@@ -381,58 +327,6 @@ func (w *tileWalk) vortexLane(l int) (vec.Vec3, vec.Mat3, counts) {
 // coulombResult is lane l's CoulombResult after a Coulomb walk.
 func (w *tileWalk) coulombResult(l int) CoulombResult {
 	return coulombResult(&w.coul[l], w.accepts[l], w.rejects[l])
-}
-
-// VortexAtSplit is the classical Barnes-Hut walk of vortexAt with the
-// result separated into the
-// near field (direct leaf interactions) and the far field
-// (MAC-accepted cluster interactions), each summed by the same leg as
-// in every other evaluator. The split is the basis of the
-// frequency-split coarse propagator suggested in the paper's outlook
-// (Section V): far-field contributions change slowly and can be
-// refreshed less often than near-field ones. With computeFar false the
-// accepted clusters are skipped entirely (their cached contribution is
-// reused by the caller), which is where the cost saving comes from.
-//
-// Unlike the standard traversal, MAC-accepted *leaf* buckets are also
-// treated as far clusters (leaves carry full multipole data), so the
-// far fraction stays substantial even for small ensembles. A target's
-// own leaf always fails the MAC (the target sits inside the cell, so
-// s/d > 1), hence self-interactions cannot leak into the far part.
-func (t *Tree) VortexAtSplit(start int, x vec.Vec3, theta float64, skipOrig int, b *kernel.VortexBatch, useDipole, computeFar bool) (near, far VortexResult) {
-	en := vortexEval{b: b}
-	ef := vortexEval{b: b}
-	skipSorted := t.skipLane(skipOrig)
-	theta2 := theta * theta
-	sp := getStack()
-	stack := append(*sp, int32(start))
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.Nodes[idx]
-		if nd.Count == 0 {
-			continue
-		}
-		if MACSq(theta2, nd.Size*nd.Size, x.Sub(nd.Centroid).Norm2()) {
-			if computeFar {
-				ef.far(nd, x, useDipole)
-			}
-			continue
-		}
-		if nd.Leaf {
-			en.near(t, nd, x, skipSorted)
-			continue
-		}
-		en.rejects++
-		for _, ci := range nd.Children {
-			if ci >= 0 {
-				stack = append(stack, ci)
-			}
-		}
-	}
-	*sp = stack
-	putStack(sp)
-	return en.result(), ef.result()
 }
 
 // CoulombResult is the potential and field at one target point with
@@ -470,8 +364,8 @@ func coulombCell(r vec.Vec3, nd *Node) (float64, vec.Vec3) {
 }
 
 // coulombFar folds one MAC-accepted cell's multipole expansion at
-// target x into acc as a single interaction — the far-field leg of
-// every Coulomb evaluator.
+// target x into acc as a single interaction — the far leg of every
+// Coulomb evaluator.
 func coulombFar(acc *kernel.CoulombAcc, nd *Node, x vec.Vec3) {
 	phi, f := coulombCell(x.Sub(nd.Centroid), nd)
 	acc.Phi += phi

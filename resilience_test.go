@@ -20,7 +20,7 @@ import (
 
 func chaosConfig(pt, ps int) SpaceTimeConfig {
 	cfg := DefaultSpaceTime(pt, ps)
-	cfg.Resilience.Enabled = true
+	cfg.Resilience.RecvTimeout = DefaultRecvTimeout
 	return cfg
 }
 
@@ -158,10 +158,10 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 	cfg.Resilience.FaultPlan = "crash=1@iter:1"
 	out, _, err := RunSpaceTime(cfg, RandomBlob(48, 0.2, 7), 0, 0.2, 8)
 	if err != nil {
-		t.Fatalf("crash plan without Resilience.Enabled not survived: %v", err)
+		t.Fatalf("crash plan without a RecvTimeout not survived: %v", err)
 	}
 	if got, want := stateHash(out), uint64(0x55421299943747ba); runtime.GOARCH == "amd64" && got != want {
-		t.Fatalf("crash plan without Resilience.Enabled: hash %#x, want %#x", got, want)
+		t.Fatalf("crash plan without a RecvTimeout: hash %#x, want %#x", got, want)
 	}
 	sys := RandomBlob(16, 0.2, 7)
 	// Crash recovery at PS>1 used to be rejected; the grid loop
@@ -197,12 +197,12 @@ func TestFacadeRejectsBadResilienceConfigs(t *testing.T) {
 
 // TestFacadeRejectsIgnoredResilienceSettings: a resume request without
 // a directory is a configuration error, not a run from t0. A directory
-// needs no Resilience.Enabled: the plain-link run writes a manifest,
+// needs no RecvTimeout: the plain-link run writes a manifest,
 // and resuming it finishes bitwise equal to the uninterrupted run.
 func TestFacadeRejectsIgnoredResilienceSettings(t *testing.T) {
 	sys := RandomBlob(16, 0.2, 7)
 	cfg := DefaultSpaceTime(2, 1)
-	cfg.Resilience = ResilienceConfig{Enabled: true, Resume: true}
+	cfg.Resilience = ResilienceConfig{RecvTimeout: DefaultRecvTimeout, Resume: true}
 	if _, _, err := RunSpaceTime(cfg, sys, 0, 0.1, 2); err == nil || !strings.Contains(err.Error(), "without Resilience.CheckpointDir") {
 		t.Errorf("resume without dir: err = %v", err)
 	}
@@ -231,10 +231,10 @@ func TestFacadeRejectsIgnoredResilienceSettings(t *testing.T) {
 	}
 }
 
-// TestFacadeCancelAtBlockBoundary drives cancellation through both
-// block loops: the lockstep loop (plain and guarded) and the grid loop
-// (at PS = 1 and PS = 2, alone and with the guard) call the one
-// block-boundary callback, so an OnBlock hook that cancels
+// TestFacadeCancelAtBlockBoundary drives cancellation through the one
+// grid loop on both links: the plain link (alone and guarded) and the
+// deadline link (at PS = 1 and PS = 2, alone and with the guard) call
+// the one block-boundary callback, so an OnBlock hook that cancels
 // the context at block 1 must stop each of them at exactly that
 // boundary — typed, on every rank, having reported blocks 0 and 1 once
 // each — and, where a checkpoint covers the committed state, a resumed
@@ -256,7 +256,9 @@ func TestFacadeCancelAtBlockBoundary(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := DefaultSpaceTime(2, row.ps)
 			cfg.Guard.Enabled = row.guarded
-			cfg.Resilience.Enabled = row.resilient
+			if row.resilient {
+				cfg.Resilience.RecvTimeout = DefaultRecvTimeout
+			}
 			want, _, err := RunSpaceTime(cfg, sys, 0, 0.15, nsteps)
 			if err != nil {
 				t.Fatal(err)

@@ -127,23 +127,20 @@ type GuardConfig struct {
 // ResilienceConfig is the facade's resilience block: a seeded fault
 // plan to inject, and the recovery machinery to survive it.
 type ResilienceConfig struct {
-	// Enabled puts a deadline on every pipelined receive (RecvTimeout,
-	// or pfasst.DefaultRecvTimeout when that is 0), so a lost message
-	// aborts and retries its block instead of blocking. Without it the
-	// receives block and fail fast on a dead peer. Crash recovery needs
-	// neither: every run goes through the one block loop, where a time
-	// slice that died out is dropped and the run continues PT − 1 wide,
-	// a thinned slice narrows the spatial width and the particle state
-	// is re-decomposed onto it, and a tail the narrower blocks leave
-	// over runs as one block on fewer time slices (DESIGN.md §11).
-	Enabled bool
 	// FaultPlan is a fault.Parse spec ("drop=0.05,crash=1@iter:1", see
 	// internal/fault); empty injects nothing.
 	FaultPlan string
 	// FaultSeed seeds the plan's deterministic per-message verdicts.
 	FaultSeed int64
-	// RecvTimeout is the deadline Enabled puts on every pipelined
-	// receive (0 = pfasst.DefaultRecvTimeout).
+	// RecvTimeout > 0 puts that deadline on every pipelined receive
+	// (DefaultRecvTimeout is the daemon's), so a lost message aborts
+	// and retries its block instead of blocking. At 0 the receives
+	// block and fail fast on a dead peer. Crash recovery needs neither:
+	// every run goes through the one block loop, where a time slice
+	// that died out is dropped and the run continues PT − 1 wide, a
+	// thinned slice narrows the spatial width and the particle state is
+	// re-decomposed onto it, and a tail the narrower blocks leave over
+	// runs as one block on fewer time slices (DESIGN.md §11).
 	RecvTimeout time.Duration
 	// CheckpointDir persists committed block state for crash-safe
 	// restarts; Resume continues from the checkpoint found there: a
@@ -160,6 +157,10 @@ type ResilienceConfig struct {
 	// rank death (0 = default).
 	MaxBlockRetries int
 }
+
+// DefaultRecvTimeout is a receive deadline long enough that only a
+// lost message reaches it: the one the job daemon sets on every job.
+const DefaultRecvTimeout = pfasst.DefaultRecvTimeout
 
 // DefaultSpaceTime returns the paper's PFASST(2,2,·) configuration.
 func DefaultSpaceTime(pt, ps int) SpaceTimeConfig {
@@ -238,15 +239,10 @@ func RunSpaceTimeCtx(ctx context.Context, cfg SpaceTimeConfig, sys *System, t0, 
 		return nil, SpaceTimeStats{}, fmt.Errorf("nbody: Resilience.Resume set without Resilience.CheckpointDir")
 	}
 	ccfg.Resilience = pfasst.Resilience{
+		RecvTimeout:     rz.RecvTimeout,
 		CheckpointDir:   rz.CheckpointDir,
 		Resume:          rz.Resume,
 		MaxBlockRetries: rz.MaxBlockRetries,
-	}
-	if rz.Enabled {
-		ccfg.Resilience.RecvTimeout = rz.RecvTimeout
-		if rz.RecvTimeout <= 0 {
-			ccfg.Resilience.RecvTimeout = pfasst.DefaultRecvTimeout
-		}
 	}
 
 	gc := cfg.Guard
