@@ -121,8 +121,11 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # the one loop's deadline link against its plain link on 4×1, 2×2 and
 # 4×2); the guard ladder's rows (scrub, sticky abort, block redo) are
 # core's `Guard` tests in the guard lane below. No ./internal/pfasst/
-# test matches either lane since the lockstep loop went; the package
-# stays listed so a resilience or guard test added there runs here.
+# test matches either lane: `go test -list '<regex>' ./internal/pfasst/`
+# prints none for this lane's regex or the guard lane's (the `Levels`
+# term selected TestPFASSTThreeLevels until the N-level hierarchy went).
+# The package stays listed so a resilience or guard test added there
+# runs here.
 # TestFacadeGridCrashMidAttempt carries the `Threads: 2` row: traversal
 # workers across a mid-attempt crash, bitwise equal to `Threads: 1`.
 # `Cancel` is TestFacadeCancelAtBlockBoundary: cancellation through

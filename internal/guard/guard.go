@@ -66,9 +66,9 @@ type Policy struct {
 	// MaxRollback bounds shadow-copy restores per scrub of the
 	// block-start state. Zero means DefaultMaxRollback.
 	MaxRollback int
-	// ExtraSweeps is added to FineSweeps from the second redo of a
-	// rejected block on (the "extra SDC sweeps on step rejection"
-	// rung). Zero means DefaultExtraSweeps.
+	// ExtraSweeps is added to the one fine sweep per PFASST iteration
+	// from the second redo of a rejected block on (the "extra SDC
+	// sweeps on step rejection" rung). Zero means DefaultExtraSweeps.
 	ExtraSweeps int
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // GridSolver owns the one block attempt (see attempt in pfasst.go) and
-// everything it accumulates into: the level hierarchy, the Result and
-// the telemetry handles. Run drives it for generic ode.System callers;
+// everything it accumulates into: the two levels, the Result and the
+// telemetry handles. Run drives it for generic ode.System callers;
 // every space-time run of the particle method is driven by core's grid
 // loop through BlockAttempt, on one of two transports (see link):
 //
@@ -36,36 +36,43 @@ import (
 // the SAME *Result so sweep counts and per-block diagnostics keep
 // accumulating across rebuilds.
 type GridSolver struct {
-	cfg    Config
-	levels []*level
-	res    *Result
-	pb     probe
+	cfg          Config
+	fine, coarse *level
+	prevEnd      []float64 // the fine slice end of the previous iteration
+	res          *Result
+	pb           probe
 	// open marks that the last attempt committed a per-block record no
 	// agreement has rejected yet (see dropRecord).
 	open bool
 }
 
-// NewGridSolver validates cfg and builds the level hierarchy. res
-// receives sweep counts, residuals and resilience counters; pass the
-// same res to successor solvers after a rebuild.
+// NewGridSolver validates cfg and builds the two levels. res receives
+// sweep counts, residuals and resilience counters; pass the same res to
+// successor solvers after a rebuild.
 func NewGridSolver(cfg Config, res *Result) (*GridSolver, error) {
-	if len(cfg.Levels) < 2 {
-		return nil, fmt.Errorf("pfasst: need at least 2 levels, got %d", len(cfg.Levels))
+	if len(cfg.Levels) != 2 {
+		return nil, fmt.Errorf("pfasst: need exactly 2 levels, got %d", len(cfg.Levels))
+	}
+	// The space transfer is the identity, so the levels share the state
+	// layout.
+	if df, dc := cfg.Levels[0].Sys.Dim(), cfg.Levels[1].Sys.Dim(); df != dc {
+		return nil, fmt.Errorf("pfasst: fine level has dimension %d, coarse level %d", df, dc)
 	}
 	if cfg.Iterations < 1 {
 		return nil, fmt.Errorf("pfasst: iterations %d < 1", cfg.Iterations)
 	}
-	if cfg.FineSweeps < 1 {
-		cfg.FineSweeps = 1
-	}
 	if cfg.CoarseSweeps < 1 {
 		cfg.CoarseSweeps = 1
 	}
-	levels, err := buildLevels(cfg)
+	fine, coarse, err := buildLevels(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &GridSolver{cfg: cfg, levels: levels, res: res, pb: newProbe(cfg.Tel)}, nil
+	return &GridSolver{
+		cfg: cfg, fine: fine, coarse: coarse,
+		prevEnd: make([]float64, cfg.Levels[0].Sys.Dim()),
+		res:     res, pb: newProbe(cfg.Tel),
+	}, nil
 }
 
 // BlockAttempt runs one block attempt (body, end-value distribution,

@@ -1,15 +1,16 @@
 // Package pfasst implements the Parallel Full Approximation Scheme in
 // Space and Time (Emmett & Minion) as described in Section III-B of
 // the paper: parareal-style time decomposition whose propagators are
-// SDC sweeps on a hierarchy of collocation levels, coupled by FAS
-// corrections, with pipelined communication along the time ranks
-// (Algorithm 1 / Fig. 6).
+// SDC sweeps on two collocation levels, coupled by FAS corrections,
+// with pipelined communication along the time ranks (Algorithm 1 /
+// Fig. 6). This is the paper's PFASST(X, Y, PT): 3 fine and 2 coarse
+// Lobatto nodes.
 //
-// Spatial coarsening is expressed through the level systems: for the
-// particle method, all levels share the state layout (identity space
-// transfer) and differ in the accuracy of the right-hand-side
-// evaluation — the fine level uses a small MAC parameter θ, the coarse
-// level a large one (Section IV-B).
+// Spatial coarsening is expressed through the level systems alone: both
+// levels share the state layout, so the space transfer is the identity,
+// and they differ in the accuracy of the right-hand-side evaluation —
+// the fine level uses a small MAC parameter θ, the coarse level a large
+// one (Section IV-B).
 package pfasst
 
 import (
@@ -24,34 +25,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// LevelSpec describes one level of the space-time hierarchy; index 0
-// is the finest.
+// LevelSpec describes one of the two levels.
 type LevelSpec struct {
 	// Sys evaluates the right-hand side at this level's spatial
-	// accuracy.
+	// accuracy. Both levels' systems have the same Dim.
 	Sys ode.System
-	// NNodes is the number of Gauss–Lobatto collocation nodes; coarser
-	// levels must use node subsets of their finer neighbor (e.g. 3 and
-	// 2).
+	// NNodes is the number of Gauss–Lobatto collocation nodes; the
+	// coarse level's nodes must be a subset of the fine level's (e.g. 3
+	// and 2).
 	NNodes int
-	// RestrictSpace and InterpSpace transfer states between this level
-	// and the next coarser one; nil means identity (copy). They are
-	// set on the finer level of each pair.
-	RestrictSpace func(fine, coarse []float64)
-	InterpSpace   func(coarse, fine []float64)
 }
 
 // Config parameterizes a PFASST run. The paper's PFASST(X, Y, PT) is
-// Config{Iterations: X, CoarseSweeps: Y} on PT time ranks.
+// Config{Iterations: X, CoarseSweeps: Y} on PT time ranks; every
+// iteration runs one fine sweep (more only on the guard's extra-sweeps
+// rung).
 type Config struct {
+	// Levels holds exactly two levels, the fine one first.
 	Levels []LevelSpec
 	// Iterations is the number of PFASST iterations per block.
 	Iterations int
-	// FineSweeps is the number of SDC sweeps per iteration on every
-	// level except the coarsest (paper: 1).
-	FineSweeps int
-	// CoarseSweeps is the number of SDC sweeps per iteration at the
-	// coarsest level (paper: 2).
+	// CoarseSweeps is the number of SDC sweeps per iteration on the
+	// coarse level (paper: 2).
 	CoarseSweeps int
 	// Tol, when positive, stops iterating early once the maximum
 	// slice-end update over all time ranks falls below it. Checking the
@@ -81,7 +76,7 @@ type Result struct {
 	// U is the solution at the end of the full time interval
 	// (identical on every rank).
 	U []float64
-	// Residuals holds, per block, the finest-level collocation
+	// Residuals holds, per block, the fine-level collocation
 	// residual of this rank's slice after the final iteration.
 	Residuals []float64
 	// IterDiffs holds, per block, the max-norm difference of this
@@ -107,19 +102,21 @@ type Result struct {
 	FinalRanks int
 }
 
+// level is one of the two levels. The fine level also holds the
+// transfer data to the coarse one, allocated once in buildLevels.
 type level struct {
-	spec    LevelSpec
-	sw      *sdc.Sweeper
-	dim     int
-	nnodes  int
-	coarser *level
+	sw     *sdc.Sweeper
+	nnodes int
 
-	// transfer data to the next coarser level
-	subset  []int       // coarse node index -> fine node index
-	interpT [][]float64 // time interpolation matrix (fine rows × coarse cols)
-	uR      [][]float64 // stored restriction of this level's U at coarse nodes
-	sfFine  [][]float64 // scratch: this level's node-to-node integrals
-	sfC     [][]float64 // scratch: coarser level's integrals
+	// fine level only: transfer to the coarse level
+	subset    []int       // coarse node index -> fine node index
+	interpT   [][]float64 // time interpolation matrix (fine rows × coarse cols)
+	uR        [][]float64 // stored restriction of this level's U at coarse nodes
+	sfFine    [][]float64 // scratch: this level's node-to-node integrals
+	sfC       [][]float64 // scratch: coarse level's integrals
+	contrib   []float64   // scratch: one fine interval's Δt (S F) + τ
+	deltaC    [][]float64 // scratch: U_c − uR at the coarse nodes
+	coarseMix []float64   // scratch: the interpolated correction at one fine node
 }
 
 // Run solves u' = f(t,u) from t0 to t1 in nsteps uniform steps,
@@ -160,36 +157,30 @@ func Run(comm *mpi.Comm, cfg Config, t0, t1 float64, nsteps int, u0 []float64) (
 	return res, nil
 }
 
-func buildLevels(cfg Config) ([]*level, error) {
-	n := len(cfg.Levels)
-	levels := make([]*level, n)
-	for i := n - 1; i >= 0; i-- {
-		spec := cfg.Levels[i]
+// buildLevels builds the two levels of a validated cfg.
+func buildLevels(cfg Config) (fine, coarse *level, err error) {
+	for i, spec := range cfg.Levels {
 		if spec.NNodes < 2 {
-			return nil, fmt.Errorf("pfasst: level %d has %d nodes", i, spec.NNodes)
+			return nil, nil, fmt.Errorf("pfasst: level %d has %d nodes", i, spec.NNodes)
 		}
-		l := &level{
-			spec:   spec,
-			sw:     sdc.NewSweeper(spec.Sys, spec.NNodes),
-			dim:    spec.Sys.Dim(),
-			nnodes: spec.NNodes,
-		}
-		if i < n-1 {
-			l.coarser = levels[i+1]
-			c := l.coarser
-			subset, err := quadrature.SubsetIndices(l.sw.Nodes(), c.sw.Nodes())
-			if err != nil {
-				return nil, fmt.Errorf("pfasst: levels %d/%d: %w", i, i+1, err)
-			}
-			l.subset = subset
-			l.interpT = quadrature.InterpMatrix(c.sw.Nodes(), l.sw.Nodes())
-			l.uR = alloc(c.nnodes, c.dim)
-			l.sfFine = alloc(l.nnodes-1, l.dim)
-			l.sfC = alloc(c.nnodes-1, c.dim)
-		}
-		levels[i] = l
 	}
-	return levels, nil
+	fs, cs := cfg.Levels[0], cfg.Levels[1]
+	fine = &level{sw: sdc.NewSweeper(fs.Sys, fs.NNodes), nnodes: fs.NNodes}
+	coarse = &level{sw: sdc.NewSweeper(cs.Sys, cs.NNodes), nnodes: cs.NNodes}
+	subset, err := quadrature.SubsetIndices(fine.sw.Nodes(), coarse.sw.Nodes())
+	if err != nil {
+		return nil, nil, fmt.Errorf("pfasst: levels 0/1: %w", err)
+	}
+	dim := fs.Sys.Dim()
+	fine.subset = subset
+	fine.interpT = quadrature.InterpMatrix(coarse.sw.Nodes(), fine.sw.Nodes())
+	fine.uR = alloc(coarse.nnodes, dim)
+	fine.sfFine = alloc(fine.nnodes-1, dim)
+	fine.sfC = alloc(coarse.nnodes-1, dim)
+	fine.contrib = make([]float64, dim)
+	fine.deltaC = alloc(coarse.nnodes, dim)
+	fine.coarseMix = make([]float64, dim)
+	return fine, coarse, nil
 }
 
 func alloc(rows, dim int) [][]float64 {
@@ -200,78 +191,51 @@ func alloc(rows, dim int) [][]float64 {
 	return a
 }
 
-// restrictSpace applies the level's spatial restriction (identity by
-// default).
-func (l *level) restrictSpace(fine, coarse []float64) {
-	if l.spec.RestrictSpace != nil {
-		l.spec.RestrictSpace(fine, coarse)
-		return
-	}
-	copy(coarse, fine)
-}
-
-func (l *level) interpSpace(coarse, fine []float64) {
-	if l.spec.InterpSpace != nil {
-		l.spec.InterpSpace(coarse, fine)
-		return
-	}
-	copy(fine, coarse)
-}
-
-// restrictAndFAS restricts this level's node values to the coarser
-// level, re-evaluates the coarse right-hand sides, and computes the
+// restrictAndFAS restricts the fine level's node values to the coarse
+// level c, re-evaluates the coarse right-hand sides, and computes the
 // coarse FAS corrections (Eq. 16/17): for every coarse interval m,
 //
-//	τ_c[m] = Σ_{fine intervals in m} R(Δt (S F)_f + τ_f)  −  Δt (S F)_c.
-func (l *level) restrictAndFAS() {
-	c := l.coarser
+//	τ_c[m] = Σ_{fine intervals in m} (Δt (S F)_f + τ_f)  −  Δt (S F)_c.
+func (l *level) restrictAndFAS(c *level) {
 	// Pointwise restriction at the shared nodes.
 	for mc, mf := range l.subset {
-		l.restrictSpace(l.sw.U[mf], l.uR[mc])
+		ode.Copy(l.uR[mc], l.sw.U[mf])
 		ode.Copy(c.sw.U[mc], l.uR[mc])
 	}
 	c.sw.EvalAll()
 	// Integral terms.
 	l.sw.IntegrateSF(l.sfFine)
 	c.sw.IntegrateSF(l.sfC)
-	scratch := make([]float64, c.dim)
 	for mc := 0; mc < c.nnodes-1; mc++ {
 		tau := c.sw.Tau[mc]
 		ode.Zero(tau)
 		for mf := l.subset[mc]; mf < l.subset[mc+1]; mf++ {
-			// R( Δt (S F)_f + τ_f ) summed over the fine intervals.
-			contrib := append([]float64(nil), l.sfFine[mf]...)
-			ode.AXPY(1, l.sw.Tau[mf], contrib)
-			l.restrictSpace(contrib, scratch)
-			ode.AXPY(1, scratch, tau)
+			ode.Copy(l.contrib, l.sfFine[mf])
+			ode.AXPY(1, l.sw.Tau[mf], l.contrib)
+			ode.AXPY(1, l.contrib, tau)
 		}
 		ode.AXPY(-1, l.sfC[mc], tau)
 	}
 }
 
-// interpolateCorrection adds the coarse-grid correction to this
-// level's node values: U_f[mf] += I_space( Σ_mc interpT[mf][mc] · (U_c[mc] − uR[mc]) ).
-func (l *level) interpolateCorrection() {
-	c := l.coarser
-	deltaC := alloc(c.nnodes, c.dim)
+// interpolateCorrection adds the coarse-grid correction to the fine
+// level's node values: U_f[mf] += Σ_mc interpT[mf][mc] · (U_c[mc] − uR[mc]).
+func (l *level) interpolateCorrection(c *level) {
 	for mc := 0; mc < c.nnodes; mc++ {
-		ode.Copy(deltaC[mc], c.sw.U[mc])
-		ode.AXPY(-1, l.uR[mc], deltaC[mc])
+		ode.Copy(l.deltaC[mc], c.sw.U[mc])
+		ode.AXPY(-1, l.uR[mc], l.deltaC[mc])
 	}
-	coarseMix := make([]float64, c.dim)
-	fineDelta := make([]float64, l.dim)
 	for mf := 0; mf < l.nnodes; mf++ {
-		ode.Zero(coarseMix)
+		ode.Zero(l.coarseMix)
 		for mc := 0; mc < c.nnodes; mc++ {
-			ode.AXPY(l.interpT[mf][mc], deltaC[mc], coarseMix)
+			ode.AXPY(l.interpT[mf][mc], l.deltaC[mc], l.coarseMix)
 		}
-		l.interpSpace(coarseMix, fineDelta)
-		ode.AXPY(1, fineDelta, l.sw.U[mf])
+		ode.AXPY(1, l.coarseMix, l.sw.U[mf])
 	}
 	l.sw.EvalAll()
 }
 
-// blockRecord is the per-block diagnostics of one attempt: the finest
+// blockRecord is the per-block diagnostics of one attempt: the fine
 // collocation residual of this rank's slice, the slice-end update of
 // the last iteration and the iterations performed.
 type blockRecord struct {
@@ -285,16 +249,17 @@ type blockRecord struct {
 // this rank's verdict is clean — the commit of the per-block record.
 // redo is the count of consecutive rejected attempts at this block; it
 // selects the attempt's fault-plan flips and climbs the guard ladder
-// (one guard.redo per redone attempt, ExtraSweeps more fine sweeps from
-// the second redo on). The error wraps errBlockAbort for a transport
-// failure and is a *guard.Violation for corruption. The caller folds
-// the verdict into its agreement and calls dropRecord (RecordRestart)
-// when the agreed verdict rejects the attempt; nothing else is
-// committed here. The returned end value is a fresh slice.
+// (one guard.redo per redone attempt and, from the second redo on,
+// ExtraSweeps fine sweeps per iteration on top of the one). The error
+// wraps errBlockAbort for a transport failure and is a
+// *guard.Violation for corruption. The caller folds the verdict into
+// its agreement and calls dropRecord (RecordRestart) when the agreed
+// verdict rejects the attempt; nothing else is committed here. The
+// returned end value is a fresh slice.
 func (s *GridSolver) attempt(comm *mpi.Comm, lk link, tn, dt float64, u0 []float64, block, redo int) ([]float64, error) {
 	g := s.cfg.Guard
 	s.open = false
-	fineSweeps := s.cfg.FineSweeps
+	fineSweeps := 1
 	if g != nil && redo > 0 {
 		g.RecordRedo()
 		if redo >= 2 {
@@ -305,7 +270,7 @@ func (s *GridSolver) attempt(comm *mpi.Comm, lk link, tn, dt float64, u0 []float
 	if err != nil {
 		return nil, err
 	}
-	end, err := lk.bcastEnd(comm, s.levels[0].sw.UEnd())
+	end, err := lk.bcastEnd(comm, s.fine.sw.UEnd())
 	if err != nil {
 		return nil, err
 	}
@@ -347,33 +312,26 @@ func (s *GridSolver) dropRecord() {
 // runBlock is the block body: the predictor, up to cfg.Iterations
 // PFASST V-cycles and the trailing sweep for one block of p
 // consecutive time steps (Algorithm 1 / Fig. 6). It leaves this rank's
-// slice-end value in the finest sweeper. Every exchange goes through
-// lk, so the same body serves blocking and deadline transports.
+// slice-end value in the fine sweeper. Every exchange goes through lk,
+// so the same body serves blocking and deadline transports.
 func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []float64, block, fineSweeps int) (blockRecord, error) {
-	cfg, levels, res, pb := &s.cfg, s.levels, s.res, &s.pb
+	cfg, fine, coarse, res, pb := &s.cfg, s.fine, s.coarse, s.res, &s.pb
 	p := comm.Size()
 	rank := comm.Rank()
-	nl := len(levels)
-	fine := levels[0]
-	coarse := levels[nl-1]
 
-	// Setup all levels for this rank's step.
-	for _, l := range levels {
-		l.sw.Setup(tn, dt)
-	}
+	fine.sw.Setup(tn, dt)
+	coarse.sw.Setup(tn, dt)
 	predSpan := pb.predictor.Start()
 	comm.FaultPoint("predictor", block)
 
-	// --- Predictor (Fig. 6 initialization): restrict u0 to the
-	// coarsest level, spread, then rank n performs n+1 pipelined
-	// coarse sweeps, passing slice-end values to the right.
-	cu := make([]float64, coarse.dim)
-	restrictFull(levels, u0, cu)
-	coarse.sw.SetU0(cu)
+	// --- Predictor (Fig. 6 initialization): start the coarse level
+	// from u0, spread, then rank n performs n+1 pipelined coarse
+	// sweeps, passing slice-end values to the right.
+	coarse.sw.SetU0(u0)
 	coarse.sw.Spread()
 	for j := 0; j <= rank; j++ {
 		if j > 0 {
-			in, err := lk.recv(comm, rank-1, lk.tag(nl-1, j, true))
+			in, err := lk.recv(comm, rank-1, lk.tag(1, j, true))
 			if err != nil {
 				predSpan.Stop()
 				return blockRecord{}, fmt.Errorf("%w: predictor: %w", errBlockAbort, err)
@@ -384,58 +342,49 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		res.SweepsCoarse++
 		pb.coarseSweeps.Inc()
 		if rank < p-1 {
-			comm.SendFloat64s(rank+1, lk.tag(nl-1, j+1, true), coarse.sw.UEnd())
+			comm.SendFloat64s(rank+1, lk.tag(1, j+1, true), coarse.sw.UEnd())
 		}
 	}
-	// Interpolate the coarse prediction up through the hierarchy.
-	for i := nl - 2; i >= 0; i-- {
-		l := levels[i]
-		// Full-state interpolation: treat the prediction as correction
-		// against a zero restriction.
-		for mc := range l.uR {
-			ode.Zero(l.uR[mc])
-		}
-		for mf := 0; mf < l.nnodes; mf++ {
-			ode.Zero(l.sw.U[mf])
-		}
-		l.interpolateCorrection()
+	// Interpolate the coarse prediction to the fine level: the full
+	// state is a correction against a zero restriction.
+	for mc := range fine.uR {
+		ode.Zero(fine.uR[mc])
 	}
-	// The finest initial value is exact for rank 0 and will otherwise
-	// be overwritten by the pipeline below.
+	for mf := range fine.sw.U {
+		ode.Zero(fine.sw.U[mf])
+	}
+	fine.interpolateCorrection(coarse)
+	// The fine initial value is exact for rank 0 and will otherwise be
+	// overwritten by the pipeline below.
 	if rank == 0 {
 		fine.sw.SetU0(u0)
 	}
 	predSpan.Stop()
 
-	prevEnd := append([]float64(nil), fine.sw.UEnd()...)
+	ode.Copy(s.prevEnd, fine.sw.UEnd())
 	var rec blockRecord
 
 	// --- PFASST iterations (Algorithm 1).
 	for k := 0; k < cfg.Iterations; k++ {
 		comm.FaultPoint("iter", k)
 		iterSpan := pb.iteration.Start()
-		// Go down the V-cycle.
-		for i := 0; i < nl-1; i++ {
-			l := levels[i]
-			for n := 0; n < fineSweeps; n++ {
-				l.sw.Sweep()
-			}
-			if i == 0 {
-				res.SweepsFine += fineSweeps
-				pb.fineSweeps.Add(int64(fineSweeps))
-			}
-			if rank < p-1 {
-				comm.SendFloat64s(rank+1, lk.tag(i, k, false), l.sw.UEnd())
-			}
-			l.restrictAndFAS()
+		// Down: sweep the fine level, forward its slice end, restrict.
+		for n := 0; n < fineSweeps; n++ {
+			fine.sw.Sweep()
 		}
-		// Coarsest level: each sweep receives a fresh initial value
-		// from the left and forwards its slice-end value, so coarse
+		res.SweepsFine += fineSweeps
+		pb.fineSweeps.Add(int64(fineSweeps))
+		if rank < p-1 {
+			comm.SendFloat64s(rank+1, lk.tag(0, k, false), fine.sw.UEnd())
+		}
+		fine.restrictAndFAS(coarse)
+		// Coarse level: each sweep receives a fresh initial value from
+		// the left and forwards its slice-end value, so coarse
 		// information travels one slice per sweep (Fig. 6 shows one
 		// receive/send pair per coarse sweep block).
 		for n := 0; n < cfg.CoarseSweeps; n++ {
 			if rank > 0 {
-				in, err := lk.recv(comm, rank-1, lk.tag(nl-1, k*8+n, false))
+				in, err := lk.recv(comm, rank-1, lk.tag(1, k*8+n, false))
 				if err != nil {
 					iterSpan.Stop()
 					return blockRecord{}, fmt.Errorf("%w: iteration %d coarse: %w", errBlockAbort, k, err)
@@ -446,36 +395,28 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 			res.SweepsCoarse++
 			pb.coarseSweeps.Inc()
 			if rank < p-1 {
-				comm.SendFloat64s(rank+1, lk.tag(nl-1, k*8+n, false), coarse.sw.UEnd())
+				comm.SendFloat64s(rank+1, lk.tag(1, k*8+n, false), coarse.sw.UEnd())
 			}
 		}
-		// Return up the V-cycle. Per Algorithm 1, each level first
-		// receives its new initial value from the left and then applies
-		// the interpolated coarse correction — including at node 0,
-		// where the correction is taken relative to the freshly
-		// received value, so the faster coarse information channel
-		// improves the fine initial condition.
-		for i := nl - 2; i >= 0; i-- {
-			l := levels[i]
-			if rank > 0 {
-				in, err := lk.recv(comm, rank-1, lk.tag(i, k, false))
-				if err != nil {
-					iterSpan.Stop()
-					return blockRecord{}, fmt.Errorf("%w: iteration %d fine: %w", errBlockAbort, k, err)
-				}
-				l.sw.SetU0(in)
-				l.restrictSpace(l.sw.U[0], l.uR[0])
+		// Up: per Algorithm 1, the fine level first receives its new
+		// initial value from the left and then applies the interpolated
+		// coarse correction — including at node 0, where the correction
+		// is taken relative to the freshly received value, so the faster
+		// coarse information channel improves the fine initial
+		// condition. The fine level sweeps at the start of the next
+		// iteration.
+		if rank > 0 {
+			in, err := lk.recv(comm, rank-1, lk.tag(0, k, false))
+			if err != nil {
+				iterSpan.Stop()
+				return blockRecord{}, fmt.Errorf("%w: iteration %d fine: %w", errBlockAbort, k, err)
 			}
-			l.interpolateCorrection()
-			if i > 0 {
-				// Intermediate levels sweep on the way up
-				// (Algorithm 1); the finest level sweeps at the start
-				// of the next iteration.
-				l.sw.Sweep()
-			}
+			fine.sw.SetU0(in)
+			ode.Copy(fine.uR[0], fine.sw.U[0])
 		}
-		rec.iterDiff = ode.MaxDiff(fine.sw.UEnd(), prevEnd)
-		ode.Copy(prevEnd, fine.sw.UEnd())
+		fine.interpolateCorrection(coarse)
+		rec.iterDiff = ode.MaxDiff(fine.sw.UEnd(), s.prevEnd)
+		ode.Copy(s.prevEnd, fine.sw.UEnd())
 		rec.iters = k + 1
 		iterSpan.Stop()
 		pb.iterDiff.Set(rec.iterDiff)
@@ -490,7 +431,7 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		}
 	}
 
-	// The trailing sweep: one more finest sweep so the reported solution
+	// The trailing sweep: one more fine sweep so the reported solution
 	// incorporates the last coarse correction (the "finalize" stage of
 	// standard PFASST controllers).
 	fine.sw.Sweep()
@@ -499,17 +440,6 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 	pb.iters.Add(int64(rec.iters))
 	rec.residual = fine.sw.Residual()
 	return rec, nil
-}
-
-// restrictFull restricts a finest-level state down the whole hierarchy.
-func restrictFull(levels []*level, uFine, uCoarse []float64) {
-	cur := append([]float64(nil), uFine...)
-	for i := 0; i < len(levels)-1; i++ {
-		next := make([]float64, levels[i+1].dim)
-		levels[i].restrictSpace(cur, next)
-		cur = next
-	}
-	copy(uCoarse, cur)
 }
 
 // TheorySpeedup evaluates Eq. (23) of the paper: the speedup of PFASST

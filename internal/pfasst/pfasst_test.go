@@ -136,25 +136,6 @@ func TestPFASSTMultiBlock(t *testing.T) {
 	}
 }
 
-func TestPFASSTThreeLevels(t *testing.T) {
-	sys, exact := ode.Oscillator(1)
-	u0 := exact(0)
-	cfg := Config{
-		Levels: []LevelSpec{
-			{Sys: sys, NNodes: 5},
-			{Sys: sys, NNodes: 3},
-			{Sys: sys, NNodes: 2},
-		},
-		Iterations: 8, CoarseSweeps: 2,
-	}
-	got, _ := runPFASST(t, sys, cfg, 4, 2, 4, u0)
-	want := append([]float64(nil), u0...)
-	sdc.NewIntegrator(sys, 5, 14).Integrate(0, 2, 4, want)
-	if d := ode.MaxDiff(got, want); d > 1e-9 {
-		t.Fatalf("3-level PFASST differs from serial collocation by %g", d)
-	}
-}
-
 func TestPFASSTSingleRank(t *testing.T) {
 	// PT = 1 degenerates to a serial multi-level SDC (MLSDC) iteration
 	// and must still converge to the collocation solution.
@@ -205,49 +186,19 @@ func TestPFASSTSpatialCoarseningHook(t *testing.T) {
 	}
 }
 
-func TestPFASSTSpaceTransferFunctions(t *testing.T) {
-	// Coarse level with half the unknowns: state (u, u') restricted by
-	// dropping the redundant copy. Fine state: (u, u', u, u') duplicated
-	// representation; restriction keeps the first half, interpolation
-	// duplicates.
-	osc, exact := ode.Oscillator(1)
-	fineSys := ode.FuncSystem{N: 4, Fn: func(tt float64, u, f []float64) {
-		f[0], f[1] = u[1], -u[0]
-		f[2], f[3] = u[3], -u[2]
-	}}
-	restrict := func(fine, coarse []float64) { copy(coarse, fine[:2]) }
-	interp := func(coarse, fine []float64) {
-		copy(fine[:2], coarse)
-		copy(fine[2:], coarse)
-	}
-	cfg := Config{
-		Levels: []LevelSpec{
-			{Sys: fineSys, NNodes: 3, RestrictSpace: restrict, InterpSpace: interp},
-			{Sys: osc, NNodes: 2},
-		},
-		Iterations: 10, CoarseSweeps: 2,
-	}
-	u0 := append(append([]float64(nil), exact(0)...), exact(0)...)
-	got, _ := runPFASST(t, fineSys, cfg, 4, 2, 4, u0)
-	want := append([]float64(nil), exact(0)...)
-	sdc.NewIntegrator(osc, 3, 14).Integrate(0, 2, 4, want)
-	if d := ode.MaxDiff(got[:2], want); d > 1e-8 {
-		t.Fatalf("space-coarsened PFASST differs by %g", d)
-	}
-	if d := ode.MaxDiff(got[2:], want); d > 1e-8 {
-		t.Fatalf("duplicated components differ by %g", d)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	sys, _ := ode.Dahlquist(-1)
+	osc, _ := ode.Oscillator(1) // Dim 2; sys has Dim 1
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		cases := []Config{
-			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}}, Iterations: 1},                                   // 1 level
-			{Levels: twoLevel(sys), Iterations: 0},                                                        // no iterations
-			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1},            // bad nodes
-			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{RecvTimeout: time.Second}},      // recovery is core's grid loop
-			{Levels: twoLevel(sys), Iterations: 1, Guard: guard.New(guard.Policy{Enabled: true}, 0, nil)}, // so is the guard ladder
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}}, Iterations: 1},                                               // 1 level
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 5}, {Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 2}}, Iterations: 1}, // 3 levels
+			{Levels: []LevelSpec{{Sys: osc, NNodes: 3}, {Sys: sys, NNodes: 2}}, Iterations: 1},                        // fine Dim 2 over coarse Dim 1
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: osc, NNodes: 2}}, Iterations: 1},                        // fine Dim 1 over coarse Dim 2
+			{Levels: twoLevel(sys), Iterations: 0},                                                                    // no iterations
+			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1},                        // bad nodes
+			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{RecvTimeout: time.Second}},                  // recovery is core's grid loop
+			{Levels: twoLevel(sys), Iterations: 1, Guard: guard.New(guard.Policy{Enabled: true}, 0, nil)},             // so is the guard ladder
 		}
 		for i, cfg := range cases {
 			if _, err := Run(c, cfg, 0, 1, 2, []float64{1}); err == nil {

@@ -40,7 +40,7 @@ type Sweeper struct {
 	Tau [][]float64
 
 	fOld  [][]float64
-	integ [][]float64
+	integ [][]float64 // Sweep's scratch, rewritten before every read
 	resid []float64
 
 	// u0Stale marks that U[0] was replaced without re-evaluating F[0]
@@ -206,7 +206,8 @@ func (sw *Sweeper) IntegrateSF(dst [][]float64) {
 func (sw *Sweeper) Residual() float64 {
 	n := len(sw.nodes)
 	maxR := 0.0
-	tauSum := make([]float64, sw.dim)
+	tauSum := sw.integ[0] // Sweep's scratch: no allocation per call
+	ode.Zero(tauSum)
 	for m := 0; m < n-1; m++ {
 		ode.AXPY(1, sw.Tau[m], tauSum)
 		ode.Copy(sw.resid, sw.U[0])
