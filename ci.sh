@@ -11,7 +11,10 @@ go vet ./...
 # recorded in-tree catch — determinism and hookcost (syntactic),
 # locksafe, collective and allocfree (CFG + dataflow + call graph) —
 # plus the driver's directive check (a //lint:ignore that names no
-# rule or suppresses nothing is a finding). Exit status 1 on any
+# rule or suppresses nothing is a finding). allocfree covers the
+# //lint:hotpath closures in hot, kernel and tree (the Eval paths) and
+# in pfasst and sdc (runBlock, the PFASST block body, which
+# TestRunBlockAllocatesNothing checks on one rank). Exit status 1 on any
 # finding is the gate: the tree carries zero unsuppressed findings.
 # The -json snapshot is kept and re-checked at the end of the script:
 # the report must be byte-identical no matter what ran in between —

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/hot"
+	"repro/internal/pfasst"
 	"repro/internal/telemetry"
 )
 
@@ -264,9 +265,7 @@ func main() {
 	}
 	if want("speedup-model") {
 		alphaS, _ := experiments.MeasureAlpha(4000, 0.3, 0.6)
-		// β ≈ 2 covers Algorithm 1's per-iteration re-evaluations
-		// (NUMERICS.md §6), matching the Fig. 8 theory curves.
-		tb := experiments.SpeedupModelTable(4, 2, 2, []float64{alphaS, 2.0 / (3.23 * 3)}, 2.0,
+		tb := experiments.SpeedupModelTable(4, 2, 2, []float64{alphaS, 2.0 / (3.23 * 3)}, pfasst.Beta,
 			[]int{1, 2, 4, 8, 16, 32, 64})
 		emit("speedup_model", tb)
 	}

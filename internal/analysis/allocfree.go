@@ -14,11 +14,11 @@ import (
 // reachable from a //lint:hotpath root.
 //
 // Scope: the call-graph closure of the //lint:hotpath-marked roots,
-// restricted to the numeric hot packages (hot, kernel, tree) and
-// pruned at //lint:coldpath functions (miss/recovery/setup paths that
-// are allowed to allocate, with the justification written in the
-// directive). Inside that closure, the following allocate per call
-// and are flagged:
+// restricted to the numeric hot packages (hot, kernel, tree, pfasst,
+// sdc) and pruned at //lint:coldpath functions (miss/recovery/setup
+// paths that are allowed to allocate, with the justification written
+// in the directive). Inside that closure, the following allocate per
+// call and are flagged:
 //
 //   - make / new;
 //   - slice and map composite literals, and any &T{...};
@@ -36,14 +36,15 @@ import (
 // non-nil error are failure paths, not steady state.
 var AnalyzerAllocFree = &Analyzer{
 	Name:      "allocfree",
-	Doc:       "no allocations on the steady-state Eval paths of hot/kernel/tree (//lint:hotpath roots)",
+	Doc:       "no allocations on the steady-state Eval paths of hot/kernel/tree and the PFASST block body (//lint:hotpath roots)",
 	RunModule: runAllocFree,
 }
 
 // allocFreePkgs are the package names whose functions participate in
-// hot-path reachability (ISSUE 10: the Eval paths of internal/hot,
-// internal/kernel, internal/tree).
-var allocFreePkgs = map[string]bool{"hot": true, "kernel": true, "tree": true}
+// hot-path reachability: the Eval paths of internal/hot,
+// internal/kernel and internal/tree, and the PFASST block body of
+// internal/pfasst with the SDC sweeper it drives.
+var allocFreePkgs = map[string]bool{"hot": true, "kernel": true, "tree": true, "pfasst": true, "sdc": true}
 
 func runAllocFree(mp *ModulePass) {
 	g := mp.Graph

@@ -305,7 +305,7 @@ func TestFig8SpeedupTracksTheory(t *testing.T) {
 		Name: "test", N: 384, PS: 2, PTs: []int{1, 2, 4}, Dt: 0.5,
 		ThetaFine: 0.3, ThetaCoarse: 0.6,
 		Iterations: 2, CoarseSweeps: 2, SerialSweeps: 4,
-		Beta: 2.0, CoresPerRank: 4,
+		CoresPerRank: 4,
 	}
 	points, tb := Fig8Speedup(cfg)
 	if len(points) != 3 {

@@ -27,11 +27,6 @@ func DefaultFig1() Fig1Config {
 	return Fig1Config{N: 2000, Dt: 1, TEnd: 10, Theta: 0.4, Snapshot: 1}
 }
 
-// PaperFig1 returns the paper's exact configuration (expensive).
-func PaperFig1() Fig1Config {
-	return Fig1Config{N: 20000, Dt: 1, TEnd: 25, Theta: 0.4, Snapshot: 1}
-}
-
 // Fig1Snapshot is one diagnostic sample of the sheet evolution.
 type Fig1Snapshot struct {
 	Time      float64

@@ -40,7 +40,6 @@ type Fig5XTConfig struct {
 	ThetaFine, ThetaCoarse   float64
 	Iterations, CoarseSweeps int // PFASST(X, Y, PT)
 	SerialSweeps             int // Ks of the SDC baseline (paper: 4)
-	Beta                     float64
 	CoresPerRank             int // cores represented by one rank (paper: 4/node)
 
 	NModel     float64 // modeled particle count (paper large setup: 4e6)
@@ -63,7 +62,7 @@ func DefaultFig5XT() Fig5XTConfig {
 
 		ThetaFine: 0.3, ThetaCoarse: 0.6,
 		Iterations: 2, CoarseSweeps: 2, SerialSweeps: 4,
-		Beta: 2.0, CoresPerRank: 4,
+		CoresPerRank: 4,
 
 		NModel:     4e6,
 		ModelCores: []int{4096, 16384, 65536, 262144},
@@ -236,7 +235,7 @@ func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTMode
 				sweeps := float64(cfg.ModelSteps * cfg.SerialSweeps)
 				var comm float64
 				if pt > 1 {
-					s := pfasst.TwoLevelSpeedup(pt, cfg.SerialSweeps, cfg.Iterations, nL, alpha, cfg.Beta)
+					s := pfasst.TwoLevelSpeedup(pt, cfg.SerialSweeps, cfg.Iterations, nL, alpha, pfasst.Beta)
 					sweeps /= s
 					blocks := float64(cfg.ModelSteps / pt)
 					perExchange := tm.Latency + 48*nloc*tm.BytePeriod
@@ -288,7 +287,7 @@ func Fig5XTModel(cfg Fig5XTConfig, fit BranchFit, pref, alpha float64) ([]XTMode
 	tb.AddNote("N=%.3g over %d steps; branch fit B(P) = %.2f * P^%.2f, prefetch %.1f cells/branch",
 		n, cfg.ModelSteps, fit.A, fit.Exp, pref)
 	tb.AddNote("PT=1 pays Ks=%d sweeps/step; PT>1 divides compute by Eq. 24 S(PT; a=%.3f, b=%.1f)",
-		cfg.SerialSweeps, alpha, cfg.Beta)
+		cfg.SerialSweeps, alpha, pfasst.Beta)
 
 	ctb := &Table{
 		Title: "PR7 (modeled) — space-only vs best space×time per core count",

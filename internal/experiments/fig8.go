@@ -24,7 +24,6 @@ type Fig8Config struct {
 	ThetaFine, ThetaCoarse   float64
 	Iterations, CoarseSweeps int
 	SerialSweeps             int // Ks of the SDC baseline (paper: 4)
-	Beta                     float64
 	CoresPerRank             int // cores represented by one rank (paper: 4/node)
 }
 
@@ -34,13 +33,7 @@ func DefaultFig8Small() Fig8Config {
 		Name: "small", N: 1024, PS: 4, PTs: []int{1, 2, 4, 8}, Dt: 0.5,
 		ThetaFine: 0.3, ThetaCoarse: 0.6,
 		Iterations: 2, CoarseSweeps: 2, SerialSweeps: 4,
-		// β is the per-iteration overhead of Eq. 24 relative to one
-		// fine sweep. Algorithm 1 re-evaluates the right-hand side at
-		// every node after the interpolation (1.5 Υ0 at 3 nodes), at
-		// the new initial value (0.5 Υ0), and on the restricted coarse
-		// values — about 2 Υ0 in total. (Back-solving Eq. 24 from the
-		// paper's own PT=32 speedup of ≈5 gives β ≈ 3.)
-		Beta: 2.0, CoresPerRank: 4,
+		CoresPerRank: 4,
 	}
 }
 
@@ -106,7 +99,7 @@ func Fig8Speedup(cfg Fig8Config) ([]Fig8Point, *Table) {
 			TSerial:           tSerial,
 			TPFASST:           tPfasst,
 			Speedup:           tSerial / tPfasst,
-			Theory:            pfasst.TwoLevelSpeedup(pt, cfg.SerialSweeps, cfg.Iterations, float64(cfg.CoarseSweeps), alpha, cfg.Beta),
+			Theory:            pfasst.TwoLevelSpeedup(pt, cfg.SerialSweeps, cfg.Iterations, float64(cfg.CoarseSweeps), alpha, pfasst.Beta),
 			LastSliceIterDiff: iterDiff,
 		})
 	}

@@ -84,7 +84,7 @@ func TestBuildWithHookRecoversLaneInjection(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		pol := Policy{Enabled: true, Mem: mustMem(t, "rate=2e-4,in=tree", seed), MaxRecompute: 8}
 		g := New(pol, 0, reg)
-		tr := tree.BuildWithHook(g, sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex})
+		tr := tree.BuildArenaWithHook(g, new(tree.Arena), sys, tree.BuildConfig{LeafCap: 4, Discipline: tree.Vortex})
 		if err := tr.CheckMoments(); err != nil {
 			t.Fatalf("seed %d: returned tree corrupt: %v", seed, err)
 		}

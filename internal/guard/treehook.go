@@ -93,7 +93,7 @@ func wordPtr(nd *tree.Node, disc tree.Discipline, w int) *float64 {
 // moments, then runs the ABFT detectors — Morton-order check and
 // bitwise moment recomputation. A detected corruption asks the caller
 // for a clean rebuild (wrapping tree.ErrRetryBuild) up to MaxRecompute
-// times; past that the hook returns a Violation, which BuildWithHook
+// times; past that the hook returns a Violation, which BuildArenaWithHook
 // escalates as a panic that the mpi runtime converts into a typed
 // per-rank error. The rebuild loop is collective-free, so ranks may
 // climb the ladder independently.

@@ -72,13 +72,3 @@ func MaxDiff(a, b []float64) float64 {
 	}
 	return m
 }
-
-// RelMaxDiff returns MaxDiff(a,b) / max(1e-300, MaxNorm(b)).
-func RelMaxDiff(a, b []float64) float64 {
-	d := MaxDiff(a, b)
-	n := MaxNorm(b)
-	if n == 0 {
-		return d
-	}
-	return d / n
-}

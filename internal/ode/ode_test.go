@@ -32,15 +32,6 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-func TestRelMaxDiff(t *testing.T) {
-	if got := RelMaxDiff([]float64{2}, []float64{1}); got != 1 {
-		t.Fatalf("RelMaxDiff = %v", got)
-	}
-	if got := RelMaxDiff([]float64{1e-3}, []float64{0}); got != 1e-3 {
-		t.Fatalf("RelMaxDiff vs zero = %v", got)
-	}
-}
-
 func TestFuncSystem(t *testing.T) {
 	sys := FuncSystem{N: 2, Fn: func(tt float64, u, f []float64) {
 		f[0] = u[1]

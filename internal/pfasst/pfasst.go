@@ -142,6 +142,9 @@ func Run(comm *mpi.Comm, cfg Config, t0, t1 float64, nsteps int, u0 []float64) (
 	if cfg.Guard != nil || cfg.Resilience != (Resilience{}) {
 		return Result{}, fmt.Errorf("pfasst: Run has no recovery; a guarded or resilient run needs core.RunSpaceTime")
 	}
+	if d := cfg.Levels[0].Sys.Dim(); len(u0) != d {
+		return Result{}, fmt.Errorf("pfasst: initial value has length %d, levels have dimension %d", len(u0), d)
+	}
 	if cfg.Tel != nil {
 		comm.AttachTelemetry(cfg.Tel)
 	}
@@ -314,6 +317,8 @@ func (s *GridSolver) dropRecord() {
 // consecutive time steps (Algorithm 1 / Fig. 6). It leaves this rank's
 // slice-end value in the fine sweeper. Every exchange goes through lk,
 // so the same body serves blocking and deadline transports.
+//
+//lint:hotpath the PFASST block body: runs once per block on every time rank, 0 allocs per block (TestRunBlockAllocatesNothing)
 func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []float64, block, fineSweeps int) (blockRecord, error) {
 	cfg, fine, coarse, res, pb := &s.cfg, s.fine, s.coarse, s.res, &s.pb
 	p := comm.Size()
@@ -336,7 +341,7 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 				predSpan.Stop()
 				return blockRecord{}, fmt.Errorf("%w: predictor: %w", errBlockAbort, err)
 			}
-			coarse.sw.SetU0Lazy(in)
+			coarse.sw.SetU0(in)
 		}
 		coarse.sw.Sweep()
 		res.SweepsCoarse++
@@ -353,12 +358,11 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 	for mf := range fine.sw.U {
 		ode.Zero(fine.sw.U[mf])
 	}
+	// The interpolation leaves the fine U_0 equal to the coarse one
+	// (up to the sign of a zero): interpT's row at the shared node 0 is
+	// exactly (1, 0), so rank 0 starts from u0 and its F_0 is already
+	// f(u0).
 	fine.interpolateCorrection(coarse)
-	// The fine initial value is exact for rank 0 and will otherwise be
-	// overwritten by the pipeline below.
-	if rank == 0 {
-		fine.sw.SetU0(u0)
-	}
 	predSpan.Stop()
 
 	ode.Copy(s.prevEnd, fine.sw.UEnd())
@@ -389,7 +393,7 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 					iterSpan.Stop()
 					return blockRecord{}, fmt.Errorf("%w: iteration %d coarse: %w", errBlockAbort, k, err)
 				}
-				coarse.sw.SetU0Lazy(in)
+				coarse.sw.SetU0(in)
 			}
 			coarse.sw.Sweep()
 			res.SweepsCoarse++
@@ -403,8 +407,9 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		// coarse correction — including at node 0, where the correction
 		// is taken relative to the freshly received value, so the faster
 		// coarse information channel improves the fine initial
-		// condition. The fine level sweeps at the start of the next
-		// iteration.
+		// condition. SetU0 evaluates nothing: the interpolation's
+		// EvalAll evaluates F_0 with the other nodes. The fine level
+		// sweeps at the start of the next iteration.
 		if rank > 0 {
 			in, err := lk.recv(comm, rank-1, lk.tag(0, k, false))
 			if err != nil {
@@ -455,6 +460,15 @@ func TheorySpeedup(pt int, ks, kp int, n, upsilon, gamma []float64) float64 {
 	}
 	return float64(pt) * float64(ks) / denom
 }
+
+// Beta is the per-iteration overhead β of Eq. (24) for the paper's 3
+// fine Lobatto nodes, in units of one fine sweep Υ₀. A slice makes
+// N_f + K·(M_f + N_f) + M_f fine evaluations per block
+// (TestEvaluationSchedule): besides its sweep's M_f = 2, an iteration
+// re-evaluates the N_f = 3 fine nodes after the interpolation, so
+// β = N_f / M_f = 1.5. The restriction's coarse re-evaluation is not
+// priced here.
+const Beta = 1.5
 
 // TwoLevelSpeedup evaluates Eq. (24): S(PT; α) for a two-level run
 // with coarse/fine cost ratio α, nL coarse sweeps per iteration and

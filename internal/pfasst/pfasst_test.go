@@ -199,6 +199,7 @@ func TestRunValidation(t *testing.T) {
 			{Levels: []LevelSpec{{Sys: sys, NNodes: 3}, {Sys: sys, NNodes: 1}}, Iterations: 1},                        // bad nodes
 			{Levels: twoLevel(sys), Iterations: 1, Resilience: Resilience{RecvTimeout: time.Second}},                  // recovery is core's grid loop
 			{Levels: twoLevel(sys), Iterations: 1, Guard: guard.New(guard.Policy{Enabled: true}, 0, nil)},             // so is the guard ladder
+			{Levels: twoLevel(osc), Iterations: 1},                                                                    // u0 = {1} over Dim 2
 		}
 		for i, cfg := range cases {
 			if _, err := Run(c, cfg, 0, 1, 2, []float64{1}); err == nil {
@@ -263,6 +264,61 @@ func TestSweepCountsReported(t *testing.T) {
 	}
 	if res.SweepsFine != 3+1 {
 		t.Fatalf("fine sweeps %d, want 4", res.SweepsFine)
+	}
+}
+
+// countingSystem wraps sys in an ode.FuncSystem that counts its F
+// calls in *n.
+func countingSystem(sys ode.System, n *int) ode.System {
+	return ode.FuncSystem{N: sys.Dim(), Fn: func(tt float64, u, f []float64) {
+		*n++
+		sys.F(tt, u, f)
+	}}
+}
+
+func TestEvaluationSchedule(t *testing.T) {
+	// Every slice makes N_f + K·(M_f + N_f) + M_f fine evaluations per
+	// block: the predictor's interpolation evaluates the N_f fine nodes,
+	// each iteration's fine sweep M_f and its interpolation N_f (the
+	// received initial value is evaluated there, not on receipt), and
+	// the trailing sweep M_f. Rank r's coarse level makes N_c + (2r+1)
+	// in the predictor (its Spread, then r+1 sweeps, each after the
+	// first re-evaluating the received F_0) and, per iteration, N_c in
+	// the restriction plus nL sweeps of M_c, or M_c + 1 when a value
+	// arrives from the left.
+	const blocks, nf, mf, nc, mc, nL = 2, 3, 2, 2, 1, 2
+	osc, exact := ode.Oscillator(1)
+	for _, p := range []int{1, 2, 4} {
+		for _, k := range []int{1, 2, 3} {
+			fineN, coarseN := make([]int, p), make([]int, p)
+			err := mpi.Run(p, func(c *mpi.Comm) error {
+				r := c.Rank()
+				cfg := Config{
+					Levels: []LevelSpec{
+						{Sys: countingSystem(osc, &fineN[r]), NNodes: nf},
+						{Sys: countingSystem(osc, &coarseN[r]), NNodes: nc},
+					},
+					Iterations: k, CoarseSweeps: nL,
+				}
+				_, err := Run(c, cfg, 0, 1, blocks*p, exact(0))
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < p; r++ {
+				if want := blocks * (nf + k*(mf+nf) + mf); fineN[r] != want {
+					t.Errorf("PT=%d K=%d rank %d: %d fine evaluations, want %d", p, k, r, fineN[r], want)
+				}
+				recv := 0
+				if r > 0 {
+					recv = 1
+				}
+				if want := blocks * (nc + 2*r + 1 + k*(nc+nL*(mc+recv))); coarseN[r] != want {
+					t.Errorf("PT=%d K=%d rank %d: %d coarse evaluations, want %d", p, k, r, coarseN[r], want)
+				}
+			}
+		}
 	}
 }
 

@@ -127,6 +127,8 @@ func (l link) bcastEnd(c *mpi.Comm, uEnd []float64) ([]float64, error) {
 
 // allreduceMax is the Tol convergence check's allreduce(max) of
 // iteration seq. Deadline branch: gather at rank 0, then scatter.
+//
+//lint:coldpath runs only when Config.Tol > 0, which trades the pipeline's overlap for a collective per iteration; mpi's allreduce allocates its result regardless
 func (l link) allreduceMax(c *mpi.Comm, v float64, seq int) (float64, error) {
 	if l.timeout == 0 {
 		return c.AllreduceFloat64([]float64{v}, mpi.OpMax)[0], nil

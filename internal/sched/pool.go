@@ -18,7 +18,6 @@ type Pool struct {
 	quit      chan struct{}
 	wg        sync.WaitGroup
 	running   atomic.Int64
-	completed atomic.Int64
 	closeOnce sync.Once
 }
 
@@ -48,7 +47,6 @@ func (p *Pool) worker() {
 			p.running.Add(1)
 			fn()
 			p.running.Add(-1)
-			p.completed.Add(1)
 		}
 	}
 }
@@ -74,6 +72,3 @@ func (p *Pool) Close() {
 
 // Running reports the number of tasks executing right now.
 func (p *Pool) Running() int { return int(p.running.Load()) }
-
-// Completed reports the number of tasks that have finished.
-func (p *Pool) Completed() int64 { return p.completed.Load() }

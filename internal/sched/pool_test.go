@@ -22,9 +22,6 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	if got := n.Load(); got != 64 {
 		t.Fatalf("ran %d tasks, want 64", got)
 	}
-	if got := p.Completed(); got != 64 {
-		t.Fatalf("Completed() = %d, want 64", got)
-	}
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {
@@ -51,10 +48,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Drain: all submitted tasks have been accepted; wait for execution.
-	for p.Completed() < 24 {
-		time.Sleep(time.Millisecond)
-	}
+	// Drain: all submitted tasks have been accepted; Close waits for
+	// their execution.
+	p.Close()
 	if got := peak.Load(); got > workers {
 		t.Fatalf("peak concurrency %d exceeds %d workers", got, workers)
 	}

@@ -46,25 +46,6 @@ type Stats struct {
 	Busy []float64
 }
 
-// MaxOverMean returns the busy-time imbalance max(busy)/mean(busy)
-// (1 = perfectly balanced, 0 when nothing ran).
-func (s Stats) MaxOverMean() float64 {
-	if len(s.Busy) == 0 {
-		return 0
-	}
-	sum, max := 0.0, 0.0
-	for _, b := range s.Busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return max / (sum / float64(len(s.Busy)))
-}
-
 // wsRange is one worker's remaining index range [lo, hi), packed as
 // lo<<32|hi into a single atomic word so both claim and steal are one
 // CAS. The pad keeps ranges on distinct cache lines.

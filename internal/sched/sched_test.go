@@ -103,20 +103,6 @@ func TestRunStealsUnderImbalance(t *testing.T) {
 	}
 }
 
-func TestMaxOverMean(t *testing.T) {
-	if got := (Stats{}).MaxOverMean(); got != 0 {
-		t.Errorf("empty stats: got %g", got)
-	}
-	s := Stats{Busy: []float64{1, 1, 1, 1}}
-	if got := s.MaxOverMean(); got != 1 {
-		t.Errorf("balanced: got %g", got)
-	}
-	s = Stats{Busy: []float64{3, 1}}
-	if got := s.MaxOverMean(); got != 1.5 {
-		t.Errorf("imbalanced: got %g", got)
-	}
-}
-
 // TestRunAlignedBoundariesAndCoverage checks the two properties SoA
 // evaluators rely on: every index is processed exactly once, and every
 // chunk boundary except the final n is a multiple of align (so inner

@@ -43,9 +43,10 @@ type Sweeper struct {
 	integ [][]float64 // Sweep's scratch, rewritten before every read
 	resid []float64
 
-	// u0Stale marks that U[0] was replaced without re-evaluating F[0]
-	// (SetU0Lazy): the next Sweep snapshots the old F[0] for its
-	// node-0 correction term Δt·[f(U^{k+1}_0) − f(U^k_0)] and then
+	// u0Stale marks that SetU0 replaced U[0] without re-evaluating
+	// F[0]. Spread and EvalAll evaluate every node and clear it; a
+	// Sweep that finds it set snapshots the old F[0] for its node-0
+	// correction term Δt·[f(U^{k+1}_0) − f(U^k_0)] and then
 	// re-evaluates. This is the parareal-like mechanism by which a new
 	// initial value propagates through a PFASST sweep.
 	u0Stale bool
@@ -107,33 +108,27 @@ func (sw *Sweeper) Setup(t0, dt float64) {
 	}
 }
 
-// SetU0 sets the initial node value U_0 and evaluates F_0.
+// SetU0 sets the initial node value U_0 and leaves F_0 to the next
+// evaluation that reads it: Spread or EvalAll evaluates it with the
+// other nodes, and a Sweep applies the full node-0 correction term of
+// Eq. (13) against the previous F_0.
 func (sw *Sweeper) SetU0(u0 []float64) {
 	if len(u0) != sw.dim {
 		panic(fmt.Sprintf("sdc: SetU0 length %d, want %d", len(u0), sw.dim))
 	}
 	ode.Copy(sw.U[0], u0)
-	sw.evalF(0)
-	sw.u0Stale = false
-}
-
-// SetU0Lazy sets U_0 but keeps the previous F_0 until the next Sweep,
-// which then applies the full node-0 correction term of Eq. (13).
-func (sw *Sweeper) SetU0Lazy(u0 []float64) {
-	if len(u0) != sw.dim {
-		panic(fmt.Sprintf("sdc: SetU0Lazy length %d, want %d", len(u0), sw.dim))
-	}
-	ode.Copy(sw.U[0], u0)
 	sw.u0Stale = true
 }
 
-// Spread copies U_0 to every node and evaluates F there (the
+// Spread copies U_0 to every node and evaluates F at nodes 0..M (the
 // provisional solution U⁰ of the paper).
 func (sw *Sweeper) Spread() {
+	sw.evalF(0)
 	for m := 1; m < len(sw.nodes); m++ {
 		ode.Copy(sw.U[m], sw.U[0])
 		sw.evalF(m)
 	}
+	sw.u0Stale = false
 }
 
 func (sw *Sweeper) evalF(m int) {
@@ -147,6 +142,7 @@ func (sw *Sweeper) EvalAll() {
 	for m := range sw.nodes {
 		sw.evalF(m)
 	}
+	sw.u0Stale = false
 }
 
 // Sweep performs one explicit SDC sweep (Eq. 13) including the FAS
@@ -252,19 +248,22 @@ func (in *Integrator) NEvals() int64 { return in.sw.NEvals }
 
 // Step advances u in place from t0 to t0+dt.
 func (in *Integrator) Step(t0, dt float64, u []float64) {
-	sw := in.sw
-	sw.Setup(t0, dt)
-	sw.SetU0(u)
-	sw.Spread()
-	for k := 0; k < in.sweeps; k++ {
-		sw.Sweep()
-	}
-	ode.Copy(u, sw.UEnd())
+	in.sweepStep(t0, dt, u)
+	ode.Copy(u, in.sw.UEnd())
 }
 
 // StepResidual advances u and returns the final collocation residual
 // of the step.
 func (in *Integrator) StepResidual(t0, dt float64, u []float64) float64 {
+	in.sweepStep(t0, dt, u)
+	r := in.sw.Residual()
+	ode.Copy(u, in.sw.UEnd())
+	return r
+}
+
+// sweepStep is the one SDC step body: spread u over [t0, t0+dt] and
+// sweep. The end value is left in the sweeper.
+func (in *Integrator) sweepStep(t0, dt float64, u []float64) {
 	sw := in.sw
 	sw.Setup(t0, dt)
 	sw.SetU0(u)
@@ -272,9 +271,6 @@ func (in *Integrator) StepResidual(t0, dt float64, u []float64) float64 {
 	for k := 0; k < in.sweeps; k++ {
 		sw.Sweep()
 	}
-	r := sw.Residual()
-	ode.Copy(u, sw.UEnd())
-	return r
 }
 
 // Integrate advances u in place from t0 to t1 in nsteps equal steps.

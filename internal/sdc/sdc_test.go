@@ -91,13 +91,14 @@ func TestCollocationExactForPolynomialForcing(t *testing.T) {
 }
 
 func TestSweepEvaluationCount(t *testing.T) {
-	// Spread costs M evaluations (nodes 1..M) plus one from SetU0; each
-	// sweep costs M more. This accounting feeds the PFASST cost model.
+	// SetU0 evaluates nothing; Spread costs M+1 evaluations (nodes
+	// 0..M); each sweep costs M more. This accounting feeds the PFASST
+	// cost model.
 	sys, _ := ode.Dahlquist(-1)
 	sw := NewSweeper(sys, 3)
 	sw.Setup(0, 0.1)
 	sw.SetU0([]float64{1})
-	if sw.NEvals != 1 {
+	if sw.NEvals != 0 {
 		t.Fatalf("after SetU0: %d evals", sw.NEvals)
 	}
 	sw.Spread()
@@ -151,7 +152,7 @@ func TestNEvalsAccumulates(t *testing.T) {
 	in := NewIntegrator(sys, 3, 2)
 	u := []float64{1}
 	in.Integrate(0, 1, 4, u)
-	// per step: 1 (SetU0) + 2 (Spread) + 2*2 (sweeps) = 7
+	// per step: 3 (Spread) + 2*2 (sweeps) = 7
 	if got := in.NEvals(); got != 4*7 {
 		t.Fatalf("NEvals = %d, want 28", got)
 	}
@@ -210,25 +211,30 @@ func BenchmarkSDC4Oscillator(b *testing.B) {
 	}
 }
 
-func TestSetU0LazyAppliesNodeZeroCorrection(t *testing.T) {
-	// After SetU0Lazy, the next sweep must use the OLD F[0] in its
-	// fOld snapshot and the NEW value afterwards — the parareal-like
-	// G(new)−G(old) mechanism of the PFASST pipeline.
+func TestSetU0AppliesNodeZeroCorrection(t *testing.T) {
+	// After SetU0 on a swept step, the next sweep must use the OLD F[0]
+	// in its fOld snapshot and the NEW value afterwards — the
+	// parareal-like G(new)−G(old) mechanism of the PFASST pipeline.
 	sys, _ := ode.Dahlquist(-1)
 	sw := NewSweeper(sys, 3)
 	sw.Setup(0, 0.5)
 	sw.SetU0([]float64{1})
 	sw.Spread()
 	sw.Sweep()
-	// Lazy update of the initial value.
-	sw.SetU0Lazy([]float64{2})
+	sw.SetU0([]float64{2})
+	if sw.NEvals != 5 {
+		t.Fatalf("SetU0 evaluated: %d evals, want 5", sw.NEvals)
+	}
 	before := append([]float64(nil), sw.UEnd()...)
 	sw.Sweep()
+	// The sweep re-evaluates F[0] once, then nodes 1..M.
+	if sw.NEvals != 8 {
+		t.Fatalf("after Sweep: %d evals, want 8", sw.NEvals)
+	}
 	// The end value must have moved substantially toward the doubled
-	// initial condition (an eager SetU0 with stale integral terms
-	// would too, but a *no-op* initial value handling would not).
+	// initial condition (a *no-op* initial value handling would not).
 	if sw.UEnd()[0] < before[0]+0.3 {
-		t.Fatalf("lazy initial value not propagated: %v -> %v", before, sw.UEnd())
+		t.Fatalf("new initial value not propagated: %v -> %v", before, sw.UEnd())
 	}
 }
 

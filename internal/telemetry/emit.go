@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"text/tabwriter"
 )
 
@@ -14,36 +13,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV emits the snapshot as one CSV row per metric with the
-// header metric,kind,value,count,total_s,max_s. Counters and gauges
-// fill only value; timers fill count/total_s/max_s. Rows are sorted by
-// kind then name, so the output is deterministic.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "metric,kind,value,count,total_s,max_s\n"); err != nil {
-		return err
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		if _, err := fmt.Fprintf(w, "%s,counter,%d,,,\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		if _, err := fmt.Fprintf(w, "%s,gauge,%s,,,\n", name,
-			strconv.FormatFloat(s.Gauges[name], 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		t := s.Timers[name]
-		if _, err := fmt.Fprintf(w, "%s,timer,,%d,%s,%s\n", name, t.Count,
-			strconv.FormatFloat(t.Total, 'g', -1, 64),
-			strconv.FormatFloat(t.Max, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Fprint renders the snapshot as an aligned human-readable table — the

@@ -235,22 +235,6 @@ func TestEmitters(t *testing.T) {
 		t.Fatalf("JSON round trip: %+v", back)
 	}
 
-	var cbuf bytes.Buffer
-	if err := s.WriteCSV(&cbuf); err != nil {
-		t.Fatal(err)
-	}
-	csv := cbuf.String()
-	for _, want := range []string{
-		"metric,kind,value,count,total_s,max_s",
-		"hot.interactions,counter,42,,,",
-		"hot.work_imbalance,gauge,1.25,,,",
-		"hot.traverse,timer,,1,0.125,0.125",
-	} {
-		if !strings.Contains(csv, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, csv)
-		}
-	}
-
 	var tbuf bytes.Buffer
 	if err := s.Fprint(&tbuf); err != nil {
 		t.Fatal(err)

@@ -131,22 +131,17 @@ func momentsEqual(a, b *Node) bool {
 		a.DipoleQ == b.DipoleQ && a.QuadQ == b.QuadQ
 }
 
-// BuildWithHook builds a tree and runs the hook's inject/verify cycle,
-// rebuilding on ErrRetryBuild. Any other hook error escalates as a
-// panic: the evaluator interfaces have no error channel, and the mpi
-// runtime converts a panicking rank into a typed per-rank error (the
-// guard's Violation survives errors.As through that wrapping). The
-// rebuild loop is collective-free: ranks may take different attempt
-// counts without desynchronizing the communicator.
-func BuildWithHook(hook BuildHook, sys *particle.System, cfg BuildConfig) *Tree {
-	return BuildArenaWithHook(hook, new(Arena), sys, cfg)
-}
-
-// BuildArenaWithHook is BuildWithHook with arena-backed storage: every
-// build of the retry ladder reuses the arena's capacity, and a rebuild
-// fully overwrites whatever the hook's injection corrupted (nodes,
-// keys, order and SoA lanes are all regathered from the unchanged
-// particle data).
+// BuildArenaWithHook builds a tree in the arena and runs the hook's
+// inject/verify cycle, rebuilding on ErrRetryBuild. Any other hook
+// error escalates as a panic: the evaluator interfaces have no error
+// channel, and the mpi runtime converts a panicking rank into a typed
+// per-rank error (the guard's Violation survives errors.As through
+// that wrapping). The rebuild loop is collective-free: ranks may take
+// different attempt counts without desynchronizing the communicator.
+// Every build of the retry ladder reuses the arena's capacity, and a
+// rebuild fully overwrites whatever the hook's injection corrupted
+// (nodes, keys, order and SoA lanes are all regathered from the
+// unchanged particle data).
 func BuildArenaWithHook(hook BuildHook, a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 	t := BuildInto(a, sys, cfg)
 	if hook == nil {

@@ -72,7 +72,7 @@ func TestZeroExtentDomainBuilds(t *testing.T) {
 	}
 	root := tr.Nodes[tr.Root]
 	if !root.Leaf {
-		t.Fatalf("coincident cloud should collapse to a single leaf, depth %d", tr.Depth())
+		t.Fatalf("coincident cloud should collapse to a single leaf, depth %d", depth(tr))
 	}
 	if root.Count != n {
 		t.Fatalf("root leaf holds %d of %d particles", root.Count, n)
@@ -189,7 +189,7 @@ func TestBuildWithHookRetriesThenEscalates(t *testing.T) {
 	cfg := BuildConfig{LeafCap: 4, Discipline: Vortex}
 
 	h := &retryHook{retries: 3}
-	tr := BuildWithHook(h, sys, cfg)
+	tr := BuildArenaWithHook(h, new(Arena), sys, cfg)
 	if tr == nil || len(h.seen) != 4 {
 		t.Fatalf("expected 4 attempts (0..3), saw %v", h.seen)
 	}
@@ -211,5 +211,5 @@ func TestBuildWithHookRetriesThenEscalates(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the hook error", p)
 		}
 	}()
-	BuildWithHook(&retryHook{fatal: boom}, sys, cfg)
+	BuildArenaWithHook(&retryHook{fatal: boom}, new(Arena), sys, cfg)
 }

@@ -58,10 +58,10 @@ func TestLanesAtEveryBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		builds := map[string]*Tree{
-			"Build":         Build(sys, cfg),
-			"BuildInto":     BuildInto(new(Arena), sys, cfg),
-			"BuildWithHook": BuildWithHook(noHook{}, sys, cfg),
-			"BuildChecked":  checked,
+			"Build":              Build(sys, cfg),
+			"BuildInto":          BuildInto(new(Arena), sys, cfg),
+			"BuildArenaWithHook": BuildArenaWithHook(noHook{}, new(Arena), sys, cfg),
+			"BuildChecked":       checked,
 		}
 		for name, tr := range builds {
 			if tr.Lanes == nil || tr.Lanes.N() != sys.N() {

@@ -139,9 +139,6 @@ func PKeyLevel(pkey uint64) int {
 	return level
 }
 
-// PKeyChild returns the placeholder key of the digit-th child.
-func PKeyChild(pkey uint64, digit int) uint64 { return pkey<<3 | uint64(digit) }
-
 // PKeyPrefix converts a placeholder key back to (prefix, level).
 func PKeyPrefix(pkey uint64) (uint64, int) {
 	level := PKeyLevel(pkey)

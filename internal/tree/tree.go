@@ -309,17 +309,6 @@ func MergeCoulomb(dst *Node, children []*Node) {
 // NNodes returns the number of nodes in the tree.
 func (t *Tree) NNodes() int { return len(t.Nodes) }
 
-// Depth returns the maximum node level.
-func (t *Tree) Depth() int {
-	d := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Level > d {
-			d = t.Nodes[i].Level
-		}
-	}
-	return d
-}
-
 // Check validates structural invariants (particle ranges partition the
 // whole set, children cover their parents, moments are consistent) and
 // returns an error describing the first violation.

@@ -351,15 +351,24 @@ func TestCoincidentParticles(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > KeyBits {
-		t.Fatalf("depth %d exceeds key bits", tr.Depth())
+	if d := depth(tr); d > KeyBits {
+		t.Fatalf("depth %d exceeds key bits", d)
 	}
+}
+
+// depth returns the maximum node level of tr.
+func depth(tr *Tree) int {
+	d := 0
+	for i := range tr.Nodes {
+		d = max(d, tr.Nodes[i].Level)
+	}
+	return d
 }
 
 func TestDepthReasonable(t *testing.T) {
 	sys := particle.RandomVortexBlob(1000, 0.1, 13)
 	tr := Build(sys, BuildConfig{LeafCap: 1, Discipline: Vortex})
-	if d := tr.Depth(); d < 3 || d > KeyBits {
+	if d := depth(tr); d < 3 || d > KeyBits {
 		t.Fatalf("depth %d out of expected range", d)
 	}
 }
@@ -533,7 +542,7 @@ func TestFindCellMissesGracefully(t *testing.T) {
 			break
 		}
 	}
-	if got := tr.FindCell(PKeyChild(leafPKey, 3)); got != -1 {
+	if got := tr.FindCell(leafPKey<<3 | 3); got != -1 {
 		t.Fatalf("FindCell below a leaf returned %d", got)
 	}
 	if got := tr.FindCell(1); got != tr.Root {

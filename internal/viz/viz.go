@@ -1,8 +1,8 @@
 // Package viz writes particle snapshots for visualization: legacy VTK
 // polydata (readable by ParaView/VisIt, the kind of tooling behind the
-// paper's Fig. 1 renderings) and plain CSV. Particle size and color in
-// Fig. 1 encode the velocity magnitude, so the writers attach both the
-// circulation magnitude and, when provided, the velocity field.
+// paper's Fig. 1 renderings). Particle size and color in Fig. 1 encode
+// the velocity magnitude, so the writer attaches both the circulation
+// magnitude and, when provided, the velocity field.
 package viz
 
 import (
@@ -48,29 +48,6 @@ func WriteVTK(w io.Writer, sys *particle.System, vel []vec.Vec3) error {
 		for _, v := range vel {
 			fmt.Fprintf(bw, "%.10g %.10g %.10g\n", v.X, v.Y, v.Z)
 		}
-	}
-	return bw.Flush()
-}
-
-// WriteCSV writes the system as a CSV with a header row; velocity
-// columns are included when vel is non-nil.
-func WriteCSV(w io.Writer, sys *particle.System, vel []vec.Vec3) error {
-	if vel != nil && len(vel) != sys.N() {
-		return fmt.Errorf("viz: %d velocities for %d particles", len(vel), sys.N())
-	}
-	bw := bufio.NewWriter(w)
-	if vel != nil {
-		fmt.Fprintln(bw, "x,y,z,ax,ay,az,vol,ux,uy,uz")
-	} else {
-		fmt.Fprintln(bw, "x,y,z,ax,ay,az,vol")
-	}
-	for i, p := range sys.Particles {
-		fmt.Fprintf(bw, "%g,%g,%g,%g,%g,%g,%g",
-			p.Pos.X, p.Pos.Y, p.Pos.Z, p.Alpha.X, p.Alpha.Y, p.Alpha.Z, p.Vol)
-		if vel != nil {
-			fmt.Fprintf(bw, ",%g,%g,%g", vel[i].X, vel[i].Y, vel[i].Z)
-		}
-		fmt.Fprintln(bw)
 	}
 	return bw.Flush()
 }

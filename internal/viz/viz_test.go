@@ -52,27 +52,6 @@ func TestWriteVTKLengthMismatch(t *testing.T) {
 	if err := WriteVTK(&bytes.Buffer{}, sys, make([]vec.Vec3, 2)); err == nil {
 		t.Fatal("expected length error")
 	}
-	if err := WriteCSV(&bytes.Buffer{}, sys, make([]vec.Vec3, 2)); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	sys := particle.RandomVortexBlob(4, 0.3, 4)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sys, make([]vec.Vec3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("%d lines, want header+4", len(lines))
-	}
-	if lines[0] != "x,y,z,ax,ay,az,vol,ux,uy,uz" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if cols := strings.Count(lines[1], ","); cols != 9 {
-		t.Fatalf("row has %d commas", cols)
-	}
 }
 
 func TestSnapshotSeries(t *testing.T) {

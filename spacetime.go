@@ -31,7 +31,7 @@ var ErrCanceled = pfasst.ErrCanceled
 // over the ranks, gauges and per-phase timer maxima taken across them
 // (so a timer's Max is the parallel time of that phase). See
 // internal/telemetry for the snapshot structure and emitters
-// (WriteJSON, WriteCSV, Fprint).
+// (WriteJSON, Fprint).
 type RunStats = telemetry.Snapshot
 
 // TimerStat is the per-phase entry of a RunStats timer.
