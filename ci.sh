@@ -12,9 +12,10 @@ go vet ./...
 # locksafe, collective and allocfree (CFG + dataflow + call graph) —
 # plus the driver's directive check (a //lint:ignore that names no
 # rule or suppresses nothing is a finding). allocfree covers the
-# //lint:hotpath closures in hot, kernel and tree (the Eval paths) and
-# in pfasst and sdc (runBlock, the PFASST block body, which
-# TestRunBlockAllocatesNothing checks on one rank). Exit status 1 on any
+# //lint:hotpath closures in hot, kernel and tree (the Eval paths:
+# hot's decompose, graft, traverse and routeResults, and the tree
+# evaluators) and in pfasst and sdc (runBlock, the PFASST block body,
+# which TestRunBlockAllocatesNothing checks on one rank). Exit status 1 on any
 # finding is the gate: the tree carries zero unsuppressed findings.
 # The -json snapshot is kept and re-checked at the end of the script:
 # the report must be byte-identical no matter what ran in between —
@@ -128,7 +129,12 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # prints none for this lane's regex or the guard lane's (the `Levels`
 # term selected TestPFASSTThreeLevels until the N-level hierarchy went).
 # The package stays listed so a resilience or guard test added there
-# runs here.
+# runs here. ./internal/hot/ is listed for `Torn`: TestTornBlocksFailTyped
+# tears one received block of each decoder of an evaluation (samples,
+# route, box, branch list, prefetch frames, results) and requires the
+# typed ErrTornPayload comm failure; internal/core's
+# TestTornRouteBlockRetriesOrFailsTyped runs the same tear through the
+# grid loop's retry.
 # TestFacadeGridCrashMidAttempt carries the `Threads: 2` row: traversal
 # workers across a mid-attempt crash, bitwise equal to `Threads: 1`.
 # `Cancel` is TestFacadeCancelAtBlockBoundary: cancellation through
@@ -140,7 +146,7 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # one member dying before it posts, and no agreement slot left after.
 go test -race -count=1 -timeout 10m \
   -run 'Chaos|Resilien|Crash|HardLoss|Leak|Deadline|Deadlock|Shrink|Agree|Torn|Levels|Fault|Cancel' \
-  ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ .
+  ./internal/fault/ ./internal/mpi/ ./internal/checkpoint/ ./internal/pfasst/ ./internal/core/ ./internal/hot/ .
 
 # Checkpoint fuzz smoke: a few seconds of mutated NBLV headers against
 # the checked reader — corruption must surface as errors, never panics.

@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -427,6 +428,59 @@ func TestTornCollectiveRetriesRecoveryRound(t *testing.T) {
 		if pr := torn[r].PFASST; pr.BlockRestarts != 0 || pr.FinalRanks != p || !slices.Equal(pr.U, clean[r].PFASST.U) {
 			t.Fatalf("rank %d: %d restarts, final width %d, or U diverged", r, pr.BlockRestarts, pr.FinalRanks)
 		}
+	}
+}
+
+// tornAlltoall tears the first non-empty Alltoall message from world
+// rank 0 to world rank 1 — spatial ranks 0 and 1 of time slice 0 on
+// both grids below: a route block of the first decomposition, one
+// particle record a byte short.
+type tornAlltoall struct{ hits *int }
+
+func (p tornAlltoall) Message(src, dst, tag int, seq uint64, size int) mpi.FaultVerdict {
+	if src == 0 && dst == 1 && tag < 0 && (-tag-1)%16 == 4 && size > 0 && *p.hits == 0 {
+		*p.hits++
+		return mpi.FaultVerdict{Injected: true, CorruptTruncate: true}
+	}
+	return mpi.FaultVerdict{}
+}
+
+func (tornAlltoall) CrashAt(rank int, phase string, epoch int) bool { return false }
+
+// TestTornRouteBlockRetriesOrFailsTyped: a torn block of hot's route
+// Alltoall must not be decoded short. The run either retries and ends
+// bitwise equal to the clean run on every rank, or fails with the
+// typed torn-payload error after the retry budget; it never succeeds
+// with another state and never panics untyped.
+func TestTornRouteBlockRetriesOrFailsTyped(t *testing.T) {
+	const nsteps = 4
+	for _, g := range []struct{ pt, ps int }{{1, 2}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", g.pt, g.ps), func(t *testing.T) {
+			cfg := resilientCfg(g.pt, g.ps)
+			clean, err := runBlob(cfg, nil, nsteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := 0
+			torn, err := runBlob(cfg, tornAlltoall{hits: &hits}, nsteps)
+			if hits != 1 {
+				t.Fatalf("torn plan fired %d times", hits)
+			}
+			if err != nil {
+				if !errors.Is(err, mpi.ErrTornPayload) || strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("torn route block is not a typed failure: %v", err)
+				}
+				return
+			}
+			for r := range clean {
+				if !slices.Equal(torn[r].PFASST.U, clean[r].PFASST.U) {
+					t.Fatalf("rank %d: run over a torn route block succeeded with another state", r)
+				}
+				if torn[r].PFASST.BlockRestarts == 0 {
+					t.Fatalf("rank %d: run over a torn route block succeeded without a retry", r)
+				}
+			}
+		})
 	}
 }
 

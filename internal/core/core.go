@@ -80,8 +80,6 @@ type DistVortexSystem struct {
 	vel, str []vec.Vec3
 	// Evals counts collective force evaluations.
 	Evals int64
-	// Interactions accumulates this rank's interaction counts.
-	Interactions int64
 
 	// telemetry handles (nil = off), set by Instrument.
 	telEvals, telInter *telemetry.Counter
@@ -116,7 +114,6 @@ func (d *DistVortexSystem) F(t float64, u, f []float64) {
 	d.work.Unpack(u)
 	d.solver.Eval(d.work, d.vel, d.str)
 	d.Evals++
-	d.Interactions += d.solver.Last.Interactions
 	d.telEvals.Inc()
 	d.telInter.Add(d.solver.Last.Interactions)
 	for i := range d.vel {

@@ -22,10 +22,14 @@ import (
 // mpi.Alltoall (see its lending rule): reset only truncates them, and
 // an evaluation writes them after its first allreduces.
 type evalArena struct {
-	// Decomposition: Morton keys, their sort permutation and the
-	// balance weights of the caller's particles; splitter sampling;
-	// one route block per destination rank; and the system this rank
-	// owns after the exchange, with each particle's origin labels.
+	// Decomposition: the operands of the bounding-box and particle
+	// count reductions; Morton keys in sorted order, their sort
+	// permutation and the balance weights of the caller's particles;
+	// splitter sampling; one route block per destination rank; and the
+	// system this rank owns after the exchange, with each particle's
+	// origin labels.
+	lo, hi     [3]float64
+	count      [1]int64
 	keys       []uint64
 	order      []int
 	weights    []float64
@@ -41,7 +45,7 @@ type evalArena struct {
 	// The local tree over a.local, rebuilt in place (guard retries
 	// included), then grafted into the locally essential tree: its
 	// nodes and lanes grow by the remote and shared cells and the
-	// remote leaves' particles.
+	// remote leaves' particles. Its radix scratch also sorts keys.
 	tree tree.Arena
 
 	// Branch exchange: this rank's branch nodes and their wire form,

@@ -7,7 +7,7 @@ import (
 	"repro/internal/vec"
 )
 
-// BranchMode selects the allgather of phase 4. Everything else about
+// BranchMode selects the allgather of phase 3. Everything else about
 // the branch exchange — the rank boxes, the MAC-pruned prefetch walks
 // over the local tree, the one Alltoall that ships each receiver its
 // essential cells — is the same in both modes, and so are the results,
@@ -49,7 +49,6 @@ func appendBox(dst []byte, lo, hi vec.Vec3) []byte {
 
 // decodeBox is the inverse of appendBox.
 func decodeBox(b []byte) (lo, hi vec.Vec3) {
-	b = b[:boxRecBytes]
 	return vec.V3(getF(b[0:]), getF(b[8:]), getF(b[16:])), vec.V3(getF(b[24:]), getF(b[32:]), getF(b[40:]))
 }
 
@@ -90,7 +89,8 @@ func (rt *evalRT) prefetchWalks(boxes [][]byte) {
 		if r == rt.me {
 			continue
 		}
-		blo, bhi := decodeBox(boxes[r])
+		in := rt.comm.Reader("Allgather", r, boxes[r])
+		blo, bhi := decodeBox(in.Next(boxRecBytes))
 		if blo.X > bhi.X { // receiver owns no particles: no traversal
 			continue
 		}
@@ -165,8 +165,8 @@ func (rt *evalRT) graft(allBranches, prefetched [][]byte) {
 			a.tops = append(a.tops, a.branches...)
 			continue
 		}
-		for off := 0; off+cellRecBytes <= len(raw); off += cellRecBytes {
-			idx := rt.addCell(raw[off:], owner)
+		for in := rt.comm.Reader("Allgather", owner, raw); in.More(); {
+			idx := rt.addCell(in.Next(cellRecBytes), owner)
 			t.Nodes[idx].Leaf = false // a leaf branch, too, awaits its reply
 			a.tops = append(a.tops, idx)
 		}
@@ -251,11 +251,8 @@ func (rt *evalRT) installPrefetch(blocks [][]byte) {
 	t := rt.ltree
 	installed := 0
 	for owner, raw := range blocks {
-		for off := 0; off+8 <= len(raw); {
-			n := int(binary.LittleEndian.Uint64(raw[off:]))
-			off += 8
-			rec := raw[off : off+n]
-			off += n
+		for in := rt.comm.Reader("Alltoall", owner, raw); in.More(); {
+			rec := in.Next(int(binary.LittleEndian.Uint64(in.Next(8))))
 			idx := int32(t.FindCell(binary.LittleEndian.Uint64(rec)))
 			if int(idx) < rt.base || rt.resolved(idx) {
 				continue

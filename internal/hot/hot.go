@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/machine"
@@ -276,10 +275,12 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 	rt.routeResults(sys, vel, stretch, pot, ef)
 }
 
-// decompose is phases 1 and 2: the global domain, then a sample sort
-// along the space-filling curve that leaves every rank owning a
-// contiguous key range and the particles in it (rt.local, with origin
-// labels so results can be routed back).
+// decompose is phase 1: the global domain, then a sample sort along
+// the space-filling curve that leaves every rank owning a contiguous
+// key range and the particles in it (rt.local, with origin labels so
+// results can be routed back).
+//
+//lint:hotpath the decomposition: keys, sorts and routes every particle of every evaluation
 func (rt *evalRT) decompose(sys *particle.System) {
 	s, a, comm := rt.s, rt.a, rt.comm
 	p := comm.Size()
@@ -290,10 +291,14 @@ func (rt *evalRT) decompose(sys *particle.System) {
 		lo = vec.V3(math.Inf(1), math.Inf(1), math.Inf(1))
 		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
 	}
-	mins := comm.AllreduceFloat64([]float64{lo.X, lo.Y, lo.Z}, mpi.OpMin)
-	maxs := comm.AllreduceFloat64([]float64{hi.X, hi.Y, hi.Z}, mpi.OpMax)
+	a.lo = [3]float64{lo.X, lo.Y, lo.Z}
+	a.hi = [3]float64{hi.X, hi.Y, hi.Z}
+	mins := comm.AllreduceFloat64(a.lo[:], mpi.OpMin)
+	maxs := comm.AllreduceFloat64(a.hi[:], mpi.OpMax)
 	rt.dom = tree.NewDomain(vec.V3(mins[0], mins[1], mins[2]), vec.V3(maxs[0], maxs[1], maxs[2]))
 
+	// Sorted by key with the tree's stable radix sort: keys[j] is the
+	// key of position j, order[j] the particle there.
 	a.keys = grow(a.keys, n)
 	a.order = grow(a.order, n)
 	keys, order := a.keys, a.order
@@ -301,8 +306,9 @@ func (rt *evalRT) decompose(sys *particle.System) {
 		keys[i] = rt.dom.Key(sys.Particles[i].Pos)
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
-	nGlobal := comm.AllreduceInt64([]int64{int64(n)}, mpi.OpSum)[0]
+	a.tree.SortKeys(keys, order)
+	a.count[0] = int64(n)
+	nGlobal := comm.AllreduceInt64(a.count[:], mpi.OpSum)[0]
 	if s.meter != nil && n > 0 {
 		comm.Advance(s.meter.Sort(n, nGlobal))
 	}
@@ -319,13 +325,13 @@ func (rt *evalRT) decompose(sys *particle.System) {
 	rt.myLo, rt.myHi = ownedRange(splitters, rt.me, p)
 
 	// Route each particle to its owner.
-	for _, i := range order {
-		owner := keyOwner(splitters, keys[i], p)
+	for j, i := range order {
+		owner := keyOwner(splitters, keys[j])
 		a.route[owner] = encodeParticle(a.route[owner], &sys.Particles[i], rt.me, i, weights[i])
 	}
-	for _, raw := range comm.Alltoall(a.route) {
-		for off := 0; off+particleRecBytes <= len(raw); off += particleRecBytes {
-			pp, orank, oidx, _ := decodeParticle(raw[off:])
+	for r, raw := range comm.Alltoall(a.route) {
+		for in := comm.Reader("Alltoall", r, raw); in.More(); {
+			pp, orank, oidx, _ := decodeParticle(in.Next(particleRecBytes))
 			a.local.Particles = append(a.local.Particles, pp)
 			a.originRank = append(a.originRank, orank)
 			a.originIdx = append(a.originIdx, oidx)
@@ -334,7 +340,7 @@ func (rt *evalRT) decompose(sys *particle.System) {
 	rt.stats.NLocal = a.local.N()
 }
 
-// buildLocal is phase 3: the local tree over the owned particles, with
+// buildLocal is phase 2: the local tree over the owned particles, with
 // cells forced to subdivide across ownership boundaries, built into
 // the arena (the guard's rebuild ladder reuses the same storage).
 func (rt *evalRT) buildLocal() {
@@ -353,7 +359,7 @@ func (rt *evalRT) buildLocal() {
 	}
 }
 
-// exchangeBranches is phase 4, the one place remote cells reach this
+// exchangeBranches is phase 3, the one place remote cells reach this
 // rank: every rank's branch nodes and the cells every other rank
 // pruned for this rank's box arrive, and the graft makes them part of
 // the local tree. When it returns the locally essential tree is
@@ -387,8 +393,10 @@ func (rt *evalRT) exchangeBranches() {
 	prefetched := comm.Alltoall(a.prefetch)
 
 	total := 0
-	for _, raw := range allBranches {
-		total += len(raw) / cellRecBytes
+	for r, raw := range allBranches {
+		for in := comm.Reader("Allgather", r, raw); in.More(); in.Next(cellRecBytes) {
+			total++
+		}
 	}
 	rt.stats.TotalBranches = total
 	if s.meter != nil {
@@ -412,7 +420,7 @@ func (rt *evalRT) allgather(data []byte, overlap func()) [][]byte {
 	return rt.comm.Allgather(data)
 }
 
-// traverse is phase 5: tree.Solver evaluates every local particle
+// traverse is phase 4: tree.Solver evaluates every local particle
 // against the locally essential tree — on one goroutine, or on Threads
 // workers stealing tiles of eight targets — writing outputs and
 // per-target interaction counts by local index. It communicates with
@@ -452,7 +460,7 @@ func (rt *evalRT) traverse() {
 	}
 }
 
-// routeResults is phase 6: the work-imbalance diagnostic, then results
+// routeResults is phase 5: the work-imbalance diagnostic, then results
 // (and per-particle work, for the next evaluation's weighted
 // decomposition) go back to the particles' original owners.
 //
@@ -503,12 +511,9 @@ func (rt *evalRT) routeResults(sys *particle.System, vel, stretch []vec.Vec3, po
 		s.workWeights = grow(s.workWeights, sys.N())
 	}
 	recBytes := 8 * recWords
-	for _, raw := range comm.Alltoall(a.results) {
-		if len(raw)%8 != 0 {
-			panic("hot: torn result block")
-		}
-		for off := 0; off+recBytes <= len(raw); off += recBytes {
-			rec := raw[off : off+recBytes]
+	for r, raw := range comm.Alltoall(a.results) {
+		for in := comm.Reader("Alltoall", r, raw); in.More(); {
+			rec := in.Next(recBytes)
 			idx := int(getF(rec))
 			switch rt.disc {
 			case tree.Vortex:
@@ -544,10 +549,10 @@ func (rt *evalRT) sampleSplitters() []uint64 {
 			total += weights[i]
 		}
 		cum, next := 0.0, 1
-		for _, i := range order {
+		for j, i := range order {
 			cum += weights[i]
 			for next <= perRank && cum >= float64(next)*total/(perRank+1) {
-				mine = append(mine, keys[i])
+				mine = append(mine, keys[j])
 				next++
 			}
 		}
@@ -558,12 +563,9 @@ func (rt *evalRT) sampleSplitters() []uint64 {
 		a.wire = binary.LittleEndian.AppendUint64(a.wire, k)
 	}
 	pool := a.samplePool[:0]
-	for _, raw := range comm.Allgather(a.wire) {
-		if len(raw)%8 != 0 {
-			panic("hot: torn splitter sample block")
-		}
-		for off := 0; off < len(raw); off += 8 {
-			pool = append(pool, binary.LittleEndian.Uint64(raw[off:]))
+	for r, raw := range comm.Allgather(a.wire) {
+		for in := comm.Reader("Allgather", r, raw); in.More(); {
+			pool = append(pool, binary.LittleEndian.Uint64(in.Next(8)))
 		}
 	}
 	a.samplePool = pool
@@ -579,13 +581,20 @@ func (rt *evalRT) sampleSplitters() []uint64 {
 	return a.splitters
 }
 
-// keyOwner returns the rank owning the key under the splitter set.
-func keyOwner(splitters []uint64, key uint64, p int) int {
-	owner := sort.Search(len(splitters), func(i int) bool { return key < splitters[i] })
-	if owner >= p {
-		owner = p - 1
+// keyOwner returns the rank owning the key under the splitter set:
+// the first rank whose upper splitter lies above the key, by binary
+// search.
+func keyOwner(splitters []uint64, key uint64) int {
+	lo, hi := 0, len(splitters)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if key < splitters[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return owner
+	return lo
 }
 
 // ownedRange returns the inclusive key interval of a rank.

@@ -293,12 +293,12 @@ func TestOwnedRangeAndKeyOwnerConsistent(t *testing.T) {
 	for r := 0; r < p; r++ {
 		lo, hi := ownedRange(splitters, r, p)
 		for _, k := range []uint64{lo, hi} {
-			if got := keyOwner(splitters, k, p); got != r {
+			if got := keyOwner(splitters, k); got != r {
 				t.Fatalf("key %d: owner %d, want %d", k, got, r)
 			}
 		}
 	}
-	if keyOwner(splitters, 99, p) != 0 || keyOwner(splitters, 100, p) != 1 {
+	if keyOwner(splitters, 99) != 0 || keyOwner(splitters, 100) != 1 {
 		t.Fatal("splitter boundary misassigned")
 	}
 }

@@ -51,49 +51,65 @@ func TestListMatchesRecursiveAcrossRanks(t *testing.T) {
 // TestSingleRankIsTreeSolver: at PS = 1 the locally essential tree is
 // the local tree, so hot is tree.Solver on the same system — bitwise,
 // with the same interaction count — whatever the worker count and
-// traversal, for both disciplines.
+// traversal, for both disciplines. The coincident input puts 57
+// triples of particles on one position each: equal Morton keys, whose
+// order both sorts must break by index alike, or the sums of a leaf
+// run in another order. Each group stays below LeafCap + 1 particles,
+// where hot's ownership-bounded build and tree.Solver cut the same
+// leaves.
 func TestSingleRankIsTreeSolver(t *testing.T) {
-	full := particle.SphericalVortexSheet(particle.DefaultSheet(400))
-	for i := range full.Particles {
-		full.Particles[i].Charge = 1 - 2*float64(i%2)
+	sheet := particle.SphericalVortexSheet(particle.DefaultSheet(400))
+	for i := range sheet.Particles {
+		sheet.Particles[i].Charge = 1 - 2*float64(i%2)
 	}
-	n := full.N()
+	coincident := sheet.Clone()
+	for k := 0; k < 57; k++ {
+		p := coincident.Particles[7*k : 7*k+3]
+		p[1].Pos, p[2].Pos = p[0].Pos, p[0].Pos
+	}
 	const eps = 0.01
-	for _, trav := range []tree.TraversalMode{tree.TraversalList, tree.TraversalRecursive} {
-		for _, threads := range []int{0, 3} {
-			cfg := defaultCfg(0.4)
-			cfg.Eps = eps
-			cfg.Traversal = trav
-			cfg.Threads = threads
-			ts := tree.NewSolver(cfg.Sm, cfg.Scheme, cfg.Theta)
-			ts.Traversal = trav
-			ts.Workers = max(1, threads)
-			want := [4][]vec.Vec3{make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n)}
-			got := [4][]vec.Vec3{make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n)}
-			wantPot, gotPot := make([]float64, n), make([]float64, n)
-			ts.Eval(full, want[0], want[1])
-			treeInter := ts.Stats().Interactions
-			ts.Coulomb(full, eps, wantPot, want[2])
-			var hotInter int64
-			err := mpi.Run(1, func(c *mpi.Comm) error {
-				s := New(c, cfg)
-				s.Eval(full, got[0], got[1])
-				hotInter = s.Last.Interactions
-				s.Coulomb(full, gotPot, got[2])
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			id := fmt.Sprintf("%v threads=%d", trav, threads)
-			for i := 0; i < n; i++ {
-				if got[0][i] != want[0][i] || got[1][i] != want[1][i] || got[2][i] != want[2][i] || gotPot[i] != wantPot[i] {
-					t.Fatalf("%s: particle %d: hot (%v, %v, %v, %v) != tree.Solver (%v, %v, %v, %v)", id, i,
-						got[0][i], got[1][i], gotPot[i], got[2][i], want[0][i], want[1][i], wantPot[i], want[2][i])
+	for _, in := range []struct {
+		name string
+		full *particle.System
+	}{{"sheet", sheet}, {"coincident", coincident}} {
+		full := in.full
+		n := full.N()
+		for _, trav := range []tree.TraversalMode{tree.TraversalList, tree.TraversalRecursive} {
+			for _, threads := range []int{0, 3} {
+				cfg := defaultCfg(0.4)
+				cfg.Eps = eps
+				cfg.Traversal = trav
+				cfg.Threads = threads
+				ts := tree.NewSolver(cfg.Sm, cfg.Scheme, cfg.Theta)
+				ts.Traversal = trav
+				ts.Workers = max(1, threads)
+				want := [4][]vec.Vec3{make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n)}
+				got := [4][]vec.Vec3{make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n), make([]vec.Vec3, n)}
+				wantPot, gotPot := make([]float64, n), make([]float64, n)
+				ts.Eval(full, want[0], want[1])
+				treeInter := ts.Stats().Interactions
+				ts.Coulomb(full, eps, wantPot, want[2])
+				var hotInter int64
+				err := mpi.Run(1, func(c *mpi.Comm) error {
+					s := New(c, cfg)
+					s.Eval(full, got[0], got[1])
+					hotInter = s.Last.Interactions
+					s.Coulomb(full, gotPot, got[2])
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if hotInter != treeInter {
-				t.Fatalf("%s: hot counted %d interactions, tree.Solver %d", id, hotInter, treeInter)
+				id := fmt.Sprintf("%s %v threads=%d", in.name, trav, threads)
+				for i := 0; i < n; i++ {
+					if got[0][i] != want[0][i] || got[1][i] != want[1][i] || got[2][i] != want[2][i] || gotPot[i] != wantPot[i] {
+						t.Fatalf("%s: particle %d: hot (%v, %v, %v, %v) != tree.Solver (%v, %v, %v, %v)", id, i,
+							got[0][i], got[1][i], gotPot[i], got[2][i], want[0][i], want[1][i], wantPot[i], want[2][i])
+					}
+				}
+				if hotInter != treeInter {
+					t.Fatalf("%s: hot counted %d interactions, tree.Solver %d", id, hotInter, treeInter)
+				}
 			}
 		}
 	}

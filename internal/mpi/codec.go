@@ -99,6 +99,39 @@ func (c *Comm) AllgatherFloat64s(x []float64) [][]float64 {
 	return out
 }
 
+// Reader is a checked reader over the block that member rank of the
+// communicator delivered to collective op: a caller that decodes a
+// received block record by record takes each record with Next, and a
+// block that ends inside a record (torn by leak-mode corruption)
+// raises the same ErrTornPayload comm failure as the collectives'
+// own decoders, instead of dropping the record or misreading it.
+type Reader struct {
+	c          *Comm
+	op         string
+	rank, size int
+	rest       []byte
+}
+
+// Reader returns a checked reader over block raw, which member rank
+// delivered to collective op ("Alltoall", "Allgather").
+func (c *Comm) Reader(op string, rank int, raw []byte) Reader {
+	return Reader{c: c, op: op, rank: rank, size: len(raw), rest: raw}
+}
+
+// More reports whether bytes are left to read.
+func (r *Reader) More() bool { return len(r.rest) > 0 }
+
+// Next returns the next n bytes of the block. Fewer than n left
+// raises an ErrTornPayload comm failure.
+func (r *Reader) Next(n int) []byte {
+	if n < 0 || n > len(r.rest) {
+		panic(r.c.tornPayload(r.op, r.rank, r.size))
+	}
+	b := r.rest[:n]
+	r.rest = r.rest[n:]
+	return b
+}
+
 // encodeBlocks serializes the blocks one Bruck allgather round sends:
 // [count, (len, bytes)...] with 8-byte headers.
 func encodeBlocks(blocks [][]byte) []byte {

@@ -31,9 +31,10 @@ import (
 var ErrRevoked = errors.New("mpi: communicator revoked")
 
 // ErrTornPayload is the comm failure of the collectives that decode
-// their own traffic (Split, AllgatherFloat64s) when a block arrives
-// torn (leak-mode corruption): the exchange completed, its content is
-// unusable, and a recovery loop retries it like any transport failure.
+// their own traffic (Split, AllgatherFloat64s), and of a Reader over a
+// received block, when a block arrives torn (leak-mode corruption):
+// the exchange completed, its content is unusable, and a recovery loop
+// retries it like any transport failure.
 var ErrTornPayload = errors.New("mpi: torn collective payload")
 
 // commFailure is the panic value of fail-fast, revocation and

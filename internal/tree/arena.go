@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"slices"
+
 	"repro/internal/particle"
 	"repro/internal/telemetry"
 )
@@ -28,7 +30,6 @@ type Arena struct {
 
 	tree     Tree
 	lanes    particle.SoA
-	keyOf    []uint64
 	tmpKeys  []uint64
 	tmpOrder []int
 }
@@ -54,20 +55,23 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// radixSortKeyOrder sorts the parallel (keys, order) pair by key
-// ascending with a stable LSD radix sort (eight 8-bit passes,
-// byte-uniform passes skipped). order must start as the ascending
-// identity permutation; stability then breaks key ties by original
-// index, reproducing exactly the comparator Build historically passed
-// to sort.Slice — same total order, same permutation, bitwise-equal
-// trees.
-func radixSortKeyOrder(keys []uint64, order []int, tmpKeys []uint64, tmpOrder []int) {
+// SortKeys sorts the parallel (keys, order) pair by key ascending
+// with a stable LSD radix sort (eight 8-bit passes, byte-uniform
+// passes skipped) in the arena's scratch. order must start as the
+// ascending identity permutation; stability then breaks key ties by
+// original index, so keys that already ascend come back untouched
+// after one scan. It is the one Morton sort: hot's decomposition
+// orders the caller's particles with it, and BuildInto the particles
+// of the tree.
+func (a *Arena) SortKeys(keys []uint64, order []int) {
 	n := len(keys)
-	if n < 2 {
+	if slices.IsSorted(keys) {
 		return
 	}
+	a.tmpKeys = growU64(a.tmpKeys, n)
+	a.tmpOrder = growInts(a.tmpOrder, n)
 	srcK, srcO := keys, order
-	dstK, dstO := tmpKeys, tmpOrder
+	dstK, dstO := a.tmpKeys, a.tmpOrder
 	swapped := false
 	for shift := uint(0); shift < 64; shift += 8 {
 		var count [256]int
@@ -112,13 +116,12 @@ func BuildInto(a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 	if n == 0 {
 		panic("tree: Build on empty system")
 	}
-	lo, hi := sys.Bounds()
-	dom := NewDomain(lo, hi)
-	if cfg.Domain != nil {
-		dom = *cfg.Domain
-	}
 	t := &a.tree
-	t.Domain = dom
+	if cfg.Domain != nil {
+		t.Domain = *cfg.Domain
+	} else {
+		t.Domain = NewDomain(sys.Bounds())
+	}
 	t.Order = growInts(t.Order, n)
 	t.Keys = growU64(t.Keys, n)
 	t.sys = sys
@@ -126,18 +129,12 @@ func BuildInto(a *Arena, sys *particle.System, cfg BuildConfig) *Tree {
 	t.leafCap = cfg.LeafCap
 	t.ownedLo, t.ownedHi, t.ownedSet = cfg.OwnedLo, cfg.OwnedHi, cfg.OwnedSet
 	t0 := telemetry.Wall()
-	a.keyOf = growU64(a.keyOf, n)
 	for i := range sys.Particles {
-		a.keyOf[i] = t.Domain.Key(sys.Particles[i].Pos)
-	}
-	for i := 0; i < n; i++ {
 		t.Order[i] = i
-		t.Keys[i] = a.keyOf[i]
+		t.Keys[i] = t.Domain.Key(sys.Particles[i].Pos)
 	}
 	t1 := telemetry.Wall()
-	a.tmpKeys = growU64(a.tmpKeys, n)
-	a.tmpOrder = growInts(a.tmpOrder, n)
-	radixSortKeyOrder(t.Keys, t.Order, a.tmpKeys, a.tmpOrder)
+	a.SortKeys(t.Keys, t.Order)
 	t2 := telemetry.Wall()
 	if t.Nodes == nil {
 		t.Nodes = make([]Node, 0, 2*n)

@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -103,12 +104,15 @@ func TestMortonSortStableUnderDuplicateKeys(t *testing.T) {
 	}
 }
 
-// TestRadixSortMatchesReferenceComparator drives radixSortKeyOrder
+// TestRadixSortMatchesReferenceComparator drives Arena.SortKeys
 // directly against the sort.Slice comparator it replaced, over random
-// key sets with heavy duplication.
+// key sets with heavy duplication, and over keys that already ascend
+// with ties, which must come back in identity order. One arena sorts
+// every trial, so its scratch is reused at every size.
 func TestRadixSortMatchesReferenceComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
+	var a Arena
+	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(200)
 		keys := make([]uint64, n)
 		for i := range keys {
@@ -120,6 +124,9 @@ func TestRadixSortMatchesReferenceComparator(t *testing.T) {
 			default:
 				keys[i] = rng.Uint64() >> 40 // low bits only
 			}
+		}
+		if trial >= 50 {
+			slices.Sort(keys) // already ascending, with ties
 		}
 		keyOf := append([]uint64(nil), keys...)
 		refOrder := make([]int, n)
@@ -137,10 +144,13 @@ func TestRadixSortMatchesReferenceComparator(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		radixSortKeyOrder(keys, order, make([]uint64, n), make([]int, n))
+		a.SortKeys(keys, order)
 		for i := 0; i < n; i++ {
 			if order[i] != refOrder[i] || keys[i] != keyOf[refOrder[i]] {
 				t.Fatalf("trial %d: radix order diverges from reference at %d", trial, i)
+			}
+			if trial >= 50 && order[i] != i {
+				t.Fatalf("trial %d: ascending keys left identity order at %d: %d", trial, i, order[i])
 			}
 		}
 	}
