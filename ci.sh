@@ -15,7 +15,10 @@ go vet ./...
 # //lint:hotpath closures in hot, kernel and tree (the Eval paths:
 # hot's decompose, graft, traverse and routeResults, and the tree
 # evaluators) and in pfasst and sdc (runBlock, the PFASST block body,
-# which TestRunBlockAllocatesNothing checks on one rank). Exit status 1 on any
+# which TestRunBlockAllocatesNothing checks at PT = 1, 2 and 4), and
+# follows their calls into mpi (the collectives and the float64
+# messages they send; Split, Shrink, ShrinkTo, Agree, the deadline
+# receive and the failure diagnostics are //lint:coldpath). Exit status 1 on any
 # finding is the gate: the tree carries zero unsuppressed findings.
 # The -json snapshot is kept and re-checked at the end of the script:
 # the report must be byte-identical no matter what ran in between —
@@ -58,18 +61,28 @@ grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
   echo "SoA hot path is not allocation-free in steady state" >&2
   exit 1
 }
-# Second allocation smoke: one warm collective hot.Solver.Eval on four
-# ranks with the default exchange (N = 2000 sheet; B/op is the whole
-# world's bytes per evaluation, ranks share one heap). The arena holds
-# what hot builds and mpi.Alltoall lends the route, prefetch and result
-# blocks, so about 43 KB/op is left — the collectives' own slices and
-# frames; the same benchmark measured 1.12 MB/op with the copying
-# Alltoall and the on-demand fetches, and 9.06 MB/op at 24e9cfc, the
-# commit before the arena. The ceiling is the measured figure × 1.3.
-go test -bench 'BenchmarkHOTEval4Ranks' -benchtime 20x -benchmem -run '^$' ./internal/hot/ | tee "$alloc_out"
-awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > 56000) over = 1 } }
-     END { exit (seen && !over) ? 0 : 1 }' "$alloc_out" || {
-  echo "a warm hot.Solver.Eval allocates more than 56 KB on four ranks" >&2
+# Second allocation smoke: warm collective hot.Solver.Eval calls on
+# four ranks with the default exchange (N = 2000 sheet; B/op and
+# allocs/op are the whole world's per evaluation, ranks share one
+# heap). The arena holds what hot builds, and mpi lends the blocks of
+# its allgathers and alltoalls, reduces in place and recycles its
+# float64 message buffers, so nothing is allocated per evaluation.
+# What is left is a fixed amount per timed run, about 10–17 KB and
+# 100–170 objects: the runtime refilling its caches of wait-queue
+# entries after the GC the benchmark harness runs before timing, and a
+# mailbox or the free list growing at a new in-flight peak. 400
+# evaluations spread it to 26–42 B/op and 0 allocs/op over 11 runs;
+# an allocation per evaluation reads at least 1 allocs/op. The same
+# benchmark measured 41 KB/op and 192 allocs/op while mpi encoded and
+# copied its messages, 1.12 MB/op with the copying Alltoall and the
+# on-demand fetches, and 9.06 MB/op at 24e9cfc, the commit before the
+# arena. The ceilings are the measured figures × 1.3.
+go test -bench 'BenchmarkHOTEval4Ranks' -benchtime 400x -benchmem -run '^$' ./internal/hot/ | tee "$alloc_out"
+awk '/^BenchmarkHOTEval4Ranks/ { for (i = 2; i <= NF; i++) {
+       if ($i == "B/op") { seen++; if ($(i-1) + 0 > 55) over = 1 }
+       if ($i == "allocs/op") { seen++; if ($(i-1) + 0 > 0) over = 1 } } }
+     END { exit (seen == 2 && !over) ? 0 : 1 }' "$alloc_out" || {
+  echo "a warm hot.Solver.Eval allocates more than 55 B or any object per evaluation on four ranks" >&2
   exit 1
 }
 rm -f "$alloc_out"
@@ -103,13 +116,13 @@ GOARCH=arm64 go vet ./internal/kernel/ ./internal/tree/ ./internal/direct/ ./int
 # Tree and transport fuzz smoke: Morton key encode/decode over the full
 # coordinate range; the tile walk == the per-particle walk, bitwise with
 # equal counters, over blob size, θ, LeafCap and the discipline (vortex,
-# or Coulomb with a drawn softening ε); mutated
-# multi-block frames against the mpi decoder (a clean error or a valid
-# block list, never a panic or a runaway pre-allocation) and the float64
-# payload codec (bit-exact round trip, misaligned buffers rejected).
+# or Coulomb with a drawn softening ε); and the mpi float64 and int64
+# payload decode (bit-exact round trip, misaligned buffers rejected).
+# The Bruck rounds post block lists, not frames, so there is no frame
+# decoder to fuzz; their torn round is a row of the chaos lane's
+# TestTornTypedPayloadsFailTyped.
 go test -run '^$' -fuzz FuzzMortonRoundTrip -fuzztime 10s ./internal/tree/
 go test -run '^$' -fuzz FuzzTileWalk -fuzztime 10s ./internal/tree/
-go test -run '^$' -fuzz FuzzDecodeBlocks -fuzztime 10s ./internal/mpi/
 go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 
 # Chaos lane: the fault-injection and resilience suites once more under
@@ -129,7 +142,11 @@ go test -run '^$' -fuzz FuzzFloat64Codec -fuzztime 10s ./internal/mpi/
 # prints none for this lane's regex or the guard lane's (the `Levels`
 # term selected TestPFASSTThreeLevels until the N-level hierarchy went).
 # The package stays listed so a resilience or guard test added there
-# runs here. ./internal/hot/ is listed for `Torn`: TestTornBlocksFailTyped
+# runs here. ./internal/mpi/'s `Torn` rows (TestTornTypedPayloadsFailTyped)
+# tear every message of one collective or float64 receive each — both
+# allreduces, BcastFloat64s, a Bruck round, AllgatherFloat64s, Split and
+# the three RecvFloat64s forms — and require ErrTornPayload, no deadlock.
+# ./internal/hot/ is listed for `Torn`: TestTornBlocksFailTyped
 # tears one received block of each decoder of an evaluation (samples,
 # route, box, branch list, prefetch frames, results) and requires the
 # typed ErrTornPayload comm failure; internal/core's

@@ -44,7 +44,7 @@ var AnalyzerAllocFree = &Analyzer{
 // hot-path reachability: the Eval paths of internal/hot,
 // internal/kernel and internal/tree, and the PFASST block body of
 // internal/pfasst with the SDC sweeper it drives.
-var allocFreePkgs = map[string]bool{"hot": true, "kernel": true, "tree": true, "pfasst": true, "sdc": true}
+var allocFreePkgs = map[string]bool{"hot": true, "kernel": true, "tree": true, "pfasst": true, "sdc": true, "mpi": true}
 
 func runAllocFree(mp *ModulePass) {
 	g := mp.Graph

@@ -47,8 +47,8 @@ var AnalyzerCollective = &Analyzer{
 // together.
 var collectiveMethods = map[string]bool{
 	"Agree": true, "AgreeDeadRanks": true, "ShrinkTo": true,
-	"Allgather": true, "AllgatherBatchedOverlap": true,
-	"AllreduceFloat64": true, "AllreduceInt64": true,
+	"Allgather": true, "AllgatherBatchedOverlap": true, "AllgatherFloat64s": true,
+	"AllreduceFloat64": true, "AllreduceInt64": true, "BcastFloat64s": true,
 }
 
 // rankVariantMethods are the Comm methods whose results differ per
@@ -56,7 +56,7 @@ var collectiveMethods = map[string]bool{
 var rankVariantMethods = map[string]bool{
 	"Rank": true, "WorldRank": true, "Now": true,
 	"Recv": true, "RecvDeadline": true,
-	"RecvFloat64s": true, "RecvFloat64sDeadline": true,
+	"RecvFloat64s": true, "RecvFloat64sInto": true, "RecvFloat64sDeadline": true,
 }
 
 // commMethodOf resolves a call to a method on the module's Comm named

@@ -509,7 +509,7 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 			// contributes only after its own shard is durable, so when
 			// column 0 has every share, every shard is on disk.
 			//lint:ignore collective the members of a spatial communicator share one time slice, so the time-rank guard above is uniform across it
-			all := spaceComm.Allgather(mpi.Float64sToBytes(u))
+			all := spaceComm.AllgatherFloat64s(u)
 			if col != 0 {
 				return nil
 			}
@@ -517,10 +517,10 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 			// invariants); without one the gather yields the dims alone.
 			dims := make([]int, len(all))
 			var fu []float64
-			for j, raw := range all {
-				dims[j] = len(raw) / 8
+			for j, x := range all {
+				dims[j] = len(x)
 				if grd != nil {
-					fu = append(fu, mpi.BytesToFloat64s(raw)...)
+					fu = append(fu, x...)
 				}
 			}
 			return checkpoint.CommitGridManifest(rz.CheckpointDir, &checkpoint.GridState{

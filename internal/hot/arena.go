@@ -9,8 +9,9 @@ import (
 // evalArena owns every allocation a force evaluation makes on this
 // rank. A Solver holds exactly one; each Eval/Coulomb resets it and
 // reuses the capacity the previous evaluation left behind, so a rank
-// in steady state (every SDC sweep after the first) allocates only
-// what package mpi does for its collectives.
+// in steady state (every SDC sweep after the first) allocates nothing:
+// package mpi lends the blocks, reduces in place and recycles its
+// message buffers.
 //
 // Lifetime rule: everything an evaluation builds — the received local
 // system, the locally essential tree grafted onto the local tree, and
@@ -18,9 +19,13 @@ import (
 // not a moment longer. Nothing in here is handed to the caller;
 // results leave through the caller's own slices.
 //
-// The route, prefetch and result blocks are lent to other ranks by
-// mpi.Alltoall (see its lending rule): reset only truncates them, and
-// an evaluation writes them after its first allreduces.
+// The route, prefetch and result blocks (mpi.Alltoall), and the wire
+// and packed branch blocks (the allgathers), are lent to other ranks
+// under mpi's lending rule: reset only truncates them, and an
+// evaluation writes them after its first allreduces. The headers a
+// collective returns are the communicator's until its next call of
+// that collective, so what must outlive one is copied in here (the
+// peer boxes).
 type evalArena struct {
 	// Decomposition: the operands of the bounding-box and particle
 	// count reductions; Morton keys in sorted order, their sort
@@ -54,6 +59,7 @@ type evalArena struct {
 	// node (−1 for a shared cell).
 	branches []int32
 	packed   []byte
+	boxes    [][2]vec.Vec3
 	prefetch [][]byte
 	tops     []int32
 	owner    []int32
@@ -62,10 +68,11 @@ type evalArena struct {
 	outVel, outStr, outE []vec.Vec3
 	outPot, workPer      []float64
 
-	// Result routing: one block per origin rank, and the one-word
-	// operand of the imbalance reductions.
+	// Result routing: one block per origin rank, and the operands of
+	// the imbalance reductions, which reduce in place: the sum's word,
+	// then the max's.
 	results [][]byte
-	work    [1]float64
+	work    [2]float64
 }
 
 // reset empties the arena for an evaluation on p ranks, keeping all

@@ -79,18 +79,17 @@ func boxDistSq(lo, hi, c vec.Vec3) float64 {
 // block. The walks are local compute: inside the Bruck overlap window
 // the virtual clock advances during the round-0 latency — genuine
 // overlap.
-func (rt *evalRT) prefetchWalks(boxes [][]byte) {
+func (rt *evalRT) prefetchWalks() {
 	s, a := rt.s, rt.a
 	if rt.ltree == nil {
 		return
 	}
 	emitted := 0
-	for r := range boxes {
+	for r, box := range a.boxes {
 		if r == rt.me {
 			continue
 		}
-		in := rt.comm.Reader("Allgather", r, boxes[r])
-		blo, bhi := decodeBox(in.Next(boxRecBytes))
+		blo, bhi := box[0], box[1]
 		if blo.X > bhi.X { // receiver owns no particles: no traversal
 			continue
 		}

@@ -388,8 +388,17 @@ func (rt *evalRT) exchangeBranches() {
 		hi = vec.V3(math.Inf(-1), math.Inf(-1), math.Inf(-1))
 	}
 	a.wire = appendBox(a.wire[:0], lo, hi)
+	// The walks read the boxes inside the branch allgather, which
+	// reuses the communicator's result headers: decode them first.
 	boxes := rt.allgather(a.wire, nil)
-	allBranches := rt.allgather(a.packed, func() { rt.prefetchWalks(boxes) })
+	a.boxes = grow(a.boxes, len(boxes))
+	for r, raw := range boxes {
+		if r != rt.me {
+			in := comm.Reader("Allgather", r, raw)
+			a.boxes[r][0], a.boxes[r][1] = decodeBox(in.Next(boxRecBytes))
+		}
+	}
+	allBranches := rt.allgather(a.packed, rt.prefetchWalks)
 	prefetched := comm.Alltoall(a.prefetch)
 
 	total := 0
@@ -474,10 +483,11 @@ func (rt *evalRT) routeResults(sys *particle.System, vel, stretch []vec.Vec3, po
 	for _, w := range a.workPer {
 		a.work[0] += w
 	}
-	wred := comm.AllreduceFloat64(a.work[:], mpi.OpSum)
-	wmax := comm.AllreduceFloat64(a.work[:], mpi.OpMax)
-	if mean := wred[0] / float64(comm.Size()); mean > 0 {
-		st.WorkImbalance = wmax[0] / mean
+	a.work[1] = a.work[0]
+	wred := comm.AllreduceFloat64(a.work[0:1], mpi.OpSum)[0]
+	wmax := comm.AllreduceFloat64(a.work[1:2], mpi.OpMax)[0]
+	if mean := wred / float64(comm.Size()); mean > 0 {
+		st.WorkImbalance = wmax / mean
 	}
 	s.probe.record(st)
 

@@ -9,92 +9,123 @@ import (
 // Float64sToBytes encodes a float64 slice little-endian.
 func Float64sToBytes(x []float64) []byte {
 	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
+	words{f: x}.put(out)
 	return out
-}
-
-// BytesToFloat64s decodes a little-endian float64 slice; the byte
-// length must be a multiple of 8 (it panics otherwise — use
-// BytesToFloat64sChecked on paths that can receive corrupt payloads).
-func BytesToFloat64s(b []byte) []float64 {
-	out, err := BytesToFloat64sChecked(b)
-	if err != nil {
-		panic("mpi: " + err.Error())
-	}
-	return out
-}
-
-// BytesToFloat64sChecked is the non-panicking decoder used on receive
-// paths that can see injected-corrupt payloads (leak-mode fault plans
-// tear one byte off a message): a torn buffer yields a typed error
-// instead of a panic, like decodeBlocks.
-func BytesToFloat64sChecked(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("float64 payload length %d not a multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
 }
 
 // Int64sToBytes encodes an int64 slice little-endian.
 func Int64sToBytes(x []int64) []byte {
 	out := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
+	words{i: x}.put(out)
 	return out
 }
 
-// BytesToInt64s decodes a little-endian int64 slice (panics on a torn
-// buffer — use BytesToInt64sChecked where corruption is possible).
-func BytesToInt64s(b []byte) []int64 {
-	out, err := BytesToInt64sChecked(b)
-	if err != nil {
-		panic("mpi: " + err.Error())
-	}
-	return out
+// words is the operand of a typed message: a float64 or an int64
+// slice (at most one of the two is non-empty), carried as
+// little-endian 8-byte words.
+type words struct {
+	f []float64
+	i []int64
 }
 
-// BytesToInt64sChecked is the non-panicking int64 decoder.
-func BytesToInt64sChecked(b []byte) ([]int64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("int64 payload length %d not a multiple of 8", len(b))
+func (x words) len() int { return len(x.f) + len(x.i) }
+
+// put encodes x into b, which holds 8·len(x) bytes.
+func (x words) put(b []byte) {
+	for k, v := range x.f {
+		binary.LittleEndian.PutUint64(b[8*k:], math.Float64bits(v))
 	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	for k, v := range x.i {
+		binary.LittleEndian.PutUint64(b[8*k:], uint64(v))
 	}
-	return out, nil
 }
 
-// SendFloat64s sends a float64 slice.
+// fold combines the words encoded in b into x elementwise with op
+// (opSet overwrites). It reports false, leaving x untouched, when b is
+// not exactly 8·len(x) bytes long: the payload is torn.
+func (x words) fold(op Op, b []byte) bool {
+	if len(b) != 8*x.len() {
+		return false
+	}
+	for k := range x.f {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
+		switch op {
+		case opSet:
+			x.f[k] = v
+		case OpSum:
+			x.f[k] += v
+		case OpMax:
+			x.f[k] = math.Max(x.f[k], v)
+		case OpMin:
+			x.f[k] = math.Min(x.f[k], v)
+		}
+	}
+	for k := range x.i {
+		v := int64(binary.LittleEndian.Uint64(b[8*k:]))
+		switch op {
+		case opSet:
+			x.i[k] = v
+		case OpSum:
+			x.i[k] += v
+		case OpMax:
+			if v > x.i[k] {
+				x.i[k] = v
+			}
+		case OpMin:
+			if v < x.i[k] {
+				x.i[k] = v
+			}
+		}
+	}
+	return true
+}
+
+// SendFloat64s sends a float64 slice, encoded into a buffer from the
+// world's free list (x itself may be rewritten at once).
 func (c *Comm) SendFloat64s(dst, tag int, x []float64) {
-	c.Send(dst, tag, Float64sToBytes(x))
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: user tags must be >= 0, got %d", tag))
+	}
+	c.postWords(dst, tag, words{f: x})
 }
 
-// RecvFloat64s receives a float64 slice.
+// RecvFloat64s receives a float64 slice into a fresh slice. A payload
+// whose length is not a multiple of 8 (a torn one) raises an
+// ErrTornPayload comm failure.
 func (c *Comm) RecvFloat64s(src, tag int) []float64 {
-	raw, _, _ := c.Recv(src, tag)
-	return BytesToFloat64s(raw)
+	m, cr := c.recvUser(src, tag)
+	x := make([]float64, len(m.data)/8)
+	c.decode("Recv", cr, m, words{f: x}, opSet)
+	return x
 }
 
-// AllgatherFloat64s is Allgather over float64 slices through the
-// checked decoder: a torn block raises an ErrTornPayload comm failure
-// instead of the unchecked decoder's panic.
+// RecvFloat64sInto receives a float64 slice of len(dst) values into
+// dst. A payload of any other length (a torn one) raises an
+// ErrTornPayload comm failure.
+func (c *Comm) RecvFloat64sInto(dst []float64, src, tag int) {
+	m, cr := c.recvUser(src, tag)
+	c.decode("Recv", cr, m, words{f: dst}, opSet)
+}
+
+// recvUser is recv behind Recv's tag check.
+func (c *Comm) recvUser(src, tag int) (message, int) {
+	if tag < 0 && tag != AnyTag {
+		panic(fmt.Sprintf("mpi: Recv tag %d invalid", tag))
+	}
+	return c.recv(src, tag)
+}
+
+// AllgatherFloat64s is Allgather over float64 slices, each block
+// decoded into a fresh slice: a torn block raises an ErrTornPayload
+// comm failure.
 func (c *Comm) AllgatherFloat64s(x []float64) [][]float64 {
 	all := c.Allgather(Float64sToBytes(x))
 	out := make([][]float64, len(all))
 	for r, raw := range all {
-		v, err := BytesToFloat64sChecked(raw)
-		if err != nil {
+		out[r] = make([]float64, len(raw)/8)
+		if !(words{f: out[r]}).fold(opSet, raw) {
 			panic(c.tornPayload("Allgather", r, len(raw)))
 		}
-		out[r] = v
 	}
 	return out
 }
@@ -130,48 +161,4 @@ func (r *Reader) Next(n int) []byte {
 	b := r.rest[:n]
 	r.rest = r.rest[n:]
 	return b
-}
-
-// encodeBlocks serializes the blocks one Bruck allgather round sends:
-// [count, (len, bytes)...] with 8-byte headers.
-func encodeBlocks(blocks [][]byte) []byte {
-	total := 8
-	for _, v := range blocks {
-		total += 8 + len(v)
-	}
-	out := make([]byte, 0, total)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(blocks)))
-	for _, v := range blocks {
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(v)))
-		out = append(out, v...)
-	}
-	return out
-}
-
-// decodeBlocks appends the blocks of a gather frame to dst, as views
-// into raw, with full bounds checking: the claimed block count must
-// fit the payload (so the growth of dst is bounded by the frame size)
-// and every block header and body must lie inside the buffer.
-func decodeBlocks(dst [][]byte, raw []byte) ([][]byte, error) {
-	if len(raw) < 8 {
-		return nil, fmt.Errorf("frame too short for count header: %d bytes", len(raw))
-	}
-	n := binary.LittleEndian.Uint64(raw)
-	raw = raw[8:]
-	if n > uint64(len(raw))/8 {
-		return nil, fmt.Errorf("claimed %d blocks exceeds %d payload bytes", n, len(raw))
-	}
-	for i := uint64(0); i < n; i++ {
-		if len(raw) < 8 {
-			return nil, fmt.Errorf("block %d: truncated header (%d bytes left)", i, len(raw))
-		}
-		l := binary.LittleEndian.Uint64(raw)
-		raw = raw[8:]
-		if l > uint64(len(raw)) {
-			return nil, fmt.Errorf("block %d: length %d exceeds %d remaining bytes", i, l, len(raw))
-		}
-		dst = append(dst, raw[:l:l])
-		raw = raw[l:]
-	}
-	return dst, nil
 }

@@ -112,6 +112,12 @@ func (c *Comm) deadMemberLocked() int {
 // deadline is its liveness bound — and it parks at once, without the
 // poll of Recv's wait rule (see recv for why).
 func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) (data []byte, actualSrc, actualTag int, err error) {
+	m, cr, err := c.recvDeadline(src, tag, timeout)
+	return m.data, cr, m.tag, err
+}
+
+//lint:coldpath the deadline receive arms a host timer per call (its closure and time.AfterFunc allocate)
+func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (message, int, error) {
 	if tag < 0 && tag != AnyTag {
 		panic(fmt.Sprintf("mpi: RecvDeadline tag %d invalid", tag))
 	}
@@ -144,34 +150,31 @@ func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) (data []byte, a
 			if pb := w.tel[me]; pb != nil && parked {
 				pb.recvParked.Inc()
 			}
-			return m.data, cr, m.tag, nil
+			return m, cr, nil
 		}
 		if w.revoked[c.id] {
-			return nil, 0, 0, fmt.Errorf("%w (%s)", ErrRevoked, c.describe())
+			return message{}, 0, fmt.Errorf("%w (%s)", ErrRevoked, c.describe())
 		}
 		if dr := c.deadMemberLocked(); dr >= 0 {
-			return nil, 0, 0, fmt.Errorf("%w (world rank %d)", ErrRankDead, dr)
+			return message{}, 0, fmt.Errorf("%w (world rank %d)", ErrRankDead, dr)
 		}
 		if !time.Now().Before(deadline) {
-			return nil, 0, 0, fmt.Errorf("%w (src %d, tag %d after %v)", ErrTimeout, src, tag, timeout)
+			return message{}, 0, fmt.Errorf("%w (src %d, tag %d after %v)", ErrTimeout, src, tag, timeout)
 		}
 		box.cond.Wait()
 	}
 }
 
-// RecvFloat64sDeadline combines RecvDeadline with the checked float64
-// decoder: transport failures and torn payloads (leak-mode corruption)
-// both surface as errors instead of panics.
-func (c *Comm) RecvFloat64sDeadline(src, tag int, timeout time.Duration) ([]float64, error) {
-	raw, _, _, err := c.RecvDeadline(src, tag, timeout)
+// RecvFloat64sDeadline is RecvFloat64sInto with RecvDeadline's bounded
+// wait: transport failures and a payload that is not 8·len(dst) bytes
+// long (a torn one, ErrTornPayload) both surface as errors instead of
+// panics.
+func (c *Comm) RecvFloat64sDeadline(dst []float64, src, tag int, timeout time.Duration) error {
+	m, cr, err := c.recvDeadline(src, tag, timeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	x, err := BytesToFloat64sChecked(raw)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: recv(src %d, tag %d): %w", src, tag, err)
-	}
-	return x, nil
+	return c.decodeErr("Recv", cr, m, words{f: dst}, opSet)
 }
 
 // Shrink returns a new communicator containing the surviving (live)
@@ -182,6 +185,8 @@ func (c *Comm) RecvFloat64sDeadline(src, tag int, timeout time.Duration) ([]floa
 // block, then shrink). The derived identity is a pure function of the
 // parent identity and the survivor list, so all survivors construct
 // matching communicators without communication.
+//
+//lint:coldpath recovery: runs once per failure, and allocates the new communicator
 func (c *Comm) Shrink() *Comm {
 	w := c.w
 	w.mu.Lock()
@@ -255,6 +260,8 @@ type agreeSlot struct {
 // as the block-commit protocol: all survivors learn identically
 // whether a block completed everywhere (min == 1) or must be redone
 // from the checkpoint (min == 0).
+//
+//lint:coldpath recovery and block commit of the resilient loop: each round allocates its agreement slot
 func (c *Comm) Agree(v int64) int64 {
 	c.agreeSeq++
 	key := agreeKey{comm: c.id, gen: c.agreeSeq}

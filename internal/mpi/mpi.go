@@ -1,9 +1,22 @@
 // Package mpi is an in-process message-passing runtime that plays the
-// role of MPI in the paper's JUGENE runs: ranks are goroutines, point-
-// to-point messages are copied between per-rank mailboxes (Alltoall
-// lends its blocks instead, under the rule in its doc comment), and
+// role of MPI in the paper's JUGENE runs: ranks are goroutines,
+// point-to-point messages travel between per-rank mailboxes, and
 // communicators can be split to build the PT×PS space-time grid of
 // Fig. 2.
+//
+// Ranks share one address space, so the collectives that move blocks
+// (Allgather, AllgatherBatchedOverlap, Alltoall) lend them instead of
+// copying: a receiver reads the sender's own buffer, and a rank's own
+// block comes back as is. The lending rule: neither side writes a
+// block — the sender its argument, the receiver a block it was handed
+// — until it has returned from a later all-rank collective on that
+// communicator (by then every rank has finished reading what it was
+// lent). The [][]byte such a collective returns belongs to the
+// communicator and is overwritten by this rank's next call of the same
+// collective on it (the two allgathers count as one). Float64 and
+// int64 messages (SendFloat64s, the allreduces, BcastFloat64s) are
+// encoded once into a buffer from a per-world free list, and the
+// receiver that decodes one returns it there; Send and Bcast copy.
 //
 // The runtime optionally maintains a LogGP-style virtual clock per
 // rank: compute phases advance a rank's clock explicitly via Advance,
@@ -11,11 +24,12 @@
 // sendTime + latency + bytes/bandwidth. Because the collectives are
 // implemented on top of point-to-point messages with realistic
 // algorithms (dissemination barrier, binomial trees, ring Allgather,
-// and the Bruck AllgatherBatchedOverlap of the tree code's branch
-// exchange), modeled wall-clock times emerge from the actual message
-// pattern of the executed program. This is the substitution for the
-// 262,144-core Blue Gene/P installation: same algorithm, same
-// messages, modeled time.
+// and the Bruck AllgatherBatchedOverlap, the default branch-node
+// exchange of the tree code), modeled wall-clock times emerge from the
+// actual message pattern of the executed program. A lent message is
+// modeled at the byte size of its encoded form. This is the
+// substitution for the 262,144-core Blue Gene/P installation: same
+// algorithm, same messages, modeled time.
 package mpi
 
 import (
@@ -57,11 +71,23 @@ func BlueGeneP() TimeModel {
 type message struct {
 	comm     uint64
 	src, tag int
-	data     []byte
-	sendVT   float64
+	// data is the payload; blocks is instead the lent block list of a
+	// Bruck round. size is the modeled byte count the virtual clock,
+	// the byte counters and the fault policy read: len(data), or
+	// 8 + Σ(8 + len) for a block list (its framed encoding).
+	data   []byte
+	blocks [][]byte
+	size   int
+	sendVT float64
 	// extraVT is added modeled latency injected by a fault policy
 	// (delays and retransmit backoff); zero on the fault-free path.
 	extraVT float64
+	// pooled marks data as a buffer of the world's free list, which
+	// the receiver that decodes it returns (see recycle).
+	pooled bool
+	// torn marks a block list a leak verdict tore: size is one byte
+	// short, and the lender's blocks are untouched.
+	torn bool
 }
 
 type mailbox struct {
@@ -131,6 +157,10 @@ type world struct {
 	// pending.
 	epoch   uint64
 	waiting map[int]waitInfo
+
+	// free holds the encode buffers of delivered float64 and int64
+	// messages for reuse (takeLocked, recycle).
+	free [][]byte
 }
 
 func newWorld(size int, timed bool, tm TimeModel, fault FaultPolicy) *world {
@@ -181,6 +211,8 @@ func (w *world) deadlocked() bool {
 // deadlockError builds the diagnostic error delivered on deadlock: it
 // wraps ErrDeadlock and reports, per blocked rank, the (src, tag) pair
 // it is waiting on. Must hold w.mu.
+//
+//lint:coldpath builds the diagnostic of a world that is failing anyway
 func (w *world) deadlockError() error {
 	var sb []byte
 	for r := 0; r < w.size; r++ {
@@ -224,6 +256,14 @@ type Comm struct {
 	agreeSeq  int    // per-rank Agree round sequence number
 	failFast  bool   // fail-fast receives (see FailFast, revoke.go)
 	label     string // diagnostic name (see SetLabel, revoke.go)
+
+	// The result headers of the block collectives (see the package
+	// doc), and the two block lists the Bruck rounds post by turns:
+	// call n+2 rewrites call n's list only after this rank returned
+	// from call n+1, by when every rank has read what n posted.
+	gathered, exchanged [][]byte
+	bruck               [2][][]byte
+	bruckCalls          int
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -356,71 +396,134 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 func (c *Comm) send(dst, tag int, data []byte) {
-	c.post(dst, tag, append([]byte(nil), data...))
+	buf := append([]byte(nil), data...)
+	c.post(dst, tag, message{data: buf, size: len(buf)})
 }
 
-// post puts buf into dst's mailbox as is: the message owns it from
-// here on (send's private copy, a frame a collective just built) or
-// borrows it under Alltoall's lending rule.
-func (c *Comm) post(dst, tag int, buf []byte) {
+// post puts m into dst's mailbox as is: the message owns its payload
+// (send's private copy, a free-list buffer) or borrows it under the
+// lending rule.
+func (c *Comm) post(dst, tag int, m message) {
+	c.w.mu.Lock()
+	defer c.w.mu.Unlock()
+	c.postLocked(dst, tag, m)
+}
+
+// postWords encodes x into a buffer from the world's free list and
+// posts it, all in one hold of w.mu.
+func (c *Comm) postWords(dst, tag int, x words) {
+	w := c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := w.takeLocked(8 * x.len())
+	x.put(buf)
+	c.postLocked(dst, tag, message{data: buf, size: len(buf), pooled: true})
+}
+
+// postLocked is post with w.mu held.
+func (c *Comm) postLocked(dst, tag int, m message) {
+	w := c.w
 	if dst < 0 || dst >= len(c.ranks) {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, len(c.ranks)))
 	}
-	w := c.w
 	me := c.WorldRank()
-	w.mu.Lock()
 	if w.failed != nil {
-		w.mu.Unlock()
 		panic(w.failed)
 	}
 	w.epoch++
-	pb := w.tel[me]
-	if pb != nil {
+	if pb := w.tel[me]; pb != nil {
 		pb.sends.Inc()
-		pb.sendBytes.Add(int64(len(buf)))
+		pb.sendBytes.Add(int64(m.size))
 	}
-	extraVT := 0.0
-	if w.fault != nil {
-		dstW := c.ranks[dst]
-		seq := w.seq[me*w.size+dstW]
-		w.seq[me*w.size+dstW]++
-		v := w.fault.Message(me, dstW, tag, seq, len(buf))
-		if v.Injected && pb != nil {
-			pb.faultInjected.Inc()
-		}
-		if v.Recovered && pb != nil {
-			pb.faultRecovered.Inc()
-		}
-		if v.Lost {
-			// Retransmits exhausted: the message is dropped for good.
-			// Upper layers see it as a missing message (timeout or
-			// deadlock), exactly like a hard link failure.
-			if pb != nil {
-				pb.faultLost.Inc()
-			}
-			w.mu.Unlock()
-			return
-		}
-		extraVT = v.ExtraDelay
-		if v.CorruptTruncate && len(buf) > 0 {
-			// Leak mode: deliver a torn payload so receive-side
-			// validation (checked decoders) is exercised.
-			buf = buf[:len(buf)-1]
-		}
+	if !c.judgeLocked(dst, tag, &m) {
+		return
 	}
+	m.comm = c.id
+	// The world rank: receivers translate their src argument to world
+	// ranks, so matching works across communicators.
+	m.src = me
+	m.tag = tag
+	m.sendVT = w.vt[me]
 	box := w.boxes[c.ranks[dst]]
-	box.msgs = append(box.msgs, message{
-		comm: c.id,
-		// The world rank: receivers translate their src argument to
-		// world ranks, so matching works across communicators.
-		src:     me,
-		tag:     tag,
-		data:    buf,
-		sendVT:  w.vt[me],
-		extraVT: extraVT,
-	})
+	box.msgs = append(box.msgs, m)
 	box.arrivals.Add(1)
 	box.cond.Broadcast()
+}
+
+// judgeLocked applies the fault policy's verdict (none without a
+// policy) to m, keyed on the per-(src, dst) sequence number, and
+// reports whether m is still to be delivered. Must hold w.mu.
+func (c *Comm) judgeLocked(dst, tag int, m *message) bool {
+	w := c.w
+	if w.fault == nil {
+		return true
+	}
+	me := c.WorldRank()
+	pb := w.tel[me]
+	dstW := c.ranks[dst]
+	seq := w.seq[me*w.size+dstW]
+	w.seq[me*w.size+dstW]++
+	v := w.fault.Message(me, dstW, tag, seq, m.size)
+	if v.Injected && pb != nil {
+		pb.faultInjected.Inc()
+	}
+	if v.Recovered && pb != nil {
+		pb.faultRecovered.Inc()
+	}
+	if v.Lost {
+		// Retransmits exhausted: the message is dropped for good.
+		// Upper layers see it as a missing message (timeout or
+		// deadlock), exactly like a hard link failure.
+		if pb != nil {
+			pb.faultLost.Inc()
+		}
+		return false
+	}
+	m.extraVT = v.ExtraDelay
+	if v.CorruptTruncate && m.size > 0 {
+		// Leak mode: deliver a torn payload so receive-side validation
+		// is exercised. The message's view is resliced (or, for a
+		// block list, marked); the lender's bytes stay as they were.
+		m.size--
+		if m.blocks != nil {
+			m.torn = true
+		} else {
+			m.data = m.data[:m.size]
+		}
+	}
+	return true
+}
+
+// takeLocked returns a free-list buffer of length n — the smallest
+// that fits — or a new one when none does. Must hold w.mu.
+func (w *world) takeLocked(n int) []byte {
+	best := -1
+	for i, b := range w.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(w.free[best])) {
+			best = i
+		}
+	}
+	var buf []byte
+	if best >= 0 {
+		last := len(w.free) - 1
+		buf = w.free[best]
+		w.free[best] = w.free[last]
+		w.free[last] = nil
+		w.free = w.free[:last]
+	}
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// recycle returns a decoded message's free-list buffer to the list.
+func (w *world) recycle(m message) {
+	if !m.pooled {
+		return
+	}
+	w.mu.Lock()
+	w.free = append(w.free, m.data[:0])
 	w.mu.Unlock()
 }
 
@@ -435,10 +538,8 @@ func (c *Comm) post(dst, tag int, buf []byte) {
 // poll decides only which goroutine runs while a message is in flight;
 // it changes no match, no order and no modeled time.
 func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int) {
-	if tag < 0 && tag != AnyTag {
-		panic(fmt.Sprintf("mpi: Recv tag %d invalid", tag))
-	}
-	return c.recv(src, tag)
+	m, cr := c.recvUser(src, tag)
+	return m.data, cr, m.tag
 }
 
 // recv is Recv without the user-tag check (collectives use negative
@@ -456,7 +557,7 @@ func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 // work. Polling in them as well raised the benchmark's daemon-fleet
 // 80th-percentile job latency by 30 % on a 2-core host (PERFORMANCE.md,
 // "Waiting for a message").
-func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
+func (c *Comm) recv(src, tag int) (m message, actualSrc int) {
 	wantWorldSrc := AnySource
 	if src != AnySource {
 		if src < 0 || src >= len(c.ranks) {
@@ -469,7 +570,7 @@ func (c *Comm) recv(src, tag int) (data []byte, actualSrc, actualTag int) {
 	for budget := pollYields; ; polled = true {
 		m, cr, seen, ok := c.await(box, wantWorldSrc, tag, polled, budget == 0)
 		if ok {
-			return m.data, cr, m.tag
+			return m, cr
 		}
 		// Every post and wake-up bumps arrivals under w.mu, so nothing
 		// that landed after await's scan goes unseen here.
@@ -540,14 +641,14 @@ func (c *Comm) matchLocked(box *mailbox, wantWorldSrc, tag int) (message, int, b
 			(tag == AnyTag || m.tag == tag) {
 			box.msgs = append(box.msgs[:i], box.msgs[i+1:]...)
 			if w.timed {
-				arrive := m.sendVT + w.tm.Latency + float64(len(m.data))*w.tm.BytePeriod + m.extraVT
+				arrive := m.sendVT + w.tm.Latency + float64(m.size)*w.tm.BytePeriod + m.extraVT
 				if arrive > w.vt[me] {
 					w.vt[me] = arrive
 				}
 			}
 			if pb := w.tel[me]; pb != nil {
 				pb.recvs.Inc()
-				pb.recvBytes.Add(int64(len(m.data)))
+				pb.recvBytes.Add(int64(m.size))
 			}
 			cr := -1
 			for r, wr := range c.ranks {
@@ -581,42 +682,70 @@ func (c *Comm) Barrier() {
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		c.send(dst, tag, nil)
+		c.post(dst, tag, message{})
 		c.recv(src, tag)
 	}
 }
 
 // Bcast broadcasts data from root to all ranks using a binomial tree
 // and returns the received slice (the root returns data unchanged).
+// Every hop copies.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	p := c.Size()
 	if p == 1 {
 		return data
 	}
 	defer c.probe().timer(collBcast).Start().Stop()
-	return c.bcast(root, data)
-}
-
-// bcast is Bcast without its timer: the allreduces end in it, and their
-// broadcast half is allreduce time, not broadcast time.
-func (c *Comm) bcast(root int, data []byte) []byte {
-	p := c.Size()
 	tag := c.collTag(1)
 	rel := (c.rank - root + p) % p // relative rank, root = 0
-	// Receive from parent (highest set bit), then forward to children.
 	if rel != 0 {
-		mask := 1
-		for mask<<1 <= rel {
-			mask <<= 1
-		}
-		parent := (rel - mask + root) % p
-		data, _, _ = c.recv(parent, tag)
+		m, _ := c.recv(c.bcastParent(root, rel), tag)
+		data = m.data
 	}
 	for mask := nextPow2(rel); rel+mask < p; mask <<= 1 {
-		child := (rel + mask + root) % p
-		c.send(child, tag, data)
+		c.send((rel+mask+root)%p, tag, data)
 	}
 	return data
+}
+
+// BcastFloat64s broadcasts root's x into x on every rank, in place,
+// over Bcast's binomial tree: the same messages, each 8·len(x) bytes.
+// Every rank passes an x of the same length; a received payload of
+// any other length (a torn one) raises an ErrTornPayload comm failure.
+func (c *Comm) BcastFloat64s(root int, x []float64) []float64 {
+	if c.Size() == 1 {
+		return x
+	}
+	defer c.probe().timer(collBcast).Start().Stop()
+	c.bcastWords(root, words{f: x})
+	return x
+}
+
+// bcastWords is BcastFloat64s's tree for either word type, without
+// its timer: the allreduces end in it, and their broadcast half is
+// allreduce time, not broadcast time. Every hop encodes x afresh.
+func (c *Comm) bcastWords(root int, x words) {
+	p := c.Size()
+	tag := c.collTag(1)
+	rel := (c.rank - root + p) % p
+	if rel != 0 {
+		parent := c.bcastParent(root, rel)
+		m, _ := c.recv(parent, tag)
+		c.decode("Bcast", parent, m, x, opSet)
+	}
+	for mask := nextPow2(rel); rel+mask < p; mask <<= 1 {
+		c.postWords((rel+mask+root)%p, tag, x)
+	}
+}
+
+// bcastParent is the binomial-tree parent of relative rank rel > 0:
+// rel less its highest set bit.
+func (c *Comm) bcastParent(root, rel int) int {
+	mask := 1
+	for mask<<1 <= rel {
+		mask <<= 1
+	}
+	return (rel - mask + root) % c.Size()
 }
 
 // nextPow2 returns the smallest power of two strictly greater than rel
@@ -630,14 +759,26 @@ func nextPow2(rel int) int {
 	return m
 }
 
+// headers returns s resized to p entries, reusing its capacity.
+func headers(s [][]byte, p int) [][]byte {
+	if cap(s) < p {
+		return make([][]byte, p)
+	}
+	return s[:p]
+}
+
 // Allgather gathers every rank's block on every rank using a ring:
 // P−1 rounds, each passing the most recently received block to the
-// right neighbor. This is the algorithm (and therefore the modeled
-// cost) of the branch-node exchange in the parallel tree code.
+// right neighbor — the cost structure of the paper's Fig. 5, which the
+// tree code's BranchRing exchange runs (BranchBatched, its default,
+// runs AllgatherBatchedOverlap). Blocks are lent and the result is the
+// communicator's, under the package doc's rule: out[c.Rank()] is data
+// itself, and a forwarded block is the view the rank received.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	p := c.Size()
-	out := make([][]byte, p)
-	out[c.rank] = append([]byte(nil), data...)
+	c.gathered = headers(c.gathered, p)
+	out := c.gathered
+	out[c.rank] = data
 	if p == 1 {
 		return out
 	}
@@ -647,10 +788,10 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	left := (c.rank - 1 + p) % p
 	cur := c.rank
 	for round := 0; round < p-1; round++ {
-		c.send(right, tag, out[cur])
-		raw, _, _ := c.recv(left, tag)
+		c.post(right, tag, message{data: out[cur], size: len(out[cur])})
+		m, _ := c.recv(left, tag)
 		cur = (cur - 1 + p) % p
-		out[cur] = raw
+		out[cur] = m.data
 	}
 	return out
 }
@@ -662,7 +803,10 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 // message pattern differs. On the virtual clock the chained rounds
 // cost ⌈log2 P⌉ latencies instead of the ring's P−1, while the total
 // byte volume stays ≈ the same — this is the default branch-node
-// exchange of the parallel tree code (DESIGN.md §15).
+// exchange of the parallel tree code (DESIGN.md §15). A round posts
+// the list of blocks it holds, as views, modeled at the size of its
+// framed encoding, [count, (len, bytes)...] with 8-byte headers;
+// lending and the result follow the package doc's rule.
 //
 // overlap, when non-nil, runs after the first round's send has been
 // posted and before the first receive. A rank can therefore do local
@@ -670,11 +814,12 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 // all ranks are in flight — compute/communication overlap that the
 // virtual clock honors, because a receive only synchronizes the
 // receiver's clock forward (max of own clock and arrival time). A torn
-// frame (leak-mode corruption) raises an ErrTornPayload comm failure.
+// round (leak-mode corruption) raises an ErrTornPayload comm failure.
 func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 	p := c.Size()
-	out := make([][]byte, p)
-	out[c.rank] = append([]byte(nil), data...)
+	c.gathered = headers(c.gathered, p)
+	out := c.gathered
+	out[c.rank] = data
 	if p == 1 {
 		if overlap != nil {
 			overlap()
@@ -684,23 +829,33 @@ func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 	defer c.probe().timer(collAllgather).Start().Stop()
 	tag := c.collTag(7)
 	// blocks[d] is the block of rank (c.rank+d) mod p; after the round
-	// at distance k the caller holds distances [0, min(2k, p)).
-	blocks := make([][]byte, 1, p)
-	blocks[0] = out[c.rank]
+	// at distance k the caller holds distances [0, min(2k, p)). Appends
+	// never move it (capacity p), so a posted prefix stays valid.
+	turn := &c.bruck[c.bruckCalls&1]
+	c.bruckCalls++
+	if cap(*turn) < p {
+		*turn = make([][]byte, 0, p)
+	}
+	blocks := append((*turn)[:0], data)
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank - k + p) % p
 		src := (c.rank + k) % p
 		cnt := min(k, p-k)
-		c.post(dst, tag, encodeBlocks(blocks[:cnt]))
+		size := 8
+		for _, b := range blocks[:cnt] {
+			size += 8 + len(b)
+		}
+		c.post(dst, tag, message{blocks: blocks[:cnt:cnt], size: size})
 		if k == 1 && overlap != nil {
 			overlap()
 		}
-		raw, _, _ := c.recv(src, tag)
-		var err error
-		if blocks, err = decodeBlocks(blocks, raw); err != nil {
-			panic(c.tornPayload("Allgather", src, len(raw)))
+		m, _ := c.recv(src, tag)
+		if m.torn {
+			panic(c.tornPayload("Allgather", src, m.size))
 		}
+		blocks = append(blocks, m.blocks...)
 	}
+	*turn = blocks
 	for d := 1; d < p; d++ {
 		out[(c.rank+d)%p] = blocks[d]
 	}
@@ -709,14 +864,9 @@ func (c *Comm) AllgatherBatchedOverlap(data []byte, overlap func()) [][]byte {
 
 // Alltoall delivers data[i] to rank i and returns the blocks received
 // from every rank (out[j] = block sent by rank j). data must have one
-// entry per rank.
-//
-// Blocks are lent, not copied: ranks share one address space, so the
-// receiver reads the sender's own buffer and out[c.Rank()] is
-// data[c.Rank()] itself. The lending rule: neither side writes a block
-// — the sender its data[i], the receiver its out[j] — until it has
-// returned from a later all-rank collective on this communicator (by
-// then every rank has finished reading what it was lent).
+// entry per rank. Blocks are lent and the result is the
+// communicator's, under the package doc's rule: out[c.Rank()] is
+// data[c.Rank()] itself.
 func (c *Comm) Alltoall(data [][]byte) [][]byte {
 	p := c.Size()
 	if len(data) != p {
@@ -724,16 +874,17 @@ func (c *Comm) Alltoall(data [][]byte) [][]byte {
 	}
 	defer c.probe().timer(collAlltoall).Start().Stop()
 	tag := c.collTag(4)
-	out := make([][]byte, p)
+	c.exchanged = headers(c.exchanged, p)
+	out := c.exchanged
 	out[c.rank] = data[c.rank]
 	// Send to increasing offsets, receive from decreasing ones; the
 	// offset schedule avoids head-of-line blocking.
 	for k := 1; k < p; k++ {
 		dst := (c.rank + k) % p
 		src := (c.rank - k + p) % p
-		c.post(dst, tag, data[dst])
-		raw, _, _ := c.recv(src, tag)
-		out[src] = raw
+		c.post(dst, tag, message{data: data[dst], size: len(data[dst])})
+		m, _ := c.recv(src, tag)
+		out[src] = m.data
 	}
 	return out
 }
@@ -746,93 +897,72 @@ const (
 	OpSum Op = iota
 	OpMax
 	OpMin
+
+	// opSet is the decode of a received payload: it overwrites.
+	opSet Op = -1
 )
 
-func (op Op) apply(dst, src []float64) {
-	switch op {
-	case OpSum:
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	case OpMax:
-		for i := range dst {
-			dst[i] = math.Max(dst[i], src[i])
-		}
-	case OpMin:
-		for i := range dst {
-			dst[i] = math.Min(dst[i], src[i])
-		}
-	}
-}
-
-// AllreduceFloat64 reduces x elementwise over all ranks and returns
-// the result (same on every rank). Reduce-to-root follows a binomial
-// tree, then the result is broadcast.
+// AllreduceFloat64 reduces x elementwise over all ranks, in place
+// (MPI_IN_PLACE), and returns x, which then holds the same result on
+// every rank. Reduce-to-root follows a binomial tree, then the result
+// is broadcast. Every rank passes an x of the same length; a received
+// payload of any other length (a torn one) raises an ErrTornPayload
+// comm failure.
 func (c *Comm) AllreduceFloat64(x []float64, op Op) []float64 {
-	acc := append([]float64(nil), x...)
-	p := c.Size()
-	if p == 1 {
-		return acc
-	}
-	defer c.probe().timer(collAllreduce).Start().Stop()
-	tag := c.collTag(5)
-	rel := c.rank // root 0
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			c.send(rel-mask, tag, Float64sToBytes(acc))
-			break
-		}
-		if rel+mask < p {
-			raw, _, _ := c.recv(rel+mask, tag)
-			op.apply(acc, BytesToFloat64s(raw))
-		}
-		mask <<= 1
-	}
-	res := c.bcast(0, Float64sToBytes(acc))
-	return BytesToFloat64s(res)
+	c.allreduce(words{f: x}, op, 5)
+	return x
 }
 
 // AllreduceInt64 is AllreduceFloat64 for int64 values. It reduces in
 // integer arithmetic on its own path: routed through float64, a sum,
 // max or min would be exact only within ±2^53.
 func (c *Comm) AllreduceInt64(x []int64, op Op) []int64 {
-	acc := append([]int64(nil), x...)
+	c.allreduce(words{i: x}, op, 6)
+	return x
+}
+
+// allreduce is the allreduces' body: the children of the binomial tree
+// rooted at rank 0 fold into x in mask order, then bcastWords.
+func (c *Comm) allreduce(x words, op Op, opcode int) {
 	p := c.Size()
 	if p == 1 {
-		return acc
+		return
 	}
 	defer c.probe().timer(collAllreduce).Start().Stop()
-	tag := c.collTag(6)
-	rel := c.rank
-	mask := 1
-	for mask < p {
+	tag := c.collTag(opcode)
+	rel := c.rank // root 0
+	for mask := 1; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
-			c.send(rel-mask, tag, Int64sToBytes(acc))
+			c.postWords(rel-mask, tag, x)
 			break
 		}
 		if rel+mask < p {
-			raw, _, _ := c.recv(rel+mask, tag)
-			other := BytesToInt64s(raw)
-			for i := range acc {
-				switch op {
-				case OpSum:
-					acc[i] += other[i]
-				case OpMax:
-					if other[i] > acc[i] {
-						acc[i] = other[i]
-					}
-				case OpMin:
-					if other[i] < acc[i] {
-						acc[i] = other[i]
-					}
-				}
-			}
+			m, _ := c.recv(rel+mask, tag)
+			c.decode("Allreduce", rel+mask, m, x, op)
 		}
-		mask <<= 1
 	}
-	res := c.bcast(0, Int64sToBytes(acc))
-	return BytesToInt64s(res)
+	c.bcastWords(0, x)
+}
+
+// decode folds the float64 or int64 payload of a received message into
+// x with fold (opSet overwrites) and returns a free-list buffer to the
+// list. This is the one decode of typed traffic: a payload that is not
+// exactly 8·len(x) bytes long — torn by leak-mode corruption — raises
+// an ErrTornPayload comm failure naming op and member rank src.
+func (c *Comm) decode(op string, src int, m message, x words, fold Op) {
+	if err := c.decodeErr(op, src, m, x, fold); err != nil {
+		panic(commFailure{err})
+	}
+}
+
+// decodeErr is decode returning the failure's error instead of raising it.
+func (c *Comm) decodeErr(op string, src int, m message, x words, fold Op) error {
+	ok := x.fold(fold, m.data)
+	c.w.recycle(m)
+	if !ok {
+		return c.tornPayload(op, src, len(m.data)).err
+	}
+	return nil
 }
 
 // Split partitions the communicator: ranks passing the same color form
@@ -842,6 +972,8 @@ func (c *Comm) AllreduceInt64(x []int64, op Op) []int64 {
 // split by intra-slice index yields the temporal (PFASST)
 // communicators. A torn membership block (leak-mode corruption) raises
 // an ErrTornPayload comm failure.
+//
+//lint:coldpath communicator setup: runs once per grid build or recovery round, and allocates the new communicator
 func (c *Comm) Split(color, key int) *Comm {
 	c.splitsRun++
 	// Exchange (color, key, worldRank) via Allgather.
@@ -850,8 +982,8 @@ func (c *Comm) Split(color, key int) *Comm {
 	type member struct{ color, key, rank, wrank int }
 	var group []member
 	for r, raw := range all {
-		v, err := BytesToInt64sChecked(raw)
-		if err != nil || len(v) != 3 {
+		var v [3]int64
+		if !(words{i: v[:]}).fold(opSet, raw) {
 			panic(c.tornPayload("Split", r, len(raw)))
 		}
 		if int(v[0]) == color {

@@ -282,17 +282,22 @@ func TestAlltoall(t *testing.T) {
 func TestAllreduceFloat64(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8} {
 		err := Run(p, func(c *Comm) error {
-			x := []float64{float64(c.Rank()), -float64(c.Rank())}
-			sum := c.AllreduceFloat64(x, OpSum)
+			// The reduction is in place: each call gets its own operand.
+			x := func() []float64 { return []float64{float64(c.Rank()), -float64(c.Rank())} }
+			in := x()
+			sum := c.AllreduceFloat64(in, OpSum)
+			if &sum[0] != &in[0] {
+				return errors.New("result is not the operand")
+			}
 			want := float64(p*(p-1)) / 2
 			if sum[0] != want || sum[1] != -want {
 				return fmt.Errorf("sum = %v, want ±%v", sum, want)
 			}
-			mx := c.AllreduceFloat64(x, OpMax)
+			mx := c.AllreduceFloat64(x(), OpMax)
 			if mx[0] != float64(p-1) || mx[1] != 0 {
 				return fmt.Errorf("max = %v", mx)
 			}
-			mn := c.AllreduceFloat64(x, OpMin)
+			mn := c.AllreduceFloat64(x(), OpMin)
 			if mn[0] != 0 || mn[1] != -float64(p-1) {
 				return fmt.Errorf("min = %v", mn)
 			}
@@ -460,7 +465,10 @@ func TestUntimedClockIsZero(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	f := func(a, b, cc float64) bool {
 		x := []float64{a, b, cc}
-		y := BytesToFloat64s(Float64sToBytes(x))
+		y := make([]float64, len(x))
+		if !(words{f: y}).fold(opSet, Float64sToBytes(x)) {
+			return false
+		}
 		for i := range x {
 			if x[i] != y[i] && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
 				return false
@@ -473,8 +481,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	g := func(a, b int64) bool {
 		x := []int64{a, b}
-		y := BytesToInt64s(Int64sToBytes(x))
-		return x[0] == y[0] && x[1] == y[1]
+		y := make([]int64, len(x))
+		return (words{i: y}).fold(opSet, Int64sToBytes(x)) && x[0] == y[0] && x[1] == y[1]
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
@@ -524,19 +532,79 @@ func TestAlltoallLendsReusedBuffers(t *testing.T) {
 	}
 }
 
-func TestCodecPanicsOnBadLength(t *testing.T) {
-	for _, fn := range []func(){
-		func() { BytesToFloat64s(make([]byte, 7)) },
-		func() { BytesToInt64s(make([]byte, 9)) },
+// TestAllgatherLendsReusedBuffers is TestAlltoallLendsReusedBuffers
+// for both allgathers: each rank rewrites its one block every round,
+// after the allreduce that follows the round's gather, and every block
+// received must hold what its owner wrote for that round. The own
+// block comes back as is.
+func TestAllgatherLendsReusedBuffers(t *testing.T) {
+	const rounds, size = 50, 64
+	for _, alg := range []struct {
+		name   string
+		gather func(c *Comm, data []byte) [][]byte
+	}{
+		{"ring", (*Comm).Allgather},
+		{"bruck", func(c *Comm, data []byte) [][]byte { return c.AllgatherBatchedOverlap(data, nil) }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+		for _, p := range []int{2, 3, 5} {
+			err := Run(p, func(c *Comm) error {
+				data := make([]byte, size)
+				for round := 0; round < rounds; round++ {
+					for i := range data {
+						data[i] = byte(round + 3*c.Rank() + i)
+					}
+					out := alg.gather(c, data)
+					if &out[c.Rank()][0] != &data[0] {
+						return errors.New("own block was copied, not returned as is")
+					}
+					for src, blk := range out {
+						if len(blk) != size {
+							return fmt.Errorf("round %d: block of %d has %d bytes", round, src, len(blk))
+						}
+						for i, b := range blk {
+							if want := byte(round + 3*src + i); b != want {
+								return fmt.Errorf("round %d: byte %d of rank %d is %d, want %d", round, i, src, b, want)
+							}
+						}
+					}
+					c.AllreduceInt64([]int64{int64(round)}, OpMax)
 				}
-			}()
-			fn()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", alg.name, p, err)
+			}
+		}
+	}
+}
+
+// TestCodecRejectsBadLength: the one decode of typed payloads accepts
+// exactly 8 bytes per word, and a receive of any other length raises
+// the ErrTornPayload comm failure.
+func TestCodecRejectsBadLength(t *testing.T) {
+	for _, n := range []int{0, 7, 9, 16} {
+		if (words{f: make([]float64, 1)}).fold(opSet, make([]byte, n)) {
+			t.Errorf("float64 decode of %d bytes into 1 word accepted", n)
+		}
+		if (words{i: make([]int64, 1)}).fold(OpSum, make([]byte, n)) {
+			t.Errorf("int64 fold of %d bytes into 1 word accepted", n)
+		}
+	}
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Send(1, 3, make([]byte, 7))
+			return nil
+		}
+		defer func() {
+			if cerr, ok := AsCommFailure(recover()); !ok || !errors.Is(cerr, ErrTornPayload) {
+				t.Errorf("RecvFloat64s of 7 bytes: want an ErrTornPayload comm failure, got %v", cerr)
+			}
 		}()
+		c.RecvFloat64s(0, 3)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -309,14 +309,73 @@ func TestLeakCorruptionCaughtByCheckedDecode(t *testing.T) {
 			c.SendFloat64s(1, 2, []float64{1, 2, 3})
 			return nil
 		}
-		_, err := c.RecvFloat64sDeadline(0, 2, time.Second)
-		if err == nil || errors.Is(err, ErrTimeout) || errors.Is(err, ErrRankDead) {
+		err := c.RecvFloat64sDeadline(make([]float64, 3), 0, 2, time.Second)
+		if !errors.Is(err, ErrTornPayload) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrRankDead) {
 			return fmt.Errorf("want decode error for torn payload, got %v", err)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTornTypedPayloadsFailTyped tears every message of a 3-rank world
+// and runs one collective or float64 receive per row: the rank that
+// decodes a torn payload raises the ErrTornPayload comm failure and
+// revokes the communicator, so its peers fail typed too — no plain
+// panic, no deadlock.
+func TestTornTypedPayloadsFailTyped(t *testing.T) {
+	torn := planStub{verdict: func(src, dst, tag int, seq uint64) FaultVerdict {
+		return FaultVerdict{Injected: true, CorruptTruncate: true}
+	}}
+	// pair runs recv on rank 1 against a three-value SendFloat64s of
+	// rank 0; rank 2 idles.
+	pair := func(recv func(c *Comm) error) func(c *Comm) error {
+		return func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				c.SendFloat64s(1, 5, []float64{1, 2, 3})
+			case 1:
+				return recv(c)
+			}
+			return nil
+		}
+	}
+	for _, row := range []struct {
+		name string
+		op   func(c *Comm) error
+	}{
+		{"AllreduceFloat64", func(c *Comm) error { c.AllreduceFloat64([]float64{1, 2, 3}, OpSum); return nil }},
+		{"AllreduceInt64", func(c *Comm) error { c.AllreduceInt64([]int64{1, 2, 3}, OpMax); return nil }},
+		{"BcastFloat64s", func(c *Comm) error { c.BcastFloat64s(0, []float64{1, 2, 3}); return nil }},
+		{"AllgatherBatchedOverlap", func(c *Comm) error { c.AllgatherBatchedOverlap([]byte{1, 2}, nil); return nil }},
+		{"AllgatherFloat64s", func(c *Comm) error { c.AllgatherFloat64s([]float64{1, 2}); return nil }},
+		{"Split", func(c *Comm) error { c.Split(0, c.Rank()); return nil }},
+		{"RecvFloat64s", pair(func(c *Comm) error { c.RecvFloat64s(0, 5); return nil })},
+		{"RecvFloat64sInto", pair(func(c *Comm) error { c.RecvFloat64sInto(make([]float64, 3), 0, 5); return nil })},
+		{"RecvFloat64sDeadline", pair(func(c *Comm) error {
+			return c.RecvFloat64sDeadline(make([]float64, 3), 0, 5, time.Second)
+		})},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			_, err := RunOpts(3, Options{Fault: torn}, func(c *Comm) (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						cerr, ok := AsCommFailure(p)
+						if !ok {
+							panic(p)
+						}
+						c.Revoke()
+						err = cerr
+					}
+				}()
+				return row.op(c)
+			})
+			if !errors.Is(err, ErrTornPayload) || errors.Is(err, ErrDeadlock) {
+				t.Fatalf("want an ErrTornPayload failure and no deadlock, got %v", err)
+			}
+		})
 	}
 }
 

@@ -94,6 +94,8 @@ func (c *Comm) FailFast(on bool) { c.failFast = on }
 func (c *Comm) SetLabel(name string) { c.label = name }
 
 // describe renders the communicator identity for diagnostics.
+//
+//lint:coldpath formats a communicator only into a failure's diagnostic
 func (c *Comm) describe() string {
 	if c.label != "" {
 		return "comm " + c.label
@@ -150,6 +152,8 @@ func (c *Comm) revokedOrDeadLocked() error {
 // dead list (AgreeDeadRanks), so every caller constructs an identical
 // communicator even when their local liveness views race with an
 // ongoing failure. The caller must not be in the dead list.
+//
+//lint:coldpath recovery: runs once per failure, and allocates the new communicator
 func (c *Comm) ShrinkTo(deadWorldRanks []int) *Comm {
 	dead := make(map[int]bool, len(deadWorldRanks))
 	for _, wr := range deadWorldRanks {

@@ -92,7 +92,7 @@ func Run(comm *mpi.Comm, coarse, fine Propagator, t0, t1 float64, u0 []float64, 
 		res.Corrections = append(res.Corrections, ode.MaxDiff(uEnd, prev))
 	}
 	res.U = uEnd
-	res.Final = mpi.BytesToFloat64s(comm.Bcast(p-1, mpi.Float64sToBytes(uEnd)))
+	res.Final = comm.BcastFloat64s(p-1, append([]float64(nil), uEnd...))
 	return res, nil
 }
 

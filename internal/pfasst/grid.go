@@ -39,6 +39,7 @@ type GridSolver struct {
 	cfg          Config
 	fine, coarse *level
 	prevEnd      []float64 // the fine slice end of the previous iteration
+	in           []float64 // the slice-end value last received from the left
 	res          *Result
 	pb           probe
 	// open marks that the last attempt committed a per-block record no
@@ -71,6 +72,7 @@ func NewGridSolver(cfg Config, res *Result) (*GridSolver, error) {
 	return &GridSolver{
 		cfg: cfg, fine: fine, coarse: coarse,
 		prevEnd: make([]float64, cfg.Levels[0].Sys.Dim()),
+		in:      make([]float64, cfg.Levels[0].Sys.Dim()),
 		res:     res, pb: newProbe(cfg.Tel),
 	}, nil
 }

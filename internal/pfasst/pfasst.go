@@ -336,12 +336,11 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 	coarse.sw.Spread()
 	for j := 0; j <= rank; j++ {
 		if j > 0 {
-			in, err := lk.recv(comm, rank-1, lk.tag(1, j, true))
-			if err != nil {
+			if err := lk.recv(comm, s.in, rank-1, lk.tag(1, j, true)); err != nil {
 				predSpan.Stop()
 				return blockRecord{}, fmt.Errorf("%w: predictor: %w", errBlockAbort, err)
 			}
-			coarse.sw.SetU0(in)
+			coarse.sw.SetU0(s.in)
 		}
 		coarse.sw.Sweep()
 		res.SweepsCoarse++
@@ -388,12 +387,11 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		// receive/send pair per coarse sweep block).
 		for n := 0; n < cfg.CoarseSweeps; n++ {
 			if rank > 0 {
-				in, err := lk.recv(comm, rank-1, lk.tag(1, k*8+n, false))
-				if err != nil {
+				if err := lk.recv(comm, s.in, rank-1, lk.tag(1, k*8+n, false)); err != nil {
 					iterSpan.Stop()
 					return blockRecord{}, fmt.Errorf("%w: iteration %d coarse: %w", errBlockAbort, k, err)
 				}
-				coarse.sw.SetU0(in)
+				coarse.sw.SetU0(s.in)
 			}
 			coarse.sw.Sweep()
 			res.SweepsCoarse++
@@ -411,12 +409,11 @@ func (s *GridSolver) runBlock(comm *mpi.Comm, lk link, tn, dt float64, u0 []floa
 		// EvalAll evaluates F_0 with the other nodes. The fine level
 		// sweeps at the start of the next iteration.
 		if rank > 0 {
-			in, err := lk.recv(comm, rank-1, lk.tag(0, k, false))
-			if err != nil {
+			if err := lk.recv(comm, s.in, rank-1, lk.tag(0, k, false)); err != nil {
 				iterSpan.Stop()
 				return blockRecord{}, fmt.Errorf("%w: iteration %d fine: %w", errBlockAbort, k, err)
 			}
-			fine.sw.SetU0(in)
+			fine.sw.SetU0(s.in)
 			ode.Copy(fine.uR[0], fine.sw.U[0])
 		}
 		fine.interpolateCorrection(coarse)

@@ -96,11 +96,14 @@ func (l link) ctrlTag(seq int) int {
 	return resTagBase + l.gen*resGenSpan + resCtrl + seq
 }
 
-func (l link) recv(c *mpi.Comm, src, tag int) ([]float64, error) {
+// recv receives a slice-end value into dst, which has the state's
+// length.
+func (l link) recv(c *mpi.Comm, dst []float64, src, tag int) error {
 	if l.timeout == 0 {
-		return c.RecvFloat64s(src, tag), nil
+		c.RecvFloat64sInto(dst, src, tag)
+		return nil
 	}
-	return c.RecvFloat64sDeadline(src, tag, l.timeout)
+	return c.RecvFloat64sDeadline(dst, src, tag, l.timeout)
 }
 
 // bcastEnd distributes the last rank's slice-end value and returns it
@@ -109,29 +112,29 @@ func (l link) recv(c *mpi.Comm, src, tag int) ([]float64, error) {
 func (l link) bcastEnd(c *mpi.Comm, uEnd []float64) ([]float64, error) {
 	p := c.Size()
 	root := p - 1
+	end := append([]float64(nil), uEnd...)
 	if l.timeout == 0 {
-		return mpi.BytesToFloat64s(c.Bcast(root, mpi.Float64sToBytes(uEnd))), nil
+		return c.BcastFloat64s(root, end), nil
 	}
 	if c.Rank() == root {
 		for dst := 0; dst < root; dst++ {
 			c.SendFloat64s(dst, l.ctrlTag(1), uEnd)
 		}
-		return append([]float64(nil), uEnd...), nil
+		return end, nil
 	}
-	got, err := c.RecvFloat64sDeadline(root, l.ctrlTag(1), l.timeout)
-	if err != nil {
+	if err := c.RecvFloat64sDeadline(end, root, l.ctrlTag(1), l.timeout); err != nil {
 		return nil, fmt.Errorf("%w: end broadcast: %w", errBlockAbort, err)
 	}
-	return got, nil
+	return end, nil
 }
 
 // allreduceMax is the Tol convergence check's allreduce(max) of
 // iteration seq. Deadline branch: gather at rank 0, then scatter.
-//
-//lint:coldpath runs only when Config.Tol > 0, which trades the pipeline's overlap for a collective per iteration; mpi's allreduce allocates its result regardless
 func (l link) allreduceMax(c *mpi.Comm, v float64, seq int) (float64, error) {
+	var x [1]float64
+	x[0] = v
 	if l.timeout == 0 {
-		return c.AllreduceFloat64([]float64{v}, mpi.OpMax)[0], nil
+		return c.AllreduceFloat64(x[:], mpi.OpMax)[0], nil
 	}
 	p := c.Size()
 	if p == 1 {
@@ -141,22 +144,21 @@ func (l link) allreduceMax(c *mpi.Comm, v float64, seq int) (float64, error) {
 	if c.Rank() == 0 {
 		m := v
 		for src := 1; src < p; src++ {
-			x, err := c.RecvFloat64sDeadline(src, tag, l.timeout)
-			if err != nil || len(x) != 1 {
+			if err := c.RecvFloat64sDeadline(x[:], src, tag, l.timeout); err != nil {
 				return 0, fmt.Errorf("%w: allreduce gather: %w", errBlockAbort, err)
 			}
 			if x[0] > m {
 				m = x[0]
 			}
 		}
+		x[0] = m
 		for dst := 1; dst < p; dst++ {
-			c.SendFloat64s(dst, tag+1, []float64{m})
+			c.SendFloat64s(dst, tag+1, x[:])
 		}
 		return m, nil
 	}
-	c.SendFloat64s(0, tag, []float64{v})
-	x, err := c.RecvFloat64sDeadline(0, tag+1, l.timeout)
-	if err != nil || len(x) != 1 {
+	c.SendFloat64s(0, tag, x[:])
+	if err := c.RecvFloat64sDeadline(x[:], 0, tag+1, l.timeout); err != nil {
 		return 0, fmt.Errorf("%w: allreduce result: %w", errBlockAbort, err)
 	}
 	return x[0], nil
