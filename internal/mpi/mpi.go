@@ -16,7 +16,7 @@
 // collective on it (the two allgathers count as one). Float64 and
 // int64 messages (SendFloat64s, the allreduces, BcastFloat64s) are
 // encoded once into a buffer from a per-world free list, and the
-// receiver that decodes one returns it there; Send and Bcast copy.
+// receiver that decodes one returns it there; Send copies.
 //
 // The runtime optionally maintains a LogGP-style virtual clock per
 // rank: compute phases advance a rank's clock explicitly via Advance,
@@ -687,29 +687,8 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast broadcasts data from root to all ranks using a binomial tree
-// and returns the received slice (the root returns data unchanged).
-// Every hop copies.
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	p := c.Size()
-	if p == 1 {
-		return data
-	}
-	defer c.probe().timer(collBcast).Start().Stop()
-	tag := c.collTag(1)
-	rel := (c.rank - root + p) % p // relative rank, root = 0
-	if rel != 0 {
-		m, _ := c.recv(c.bcastParent(root, rel), tag)
-		data = m.data
-	}
-	for mask := nextPow2(rel); rel+mask < p; mask <<= 1 {
-		c.send((rel+mask+root)%p, tag, data)
-	}
-	return data
-}
-
 // BcastFloat64s broadcasts root's x into x on every rank, in place,
-// over Bcast's binomial tree: the same messages, each 8·len(x) bytes.
+// over a binomial tree: ⌈log2 P⌉ rounds, each message 8·len(x) bytes.
 // Every rank passes an x of the same length; a received payload of
 // any other length (a torn one) raises an ErrTornPayload comm failure.
 func (c *Comm) BcastFloat64s(root int, x []float64) []float64 {

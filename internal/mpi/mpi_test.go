@@ -155,12 +155,12 @@ func TestBcast(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		for root := 0; root < p; root++ {
 			err := Run(p, func(c *Comm) error {
-				var data []byte
+				x := []float64{-1, -1}
 				if c.Rank() == root {
-					data = []byte{42, 43}
+					x = []float64{42, 43}
 				}
-				got := c.Bcast(root, data)
-				if len(got) != 2 || got[0] != 42 || got[1] != 43 {
+				got := c.BcastFloat64s(root, x)
+				if len(got) != 2 || got[0] != 42 || got[1] != 43 || &got[0] != &x[0] {
 					return fmt.Errorf("rank %d got %v", c.Rank(), got)
 				}
 				return nil

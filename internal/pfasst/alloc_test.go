@@ -16,7 +16,9 @@ import (
 // is every rank's mallocs over the same blocks, per block as
 // testing.AllocsPerRun counts them (the integer mean); a barrier after
 // each block stands in for the end-value broadcast that keeps ranks
-// one block apart in a run. The window is long because a few
+// one block apart in a run. That broadcast is left out because it is
+// not allocation-free: bcastEnd returns a fresh slice per block, which
+// the time loops keep as the next block's start value. The window is long because a few
 // allocations are not per block: a mailbox or the free list growing
 // at a new in-flight peak, and the runtime filling its per-processor
 // caches of wait-queue entries, which a loaded host stretches over
