@@ -52,13 +52,20 @@ go test -bench . -benchtime 1x -run '^$' ./...
 # gathers SoA lanes, so the façade's serial, space-parallel and
 # space-time runs all evaluate through them), plus an allocation smoke
 # over BenchmarkLayoutEvalSoA — the tree's hot path must be
-# allocation-free in steady state (0 allocs/op, averaged over the
-# benchtime iterations).
+# allocation-free in steady state: 0 allocs/op and 0 B/op over the 20
+# timed evaluations. The benchmark runs 10 untimed evaluations first.
+# Gated on allocs/op alone, one run in five once read 262 B/op (a
+# single ≈ 5 KB object in 20 evaluations) and passed; 52 warmed runs
+# (and 40 with one warm evaluation) then read 0 B/op every time, so
+# the B/op ceiling, the largest figure measured × 1.3, is 0.
 go test -count=1 .
 alloc_out=$(mktemp)
 go test -bench 'BenchmarkLayoutEval' -benchtime 20x -benchmem -run '^$' . | tee "$alloc_out"
-grep -E 'BenchmarkLayoutEvalSoA.*[^0-9]0 allocs/op' "$alloc_out" >/dev/null || {
-  echo "SoA hot path is not allocation-free in steady state" >&2
+awk '/^BenchmarkLayoutEvalSoA/ { for (i = 2; i <= NF; i++) {
+       if ($i == "B/op") { seen++; if ($(i-1) + 0 > 0) over = 1 }
+       if ($i == "allocs/op") { seen++; if ($(i-1) + 0 > 0) over = 1 } } }
+     END { exit (seen == 2 && !over) ? 0 : 1 }' "$alloc_out" || {
+  echo "SoA hot path is not allocation-free in steady state (any B/op or allocs/op)" >&2
   exit 1
 }
 # Second allocation smoke: warm collective hot.Solver.Eval calls on

@@ -74,7 +74,7 @@ func SpaceTimePhases(cfg PhasesConfig) (telemetry.Snapshot, *Table) {
 		pfasst.CounterFineSweeps, pfasst.CounterCoarseSweeps,
 		"core.evals.level0", "core.evals.level1",
 		hot.CounterInteractions, hot.CounterMACAccepts, hot.CounterMACRejects,
-		hot.CounterPrefetched, hot.CounterSteals,
+		hot.CounterPrefetched, hot.CounterSteals, hot.CounterKept, hot.CounterRouted,
 		mpi.CounterSends, mpi.CounterSendBytes,
 	} {
 		tb.AddRow(name, f("%d", merged.Counter(name)), "", "")

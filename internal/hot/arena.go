@@ -22,17 +22,27 @@ import (
 // The route, prefetch and result blocks (mpi.Alltoall), and the wire
 // and packed branch blocks (the allgathers), are lent to other ranks
 // under mpi's lending rule: reset only truncates them, and an
-// evaluation writes them after its first allreduces. The headers a
-// collective returns are the communicator's until its next call of
-// that collective, so what must outlive one is copied in here (the
-// peer boxes).
+// evaluation writes them after its first allreduces. The rank's own
+// share is neither lent nor encoded: its route and result blocks stay
+// empty, the own range of sorted positions is copied into the local
+// system and its results are written by index. The route and result
+// blocks, the local system with its origin indices and the packed
+// branch list are sized from counts the evaluation already holds (an
+// owner's range, a source's run, the received block lengths, the
+// branch count) before they are filled, not grown by append. The
+// headers a collective returns are the communicator's until its next
+// call of that collective, so what must outlive one is copied in here
+// (the peer boxes).
 type evalArena struct {
 	// Decomposition: the operands of the bounding-box and particle
 	// count reductions; Morton keys in sorted order, their sort
 	// permutation and the balance weights of the caller's particles;
-	// splitter sampling; one route block per destination rank; and the
-	// system this rank owns after the exchange, with each particle's
-	// origin labels.
+	// splitter sampling; the owners' ranges of sorted positions and
+	// one route block per remote owner (the own block stays empty);
+	// and the system this rank owns after the exchange, with each
+	// particle's index on its origin rank. The local system is the
+	// sources' runs in rank order: source r's particles are positions
+	// [runs[r], runs[r+1]).
 	lo, hi     [3]float64
 	count      [1]int64
 	keys       []uint64
@@ -41,11 +51,12 @@ type evalArena struct {
 	samples    []uint64
 	samplePool []uint64
 	splitters  []uint64
+	bounds     []int
 	wire       []byte
 	route      [][]byte
 	local      particle.System
-	originRank []int
 	originIdx  []int
+	runs       []int
 
 	// The local tree over a.local, rebuilt in place (guard retries
 	// included), then grafted into the locally essential tree: its
@@ -68,7 +79,8 @@ type evalArena struct {
 	outVel, outStr, outE []vec.Vec3
 	outPot, workPer      []float64
 
-	// Result routing: one block per origin rank, and the operands of
+	// Result routing: one block per remote source rank (the own run is
+	// written by index, and its block stays empty), and the operands of
 	// the imbalance reductions, which reduce in place: the sum's word,
 	// then the max's.
 	results [][]byte
@@ -81,9 +93,6 @@ func (a *evalArena) reset(p int) {
 	a.route = resetBlocks(a.route, p)
 	a.prefetch = resetBlocks(a.prefetch, p)
 	a.results = resetBlocks(a.results, p)
-	a.local.Particles = a.local.Particles[:0]
-	a.originRank = a.originRank[:0]
-	a.originIdx = a.originIdx[:0]
 }
 
 // resetBlocks returns blocks with p empty entries, each keeping the

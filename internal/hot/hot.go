@@ -102,6 +102,8 @@ type Config struct {
 // Stats describes the work of the most recent evaluation on this rank.
 type Stats struct {
 	NLocal        int   // particles owned after redistribution
+	Kept          int   // particles that stayed on this rank, copied in place
+	Routed        int   // particles sent to another rank
 	LocalBranches int   // branch nodes contributed by this rank
 	TotalBranches int   // branch nodes in the global tree
 	Interactions  int64 // MAC-accepted cells + direct particle pairs
@@ -277,10 +279,10 @@ func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []
 
 // decompose is phase 1: the global domain, then a sample sort along
 // the space-filling curve that leaves every rank owning a contiguous
-// key range and the particles in it (rt.local, with origin labels so
-// results can be routed back).
+// key range and the particles in it (rt.local: the sources' runs in
+// rank order, with origin indices so results can be routed back).
 //
-//lint:hotpath the decomposition: keys, sorts and routes every particle of every evaluation
+//lint:hotpath the decomposition: keys and sorts every particle of every evaluation, and routes or copies it
 func (rt *evalRT) decompose(sys *particle.System) {
 	s, a, comm := rt.s, rt.a, rt.comm
 	p := comm.Size()
@@ -324,20 +326,74 @@ func (rt *evalRT) decompose(sys *particle.System) {
 	splitters := rt.sampleSplitters()
 	rt.myLo, rt.myHi = ownedRange(splitters, rt.me, p)
 
-	// Route each particle to its owner.
-	for j, i := range order {
-		owner := keyOwner(splitters, keys[j])
-		a.route[owner] = encodeParticle(a.route[owner], &sys.Particles[i], rt.me, i, weights[i])
+	// Route each remote owner its range of sorted positions in one
+	// exactly sized block. The own range is never encoded.
+	a.bounds = ownerBounds(a.bounds, keys, splitters)
+	bounds := a.bounds
+	for r := range p {
+		if r == rt.me {
+			continue
+		}
+		blk := slices.Grow(a.route[r], (bounds[r+1]-bounds[r])*particleRecBytes)
+		for j := bounds[r]; j < bounds[r+1]; j++ {
+			i := order[j]
+			blk = encodeParticle(blk, &sys.Particles[i], rt.me, i, weights[i])
+		}
+		a.route[r] = blk
 	}
-	for r, raw := range comm.Alltoall(a.route) {
-		for in := comm.Reader("Alltoall", r, raw); in.More(); {
-			pp, orank, oidx, _ := decodeParticle(in.Next(particleRecBytes))
-			a.local.Particles = append(a.local.Particles, pp)
-			a.originRank = append(a.originRank, orank)
-			a.originIdx = append(a.originIdx, oidx)
+	kept := bounds[rt.me+1] - bounds[rt.me]
+	rt.stats.Kept, rt.stats.Routed = kept, n-kept
+
+	// The local system is the received runs in rank order with the own
+	// range copied in at this rank's slot, Label zeroed as the wire
+	// leaves it. A torn block rounds up here and fails typed in its
+	// Reader before the extra slot is read.
+	recv := comm.Alltoall(a.route)
+	total := kept
+	for r, raw := range recv {
+		if r != rt.me {
+			total += (len(raw) + particleRecBytes - 1) / particleRecBytes
 		}
 	}
-	rt.stats.NLocal = a.local.N()
+	a.local.Particles = grow(a.local.Particles, total)
+	a.originIdx = grow(a.originIdx, total)
+	a.runs = grow(a.runs, p+1)
+	q := 0
+	for r, raw := range recv {
+		a.runs[r] = q
+		if r == rt.me {
+			for j := bounds[r]; j < bounds[r+1]; j++ {
+				i := order[j]
+				a.local.Particles[q] = sys.Particles[i]
+				a.local.Particles[q].Label = 0
+				a.originIdx[q] = i
+				q++
+			}
+			continue
+		}
+		for in := comm.Reader("Alltoall", r, raw); in.More(); q++ {
+			a.local.Particles[q], _, a.originIdx[q], _ = decodeParticle(in.Next(particleRecBytes))
+		}
+	}
+	a.runs[p] = q
+	rt.stats.NLocal = q
+}
+
+// ownerBounds returns in dst the P + 1 bounds of the owners' ranges of
+// sorted keys: owner r holds positions [bounds[r], bounds[r+1]). Owners
+// ascend along the keys, so each bound is one binary search of the
+// keys for a splitter, under the owner rule of ownedRange: a key equal
+// to splitter r − 1 belongs to owner r.
+func ownerBounds(dst []int, keys, splitters []uint64) []int {
+	p := len(splitters) + 1
+	dst = grow(dst, p+1)
+	dst[0] = 0
+	for r := 1; r < p; r++ {
+		j, _ := slices.BinarySearch(keys[dst[r-1]:], splitters[r-1])
+		dst[r] = dst[r-1] + j
+	}
+	dst[p] = len(keys)
+	return dst
 }
 
 // buildLocal is phase 2: the local tree over the owned particles, with
@@ -371,7 +427,7 @@ func (rt *evalRT) exchangeBranches() {
 		a.branches = appendBranchNodes(a.branches, rt.ltree, rt.ltree.Root, rt.myLo, rt.myHi)
 	}
 	rt.stats.LocalBranches = len(a.branches)
-	a.packed = a.packed[:0]
+	a.packed = slices.Grow(a.packed[:0], len(a.branches)*cellRecBytes)
 	for _, idx := range a.branches {
 		a.packed = encodeCell(a.packed, &rt.ltree.Nodes[idx], rt.disc)
 	}
@@ -471,9 +527,10 @@ func (rt *evalRT) traverse() {
 
 // routeResults is phase 5: the work-imbalance diagnostic, then results
 // (and per-particle work, for the next evaluation's weighted
-// decomposition) go back to the particles' original owners.
+// decomposition) go back to the particles' original owners: one sized
+// block per remote source run, and the own run written by index.
 //
-//lint:hotpath result routing: one record per local particle per evaluation
+//lint:hotpath result routing: one record per routed particle per evaluation
 func (rt *evalRT) routeResults(sys *particle.System, vel, stretch []vec.Vec3, pot []float64, ef []vec.Vec3) {
 	s, a, comm := rt.s, rt.a, rt.comm
 	st := rt.stats
@@ -495,32 +552,51 @@ func (rt *evalRT) routeResults(sys *particle.System, vel, stretch []vec.Vec3, po
 	if rt.disc == tree.Coulomb {
 		recWords = 6
 	}
-	for q := range a.workPer {
-		r := a.originRank[q]
-		blk := a.results[r]
-		blk = appendF(blk, float64(a.originIdx[q]))
-		switch rt.disc {
-		case tree.Vortex:
-			blk = appendF(blk, a.outVel[q].X)
-			blk = appendF(blk, a.outVel[q].Y)
-			blk = appendF(blk, a.outVel[q].Z)
-			blk = appendF(blk, a.outStr[q].X)
-			blk = appendF(blk, a.outStr[q].Y)
-			blk = appendF(blk, a.outStr[q].Z)
-		case tree.Coulomb:
-			blk = appendF(blk, a.outPot[q])
-			blk = appendF(blk, a.outE[q].X)
-			blk = appendF(blk, a.outE[q].Y)
-			blk = appendF(blk, a.outE[q].Z)
+	recBytes := 8 * recWords
+	for r, blk := range a.results {
+		if r == rt.me {
+			continue
 		}
-		a.results[r] = appendF(blk, a.workPer[q])
+		lo, hi := a.runs[r], a.runs[r+1]
+		blk = slices.Grow(blk, (hi-lo)*recBytes)
+		for q := lo; q < hi; q++ {
+			blk = appendF(blk, float64(a.originIdx[q]))
+			switch rt.disc {
+			case tree.Vortex:
+				blk = appendF(blk, a.outVel[q].X)
+				blk = appendF(blk, a.outVel[q].Y)
+				blk = appendF(blk, a.outVel[q].Z)
+				blk = appendF(blk, a.outStr[q].X)
+				blk = appendF(blk, a.outStr[q].Y)
+				blk = appendF(blk, a.outStr[q].Z)
+			case tree.Coulomb:
+				blk = appendF(blk, a.outPot[q])
+				blk = appendF(blk, a.outE[q].X)
+				blk = appendF(blk, a.outE[q].Y)
+				blk = appendF(blk, a.outE[q].Z)
+			}
+			blk = appendF(blk, a.workPer[q])
+		}
+		a.results[r] = blk
 	}
 	if s.cfg.WeightedBalance {
 		// Every entry is overwritten below: each of the caller's
-		// particles gets exactly one result record.
+		// particles is in exactly one run.
 		s.workWeights = grow(s.workWeights, sys.N())
 	}
-	recBytes := 8 * recWords
+	// The own run is written by index; the others arrive as records.
+	for q := a.runs[rt.me]; q < a.runs[rt.me+1]; q++ {
+		idx := a.originIdx[q]
+		switch rt.disc {
+		case tree.Vortex:
+			vel[idx], stretch[idx] = a.outVel[q], a.outStr[q]
+		case tree.Coulomb:
+			pot[idx], ef[idx] = a.outPot[q], a.outE[q]
+		}
+		if s.cfg.WeightedBalance {
+			s.workWeights[idx] = a.workPer[q]
+		}
+	}
 	for r, raw := range comm.Alltoall(a.results) {
 		for in := comm.Reader("Alltoall", r, raw); in.More(); {
 			rec := in.Next(recBytes)
@@ -589,22 +665,6 @@ func (rt *evalRT) sampleSplitters() []uint64 {
 		}
 	}
 	return a.splitters
-}
-
-// keyOwner returns the rank owning the key under the splitter set:
-// the first rank whose upper splitter lies above the key, by binary
-// search.
-func keyOwner(splitters []uint64, key uint64) int {
-	lo, hi := 0, len(splitters)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if key < splitters[m] {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
 }
 
 // ownedRange returns the inclusive key interval of a rank.

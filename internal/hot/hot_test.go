@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/direct"
@@ -287,6 +289,22 @@ func TestCodecCellRoundTrip(t *testing.T) {
 	}
 }
 
+// keyOwner is the owner rule the decomposition's range search
+// follows: the first rank whose upper splitter lies above the key, so
+// a key equal to a splitter belongs to the rank above it.
+func keyOwner(splitters []uint64, key uint64) int {
+	lo, hi := 0, len(splitters)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if key < splitters[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 func TestOwnedRangeAndKeyOwnerConsistent(t *testing.T) {
 	splitters := []uint64{100, 200, 300}
 	p := 4
@@ -300,6 +318,50 @@ func TestOwnedRangeAndKeyOwnerConsistent(t *testing.T) {
 	}
 	if keyOwner(splitters, 99) != 0 || keyOwner(splitters, 100) != 1 {
 		t.Fatal("splitter boundary misassigned")
+	}
+
+	// The owner ranges the decomposition routes by: every position of
+	// owner r's range must be owned by r under keyOwner, and the ranges
+	// must tile the sorted keys. Keys equal to a splitter, runs of
+	// equal keys straddling one, a repeated splitter (an empty owner)
+	// and owners with no keys at either end are in the cases.
+	check := func(keys, splitters []uint64) {
+		t.Helper()
+		b := ownerBounds(nil, keys, splitters)
+		if len(b) != len(splitters)+2 || b[0] != 0 || b[len(b)-1] != len(keys) {
+			t.Fatalf("keys %v splitters %v: bounds %v do not tile the keys", keys, splitters, b)
+		}
+		for r := 0; r+1 < len(b); r++ {
+			if b[r] > b[r+1] {
+				t.Fatalf("keys %v splitters %v: bounds %v descend", keys, splitters, b)
+			}
+			for j := b[r]; j < b[r+1]; j++ {
+				if got := keyOwner(splitters, keys[j]); got != r {
+					t.Fatalf("keys %v splitters %v: position %d (key %d) in owner %d's range, keyOwner says %d",
+						keys, splitters, j, keys[j], r, got)
+				}
+			}
+		}
+	}
+	check([]uint64{99, 100, 100, 100, 150, 199, 200, 200, 250, 299, 300, 300, 301}, splitters)
+	check([]uint64{50, 100, 100, 100, 100, 300}, []uint64{100, 100, 300})
+	check([]uint64{0, 1, 2}, splitters)
+	check([]uint64{400, 400, 500}, splitters)
+	check(nil, splitters)
+	check([]uint64{7, 7, 9}, nil)
+	rng := rand.New(rand.NewSource(5))
+	for range 500 {
+		keys := make([]uint64, rng.Intn(40))
+		for j := range keys {
+			keys[j] = uint64(rng.Intn(12))
+		}
+		slices.Sort(keys)
+		sp := make([]uint64, rng.Intn(6))
+		for j := range sp {
+			sp[j] = uint64(rng.Intn(14))
+		}
+		slices.Sort(sp)
+		check(keys, sp)
 	}
 }
 

@@ -29,6 +29,12 @@ const (
 	// NOT part of the determinism regression: the steal count depends
 	// on OS scheduling, the results do not.
 	CounterSteals = "hot.steals"
+	// CounterKept counts the particles the decomposition left on their
+	// rank, copied into the local system without a message; CounterRouted
+	// those it sent to another rank. Their sum is the global particle
+	// count per evaluation.
+	CounterKept   = "hot.kept"
+	CounterRouted = "hot.routed"
 
 	GaugeNLocal        = "hot.nlocal"
 	GaugeBranchesTotal = "hot.branches_total"
@@ -47,7 +53,7 @@ type probe struct {
 	decomp, build, branch, traverse *telemetry.Timer
 	workerBusy                      *telemetry.Timer
 
-	evals, interactions, macAccepts, macRejects, p2p, prefetched, steals *telemetry.Counter
+	evals, interactions, macAccepts, macRejects, p2p, prefetched, steals, kept, routed *telemetry.Counter
 
 	nlocal, branchesTotal, imbalance *telemetry.Gauge
 }
@@ -66,6 +72,8 @@ func newProbe(reg *telemetry.Registry) probe {
 		p2p:           reg.Counter(CounterP2P),
 		prefetched:    reg.Counter(CounterPrefetched),
 		steals:        reg.Counter(CounterSteals),
+		kept:          reg.Counter(CounterKept),
+		routed:        reg.Counter(CounterRouted),
 		nlocal:        reg.Gauge(GaugeNLocal),
 		branchesTotal: reg.Gauge(GaugeBranchesTotal),
 		imbalance:     reg.Gauge(GaugeImbalance),
@@ -82,6 +90,8 @@ func (pb *probe) record(st *Stats) {
 	pb.p2p.Add(st.Interactions - st.MACAccepts)
 	pb.prefetched.Add(st.Prefetched)
 	pb.steals.Add(st.Steals)
+	pb.kept.Add(int64(st.Kept))
+	pb.routed.Add(int64(st.Routed))
 	pb.nlocal.Set(float64(st.NLocal))
 	pb.branchesTotal.Set(float64(st.TotalBranches))
 	pb.imbalance.Set(st.WorkImbalance)
