@@ -74,8 +74,10 @@ func (v *VortexSystem) F(t float64, u, f []float64) {
 // rank's local particles and the right-hand side is computed
 // collectively by the parallel tree on the rank's spatial communicator.
 type DistVortexSystem struct {
-	local    *particle.System
-	solver   *hot.Solver
+	local  *particle.System
+	solver *hot.Solver
+	// work, vel and str are F's scratch; the levels of one rank's
+	// hierarchy share them (levelSolver).
 	work     *particle.System
 	vel, str []vec.Vec3
 	// Evals counts collective force evaluations.
@@ -297,10 +299,21 @@ func levelSystem(space *mpi.Comm, cfg Config, local *particle.System, theta floa
 // levelSolver builds the two systems of the space-time hierarchy —
 // θ_fine on NodesFine nodes, θ_coarse on NodesCoarse — and the PFASST
 // configuration over them; it also returns both systems, whose
-// evaluation counts the Result reports.
+// evaluation counts the Result reports. The coarse system is the fine
+// one with θ_coarse (hot.Solver.WithTheta): one evaluation arena and
+// one scratch per rank. The levels take turns — pfasst, sdc and core
+// start no goroutine — and F leaves nothing in the scratch that
+// outlives the call.
 func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard.Guard) (pcfg pfasst.Config, fine, coarse *DistVortexSystem) {
 	fine = levelSystem(space, cfg, local, cfg.ThetaFine, 0, grd)
-	coarse = levelSystem(space, cfg, local, cfg.ThetaCoarse, 1, grd)
+	coarse = &DistVortexSystem{
+		local:  local,
+		solver: fine.solver.WithTheta(cfg.ThetaCoarse),
+		work:   fine.work,
+		vel:    fine.vel,
+		str:    fine.str,
+	}
+	coarse.Instrument(cfg.Tel, 1)
 	return pfasst.Config{
 		Levels: []pfasst.LevelSpec{
 			{Sys: fine, NNodes: cfg.NodesFine},
@@ -314,6 +327,11 @@ func levelSolver(space *mpi.Comm, cfg Config, local *particle.System, grd *guard
 		Guard:        grd,
 	}, fine, coarse
 }
+
+// buildLevels is how the grid loop builds a rank's hierarchy, on every
+// (re)partition: levelSolver, which white-box tests wrap to inspect the
+// levels each rebuild makes.
+var buildLevels = levelSolver
 
 // blockBoundary returns the collective block-boundary callback the
 // grid loop calls at the top of every block attempt (nil when there is

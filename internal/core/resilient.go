@@ -394,7 +394,7 @@ func runGrid(world *mpi.Comm, cfg Config, full *particle.System, t0, t1 float64,
 						u = local.PackNew()
 					}
 					var pcfg pfasst.Config
-					pcfg, fineSys, coarseSys = levelSolver(spaceComm, cfg, local, grd)
+					pcfg, fineSys, coarseSys = buildLevels(spaceComm, cfg, local, grd)
 					gs, err := pfasst.NewGridSolver(pcfg, &pres)
 					if err != nil {
 						return err

@@ -113,10 +113,16 @@ func TestGridCrashSliceLossShrinksTimeWidth(t *testing.T) {
 // width (the minimum runs over LIVE slices): the grid continues 3×1,
 // the spare ranks of the two full slices retire, and the tail the
 // 3-wide blocks leave over runs as a 2×1 block on slices 0 and 2.
+// The hierarchies rebuilt on the narrower grid keep one evaluation
+// arena and one level scratch per rank, as the first ones do.
 func TestGridCrashDeadSliceAndThinnedSlice(t *testing.T) {
 	const pt, ps, nsteps = 4, 2, 8
 	clean, _ := runCrashGrid(t, resilientCfg(pt, ps), "", nsteps)
+	levels := watchLevels(t)
 	got, tel := runCrashGrid(t, resilientCfg(pt, ps), "crash=2@block:0,crash=3@block:0,crash=5@block:0", nsteps)
+	if widths, err := levels(); err != nil || !slices.Equal(widths, []int{1, ps}) {
+		t.Fatalf("levels built at spatial widths %v (%v); want one arena per rank at widths [1 %d]", widths, err, ps)
+	}
 	for r, res := range got {
 		if r == 2 || r == 3 || r == 5 {
 			continue

@@ -7,17 +7,22 @@ import (
 )
 
 // evalArena owns every allocation a force evaluation makes on this
-// rank. A Solver holds exactly one; each Eval/Coulomb resets it and
-// reuses the capacity the previous evaluation left behind, so a rank
-// in steady state (every SDC sweep after the first) allocates nothing:
-// package mpi lends the blocks, reduces in place and recycles its
-// message buffers.
+// rank. A rank has one: New makes it, and the solvers WithTheta derives
+// from that one (the levels of a space-time hierarchy, which differ
+// only in θ) evaluate in it by turns, never concurrently. Each
+// Eval/Coulomb resets it and reuses the capacity the previous
+// evaluation left behind, at either level, so a rank in steady state
+// (every SDC sweep after the first) allocates nothing: package mpi
+// lends the blocks, reduces in place and recycles its message buffers.
+// What a level carries from one of its evaluations to the next — its
+// work-weight history, statistics and telemetry — lives in its Solver,
+// not here.
 //
 // Lifetime rule: everything an evaluation builds — the received local
 // system, the locally essential tree grafted onto the local tree, and
-// the output arrays — is valid until the solver's next evaluation and
-// not a moment longer. Nothing in here is handed to the caller;
-// results leave through the caller's own slices.
+// the output arrays — is valid until the next evaluation on this rank,
+// at either level, and not a moment longer. Nothing in here is handed
+// to the caller; results leave through the caller's own slices.
 //
 // The route, prefetch and result blocks (mpi.Alltoall), and the wire
 // and packed branch blocks (the allgathers), are lent to other ranks

@@ -243,7 +243,7 @@ func TestUnresolvedRemoteCellIsTypedPanic(t *testing.T) {
 		cfg.Threads = c.threads
 		cfg.LeafCap = 1
 		s := New(nil, cfg)
-		a := &s.arena
+		a := s.arena
 		a.reset(2)
 		rt := &evalRT{s: s, a: a, me: 0, disc: c.disc, local: &a.local, stats: &s.Last,
 			dom: tree.NewDomain(vec.V3(0, 0, 0), vec.V3(1, 1, 1))}

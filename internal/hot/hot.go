@@ -141,20 +141,41 @@ type Solver struct {
 	ts tree.Solver
 
 	// workWeights holds, per origin-local particle, the interaction
-	// count of the previous evaluation (WeightedBalance only).
+	// count of the previous evaluation of this solver (WeightedBalance
+	// only): a level's history, never its sibling's.
 	workWeights []float64
 
 	// arena owns every per-evaluation allocation; each evaluation
-	// resets it and invalidates what the previous one built.
-	arena evalArena
+	// resets it and invalidates what the previous one built. Solvers
+	// made by WithTheta share it.
+	arena *evalArena
 }
 
-// New returns a solver bound to the given (spatial) communicator.
+// New returns a solver bound to the given (spatial) communicator, with
+// an arena of its own.
 func New(comm *mpi.Comm, cfg Config) *Solver {
 	if cfg.LeafCap < 1 {
 		cfg.LeafCap = 8
 	}
-	s := &Solver{comm: comm, cfg: cfg, probe: newProbe(cfg.Tel), ts: tree.Solver{
+	return newSolver(comm, cfg, new(evalArena))
+}
+
+// WithTheta returns a solver that differs from s only in the MAC
+// parameter: it has s's communicator, configuration and build hook, and
+// evaluates in s's arena — the coarse level of a space-time hierarchy,
+// which is the fine level with a larger θ. Its statistics, work-weight
+// history, telemetry handles and tree evaluator are its own. The two
+// must take turns: an evaluation of either invalidates what the other's
+// previous evaluation built, and they never evaluate concurrently.
+func (s *Solver) WithTheta(theta float64) *Solver {
+	cfg := s.cfg
+	cfg.Theta = theta
+	return newSolver(s.comm, cfg, s.arena)
+}
+
+// newSolver returns a solver on comm that evaluates in arena a.
+func newSolver(comm *mpi.Comm, cfg Config, a *evalArena) *Solver {
+	s := &Solver{comm: comm, cfg: cfg, arena: a, probe: newProbe(cfg.Tel), ts: tree.Solver{
 		Sm: cfg.Sm, Scheme: cfg.Scheme, Theta: cfg.Theta, Dipole: cfg.Dipole,
 		Workers: max(1, cfg.Threads), Traversal: cfg.Traversal,
 	}}
@@ -240,7 +261,7 @@ func (s *Solver) clock() float64 {
 func (s *Solver) run(sys *particle.System, disc tree.Discipline, vel, stretch []vec.Vec3, pot []float64, ef []vec.Vec3) {
 	s.Last = Stats{}
 	st := &s.Last
-	a := &s.arena
+	a := s.arena
 	a.reset(s.comm.Size())
 	a.local.Sigma = sys.Sigma
 	rt := &evalRT{
